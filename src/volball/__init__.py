@@ -12,26 +12,26 @@ from .drivers import (CorrectionError, RunResult, SolverConfig, compute_energies
                       correct_overlaps, initial_ball, run_3ddem, run_3ddeq,
                       run_3dqc, run_method)
 from .fileio import load_mesh, save_mesh
-from .laplace import CotangentWeights, harmonic_fill, tet_cotangent_weights
+from .laplace import harmonic_fill
 from .remesh import RemeshQuality, pullback, quality_metrics, uniform_ball_mesh
 from .report import RunReport, write_histogram_csv
 from .sphere_map import BoundaryMap, compute_boundary_sphere_map
 from .tetmesh import (BarycentricCoord, DegenerateTetError, MeshError, TetMesh,
-                      TopologyError, count_folds, locate_point, signed_volumes)
+                      TopologyError, signed_volumes)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarycentricCoord", "BoundaryMap", "CorrectionError", "CotangentWeights",
+    "BarycentricCoord", "BoundaryMap", "CorrectionError",
     "DegenerateTetError", "DensityField", "DiffusionOperators", "MeshError",
     "RemeshQuality", "RunReport", "RunResult", "SolverConfig", "TetFrameField",
     "TetMesh", "TopologyError", "advect_and_renormalize", "build_operators",
     "compute_boundary_sphere_map", "compute_energies", "correct_overlaps",
-    "count_folds", "density_gradient", "diffusion_step", "flip_eigenvalues",
+    "density_gradient", "diffusion_step", "flip_eigenvalues",
     "frame_decompose", "harmonic_fill", "initial_ball", "jacobian_per_tet",
-    "load_mesh", "locate_point", "project_boundary_velocity", "pullback",
+    "load_mesh", "project_boundary_velocity", "pullback",
     "quality_metrics", "reconstruct_map", "recouple_density", "residual_step",
     "run_3ddem", "run_3ddeq", "run_3dqc", "run_method", "save_mesh",
-    "signed_volumes", "tet_cotangent_weights", "truncate_eigenvalues",
+    "signed_volumes", "truncate_eigenvalues",
     "uniform_ball_mesh", "velocity_field", "write_histogram_csv",
 ]

@@ -12,9 +12,9 @@ import numpy as np
 from . import drivers, fileio, remesh
 from .density import recouple_density
 from .distortion import frame_decompose, jacobian_per_tet
-from .drivers import SolverConfig, normalized_density_variance
+from .drivers import SolverConfig, k_stats, normalized_density_variance
 from .report import write_histogram_csv
-from .tetmesh import MeshError, TetMesh, signed_volumes
+from .tetmesh import MeshError, TetMesh
 
 
 class CliError(Exception):
@@ -46,7 +46,6 @@ def _add_config_flags(p):
     p.add_argument("--c-residual", type=float, default=50.0)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--boundary", choices=("conformal", "dem"), default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-correction", action="store_true",
                    help="disable the overlap correction scheme (diagnostics)")
 
@@ -56,7 +55,7 @@ def _config_from(args) -> SolverConfig:
                         k_threshold=args.kt, residual_constant=args.c_residual,
                         alpha=args.alpha,
                         boundary_mode=args.boundary or "auto",
-                        correction=not args.no_correction, seed=args.seed)
+                        correction=not args.no_correction)
 
 
 def _population_from(source: str, mesh: TetMesh) -> np.ndarray:
@@ -193,13 +192,11 @@ def _cmd_metrics(args) -> int:
             raise CliError("rest and mapped meshes have mismatched connectivity")
         positions = mapped.vertices
         folds = mesh.count_folds(positions)
-        frames = frame_decompose(jacobian_per_tet(mesh, positions))
-        k = frames.ratios
-        vols = signed_volumes(positions, mesh.tets)
+        mean_k, sd_k = k_stats(frame_decompose(jacobian_per_tet(mesh, positions)))
         pop = np.abs(mesh.volumes)
         rho0 = pop / pop  # rest density of the volume population is 1
         out.update({
-            "mean_K": float(np.mean(k)), "sd_K": float(np.std(k)),
+            "mean_K": mean_k, "sd_K": sd_k,
             "folds": int(folds),
             "var_rho0": normalized_density_variance(rho0),
         })

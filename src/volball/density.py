@@ -4,7 +4,8 @@ Densities live on tets (population / current volume) and are transferred to
 vertices through a volume-weighted, row-stochastic averaging matrix. One flow
 iteration diffuses the vertex density implicitly, differentiates it per tet,
 converts the gradient into a velocity, projects the boundary velocity onto the
-sphere's tangent planes, and advects the vertices.
+sphere's tangent planes, and advects the vertices. The surface flow of the
+spherical boundary map takes the same diffusion and advection steps.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ from . import linsolve
 from .laplace import laplacian_matrix
 from .tetmesh import TetMesh, signed_volumes
 
+# Per-vertex moves are capped at STEP_LIMIT times the shortest incident edge;
+# sharp density jumps otherwise produce single-step moves that invert whole
+# neighborhoods. The cap is inactive near convergence.
+STEP_LIMIT = 0.4
+
 
 class DensityError(ValueError):
     pass
@@ -25,7 +31,6 @@ class DensityError(ValueError):
 
 @dataclass
 class DensityField:
-    population: np.ndarray  # (m,) positive
     rho_tet: np.ndarray     # (m,)
     rho_vertex: np.ndarray  # (n,)
 
@@ -66,7 +71,7 @@ def recouple_density(mesh: TetMesh, positions: np.ndarray,
             f"{int(np.count_nonzero(vols <= 0))} tets have nonpositive volume")
     rho_tet = population / vols
     conv = tet_to_vertex_matrix(mesh.tets, vols, len(mesh.vertices))
-    return DensityField(population, rho_tet, conv @ rho_tet)
+    return DensityField(rho_tet, conv @ rho_tet)
 
 
 def build_operators(mesh: TetMesh, positions: np.ndarray) -> DiffusionOperators:
@@ -80,7 +85,7 @@ def build_operators(mesh: TetMesh, positions: np.ndarray) -> DiffusionOperators:
 
 
 def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
-                   dt: float, tol: float = 1e-10) -> np.ndarray:
+                   dt: float) -> np.ndarray:
     """Backward-Euler diffusion: solve (A + dt L) rho_next = A rho.
 
     Conserves the lumped mass sum(A_ii rho_i) because the Laplacian has zero
@@ -90,8 +95,8 @@ def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
         raise ValueError("dt must be positive")
     n = len(rho_vertex)
     A = csr_matrix((ops.lumped_volumes, (np.arange(n), np.arange(n))), shape=(n, n))
-    system = linsolve.LinearSystem(n, A + dt * ops.laplacian, symmetric=True)
-    return linsolve.solve(system, ops.lumped_volumes * rho_vertex, tol=tol)
+    system = linsolve.LinearSystem(n, A + dt * ops.laplacian)
+    return linsolve.solve(system, ops.lumped_volumes * rho_vertex)
 
 
 def density_gradient(mesh_or_tets, positions: np.ndarray,
@@ -136,3 +141,24 @@ def advect_and_renormalize(positions: np.ndarray, velocity: np.ndarray,
     b = out[boundary_mask]
     out[boundary_mask] = b / np.linalg.norm(b, axis=1, keepdims=True)
     return out
+
+
+def min_incident_edge(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Length of the shortest edge at each vertex; ``edges`` holds vertex
+    index pairs, repeats allowed."""
+    lengths = np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
+    out = np.full(len(positions), np.inf)
+    np.minimum.at(out, edges[:, 0], lengths)
+    np.minimum.at(out, edges[:, 1], lengths)
+    return out
+
+
+def capped_advect(positions: np.ndarray, velocity: np.ndarray, dt: float,
+                  edges: np.ndarray, boundary_mask: np.ndarray) -> np.ndarray:
+    """One flow step: tangent projection at the sphere vertices, the
+    STEP_LIMIT cap, advection and renormalization onto the unit sphere."""
+    vel = project_boundary_velocity(positions, velocity, boundary_mask)
+    move = dt * np.linalg.norm(vel, axis=1)
+    cap = STEP_LIMIT * min_incident_edge(positions, edges)
+    vel = vel * np.minimum(1.0, cap / np.maximum(move, 1e-300))[:, None]
+    return advect_and_renormalize(positions, vel, dt, boundary_mask)

@@ -59,15 +59,6 @@ class TetFrameField:
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.lambdas[:, 0] / self.lambdas[:, 2]
 
-    @property
-    def log_ratios(self) -> np.ndarray:
-        """ln(a/c) where positive; NaN on inverted tets."""
-        k = self.ratios
-        out = np.full(len(k), np.nan)
-        pos = k > 0
-        out[pos] = np.log(k[pos])
-        return out
-
 
 def _fix_column_signs(W: np.ndarray) -> np.ndarray:
     """Deterministic gauge: first two columns have positive leading entry,
@@ -176,13 +167,11 @@ def anisotropic_stiffness(mesh: TetMesh, coeff: np.ndarray) -> linsolve.LinearSy
     local = 0.5 * (local + np.swapaxes(local, 1, 2))
     rows = np.repeat(mesh.tets, 4, axis=1).reshape(-1)
     cols = np.tile(mesh.tets, (1, 4)).reshape(-1)
-    return linsolve.assemble(len(mesh.vertices), rows, cols, local.reshape(-1),
-                             symmetric=True)
+    return linsolve.assemble(len(mesh.vertices), rows, cols, local.reshape(-1))
 
 
 def reconstruct_map(mesh: TetMesh, frames: TetFrameField,
-                    fixed_indices: np.ndarray, fixed_points: np.ndarray,
-                    tol: float = 1e-9) -> np.ndarray:
+                    fixed_indices: np.ndarray, fixed_points: np.ndarray) -> np.ndarray:
     """Rebuild vertex positions realizing a prescribed dilation field.
 
     Solves the three scalar equations div(A grad u) = 0 with the per-tet
@@ -195,4 +184,4 @@ def reconstruct_map(mesh: TetMesh, frames: TetFrameField,
     if len(fixed_indices) == 0:
         raise ValueError("reconstruction needs at least one constrained vertex")
     system.constrain(fixed_indices, np.asarray(fixed_points, dtype=np.float64))
-    return linsolve.solve(system, np.zeros((len(mesh.vertices), 3)), tol=tol)
+    return linsolve.solve(system, np.zeros((len(mesh.vertices), 3)), tol=1e-9)

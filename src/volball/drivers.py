@@ -24,13 +24,16 @@ from .laplace import harmonic_fill
 from .report import RunReport
 from .sphere_map import (SphereMapError, compute_boundary_sphere_map,
                          correct_spherical_flips, normalize_rows,
-                         spherical_flips, vertex_rings)
-from .tetmesh import TetMesh, signed_volumes
+                         relax_patch, spherical_flips, vertex_rings)
+from .tetmesh import EDGE_LOCAL, TetMesh, signed_volumes
 
 METHODS = ("3dqc", "3ddem", "3ddeq")
 
 
 NEAR_FOLD_RATIO = 1e3
+
+# Population refinement rounds of the density-equalizing initial ball.
+REFINE_ROUNDS = 2
 
 
 class CorrectionError(RuntimeError):
@@ -57,8 +60,6 @@ class SolverConfig:
     alpha: float = 0.01
     boundary_mode: str = "auto"  # auto | conformal | dem
     correction: bool = True
-    boundary_smooth_iters: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if self.dt <= 0 or self.eps <= 0 or self.n_max < 1:
@@ -105,54 +106,41 @@ def _boundary_cone_volumes(mesh: TetMesh) -> np.ndarray:
     return signed
 
 
-def _boundary_owners(mesh: TetMesh) -> np.ndarray:
-    owner_of = {}
-    for t, tet in enumerate(mesh.tets):
-        for local in ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)):
-            owner_of[tuple(sorted(tet[list(local)]))] = t
-    return np.array([owner_of[tuple(sorted(f))] for f in mesh.boundary_faces],
-                    dtype=np.int64)
-
-
 def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
-                 method: str = "3dqc", refine_rounds: int = 2) -> np.ndarray:
+                 method: str = "3dqc") -> np.ndarray:
     """Initial unit ball map: spherical boundary plus harmonic interior.
 
     In density-equalizing boundary mode the surface population starts from the
-    boundary cone volumes and is refined a few rounds against the measured
-    volumetric compression of the fill (solids with concave-prone corners,
-    like cubes, otherwise start with a strong density spike at the corner
-    images). The best fold-free fill is kept.
+    boundary cone volumes and is refined up to REFINE_ROUNDS rounds against
+    the measured volumetric compression of the fill (solids with
+    concave-prone corners, like cubes, otherwise start with a strong density
+    spike at the corner images). The best fold-free fill is kept.
     """
     config = config or SolverConfig()
     mode = config.resolved_boundary_mode(method)
     if mode != "density_equalizing":
-        bmap = compute_boundary_sphere_map(
-            mesh, mode=mode, smooth_iters=config.boundary_smooth_iters,
-            dt=config.dt, eps=config.eps, max_iter=config.n_max)
+        bmap = compute_boundary_sphere_map(mesh, mode=mode, dt=config.dt,
+                                           eps=config.eps, max_iter=config.n_max)
         return harmonic_fill(mesh, bmap.points, bmap.vertex_indices)
 
     cone = _boundary_cone_volumes(mesh)
-    owners = _boundary_owners(mesh)
     rest_vols = np.abs(mesh.volumes)
     face_population = cone.copy()
     best = None
     best_var = np.inf
-    for _ in range(max(1, refine_rounds + 1)):
+    for _ in range(REFINE_ROUNDS + 1):
         bmap = compute_boundary_sphere_map(
-            mesh, mode=mode, population=face_population,
-            smooth_iters=config.boundary_smooth_iters, dt=config.dt,
+            mesh, mode=mode, population=face_population, dt=config.dt,
             eps=config.eps, max_iter=config.n_max)
         pos = harmonic_fill(mesh, bmap.points, bmap.vertex_indices)
         if mesh.count_folds(pos):
             break
-        geo_rho = rest_vols / signed_volumes(pos, mesh.tets)
         field = dem.recouple_density(mesh, pos, rest_vols)
         var = normalized_density_variance(field.rho_vertex)
         if var >= best_var:
             break
         best, best_var = pos, var
-        face_population = cone * geo_rho[owners]
+        face_population = cone * field.rho_tet[mesh.boundary_owners]
     if best is None:
         # every refinement fill folded; fall back to the plain fill and let
         # the caller's overlap correction deal with it
@@ -184,28 +172,24 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         reference_boundary = normalize_rows(mesh.vertices[b_ids])
     pos = np.array(positions, dtype=np.float64)
 
-    def folds(p):
-        return mesh.count_folds(p)
-
     def needs_relief(p):
         if near_fold_ratio is None:
             return False
         frames = frame_decompose(jacobian_per_tet(mesh, p))
         return bool(np.any(np.abs(frames.ratios) > near_fold_ratio))
 
-    if folds(pos) == 0 and not spherical_flips(pos[b_ids], b_faces).any() \
-            and not needs_relief(pos):
+    def score(p):
+        return mesh.count_folds(p) + int(spherical_flips(normalize_rows(p[b_ids]),
+                                                         b_faces).sum())
+
+    best_score = score(pos)
+    if best_score == 0 and not needs_relief(pos):
         return pos
 
     boundary_adj = vertex_rings(b_faces, len(b_ids))
-    degree = np.asarray(boundary_adj.sum(axis=1)).ravel()
     compact = np.full(len(mesh.vertices), -1, dtype=np.int64)
     compact[b_ids] = np.arange(len(b_ids))
     all_boundary_tet = mesh.boundary_vertex_mask[mesh.tets].all(axis=1)
-
-    def score(p):
-        return folds(p) + int(spherical_flips(normalize_rows(p[b_ids]),
-                                              b_faces).sum())
 
     def sphere_repair(p):
         sphere = normalize_rows(p[b_ids])
@@ -226,16 +210,10 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         slivers = (signed_volumes(p, mesh.tets) <= 0) & all_boundary_tet
         if not slivers.any():
             return p
-        patch = np.zeros(len(b_ids), dtype=bool)
-        patch[compact[np.unique(mesh.tets[slivers])]] = True
-        patch |= (boundary_adj @ patch) > 0
-        sphere = normalize_rows(p[b_ids])
-        for _ in range(3):
-            mean = (boundary_adj @ sphere) / degree[:, None]
-            target = normalize_rows((1.0 - w) * sphere + w * mean)
-            sphere[patch] = target[patch]
+        seeds = np.zeros(len(b_ids), dtype=bool)
+        seeds[compact[np.unique(mesh.tets[slivers])]] = True
         p = p.copy()
-        p[b_ids] = sphere
+        p[b_ids] = relax_patch(normalize_rows(p[b_ids]), boundary_adj, seeds, w)
         return p
 
     def free_boundary_patch(p, k_cap):
@@ -258,9 +236,6 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         return p
 
     best = pos.copy()
-    best_score = score(best)
-    if best_score == 0 and not needs_relief(best):
-        return best
     state = pos
     for round_no in range(budget):
         # tighter truncation targets for stubborn rounds
@@ -269,7 +244,7 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         state = sphere_repair(state)
         state = _rebuild(mesh, state, k_cap, fixed_ids=b_ids,
                          near_fold_ratio=near_fold_ratio)
-        if folds(state):
+        if mesh.count_folds(state):
             state = smooth_slivers(state, w=min(0.25 + 0.1 * round_no, 0.8))
             state = free_boundary_patch(state, k_cap)
             state = _rebuild(mesh, state, k_cap, fixed_ids=b_ids,
@@ -290,16 +265,24 @@ def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None):
     """Flip + truncate the folded tets' eigenvalues and re-solve the map."""
     frames = frame_decompose(jacobian_per_tet(mesh, pos))
     folded = frames.lambdas[:, 2] <= 0
-    lam = flip_eigenvalues(frames.lambdas)
-    # a numerically collapsed tet can leave c at zero after the flip; floor
-    # it so the truncation below is well defined (it rescales to k_threshold)
-    lam[:, 1:] = np.maximum(lam[:, 1:], 1e-12 * lam[:, :1])
+    lam = _flip_and_floor(frames.lambdas)
     if near_fold_ratio is not None:
         folded = folded | (lam[:, 0] / lam[:, 2] > near_fold_ratio)
     if folded.any():
         lam[folded] = truncate_eigenvalues(lam[folded], k_threshold)
     return reconstruct_map(mesh, TetFrameField(frames.frames, lam),
                            fixed_ids, pos[fixed_ids])
+
+
+def _flip_and_floor(lambdas: np.ndarray) -> np.ndarray:
+    """Flipped eigenvalue triples with b and c floored at 1e-12 * a.
+
+    A numerically collapsed tet can leave c at zero after the flip; the floor
+    keeps its ratio finite (truncation then rescales it to the threshold).
+    """
+    lam = flip_eigenvalues(lambdas)
+    lam[:, 1:] = np.maximum(lam[:, 1:], 1e-12 * lam[:, :1])
+    return lam
 
 
 def compute_energies(ball_mesh: TetMesh, positions: np.ndarray,
@@ -325,13 +308,12 @@ def compute_energies(ball_mesh: TetMesh, positions: np.ndarray,
     return e_qc, e_dem, e_dem + alpha * e_qc
 
 
-def _max_ratio(mesh, positions):
-    frames = frame_decompose(jacobian_per_tet(mesh, positions))
-    k = np.abs(frames.ratios)
-    return float("inf") if np.any(np.isnan(k)) else float(np.max(k))
+def k_stats(frames: TetFrameField):
+    """Mean and standard deviation of the anisotropy ratio K >= 1.
 
-
-def _k_stats(frames: TetFrameField):
+    K is taken from the flipped eigenvalues, so inverted tets count with
+    their unsigned ratio.
+    """
     lam = flip_eigenvalues(frames.lambdas)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = lam[:, 0] / lam[:, 2]
@@ -349,50 +331,70 @@ def normalized_density_variance(rho: np.ndarray) -> float:
 
 
 def _prepare(mesh, config, method, init_positions):
+    """Initial ball (fold-free), its rest mesh, its boundary and a new report."""
     pos0 = initial_ball(mesh, config, method) if init_positions is None \
         else np.array(init_positions, dtype=np.float64)
-    b_ids, _ = mesh.boundary_surface()
-    ref_boundary = normalize_rows(pos0[b_ids])
+    ref_boundary = normalize_rows(pos0[mesh.boundary_vertices])
     if mesh.count_folds(pos0):
         pos0 = correct_overlaps(mesh, pos0, config.k_threshold,
                                 reference_boundary=ref_boundary)
-    ball_vols = signed_volumes(pos0, mesh.tets)
     ball_rest = TetMesh.from_arrays(pos0, mesh.tets)
-    return pos0, ball_rest, ball_vols, ref_boundary
+    return pos0, ball_rest, ref_boundary, RunReport(method, config.to_dict())
 
 
-def _min_incident_edge(mesh, pos):
-    from .tetmesh import EDGE_LOCAL
-    pairs = mesh.tets[:, EDGE_LOCAL].reshape(-1, 2)
-    lengths = np.linalg.norm(pos[pairs[:, 0]] - pos[pairs[:, 1]], axis=1)
-    out = np.full(len(pos), np.inf)
-    np.minimum.at(out, pairs[:, 0], lengths)
-    np.minimum.at(out, pairs[:, 1], lengths)
-    return out
+def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None):
+    """Count folds, correct overlaps, and decompose the settled candidate.
 
-
-def _flow_step(mesh, pos, rho_vertex, dt, step_limit: float = 0.4):
-    """One density-equalizing advection: returns the moved positions.
-
-    Per-vertex displacements are capped at ``step_limit`` times the shortest
-    incident edge; sharp density jumps otherwise produce single-step moves
-    that invert whole neighborhoods. The cap is inactive near convergence.
+    With ``near_fold_ratio`` set, a fold-free candidate is corrected too when
+    some anisotropy ratio exceeds it or is undefined. Returns the candidate,
+    its fold counts before and after correction, and its frames.
     """
-    vols = signed_volumes(pos, mesh.tets)
-    if np.any(vols <= 0):
-        raise dem.DensityError("flow step requires fold-free positions")
-    ops = dem.build_operators(mesh, pos)
+    folds_pre = mesh.count_folds(cand)
+    frames = None
+    strained = False
+    if folds_pre == 0 and near_fold_ratio is not None:
+        frames = frame_decompose(jacobian_per_tet(mesh, cand))
+        strained = not np.all(np.abs(frames.ratios) <= near_fold_ratio)
+    if (folds_pre or strained) and config.correction:
+        cand = correct_overlaps(mesh, cand, config.k_threshold,
+                                reference_boundary=ref_boundary,
+                                near_fold_ratio=near_fold_ratio)
+        frames = None
+    if frames is None:
+        frames = frame_decompose(jacobian_per_tet(mesh, cand))
+    return cand, folds_pre, mesh.count_folds(cand), frames
+
+
+def _evaluate(mesh, ball_rest, positions, frames, population, alpha):
+    """Density field of a settled candidate and its trace row (energies,
+    var_rho and the K statistics)."""
+    field = dem.recouple_density(mesh, positions, population)
+    e_qc, e_dem, e_deq = compute_energies(ball_rest, positions, field, frames, alpha)
+    mean_k, sd_k = k_stats(frames)
+    return field, {"E_3DQC": e_qc, "E_3DDEM": e_dem, "E_3DDEQ": e_deq,
+                   "var_rho": normalized_density_variance(field.rho_vertex),
+                   "mean_K": mean_k, "sd_K": sd_k}
+
+
+def _finish(report, mesh, positions, frames, rho_vertex, converged, pos0):
+    """Write the final summary of a run and wrap up its result."""
+    mean_k, sd_k = k_stats(frames)
+    report.final.update({"var_rho": normalized_density_variance(rho_vertex),
+                         "mean_K": mean_k, "sd_K": sd_k,
+                         "folds": mesh.count_folds(positions)})
+    return RunResult(positions, report, converged, pos0)
+
+
+def _flow_step(mesh, pos, rho_vertex, dt):
+    """One density-equalizing advection: returns the moved positions."""
+    ops = dem.build_operators(mesh, pos)  # raises DensityError on folds
     rho_next = dem.diffusion_step(ops, rho_vertex, dt)
     grad_tet = dem.density_gradient(mesh.tets, pos, rho_next)
-    conv = dem.tet_to_vertex_matrix(mesh.tets, vols, len(mesh.vertices))
+    conv = dem.tet_to_vertex_matrix(mesh.tets, signed_volumes(pos, mesh.tets),
+                                    len(mesh.vertices))
     vel = dem.velocity_field(rho_next, conv @ grad_tet)
-    vel = dem.project_boundary_velocity(pos, vel, mesh.boundary_vertex_mask)
-    if step_limit:
-        move = dt * np.linalg.norm(vel, axis=1)
-        cap = step_limit * _min_incident_edge(mesh, pos)
-        scale = np.minimum(1.0, cap / np.maximum(move, 1e-300))
-        vel = vel * scale[:, None]
-    return dem.advect_and_renormalize(pos, vel, dt, mesh.boundary_vertex_mask)
+    return dem.capped_advect(pos, vel, dt, mesh.tets[:, EDGE_LOCAL].reshape(-1, 2),
+                             mesh.boundary_vertex_mask)
 
 
 def run_3dqc(mesh: TetMesh, config: SolverConfig | None = None,
@@ -403,28 +405,25 @@ def run_3dqc(mesh: TetMesh, config: SolverConfig | None = None,
     n_max is reached; every accepted iterate is fold-free.
     """
     config = config or SolverConfig()
-    pos0, ball_rest, _, ref_boundary = _prepare(mesh, config, "3dqc", init_positions)
+    pos0, ball_rest, ref_boundary, report = _prepare(mesh, config, "3dqc",
+                                                     init_positions)
     b_ids = mesh.boundary_vertices
 
     pos = pos0.copy()
     frames = frame_decompose(jacobian_per_tet(mesh, pos))
     energy, _, _ = compute_energies(ball_rest, pos, None, frames, config.alpha)
-    report = RunReport("3dqc", config.to_dict())
-    mean_k, sd_k = _k_stats(frames)
+    mean_k, sd_k = k_stats(frames)
+    folds = mesh.count_folds(pos)
     report.add_iteration(iteration=0, E_3DQC=energy, mean_K=mean_k, sd_K=sd_k,
-                         folds_pre=mesh.count_folds(pos), folds_post=mesh.count_folds(pos))
+                         folds_pre=folds, folds_post=folds)
 
     converged = False
     for n in range(1, config.n_max + 1):
         lam = residual_step(flip_eigenvalues(frames.lambdas), config.residual_constant)
         cand = reconstruct_map(mesh, TetFrameField(frames.frames, lam),
                                b_ids, pos[b_ids])
-        folds_pre = mesh.count_folds(cand)
-        if folds_pre and config.correction:
-            cand = correct_overlaps(mesh, cand, config.k_threshold,
-                                    reference_boundary=ref_boundary)
-        folds_post = mesh.count_folds(cand)
-        cand_frames = frame_decompose(jacobian_per_tet(mesh, cand))
+        cand, folds_pre, folds_post, cand_frames = _settle(mesh, cand, config,
+                                                           ref_boundary)
         cand_energy, _, _ = compute_energies(ball_rest, cand, None, cand_frames,
                                              config.alpha)
         # stop once the energy no longer decreases (up to relative stagnation)
@@ -432,16 +431,12 @@ def run_3dqc(mesh: TetMesh, config: SolverConfig | None = None,
             converged = True
             break
         pos, frames, energy = cand, cand_frames, cand_energy
-        mean_k, sd_k = _k_stats(frames)
+        mean_k, sd_k = k_stats(frames)
         report.add_iteration(iteration=n, E_3DQC=energy, mean_K=mean_k, sd_K=sd_k,
                              folds_pre=folds_pre, folds_post=folds_post)
 
-    mean_k, sd_k = _k_stats(frames)
     rho = dem.recouple_density(mesh, pos, np.abs(mesh.volumes)).rho_vertex
-    report.final = {"var_rho": normalized_density_variance(rho),
-                    "mean_K": mean_k, "sd_K": sd_k,
-                    "folds": mesh.count_folds(pos)}
-    return RunResult(pos, report, converged, pos0)
+    return _finish(report, mesh, pos, frames, rho, converged, pos0)
 
 
 def run_3ddem(mesh: TetMesh, population: np.ndarray,
@@ -454,54 +449,33 @@ def run_3ddem(mesh: TetMesh, population: np.ndarray,
     as folds appear (the flow cannot continue on inverted volumes).
     """
     config = config or SolverConfig()
-    population = np.asarray(population, dtype=np.float64)
-    pos0, ball_rest, _, ref_boundary = _prepare(mesh, config, "3ddem", init_positions)
+    pos0, ball_rest, _, report = _prepare(mesh, config, "3ddem", init_positions)
 
     pos = pos0.copy()
+    frames = frame_decompose(jacobian_per_tet(mesh, pos))
     field = dem.recouple_density(mesh, pos, population)
-    report = RunReport("3ddem", config.to_dict())
     report.final["var_rho0"] = normalized_density_variance(field.rho_vertex)
 
-    b_ids = mesh.boundary_vertices
     converged = False
     for n in range(1, config.n_max + 1):
         if np.std(field.rho_vertex) / np.mean(field.rho_vertex) < config.eps:
             converged = True
             break
-        ref_boundary = normalize_rows(pos[b_ids])
+        ref_boundary = normalize_rows(pos[mesh.boundary_vertices])
         cand = _flow_step(mesh, pos, field.rho_vertex, config.dt)
-        folds_pre = mesh.count_folds(cand)
-        strained = folds_pre == 0 and _max_ratio(mesh, cand) > NEAR_FOLD_RATIO
-        if (folds_pre or strained) and config.correction:
-            cand = correct_overlaps(mesh, cand, config.k_threshold,
-                                    reference_boundary=ref_boundary,
-                                    near_fold_ratio=NEAR_FOLD_RATIO)
-        folds_post = mesh.count_folds(cand)
+        pos, folds_pre, folds_post, frames = _settle(mesh, cand, config, ref_boundary,
+                                                     NEAR_FOLD_RATIO)
         if folds_post and not config.correction:
-            frames = frame_decompose(jacobian_per_tet(mesh, cand))
-            mean_k, sd_k = _k_stats(frames)
+            mean_k, sd_k = k_stats(frames)
             report.add_iteration(iteration=n, var_rho=None, mean_K=mean_k,
                                  sd_K=sd_k, folds_pre=folds_pre,
                                  folds_post=folds_post)
-            pos = cand
             break
-        field = dem.recouple_density(mesh, cand, population)
-        frames = frame_decompose(jacobian_per_tet(mesh, cand))
-        e_qc, e_dem, e_deq = compute_energies(ball_rest, cand, field, frames,
-                                              config.alpha)
-        mean_k, sd_k = _k_stats(frames)
-        report.add_iteration(iteration=n, E_3DQC=e_qc, E_3DDEM=e_dem, E_3DDEQ=e_deq,
-                             var_rho=normalized_density_variance(field.rho_vertex),
-                             mean_K=mean_k, sd_K=sd_k,
-                             folds_pre=folds_pre, folds_post=folds_post)
-        pos = cand
+        field, row = _evaluate(mesh, ball_rest, pos, frames, population, config.alpha)
+        report.add_iteration(iteration=n, folds_pre=folds_pre,
+                             folds_post=folds_post, **row)
 
-    frames = frame_decompose(jacobian_per_tet(mesh, pos))
-    mean_k, sd_k = _k_stats(frames)
-    report.final.update({"var_rho": normalized_density_variance(field.rho_vertex),
-                         "mean_K": mean_k, "sd_K": sd_k,
-                         "folds": mesh.count_folds(pos)})
-    return RunResult(pos, report, converged, pos0)
+    return _finish(report, mesh, pos, frames, field.rho_vertex, converged, pos0)
 
 
 def run_3ddeq(mesh: TetMesh, population: np.ndarray,
@@ -516,14 +490,12 @@ def run_3ddeq(mesh: TetMesh, population: np.ndarray,
     falls below eps.
     """
     config = config or SolverConfig()
-    population = np.asarray(population, dtype=np.float64)
-    pos0, ball_rest, _, ref_boundary = _prepare(mesh, config, "3ddeq", init_positions)
+    pos0, ball_rest, _, report = _prepare(mesh, config, "3ddeq", init_positions)
     b_ids = mesh.boundary_vertices
 
     pos = pos0.copy()
-    field = dem.recouple_density(mesh, pos, population)
     frames = frame_decompose(jacobian_per_tet(mesh, pos))
-    report = RunReport("3ddeq", config.to_dict())
+    field = dem.recouple_density(mesh, pos, population)
     report.final["var_rho0"] = normalized_density_variance(field.rho_vertex)
 
     converged = False
@@ -531,16 +503,10 @@ def run_3ddeq(mesh: TetMesh, population: np.ndarray,
         ref_boundary = normalize_rows(pos[b_ids])
         advected = _flow_step(mesh, pos, field.rho_vertex, config.dt)
         adv_frames = frame_decompose(jacobian_per_tet(mesh, advected))
-        lam_cur = flip_eigenvalues(frames.lambdas)
-        lam_adv = flip_eigenvalues(adv_frames.lambdas)
-        # floor numerically collapsed eigenvalues so the ratios stay finite
-        lam_cur[:, 1:] = np.maximum(lam_cur[:, 1:], 1e-12 * lam_cur[:, :1])
-        lam_adv[:, 1:] = np.maximum(lam_adv[:, 1:], 1e-12 * lam_adv[:, :1])
+        lam_cur = _flip_and_floor(frames.lambdas)
+        lam_adv = _flip_and_floor(adv_frames.lambdas)
         d_lam1 = lam_adv - lam_cur
-        a, b, c = lam_cur[:, 0], lam_cur[:, 1], lam_cur[:, 2]
-        theta = ((a / c) - 1.0) / (((a / c) - 1.0) + config.residual_constant)
-        d_lam2 = np.column_stack([-theta * (a - b), np.zeros_like(b),
-                                  theta * (b - c)])
+        d_lam2 = residual_step(lam_cur, config.residual_constant) - lam_cur
         lam_bar = lam_cur + d_lam1 + config.alpha * d_lam2
         lam_bar = np.sort(lam_bar, axis=1)[:, ::-1]
         lam_bar = np.sort(flip_eigenvalues(lam_bar), axis=1)[:, ::-1]
@@ -553,33 +519,18 @@ def run_3ddeq(mesh: TetMesh, population: np.ndarray,
 
         cand = reconstruct_map(mesh, TetFrameField(adv_frames.frames, lam_bar),
                                b_ids, advected[b_ids])
-        folds_pre = mesh.count_folds(cand)
-        strained = folds_pre == 0 and _max_ratio(mesh, cand) > NEAR_FOLD_RATIO
-        if (folds_pre or strained) and config.correction:
-            cand = correct_overlaps(mesh, cand, config.k_threshold,
-                                    reference_boundary=ref_boundary,
-                                    near_fold_ratio=NEAR_FOLD_RATIO)
-        folds_post = mesh.count_folds(cand)
-        field = dem.recouple_density(mesh, cand, population)
-        frames = frame_decompose(jacobian_per_tet(mesh, cand))
-        e_qc, e_dem, e_deq = compute_energies(ball_rest, cand, field, frames,
-                                              config.alpha)
+        cand, folds_pre, folds_post, frames = _settle(mesh, cand, config, ref_boundary,
+                                                      NEAR_FOLD_RATIO)
+        field, row = _evaluate(mesh, ball_rest, cand, frames, population, config.alpha)
         displacement = float(np.max(np.linalg.norm(cand - pos, axis=1)))
-        mean_k, sd_k = _k_stats(frames)
-        report.add_iteration(iteration=n, E_3DQC=e_qc, E_3DDEM=e_dem, E_3DDEQ=e_deq,
-                             var_rho=normalized_density_variance(field.rho_vertex),
-                             mean_K=mean_k, sd_K=sd_k, folds_pre=folds_pre,
-                             folds_post=folds_post, displacement=displacement)
+        report.add_iteration(iteration=n, folds_pre=folds_pre, folds_post=folds_post,
+                             displacement=displacement, **row)
         pos = cand
         if displacement < config.eps:
             converged = True
             break
 
-    mean_k, sd_k = _k_stats(frames)
-    report.final.update({"var_rho": normalized_density_variance(field.rho_vertex),
-                         "mean_K": mean_k, "sd_K": sd_k,
-                         "folds": mesh.count_folds(pos)})
-    return RunResult(pos, report, converged, pos0)
+    return _finish(report, mesh, pos, frames, field.rho_vertex, converged, pos0)
 
 
 def run_method(method: str, mesh: TetMesh, population: np.ndarray | None = None,

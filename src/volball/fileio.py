@@ -17,8 +17,6 @@ class ParseError(MeshError):
     pass
 
 
-FORMATS = ("medit", "gmsh2", "vtk")
-
 _EXT_TO_FORMAT = {".mesh": "medit", ".msh": "gmsh2", ".vtk": "vtk"}
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csr_matrix
 
@@ -16,18 +14,6 @@ def face_area_vectors(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     corners = vertices[tets]  # (m, 4, 3)
     tri = corners[:, FACE_LOCAL]  # (m, 4, 3, 3)
     return 0.5 * np.cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
-
-
-@dataclass(frozen=True)
-class CotangentWeights:
-    """Per-edge weights k_{u,v} summing l * cot(theta)/12 over incident tets."""
-
-    edges: np.ndarray    # (E, 2) sorted vertex pairs
-    weights: np.ndarray  # (E,)
-
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return {(int(u), int(v)): float(w)
-                for (u, v), w in zip(self.edges, self.weights)}
 
 
 def _edge_weight_triplets(vertices, tets):
@@ -45,24 +31,6 @@ def _edge_weight_triplets(vertices, tets):
     w = -dots / (18.0 * vols[:, None])
     pairs = tets[:, EDGE_LOCAL]  # (m, 6, 2)
     return pairs.reshape(-1, 2), w.reshape(-1)
-
-
-def tet_cotangent_weights(mesh_or_tets, positions: np.ndarray | None = None) -> CotangentWeights:
-    """Accumulate the per-edge cotangent weights of a tetrahedral mesh."""
-    if isinstance(mesh_or_tets, TetMesh):
-        tets = mesh_or_tets.tets
-        vertices = mesh_or_tets.vertices if positions is None else positions
-    else:
-        tets = np.asarray(mesh_or_tets)
-        vertices = positions
-    pairs, w = _edge_weight_triplets(np.asarray(vertices, dtype=np.float64), tets)
-    pairs = np.sort(pairs, axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs, w = pairs[order], w[order]
-    new_group = np.ones(len(pairs), dtype=bool)
-    new_group[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
-    starts = np.flatnonzero(new_group)
-    return CotangentWeights(pairs[starts], np.add.reduceat(w, starts))
 
 
 def laplacian_matrix(mesh_or_tets, positions: np.ndarray | None = None) -> csr_matrix:
@@ -84,13 +52,11 @@ def laplacian_matrix(mesh_or_tets, positions: np.ndarray | None = None) -> csr_m
     rows = np.concatenate([i, j, i, j])
     cols = np.concatenate([j, i, i, j])
     vals = np.concatenate([-w, -w, w, w])
-    system = linsolve.assemble(n, rows, cols, vals, symmetric=True)
-    return system.matrix
+    return linsolve.assemble(n, rows, cols, vals).matrix
 
 
 def harmonic_fill(mesh: TetMesh, boundary_points: np.ndarray,
-                  boundary_indices: np.ndarray | None = None,
-                  tol: float = 1e-10) -> np.ndarray:
+                  boundary_indices: np.ndarray | None = None) -> np.ndarray:
     """Fill the interior with the discrete harmonic extension of a boundary map.
 
     Solves the cotangent-Laplace system with Dirichlet rows at the boundary
@@ -111,14 +77,7 @@ def harmonic_fill(mesh: TetMesh, boundary_points: np.ndarray,
     boundary_points = np.asarray(boundary_points, dtype=np.float64)
     if len(boundary_indices) != len(boundary_points):
         raise ValueError("boundary point count does not match boundary vertices")
-    L = laplacian_matrix(mesh)
-    system = linsolve.LinearSystem(len(mesh.vertices), L, symmetric=True)
+    n = len(mesh.vertices)
+    system = linsolve.LinearSystem(n, laplacian_matrix(mesh))
     system.constrain(boundary_indices, boundary_points)
-    return solve_positions(system, tol=tol)
-
-
-def solve_positions(system: linsolve.LinearSystem, rhs: np.ndarray | None = None,
-                    tol: float = 1e-10) -> np.ndarray:
-    if rhs is None:
-        rhs = np.zeros((system.dimension, 3))
-    return linsolve.solve(system, rhs, tol=tol)
+    return linsolve.solve(system, np.zeros((n, 3)))

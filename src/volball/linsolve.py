@@ -3,8 +3,7 @@
 All finite-element solves in the package go through this module: assembly from
 coordinate triplets (deterministically ordered so repeated runs are bitwise
 identical), constraint handling by row/column elimination, and a diagonally
-preconditioned conjugate gradient for the reduced SPD system. A stabilized
-Krylov method (BiCGStab) covers the non-symmetric case.
+preconditioned conjugate gradient for the reduced SPD system.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import bicgstab
 
 DEFAULT_TOL = 1e-10
 
@@ -27,31 +25,33 @@ class SolverError(RuntimeError):
 
 @dataclass
 class LinearSystem:
-    """Sparse operator plus optional Dirichlet constraints.
+    """Sparse symmetric operator plus optional Dirichlet constraints.
 
-    ``constrained_rows`` maps a row index to its fixed value(s); constrained
-    rows and columns are eliminated before the iterative solve so the reduced
-    operator stays symmetric.
+    ``fixed_indices`` (sorted, unique) lists the constrained rows and
+    ``fixed_values`` their values, one row (a scalar or one value per
+    right-hand side) each; a repeated index keeps its first value.
+    Constrained rows and columns are eliminated before the iterative solve so
+    the reduced operator stays symmetric.
     """
 
     dimension: int
     matrix: csr_matrix
-    symmetric: bool = True
-    constrained_rows: dict[int, np.ndarray | float] = field(default_factory=dict)
+    fixed_indices: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
+    fixed_values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    def constrain(self, indices, values) -> "LinearSystem":
+    def constrain(self, indices, values) -> None:
         indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        for i, idx in enumerate(indices):
-            self.constrained_rows[int(idx)] = values[i]
-        return self
+        self.fixed_indices, first = np.unique(indices, return_index=True)
+        self.fixed_values = np.asarray(values, dtype=np.float64)[first]
 
 
-def assemble(dimension: int, rows, cols, values, symmetric: bool = True) -> LinearSystem:
-    """Build a LinearSystem from triplets; duplicates are summed.
+def assemble(dimension: int, rows, cols, values) -> LinearSystem:
+    """Build a symmetric LinearSystem from triplets; duplicates are summed.
 
     Triplets are sorted by (row, col) before summation so assembly is
-    bitwise reproducible across runs.
+    bitwise reproducible across runs. Raises ValueError when the result is not
+    symmetric, the precondition of the conjugate gradient solve.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -68,15 +68,14 @@ def assemble(dimension: int, rows, cols, values, symmetric: bool = True) -> Line
         summed = np.add.reduceat(values, starts)
         rows, cols, values = rows[starts], cols[starts], summed
     mat = csr_matrix((values, (rows, cols)), shape=(dimension, dimension))
-    if symmetric:
-        diff = (mat - mat.T)
-        scale = max(abs(mat).max(), 1.0)
-        if diff.nnz and abs(diff).max() > 1e-12 * scale:
-            raise ValueError("matrix flagged symmetric is not symmetric")
-    return LinearSystem(dimension, mat, symmetric=symmetric)
+    diff = (mat - mat.T)
+    scale = max(abs(mat).max(), 1.0)
+    if diff.nnz and abs(diff).max() > 1e-12 * scale:
+        raise ValueError("assembled matrix is not symmetric")
+    return LinearSystem(dimension, mat)
 
 
-def _pcg(A, b, rtol, maxiter, callback=None):
+def _pcg(A, b, rtol, maxiter):
     n = len(b)
     diag = A.diagonal().copy()
     diag[diag == 0.0] = 1.0
@@ -99,8 +98,6 @@ def _pcg(A, b, rtol, maxiter, callback=None):
         x += alpha * p
         r -= alpha * Ap
         res = float(np.linalg.norm(r))
-        if callback is not None:
-            callback(x.copy(), res)
         if res <= rtol * bnorm:
             return x, k, res
         z = inv_diag * r
@@ -110,8 +107,7 @@ def _pcg(A, b, rtol, maxiter, callback=None):
     raise SolverError("conjugate gradient did not converge", maxiter, res)
 
 
-def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
-          maxiter: int | None = None, callback=None) -> np.ndarray:
+def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Solve the (constrained) system for one or several right-hand sides.
 
     Constrained entries of the result equal their fixed values exactly; the
@@ -126,34 +122,19 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
     nrhs = b.shape[1]
     x = np.zeros((n, nrhs))
 
-    if system.constrained_rows:
-        fixed_idx = np.array(sorted(system.constrained_rows), dtype=np.int64)
-        fixed_vals = np.vstack([
-            np.broadcast_to(np.asarray(system.constrained_rows[int(i)], dtype=np.float64),
-                            (nrhs,))
-            for i in fixed_idx])
-        free = np.ones(n, dtype=bool)
-        free[fixed_idx] = False
-        free_idx = np.flatnonzero(free)
-        A = system.matrix
-        A_ff = A[free_idx][:, free_idx].tocsr()
-        A_fc = A[free_idx][:, fixed_idx].tocsr()
-        b_f = b[free_idx] - A_fc @ fixed_vals
-        x[fixed_idx] = fixed_vals
-    else:
-        free_idx = np.arange(n)
-        A_ff = system.matrix
-        b_f = b
+    fixed_idx = system.fixed_indices
+    # (k,) values repeat across the right-hand sides, (k, nrhs) map one to one
+    fixed_vals = np.broadcast_to(system.fixed_values.T, (nrhs, len(fixed_idx))).T
+    free = np.ones(n, dtype=bool)
+    free[fixed_idx] = False
+    free_idx = np.flatnonzero(free)
+    A = system.matrix
+    A_ff = A[free_idx][:, free_idx].tocsr()
+    A_fc = A[free_idx][:, fixed_idx].tocsr()
+    b_f = b[free_idx] - A_fc @ fixed_vals
+    x[fixed_idx] = fixed_vals
 
-    if maxiter is None:
-        maxiter = max(10 * len(free_idx), 50)
+    maxiter = max(10 * len(free_idx), 50)
     for j in range(nrhs):
-        if system.symmetric:
-            xj, _, _ = _pcg(A_ff, b_f[:, j], tol, maxiter, callback=callback)
-        else:
-            xj, info = bicgstab(A_ff, b_f[:, j], rtol=tol, atol=0.0, maxiter=maxiter)
-            if info != 0:
-                res = float(np.linalg.norm(A_ff @ xj - b_f[:, j]))
-                raise SolverError("bicgstab did not converge", abs(info), res)
-        x[free_idx, j] = xj
+        x[free_idx, j], _, _ = _pcg(A_ff, b_f[:, j], tol, maxiter)
     return x[:, 0] if single else x

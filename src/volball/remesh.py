@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .tetmesh import (FACE_LOCAL, EDGE_LOCAL, PointLocator, TetMesh,
+from .tetmesh import (EDGE_LOCAL, PointLocator, TetMesh,
                       barycentric_coordinates)
 
 _JITTER_SEED = 20240915
@@ -83,16 +83,6 @@ def quality_metrics(mesh_or_tets, positions: np.ndarray | None = None) -> Remesh
     return RemeshQuality(float(np.std(vols)), float(np.mean(regularity)), regularity)
 
 
-def _boundary_face_owners(mesh: TetMesh) -> np.ndarray:
-    """Tet index owning each boundary face, aligned with mesh.boundary_faces."""
-    owners = {}
-    for t, tet in enumerate(mesh.tets):
-        for local in FACE_LOCAL:
-            owners[tuple(sorted(tet[local]))] = t
-    return np.array([owners[tuple(sorted(f))] for f in mesh.boundary_faces],
-                    dtype=np.int64)
-
-
 def _closest_point_on_triangles(point: np.ndarray, tri: np.ndarray):
     """Closest point to ``point`` on each triangle of ``tri`` (k, 3, 3)."""
     a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
@@ -145,7 +135,7 @@ def pullback(source: TetMesh, forward_positions: np.ndarray,
     """
     forward_positions = np.asarray(forward_positions, dtype=np.float64)
     locator = PointLocator(forward_positions, source.tets)
-    owners = _boundary_face_owners(source)
+    owners = source.boundary_owners
     tree = cKDTree(forward_positions[source.boundary_faces].mean(axis=1))
 
     out = np.empty((len(template.vertices), 3))

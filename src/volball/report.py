@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TRACE_COLUMNS = ("iteration", "E_3DQC", "E_3DDEM", "E_3DDEQ", "var_rho",
-                 "mean_K", "sd_K", "folds_pre", "folds_post")
+                 "mean_K", "sd_K", "folds_pre", "folds_post", "displacement")
 
 
 def _py(value):

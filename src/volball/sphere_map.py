@@ -15,8 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from . import linsolve
+from . import density, linsolve
 from .tetmesh import MeshError, TetMesh
+
+# Mean-value smoothing rounds of the spherical embedding.
+SMOOTH_ITERS = 20
 
 
 class SphereMapError(MeshError):
@@ -94,6 +97,20 @@ def vertex_rings(faces: np.ndarray, n_vertices: int) -> csr_matrix:
                        np.concatenate([e[:, 1], e[:, 0]]))),
                      shape=(n_vertices, n_vertices))
     return adj.tocsr()
+
+
+def relax_patch(points: np.ndarray, adj: csr_matrix, seeds: np.ndarray,
+                w: float) -> np.ndarray:
+    """Move the ``seeds`` vertices and their one-ring three times a fraction
+    ``w`` toward their ring mean, projecting back onto the unit sphere."""
+    patch = seeds | ((adj @ seeds) > 0)
+    degree = np.asarray(adj.sum(axis=1)).ravel()
+    out = points.copy()
+    for _ in range(3):
+        mean = (adj @ out) / degree[:, None]
+        target = normalize_rows((1.0 - w) * out + w * mean)
+        out[patch] = target[patch]
+    return out
 
 
 def spherical_flips(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -194,48 +211,40 @@ def beltrami_stiffness(z_domain: np.ndarray, faces: np.ndarray,
     local = 0.5 * (local + np.swapaxes(local, 1, 2))
     rows = np.repeat(faces, 3, axis=1).reshape(-1)
     cols = np.tile(faces, (1, 3)).reshape(-1)
-    return linsolve.assemble(len(z_domain), rows, cols, local.reshape(-1),
-                             symmetric=True)
+    return linsolve.assemble(len(z_domain), rows, cols, local.reshape(-1))
 
 
 def correct_spherical_flips(reference: np.ndarray, points: np.ndarray,
-                            faces: np.ndarray, budget: int = 10,
-                            cap: float = 0.99, rings: int = 2) -> np.ndarray:
+                            faces: np.ndarray) -> np.ndarray:
     """Remove flipped spherical triangles, keeping the rest of the map.
 
     ``reference`` must be a flip-free spherical configuration of the same
     triangulation; it provides the embedded chart in which the Beltrami
-    coefficient of the current map is measured, truncated to |mu| <= cap, and
-    re-solved with vertices outside the flipped neighborhoods held fixed.
-    Raises SphereMapError if flips survive the correction budget.
+    coefficient of the current map is measured, truncated to |mu| <= 0.99, and
+    re-solved with vertices outside the flipped neighborhoods (two rings wide)
+    held fixed. Raises SphereMapError if flips survive ten rounds.
     """
     cur = normalize_rows(np.array(points, dtype=np.float64))
     ref = normalize_rows(np.asarray(reference, dtype=np.float64))
     adj = vertex_rings(faces, len(cur))
-    degree = np.asarray(adj.sum(axis=1)).ravel()
     prev_flips = None
-    for round_no in range(budget):
+    for round_no in range(10):
         flips_now = spherical_flips(cur, faces)
         if not flips_now.any():
             return cur
         if prev_flips is not None and np.array_equal(flips_now, prev_flips):
             # the elliptic re-solve stalled on sliver triangles; relax the
             # flipped patch tangentially toward the neighbor average
-            patch = np.zeros(len(cur), dtype=bool)
-            patch[faces[flips_now].reshape(-1)] = True
-            patch |= (adj @ patch) > 0
-            w = min(0.2 + 0.1 * round_no, 0.8)
-            for _ in range(3):
-                mean = (adj @ cur) / degree[:, None]
-                target = normalize_rows((1.0 - w) * cur + w * mean)
-                cur[patch] = target[patch]
-            cur = normalize_rows(cur)
+            seeds = np.zeros(len(cur), dtype=bool)
+            seeds[faces[flips_now].reshape(-1)] = True
+            cur = normalize_rows(relax_patch(cur, adj, seeds,
+                                             min(0.2 + 0.1 * round_no, 0.8)))
         prev_flips = flips_now
         # a cap of 0.99 can leave sliver triangles that the spherical
         # orientation test still rejects; later rounds truncate harder and
         # free a wider neighborhood
-        round_cap = min(cap, max(0.99 - 0.12 * round_no, 0.35))
-        round_rings = rings + round_no
+        round_cap = max(0.99 - 0.12 * round_no, 0.35)
+        round_rings = 2 + round_no
         for pole in (1.0, -1.0):
             flipped = spherical_flips(cur, faces)
             if not flipped.any():
@@ -262,7 +271,7 @@ def correct_spherical_flips(reference: np.ndarray, points: np.ndarray,
             system = beltrami_stiffness(z_dom, faces, mu)
             system.constrain(fixed, np.column_stack([w_cur[fixed].real,
                                                      w_cur[fixed].imag]))
-            uv = linsolve.solve(system, np.zeros((len(cur), 2)), tol=1e-10)
+            uv = linsolve.solve(system, np.zeros((len(cur), 2)))
             cur = normalize_rows(inverse_stereographic(uv[:, 0] + 1j * uv[:, 1], pole))
     remaining = int(spherical_flips(cur, faces).sum())
     if remaining:
@@ -300,9 +309,7 @@ def mean_value_weights(points: np.ndarray, faces: np.ndarray,
     return inv @ W
 
 
-def spherical_embedding(surface_points: np.ndarray, faces: np.ndarray,
-                        smooth_iters: int = 10, step: float = 0.5,
-                        correction_budget: int = 10) -> np.ndarray:
+def spherical_embedding(surface_points: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Map a genus-0 surface onto the unit sphere, guaranteed flip-free.
 
     Starts from the centroid-normalized radial projection, applies tangential
@@ -318,16 +325,15 @@ def spherical_embedding(surface_points: np.ndarray, faces: np.ndarray,
     if not spherical_flips(u, faces).any():
         last_valid = u.copy()
     T = mean_value_weights(pts, faces, len(pts))
-    for _ in range(smooth_iters):
+    for _ in range(SMOOTH_ITERS):
         target = T @ u
         delta = target - u
         delta -= np.einsum("ij,ij->i", delta, u)[:, None] * u
-        u = center_sphere(normalize_rows(u + step * delta), faces)
+        u = center_sphere(normalize_rows(u + 0.5 * delta), faces)
         if spherical_flips(u, faces).any():
             if last_valid is None:
                 continue
-            u = correct_spherical_flips(last_valid, u, faces,
-                                        budget=correction_budget)
+            u = correct_spherical_flips(last_valid, u, faces)
         last_valid = u.copy()
     if last_valid is None or spherical_flips(u, faces).any():
         if last_valid is None:
@@ -340,8 +346,7 @@ def spherical_embedding(surface_points: np.ndarray, faces: np.ndarray,
 
 def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
                              population: np.ndarray, dt: float = 0.1,
-                             eps: float = 1e-2, max_iter: int = 100,
-                             correction_budget: int = 10) -> np.ndarray:
+                             eps: float = 1e-2, max_iter: int = 100) -> np.ndarray:
     """Density-equalizing flow on the sphere with overlap correction.
 
     Face density is population over current area; iterations stop when its
@@ -352,6 +357,8 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
     if np.any(population <= 0):
         raise SphereMapError("face populations must be positive")
     n = len(u)
+    edges = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    on_sphere = np.ones(n, dtype=bool)
     last_valid = u.copy()
     for _ in range(max_iter):
         _, areas = face_normals_areas(u, faces)
@@ -359,37 +366,22 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
         if np.std(rho_face) / np.mean(rho_face) < eps:
             break
         conv = face_to_vertex_matrix(faces, areas, n)
-        rho_vertex = conv @ rho_face
         lumped = np.bincount(faces.reshape(-1), weights=np.repeat(areas / 3.0, 3),
                              minlength=n)
-        L = surface_laplacian(u, faces, n)
-        A = csr_matrix((lumped, (np.arange(n), np.arange(n))), shape=(n, n))
-        system = linsolve.LinearSystem(n, A + dt * L, symmetric=True)
-        rho_next = linsolve.solve(system, lumped * rho_vertex)
-        grad_face = surface_gradient(u, faces, rho_next)
-        grad_vertex = conv @ grad_face
-        vel = -grad_vertex / rho_next[:, None]
-        vel -= np.einsum("ij,ij->i", vel, u)[:, None] * u
-        # cap each move at a fraction of the shortest incident edge; sharp
-        # population contrasts otherwise invert whole neighborhoods at once
-        edge = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-        lengths = np.linalg.norm(u[edge[:, 0]] - u[edge[:, 1]], axis=1)
-        min_edge = np.full(n, np.inf)
-        np.minimum.at(min_edge, edge[:, 0], lengths)
-        np.minimum.at(min_edge, edge[:, 1], lengths)
-        move = dt * np.linalg.norm(vel, axis=1)
-        vel *= np.minimum(1.0, 0.4 * min_edge / np.maximum(move, 1e-300))[:, None]
-        u = normalize_rows(u + dt * vel)
+        ops = density.DiffusionOperators(lumped, surface_laplacian(u, faces, n))
+        rho_next = density.diffusion_step(ops, conv @ rho_face, dt)
+        vel = density.velocity_field(rho_next,
+                                      conv @ surface_gradient(u, faces, rho_next))
+        u = density.capped_advect(u, vel, dt, edges, on_sphere)
         if spherical_flips(u, faces).any():
-            u = correct_spherical_flips(last_valid, u, faces,
-                                        budget=correction_budget)
+            u = correct_spherical_flips(last_valid, u, faces)
         last_valid = u.copy()
     return u
 
 
 def compute_boundary_sphere_map(mesh: TetMesh, mode: str = "conformal",
                                 population: np.ndarray | None = None,
-                                smooth_iters: int = 10, dt: float = 0.1,
+                                dt: float = 0.1,
                                 eps: float = 1e-2, max_iter: int = 100) -> BoundaryMap:
     """Spherical map of the boundary of a solid mesh.
 
@@ -402,7 +394,7 @@ def compute_boundary_sphere_map(mesh: TetMesh, mode: str = "conformal",
         raise ValueError(f"unknown boundary map mode {mode!r}")
     vertex_ids, faces = mesh.boundary_surface()
     surf = mesh.vertices[vertex_ids]
-    u = spherical_embedding(surf, faces, smooth_iters=smooth_iters)
+    u = spherical_embedding(surf, faces)
     if mode == "density_equalizing":
         if population is None:
             _, population = face_normals_areas(surf, faces)

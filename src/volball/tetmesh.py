@@ -136,6 +136,7 @@ class TetMesh:
     tets: np.ndarray                # (m, 4) int64
     boundary_faces: np.ndarray      # (k, 3) int64, outward oriented
     boundary_vertex_mask: np.ndarray  # (n,) bool
+    boundary_owners: np.ndarray     # (k,) int64, the tet of each boundary face
 
     @classmethod
     def from_arrays(cls, vertices, tets) -> "TetMesh":
@@ -174,17 +175,18 @@ class TetMesh:
             raise TopologyError(
                 f"{int((~used).sum())} isolated vertices not referenced by any tet")
 
-        boundary = cls._extract_boundary(tets)
+        boundary, owners = cls._extract_boundary(tets)
         mask = np.zeros(n, dtype=bool)
         mask[boundary.ravel()] = True
         cls._check_boundary_topology(boundary)
 
-        for arr in (vertices, tets, boundary, mask):
+        for arr in (vertices, tets, boundary, mask, owners):
             arr.setflags(write=False)
-        return cls(vertices, tets, boundary, mask)
+        return cls(vertices, tets, boundary, mask, owners)
 
     @staticmethod
-    def _extract_boundary(tets: np.ndarray) -> np.ndarray:
+    def _extract_boundary(tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Faces incident to exactly one tet, and the index of that tet."""
         faces = tets[:, FACE_LOCAL].reshape(-1, 3)
         key = np.sort(faces, axis=1)
         order = np.lexsort(key.T[::-1])
@@ -195,9 +197,8 @@ class TetMesh:
         counts = np.bincount(group_ids)
         if counts.max(initial=0) > 2:
             raise TopologyError("non-manifold face shared by more than two tets")
-        single = counts[group_ids] == 1
-        boundary = faces[order][single]
-        return np.ascontiguousarray(boundary)
+        single = order[counts[group_ids] == 1]
+        return np.ascontiguousarray(faces[single]), single // 4
 
     @staticmethod
     def _check_boundary_topology(boundary: np.ndarray) -> None:
@@ -266,11 +267,3 @@ class TetMesh:
         tri = x[self.boundary_faces]
         return float(np.sum(np.einsum("ij,ij->i", tri[:, 0],
                                       np.cross(tri[:, 1], tri[:, 2]))) / 6.0)
-
-
-def count_folds(mesh: TetMesh, positions: np.ndarray) -> int:
-    return mesh.count_folds(positions)
-
-
-def locate_point(mesh: TetMesh, point, tol: float = INSIDE_TOL):
-    return mesh.locate_point(point, tol=tol)

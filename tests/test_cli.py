@@ -29,7 +29,20 @@ def test_param_3ddem_volume(tmp_path, ball_file):
     assert report["final"]["folds"] == 0
     assert (out / "result.mesh").exists()
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "iteration,E_3DQC,E_3DDEM,E_3DDEQ,var_rho,mean_K,sd_K,folds_pre,folds_post"
+    assert trace[0] == ("iteration,E_3DQC,E_3DDEM,E_3DDEQ,var_rho,mean_K,sd_K,"
+                        "folds_pre,folds_post,displacement")
+
+
+def test_param_3ddeq_trace_displacement(tmp_path, ball_file):
+    out = tmp_path / "deq"
+    code = cli.main(["param", "--method", "3ddeq", "--population", "volume",
+                     ball_file, str(out)])
+    assert code == 0
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    column = header.split(",").index("displacement")
+    assert rows
+    for row in rows:
+        assert np.isfinite(float(row.split(",")[column]))
 
 
 def test_param_missing_population_exit_1(tmp_path, ball_file, capsys):
@@ -67,11 +80,15 @@ def test_metrics_mirrored_pair(tmp_path, ball_file, capsys):
     mesh = fileio.load_mesh(ball_file)
     mirrored = mesh.vertices * np.array([-1.0, 1.0, 1.0])
     mpath = tmp_path / "mirror.mesh"
-    # write mirrored coordinates with the ORIGINAL connectivity
+    # write mirrored coordinates with the ORIGINAL connectivity; every tet of
+    # the rest mesh is inverted under them
     fileio.save_mesh(str(mpath), mirrored, mesh.tets)
-    # loading canonicalizes orientation, so compare through raw arrays instead
-    from volball.distortion import frame_decompose, jacobian_per_tet
-    assert mesh.count_folds(mirrored) == len(mesh.tets)
+    code = cli.main(["metrics", ball_file, "--mapped", str(mpath)])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["folds"] == len(mesh.tets) == 731
+    assert out["mean_K"] >= 1.0
+    assert out["var_rho"] is None
 
 
 def test_convert_roundtrip_bytes(tmp_path, ball_file):

@@ -183,3 +183,30 @@ def test_normalized_density_variance():
     assert normalized_density_variance(np.full(10, 3.3)) == pytest.approx(0.0)
     v = normalized_density_variance(np.array([1.0, 3.0]))
     assert v == pytest.approx(0.25)
+
+
+# Reports of the three drivers on uniform_ball_mesh(1), 4:1 hemisphere,
+# n_max=10: iteration count, (folds_pre, folds_post) per iteration, converged,
+# and the final var_rho, mean_K, sd_K.
+RECORDED = {
+    "3dqc": (0, [], True,
+             (4.697001224157162e-06, 1.0018680301550673, 0.0012211218890107768)),
+    "3ddem": (10, [(1, 0), (1, 0), (1, 0), (0, 0), (1, 0), (0, 0), (1, 0), (2, 0),
+                   (0, 0), (1, 0)], False,
+              (0.0034887968428838328, 1.8154714352451726, 1.3509154461045727)),
+    "3ddeq": (9, [(0, 0)] * 9, True,
+              (0.004035294549512881, 1.7749878938332986, 0.8725809918153912)),
+}
+
+
+def test_reports_match_recorded_values(ball_mesh):
+    pop = hemispheric_population(ball_mesh, 4.0)
+    config = SolverConfig(n_max=10)
+    for method, (iterations, folds, converged, final) in RECORDED.items():
+        res = run_method(method, ball_mesh, pop, config)
+        rows = [it for it in res.report.iterations if it["iteration"] >= 1]
+        assert len(rows) == iterations, method
+        assert [(it["folds_pre"], it["folds_post"]) for it in rows] == folds, method
+        assert res.converged is converged, method
+        got = tuple(res.report.final[k] for k in ("var_rho", "mean_K", "sd_K"))
+        assert got == pytest.approx(final, rel=1e-6), method

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse import triu
 
-from volball import linsolve
-from volball.laplace import (face_area_vectors, harmonic_fill, laplacian_matrix,
-                             tet_cotangent_weights)
-from volball.tetmesh import TetMesh
+from volball.laplace import face_area_vectors, harmonic_fill, laplacian_matrix
+from volball.tetmesh import EDGE_LOCAL, TetMesh
 
 # cot(arccos(1/3)) / 12 for a unit-edge regular tetrahedron
 REGULAR_TET_WEIGHT = (1.0 / (2.0 * np.sqrt(2.0))) / 12.0
@@ -16,25 +15,31 @@ def _regular_tet(scale=1.0):
     return TetMesh.from_arrays(verts, np.array([[0, 1, 2, 3]]))
 
 
+def _edge_weights(mesh):
+    """Edges (u < v) and cotangent weights k_{u,v} = -L[u, v]."""
+    upper = triu(laplacian_matrix(mesh), k=1).tocoo()
+    return np.column_stack([upper.row, upper.col]), -upper.data
+
+
 def test_regular_tet_weight_value():
-    w = tet_cotangent_weights(_regular_tet())
-    assert len(w.weights) == 6
-    np.testing.assert_allclose(w.weights, REGULAR_TET_WEIGHT, rtol=1e-12)
+    _, w = _edge_weights(_regular_tet())
+    assert len(w) == 6
+    np.testing.assert_allclose(w, REGULAR_TET_WEIGHT, rtol=1e-12)
 
 
 def test_weights_scale_linearly():
-    w1 = tet_cotangent_weights(_regular_tet(1.0))
-    w3 = tet_cotangent_weights(_regular_tet(3.0))
-    np.testing.assert_allclose(w3.weights, 3.0 * w1.weights, rtol=1e-12)
+    _, w1 = _edge_weights(_regular_tet(1.0))
+    _, w3 = _edge_weights(_regular_tet(3.0))
+    np.testing.assert_allclose(w3, 3.0 * w1, rtol=1e-12)
 
 
 def test_weights_symmetric_pairs(ball_mesh):
-    w = tet_cotangent_weights(ball_mesh)
-    # one weight per undirected edge, keys sorted
-    assert np.all(w.edges[:, 0] < w.edges[:, 1])
-    assert len(np.unique(w.edges, axis=0)) == len(w.edges)
-    d = w.as_dict()
-    assert all(np.isfinite(v) for v in d.values())
+    edges, w = _edge_weights(ball_mesh)
+    # one finite weight per undirected edge of the mesh
+    mesh_edges = np.unique(np.sort(ball_mesh.tets[:, EDGE_LOCAL].reshape(-1, 2),
+                                   axis=1), axis=0)
+    np.testing.assert_array_equal(edges[np.lexsort(edges.T[::-1])], mesh_edges)
+    assert np.all(np.isfinite(w))
 
 
 def test_face_area_vectors_close(reference_tet):
@@ -91,10 +96,10 @@ def test_harmonic_energy_minimality(ball_mesh):
 
 def test_maximum_principle_advisory(cube8):
     from volball.sphere_map import compute_boundary_sphere_map
-    w = tet_cotangent_weights(cube8)
+    _, w = _edge_weights(cube8)
     bmap = compute_boundary_sphere_map(cube8, mode="conformal")
     pos = harmonic_fill(cube8, bmap.points, bmap.vertex_indices)
-    if w.weights.min() >= 0:
+    if w.min() >= 0:
         lo = bmap.points.min(axis=0) - 1e-9
         hi = bmap.points.max(axis=0) + 1e-9
         assert np.all(pos >= lo) and np.all(pos <= hi)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from volball import linsolve
 
@@ -76,14 +77,19 @@ def test_recover_known_solution_many():
 
 
 def test_energy_norm_monotone_descent():
+    # each tolerance stops the same deterministic iteration at an earlier or
+    # equal iterate than the next, tighter one
     rng = np.random.default_rng(11)
     A = _random_spd(rng, 12)
     b = rng.normal(size=12)
     x_true = np.linalg.solve(A, b)
-    iterates = []
-    linsolve._pcg(__import__("scipy.sparse", fromlist=["csr_matrix"]).csr_matrix(A),
-                  b, 1e-12, 10000, callback=lambda x, r: iterates.append(x))
-    energies = [float((x - x_true) @ A @ (x - x_true)) for x in iterates]
+    A_sparse = csr_matrix(A)
+    runs = [linsolve._pcg(A_sparse, b, rtol, 10000)
+            for rtol in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)]
+    iters = [k for _, k, _ in runs]
+    assert all(k2 >= k1 for k1, k2 in zip(iters, iters[1:]))
+    assert len(set(iters)) > 3
+    energies = [float((x - x_true) @ A @ (x - x_true)) for x, _, _ in runs]
     assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
 
 
@@ -109,17 +115,7 @@ def test_multi_rhs():
 
 def test_asymmetric_flagged_symmetric_raises():
     with pytest.raises(ValueError):
-        linsolve.assemble(2, [0, 1], [1, 0], [1.0, 2.0], symmetric=True)
-
-
-def test_nonsymmetric_solve():
-    rng = np.random.default_rng(13)
-    A = _random_spd(rng, 8) + 0.1 * rng.normal(size=(8, 8))
-    rows, cols = np.nonzero(A)
-    system = linsolve.assemble(8, rows, cols, A[rows, cols], symmetric=False)
-    x_true = rng.normal(size=8)
-    x = linsolve.solve(system, A @ x_true)
-    np.testing.assert_allclose(x, x_true, atol=1e-7)
+        linsolve.assemble(2, [0, 1], [1, 0], [1.0, 2.0])
 
 
 def test_singular_reports_iterations():
@@ -135,8 +131,11 @@ def test_assembly_deterministic():
     rows = rng.integers(0, 30, size=500)
     cols = rng.integers(0, 30, size=500)
     vals = rng.normal(size=500)
-    a = linsolve.assemble(30, rows, cols, vals, symmetric=False)
-    b = linsolve.assemble(30, rows, cols, vals, symmetric=False)
+    # mirror every triplet so the assembled matrix is symmetric
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    vals = np.concatenate([vals, vals])
+    a = linsolve.assemble(30, rows, cols, vals)
+    b = linsolve.assemble(30, rows, cols, vals)
     assert (a.matrix != b.matrix).nnz == 0
 
 

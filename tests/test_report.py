@@ -35,7 +35,7 @@ def test_trace_csv_columns(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].split(",") == ["iteration", "E_3DQC", "E_3DDEM", "E_3DDEQ",
                                   "var_rho", "mean_K", "sd_K",
-                                  "folds_pre", "folds_post"]
+                                  "folds_pre", "folds_post", "displacement"]
     assert lines[1].split(",")[0] == "1"
     assert lines[2].split(",")[1] == ""  # missing values stay empty
 

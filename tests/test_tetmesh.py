@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from volball.tetmesh import (BarycentricCoord, DegenerateTetError, PointLocator,
-                             TetMesh, TopologyError, barycentric_coordinates,
-                             signed_volumes)
+from volball.tetmesh import (FACE_LOCAL, BarycentricCoord, DegenerateTetError,
+                             PointLocator, TetMesh, TopologyError,
+                             barycentric_coordinates, signed_volumes)
 
 
 def test_reference_tet_basics(reference_tet):
@@ -134,3 +134,38 @@ def test_locator_standalone(ball_mesh):
     loc = PointLocator(ball_mesh.vertices, ball_mesh.tets)
     assert loc.locate(np.zeros(3)) is not None
     assert loc.locate(np.array([0.0, 0.0, 3.0])) is None
+
+
+def _renumbered(mesh, seed):
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(mesh.vertices))  # new vertex i is old order[i]
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(len(order))
+    tets = new_id[mesh.tets][rng.permutation(len(mesh.tets))]
+    return TetMesh.from_arrays(mesh.vertices[order], tets)
+
+
+def _dict_loop_owners(mesh):
+    owner_of = {}
+    for t, tet in enumerate(mesh.tets):
+        for local in FACE_LOCAL:
+            owner_of[tuple(sorted(tet[local]))] = t
+    return np.array([owner_of[tuple(sorted(f))] for f in mesh.boundary_faces],
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("make", ["ball", "cube", "graded"])
+def test_boundary_owners(make, seed):
+    from volball.remesh import uniform_ball_mesh
+    from volball.synthetic import cube_mesh, graded_ellipsoid_mesh
+    mesh = {"ball": lambda: uniform_ball_mesh(1), "cube": cube_mesh,
+            "graded": lambda: graded_ellipsoid_mesh(1)}[make]()
+    if seed is not None:
+        mesh = _renumbered(mesh, seed)
+    owners = mesh.boundary_owners
+    assert owners.shape == (len(mesh.boundary_faces),)
+    owner_tets = np.sort(mesh.tets[owners], axis=1)
+    for face, tet in zip(mesh.boundary_faces, owner_tets):
+        assert np.all(np.isin(face, tet))
+    np.testing.assert_array_equal(owners, _dict_loop_owners(mesh))
