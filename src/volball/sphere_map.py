@@ -124,17 +124,16 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def center_sphere(points: np.ndarray, faces: np.ndarray,
-                  max_iter: int = 200, tol: float = 1e-12) -> np.ndarray:
-    """Translate so the area centroid sits at the origin, then reproject."""
-    u = points
-    for _ in range(max_iter):
-        _, areas = face_normals_areas(u, faces)
-        centroid = (areas[:, None] * u[faces].mean(axis=1)).sum(axis=0) / areas.sum()
-        if np.linalg.norm(centroid) < tol:
-            break
-        u = normalize_rows(u - centroid)
-    return u
+def center_sphere(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """One recentring step: translate by the area centroid and reproject.
+
+    One step, not a loop: the area centroid of an inscribed polyhedron barely
+    responds to a translation (a step removes 0.6-3% of the offset), and exact
+    centring raises 3dqc's mean_K on the stretched ball by 1.5%.
+    """
+    _, areas = face_normals_areas(points, faces)
+    centroid = (areas[:, None] * points[faces].mean(axis=1)).sum(axis=0) / areas.sum()
+    return normalize_rows(points - centroid)
 
 
 # -- stereographic charts and Beltrami machinery -----------------------------
@@ -312,14 +311,13 @@ def mean_value_weights(points: np.ndarray, faces: np.ndarray,
 def spherical_embedding(surface_points: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Map a genus-0 surface onto the unit sphere, guaranteed flip-free.
 
-    Starts from the centroid-normalized radial projection, applies tangential
-    mean-value smoothing with unit-norm projection and area-centroid
-    recentering, and fixes any flips against the last valid configuration.
+    Starts from the centroid-normalized radial projection, then runs
+    ``SMOOTH_ITERS`` rounds of tangential mean-value smoothing, each with
+    unit-norm projection and one recentring step (``center_sphere``), and
+    fixes any flips against the last valid configuration.
     """
     pts = np.asarray(surface_points, dtype=np.float64)
-    _, areas = face_normals_areas(pts, faces)
-    centroid = (areas[:, None] * pts[faces].mean(axis=1)).sum(axis=0) / areas.sum()
-    u = normalize_rows(pts - centroid)
+    u = center_sphere(pts, faces)
 
     last_valid = None
     if not spherical_flips(u, faces).any():
@@ -385,10 +383,10 @@ def compute_boundary_sphere_map(mesh: TetMesh, mode: str = "conformal",
                                 eps: float = 1e-2, max_iter: int = 100) -> BoundaryMap:
     """Spherical map of the boundary of a solid mesh.
 
-    mode "conformal" stops after the smoothed embedding (with Moebius
-    centering); mode "density_equalizing" continues with the surface flow,
-    equalizing the given per-boundary-face population (defaults to the
-    original face areas). The result is always flip-free with unit norms.
+    mode "conformal" stops after the smoothed embedding (recentred by
+    area-centroid translations); mode "density_equalizing" continues with the
+    surface flow, equalizing the given per-boundary-face population (defaults
+    to the original face areas). The result is always flip-free with unit norms.
     """
     if mode not in ("conformal", "density_equalizing"):
         raise ValueError(f"unknown boundary map mode {mode!r}")

@@ -190,12 +190,12 @@ def test_normalized_density_variance():
 # and the final var_rho, mean_K, sd_K.
 RECORDED = {
     "3dqc": (0, [], True,
-             (4.697001224157162e-06, 1.0018680301550673, 0.0012211218890107768)),
+             (1.096631162632262e-06, 1.0017732776738908, 0.0012290795807950894)),
     "3ddem": (10, [(1, 0), (1, 0), (1, 0), (0, 0), (1, 0), (0, 0), (1, 0), (2, 0),
                    (0, 0), (1, 0)], False,
-              (0.0034887968428838328, 1.8154714352451726, 1.3509154461045727)),
+              (0.003483448485279633, 1.814811509663855, 1.3502054359138407)),
     "3ddeq": (9, [(0, 0)] * 9, True,
-              (0.004035294549512881, 1.7749878938332986, 0.8725809918153912)),
+              (0.0040284192874609995, 1.7743659339340963, 0.8721206384897043)),
 }
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volball.sphere_map import (beltrami_coefficient, beltrami_stiffness,
                                 center_sphere, compute_boundary_sphere_map,
@@ -9,6 +11,7 @@ from volball.sphere_map import (beltrami_coefficient, beltrami_stiffness,
                                 spherical_flips, stereographic,
                                 surface_density_equalize, surface_gradient,
                                 surface_laplacian, truncate_beltrami)
+from volball.tetmesh import TetMesh
 
 
 def test_stereographic_roundtrip():
@@ -149,10 +152,61 @@ def test_correct_spherical_flips_repairs_local_swap(ball_mesh):
     assert np.abs(np.linalg.norm(fixed, axis=1) - 1).max() < 1e-12
 
 
-def test_center_sphere_zeroes_area_centroid(ball_mesh):
+def _area_centroid(points, faces):
+    _, areas = face_normals_areas(points, faces)
+    return (areas[:, None] * points[faces].mean(axis=1)).sum(axis=0) / areas.sum()
+
+
+@pytest.mark.parametrize("offset", [(0.2, 0.0, -0.1), (1e-3, 0.0, 0.0)])
+def test_center_sphere_one_step_reduces_area_centroid(ball_mesh, offset):
     vid, faces = ball_mesh.boundary_surface()
-    sphere = normalize_rows(ball_mesh.vertices[vid] + np.array([0.2, 0.0, -0.1]))
-    out = center_sphere(sphere, faces, max_iter=500)
-    _, areas = face_normals_areas(out, faces)
-    centroid = (areas[:, None] * out[faces].mean(axis=1)).sum(axis=0) / areas.sum()
-    assert np.linalg.norm(centroid) < 1e-8
+    sphere = normalize_rows(ball_mesh.vertices[vid] + np.array(offset))
+    out = center_sphere(sphere, faces)
+    assert (np.linalg.norm(_area_centroid(out, faces))
+            < np.linalg.norm(_area_centroid(sphere, faces)))
+    assert np.abs(np.linalg.norm(out, axis=1) - 1).max() < 1e-12
+
+
+def test_spherical_embedding_one_centroid_per_round(monkeypatch):
+    from volball import sphere_map
+    from volball.synthetic import stretched_ball_mesh
+    mesh = stretched_ball_mesh(2)
+    vid, faces = mesh.boundary_surface()
+    calls = []
+
+    def counted(points, faces):
+        calls.append(1)
+        return face_normals_areas(points, faces)
+
+    monkeypatch.setattr(sphere_map, "face_normals_areas", counted)
+    sphere_map.spherical_embedding(mesh.vertices[vid], faces)
+    assert len(calls) <= sphere_map.SMOOTH_ITERS + 1
+
+
+def _relabel(mesh, seed):
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(mesh.vertices))  # new vertex i is old order[i]
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(len(order))
+    tets = new_id[mesh.tets][rng.permutation(len(mesh.tets))]
+    return TetMesh.from_arrays(mesh.vertices[order], tets)
+
+
+@pytest.fixture(scope="module")
+def solids(ball_mesh):
+    from volball.synthetic import cube_mesh, graded_ellipsoid_mesh
+    return {"ball": ball_mesh, "cube": cube_mesh(4),
+            "graded": graded_ellipsoid_mesh(1)}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["ball", "cube", "graded"]), st.integers(0, 2**32 - 1))
+def test_conformal_boundary_map_invariants_under_relabelling(solids, name, seed):
+    mesh = _relabel(solids[name], seed)
+    bmap = compute_boundary_sphere_map(mesh, "conformal")
+    _, faces = mesh.boundary_surface()
+    assert not spherical_flips(bmap.points, faces).any()
+    assert np.abs(np.linalg.norm(bmap.points, axis=1) - 1).max() < 1e-12
+    again = compute_boundary_sphere_map(mesh, "conformal")
+    np.testing.assert_array_equal(again.vertex_indices, bmap.vertex_indices)
+    np.testing.assert_array_equal(again.points, bmap.points)
