@@ -81,7 +81,7 @@ def build_operators(mesh: TetMesh, positions: np.ndarray) -> DiffusionOperators:
         raise DensityError("deformed mesh has nonpositive volumes")
     lumped = np.bincount(mesh.tets.reshape(-1), weights=np.repeat(vols / 4.0, 4),
                          minlength=len(mesh.vertices))
-    return DiffusionOperators(lumped, laplacian_matrix(mesh.tets, positions))
+    return DiffusionOperators(lumped, laplacian_matrix(mesh, positions))
 
 
 def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,

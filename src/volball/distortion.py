@@ -163,11 +163,9 @@ def anisotropic_stiffness(mesh: TetMesh, coeff: np.ndarray) -> linsolve.LinearSy
     vols = mesh.volumes
     S = face_area_vectors(mesh.vertices, mesh.tets)
     grads = -S / (3.0 * vols[:, None, None])  # hat-function gradients (m, 4, 3)
-    local = np.einsum("tix,txy,tjy,t->tij", grads, coeff, grads, vols)
+    local = grads @ coeff @ np.swapaxes(grads, 1, 2) * vols[:, None, None]
     local = 0.5 * (local + np.swapaxes(local, 1, 2))
-    rows = np.repeat(mesh.tets, 4, axis=1).reshape(-1)
-    cols = np.tile(mesh.tets, (1, 4)).reshape(-1)
-    return linsolve.assemble(len(mesh.vertices), rows, cols, local.reshape(-1))
+    return linsolve.assemble(mesh.assembly_plan, local.reshape(-1))
 
 
 def reconstruct_map(mesh: TetMesh, frames: TetFrameField,

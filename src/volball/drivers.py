@@ -151,7 +151,8 @@ def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
 def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 10.0,
                      budget: int = 10,
                      reference_boundary: np.ndarray | None = None,
-                     near_fold_ratio: float | None = None) -> np.ndarray:
+                     near_fold_ratio: float | None = None,
+                     frames: TetFrameField | None = None) -> np.ndarray:
     """Remove inverted tets from a ball map, preserving the spherical boundary.
 
     Rounds of three passes run until the map is fold-free: (1) repair flipped
@@ -165,26 +166,27 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     the normalized rest boundary (exact when the rest mesh is itself a ball).
     With ``near_fold_ratio`` set, tets whose anisotropy ratio exceeds it are
     truncated alongside the truly folded ones (they are one flow step away
-    from folding and otherwise escape all relief).
+    from folding and otherwise escape all relief). ``frames``, when given, is
+    the decomposition of ``positions`` the caller already holds; it is used
+    instead of decomposing them again.
     """
     b_ids, b_faces = mesh.boundary_surface()
     if reference_boundary is None:
         reference_boundary = normalize_rows(mesh.vertices[b_ids])
     pos = np.array(positions, dtype=np.float64)
 
-    def needs_relief(p):
-        if near_fold_ratio is None:
-            return False
-        frames = frame_decompose(jacobian_per_tet(mesh, p))
-        return bool(np.any(np.abs(frames.ratios) > near_fold_ratio))
-
     def score(p):
         return mesh.count_folds(p) + int(spherical_flips(normalize_rows(p[b_ids]),
                                                          b_faces).sum())
 
     best_score = score(pos)
-    if best_score == 0 and not needs_relief(pos):
-        return pos
+    if best_score == 0:
+        if near_fold_ratio is None:
+            return pos
+        if frames is None:
+            frames = frame_decompose(jacobian_per_tet(mesh, pos))
+        if not np.any(np.abs(frames.ratios) > near_fold_ratio):
+            return pos
 
     boundary_adj = vertex_rings(b_faces, len(b_ids))
     compact = np.full(len(mesh.vertices), -1, dtype=np.int64)
@@ -243,7 +245,8 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
             2.0, k_threshold * 0.7 ** (round_no - 1))
         state = sphere_repair(state)
         state = _rebuild(mesh, state, k_cap, fixed_ids=b_ids,
-                         near_fold_ratio=near_fold_ratio)
+                         near_fold_ratio=near_fold_ratio,
+                         frames=frames if state is pos else None)
         if mesh.count_folds(state):
             state = smooth_slivers(state, w=min(0.25 + 0.1 * round_no, 0.8))
             state = free_boundary_patch(state, k_cap)
@@ -261,9 +264,11 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     return pos
 
 
-def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None):
-    """Flip + truncate the folded tets' eigenvalues and re-solve the map."""
-    frames = frame_decompose(jacobian_per_tet(mesh, pos))
+def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None, frames=None):
+    """Flip + truncate the folded tets' eigenvalues and re-solve the map;
+    ``frames`` is the decomposition of ``pos`` if the caller has it."""
+    if frames is None:
+        frames = frame_decompose(jacobian_per_tet(mesh, pos))
     folded = frames.lambdas[:, 2] <= 0
     lam = _flip_and_floor(frames.lambdas)
     if near_fold_ratio is not None:
@@ -358,7 +363,7 @@ def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None):
     if (folds_pre or strained) and config.correction:
         cand = correct_overlaps(mesh, cand, config.k_threshold,
                                 reference_boundary=ref_boundary,
-                                near_fold_ratio=near_fold_ratio)
+                                near_fold_ratio=near_fold_ratio, frames=frames)
         frames = None
     if frames is None:
         frames = frame_decompose(jacobian_per_tet(mesh, cand))

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import linsolve
-from .tetmesh import EDGE_LOCAL, FACE_LOCAL, TetMesh
+from .tetmesh import FACE_LOCAL, TetMesh, signed_volumes
 
 
 def face_area_vectors(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -16,43 +16,21 @@ def face_area_vectors(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return 0.5 * np.cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
 
 
-def _edge_weight_triplets(vertices, tets):
-    """Edge pairs and weight contributions of every tet.
-
-    The weight of edge (i, j) picks up l * cot(theta)/12 from the opposite edge
-    of each incident tet, computed via the area-vector identity
-    -<S_i, S_j> / (18 V) which avoids explicit dihedral angles.
-    """
-    vols = np.abs(np.linalg.det(vertices[tets[:, 1:]] - vertices[tets[:, :1]])) / 6.0
-    S = face_area_vectors(vertices, tets)
-    i_loc = EDGE_LOCAL[:, 0]
-    j_loc = EDGE_LOCAL[:, 1]
-    dots = np.einsum("tek,tek->te", S[:, i_loc], S[:, j_loc])  # (m, 6)
-    w = -dots / (18.0 * vols[:, None])
-    pairs = tets[:, EDGE_LOCAL]  # (m, 6, 2)
-    return pairs.reshape(-1, 2), w.reshape(-1)
-
-
-def laplacian_matrix(mesh_or_tets, positions: np.ndarray | None = None) -> csr_matrix:
+def laplacian_matrix(mesh: TetMesh, positions: np.ndarray | None = None) -> csr_matrix:
     """Positive semidefinite cotangent Laplacian L with zero row sums.
 
     Off-diagonal entries are -k_{u,v}; the quadratic form is
-    sum_edges k_{u,v} (phi_u - phi_v)^2 (the discrete harmonic energy).
+    sum_edges k_{u,v} (phi_u - phi_v)^2 (the discrete harmonic energy). Each
+    tet contributes S S^T / (18 V) from its face area vectors S: the weight of
+    edge (i, j) picks up l * cot(theta)/12 from the opposite edge through the
+    identity -<S_i, S_j> / (18 V), which avoids explicit dihedral angles.
+    ``positions`` replaces the mesh's own vertices in the weights.
     """
-    if isinstance(mesh_or_tets, TetMesh):
-        tets = mesh_or_tets.tets
-        vertices = mesh_or_tets.vertices if positions is None else positions
-        n = len(mesh_or_tets.vertices)
-    else:
-        tets = np.asarray(mesh_or_tets)
-        vertices = positions
-        n = int(tets.max()) + 1
-    pairs, w = _edge_weight_triplets(np.asarray(vertices, dtype=np.float64), tets)
-    i, j = pairs[:, 0], pairs[:, 1]
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([j, i, i, j])
-    vals = np.concatenate([-w, -w, w, w])
-    return linsolve.assemble(n, rows, cols, vals).matrix
+    x = mesh.vertices if positions is None else np.asarray(positions, dtype=np.float64)
+    S = face_area_vectors(x, mesh.tets)
+    vols = np.abs(signed_volumes(x, mesh.tets))
+    local = S @ np.swapaxes(S, 1, 2) / (18.0 * vols[:, None, None])
+    return linsolve.assemble(mesh.assembly_plan, local.reshape(-1)).matrix
 
 
 def harmonic_fill(mesh: TetMesh, boundary_points: np.ndarray,

@@ -1,9 +1,16 @@
 """Sparse symmetric systems with Dirichlet constraints.
 
-All finite-element solves in the package go through this module: assembly from
-coordinate triplets (deterministically ordered so repeated runs are bitwise
-identical), constraint handling by row/column elimination, and a diagonally
+All finite-element solves in the package go through this module: assembly,
+constraint handling by row/column elimination, and a diagonally
 preconditioned conjugate gradient for the reduced SPD system.
+
+Assembly is split in two. An ``AssemblyPlan`` holds what depends only on the
+connectivity: the sorted CSR pattern of a triplet layout and the slot of each
+triplet in it, built once per mesh (or per boundary triangulation). ``assemble``
+takes a plan and one value per triplet and scatters them with ``np.bincount``,
+which sums the duplicates of each entry in input order, so repeated runs are
+bitwise identical. Every assembly still checks symmetry against the plan's
+transpose slots, the precondition of the conjugate gradient solve.
 """
 
 from __future__ import annotations
@@ -46,33 +53,61 @@ class LinearSystem:
         self.fixed_values = np.asarray(values, dtype=np.float64)[first]
 
 
-def assemble(dimension: int, rows, cols, values) -> LinearSystem:
-    """Build a symmetric LinearSystem from triplets; duplicates are summed.
+class AssemblyPlan:
+    """Sparsity pattern of a fixed triplet layout, built once per connectivity.
 
-    Triplets are sorted by (row, col) before summation so assembly is
+    Sorts the (row, col) triplets once and keeps the CSR ``indptr`` and
+    ``indices`` of the unique entries, the CSR ``slot`` of every triplet and,
+    for every entry, the slot of its transpose (-1 where the pattern lacks
+    it). ``assemble`` then only scatters values.
+    """
+
+    def __init__(self, dimension: int, rows, cols):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= dimension
+                          or cols.min() < 0 or cols.max() >= dimension):
+            raise IndexError("triplet index out of range")
+        self.dimension = dimension
+        order = np.lexsort((cols, rows))
+        r, c = rows[order], cols[order]
+        new_entry = np.ones(r.size, dtype=bool)
+        new_entry[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        self.slot = np.empty(r.size, dtype=np.int64)
+        self.slot[order] = np.cumsum(new_entry) - 1
+        r, c = r[new_entry], c[new_entry]
+        self.indices = c
+        self.indptr = np.searchsorted(r, np.arange(dimension + 1))
+        # entries are sorted by (row, col), so their keys are sorted too
+        key = r * dimension + c
+        mirror = c * dimension + r
+        at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+        self.transpose_slot = np.where(key[at] == mirror, at, -1)
+
+    @classmethod
+    def for_elements(cls, elements: np.ndarray, dimension: int) -> "AssemblyPlan":
+        """Plan of the k x k local matrices of an (m, k) element array, each
+        flattened row-major."""
+        k = elements.shape[1]
+        return cls(dimension, np.repeat(elements, k, axis=1).reshape(-1),
+                   np.tile(elements, (1, k)).reshape(-1))
+
+
+def assemble(plan: AssemblyPlan, values) -> LinearSystem:
+    """Build a symmetric LinearSystem from the values of ``plan``'s triplets.
+
+    Duplicates are summed by ``np.bincount`` in input order, so assembly is
     bitwise reproducible across runs. Raises ValueError when the result is not
     symmetric, the precondition of the conjugate gradient solve.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if rows.size and (rows.min() < 0 or rows.max() >= dimension
-                      or cols.min() < 0 or cols.max() >= dimension):
-        raise IndexError("triplet index out of range")
-    order = np.lexsort((cols, rows))
-    rows, cols, values = rows[order], cols[order], values[order]
-    if rows.size:
-        new_group = np.ones(rows.size, dtype=bool)
-        new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(new_group)
-        summed = np.add.reduceat(values, starts)
-        rows, cols, values = rows[starts], cols[starts], summed
-    mat = csr_matrix((values, (rows, cols)), shape=(dimension, dimension))
-    diff = (mat - mat.T)
-    scale = max(abs(mat).max(), 1.0)
-    if diff.nnz and abs(diff).max() > 1e-12 * scale:
+    data = np.bincount(plan.slot, weights=np.asarray(values, dtype=np.float64),
+                       minlength=plan.indices.size)
+    mirrored = np.where(plan.transpose_slot >= 0, data[plan.transpose_slot], 0.0)
+    scale = max(np.abs(data).max(initial=0.0), 1.0)
+    if np.abs(data - mirrored).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("assembled matrix is not symmetric")
-    return LinearSystem(dimension, mat)
+    n = plan.dimension
+    return LinearSystem(n, csr_matrix((data, plan.indices, plan.indptr), shape=(n, n)))
 
 
 def _pcg(A, b, rtol, maxiter):

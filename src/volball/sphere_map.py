@@ -10,6 +10,7 @@ re-solving the associated elliptic system.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .tetmesh import MeshError, TetMesh
 
 # Mean-value smoothing rounds of the spherical embedding.
 SMOOTH_ITERS = 20
+
+logger = logging.getLogger("volball")
 
 
 class SphereMapError(MeshError):
@@ -59,24 +62,20 @@ def face_to_vertex_matrix(faces: np.ndarray, areas: np.ndarray,
 
 
 def surface_laplacian(points: np.ndarray, faces: np.ndarray,
-                      n_vertices: int) -> csr_matrix:
-    """PSD cotangent Laplacian of a triangle mesh."""
-    rows, cols, vals = [], [], []
+                      plan: linsolve.AssemblyPlan) -> csr_matrix:
+    """PSD cotangent Laplacian of a triangle mesh, assembled on
+    ``plan = AssemblyPlan.for_elements(faces, n_vertices)``."""
+    local = np.zeros((len(faces), 3, 3))
     for k in range(3):
-        i = faces[:, (k + 1) % 3]
-        j = faces[:, (k + 2) % 3]
-        o = faces[:, k]
-        u = points[i] - points[o]
-        v = points[j] - points[o]
+        i, j = (k + 1) % 3, (k + 2) % 3
+        u = points[faces[:, i]] - points[faces[:, k]]
+        v = points[faces[:, j]] - points[faces[:, k]]
         cross = np.linalg.norm(np.cross(u, v), axis=1)
-        cot = np.einsum("ij,ij->i", u, v) / np.maximum(cross, 1e-300)
-        w = 0.5 * cot
-        rows.extend([i, j, i, j])
-        cols.extend([j, i, i, j])
-        vals.extend([-w, -w, w, w])
-    system = linsolve.assemble(n_vertices, np.concatenate(rows),
-                               np.concatenate(cols), np.concatenate(vals))
-    return system.matrix
+        w = 0.5 * np.einsum("ij,ij->i", u, v) / np.maximum(cross, 1e-300)
+        local[:, i, j] = local[:, j, i] = -w
+        local[:, i, i] += w
+        local[:, j, j] += w
+    return linsolve.assemble(plan, local.reshape(-1)).matrix
 
 
 def surface_gradient(points: np.ndarray, faces: np.ndarray,
@@ -206,11 +205,11 @@ def beltrami_stiffness(z_domain: np.ndarray, faces: np.ndarray,
     grads = np.stack([-e[:, :, 1], e[:, :, 0]], axis=2) / area2[:, None, None]
     A = np.stack([np.stack([a11, a12], axis=1),
                   np.stack([a12, a22], axis=1)], axis=1)
-    local = np.einsum("tix,txy,tjy,t->tij", grads, A, grads, np.abs(area2) / 2.0)
+    local = grads @ A @ np.swapaxes(grads, 1, 2) * (np.abs(area2) / 2.0)[:, None, None]
     local = 0.5 * (local + np.swapaxes(local, 1, 2))
-    rows = np.repeat(faces, 3, axis=1).reshape(-1)
-    cols = np.tile(faces, (1, 3)).reshape(-1)
-    return linsolve.assemble(len(z_domain), rows, cols, local.reshape(-1))
+    # the kept faces change from call to call, so the plan is used once
+    plan = linsolve.AssemblyPlan.for_elements(faces, len(z_domain))
+    return linsolve.assemble(plan, local.reshape(-1))
 
 
 def correct_spherical_flips(reference: np.ndarray, points: np.ndarray,
@@ -348,7 +347,8 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
     """Density-equalizing flow on the sphere with overlap correction.
 
     Face density is population over current area; iterations stop when its
-    sd/mean ratio falls below ``eps`` or after ``max_iter`` rounds.
+    sd/mean ratio falls below ``eps`` or after ``max_iter`` rounds. Each call
+    logs the rounds used, the reason and the final ratio at DEBUG level.
     """
     u = normalize_rows(np.array(sphere, dtype=np.float64))
     population = np.asarray(population, dtype=np.float64)
@@ -357,16 +357,18 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
     n = len(u)
     edges = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
     on_sphere = np.ones(n, dtype=bool)
+    plan = linsolve.AssemblyPlan.for_elements(faces, n)
     last_valid = u.copy()
-    for _ in range(max_iter):
+    for rounds in range(max_iter + 1):
         _, areas = face_normals_areas(u, faces)
         rho_face = population / areas
-        if np.std(rho_face) / np.mean(rho_face) < eps:
+        ratio = np.std(rho_face) / np.mean(rho_face)
+        if ratio < eps or rounds == max_iter:
             break
         conv = face_to_vertex_matrix(faces, areas, n)
         lumped = np.bincount(faces.reshape(-1), weights=np.repeat(areas / 3.0, 3),
                              minlength=n)
-        ops = density.DiffusionOperators(lumped, surface_laplacian(u, faces, n))
+        ops = density.DiffusionOperators(lumped, surface_laplacian(u, faces, plan))
         rho_next = density.diffusion_step(ops, conv @ rho_face, dt)
         vel = density.velocity_field(rho_next,
                                       conv @ surface_gradient(u, faces, rho_next))
@@ -374,6 +376,10 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
         if spherical_flips(u, faces).any():
             u = correct_spherical_flips(last_valid, u, faces)
         last_valid = u.copy()
+    reason = "eps" if ratio < eps else "max_iter"
+    logger.debug("surface flow stopped after %d of %d rounds (%s): sd/mean %.4g",
+                 rounds, max_iter, reason, ratio,
+                 extra={"rounds": rounds, "reason": reason, "sd_mean": float(ratio)})
     return u
 
 

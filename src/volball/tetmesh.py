@@ -9,6 +9,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .linsolve import AssemblyPlan
+
 
 class MeshError(ValueError):
     """Base class for mesh construction and query failures."""
@@ -235,6 +237,12 @@ class TetMesh:
     def count_folds(self, positions: np.ndarray) -> int:
         """Number of tets whose signed volume under ``positions`` is <= 0."""
         return int(np.count_nonzero(signed_volumes(positions, self.tets) <= 0.0))
+
+    @cached_property
+    def assembly_plan(self) -> AssemblyPlan:
+        """Pattern of the per-tet 4 x 4 element matrices (16 triplets per tet),
+        shared by every operator assembled on this connectivity."""
+        return AssemblyPlan.for_elements(self.tets, len(self.vertices))
 
     @cached_property
     def locator(self) -> PointLocator:

@@ -132,6 +132,46 @@ def test_run_3dqc_stretched_ball_decreases_energy():
     assert res.report.final["folds"] == 0
 
 
+def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
+    from volball import drivers
+    rng = np.random.default_rng(4)
+    cand = ball_mesh.vertices.copy()
+    interior = ~ball_mesh.boundary_vertex_mask
+    cand[interior] += 0.002 * rng.normal(size=(int(interior.sum()), 3))
+    assert ball_mesh.count_folds(cand) == 0
+    ratios = np.abs(frame_decompose(jacobian_per_tet(ball_mesh, cand)).ratios)
+    seen = []
+
+    def recorded(mesh, positions):
+        seen.append(np.asarray(positions).tobytes())
+        return jacobian_per_tet(mesh, positions)
+
+    monkeypatch.setattr(drivers, "jacobian_per_tet", recorded)
+    # fold-free but strained: correct_overlaps takes over the frames of the
+    # candidate instead of decomposing it again
+    drivers._settle(ball_mesh, cand, SolverConfig(),
+                    normalize_rows(cand[ball_mesh.boundary_vertices]),
+                    near_fold_ratio=float(np.median(ratios)))
+    assert len(seen) >= 2
+    assert len(seen) == len(set(seen))
+
+
+def test_run_3dqc_builds_one_tet_plan(monkeypatch):
+    from volball import linsolve
+    mesh = stretched_ball_mesh(1)
+    sizes = []
+    init = linsolve.AssemblyPlan.__init__
+
+    def counted(self, dimension, rows, cols):
+        sizes.append(len(rows))
+        init(self, dimension, rows, cols)
+
+    monkeypatch.setattr(linsolve.AssemblyPlan, "__init__", counted)
+    run_3dqc(mesh, SolverConfig(n_max=3))
+    # the 16-triplet tet layout serves every harmonic fill and reconstruction
+    assert sizes.count(16 * len(mesh.tets)) == 1
+
+
 def test_run_3ddem_uniform_population_immediate(ball_mesh):
     pop = np.abs(ball_mesh.volumes)
     res = run_3ddem(ball_mesh, pop)

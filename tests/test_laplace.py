@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy.sparse import triu
+from scipy.sparse import coo_matrix, triu
 
 from volball.laplace import face_area_vectors, harmonic_fill, laplacian_matrix
+from volball.synthetic import cube_mesh, graded_ellipsoid_mesh
 from volball.tetmesh import EDGE_LOCAL, TetMesh
 
 # cot(arccos(1/3)) / 12 for a unit-edge regular tetrahedron
@@ -52,6 +53,31 @@ def test_laplacian_row_sums_zero(ball_mesh):
     rows = np.asarray(L.sum(axis=1)).ravel()
     assert np.abs(rows).max() < 1e-10
     assert (abs(L - L.T)).max() < 1e-12
+
+
+def _edge_triplet_laplacian(mesh):
+    """The edge-weight assembly that the element form replaced: weight
+    -<S_i, S_j> / (18 V) per tet edge, scattered as four triplets."""
+    x, tets = mesh.vertices, mesh.tets
+    vols = np.abs(np.linalg.det(x[tets[:, 1:]] - x[tets[:, :1]])) / 6.0
+    S = face_area_vectors(x, tets)
+    dots = np.einsum("tek,tek->te", S[:, EDGE_LOCAL[:, 0]], S[:, EDGE_LOCAL[:, 1]])
+    w = (-dots / (18.0 * vols[:, None])).reshape(-1)
+    i, j = tets[:, EDGE_LOCAL].reshape(-1, 2).T
+    n = len(x)
+    return coo_matrix((np.concatenate([-w, -w, w, w]),
+                       (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]))),
+                      shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("make", ["ball", "cube", "graded"])
+def test_element_laplacian_matches_edge_triplets(make, ball_mesh):
+    mesh = {"ball": lambda: ball_mesh, "cube": lambda: cube_mesh(4),
+            "graded": lambda: graded_ellipsoid_mesh(1)}[make]()
+    L = laplacian_matrix(mesh)
+    ref = _edge_triplet_laplacian(mesh)
+    assert L.nnz == ref.nnz
+    assert abs(L - ref).max() <= 1e-13 * abs(ref).max()
 
 
 def test_harmonic_fill_identity(ball_mesh):

@@ -7,31 +7,35 @@ from scipy.sparse import csr_matrix
 from volball import linsolve
 
 
+def _assemble(n, rows, cols, values):
+    return linsolve.assemble(linsolve.AssemblyPlan(n, rows, cols), values)
+
+
 def test_duplicate_triplets_summed():
-    system = linsolve.assemble(1, [0, 0], [0, 0], [1.0, 1.0])
+    system = linsolve.assemble(linsolve.AssemblyPlan(1, [0, 0], [0, 0]), [1.0, 1.0])
     assert system.matrix[0, 0] == 2.0
 
 
 def test_empty_triplets():
-    system = linsolve.assemble(3, [], [], [])
+    system = linsolve.assemble(linsolve.AssemblyPlan(3, [], []), [])
     assert system.matrix.nnz == 0
 
 
 def test_identity_solve():
-    system = linsolve.assemble(2, [0, 1], [0, 1], [1.0, 1.0])
+    system = _assemble(2, [0, 1], [0, 1], [1.0, 1.0])
     x = linsolve.solve(system, np.array([3.0, 5.0]))
     np.testing.assert_allclose(x, [3.0, 5.0])
 
 
 def test_diagonal_solve():
-    system = linsolve.assemble(2, [0, 1], [0, 1], [2.0, 4.0])
+    system = _assemble(2, [0, 1], [0, 1], [2.0, 4.0])
     x = linsolve.solve(system, np.array([2.0, 4.0]))
     np.testing.assert_allclose(x, [1.0, 1.0])
 
 
 def test_out_of_range_triplet():
     with pytest.raises(IndexError):
-        linsolve.assemble(2, [0, 2], [0, 0], [1.0, 1.0])
+        linsolve.AssemblyPlan(2, [0, 2], [0, 0])
 
 
 def test_path_graph_ramp():
@@ -42,7 +46,7 @@ def test_path_graph_ramp():
         rows += [i, i + 1, i, i + 1]
         cols += [i, i + 1, i + 1, i]
         vals += [1.0, 1.0, -1.0, -1.0]
-    system = linsolve.assemble(n, rows, cols, vals)
+    system = _assemble(n, rows, cols, vals)
     system.constrain([0, n - 1], [0.0, 1.0])
     x = linsolve.solve(system, np.zeros(n))
     np.testing.assert_allclose(x, np.linspace(0, 1, n), atol=1e-10)
@@ -59,7 +63,7 @@ def test_random_spd_vs_dense_oracle():
     b = rng.normal(size=10)
     expected = np.linalg.solve(A, b)  # dense elimination oracle
     rows, cols = np.nonzero(A)
-    system = linsolve.assemble(10, rows, cols, A[rows, cols])
+    system = _assemble(10, rows, cols, A[rows, cols])
     x = linsolve.solve(system, b)
     np.testing.assert_allclose(x, expected, atol=1e-9 * np.abs(expected).max())
 
@@ -71,7 +75,7 @@ def test_recover_known_solution_many():
         A = _random_spd(rng, n)
         x_true = rng.normal(size=n)
         rows, cols = np.nonzero(A)
-        system = linsolve.assemble(n, rows, cols, A[rows, cols])
+        system = _assemble(n, rows, cols, A[rows, cols])
         x = linsolve.solve(system, A @ x_true)
         assert np.linalg.norm(x - x_true) <= 1e-9 * max(np.linalg.norm(x_true), 1)
 
@@ -97,7 +101,7 @@ def test_constrained_values_exact():
     rng = np.random.default_rng(5)
     A = _random_spd(rng, 8)
     rows, cols = np.nonzero(A)
-    system = linsolve.assemble(8, rows, cols, A[rows, cols])
+    system = _assemble(8, rows, cols, A[rows, cols])
     system.constrain([2, 5], [1.5, -0.5])
     x = linsolve.solve(system, np.zeros(8))
     assert x[2] == 1.5 and x[5] == -0.5
@@ -108,18 +112,18 @@ def test_multi_rhs():
     A = _random_spd(rng, 6)
     B = rng.normal(size=(6, 3))
     rows, cols = np.nonzero(A)
-    system = linsolve.assemble(6, rows, cols, A[rows, cols])
+    system = _assemble(6, rows, cols, A[rows, cols])
     X = linsolve.solve(system, B)
     np.testing.assert_allclose(A @ X, B, atol=1e-8)
 
 
 def test_asymmetric_flagged_symmetric_raises():
     with pytest.raises(ValueError):
-        linsolve.assemble(2, [0, 1], [1, 0], [1.0, 2.0])
+        linsolve.assemble(linsolve.AssemblyPlan(2, [0, 1], [1, 0]), [1.0, 2.0])
 
 
 def test_singular_reports_iterations():
-    system = linsolve.assemble(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0])
+    system = _assemble(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(linsolve.SolverError) as exc:
         linsolve.solve(system, np.array([1.0, -1.0]))
     assert exc.value.iterations >= 1
@@ -134,8 +138,8 @@ def test_assembly_deterministic():
     # mirror every triplet so the assembled matrix is symmetric
     rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
     vals = np.concatenate([vals, vals])
-    a = linsolve.assemble(30, rows, cols, vals)
-    b = linsolve.assemble(30, rows, cols, vals)
+    a = _assemble(30, rows, cols, vals)
+    b = _assemble(30, rows, cols, vals)
     assert (a.matrix != b.matrix).nnz == 0
 
 
@@ -146,6 +150,26 @@ def test_property_spd_solve(n, seed):
     A = _random_spd(rng, n)
     x_true = rng.normal(size=n)
     rows, cols = np.nonzero(A)
-    system = linsolve.assemble(n, rows, cols, A[rows, cols])
+    system = _assemble(n, rows, cols, A[rows, cols])
     x = linsolve.solve(system, A @ x_true)
     assert np.linalg.norm(A @ x - A @ x_true) <= 1e-8 * max(np.linalg.norm(A @ x_true), 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_plan_matches_dense_oracle(n, k, seed):
+    # few rows and many triplets, so entries repeat; each triplet is mirrored
+    # so that every value vector assembles a symmetric matrix
+    rng = np.random.default_rng(seed)
+    r = rng.integers(0, n, size=k)
+    c = rng.integers(0, n, size=k)
+    rows, cols = np.concatenate([r, c]), np.concatenate([c, r])
+    plan = linsolve.AssemblyPlan(n, rows, cols)
+    for _ in range(2):  # one plan, two value vectors
+        v = rng.normal(size=k)
+        vals = np.concatenate([v, v])
+        dense = np.zeros((n, n))
+        np.add.at(dense, (rows, cols), vals)
+        got = linsolve.assemble(plan, vals).matrix.toarray()
+        assert np.abs(got - dense).max(initial=0.0) <= 1e-12 * max(np.abs(dense).max(initial=0.0), 1.0)

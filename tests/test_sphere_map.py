@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volball import linsolve
 from volball.sphere_map import (beltrami_coefficient, beltrami_stiffness,
                                 center_sphere, compute_boundary_sphere_map,
                                 correct_spherical_flips, face_normals_areas,
@@ -76,7 +79,8 @@ def test_surface_gradient_linear_exact(ball_mesh):
 def test_surface_laplacian_row_sums(ball_mesh):
     vid, faces = ball_mesh.boundary_surface()
     pts = ball_mesh.vertices[vid]
-    L = surface_laplacian(pts, faces, len(pts))
+    L = surface_laplacian(pts, faces,
+                          linsolve.AssemblyPlan.for_elements(faces, len(pts)))
     rows = np.asarray(L.sum(axis=1)).ravel()
     assert np.abs(rows).max() < 1e-10
 
@@ -130,12 +134,65 @@ def test_boundary_map_mode_validation(ball_mesh):
         compute_boundary_sphere_map(ball_mesh, mode="bogus")
 
 
-def test_surface_dem_uniform_population_stops_immediately(ball_mesh):
+def test_surface_dem_uniform_population_stops_immediately(ball_mesh, caplog):
     vid, faces = ball_mesh.boundary_surface()
     sphere = normalize_rows(ball_mesh.vertices[vid])
     _, areas = face_normals_areas(sphere, faces)
-    out = surface_density_equalize(sphere, faces, areas.copy())
+    with caplog.at_level(logging.DEBUG, logger="volball"):
+        out = surface_density_equalize(sphere, faces, areas.copy())
     np.testing.assert_allclose(out, sphere, atol=1e-12)
+    [record] = [r for r in caplog.records if r.name == "volball"]
+    assert (record.rounds, record.reason) == (0, "eps")
+    assert record.sd_mean < 1e-2
+
+
+@pytest.fixture(scope="module")
+def graded_sphere():
+    """Conformal sphere and face areas of the graded solid's boundary."""
+    from volball.sphere_map import spherical_embedding
+    from volball.synthetic import graded_ellipsoid_mesh
+    mesh = graded_ellipsoid_mesh(1)
+    vid, faces = mesh.boundary_surface()
+    _, areas = face_normals_areas(mesh.vertices[vid], faces)
+    return spherical_embedding(mesh.vertices[vid], faces), faces, areas
+
+
+def test_surface_flow_builds_one_plan(monkeypatch, graded_sphere):
+    from volball import sphere_map
+    sphere, faces, areas = graded_sphere
+    plans, stiffness = [], []
+    init = linsolve.AssemblyPlan.__init__
+
+    def counted_plan(self, dimension, rows, cols):
+        plans.append(1)
+        init(self, dimension, rows, cols)
+
+    def counted_stiffness(*args):
+        stiffness.append(1)
+        return beltrami_stiffness(*args)
+
+    monkeypatch.setattr(linsolve.AssemblyPlan, "__init__", counted_plan)
+    monkeypatch.setattr(sphere_map, "beltrami_stiffness", counted_stiffness)
+    surface_density_equalize(sphere, faces, areas, max_iter=20)
+    assert len(plans) <= 1 + len(stiffness)
+
+
+def test_surface_flow_logs_stop_reason(caplog, graded_sphere):
+    sphere, faces, areas = graded_sphere
+    with caplog.at_level(logging.DEBUG, logger="volball"):
+        out = surface_density_equalize(sphere, faces, areas)
+    records = [r for r in caplog.records if r.name == "volball"]
+    assert len(records) == 1
+    record = records[0]
+    assert record.levelno == logging.DEBUG
+    # the graded solid's surface flow runs out of rounds (sd/mean stays
+    # above eps); the record says so and carries the final ratio
+    assert (record.rounds, record.reason) == (100, "max_iter")
+    _, out_areas = face_normals_areas(out, faces)
+    rho = areas / out_areas
+    assert record.sd_mean == pytest.approx(np.std(rho) / np.mean(rho), rel=1e-12)
+    assert record.sd_mean >= 1e-2
+    assert "100 of 100 rounds (max_iter)" in record.getMessage()
 
 
 def test_correct_spherical_flips_repairs_local_swap(ball_mesh):
