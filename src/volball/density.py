@@ -101,12 +101,19 @@ def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
 
 def density_gradient(mesh_or_tets, positions: np.ndarray,
                      rho_vertex: np.ndarray) -> np.ndarray:
-    """Exact per-tet gradient of the vertexwise-linear density field."""
+    """Exact per-tet gradient of the vertexwise-linear density field.
+
+    Solves e_i . g = d_i over the edges e_i from corner 0 in closed form:
+    g = (d_0 e_1 x e_2 + d_1 e_2 x e_0 + d_2 e_0 x e_1) / det(e).
+    """
     tets = mesh_or_tets.tets if isinstance(mesh_or_tets, TetMesh) else np.asarray(mesh_or_tets)
     positions = np.asarray(positions, dtype=np.float64)
     e = positions[tets[:, 1:]] - positions[tets[:, :1]]  # (m, 3, 3) rows = edges
     d = rho_vertex[tets[:, 1:]] - rho_vertex[tets[:, :1]]  # (m, 3)
-    return np.linalg.solve(e, d[:, :, None])[..., 0]
+    a, b, c = e[:, 0], e[:, 1], e[:, 2]
+    bc = np.cross(b, c)
+    num = d[:, :1] * bc + d[:, 1:2] * np.cross(c, a) + d[:, 2:] * np.cross(a, b)
+    return num / np.einsum("ij,ij->i", a, bc)[:, None]
 
 
 def velocity_field(rho_vertex: np.ndarray, grad_vertex: np.ndarray) -> np.ndarray:

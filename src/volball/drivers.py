@@ -360,14 +360,16 @@ def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None):
     if folds_pre == 0 and near_fold_ratio is not None:
         frames = frame_decompose(jacobian_per_tet(mesh, cand))
         strained = not np.all(np.abs(frames.ratios) <= near_fold_ratio)
+    folds_post = folds_pre
     if (folds_pre or strained) and config.correction:
         cand = correct_overlaps(mesh, cand, config.k_threshold,
                                 reference_boundary=ref_boundary,
                                 near_fold_ratio=near_fold_ratio, frames=frames)
+        folds_post = mesh.count_folds(cand)
         frames = None
     if frames is None:
         frames = frame_decompose(jacobian_per_tet(mesh, cand))
-    return cand, folds_pre, mesh.count_folds(cand), frames
+    return cand, folds_pre, folds_post, frames
 
 
 def _evaluate(mesh, ball_rest, positions, frames, population, alpha):

@@ -6,14 +6,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import linsolve
-from .tetmesh import FACE_LOCAL, TetMesh, signed_volumes
-
-
-def face_area_vectors(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Outward area vector of the face opposite each tet vertex, shape (m, 4, 3)."""
-    corners = vertices[tets]  # (m, 4, 3)
-    tri = corners[:, FACE_LOCAL]  # (m, 4, 3, 3)
-    return 0.5 * np.cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
+from .tetmesh import TetMesh, face_area_vectors, signed_volumes
 
 
 def laplacian_matrix(mesh: TetMesh, positions: np.ndarray | None = None) -> csr_matrix:

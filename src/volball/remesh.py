@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .tetmesh import (EDGE_LOCAL, PointLocator, TetMesh,
-                      barycentric_coordinates)
+                      barycentric_coordinates, signed_volumes)
 
 _JITTER_SEED = 20240915
 
@@ -75,7 +75,7 @@ def quality_metrics(mesh_or_tets, positions: np.ndarray | None = None) -> Remesh
         tets = np.asarray(mesh_or_tets)
         vertices = positions
     vertices = np.asarray(vertices, dtype=np.float64)
-    vols = np.abs(np.linalg.det(vertices[tets[:, 1:]] - vertices[tets[:, :1]])) / 6.0
+    vols = np.abs(signed_volumes(vertices, tets))
     edges = vertices[tets[:, EDGE_LOCAL[:, 0]]] - vertices[tets[:, EDGE_LOCAL[:, 1]]]
     lengths = np.linalg.norm(edges, axis=2)  # (m, 6)
     frac = lengths / lengths.sum(axis=1, keepdims=True)

@@ -39,10 +39,25 @@ DEGENERACY_FACTOR = 1e-14
 INSIDE_TOL = 1e-9
 
 
+def _det3(M: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 3 x 3 matrices (..., 3, 3), by cofactor
+    expansion along the first row."""
+    return (M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
+            - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
+            + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0]))
+
+
 def signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """Signed volume of each tet: det of the edge matrix over 6."""
     e = vertices[tets[:, 1:]] - vertices[tets[:, :1]]
-    return np.linalg.det(e) / 6.0
+    return _det3(e) / 6.0
+
+
+def face_area_vectors(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
+    """Outward area vector of the face opposite each tet vertex, shape (m, 4, 3)."""
+    corners = vertices[tets]  # (m, 4, 3)
+    tri = corners[:, FACE_LOCAL]  # (m, 4, 3, 3)
+    return 0.5 * np.cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
 
 
 def barycentric_coordinates(vertices: np.ndarray, tets: np.ndarray,
@@ -243,6 +258,14 @@ class TetMesh:
         """Pattern of the per-tet 4 x 4 element matrices (16 triplets per tet),
         shared by every operator assembled on this connectivity."""
         return AssemblyPlan.for_elements(self.tets, len(self.vertices))
+
+    @cached_property
+    def hat_gradients(self) -> np.ndarray:
+        """Gradients of the four P1 hat functions on each rest tet, shape
+        (m, 4, 3): -S / (3 V) from the face area vectors S."""
+        g = -face_area_vectors(self.vertices, self.tets) / (3.0 * self.volumes[:, None, None])
+        g.setflags(write=False)
+        return g
 
     @cached_property
     def locator(self) -> PointLocator:

@@ -153,3 +153,16 @@ def test_full_equalization_fixed_point(ball_mesh):
     field = dem.recouple_density(ball_mesh, pos, pop)
     out = _flow_step(ball_mesh, pos, field.rho_vertex, 0.1)
     assert np.linalg.norm(out - pos, axis=1).max() < 1e-9
+
+
+def test_density_gradient_matches_lapack_solve(ball_mesh):
+    rng = np.random.default_rng(3)
+    pos = ball_mesh.vertices + 0.01 * rng.normal(size=ball_mesh.vertices.shape)
+    rho = rng.uniform(0.5, 2.0, size=len(pos))
+    tets = ball_mesh.tets
+    e = pos[tets[:, 1:]] - pos[tets[:, :1]]
+    d = rho[tets[:, 1:]] - rho[tets[:, :1]]
+    lapack = np.linalg.solve(e, d[:, :, None])[..., 0]  # LAPACK oracle
+    grad = dem.density_gradient(ball_mesh, pos, rho)
+    err = np.linalg.norm(grad - lapack, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(lapack, axis=1))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volball import distortion
 from volball.distortion import (FrameError, TetFrameField, anisotropy_matrices,
                                 flip_eigenvalues, frame_decompose,
                                 jacobian_per_tet, reconstruct_map, residual_step,
@@ -26,6 +27,62 @@ def test_jacobian_affine(ball_mesh):
     t = rng.normal(size=3)
     J = jacobian_per_tet(ball_mesh, ball_mesh.vertices @ A.T + t)
     np.testing.assert_allclose(J, np.broadcast_to(A, J.shape), atol=1e-9)
+
+
+def test_jacobian_matches_solve_form(ball_mesh):
+    rng = np.random.default_rng(1)
+    pos = ball_mesh.vertices + 0.02 * rng.normal(size=ball_mesh.vertices.shape)
+    tets = ball_mesh.tets
+
+    def edges(x):
+        return np.swapaxes(x[tets[:, 1:]] - x[tets[:, :1]], 1, 2)
+
+    # LAPACK oracle: J = D R^-1 through R^T J^T = D^T
+    rest, deformed = edges(ball_mesh.vertices), edges(pos)
+    solved = np.swapaxes(np.linalg.solve(np.swapaxes(rest, 1, 2),
+                                         np.swapaxes(deformed, 1, 2)), 1, 2)
+    J = jacobian_per_tet(ball_mesh, pos)
+    err = np.linalg.norm(J - solved, axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.linalg.norm(solved, axis=(1, 2)))
+
+
+def _check_sym3_eigh(C):
+    """The Jacobi eigenpairs of C against np.linalg.eigh."""
+    evals, V = distortion._sym3_eigh(C)
+    scale = np.linalg.norm(C, axis=(1, 2))[:, None]
+    assert np.all(np.abs(evals - np.linalg.eigh(C)[0][:, ::-1]) <= 1e-14 * scale)
+    recon = (V * evals[:, None, :]) @ np.swapaxes(V, 1, 2)
+    assert np.all(np.linalg.norm(recon - C, axis=(1, 2)) <= 1e-14 * scale[:, 0])
+    gram = np.swapaxes(V, 1, 2) @ V
+    assert np.abs(gram - np.eye(3)).max() <= 1e-14
+    assert np.all(evals[:, 0] >= evals[:, 1]) and np.all(evals[:, 1] >= evals[:, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-16.0, 2.0), min_size=3, max_size=3))
+def test_sym3_eigh_matches_lapack(seed, log_eigs):
+    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+    C = (Q * 10.0 ** np.array(log_eigs)) @ Q.T
+    _check_sym3_eigh(0.5 * (C + C.T)[None])
+
+
+def test_sym3_eigh_explicit_cases():
+    Q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+    cases = [np.eye(3), np.diag([1.0, 3.0, 2.0]),
+             (Q * [2.0, 2.0, 1.0]) @ Q.T,           # two-fold repeated spectrum
+             (Q * [1e16, 1.0, 1.0]) @ Q.T,          # 1e16 dynamic range
+             np.diag([1e-8, 1e8, 1.0])]
+    _check_sym3_eigh(np.stack([0.5 * (C + C.T) for C in cases]))
+
+
+def test_sym3_eigh_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(distortion, "_MAX_SWEEPS", 1)
+    J = np.random.default_rng(0).normal(size=(50, 3, 3))
+    with pytest.raises(FrameError, match="did not converge on tet"):
+        distortion._sym3_eigh(np.swapaxes(J, 1, 2) @ J)
+    # a diagonal input needs no sweep at all
+    distortion._sym3_eigh(np.diag([3.0, 1.0, 2.0])[None])
 
 
 def test_frame_decompose_identity():
@@ -80,6 +137,18 @@ def test_ratio_matches_singular_value_oracle():
     sv = np.linalg.svd(J, compute_uv=False)  # independent oracle
     expected = sv[:, 0] / sv[:, 2] * np.sign(np.linalg.det(J))
     np.testing.assert_allclose(f.ratios, expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_ratio_matches_singular_value_oracle_tightly(seed):
+    # c = det J / (a b) keeps the ratio within a few hundred ulps of the SVD
+    # on every seed; sqrt of the smallest eigenvalue of J^T J would carry a
+    # cond(J)^2 eps error (2.4e-9 on seed 1)
+    J = np.random.default_rng(seed).normal(size=(1400, 3, 3))
+    J = J[np.abs(np.linalg.det(J)) > 1e-3][:1000]
+    sv = np.linalg.svd(J, compute_uv=False)
+    expected = sv[:, 0] / sv[:, 2] * np.sign(np.linalg.det(J))
+    np.testing.assert_allclose(frame_decompose(J).ratios, expected, rtol=1e-12)
 
 
 def test_flip_eigenvalues_cases():

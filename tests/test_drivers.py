@@ -156,6 +156,50 @@ def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
     assert len(seen) == len(set(seen))
 
 
+def test_settle_counts_folds_once_without_correction(monkeypatch, ball_mesh):
+    from volball import drivers
+    calls = []
+    count = TetMesh.count_folds
+
+    def counted(self, positions):
+        calls.append(1)
+        return count(self, positions)
+
+    monkeypatch.setattr(TetMesh, "count_folds", counted)
+    ref = normalize_rows(ball_mesh.vertices[ball_mesh.boundary_vertices])
+    # fold-free and unstrained: folds_post is folds_pre, counted once
+    _, pre, post, _ = drivers._settle(ball_mesh, ball_mesh.vertices.copy(),
+                                      SolverConfig(), ref)
+    assert (pre, post, len(calls)) == (0, 0, 1)
+    # a mirrored candidate folds everywhere: without correction nothing
+    # recounts; a correction that ran is recounted once
+    m = len(ball_mesh.tets)
+    mirrored = ball_mesh.vertices * np.array([-1.0, 1.0, 1.0])
+    calls.clear()
+    _, pre, post, _ = drivers._settle(ball_mesh, mirrored,
+                                      SolverConfig(correction=False), ref)
+    assert (pre, post, len(calls)) == (m, m, 1)
+    monkeypatch.setattr(drivers, "correct_overlaps",
+                        lambda mesh, cand, *args, **kwargs: mesh.vertices.copy())
+    calls.clear()
+    _, pre, post, _ = drivers._settle(ball_mesh, mirrored, SolverConfig(), ref)
+    assert (pre, post, len(calls)) == (m, 0, 2)
+
+
+def test_solvers_run_without_batched_lapack(monkeypatch, ball_mesh):
+    # the per-tet kernels are closed-form; batched LAPACK on 3 x 3 matrices
+    # must stay off the solver path
+    def refuse(*args, **kwargs):
+        raise AssertionError("batched LAPACK call on the solver path")
+
+    for name in ("eigh", "det", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    pop = hemispheric_population(ball_mesh, 4.0)
+    dem_res = run_3ddem(ball_mesh, pop, SolverConfig(n_max=3))
+    qc_res = run_3dqc(stretched_ball_mesh(1), SolverConfig(n_max=3))
+    assert dem_res.report.final["folds"] == qc_res.report.final["folds"] == 0
+
+
 def test_run_3dqc_builds_one_tet_plan(monkeypatch):
     from volball import linsolve
     mesh = stretched_ball_mesh(1)

@@ -169,3 +169,29 @@ def test_boundary_owners(make, seed):
     for face, tet in zip(mesh.boundary_faces, owner_tets):
         assert np.all(np.isin(face, tet))
     np.testing.assert_array_equal(owners, _dict_loop_owners(mesh))
+
+
+@pytest.mark.parametrize("make", ["ball", "cube", "graded"])
+def test_signed_volumes_match_lapack(make):
+    from volball.remesh import uniform_ball_mesh
+    from volball.synthetic import cube_mesh, graded_ellipsoid_mesh
+    mesh = {"ball": lambda: uniform_ball_mesh(1), "cube": lambda: cube_mesh(4),
+            "graded": lambda: graded_ellipsoid_mesh(1)}[make]()
+    tets = mesh.tets.copy()
+    tets[::2, [2, 3]] = tets[::2, [3, 2]]  # every other tet reflected
+    x = mesh.vertices
+    lapack = np.linalg.det(x[tets[:, 1:]] - x[tets[:, :1]]) / 6.0  # LAPACK oracle
+    vols = signed_volumes(x, tets)
+    assert np.all(vols[::2] < 0) and np.all(vols[1::2] > 0)
+    assert np.all(np.abs(vols - lapack) <= 1e-13 * np.abs(lapack))
+
+
+def test_hat_gradients_cached_read_only(ball_mesh):
+    mesh = TetMesh.from_arrays(ball_mesh.vertices, ball_mesh.tets)
+    assert "hat_gradients" not in mesh.__dict__  # lazy, not built at load
+    g = mesh.hat_gradients
+    assert g.shape == (len(mesh.tets), 4, 3)
+    assert mesh.hat_gradients is g
+    assert not g.flags.writeable
+    # the hat functions sum to 1, so their gradients sum to 0
+    assert np.abs(g.sum(axis=1)).max() <= 1e-12 * np.abs(g).max()
