@@ -157,19 +157,23 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL) -> np.ndarray:
     nrhs = b.shape[1]
     x = np.zeros((n, nrhs))
 
-    fixed_idx = system.fixed_indices
-    # (k,) values repeat across the right-hand sides, (k, nrhs) map one to one
-    fixed_vals = np.broadcast_to(system.fixed_values.T, (nrhs, len(fixed_idx))).T
-    free = np.ones(n, dtype=bool)
-    free[fixed_idx] = False
-    free_idx = np.flatnonzero(free)
     A = system.matrix
-    A_ff = A[free_idx][:, free_idx].tocsr()
-    A_fc = A[free_idx][:, fixed_idx].tocsr()
-    b_f = b[free_idx] - A_fc @ fixed_vals
-    x[fixed_idx] = fixed_vals
+    fixed_idx = system.fixed_indices
+    if fixed_idx.size == 0:
+        # nothing to eliminate: the reduced system is the system itself
+        free_idx, A_ff, b_f = slice(None), A, b
+    else:
+        # (k,) values repeat across the right-hand sides, (k, nrhs) map one to one
+        fixed_vals = np.broadcast_to(system.fixed_values.T, (nrhs, len(fixed_idx))).T
+        free = np.ones(n, dtype=bool)
+        free[fixed_idx] = False
+        free_idx = np.flatnonzero(free)
+        A_ff = A[free_idx][:, free_idx].tocsr()
+        A_fc = A[free_idx][:, fixed_idx].tocsr()
+        b_f = b[free_idx] - A_fc @ fixed_vals
+        x[fixed_idx] = fixed_vals
 
-    maxiter = max(10 * len(free_idx), 50)
+    maxiter = max(10 * A_ff.shape[0], 50)
     for j in range(nrhs):
         x[free_idx, j], _, _ = _pcg(A_ff, b_f[:, j], tol, maxiter)
     return x[:, 0] if single else x

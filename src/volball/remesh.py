@@ -83,18 +83,23 @@ def quality_metrics(mesh_or_tets, positions: np.ndarray | None = None) -> Remesh
     return RemeshQuality(float(np.std(vols)), float(np.mean(regularity)), regularity)
 
 
-def _closest_point_on_triangles(point: np.ndarray, tri: np.ndarray):
-    """Closest point to ``point`` on each triangle of ``tri`` (k, 3, 3)."""
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    ab, ac, ap = b - a, c - a, point - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = point - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = point - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
+def _dot(x, y):
+    return np.einsum("...j,...j->...", x, y)
+
+
+def _closest_point_on_triangles(points: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """Closest point to ``points`` (..., 3) on each triangle of ``tri``
+    (..., 3, 3), the two broadcast against each other."""
+    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+    ab, ac, ap = b - a, c - a, points - a
+    d1 = _dot(ab, ap)
+    d2 = _dot(ac, ap)
+    bp = points - b
+    d3 = _dot(ab, bp)
+    d4 = _dot(ac, bp)
+    cp = points - c
+    d5 = _dot(ab, cp)
+    d6 = _dot(ac, cp)
 
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
@@ -102,60 +107,58 @@ def _closest_point_on_triangles(point: np.ndarray, tri: np.ndarray):
     denom = np.maximum(va + vb + vc, 1e-300)
     v = vb / denom
     w = vc / denom
-    best = a + v[:, None] * ab + w[:, None] * ac
+    best = a + v[..., None] * ab + w[..., None] * ac
 
     # clamp to the three edges and corners where the interior projection
     # falls outside the triangle
-    inside = (vb >= 0) & (vc >= 0) & (va >= 0)
-    if not inside.all():
-        out = ~inside
-        cand = [best[out]]
+    out = ~((vb >= 0) & (vc >= 0) & (va >= 0))
+    if out.any():
+        p = np.broadcast_to(points, best.shape)[out]
+        cand = []
         for p0, p1 in ((a[out], b[out]), (a[out], c[out]), (b[out], c[out])):
             d = p1 - p0
-            t = np.clip(np.einsum("ij,ij->i", point - p0, d)
-                        / np.maximum(np.einsum("ij,ij->i", d, d), 1e-300), 0.0, 1.0)
+            t = np.clip(_dot(p - p0, d) / np.maximum(_dot(d, d), 1e-300), 0.0, 1.0)
             cand.append(p0 + t[:, None] * d)
         cand = np.stack(cand, axis=1)
-        dist = np.linalg.norm(cand - point, axis=2)
-        pick = np.argmin(dist[:, 1:], axis=1) + 1
+        pick = np.argmin(np.linalg.norm(cand - p[:, None], axis=2), axis=1)
         best[out] = cand[np.arange(len(pick)), pick]
     return best
+
+
+def _snap(source: TetMesh, forward_positions: np.ndarray,
+          points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner tet and weights of the closest point on the deformed boundary to
+    each of ``points``, sought on the 16 boundary faces of nearest centroid;
+    the weights are clipped to be nonnegative and renormalised."""
+    faces = source.boundary_faces
+    k = min(16, len(faces))
+    _, cand = cKDTree(forward_positions[faces].mean(axis=1)).query(points, k=k)
+    cand = np.reshape(cand, (len(points), k))
+    proj = _closest_point_on_triangles(points[:, None], forward_positions[faces[cand]])
+    rows = np.arange(len(points))
+    best = np.argmin(np.linalg.norm(proj - points[:, None], axis=2), axis=1)
+    tets = source.boundary_owners[cand[rows, best]]
+    lam = np.clip(barycentric_coordinates(forward_positions, source.tets, tets,
+                                          proj[rows, best]), 0.0, None)
+    return tets, lam / lam.sum(axis=1, keepdims=True)
 
 
 def pullback(source: TetMesh, forward_positions: np.ndarray,
              template: TetMesh) -> tuple[np.ndarray, int]:
     """Map template vertices back through the inverse of a forward map.
 
-    Each template vertex is located inside the deformed source mesh
-    (``forward_positions``), and its barycentric weights are replayed on the
+    All template vertices are located at once inside the deformed source mesh
+    (``forward_positions``), and their barycentric weights are replayed on the
     source's rest coordinates. Vertices that fall outside the deformed mesh
     (typically template boundary points beyond the piecewise-linear sphere)
-    are snapped to the nearest deformed boundary face; the snap count is
-    returned alongside the mapped positions.
+    are snapped, again in one batch, to the nearest deformed boundary face;
+    the snap count is returned alongside the mapped positions.
     """
     forward_positions = np.asarray(forward_positions, dtype=np.float64)
-    locator = PointLocator(forward_positions, source.tets)
-    owners = source.boundary_owners
-    tree = cKDTree(forward_positions[source.boundary_faces].mean(axis=1))
-
-    out = np.empty((len(template.vertices), 3))
-    snapped = 0
-    for i, p in enumerate(template.vertices):
-        bc = locator.locate(p)
-        if bc is None:
-            snapped += 1
-            k = min(16, len(owners))
-            _, cand = tree.query(p, k=k)
-            cand = np.atleast_1d(cand)
-            tri = forward_positions[source.boundary_faces[cand]]
-            proj = _closest_point_on_triangles(p, tri)
-            best = int(np.argmin(np.linalg.norm(proj - p, axis=1)))
-            tet_id = int(owners[cand[best]])
-            lam = barycentric_coordinates(forward_positions, source.tets,
-                                          np.array([tet_id]), proj[best][None])[0]
-            lam = np.clip(lam, 0.0, None)
-            lam /= lam.sum()
-            out[i] = lam @ source.vertices[source.tets[tet_id]]
-        else:
-            out[i] = bc.lambdas @ source.vertices[source.tets[bc.tet_index]]
-    return out, snapped
+    tets, lam = PointLocator(forward_positions, source.tets).locate_points(template.vertices)
+    missed = np.flatnonzero(tets < 0)
+    if missed.size:
+        tets[missed], lam[missed] = _snap(source, forward_positions,
+                                          template.vertices[missed])
+    out = np.matmul(lam[:, None, :], source.vertices[source.tets[tets]])[:, 0]
+    return out, int(missed.size)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .linsolve import AssemblyPlan
 
@@ -60,18 +62,36 @@ def face_area_vectors(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return 0.5 * np.cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
 
 
+def _hat_gradients(vertices: np.ndarray, tets: np.ndarray, tet_ids=None) -> np.ndarray:
+    """Gradients -S / (3 V) of the four P1 hat functions on ``tets[tet_ids]``
+    (every tet by default) under ``vertices``, shape (k, 4, 3), from the face
+    area vectors S. Raises DegenerateTetError naming a tet of zero volume."""
+    sel = tets if tet_ids is None else tets[tet_ids]
+    vols = signed_volumes(vertices, sel)
+    if np.any(vols == 0.0):
+        bad = int(np.argmax(vols == 0.0))
+        raise DegenerateTetError(
+            f"tet {bad if tet_ids is None else int(tet_ids[bad])} has zero volume")
+    return -face_area_vectors(vertices, sel) / (3.0 * vols[:, None, None])
+
+
+def _affine_barycentric(grad: np.ndarray, x0: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates e0 + G (p - x0), shape (k, 4), of ``points`` in
+    tets with corner 0 at ``x0`` and hat gradients ``grad``; corner 0 takes 1
+    minus the others, so rows sum to 1."""
+    lam = np.einsum("kij,kj->ki", grad[:, 1:], points - x0)
+    return np.column_stack([1.0 - lam.sum(axis=1), lam])
+
+
 def barycentric_coordinates(vertices: np.ndarray, tets: np.ndarray,
                             tet_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Barycentric coordinates of ``points[i]`` inside ``tets[tet_ids[i]]``.
 
     Returns an array of shape (k, 4) whose rows sum to 1.
     """
-    corners = vertices[tets[tet_ids]]          # (k, 4, 3)
-    e = corners[:, 1:] - corners[:, :1]        # (k, 3, 3) rows are edges
-    rhs = points - corners[:, 0]
-    lam = np.linalg.solve(np.swapaxes(e, 1, 2), rhs[:, :, None])[..., 0]
-    lam0 = 1.0 - lam.sum(axis=1)
-    return np.column_stack([lam0, lam])
+    tet_ids = np.asarray(tet_ids, dtype=np.int64)
+    return _affine_barycentric(_hat_gradients(vertices, tets, tet_ids),
+                               vertices[tets[tet_ids, 0]], points)
 
 
 @dataclass(frozen=True)
@@ -85,58 +105,75 @@ class BarycentricCoord:
         return self.lambdas @ vertices[tets[self.tet_index]]
 
 
-class PointLocator:
-    """Uniform-grid accelerated point-in-tet queries.
+# Nearest centroids tried first per point, and (point, tet) pairs evaluated
+# at once, which bounds the locator's working memory.
+LOCATE_NEAREST = 8
+LOCATE_PAIRS = 1 << 15
 
-    The grid cell size is roughly twice the mean edge length; cells store the
-    tets whose bounding boxes overlap them. Queries fall back to an exhaustive
-    scan when the grid lookup misses.
+
+class PointLocator:
+    """Batched point-in-tet queries over a k-d tree of tet centroids.
+
+    A point is tested against the tets of its ``LOCATE_NEAREST`` nearest
+    centroids and, if none contains it, against every tet whose centroid lies
+    within ``reach``, the largest corner-to-centroid distance of any tet. A
+    tet that contains the point has its centroid that close, so the second
+    pass finds whatever an exhaustive scan would.
     """
 
     def __init__(self, vertices: np.ndarray, tets: np.ndarray):
         self.vertices = np.asarray(vertices, dtype=np.float64)
         self.tets = np.asarray(tets, dtype=np.int64)
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        edges = self.vertices[self.tets[:, EDGE_LOCAL[:, 0]]] - \
-            self.vertices[self.tets[:, EDGE_LOCAL[:, 1]]]
-        mean_edge = float(np.mean(np.linalg.norm(edges, axis=2)))
-        cell = max(2.0 * mean_edge, 1e-12)
-        span = np.maximum(hi - lo, 1e-12)
-        dims = np.clip(np.ceil(span / cell).astype(int), 1, 64)
-        self._lo = lo
-        self._cell = span / dims
-        self._dims = dims
         corners = self.vertices[self.tets]
-        tlo = ((corners.min(axis=1) - lo) / self._cell).astype(int)
-        thi = ((corners.max(axis=1) - lo) / self._cell).astype(int)
-        tlo = np.clip(tlo, 0, dims - 1)
-        thi = np.clip(thi, 0, dims - 1)
-        buckets: dict[tuple[int, int, int], list[int]] = {}
-        for t in range(len(self.tets)):
-            for i in range(tlo[t, 0], thi[t, 0] + 1):
-                for j in range(tlo[t, 1], thi[t, 1] + 1):
-                    for k in range(tlo[t, 2], thi[t, 2] + 1):
-                        buckets.setdefault((i, j, k), []).append(t)
-        self._buckets = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
+        centroids = corners.mean(axis=1)
+        self._tree = cKDTree(centroids)
+        self._x0 = corners[:, 0]
+        self._grad = _hat_gradients(self.vertices, self.tets)
+        self._reach = float(np.linalg.norm(corners - centroids[:, None], axis=2).max())
 
-    def _candidates(self, point: np.ndarray) -> np.ndarray:
-        idx = ((point - self._lo) / self._cell).astype(int)
-        idx = np.clip(idx, 0, self._dims - 1)
-        return self._buckets.get((idx[0], idx[1], idx[2]), np.empty(0, dtype=np.int64))
+    def locate_points(self, points, tol: float = INSIDE_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """Tet index (n,) and barycentric coordinates (n, 4) of each point: the
+        tet whose smallest coordinate is largest, if that is >= -tol; else -1
+        and a row of NaN."""
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        tet_index = np.full(len(points), -1, dtype=np.int64)
+        lambdas = np.full((len(points), 4), np.nan)
+        k = min(LOCATE_NEAREST, len(self.tets))
+        for ids in np.array_split(np.arange(len(points)), len(points) * k // LOCATE_PAIRS + 1):
+            near = self._tree.query(points[ids], k=k)[1]
+            self._pick(points, np.repeat(ids, k), np.reshape(near, -1), tol, tet_index, lambdas)
+
+        # |p - centroid| <= sum |lambda_i| * reach <= (1 + 6 tol) * reach
+        radius = self._reach * (1.0 + 1e-6 + 6.0 * tol)
+        missed = np.flatnonzero(tet_index < 0)
+        counts = self._tree.query_ball_point(points[missed], radius, return_length=True)
+        # batches of about LOCATE_PAIRS pairs (plus at most one point's)
+        cuts = np.flatnonzero(np.diff(np.cumsum(counts) // LOCATE_PAIRS)) + 1
+        for ids, n_ids in zip(np.split(missed, cuts), np.split(counts, cuts)):
+            near = self._tree.query_ball_point(points[ids], radius, return_sorted=True)
+            cand = np.fromiter(chain.from_iterable(near), dtype=np.int64, count=int(n_ids.sum()))
+            self._pick(points, np.repeat(ids, n_ids), cand, tol, tet_index, lambdas)
+        return tet_index, lambdas
+
+    def _pick(self, points, owner, cand, tol, tet_index, lambdas) -> None:
+        """Give each point ``owner[j]`` (sorted) its first candidate tet
+        ``cand[j]`` of largest smallest coordinate, if that is >= -tol."""
+        if cand.size == 0:
+            return
+        lam = _affine_barycentric(self._grad[cand], self._x0[cand], points[owner])
+        worst = np.minimum(np.minimum(lam[:, 0], lam[:, 1]), np.minimum(lam[:, 2], lam[:, 3]))
+        new = np.r_[True, owner[1:] != owner[:-1]]
+        group = np.cumsum(new) - 1
+        hits = np.flatnonzero(worst == np.maximum.reduceat(worst, np.flatnonzero(new))[group])
+        head = hits[np.r_[True, group[hits[1:]] != group[hits[:-1]]]]
+        head = head[worst[head] >= -tol]
+        tet_index[owner[head]] = cand[head]
+        lambdas[owner[head]] = lam[head]
 
     def locate(self, point, tol: float = INSIDE_TOL) -> BarycentricCoord | None:
-        point = np.asarray(point, dtype=np.float64)
-        for cand in (self._candidates(point), np.arange(len(self.tets))):
-            if len(cand) == 0:
-                continue
-            lam = barycentric_coordinates(
-                self.vertices, self.tets, cand, np.broadcast_to(point, (len(cand), 3)))
-            worst = lam.min(axis=1)
-            best = int(np.argmax(worst))
-            if worst[best] >= -tol:
-                return BarycentricCoord(int(cand[best]), lam[best])
-        return None
+        """``locate_points`` for one point; None when it lies in no tet."""
+        tet, lam = self.locate_points(np.asarray(point, dtype=np.float64)[None], tol)
+        return None if tet[0] < 0 else BarycentricCoord(int(tet[0]), lam[0])
 
 
 @dataclass(frozen=True)
@@ -273,6 +310,10 @@ class TetMesh:
 
     def locate_point(self, point, tol: float = INSIDE_TOL) -> BarycentricCoord | None:
         return self.locator.locate(point, tol=tol)
+
+    def locate_points(self, points, tol: float = INSIDE_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """Batched ``locate_point``: see ``PointLocator.locate_points``."""
+        return self.locator.locate_points(points, tol=tol)
 
     @cached_property
     def boundary_vertices(self) -> np.ndarray:

@@ -173,3 +173,30 @@ def test_plan_matches_dense_oracle(n, k, seed):
         np.add.at(dense, (rows, cols), vals)
         got = linsolve.assemble(plan, vals).matrix.toarray()
         assert np.abs(got - dense).max(initial=0.0) <= 1e-12 * max(np.abs(dense).max(initial=0.0), 1.0)
+
+
+def _split_solve(system, rhs, tol=linsolve.DEFAULT_TOL):
+    """Reference: the Dirichlet split applied with no fixed index, as the solver
+    did before unconstrained systems skipped it."""
+    n = system.dimension
+    free_idx = np.arange(n)
+    fixed_idx = np.empty(0, dtype=np.int64)
+    A = system.matrix
+    A_ff = A[free_idx][:, free_idx].tocsr()
+    A_fc = A[free_idx][:, fixed_idx].tocsr()
+    b_f = rhs[:, None] - A_fc @ np.zeros((0, 1))
+    return linsolve._pcg(A_ff, b_f[:, 0], tol, max(10 * n, 50))[0]
+
+
+@pytest.mark.parametrize("mesh_name", ["ball_mesh", "cube8"])
+def test_unconstrained_solve_matches_split_path_bitwise(mesh_name, request):
+    # backward-Euler diffusion is the solver's unconstrained caller
+    from volball.density import build_operators, diffusion_step
+    mesh = request.getfixturevalue(mesh_name)
+    ops = build_operators(mesh, mesh.vertices)
+    n, dt = len(mesh.vertices), 0.1
+    rho = 1.0 + mesh.vertices[:, 0] ** 2
+    A = csr_matrix((ops.lumped_volumes, (np.arange(n), np.arange(n))), shape=(n, n))
+    system = linsolve.LinearSystem(n, A + dt * ops.laplacian)
+    np.testing.assert_array_equal(diffusion_step(ops, rho, dt),
+                                  _split_solve(system, ops.lumped_volumes * rho))

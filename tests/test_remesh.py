@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from volball.remesh import (RemeshQuality, pullback, quality_metrics,
                             uniform_ball_mesh)
-from volball.tetmesh import TetMesh, signed_volumes
+from volball.tetmesh import INSIDE_TOL, PointLocator, TetMesh, signed_volumes
 
 
 def test_uniform_ball_resolution_one():
@@ -90,20 +93,16 @@ def test_pullback_rotation(ball_mesh):
 
 
 def test_pullback_vertex_coincidence(ball_mesh):
-    # template vertex placed exactly at a deformed source vertex maps to that
-    # source vertex's rest position
-    template = uniform_ball_mesh(1)
+    # a point placed exactly at a deformed source vertex is located in a tet
+    # incident to that vertex and maps to the vertex's rest position
     deformed = 0.9 * ball_mesh.vertices
-    probe = TetMesh.from_arrays(template.vertices.copy(), template.tets)
-    pos, _ = pullback(ball_mesh, deformed, probe)
-    target = deformed[10]
-    bc = probe.locate_point(target)
-    if bc is not None:
-        # replay through the API: the exact vertex position round-trips
-        single = pullback(ball_mesh, deformed,
-                          TetMesh.from_arrays(template.vertices.copy(),
-                                              template.tets))[0]
-        assert np.isfinite(single).all()
+    bc = PointLocator(deformed, ball_mesh.tets).locate(deformed[10])
+    assert bc is not None
+    tet = ball_mesh.tets[bc.tet_index]
+    assert 10 in tet
+    assert bc.lambdas[list(tet).index(10)] == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(bc.point(ball_mesh.vertices, ball_mesh.tets),
+                               ball_mesh.vertices[10], atol=1e-12)
     direct, _ = pullback(ball_mesh, deformed, ball_mesh)
     inner = np.linalg.norm(ball_mesh.vertices, axis=1) < 0.85
     np.testing.assert_allclose(direct[inner], ball_mesh.vertices[inner] / 0.9,
@@ -117,3 +116,94 @@ def test_pullback_snap_count_reported(ball_mesh):
     assert snapped > 0
     assert np.isfinite(pos).all()
     assert np.linalg.norm(pos, axis=1).max() < 1.3 / 0.8 + 0.1
+
+
+@pytest.fixture(scope="module")
+def graded_map():
+    from volball.drivers import run_method
+    from volball.synthetic import graded_ellipsoid_mesh
+    mesh = graded_ellipsoid_mesh(1)
+    return mesh, run_method("3ddeq", mesh, np.abs(mesh.volumes)).positions
+
+
+@pytest.fixture(scope="module")
+def template_2():
+    return uniform_ball_mesh(2)
+
+
+def _closest_on_triangle(p, a, b, c):
+    """Reference: the projection onto the triangle's plane if it falls inside,
+    else the nearest point on the three edges."""
+    n = np.cross(b - a, c - a)
+    q = p - np.dot(p - a, n) / np.dot(n, n) * n
+    if all(np.dot(np.cross(y - x, q - x), n) >= 0 for x, y in ((a, b), (b, c), (c, a))):
+        return q
+    best = None
+    for x, y in ((a, b), (b, c), (c, a)):
+        d = y - x
+        e = x + min(max(np.dot(p - x, d) / np.dot(d, d), 0.0), 1.0) * d
+        if best is None or np.linalg.norm(e - p) < np.linalg.norm(best - p):
+            best = e
+    return best
+
+
+def _brute_pullback(source, forward, template):
+    """Reference pullback, one point at a time: each vertex takes the tet of
+    largest minimum barycentric over all tets (LAPACK solves); a miss is
+    snapped to the closest point on its 16 nearest boundary faces."""
+    corners = forward[source.tets]
+    edges = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)
+    faces = source.boundary_faces
+    tree = cKDTree(forward[faces].mean(axis=1))
+    rest = source.vertices[source.tets]
+    out = np.empty((len(template.vertices), 3))
+    snapped = 0
+    for i, p in enumerate(template.vertices):
+        lam = np.linalg.solve(edges, (p - corners[:, 0])[:, :, None])[..., 0]
+        lam = np.column_stack([1.0 - lam.sum(axis=1), lam])
+        worst = lam.min(axis=1)
+        t = int(np.argmax(worst))
+        if worst[t] < -INSIDE_TOL:
+            snapped += 1
+            _, cand = tree.query(p, k=min(16, len(faces)))
+            proj = [_closest_on_triangle(p, *forward[faces[f]]) for f in cand]
+            j = int(np.argmin([np.linalg.norm(q - p) for q in proj]))
+            t = int(source.boundary_owners[cand[j]])
+            lam_t = np.linalg.solve(edges[t], proj[j] - corners[t, 0])
+            lam_t = np.clip(np.r_[1.0 - lam_t.sum(), lam_t], 0.0, None)
+            out[i] = lam_t / lam_t.sum() @ rest[t]
+        else:
+            out[i] = lam[t] @ rest[t]
+    return out, snapped
+
+
+@pytest.mark.parametrize("case", ["graded_3ddeq", "ball_scaled"])
+def test_pullback_matches_brute_force(case, graded_map, ball_mesh, template_2):
+    source, forward = graded_map if case == "graded_3ddeq" else (ball_mesh, 0.8 * ball_mesh.vertices)
+    pos, snapped = pullback(source, forward, template_2)
+    ref, ref_snapped = _brute_pullback(source, forward, template_2)
+    assert snapped == ref_snapped > 0
+    assert np.abs(pos - ref).max() <= 1e-12
+
+
+def _renumber(mesh, positions, seed):
+    """The same solid and map with vertices, tets and each tet's corners
+    permuted by ``seed``."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(mesh.vertices))  # new vertex i is old order[i]
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(len(order))
+    tets = new_id[mesh.tets][rng.permutation(len(mesh.tets))]
+    roll = (np.arange(4) + rng.integers(0, 4, size=(len(tets), 1))) % 4
+    tets = np.take_along_axis(tets, roll, axis=1)
+    return TetMesh.from_arrays(mesh.vertices[order], tets), positions[order]
+
+
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_pullback_invariant_under_source_renumbering(graded_map, template_2, seed):
+    source, forward = graded_map
+    pos, snapped = pullback(source, forward, template_2)
+    pos_r, snapped_r = pullback(*_renumber(source, forward, seed), template_2)
+    assert snapped_r == snapped
+    assert np.abs(pos_r - pos).max() <= 1e-12

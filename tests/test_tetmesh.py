@@ -136,6 +136,77 @@ def test_locator_standalone(ball_mesh):
     assert loc.locate(np.array([0.0, 0.0, 3.0])) is None
 
 
+def test_locate_points_matches_locate_point(ball_mesh):
+    rng = np.random.default_rng(5)
+    points = np.vstack([rng.uniform(-1.0, 1.0, size=(200, 3)),
+                        ball_mesh.vertices[:20],
+                        [[2.0, 0, 0], [0.0, 0.0, -3.0], [0.0, 1.2, 0.0]]])
+    tets, lams = ball_mesh.locate_points(points)
+    assert tets.shape == (len(points),) and lams.shape == (len(points), 4)
+    assert np.all(tets[-3:] == -1) and np.isnan(lams[-3:]).all()
+    for p, t, lam in zip(points, tets, lams):
+        bc = ball_mesh.locate_point(p)
+        if bc is None:
+            assert t == -1
+        else:
+            assert bc.tet_index == t
+            np.testing.assert_array_equal(bc.lambdas, lam)
+            assert lam.min() >= -1e-9
+
+
+def test_locate_points_agrees_with_exhaustive_scan(ball_mesh):
+    # points just inside and just outside the boundary, where the nearest
+    # centroids need not hold the containing tet
+    x = ball_mesh.vertices
+    faces = x[ball_mesh.boundary_faces]
+    rng = np.random.default_rng(11)
+    w = rng.dirichlet(np.ones(3), size=len(faces))
+    on_face = np.einsum("ki,kij->kj", w, faces)
+    points = np.vstack([on_face * 0.999, on_face * 1.001])
+    tets, lams = ball_mesh.locate_points(points)
+    corners = x[ball_mesh.tets]
+    e = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)
+    for p, t in zip(points, tets):
+        lam = np.linalg.solve(e, (p - corners[:, 0])[:, :, None])[..., 0]  # LAPACK oracle
+        worst = np.minimum(1.0 - lam.sum(axis=1), lam.min(axis=1))
+        assert (t >= 0) == (worst.max() >= -1e-9)
+        if t >= 0:
+            assert worst[t] >= -1e-9
+    assert np.all(tets[:len(faces)] >= 0) and np.all(tets[len(faces):] == -1)
+
+
+def test_locator_rejects_zero_volume_tet(ball_mesh):
+    positions = ball_mesh.vertices.copy()
+    a, _, _, d = ball_mesh.tets[7]
+    positions[d] = positions[a]  # collapses tet 7 and any other tet on edge (a, d)
+    flat = np.flatnonzero(signed_volumes(positions, ball_mesh.tets) == 0.0)
+    assert 7 in flat
+    with pytest.raises(DegenerateTetError, match=f"tet {flat[0]} has zero volume"):
+        PointLocator(positions, ball_mesh.tets)
+
+
+@pytest.mark.parametrize("make", ["ball", "graded"])
+def test_barycentric_coordinates_match_solve(make):
+    from volball.remesh import uniform_ball_mesh
+    from volball.synthetic import graded_ellipsoid_mesh
+    mesh = {"ball": lambda: uniform_ball_mesh(1),
+            "graded": lambda: graded_ellipsoid_mesh(1)}[make]()
+    tets = mesh.tets.copy()
+    tets[::2, [2, 3]] = tets[::2, [3, 2]]  # every other tet reflected
+    x = mesh.vertices
+    rng = np.random.default_rng(2)
+    ids = rng.integers(0, len(tets), size=2000)
+    # points inside and around their tets
+    w = rng.uniform(-0.5, 1.5, size=(len(ids), 4))
+    points = np.einsum("ki,kij->kj", w / w.sum(axis=1, keepdims=True), x[tets[ids]])
+    corners = x[tets[ids]]
+    e = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)
+    lam = np.linalg.solve(e, (points - corners[:, 0])[:, :, None])[..., 0]  # LAPACK oracle
+    oracle = np.column_stack([1.0 - lam.sum(axis=1), lam])
+    got = barycentric_coordinates(x, tets, ids, points)
+    assert np.abs(got - oracle).max() <= 1e-12
+
+
 def _renumbered(mesh, seed):
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(mesh.vertices))  # new vertex i is old order[i]
