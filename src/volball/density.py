@@ -6,6 +6,10 @@ iteration diffuses the vertex density implicitly, differentiates it per tet,
 converts the gradient into a velocity, projects the boundary velocity onto the
 sphere's tangent planes, and advects the vertices. The surface flow of the
 spherical boundary map takes the same diffusion and advection steps.
+
+Populations are checked on entry (one finite positive value per element);
+the diffusion system M + dt L is written into the Laplacian's own sparsity
+pattern at its diagonal slots rather than built as a sparse sum.
 """
 
 from __future__ import annotations
@@ -39,6 +43,25 @@ class DensityField:
 class DiffusionOperators:
     lumped_volumes: np.ndarray  # (n,) diagonal mass
     laplacian: csr_matrix       # (n, n) PSD cotangent Laplacian
+    diagonal: np.ndarray        # (n,) slot of each diagonal entry in laplacian.data
+
+
+def checked_population(population, count: int, item: str,
+                       error: type[ValueError] = DensityError) -> np.ndarray:
+    """``population`` as a float64 array of ``count`` finite positive values.
+
+    Raises ``error`` on a wrong shape, or naming the first ``item`` whose
+    value is not finite and positive.
+    """
+    population = np.asarray(population, dtype=np.float64)
+    if population.shape != (count,):
+        raise error(f"population has shape {population.shape}; "
+                    f"expected ({count},), one value per {item}")
+    bad = np.flatnonzero(~(np.isfinite(population) & (population > 0)))
+    if bad.size:
+        raise error(f"{item} {bad[0]} has population {population[bad[0]]}; "
+                    "populations must be finite and positive")
+    return population
 
 
 def tet_to_vertex_matrix(tets: np.ndarray, volumes: np.ndarray,
@@ -62,9 +85,7 @@ def tet_to_vertex_matrix(tets: np.ndarray, volumes: np.ndarray,
 def recouple_density(mesh: TetMesh, positions: np.ndarray,
                      population: np.ndarray) -> DensityField:
     """Recompute tet and vertex densities from the current volumes."""
-    population = np.asarray(population, dtype=np.float64)
-    if np.any(population <= 0):
-        raise DensityError("populations must be positive")
+    population = checked_population(population, len(mesh.tets), "tet")
     vols = signed_volumes(positions, mesh.tets)
     if np.any(vols <= 0):
         raise DensityError(
@@ -81,7 +102,8 @@ def build_operators(mesh: TetMesh, positions: np.ndarray) -> DiffusionOperators:
         raise DensityError("deformed mesh has nonpositive volumes")
     lumped = np.bincount(mesh.tets.reshape(-1), weights=np.repeat(vols / 4.0, 4),
                          minlength=len(mesh.vertices))
-    return DiffusionOperators(lumped, laplacian_matrix(mesh, positions))
+    return DiffusionOperators(lumped, laplacian_matrix(mesh, positions),
+                              mesh.assembly_plan.diagonal)
 
 
 def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
@@ -89,14 +111,18 @@ def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
     """Backward-Euler diffusion: solve (A + dt L) rho_next = A rho.
 
     Conserves the lumped mass sum(A_ii rho_i) because the Laplacian has zero
-    row sums.
+    row sums. The system matrix shares the Laplacian's pattern: its data is
+    dt * L with the lumped masses added at the diagonal slots, entry for
+    entry equal to the sparse sum A + dt * L, which it replaces.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    L = ops.laplacian
+    data = dt * L.data
+    data[ops.diagonal] += ops.lumped_volumes
     n = len(rho_vertex)
-    A = csr_matrix((ops.lumped_volumes, (np.arange(n), np.arange(n))), shape=(n, n))
-    system = linsolve.LinearSystem(n, A + dt * ops.laplacian)
-    return linsolve.solve(system, ops.lumped_volumes * rho_vertex)
+    matrix = csr_matrix((data, L.indices, L.indptr), shape=(n, n))
+    return linsolve.solve(linsolve.LinearSystem(n, matrix), ops.lumped_volumes * rho_vertex)
 
 
 def density_gradient(mesh_or_tets, positions: np.ndarray,
@@ -152,7 +178,7 @@ def advect_and_renormalize(positions: np.ndarray, velocity: np.ndarray,
 
 def min_incident_edge(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Length of the shortest edge at each vertex; ``edges`` holds vertex
-    index pairs, repeats allowed."""
+    index pairs (repeats allowed, though callers pass each edge once)."""
     lengths = np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
     out = np.full(len(positions), np.inf)
     np.minimum.at(out, edges[:, 0], lengths)

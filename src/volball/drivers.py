@@ -22,10 +22,11 @@ from .distortion import (TetFrameField, flip_eigenvalues, frame_decompose,
                          truncate_eigenvalues)
 from .laplace import harmonic_fill
 from .report import RunReport
-from .sphere_map import (SphereMapError, compute_boundary_sphere_map,
-                         correct_spherical_flips, normalize_rows,
-                         relax_patch, spherical_flips, vertex_rings)
-from .tetmesh import EDGE_LOCAL, TetMesh, signed_volumes
+from .sphere_map import (BoundaryMap, SphereMapError, compute_boundary_sphere_map,
+                         correct_spherical_flips, normalize_rows, relax_patch,
+                         spherical_embedding, spherical_flips,
+                         surface_density_equalize, vertex_rings)
+from .tetmesh import TetMesh, signed_volumes
 
 METHODS = ("3dqc", "3ddem", "3ddeq")
 
@@ -114,7 +115,9 @@ def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
     boundary cone volumes and is refined up to REFINE_ROUNDS rounds against
     the measured volumetric compression of the fill (solids with
     concave-prone corners, like cubes, otherwise start with a strong density
-    spike at the corner images). The best fold-free fill is kept.
+    spike at the corner images). The spherical embedding is computed once
+    and each round reruns only the surface flow from it. The best fold-free
+    fill is kept.
     """
     config = config or SolverConfig()
     mode = config.resolved_boundary_mode(method)
@@ -128,10 +131,14 @@ def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
     face_population = cone.copy()
     best = None
     best_var = np.inf
+    # the embedding depends only on the surface: each round reruns the flow
+    vertex_ids, faces = mesh.boundary_surface()
+    embedded = spherical_embedding(mesh.vertices[vertex_ids], faces)
     for _ in range(REFINE_ROUNDS + 1):
-        bmap = compute_boundary_sphere_map(
-            mesh, mode=mode, population=face_population, dt=config.dt,
-            eps=config.eps, max_iter=config.n_max)
+        sphere = surface_density_equalize(embedded, faces, face_population,
+                                          dt=config.dt, eps=config.eps,
+                                          max_iter=config.n_max)
+        bmap = BoundaryMap.checked(vertex_ids, faces, sphere)
         pos = harmonic_fill(mesh, bmap.points, bmap.vertex_indices)
         if mesh.count_folds(pos):
             break
@@ -400,8 +407,7 @@ def _flow_step(mesh, pos, rho_vertex, dt):
     conv = dem.tet_to_vertex_matrix(mesh.tets, signed_volumes(pos, mesh.tets),
                                     len(mesh.vertices))
     vel = dem.velocity_field(rho_next, conv @ grad_tet)
-    return dem.capped_advect(pos, vel, dt, mesh.tets[:, EDGE_LOCAL].reshape(-1, 2),
-                             mesh.boundary_vertex_mask)
+    return dem.capped_advect(pos, vel, dt, mesh.edges, mesh.boundary_vertex_mask)
 
 
 def run_3dqc(mesh: TetMesh, config: SolverConfig | None = None,

@@ -10,12 +10,21 @@ triplet in it, built once per mesh (or per boundary triangulation). ``assemble``
 takes a plan and one value per triplet and scatters them with ``np.bincount``,
 which sums the duplicates of each entry in input order, so repeated runs are
 bitwise identical. Every assembly still checks symmetry against the plan's
-transpose slots, the precondition of the conjugate gradient solve.
+transpose slots, the precondition of the conjugate gradient solve. A plan
+also knows the slot of each row's diagonal entry, where callers add a mass
+matrix in place.
+
+The conjugate gradient (``_pcg``) is preconditioned by the inverse diagonal
+and updates its vectors in place; it raises SolverError as soon as a
+curvature p . A p is not positive, NaN included, rather than running out its
+iteration budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import sqrt
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -84,6 +93,15 @@ class AssemblyPlan:
         at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
         self.transpose_slot = np.where(key[at] == mirror, at, -1)
 
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """CSR slot of each row's diagonal entry, shape (dimension,)."""
+        rows = np.repeat(np.arange(self.dimension), np.diff(self.indptr))
+        slots = np.flatnonzero(self.indices == rows)
+        if slots.size != self.dimension:
+            raise ValueError("pattern lacks a diagonal entry in some row")
+        return slots
+
     @classmethod
     def for_elements(cls, elements: np.ndarray, dimension: int) -> "AssemblyPlan":
         """Plan of the k x k local matrices of an (m, k) element array, each
@@ -111,33 +129,40 @@ def assemble(plan: AssemblyPlan, values) -> LinearSystem:
 
 
 def _pcg(A, b, rtol, maxiter):
+    """Jacobi-preconditioned CG from x = 0: returns (x, iterations, residual).
+
+    Norms are ``sqrt(r @ r)``, bitwise equal to ``np.linalg.norm`` on 1-D
+    input, and the search direction is updated in place; a curvature
+    ``p @ A p`` that is not positive (NaN included) raises at once.
+    """
     n = len(b)
     diag = A.diagonal().copy()
     diag[diag == 0.0] = 1.0
     inv_diag = 1.0 / diag
     x = np.zeros(n)
-    r = b.copy()
-    bnorm = float(np.linalg.norm(b))
+    r = b.copy()  # contiguous, as np.linalg.norm's ravel makes it
+    bnorm = sqrt(r @ r)
     if bnorm == 0.0:
         return x, 0, 0.0
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
-    res = float(np.linalg.norm(r))
+    res = sqrt(r @ r)
     for k in range(1, maxiter + 1):
         Ap = A @ p
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
+        if not pAp > 0.0:
             raise SolverError("matrix is not positive definite", k, res)
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        res = float(np.linalg.norm(r))
+        res = sqrt(r @ r)
         if res <= rtol * bnorm:
             return x, k, res
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverError("conjugate gradient did not converge", maxiter, res)
 

@@ -6,6 +6,13 @@ mean-value weights, optional density-equalizing iterations on the sphere, and
 an overlap-correction stage that removes flipped spherical triangles by
 truncating the per-triangle Beltrami coefficient in a stereographic chart and
 re-solving the associated elliptic system.
+
+The density flow builds what depends only on the triangulation once per call
+(``Triangulation``: the Laplacian's assembly plan, each edge once, the face
+corners that face-to-vertex averages scatter over with ``np.bincount``).
+Each round then makes one ``triangle_geometry`` pass (edge vectors,
+unnormalised normals, doubled areas, in component arithmetic), shared by the
+density, the cotangent weights, the face gradient and the flip test.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from . import density, linsolve
-from .tetmesh import MeshError, TetMesh
+from .tetmesh import MeshError, TetMesh, unique_edges
 
 # Mean-value smoothing rounds of the spherical embedding.
 SMOOTH_ITERS = 20
@@ -36,57 +43,137 @@ class BoundaryMap:
     vertex_indices: np.ndarray  # (k,) indices into the volume mesh
     points: np.ndarray          # (k, 3) unit vectors
 
+    @classmethod
+    def checked(cls, vertex_indices: np.ndarray, faces: np.ndarray,
+                points: np.ndarray) -> "BoundaryMap":
+        """The map with rows normalised and frozen; raises SphereMapError if
+        any triangle of ``faces`` is flipped."""
+        flips = int(spherical_flips(points, faces).sum())
+        if flips:
+            raise SphereMapError(f"boundary map has {flips} flipped triangles")
+        points = normalize_rows(points)
+        points.setflags(write=False)
+        return cls(vertex_indices, points)
+
 
 # -- triangle geometry -------------------------------------------------------
 
+# Corner k's successor and predecessor in a triangle.
+NEXT = np.array([1, 2, 0])
+PREV = np.array([2, 0, 1])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of two (m, 3) arrays, component by component
+    (bitwise equal to ``np.cross``)."""
+    out = np.empty((len(a), 3))
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
+
+
+@dataclass(frozen=True)
+class TriangleGeometry:
+    """One pass over the triangles of a surface.
+
+    ``edges[:, k]`` is the edge opposite corner k, from corner k+1 to corner
+    k+2 (mod 3); ``normals`` is the unnormalised normal edges[:, 1] x
+    edges[:, 2], and ``area2`` its norm, twice the triangle's area.
+    """
+
+    corners: np.ndarray  # (m, 3, 3) corner positions
+    edges: np.ndarray    # (m, 3, 3)
+    normals: np.ndarray  # (m, 3)
+    area2: np.ndarray    # (m,)
+
+    @property
+    def flipped(self) -> np.ndarray:
+        """Mask of triangles whose corner determinant det(x0, x1, x2) =
+        x0 . normal is not positive: the orientation test of a triangle
+        inscribed in the unit sphere."""
+        x0, nrm = self.corners[:, 0], self.normals
+        return x0[:, 0] * nrm[:, 0] + x0[:, 1] * nrm[:, 1] + x0[:, 2] * nrm[:, 2] <= 0.0
+
+
+def triangle_geometry(points: np.ndarray, faces: np.ndarray) -> TriangleGeometry:
+    """Corners, edges, normals and doubled areas of the triangles ``faces``,
+    in component arithmetic."""
+    x = points[faces]
+    edges = np.empty_like(x)
+    np.subtract(x[:, 2], x[:, 1], out=edges[:, 0])
+    np.subtract(x[:, 0], x[:, 2], out=edges[:, 1])
+    np.subtract(x[:, 1], x[:, 0], out=edges[:, 2])
+    normals = _cross(edges[:, 1], edges[:, 2])
+    # summed in the order np.linalg.norm sums, so areas match it bitwise
+    area2 = np.sqrt(normals[:, 0] * normals[:, 0] + normals[:, 1] * normals[:, 1]
+                    + normals[:, 2] * normals[:, 2])
+    return TriangleGeometry(x, edges, normals, area2)
+
 
 def face_normals_areas(points: np.ndarray, faces: np.ndarray):
-    e1 = points[faces[:, 1]] - points[faces[:, 0]]
-    e2 = points[faces[:, 2]] - points[faces[:, 0]]
-    n = np.cross(e1, e2)
-    norms = np.linalg.norm(n, axis=1)
-    areas = 0.5 * norms
+    """Unit normals (zero on degenerate triangles) and areas of the faces."""
+    g = triangle_geometry(points, faces)
     with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(norms[:, None] > 0, n / norms[:, None], 0.0)
-    return unit, areas
+        unit = np.where(g.area2[:, None] > 0, g.normals / g.area2[:, None], 0.0)
+    return unit, 0.5 * g.area2
 
 
-def face_to_vertex_matrix(faces: np.ndarray, areas: np.ndarray,
-                          n_vertices: int) -> csr_matrix:
-    rows = faces.reshape(-1)
-    cols = np.repeat(np.arange(len(faces)), 3)
-    vals = np.repeat(areas, 3)
-    incident = np.bincount(rows, weights=vals, minlength=n_vertices)
-    return csr_matrix((vals / incident[rows], (rows, cols)),
-                      shape=(n_vertices, len(faces)))
-
-
-def surface_laplacian(points: np.ndarray, faces: np.ndarray,
+def surface_laplacian(geometry: TriangleGeometry,
                       plan: linsolve.AssemblyPlan) -> csr_matrix:
     """PSD cotangent Laplacian of a triangle mesh, assembled on
-    ``plan = AssemblyPlan.for_elements(faces, n_vertices)``."""
-    local = np.zeros((len(faces), 3, 3))
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        u = points[faces[:, i]] - points[faces[:, k]]
-        v = points[faces[:, j]] - points[faces[:, k]]
-        cross = np.linalg.norm(np.cross(u, v), axis=1)
-        w = 0.5 * np.einsum("ij,ij->i", u, v) / np.maximum(cross, 1e-300)
-        local[:, i, j] = local[:, j, i] = -w
-        local[:, i, i] += w
-        local[:, j, j] += w
+    ``plan = AssemblyPlan.for_elements(faces, n_vertices)``.
+
+    The edge opposite corner k weighs cot(angle k) / 2 = -e_{k+1} . e_{k+2}
+    / (2 |n|), the edges and normal taken from ``geometry``.
+    """
+    e = geometry.edges
+    dots = (e[:, NEXT] * e[:, PREV]).sum(axis=2)
+    w = -0.5 * dots / np.maximum(geometry.area2, 1e-300)[:, None]
+    local = np.empty((len(w), 3, 3))
+    local[:, NEXT, PREV] = -w
+    local[:, PREV, NEXT] = -w
+    local[:, [0, 1, 2], [0, 1, 2]] = w[:, NEXT] + w[:, PREV]
     return linsolve.assemble(plan, local.reshape(-1)).matrix
 
 
-def surface_gradient(points: np.ndarray, faces: np.ndarray,
-                     values: np.ndarray) -> np.ndarray:
-    """Per-face gradient of a vertexwise-linear field on a triangle mesh."""
-    normal, areas = face_normals_areas(points, faces)
-    grad = np.zeros((len(faces), 3))
-    for k in range(3):
-        edge = points[faces[:, (k + 2) % 3]] - points[faces[:, (k + 1) % 3]]
-        grad += values[faces[:, k], None] * np.cross(normal, edge)
-    return grad / (2.0 * areas[:, None])
+def surface_gradient(geometry: TriangleGeometry, corner_values: np.ndarray) -> np.ndarray:
+    """Per-face gradient of a vertexwise-linear field from its values at the
+    face corners, shape (m, 3): n x (sum_k v_k e_k) / |n|^2."""
+    s = np.einsum("fk,fkc->fc", corner_values, geometry.edges)
+    return _cross(geometry.normals, s) / (geometry.area2 * geometry.area2)[:, None]
+
+
+class Triangulation:
+    """What the surface flow needs from a closed triangle mesh's connectivity,
+    built once per flow: the Laplacian's assembly plan, each edge once, and
+    the face corners that face-to-vertex averages scatter over."""
+
+    def __init__(self, faces: np.ndarray, n_vertices: int):
+        self.n_vertices = n_vertices
+        self.plan = linsolve.AssemblyPlan.for_elements(faces, n_vertices)
+        self.edges = unique_edges(faces[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2))
+        self.corners = faces.reshape(-1)
+        # slot of each (corner, coordinate) pair in a flattened (n, 3) array
+        self.corner_coords = (3 * self.corners[:, None] + np.arange(3)).reshape(-1)
+
+    def vertex_areas(self, areas: np.ndarray) -> np.ndarray:
+        """Summed area of the faces around each vertex."""
+        return np.bincount(self.corners, weights=np.repeat(areas, 3),
+                           minlength=self.n_vertices)
+
+    def to_vertices(self, values: np.ndarray, areas: np.ndarray,
+                    incident: np.ndarray) -> np.ndarray:
+        """Area-weighted mean of per-face scalars (m,) or vectors (m, 3) over
+        the faces around each vertex; ``incident`` is ``vertex_areas(areas)``."""
+        if values.ndim == 1:
+            total = np.bincount(self.corners, weights=np.repeat(areas * values, 3),
+                                minlength=self.n_vertices)
+            return total / incident
+        weights = np.repeat(areas[:, None] * values, 3, axis=0).reshape(-1)
+        total = np.bincount(self.corner_coords, weights=weights,
+                            minlength=3 * self.n_vertices)
+        return total.reshape(-1, 3) / incident[:, None]
 
 
 def vertex_rings(faces: np.ndarray, n_vertices: int) -> csr_matrix:
@@ -114,9 +201,7 @@ def relax_patch(points: np.ndarray, adj: csr_matrix, seeds: np.ndarray,
 
 def spherical_flips(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Mask of spherical triangles with non-outward orientation."""
-    tri = points[faces]
-    det = np.einsum("ij,ij->i", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))
-    return det <= 0.0
+    return triangle_geometry(points, faces).flipped
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -347,35 +432,41 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
     """Density-equalizing flow on the sphere with overlap correction.
 
     Face density is population over current area; iterations stop when its
-    sd/mean ratio falls below ``eps`` or after ``max_iter`` rounds. Each call
-    logs the rounds used, the reason and the final ratio at DEBUG level.
+    sd/mean ratio falls below ``eps`` or after ``max_iter`` rounds. What
+    depends only on the triangulation is built once (``Triangulation``); each
+    round makes one ``triangle_geometry`` pass, which the density, the
+    cotangent weights, the face gradient and the flip test share. Raises
+    SphereMapError naming the first face whose population is not finite and
+    positive. Each call logs the rounds used, the reason and the final ratio
+    at DEBUG level.
     """
     u = normalize_rows(np.array(sphere, dtype=np.float64))
-    population = np.asarray(population, dtype=np.float64)
-    if np.any(population <= 0):
-        raise SphereMapError("face populations must be positive")
+    population = density.checked_population(population, len(faces), "face",
+                                            SphereMapError)
     n = len(u)
-    edges = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    tri = Triangulation(faces, n)
     on_sphere = np.ones(n, dtype=bool)
-    plan = linsolve.AssemblyPlan.for_elements(faces, n)
-    last_valid = u.copy()
+    geo = triangle_geometry(u, faces)
+    last_valid = u
     for rounds in range(max_iter + 1):
-        _, areas = face_normals_areas(u, faces)
+        areas = 0.5 * geo.area2
         rho_face = population / areas
         ratio = np.std(rho_face) / np.mean(rho_face)
         if ratio < eps or rounds == max_iter:
             break
-        conv = face_to_vertex_matrix(faces, areas, n)
-        lumped = np.bincount(faces.reshape(-1), weights=np.repeat(areas / 3.0, 3),
-                             minlength=n)
-        ops = density.DiffusionOperators(lumped, surface_laplacian(u, faces, plan))
-        rho_next = density.diffusion_step(ops, conv @ rho_face, dt)
-        vel = density.velocity_field(rho_next,
-                                      conv @ surface_gradient(u, faces, rho_next))
-        u = density.capped_advect(u, vel, dt, edges, on_sphere)
-        if spherical_flips(u, faces).any():
+        incident = tri.vertex_areas(areas)
+        ops = density.DiffusionOperators(incident / 3.0, surface_laplacian(geo, tri.plan),
+                                         tri.plan.diagonal)
+        rho = tri.to_vertices(rho_face, areas, incident)
+        rho_next = density.diffusion_step(ops, rho, dt)
+        grad = tri.to_vertices(surface_gradient(geo, rho_next[faces]), areas, incident)
+        vel = density.velocity_field(rho_next, grad)
+        u = density.capped_advect(u, vel, dt, tri.edges, on_sphere)
+        geo = triangle_geometry(u, faces)
+        if geo.flipped.any():
             u = correct_spherical_flips(last_valid, u, faces)
-        last_valid = u.copy()
+            geo = triangle_geometry(u, faces)
+        last_valid = u
     reason = "eps" if ratio < eps else "max_iter"
     logger.debug("surface flow stopped after %d of %d rounds (%s): sd/mean %.4g",
                  rounds, max_iter, reason, ratio,
@@ -404,9 +495,4 @@ def compute_boundary_sphere_map(mesh: TetMesh, mode: str = "conformal",
             _, population = face_normals_areas(surf, faces)
         u = surface_density_equalize(u, faces, population, dt=dt, eps=eps,
                                      max_iter=max_iter)
-    flips = int(spherical_flips(u, faces).sum())
-    if flips:
-        raise SphereMapError(f"boundary map has {flips} flipped triangles")
-    u = normalize_rows(u)
-    u.setflags(write=False)
-    return BoundaryMap(vertex_ids, u)
+    return BoundaryMap.checked(vertex_ids, faces, u)

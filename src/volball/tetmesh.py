@@ -49,6 +49,12 @@ def _det3(M: np.ndarray) -> np.ndarray:
             + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0]))
 
 
+def unique_edges(pairs: np.ndarray) -> np.ndarray:
+    """The distinct undirected edges among (k, 2) vertex pairs, each as a
+    sorted pair, in lexicographic order."""
+    return np.unique(np.sort(pairs, axis=1), axis=0)
+
+
 def signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """Signed volume of each tet: det of the edge matrix over 6."""
     e = vertices[tets[:, 1:]] - vertices[tets[:, :1]]
@@ -314,6 +320,13 @@ class TetMesh:
     def locate_points(self, points, tol: float = INSIDE_TOL) -> tuple[np.ndarray, np.ndarray]:
         """Batched ``locate_point``: see ``PointLocator.locate_points``."""
         return self.locator.locate_points(points, tol=tol)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Distinct edges of the tets as sorted vertex pairs, shape (e, 2)."""
+        e = unique_edges(self.tets[:, EDGE_LOCAL].reshape(-1, 2))
+        e.setflags(write=False)
+        return e
 
     @cached_property
     def boundary_vertices(self) -> np.ndarray:

@@ -166,3 +166,29 @@ def test_density_gradient_matches_lapack_solve(ball_mesh):
     grad = dem.density_gradient(ball_mesh, pos, rho)
     err = np.linalg.norm(grad - lapack, axis=1)
     assert np.all(err <= 1e-12 * np.linalg.norm(lapack, axis=1))
+
+
+@pytest.mark.parametrize("bad, index", [(np.nan, 4), (np.inf, 2), (-1.0, 0)])
+def test_recouple_names_first_bad_tet(ball_mesh, bad, index):
+    pop = np.abs(ball_mesh.volumes).copy()
+    pop[[index, index + 11]] = bad
+    with pytest.raises(dem.DensityError, match=f"tet {index} has population {bad}"):
+        dem.recouple_density(ball_mesh, ball_mesh.vertices, pop)
+
+
+@pytest.mark.parametrize("size", [1, -1])
+def test_recouple_rejects_population_of_wrong_length(ball_mesh, size):
+    # a length-1 population would otherwise broadcast as a uniform one
+    m = len(ball_mesh.tets)
+    with pytest.raises(dem.DensityError, match=f"expected \\({m},\\)"):
+        dem.recouple_density(ball_mesh, ball_mesh.vertices,
+                             np.ones(size if size > 0 else m - 1))
+
+
+def test_volume_flow_nan_population_raises_density_error(ball_mesh):
+    # a NaN population used to run the diffusion PCG to its iteration budget
+    from volball.drivers import SolverConfig, run_3ddem
+    pop = np.ones(len(ball_mesh.tets))
+    pop[5] = np.nan
+    with pytest.raises(dem.DensityError, match="tet 5 has population nan"):
+        run_3ddem(ball_mesh, pop, SolverConfig(n_max=2))

@@ -33,6 +33,48 @@ def test_initial_ball_on_ball_is_near_identity(ball_mesh):
     assert np.linalg.norm(pos - ball_mesh.vertices, axis=1).max() < 0.1
 
 
+def _initial_ball_map_per_round(mesh, config):
+    """Reference: the density initial ball with a full boundary map, its
+    embedding included, in every refinement round."""
+    from volball import drivers
+    from volball.laplace import harmonic_fill
+    from volball.sphere_map import compute_boundary_sphere_map
+    cone = drivers._boundary_cone_volumes(mesh)
+    face_population, best, best_var, rounds = cone.copy(), None, np.inf, 0
+    for _ in range(drivers.REFINE_ROUNDS + 1):
+        rounds += 1
+        bmap = compute_boundary_sphere_map(
+            mesh, mode="density_equalizing", population=face_population,
+            dt=config.dt, eps=config.eps, max_iter=config.n_max)
+        pos = harmonic_fill(mesh, bmap.points, bmap.vertex_indices)
+        if mesh.count_folds(pos):
+            break
+        field = dem.recouple_density(mesh, pos, np.abs(mesh.volumes))
+        var = normalized_density_variance(field.rho_vertex)
+        if var >= best_var:
+            break
+        best, best_var = pos, var
+        face_population = cone * field.rho_tet[mesh.boundary_owners]
+    return (pos if best is None else best), rounds
+
+
+def test_initial_ball_embeds_once_and_matches_per_round_maps(monkeypatch):
+    from volball import drivers
+    from volball.synthetic import graded_ellipsoid_mesh
+    mesh = graded_ellipsoid_mesh(1)
+    config = SolverConfig()
+    expected, rounds = _initial_ball_map_per_round(mesh, config)
+    assert rounds == drivers.REFINE_ROUNDS + 1
+    embeddings, flows = [], []
+    embed, flow = drivers.spherical_embedding, drivers.surface_density_equalize
+    monkeypatch.setattr(drivers, "spherical_embedding",
+                        lambda *a: embeddings.append(1) or embed(*a))
+    monkeypatch.setattr(drivers, "surface_density_equalize",
+                        lambda *a, **k: flows.append(1) or flow(*a, **k))
+    np.testing.assert_array_equal(initial_ball(mesh, config, "3ddeq"), expected)
+    assert (len(embeddings), len(flows)) == (1, rounds)
+
+
 def test_correct_overlaps_noop_on_clean_input(ball_mesh):
     pos = initial_ball(ball_mesh, SolverConfig(), "3ddem")
     out = correct_overlaps(ball_mesh, pos, 10.0)

@@ -200,3 +200,62 @@ def test_unconstrained_solve_matches_split_path_bitwise(mesh_name, request):
     system = linsolve.LinearSystem(n, A + dt * ops.laplacian)
     np.testing.assert_array_equal(diffusion_step(ops, rho, dt),
                                   _split_solve(system, ops.lumped_volumes * rho))
+
+
+def _textbook_pcg(A, b, rtol, maxiter):
+    """Reference: Jacobi-preconditioned CG written plainly, with
+    np.linalg.norm and a fresh search direction each iteration."""
+    diag = A.diagonal().copy()
+    diag[diag == 0.0] = 1.0
+    inv_diag = 1.0 / diag
+    x = np.zeros(len(b))
+    r = b.copy()
+    bnorm = float(np.linalg.norm(b))
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    for k in range(1, maxiter + 1):
+        Ap = A @ p
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        res = float(np.linalg.norm(r))
+        if res <= rtol * bnorm:
+            return x, k, res
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, maxiter, res
+
+
+@pytest.mark.parametrize("mesh_name", ["ball_mesh", "cube8"])
+def test_pcg_matches_textbook_loop_bitwise(mesh_name, request):
+    from volball.density import build_operators
+    mesh = request.getfixturevalue(mesh_name)
+    ops = build_operators(mesh, mesh.vertices)
+    n = len(mesh.vertices)
+    mass = csr_matrix((ops.lumped_volumes, (np.arange(n), np.arange(n))), shape=(n, n))
+    rng = np.random.default_rng(8)
+    b = ops.lumped_volumes * (1.0 + rng.uniform(size=n))
+    # each tolerance stops at a different iterate, so together they compare
+    # many iterates, not only the last
+    for A in (mass + 0.1 * ops.laplacian, ops.laplacian + 1e-3 * mass):
+        stops = set()
+        for rtol in 10.0 ** -np.arange(1, 13):
+            x, k, res = linsolve._pcg(A, b, rtol, 10 * n)
+            x_ref, k_ref, res_ref = _textbook_pcg(A, b, rtol, 10 * n)
+            assert (k, res) == (k_ref, res_ref)
+            np.testing.assert_array_equal(x, x_ref)
+            stops.add(k)
+        assert len(stops) > 6
+
+
+def test_pcg_stops_at_once_on_nan_rhs(ball_mesh):
+    from volball.density import build_operators, diffusion_step
+    ops = build_operators(ball_mesh, ball_mesh.vertices)
+    rho = np.ones(len(ball_mesh.vertices))
+    rho[3] = np.nan
+    with pytest.raises(linsolve.SolverError, match="not positive definite") as exc:
+        diffusion_step(ops, rho, 0.1)
+    assert exc.value.iterations == 1

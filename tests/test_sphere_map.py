@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volball import linsolve
-from volball.sphere_map import (beltrami_coefficient, beltrami_stiffness,
+from volball.sphere_map import (SphereMapError, Triangulation,
+                                beltrami_coefficient, beltrami_stiffness,
                                 center_sphere, compute_boundary_sphere_map,
                                 correct_spherical_flips, face_normals_areas,
-                                face_to_vertex_matrix, inverse_stereographic,
-                                mean_value_weights, normalize_rows,
-                                spherical_flips, stereographic,
+                                inverse_stereographic, mean_value_weights,
+                                normalize_rows, spherical_flips, stereographic,
                                 surface_density_equalize, surface_gradient,
-                                surface_laplacian, truncate_beltrami)
+                                surface_laplacian, triangle_geometry,
+                                truncate_beltrami)
 from volball.tetmesh import TetMesh
 
 
@@ -70,7 +71,7 @@ def test_surface_gradient_linear_exact(ball_mesh):
     vid, faces = ball_mesh.boundary_surface()
     pts = normalize_rows(ball_mesh.vertices[vid])
     g = np.array([0.3, -1.2, 0.7])
-    grad = surface_gradient(pts, faces, pts @ g)
+    grad = surface_gradient(triangle_geometry(pts, faces), (pts @ g)[faces])
     normals, _ = face_normals_areas(pts, faces)
     expected = g - normals * (normals @ g)[:, None]  # tangential part of g
     np.testing.assert_allclose(grad, expected, atol=1e-10)
@@ -79,18 +80,84 @@ def test_surface_gradient_linear_exact(ball_mesh):
 def test_surface_laplacian_row_sums(ball_mesh):
     vid, faces = ball_mesh.boundary_surface()
     pts = ball_mesh.vertices[vid]
-    L = surface_laplacian(pts, faces,
+    L = surface_laplacian(triangle_geometry(pts, faces),
                           linsolve.AssemblyPlan.for_elements(faces, len(pts)))
     rows = np.asarray(L.sum(axis=1)).ravel()
     assert np.abs(rows).max() < 1e-10
 
 
+def test_surface_laplacian_matches_per_corner_cotangents(ball_mesh):
+    # oracle: each corner's cotangent from its own two edges, np.cross and
+    # np.linalg.norm, scattered into a dense matrix
+    vid, faces = ball_mesh.boundary_surface()
+    pts = normalize_rows(ball_mesh.vertices[vid])
+    dense = np.zeros((len(pts), len(pts)))
+    for k in range(3):
+        i, j = faces[:, (k + 1) % 3], faces[:, (k + 2) % 3]
+        u = pts[i] - pts[faces[:, k]]
+        v = pts[j] - pts[faces[:, k]]
+        w = 0.5 * np.einsum("ij,ij->i", u, v) / np.linalg.norm(np.cross(u, v), axis=1)
+        np.add.at(dense, (i, j), -w)
+        np.add.at(dense, (j, i), -w)
+        np.add.at(dense, (i, i), w)
+        np.add.at(dense, (j, j), w)
+    L = surface_laplacian(triangle_geometry(pts, faces),
+                          linsolve.AssemblyPlan.for_elements(faces, len(pts)))
+    np.testing.assert_allclose(L.toarray(), dense, rtol=0, atol=1e-13)
+
+
+def test_triangle_geometry_matches_cross_products(ball_mesh):
+    vid, faces = ball_mesh.boundary_surface()
+    pts = normalize_rows(ball_mesh.vertices[vid])
+    pts[faces[0, 0]], pts[faces[0, 1]] = pts[faces[0, 1]].copy(), pts[faces[0, 0]].copy()
+    geo = triangle_geometry(pts, faces)
+    tri = pts[faces]
+    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    np.testing.assert_array_equal(geo.normals, n)
+    np.testing.assert_array_equal(geo.area2, np.linalg.norm(n, axis=1))
+    np.testing.assert_array_equal(geo.edges[:, 0], tri[:, 2] - tri[:, 1])
+    det = np.einsum("ij,ij->i", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))
+    np.testing.assert_array_equal(geo.flipped, det <= 0.0)
+    assert geo.flipped.any()
+
+
 def test_face_to_vertex_row_stochastic(ball_mesh):
     vid, faces = ball_mesh.boundary_surface()
     _, areas = face_normals_areas(ball_mesh.vertices[vid], faces)
-    conv = face_to_vertex_matrix(faces, areas, len(vid))
-    np.testing.assert_allclose(np.asarray(conv.sum(axis=1)).ravel(), 1.0,
-                               atol=1e-12)
+    tri = Triangulation(faces, len(vid))
+    incident = tri.vertex_areas(areas)
+    np.testing.assert_allclose(tri.to_vertices(np.ones(len(faces)), areas, incident),
+                               1.0, atol=1e-12)
+    vec = np.array([0.5, -2.0, 3.0])
+    np.testing.assert_allclose(tri.to_vertices(np.tile(vec, (len(faces), 1)), areas,
+                                               incident),
+                               np.tile(vec, (len(vid), 1)), atol=1e-12)
+
+
+def test_face_to_vertex_matches_incidence_matrix(ball_mesh):
+    # oracle: the row-normalised face-area incidence matrix, built densely
+    vid, faces = ball_mesh.boundary_surface()
+    _, areas = face_normals_areas(ball_mesh.vertices[vid], faces)
+    conv = np.zeros((len(vid), len(faces)))
+    for k in range(3):
+        conv[faces[:, k], np.arange(len(faces))] = areas
+    conv /= conv.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(4)
+    scalars, vectors = rng.normal(size=len(faces)), rng.normal(size=(len(faces), 3))
+    tri = Triangulation(faces, len(vid))
+    incident = tri.vertex_areas(areas)
+    np.testing.assert_allclose(tri.to_vertices(scalars, areas, incident), conv @ scalars,
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(tri.to_vertices(vectors, areas, incident), conv @ vectors,
+                               rtol=0, atol=1e-13)
+
+
+def test_triangulation_lists_each_edge_once(ball_mesh):
+    vid, faces = ball_mesh.boundary_surface()
+    edges = Triangulation(faces, len(vid)).edges
+    pairs = {tuple(sorted(p)) for p in faces[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)}
+    assert len(edges) == len(pairs) == 3 * len(faces) // 2
+    assert {tuple(e) for e in edges} == pairs
 
 
 def test_mean_value_weights_positive_row_stochastic(ball_mesh):
@@ -158,10 +225,19 @@ def graded_sphere():
 
 
 def test_surface_flow_builds_one_plan(monkeypatch, graded_sphere):
+    # per-triangulation state is built once; a round assembles one Laplacian
+    # and builds no COO matrix and no sparse sum (overlap correction, when it
+    # fires, builds its own plan and vertex rings)
+    from scipy.sparse import coo_matrix, csr_matrix
+
     from volball import sphere_map
     sphere, faces, areas = graded_sphere
-    plans, stiffness = [], []
+    plans, stiffness, corrections, coo, sums, assembled = [], [], [], [], [], []
     init = linsolve.AssemblyPlan.__init__
+    coo_init = coo_matrix.__init__
+    add = csr_matrix.__add__
+    assemble = linsolve.assemble
+    correct = sphere_map.correct_spherical_flips
 
     def counted_plan(self, dimension, rows, cols):
         plans.append(1)
@@ -171,10 +247,129 @@ def test_surface_flow_builds_one_plan(monkeypatch, graded_sphere):
         stiffness.append(1)
         return beltrami_stiffness(*args)
 
+    def counted_correction(*args):
+        corrections.append(1)
+        return correct(*args)
+
+    def counted_coo(self, *args, **kwargs):
+        coo.append(1)
+        coo_init(self, *args, **kwargs)
+
+    def counted_add(self, other):
+        sums.append(1)
+        return add(self, other)
+
+    def counted_assemble(plan, values):
+        assembled.append(1)
+        return assemble(plan, values)
+
     monkeypatch.setattr(linsolve.AssemblyPlan, "__init__", counted_plan)
     monkeypatch.setattr(sphere_map, "beltrami_stiffness", counted_stiffness)
+    monkeypatch.setattr(sphere_map, "correct_spherical_flips", counted_correction)
+    monkeypatch.setattr(coo_matrix, "__init__", counted_coo)
+    monkeypatch.setattr(csr_matrix, "__add__", counted_add)
+    monkeypatch.setattr(linsolve, "assemble", counted_assemble)
     surface_density_equalize(sphere, faces, areas, max_iter=20)
     assert len(plans) <= 1 + len(stiffness)
+    assert len(coo) <= len(corrections)
+    assert len(sums) == 0
+    assert len(assembled) == 20 + len(stiffness)
+
+
+def _surface_flow_as_first_written(sphere, faces, population, dt=0.1, eps=1e-2,
+                                   max_iter=100):
+    """Reference: the surface flow's first formulation, which rebuilt per
+    round a COO-built face-to-vertex matrix, the diagonal mass matrix and the
+    sparse sum M + dt L, with np.cross normals and per-corner cotangents.
+    Returns the positions and the rounds run."""
+    from scipy.sparse import csr_matrix
+
+    from volball import density
+
+    def normals_areas(points):
+        nrm = np.cross(points[faces[:, 1]] - points[faces[:, 0]],
+                       points[faces[:, 2]] - points[faces[:, 0]])
+        norms = np.linalg.norm(nrm, axis=1)
+        return nrm / norms[:, None], 0.5 * norms
+
+    def laplacian(points):
+        local = np.zeros((len(faces), 3, 3))
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            u = points[faces[:, i]] - points[faces[:, k]]
+            v = points[faces[:, j]] - points[faces[:, k]]
+            cross = np.linalg.norm(np.cross(u, v), axis=1)
+            w = 0.5 * np.einsum("ij,ij->i", u, v) / np.maximum(cross, 1e-300)
+            local[:, i, j] = local[:, j, i] = -w
+            local[:, i, i] += w
+            local[:, j, j] += w
+        return linsolve.assemble(plan, local.reshape(-1)).matrix
+
+    def gradient(points, values):
+        normal, areas = normals_areas(points)
+        grad = np.zeros((len(faces), 3))
+        for k in range(3):
+            edge = points[faces[:, (k + 2) % 3]] - points[faces[:, (k + 1) % 3]]
+            grad += values[faces[:, k], None] * np.cross(normal, edge)
+        return grad / (2.0 * areas[:, None])
+
+    u = normalize_rows(np.array(sphere, dtype=np.float64))
+    n, m = len(u), len(faces)
+    edges = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    on_sphere = np.ones(n, dtype=bool)
+    plan = linsolve.AssemblyPlan.for_elements(faces, n)
+    rows, cols = faces.reshape(-1), np.repeat(np.arange(m), 3)
+    last_valid = u.copy()
+    for rounds in range(max_iter + 1):
+        _, areas = normals_areas(u)
+        rho_face = population / areas
+        ratio = np.std(rho_face) / np.mean(rho_face)
+        if ratio < eps or rounds == max_iter:
+            break
+        vals = np.repeat(areas, 3)
+        incident = np.bincount(rows, weights=vals, minlength=n)
+        conv = csr_matrix((vals / incident[rows], (rows, cols)), shape=(n, m))
+        lumped = np.bincount(rows, weights=np.repeat(areas / 3.0, 3), minlength=n)
+        mass = csr_matrix((lumped, (np.arange(n), np.arange(n))), shape=(n, n))
+        system = linsolve.LinearSystem(n, mass + dt * laplacian(u))
+        rho_next = linsolve.solve(system, lumped * (conv @ rho_face))
+        vel = density.velocity_field(rho_next, conv @ gradient(u, rho_next))
+        u = density.capped_advect(u, vel, dt, edges, on_sphere)
+        if spherical_flips(u, faces).any():
+            u = correct_spherical_flips(last_valid, u, faces)
+        last_valid = u.copy()
+    return u, rounds
+
+
+def test_surface_flow_matches_first_formulation(caplog, graded_sphere):
+    sphere, faces, areas = graded_sphere
+    expected, rounds = _surface_flow_as_first_written(sphere, faces, areas)
+    with caplog.at_level(logging.DEBUG, logger="volball"):
+        out = surface_density_equalize(sphere, faces, areas)
+    [record] = [r for r in caplog.records if r.name == "volball"]
+    assert record.rounds == rounds
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("population", [np.ones(1), np.ones((2, 1))])
+def test_surface_flow_rejects_population_of_wrong_shape(ball_mesh, population):
+    # a length-1 population used to be broadcast as a uniform one
+    vid, faces = ball_mesh.boundary_surface()
+    sphere = normalize_rows(ball_mesh.vertices[vid])
+    with pytest.raises(SphereMapError, match=f"expected \\({len(faces)},\\)"):
+        surface_density_equalize(sphere, faces, population)
+
+
+@pytest.mark.parametrize("bad, index", [(np.nan, 7), (np.inf, 3), (0.0, 0), (-1.0, 5)])
+def test_surface_flow_rejects_nonfinite_or_nonpositive_population(ball_mesh, bad, index):
+    # a NaN population used to slip past the positivity test and end, 1 200
+    # PCG iterations later, in "did not converge"
+    vid, faces = ball_mesh.boundary_surface()
+    sphere = normalize_rows(ball_mesh.vertices[vid])
+    population = np.ones(len(faces))
+    population[[index, index + 9]] = bad
+    with pytest.raises(SphereMapError, match=f"face {index} has population {bad}"):
+        surface_density_equalize(sphere, faces, population)
 
 
 def test_surface_flow_logs_stop_reason(caplog, graded_sphere):
