@@ -20,16 +20,13 @@ print(f"volume by summation {ball.volumes.sum():.6f} "
       f"vs divergence theorem {ball.enclosed_volume():.6f} "
       f"vs 4*pi/3 = {4 * np.pi / 3:.6f}")
 
-# %% Point location with barycentric coordinates.
-probe = np.array([0.31, -0.12, 0.44])
-hit = ball.locate_point(probe)
-print(f"point {probe} found in tet {hit.tet_index}, weights {hit.lambdas.round(4)}")
-print("outside point ->", ball.locate_point(np.array([2.0, 0.0, 0.0])))
-# A batch of points is located in one call: tet -1 marks a point outside.
-probes = np.array([probe, [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-0.5, 0.5, 0.1]])
+# %% Point location with barycentric coordinates, a batch of points in one
+# call: tet -1 marks a point outside.
+probes = np.array([[0.31, -0.12, 0.44], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                   [-0.5, 0.5, 0.1]])
 tet_ids, weights = ball.locate_points(probes)
-print("batch tets", tet_ids, "| first row matches the single call:",
-      tet_ids[0] == hit.tet_index and np.array_equal(weights[0], hit.lambdas))
+for probe, tet, w in zip(probes, tet_ids, weights):
+    print(f"point {probe} -> tet {tet}, weights {w.round(4)}")
 
 # %% The initial ball map sends the boundary to the unit sphere and fills the
 # interior harmonically. For a mesh that is already a ball it is near-identity.

@@ -10,9 +10,10 @@ import sys
 import numpy as np
 
 from . import drivers, fileio, remesh
-from .density import recouple_density
-from .distortion import frame_decompose, jacobian_per_tet
+from .density import DensityError, recouple_density
+from .distortion import FrameError, frame_decompose, jacobian_per_tet
 from .drivers import SolverConfig, k_stats, normalized_density_variance
+from .linsolve import SolverError
 from .report import write_histogram_csv
 from .tetmesh import MeshError, TetMesh
 
@@ -234,7 +235,8 @@ def main(argv=None) -> int:
                    "remesh": _cmd_remesh, "metrics": _cmd_metrics,
                    "convert": _cmd_convert}[args.command]
         return handler(args)
-    except (CliError, MeshError, drivers.CorrectionError, OSError) as exc:
+    except (CliError, MeshError, drivers.CorrectionError, DensityError, FrameError,
+            SolverError, OSError) as exc:
         print(f"volball: error: {exc}", file=sys.stderr)
         return 1
 

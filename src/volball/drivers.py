@@ -1,13 +1,19 @@
 """End-to-end solid ball parameterization drivers.
 
-Three variational flavors share one pipeline: map the boundary to the unit
-sphere, fill the interior harmonically, then iterate on the ball. ``3dqc``
-shrinks the per-tet anisotropy ratio by residual descent, ``3ddem`` advects
-vertices along the density-equalizing diffusion flow, and ``3ddeq`` blends the
-two through per-tet eigenvalue updates. Every iteration ends fold-free thanks
-to a three-pass overlap correction (spherical boundary repair, interior
-reconstruction with the boundary fixed, boundary reconstruction with the
-interior fixed).
+Three variational flavors run one loop (``_iterate``): map the boundary to the
+unit sphere, fill the interior harmonically, evaluate this initial ball, then
+repeat step, settle, evaluate, stop, record, for at most n_max steps. A method
+supplies only its step and its stop rule. ``3dqc`` descends the per-tet
+anisotropy ratios and rejects the candidate, converged, once the energy stops
+decreasing. ``3ddem`` advects along the density-equalizing diffusion flow and
+has converged once sd/mean of the vertex density is below eps, tested on the
+initial ball and after every step. ``3ddeq`` blends the two through per-tet
+eigenvalue updates and has converged once the largest vertex displacement is
+below eps. Settling makes every iterate fold-free by a three-pass overlap
+correction (spherical boundary repair, interior reconstruction with the
+boundary fixed, boundary reconstruction with the interior fixed). With the
+correction off, a candidate that still folds is recorded with var_rho None and
+ends the run, whatever the method.
 """
 
 from __future__ import annotations
@@ -122,8 +128,7 @@ def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
     config = config or SolverConfig()
     mode = config.resolved_boundary_mode(method)
     if mode != "density_equalizing":
-        bmap = compute_boundary_sphere_map(mesh, mode=mode, dt=config.dt,
-                                           eps=config.eps, max_iter=config.n_max)
+        bmap = compute_boundary_sphere_map(mesh)
         return harmonic_fill(mesh, bmap.points, bmap.vertex_indices)
 
     cone = _boundary_cone_volumes(mesh)
@@ -342,18 +347,6 @@ def normalized_density_variance(rho: np.ndarray) -> float:
     return float(np.var(rho / np.mean(rho)))
 
 
-def _prepare(mesh, config, method, init_positions):
-    """Initial ball (fold-free), its rest mesh, its boundary and a new report."""
-    pos0 = initial_ball(mesh, config, method) if init_positions is None \
-        else np.array(init_positions, dtype=np.float64)
-    ref_boundary = normalize_rows(pos0[mesh.boundary_vertices])
-    if mesh.count_folds(pos0):
-        pos0 = correct_overlaps(mesh, pos0, config.k_threshold,
-                                reference_boundary=ref_boundary)
-    ball_rest = TetMesh.from_arrays(pos0, mesh.tets)
-    return pos0, ball_rest, ref_boundary, RunReport(method, config.to_dict())
-
-
 def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None):
     """Count folds, correct overlaps, and decompose the settled candidate.
 
@@ -379,21 +372,80 @@ def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None):
     return cand, folds_pre, folds_post, frames
 
 
-def _evaluate(mesh, ball_rest, positions, frames, population, alpha):
-    """Density field of a settled candidate and its trace row (energies,
-    var_rho and the K statistics)."""
-    field = dem.recouple_density(mesh, positions, population)
-    e_qc, e_dem, e_deq = compute_energies(ball_rest, positions, field, frames, alpha)
-    mean_k, sd_k = k_stats(frames)
-    return field, {"E_3DQC": e_qc, "E_3DDEM": e_dem, "E_3DDEQ": e_deq,
-                   "var_rho": normalized_density_variance(field.rho_vertex),
-                   "mean_K": mean_k, "sd_K": sd_k}
+@dataclass
+class _Iterate:
+    """A settled, fold-free map with its frames, its density field (None when
+    the run tracks no population) and its trace row."""
+
+    positions: np.ndarray
+    frames: TetFrameField
+    field: dem.DensityField | None
+    row: dict
 
 
-def _finish(report, mesh, positions, frames, rho_vertex, converged, pos0):
-    """Write the final summary of a run and wrap up its result."""
+def _iterate(method, mesh, population, config, init_positions, step, stop,
+             near_fold_ratio=NEAR_FOLD_RATIO) -> RunResult:
+    """The loop of every driver. ``step(mesh, state, config)`` proposes a map;
+    ``stop(prev, cand, config)`` is one of the stop rules below. Without a
+    population the initial ball is iteration 0 and the final var_rho is that
+    of the rest volumes."""
+    config = config or SolverConfig()
+    b_ids = mesh.boundary_vertices
+    pos0 = initial_ball(mesh, config, method) if init_positions is None \
+        else np.array(init_positions, dtype=np.float64)
+    if mesh.count_folds(pos0):
+        pos0 = correct_overlaps(mesh, pos0, config.k_threshold,
+                                reference_boundary=normalize_rows(pos0[b_ids]))
+    ball_rest = TetMesh.from_arrays(pos0, mesh.tets)
+    report = RunReport(method, config.to_dict())
+
+    def evaluate(positions, frames):
+        field = None if population is None else \
+            dem.recouple_density(mesh, positions, population)
+        e_qc, e_dem, e_deq = compute_energies(ball_rest, positions, field, frames,
+                                              config.alpha)
+        mean_k, sd_k = k_stats(frames)
+        row = {"E_3DQC": e_qc, "mean_K": mean_k, "sd_K": sd_k}
+        if field is not None:
+            row.update(E_3DDEM=e_dem, E_3DDEQ=e_deq,
+                       var_rho=normalized_density_variance(field.rho_vertex))
+        return _Iterate(positions, frames, field, row)
+
+    state = evaluate(pos0.copy(), frame_decompose(jacobian_per_tet(mesh, pos0)))
+    if population is None:
+        folds = mesh.count_folds(pos0)
+        report.add_iteration(iteration=0, folds_pre=folds, folds_post=folds,
+                             **state.row)
+    else:
+        report.final["var_rho0"] = state.row["var_rho"]
+    _, converged = stop(None, state, config)
+    folded = None
+    n = 0
+    while not converged and n < config.n_max:
+        n += 1
+        cand, folds_pre, folds_post, frames = _settle(
+            mesh, step(mesh, state, config), config,
+            normalize_rows(state.positions[b_ids]), near_fold_ratio)
+        if folds_post:
+            # correction is off: nothing can be evaluated on inverted volumes
+            folded = (cand, frames)
+            mean_k, sd_k = k_stats(frames)
+            report.add_iteration(iteration=n, var_rho=None, mean_K=mean_k, sd_K=sd_k,
+                                 folds_pre=folds_pre, folds_post=folds_post)
+            break
+        cand = evaluate(cand, frames)
+        accept, converged = stop(state, cand, config)
+        if not accept:
+            break
+        state = cand
+        report.add_iteration(iteration=n, folds_pre=folds_pre, folds_post=folds_post,
+                             **state.row)
+
+    positions, frames = folded or (state.positions, state.frames)
+    field = state.field or dem.recouple_density(mesh, state.positions,
+                                                np.abs(mesh.volumes))
     mean_k, sd_k = k_stats(frames)
-    report.final.update({"var_rho": normalized_density_variance(rho_vertex),
+    report.final.update({"var_rho": normalized_density_variance(field.rho_vertex),
                          "mean_K": mean_k, "sd_K": sd_k,
                          "folds": mesh.count_folds(positions)})
     return RunResult(positions, report, converged, pos0)
@@ -410,6 +462,63 @@ def _flow_step(mesh, pos, rho_vertex, dt):
     return dem.capped_advect(pos, vel, dt, mesh.edges, mesh.boundary_vertex_mask)
 
 
+def _qc_step(mesh, state, config):
+    """Residual descent on the anisotropy ratios, boundary held fixed."""
+    b_ids = mesh.boundary_vertices
+    lam = residual_step(flip_eigenvalues(state.frames.lambdas), config.residual_constant)
+    return reconstruct_map(mesh, TetFrameField(state.frames.frames, lam),
+                           b_ids, state.positions[b_ids])
+
+
+def _dem_step(mesh, state, config):
+    return _flow_step(mesh, state.positions, state.field.rho_vertex, config.dt)
+
+
+def _deq_step(mesh, state, config):
+    """The flow step as per-tet eigenvalue increments plus an alpha-weighted
+    residual-descent increment, truncated at k_threshold and rebuilt."""
+    b_ids = mesh.boundary_vertices
+    advected = _dem_step(mesh, state, config)
+    adv_frames = frame_decompose(jacobian_per_tet(mesh, advected))
+    lam_cur = _flip_and_floor(state.frames.lambdas)
+    lam_adv = _flip_and_floor(adv_frames.lambdas)
+    d_lam1 = lam_adv - lam_cur
+    d_lam2 = residual_step(lam_cur, config.residual_constant) - lam_cur
+    lam_bar = lam_cur + d_lam1 + config.alpha * d_lam2
+    lam_bar = np.sort(lam_bar, axis=1)[:, ::-1]
+    lam_bar = np.sort(flip_eigenvalues(lam_bar), axis=1)[:, ::-1]
+    bad = lam_bar[:, 2] <= 0
+    if bad.any():
+        # combined increment collapsed the triple; fall back to the pure
+        # flow's eigenvalues for those tets
+        lam_bar[bad] = lam_adv[bad]
+    lam_bar = truncate_eigenvalues(lam_bar, config.k_threshold)
+    return reconstruct_map(mesh, TetFrameField(adv_frames.frames, lam_bar),
+                           b_ids, advected[b_ids])
+
+
+# Stop rules: (accept, converged) for an evaluated candidate, prev None for
+# the initial ball.
+def _qc_stop(prev, cand, config):
+    stalled = prev is not None and \
+        cand.row["E_3DQC"] >= prev.row["E_3DQC"] * (1.0 - 1e-5)
+    return not stalled, stalled
+
+
+def _dem_stop(prev, cand, config):
+    rho = cand.field.rho_vertex
+    return True, bool(np.std(rho) / np.mean(rho) < config.eps)
+
+
+def _deq_stop(prev, cand, config):
+    if prev is None:
+        return True, False
+    # the displacement joins the candidate's trace row
+    moves = np.linalg.norm(cand.positions - prev.positions, axis=1)
+    cand.row["displacement"] = float(np.max(moves))
+    return True, cand.row["displacement"] < config.eps
+
+
 def run_3dqc(mesh: TetMesh, config: SolverConfig | None = None,
              init_positions: np.ndarray | None = None) -> RunResult:
     """Quasi-conformal ball map: residual descent on the anisotropy ratios.
@@ -417,39 +526,8 @@ def run_3dqc(mesh: TetMesh, config: SolverConfig | None = None,
     Iterates until the weighted energy sum(vol0 * ln(K)^2) stops decreasing or
     n_max is reached; every accepted iterate is fold-free.
     """
-    config = config or SolverConfig()
-    pos0, ball_rest, ref_boundary, report = _prepare(mesh, config, "3dqc",
-                                                     init_positions)
-    b_ids = mesh.boundary_vertices
-
-    pos = pos0.copy()
-    frames = frame_decompose(jacobian_per_tet(mesh, pos))
-    energy, _, _ = compute_energies(ball_rest, pos, None, frames, config.alpha)
-    mean_k, sd_k = k_stats(frames)
-    folds = mesh.count_folds(pos)
-    report.add_iteration(iteration=0, E_3DQC=energy, mean_K=mean_k, sd_K=sd_k,
-                         folds_pre=folds, folds_post=folds)
-
-    converged = False
-    for n in range(1, config.n_max + 1):
-        lam = residual_step(flip_eigenvalues(frames.lambdas), config.residual_constant)
-        cand = reconstruct_map(mesh, TetFrameField(frames.frames, lam),
-                               b_ids, pos[b_ids])
-        cand, folds_pre, folds_post, cand_frames = _settle(mesh, cand, config,
-                                                           ref_boundary)
-        cand_energy, _, _ = compute_energies(ball_rest, cand, None, cand_frames,
-                                             config.alpha)
-        # stop once the energy no longer decreases (up to relative stagnation)
-        if cand_energy >= energy * (1.0 - 1e-5):
-            converged = True
-            break
-        pos, frames, energy = cand, cand_frames, cand_energy
-        mean_k, sd_k = k_stats(frames)
-        report.add_iteration(iteration=n, E_3DQC=energy, mean_K=mean_k, sd_K=sd_k,
-                             folds_pre=folds_pre, folds_post=folds_post)
-
-    rho = dem.recouple_density(mesh, pos, np.abs(mesh.volumes)).rho_vertex
-    return _finish(report, mesh, pos, frames, rho, converged, pos0)
+    return _iterate("3dqc", mesh, None, config, init_positions, _qc_step, _qc_stop,
+                    near_fold_ratio=None)
 
 
 def run_3ddem(mesh: TetMesh, population: np.ndarray,
@@ -461,34 +539,8 @@ def run_3ddem(mesh: TetMesh, population: np.ndarray,
     iterations. With ``config.correction`` disabled the run is aborted as soon
     as folds appear (the flow cannot continue on inverted volumes).
     """
-    config = config or SolverConfig()
-    pos0, ball_rest, _, report = _prepare(mesh, config, "3ddem", init_positions)
-
-    pos = pos0.copy()
-    frames = frame_decompose(jacobian_per_tet(mesh, pos))
-    field = dem.recouple_density(mesh, pos, population)
-    report.final["var_rho0"] = normalized_density_variance(field.rho_vertex)
-
-    converged = False
-    for n in range(1, config.n_max + 1):
-        if np.std(field.rho_vertex) / np.mean(field.rho_vertex) < config.eps:
-            converged = True
-            break
-        ref_boundary = normalize_rows(pos[mesh.boundary_vertices])
-        cand = _flow_step(mesh, pos, field.rho_vertex, config.dt)
-        pos, folds_pre, folds_post, frames = _settle(mesh, cand, config, ref_boundary,
-                                                     NEAR_FOLD_RATIO)
-        if folds_post and not config.correction:
-            mean_k, sd_k = k_stats(frames)
-            report.add_iteration(iteration=n, var_rho=None, mean_K=mean_k,
-                                 sd_K=sd_k, folds_pre=folds_pre,
-                                 folds_post=folds_post)
-            break
-        field, row = _evaluate(mesh, ball_rest, pos, frames, population, config.alpha)
-        report.add_iteration(iteration=n, folds_pre=folds_pre,
-                             folds_post=folds_post, **row)
-
-    return _finish(report, mesh, pos, frames, field.rho_vertex, converged, pos0)
+    return _iterate("3ddem", mesh, population, config, init_positions, _dem_step,
+                    _dem_stop)
 
 
 def run_3ddeq(mesh: TetMesh, population: np.ndarray,
@@ -502,48 +554,8 @@ def run_3ddeq(mesh: TetMesh, population: np.ndarray,
     the prescribed eigenvalues. Stops when the maximum vertex displacement
     falls below eps.
     """
-    config = config or SolverConfig()
-    pos0, ball_rest, _, report = _prepare(mesh, config, "3ddeq", init_positions)
-    b_ids = mesh.boundary_vertices
-
-    pos = pos0.copy()
-    frames = frame_decompose(jacobian_per_tet(mesh, pos))
-    field = dem.recouple_density(mesh, pos, population)
-    report.final["var_rho0"] = normalized_density_variance(field.rho_vertex)
-
-    converged = False
-    for n in range(1, config.n_max + 1):
-        ref_boundary = normalize_rows(pos[b_ids])
-        advected = _flow_step(mesh, pos, field.rho_vertex, config.dt)
-        adv_frames = frame_decompose(jacobian_per_tet(mesh, advected))
-        lam_cur = _flip_and_floor(frames.lambdas)
-        lam_adv = _flip_and_floor(adv_frames.lambdas)
-        d_lam1 = lam_adv - lam_cur
-        d_lam2 = residual_step(lam_cur, config.residual_constant) - lam_cur
-        lam_bar = lam_cur + d_lam1 + config.alpha * d_lam2
-        lam_bar = np.sort(lam_bar, axis=1)[:, ::-1]
-        lam_bar = np.sort(flip_eigenvalues(lam_bar), axis=1)[:, ::-1]
-        bad = lam_bar[:, 2] <= 0
-        if bad.any():
-            # combined increment collapsed the triple; fall back to the pure
-            # flow's eigenvalues for those tets
-            lam_bar[bad] = lam_adv[bad]
-        lam_bar = truncate_eigenvalues(lam_bar, config.k_threshold)
-
-        cand = reconstruct_map(mesh, TetFrameField(adv_frames.frames, lam_bar),
-                               b_ids, advected[b_ids])
-        cand, folds_pre, folds_post, frames = _settle(mesh, cand, config, ref_boundary,
-                                                      NEAR_FOLD_RATIO)
-        field, row = _evaluate(mesh, ball_rest, cand, frames, population, config.alpha)
-        displacement = float(np.max(np.linalg.norm(cand - pos, axis=1)))
-        report.add_iteration(iteration=n, folds_pre=folds_pre, folds_post=folds_post,
-                             displacement=displacement, **row)
-        pos = cand
-        if displacement < config.eps:
-            converged = True
-            break
-
-    return _finish(report, mesh, pos, frames, field.rho_vertex, converged, pos0)
+    return _iterate("3ddeq", mesh, population, config, init_positions, _deq_step,
+                    _deq_stop)
 
 
 def run_method(method: str, mesh: TetMesh, population: np.ndarray | None = None,

@@ -203,6 +203,8 @@ def read_population_csv(path: str, n_tets: int) -> np.ndarray:
                 raise ParseError(f"{path}:{lineno}: malformed row {line!r}") from exc
             if not 0 <= idx < n_tets:
                 raise ParseError(f"{path}:{lineno}: tet index {idx} out of range")
+            if not np.isfinite(val):
+                raise ParseError(f"{path}:{lineno}: non-finite population {val_s!r}")
             pop[idx] = val
     if np.any(np.isnan(pop)):
         raise ParseError(f"{path}: populations missing for some tets")

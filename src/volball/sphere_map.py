@@ -474,25 +474,12 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
     return u
 
 
-def compute_boundary_sphere_map(mesh: TetMesh, mode: str = "conformal",
-                                population: np.ndarray | None = None,
-                                dt: float = 0.1,
-                                eps: float = 1e-2, max_iter: int = 100) -> BoundaryMap:
-    """Spherical map of the boundary of a solid mesh.
+def compute_boundary_sphere_map(mesh: TetMesh) -> BoundaryMap:
+    """Conformal spherical map of the boundary of a solid mesh.
 
-    mode "conformal" stops after the smoothed embedding (recentred by
-    area-centroid translations); mode "density_equalizing" continues with the
-    surface flow, equalizing the given per-boundary-face population (defaults
-    to the original face areas). The result is always flip-free with unit norms.
+    The smoothed embedding, recentred by area-centroid translations; the
+    result is flip-free with unit norms.
     """
-    if mode not in ("conformal", "density_equalizing"):
-        raise ValueError(f"unknown boundary map mode {mode!r}")
     vertex_ids, faces = mesh.boundary_surface()
-    surf = mesh.vertices[vertex_ids]
-    u = spherical_embedding(surf, faces)
-    if mode == "density_equalizing":
-        if population is None:
-            _, population = face_normals_areas(surf, faces)
-        u = surface_density_equalize(u, faces, population, dt=dt, eps=eps,
-                                     max_iter=max_iter)
-    return BoundaryMap.checked(vertex_ids, faces, u)
+    return BoundaryMap.checked(vertex_ids, faces,
+                               spherical_embedding(mesh.vertices[vertex_ids], faces))

@@ -289,9 +289,6 @@ class TetMesh:
         v.setflags(write=False)
         return v
 
-    def signed_volume(self, tet_index: int) -> float:
-        return float(signed_volumes(self.vertices, self.tets[tet_index:tet_index + 1])[0])
-
     def count_folds(self, positions: np.ndarray) -> int:
         """Number of tets whose signed volume under ``positions`` is <= 0."""
         return int(np.count_nonzero(signed_volumes(positions, self.tets) <= 0.0))
@@ -314,11 +311,9 @@ class TetMesh:
     def locator(self) -> PointLocator:
         return PointLocator(self.vertices, self.tets)
 
-    def locate_point(self, point, tol: float = INSIDE_TOL) -> BarycentricCoord | None:
-        return self.locator.locate(point, tol=tol)
-
     def locate_points(self, points, tol: float = INSIDE_TOL) -> tuple[np.ndarray, np.ndarray]:
-        """Batched ``locate_point``: see ``PointLocator.locate_points``."""
+        """Containing tet and barycentric weights of each point: see
+        ``PointLocator.locate_points``."""
         return self.locator.locate_points(points, tol=tol)
 
     @cached_property

@@ -140,7 +140,7 @@ def test_criterion_6_operator_oracles(ball_mesh):
     e_ok = abs(float(ops.lumped_volumes @ rho_next) - m0) <= 1e-8 * m0
     # (f) identity-frame reconstruction matches the harmonic fill to 1e-8
     from volball.sphere_map import compute_boundary_sphere_map
-    bmap = compute_boundary_sphere_map(ball_mesh, mode="conformal")
+    bmap = compute_boundary_sphere_map(ball_mesh)
     harmonic = vb.harmonic_fill(ball_mesh, bmap.points, bmap.vertex_indices)
     m = len(ball_mesh.tets)
     ident = vb.TetFrameField(np.broadcast_to(np.eye(3), (m, 3, 3)).copy(),

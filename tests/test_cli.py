@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from volball import cli, fileio
+from volball.density import DensityError
+from volball.distortion import FrameError
+from volball.linsolve import SolverError
 from volball.remesh import uniform_ball_mesh
 from volball.synthetic import hemispheric_population
 
@@ -130,6 +133,32 @@ def test_population_file_source(tmp_path, ball_file):
     code = cli.main(["param", "--method", "3ddem",
                      "--population", f"file:{csv}", ball_file, str(out)])
     assert code == 0
+
+
+def test_param_non_finite_population_exit_1(tmp_path, ball_file, capsys):
+    mesh = fileio.load_mesh(ball_file)
+    csv = tmp_path / "pop.csv"
+    rows = ["inf" if i == 5 else "1.0" for i in range(len(mesh.tets))]
+    csv.write_text("tet_index,population\n"
+                   + "".join(f"{i},{p}\n" for i, p in enumerate(rows)))
+    code = cli.main(["param", "--method", "3ddem", "--population", f"file:{csv}",
+                     ball_file, str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"volball: error: {csv}:7: non-finite population 'inf'\n"
+
+
+@pytest.mark.parametrize("error", [DensityError("bad density"),
+                                   FrameError("bad frame"),
+                                   SolverError("no convergence", 7, 1e-3)])
+def test_param_typed_errors_exit_1(tmp_path, ball_file, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.drivers, "run_method", fail)
+    code = cli.main(["param", "--method", "3dqc", ball_file, str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == f"volball: error: {error}\n"
 
 
 def test_histogram_export(tmp_path, ball_file):

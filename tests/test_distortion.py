@@ -250,7 +250,7 @@ def test_anisotropy_identity():
 
 def test_reconstruct_identity_matches_harmonic(ball_mesh):
     from volball.sphere_map import compute_boundary_sphere_map
-    bmap = compute_boundary_sphere_map(ball_mesh, mode="conformal")
+    bmap = compute_boundary_sphere_map(ball_mesh)
     harmonic = harmonic_fill(ball_mesh, bmap.points, bmap.vertex_indices)
     m = len(ball_mesh.tets)
     frames = TetFrameField(np.broadcast_to(np.eye(3), (m, 3, 3)).copy(),

@@ -38,14 +38,18 @@ def _initial_ball_map_per_round(mesh, config):
     embedding included, in every refinement round."""
     from volball import drivers
     from volball.laplace import harmonic_fill
-    from volball.sphere_map import compute_boundary_sphere_map
+    from volball.sphere_map import (BoundaryMap, spherical_embedding,
+                                    surface_density_equalize)
     cone = drivers._boundary_cone_volumes(mesh)
     face_population, best, best_var, rounds = cone.copy(), None, np.inf, 0
+    vertex_ids, faces = mesh.boundary_surface()
     for _ in range(drivers.REFINE_ROUNDS + 1):
         rounds += 1
-        bmap = compute_boundary_sphere_map(
-            mesh, mode="density_equalizing", population=face_population,
-            dt=config.dt, eps=config.eps, max_iter=config.n_max)
+        embedded = spherical_embedding(mesh.vertices[vertex_ids], faces)
+        sphere = surface_density_equalize(embedded, faces, face_population,
+                                          dt=config.dt, eps=config.eps,
+                                          max_iter=config.n_max)
+        bmap = BoundaryMap.checked(vertex_ids, faces, sphere)
         pos = harmonic_fill(mesh, bmap.points, bmap.vertex_indices)
         if mesh.count_folds(pos):
             break
@@ -298,11 +302,26 @@ def test_run_method_dispatch(ball_mesh):
         run_method("bogus", ball_mesh, pop)
 
 
-def test_ablation_correction_flag(ball_mesh_6k):
+@pytest.mark.parametrize("method", ["3ddem", "3ddeq"])
+def test_ablation_correction_flag(ball_mesh_6k, method):
+    # without correction both flows end on their first folded iterate, which
+    # is recorded without a density
     pop = hemispheric_population(ball_mesh_6k, 4.0)
-    res = run_3ddem(ball_mesh_6k, pop, SolverConfig(correction=False))
-    folds_seen = [it["folds_post"] for it in res.report.iterations]
-    assert max(folds_seen) >= 1
+    res = run_method(method, ball_mesh_6k, pop, SolverConfig(correction=False))
+    *clean, last = res.report.iterations
+    assert all(it["folds_post"] == 0 for it in clean)
+    assert last["folds_post"] >= 1 and last["var_rho"] is None
+    assert res.report.final["folds"] == ball_mesh_6k.count_folds(res.positions) >= 1
+    assert not res.converged
+
+
+def test_run_3ddem_last_step_meets_eps(ball_mesh):
+    # the n_max-th step reaches sd/mean < eps: the run has converged
+    pop = hemispheric_population(ball_mesh, 4.0)
+    res = run_3ddem(ball_mesh, pop, SolverConfig(eps=0.05, n_max=14))
+    assert len(res.report.iterations) == 14
+    assert np.sqrt(res.report.final["var_rho"]) < 0.05
+    assert res.converged is True
 
 
 def test_normalized_density_variance():

@@ -109,3 +109,11 @@ def test_population_csv(tmp_path):
     bad = _write(tmp_path, "bad.csv", "tet_index,population\n0,-1\n")
     with pytest.raises(fileio.ParseError):
         fileio.read_population_csv(bad, 1)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_population_csv_rejects_non_finite(tmp_path, value):
+    path = _write(tmp_path, "pop.csv", f"tet_index,population\n0,1.0\n1,{value}\n")
+    with pytest.raises(fileio.ParseError,
+                       match=f"pop.csv:3: non-finite population '{value}'"):
+        fileio.read_population_csv(path, 2)

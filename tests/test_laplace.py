@@ -104,7 +104,7 @@ def test_harmonic_fill_linear_functions(ball_mesh):
 
 def test_harmonic_energy_minimality(ball_mesh):
     from volball.sphere_map import compute_boundary_sphere_map
-    bmap = compute_boundary_sphere_map(ball_mesh, mode="conformal")
+    bmap = compute_boundary_sphere_map(ball_mesh)
     pos = harmonic_fill(ball_mesh, bmap.points, bmap.vertex_indices)
     L = laplacian_matrix(ball_mesh)
 
@@ -123,7 +123,7 @@ def test_harmonic_energy_minimality(ball_mesh):
 def test_maximum_principle_advisory(cube8):
     from volball.sphere_map import compute_boundary_sphere_map
     _, w = _edge_weights(cube8)
-    bmap = compute_boundary_sphere_map(cube8, mode="conformal")
+    bmap = compute_boundary_sphere_map(cube8)
     pos = harmonic_fill(cube8, bmap.points, bmap.vertex_indices)
     if w.min() >= 0:
         lo = bmap.points.min(axis=0) - 1e-9

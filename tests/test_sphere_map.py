@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volball import linsolve
-from volball.sphere_map import (SphereMapError, Triangulation,
+from volball.sphere_map import (BoundaryMap, SphereMapError, Triangulation,
                                 beltrami_coefficient, beltrami_stiffness,
                                 center_sphere, compute_boundary_sphere_map,
                                 correct_spherical_flips, face_normals_areas,
                                 inverse_stereographic, mean_value_weights,
-                                normalize_rows, spherical_flips, stereographic,
+                                normalize_rows, spherical_embedding,
+                                spherical_flips, stereographic,
                                 surface_density_equalize, surface_gradient,
                                 surface_laplacian, triangle_geometry,
                                 truncate_beltrami)
@@ -168,7 +169,7 @@ def test_mean_value_weights_positive_row_stochastic(ball_mesh):
 
 
 def test_boundary_map_sphere_is_near_identity(ball_mesh):
-    bmap = compute_boundary_sphere_map(ball_mesh, mode="conformal")
+    bmap = compute_boundary_sphere_map(ball_mesh)
     vid, faces = ball_mesh.boundary_surface()
     assert np.abs(np.linalg.norm(bmap.points, axis=1) - 1).max() < 1e-12
     assert spherical_flips(bmap.points, faces).sum() == 0
@@ -180,7 +181,7 @@ def test_boundary_map_sphere_is_near_identity(ball_mesh):
 def test_boundary_map_ellipsoid(ball_mesh):
     from volball.synthetic import ellipsoid_mesh
     mesh = ellipsoid_mesh(1, axes=(2.0, 1.0, 1.0))
-    bmap = compute_boundary_sphere_map(mesh, mode="conformal")
+    bmap = compute_boundary_sphere_map(mesh)
     _, faces = mesh.boundary_surface()
     assert np.abs(np.linalg.norm(bmap.points, axis=1) - 1).max() < 1e-12
     assert spherical_flips(bmap.points, faces).sum() == 0
@@ -188,17 +189,14 @@ def test_boundary_map_ellipsoid(ball_mesh):
 
 def test_boundary_map_density_equalizing_converges(ball_mesh):
     vid, faces = ball_mesh.boundary_surface()
-    bmap = compute_boundary_sphere_map(ball_mesh, mode="density_equalizing")
-    _, areas0 = face_normals_areas(ball_mesh.vertices[vid], faces)
+    surf = ball_mesh.vertices[vid]
+    _, areas0 = face_normals_areas(surf, faces)
+    sphere = surface_density_equalize(spherical_embedding(surf, faces), faces, areas0)
+    bmap = BoundaryMap.checked(vid, faces, sphere)
     _, areas = face_normals_areas(bmap.points, faces)
     rho = areas0 / areas
     assert np.std(rho) / np.mean(rho) < 1e-2
     assert spherical_flips(bmap.points, faces).sum() == 0
-
-
-def test_boundary_map_mode_validation(ball_mesh):
-    with pytest.raises(ValueError):
-        compute_boundary_sphere_map(ball_mesh, mode="bogus")
 
 
 def test_surface_dem_uniform_population_stops_immediately(ball_mesh, caplog):
@@ -455,10 +453,10 @@ def solids(ball_mesh):
 @given(st.sampled_from(["ball", "cube", "graded"]), st.integers(0, 2**32 - 1))
 def test_conformal_boundary_map_invariants_under_relabelling(solids, name, seed):
     mesh = _relabel(solids[name], seed)
-    bmap = compute_boundary_sphere_map(mesh, "conformal")
+    bmap = compute_boundary_sphere_map(mesh)
     _, faces = mesh.boundary_surface()
     assert not spherical_flips(bmap.points, faces).any()
     assert np.abs(np.linalg.norm(bmap.points, axis=1) - 1).max() < 1e-12
-    again = compute_boundary_sphere_map(mesh, "conformal")
+    again = compute_boundary_sphere_map(mesh)
     np.testing.assert_array_equal(again.vertex_indices, bmap.vertex_indices)
     np.testing.assert_array_equal(again.points, bmap.points)

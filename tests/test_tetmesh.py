@@ -10,7 +10,8 @@ def test_reference_tet_basics(reference_tet):
     assert len(reference_tet.vertices) == 4
     assert len(reference_tet.tets) == 1
     assert len(reference_tet.boundary_faces) == 4
-    assert reference_tet.signed_volume(0) == pytest.approx(1.0 / 6.0)
+    assert signed_volumes(reference_tet.vertices, reference_tet.tets)[0] == \
+        pytest.approx(1.0 / 6.0)
 
 
 def test_signed_volume_orientation_and_scaling():
@@ -24,7 +25,7 @@ def test_signed_volume_orientation_and_scaling():
 def test_negative_tet_reoriented_at_load():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     mesh = TetMesh.from_arrays(verts, np.array([[0, 1, 3, 2]]))
-    assert mesh.signed_volume(0) > 0
+    assert signed_volumes(mesh.vertices, mesh.tets)[0] > 0
 
 
 def test_degenerate_tet_rejected():
@@ -91,21 +92,21 @@ def test_count_folds_rigid_motion_invariant(ball_mesh):
 def test_locate_point_centroid(ball_mesh):
     k = 17
     centroid = ball_mesh.vertices[ball_mesh.tets[k]].mean(axis=0)
-    bc = ball_mesh.locate_point(centroid)
-    assert bc is not None
+    (t,), (weights,) = ball_mesh.locate_points(centroid[None])
+    assert t >= 0
     lam = barycentric_coordinates(ball_mesh.vertices, ball_mesh.tets,
-                                  np.array([bc.tet_index]), centroid[None])[0]
+                                  np.array([t]), centroid[None])[0]
     assert lam.sum() == pytest.approx(1.0)
-    if bc.tet_index == k:
-        np.testing.assert_allclose(bc.lambdas, 0.25, atol=1e-9)
+    if t == k:
+        np.testing.assert_allclose(weights, 0.25, atol=1e-9)
 
 
 def test_locate_point_vertex_and_outside(ball_mesh):
-    v = ball_mesh.vertices[5]
-    bc = ball_mesh.locate_point(v)
-    assert bc is not None
-    assert np.max(bc.lambdas) == pytest.approx(1.0, abs=1e-8)
-    assert ball_mesh.locate_point(np.array([2.0, 0, 0])) is None
+    tets, lams = ball_mesh.locate_points(np.array([ball_mesh.vertices[5],
+                                                   [2.0, 0, 0]]))
+    assert tets[0] >= 0
+    assert np.max(lams[0]) == pytest.approx(1.0, abs=1e-8)
+    assert tets[1] == -1
 
 
 def test_locate_point_roundtrip(ball_mesh):
@@ -113,21 +114,21 @@ def test_locate_point_roundtrip(ball_mesh):
     tet_ids = rng.integers(0, len(ball_mesh.tets), size=1000)
     lam = rng.dirichlet(np.ones(4), size=1000)
     points = np.einsum("ki,kij->kj", lam, ball_mesh.vertices[ball_mesh.tets[tet_ids]])
-    for tid, p, l in zip(tet_ids, points, lam):
-        bc = ball_mesh.locate_point(p)
-        assert bc is not None
-        # the located tet must actually contain the point
-        check = barycentric_coordinates(ball_mesh.vertices, ball_mesh.tets,
-                                        np.array([bc.tet_index]), p[None])[0]
-        assert check.min() >= -1e-9
-        assert bc.point(ball_mesh.vertices, ball_mesh.tets) == pytest.approx(p, abs=1e-9)
+    located, weights = ball_mesh.locate_points(points)
+    assert np.all(located >= 0)
+    # the located tet must actually contain the point
+    check = barycentric_coordinates(ball_mesh.vertices, ball_mesh.tets, located, points)
+    assert check.min() >= -1e-9
+    back = np.einsum("ki,kij->kj", weights, ball_mesh.vertices[ball_mesh.tets[located]])
+    np.testing.assert_allclose(back, points, atol=1e-9)
 
 
 def test_barycentric_point_roundtrip(reference_tet):
     bc = BarycentricCoord(0, np.array([0.1, 0.2, 0.3, 0.4]))
     p = bc.point(reference_tet.vertices, reference_tet.tets)
-    located = reference_tet.locate_point(p)
-    np.testing.assert_allclose(located.lambdas, bc.lambdas, atol=1e-12)
+    tets, lams = reference_tet.locate_points(p[None])
+    assert tets[0] == 0
+    np.testing.assert_allclose(lams[0], bc.lambdas, atol=1e-12)
 
 
 def test_locator_standalone(ball_mesh):
@@ -145,7 +146,7 @@ def test_locate_points_matches_locate_point(ball_mesh):
     assert tets.shape == (len(points),) and lams.shape == (len(points), 4)
     assert np.all(tets[-3:] == -1) and np.isnan(lams[-3:]).all()
     for p, t, lam in zip(points, tets, lams):
-        bc = ball_mesh.locate_point(p)
+        bc = ball_mesh.locator.locate(p)
         if bc is None:
             assert t == -1
         else:
