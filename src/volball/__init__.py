@@ -1,9 +1,8 @@
 """Volumetric parameterization of simply-connected tetrahedral solids onto the
 unit ball, with quasi-conformal, density-equalizing, and balanced variants."""
 
-from .density import (DensityField, DiffusionOperators, advect_and_renormalize,
-                      build_operators, density_gradient, diffusion_step,
-                      project_boundary_velocity, recouple_density,
+from .density import (DensityField, DiffusionOperators, build_operators,
+                      density_gradient, diffusion_step, recouple_density,
                       velocity_field)
 from .distortion import (TetFrameField, flip_eigenvalues, frame_decompose,
                          jacobian_per_tet, reconstruct_map, residual_step,
@@ -25,11 +24,11 @@ __all__ = [
     "BarycentricCoord", "BoundaryMap", "CorrectionError",
     "DegenerateTetError", "DensityField", "DiffusionOperators", "MeshError",
     "RemeshQuality", "RunReport", "RunResult", "SolverConfig", "TetFrameField",
-    "TetMesh", "TopologyError", "advect_and_renormalize", "build_operators",
+    "TetMesh", "TopologyError", "build_operators",
     "compute_boundary_sphere_map", "compute_energies", "correct_overlaps",
     "density_gradient", "diffusion_step", "flip_eigenvalues",
     "frame_decompose", "harmonic_fill", "initial_ball", "jacobian_per_tet",
-    "load_mesh", "project_boundary_velocity", "pullback",
+    "load_mesh", "pullback",
     "quality_metrics", "reconstruct_map", "recouple_density", "residual_step",
     "run_3ddem", "run_3ddeq", "run_3dqc", "run_method", "save_mesh",
     "signed_volumes", "truncate_eigenvalues",

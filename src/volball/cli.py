@@ -52,11 +52,14 @@ def _add_config_flags(p):
 
 
 def _config_from(args) -> SolverConfig:
-    return SolverConfig(dt=args.dt, eps=args.eps, n_max=args.max_iter,
-                        k_threshold=args.kt, residual_constant=args.c_residual,
-                        alpha=args.alpha,
-                        boundary_mode=args.boundary or "auto",
-                        correction=not args.no_correction)
+    try:
+        return SolverConfig(dt=args.dt, eps=args.eps, n_max=args.max_iter,
+                            k_threshold=args.kt, residual_constant=args.c_residual,
+                            alpha=args.alpha,
+                            boundary_mode=args.boundary or "auto",
+                            correction=not args.no_correction)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _population_from(source: str, mesh: TetMesh) -> np.ndarray:

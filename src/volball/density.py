@@ -1,11 +1,13 @@
-"""Density fields and the discrete diffusion machinery of the equalizing flow.
+"""Density fields and the one step of the density-equalizing flow.
 
-Densities live on tets (population / current volume) and are transferred to
-vertices through a volume-weighted, row-stochastic averaging matrix. One flow
-iteration diffuses the vertex density implicitly, differentiates it per tet,
-converts the gradient into a velocity, projects the boundary velocity onto the
-sphere's tangent planes, and advects the vertices. The surface flow of the
-spherical boundary map takes the same diffusion and advection steps.
+Densities live on elements (population / current measure) and are averaged
+onto vertices weighted by element measure. ``flow_step`` is the step of both
+the surface flow on the sphere and the volume flow in the ball: implicit
+diffusion of the vertex density, its gradient per element, the vertex mean,
+the velocity -grad rho / rho and capped advection. Each flow supplies its own
+dimension's measures (areas or volumes), lumped masses and cotangent
+Laplacian, and element gradient (``density_gradient`` for tets,
+``sphere_map.surface_gradient`` for triangles).
 
 Populations are checked on entry (one finite positive value per element);
 the diffusion system M + dt L is written into the Laplacian's own sparsity
@@ -21,7 +23,7 @@ from scipy.sparse import csr_matrix
 
 from . import linsolve
 from .laplace import laplacian_matrix
-from .tetmesh import TetMesh, signed_volumes
+from .tetmesh import Connectivity, TetMesh, signed_volumes
 
 # Per-vertex moves are capped at STEP_LIMIT times the shortest incident edge;
 # sharp density jumps otherwise produce single-step moves that invert whole
@@ -64,24 +66,6 @@ def checked_population(population, count: int, item: str,
     return population
 
 
-def tet_to_vertex_matrix(tets: np.ndarray, volumes: np.ndarray,
-                         n_vertices: int) -> csr_matrix:
-    """Row-stochastic matrix averaging tet quantities onto vertices.
-
-    Row i weights each incident tet by its volume over the total incident
-    volume, so every row sums to 1.
-    """
-    rows = tets.reshape(-1)
-    cols = np.repeat(np.arange(len(tets)), 4)
-    vals = np.repeat(volumes, 4)
-    incident = np.bincount(rows, weights=vals, minlength=n_vertices)
-    if np.any(incident <= 0):
-        raise DensityError("vertex with nonpositive incident volume")
-    mat = csr_matrix((vals / incident[rows], (rows, cols)),
-                     shape=(n_vertices, len(tets)))
-    return mat
-
-
 def recouple_density(mesh: TetMesh, positions: np.ndarray,
                      population: np.ndarray) -> DensityField:
     """Recompute tet and vertex densities from the current volumes."""
@@ -91,8 +75,7 @@ def recouple_density(mesh: TetMesh, positions: np.ndarray,
         raise DensityError(
             f"{int(np.count_nonzero(vols <= 0))} tets have nonpositive volume")
     rho_tet = population / vols
-    conv = tet_to_vertex_matrix(mesh.tets, vols, len(mesh.vertices))
-    return DensityField(rho_tet, conv @ rho_tet)
+    return DensityField(rho_tet, mesh.connectivity.to_vertices(rho_tet, vols))
 
 
 def build_operators(mesh: TetMesh, positions: np.ndarray) -> DiffusionOperators:
@@ -100,10 +83,9 @@ def build_operators(mesh: TetMesh, positions: np.ndarray) -> DiffusionOperators:
     vols = signed_volumes(positions, mesh.tets)
     if np.any(vols <= 0):
         raise DensityError("deformed mesh has nonpositive volumes")
-    lumped = np.bincount(mesh.tets.reshape(-1), weights=np.repeat(vols / 4.0, 4),
-                         minlength=len(mesh.vertices))
-    return DiffusionOperators(lumped, laplacian_matrix(mesh, positions),
-                              mesh.assembly_plan.diagonal)
+    conn = mesh.connectivity
+    return DiffusionOperators(conn.vertex_measures(vols / 4.0),
+                              laplacian_matrix(mesh, positions), conn.plan.diagonal)
 
 
 def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
@@ -149,33 +131,6 @@ def velocity_field(rho_vertex: np.ndarray, grad_vertex: np.ndarray) -> np.ndarra
     return -grad_vertex / rho_vertex[:, None]
 
 
-def project_boundary_velocity(positions: np.ndarray, velocity: np.ndarray,
-                              boundary_mask: np.ndarray) -> np.ndarray:
-    """Remove the radial component of the velocity at boundary vertices.
-
-    The boundary lives on the unit sphere, so the outward normal at a boundary
-    vertex is its own position (normalized here for exact tangency).
-    """
-    out = np.array(velocity, dtype=np.float64, copy=True)
-    x = positions[boundary_mask]
-    n = x / np.linalg.norm(x, axis=1, keepdims=True)
-    vb = out[boundary_mask]
-    out[boundary_mask] = vb - (np.einsum("ij,ij->i", vb, n))[:, None] * n
-    return out
-
-
-def advect_and_renormalize(positions: np.ndarray, velocity: np.ndarray,
-                           dt: float, boundary_mask: np.ndarray) -> np.ndarray:
-    """Move vertices by dt * velocity; boundary vertices are radially projected
-    back to the unit sphere afterwards."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    out = positions + dt * velocity
-    b = out[boundary_mask]
-    out[boundary_mask] = b / np.linalg.norm(b, axis=1, keepdims=True)
-    return out
-
-
 def min_incident_edge(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Length of the shortest edge at each vertex; ``edges`` holds vertex
     index pairs (repeats allowed, though callers pass each edge once)."""
@@ -187,11 +142,37 @@ def min_incident_edge(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def capped_advect(positions: np.ndarray, velocity: np.ndarray, dt: float,
-                  edges: np.ndarray, boundary_mask: np.ndarray) -> np.ndarray:
-    """One flow step: tangent projection at the sphere vertices, the
-    STEP_LIMIT cap, advection and renormalization onto the unit sphere."""
-    vel = project_boundary_velocity(positions, velocity, boundary_mask)
+                  edges: np.ndarray, on_sphere: np.ndarray) -> np.ndarray:
+    """Move the vertices by dt * velocity: the velocity loses its radial part
+    at the ``on_sphere`` vertices (the outward normal there is the normalized
+    position), each move is capped at STEP_LIMIT times the vertex's shortest
+    ``edges`` edge, and the ``on_sphere`` vertices are projected back onto
+    the unit sphere."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    vel = np.array(velocity, dtype=np.float64, copy=True)
+    x = positions[on_sphere]
+    n = x / np.linalg.norm(x, axis=1, keepdims=True)
+    vb = vel[on_sphere]
+    vel[on_sphere] = vb - (np.einsum("ij,ij->i", vb, n))[:, None] * n
     move = dt * np.linalg.norm(vel, axis=1)
     cap = STEP_LIMIT * min_incident_edge(positions, edges)
     vel = vel * np.minimum(1.0, cap / np.maximum(move, 1e-300))[:, None]
-    return advect_and_renormalize(positions, vel, dt, boundary_mask)
+    out = positions + dt * vel
+    b = out[on_sphere]
+    out[on_sphere] = b / np.linalg.norm(b, axis=1, keepdims=True)
+    return out
+
+
+def flow_step(conn: Connectivity, positions: np.ndarray, rho_vertex: np.ndarray,
+              ops: DiffusionOperators, measures: np.ndarray, element_gradient,
+              dt: float, on_sphere: np.ndarray) -> np.ndarray:
+    """One flow step, on the sphere or in the ball: diffuse ``rho_vertex``
+    under ``ops``, take the gradient per element (``element_gradient(rho)``,
+    (m, 3)), average it onto the vertices weighted by the element
+    ``measures`` and advect ``positions`` along -grad rho / rho, keeping the
+    ``on_sphere`` vertices on the unit sphere. Returns the moved positions."""
+    rho_next = diffusion_step(ops, rho_vertex, dt)
+    grad = conn.to_vertices(element_gradient(rho_next), measures)
+    vel = velocity_field(rho_next, grad)
+    return capped_advect(positions, vel, dt, conn.edges, on_sphere)

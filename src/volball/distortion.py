@@ -226,7 +226,7 @@ def anisotropic_stiffness(mesh: TetMesh, coeff: np.ndarray) -> linsolve.LinearSy
     grads = mesh.hat_gradients
     local = grads @ coeff @ np.swapaxes(grads, 1, 2) * vols[:, None, None]
     local = 0.5 * (local + np.swapaxes(local, 1, 2))
-    return linsolve.assemble(mesh.assembly_plan, local.reshape(-1))
+    return linsolve.assemble(mesh.connectivity.plan, local.reshape(-1))
 
 
 def reconstruct_map(mesh: TetMesh, frames: TetFrameField,

@@ -5,7 +5,9 @@ unit sphere, fill the interior harmonically, evaluate this initial ball, then
 repeat step, settle, evaluate, stop, record, for at most n_max steps. A method
 supplies only its step and its stop rule. ``3dqc`` descends the per-tet
 anisotropy ratios and rejects the candidate, converged, once the energy stops
-decreasing. ``3ddem`` advects along the density-equalizing diffusion flow and
+decreasing. ``3ddem`` takes one ``density.flow_step`` per iteration, the
+surface flow's step one dimension up, with the tet pieces (lumped volumes and
+Laplacian from ``build_operators``, tet volumes, ``density_gradient``), and
 has converged once sd/mean of the vertex density is below eps, tested on the
 initial ball and after every step. ``3ddeq`` blends the two through per-tet
 eigenvalue updates and has converged once the largest vertex displacement is
@@ -18,6 +20,7 @@ ends the run, whatever the method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -69,6 +72,10 @@ class SolverConfig:
     correction: bool = True
 
     def __post_init__(self):
+        numbers = ("dt", "eps", "n_max", "k_threshold", "residual_constant", "alpha")
+        bad = [name for name in numbers if not math.isfinite(getattr(self, name))]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
         if self.dt <= 0 or self.eps <= 0 or self.n_max < 1:
             raise ValueError("dt, eps must be positive and n_max >= 1")
         if self.k_threshold <= 1 or self.residual_constant <= 0 or self.alpha < 0:
@@ -77,9 +84,10 @@ class SolverConfig:
             raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
 
     def resolved_boundary_mode(self, method: str) -> str:
+        """``conformal`` or ``dem``; ``auto`` is conformal for 3dqc only."""
         if self.boundary_mode != "auto":
-            return "conformal" if self.boundary_mode == "conformal" else "density_equalizing"
-        return "conformal" if method == "3dqc" else "density_equalizing"
+            return self.boundary_mode
+        return "conformal" if method == "3dqc" else "dem"
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -126,8 +134,7 @@ def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
     fill is kept.
     """
     config = config or SolverConfig()
-    mode = config.resolved_boundary_mode(method)
-    if mode != "density_equalizing":
+    if config.resolved_boundary_mode(method) == "conformal":
         bmap = compute_boundary_sphere_map(mesh)
         return harmonic_fill(mesh, bmap.points, bmap.vertex_indices)
 
@@ -451,17 +458,6 @@ def _iterate(method, mesh, population, config, init_positions, step, stop,
     return RunResult(positions, report, converged, pos0)
 
 
-def _flow_step(mesh, pos, rho_vertex, dt):
-    """One density-equalizing advection: returns the moved positions."""
-    ops = dem.build_operators(mesh, pos)  # raises DensityError on folds
-    rho_next = dem.diffusion_step(ops, rho_vertex, dt)
-    grad_tet = dem.density_gradient(mesh.tets, pos, rho_next)
-    conv = dem.tet_to_vertex_matrix(mesh.tets, signed_volumes(pos, mesh.tets),
-                                    len(mesh.vertices))
-    vel = dem.velocity_field(rho_next, conv @ grad_tet)
-    return dem.capped_advect(pos, vel, dt, mesh.edges, mesh.boundary_vertex_mask)
-
-
 def _qc_step(mesh, state, config):
     """Residual descent on the anisotropy ratios, boundary held fixed."""
     b_ids = mesh.boundary_vertices
@@ -471,7 +467,14 @@ def _qc_step(mesh, state, config):
 
 
 def _dem_step(mesh, state, config):
-    return _flow_step(mesh, state.positions, state.field.rho_vertex, config.dt)
+    """One step of the shared density flow with the tet supplies: lumped
+    volumes and cotangent Laplacian, tet volumes and the tet gradient."""
+    pos = state.positions
+    ops = dem.build_operators(mesh, pos)  # raises DensityError on folds
+    return dem.flow_step(mesh.connectivity, pos, state.field.rho_vertex, ops,
+                         signed_volumes(pos, mesh.tets),
+                         lambda rho: dem.density_gradient(mesh.tets, pos, rho),
+                         config.dt, mesh.boundary_vertex_mask)
 
 
 def _deq_step(mesh, state, config):

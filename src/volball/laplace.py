@@ -23,7 +23,7 @@ def laplacian_matrix(mesh: TetMesh, positions: np.ndarray | None = None) -> csr_
     S = face_area_vectors(x, mesh.tets)
     vols = np.abs(signed_volumes(x, mesh.tets))
     local = S @ np.swapaxes(S, 1, 2) / (18.0 * vols[:, None, None])
-    return linsolve.assemble(mesh.assembly_plan, local.reshape(-1)).matrix
+    return linsolve.assemble(mesh.connectivity.plan, local.reshape(-1)).matrix
 
 
 def harmonic_fill(mesh: TetMesh, boundary_points: np.ndarray,

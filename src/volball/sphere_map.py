@@ -7,12 +7,14 @@ an overlap-correction stage that removes flipped spherical triangles by
 truncating the per-triangle Beltrami coefficient in a stereographic chart and
 re-solving the associated elliptic system.
 
-The density flow builds what depends only on the triangulation once per call
-(``Triangulation``: the Laplacian's assembly plan, each edge once, the face
-corners that face-to-vertex averages scatter over with ``np.bincount``).
-Each round then makes one ``triangle_geometry`` pass (edge vectors,
-unnormalised normals, doubled areas, in component arithmetic), shared by the
-density, the cotangent weights, the face gradient and the flip test.
+The surface density flow takes the volume flow's step, ``density.flow_step``,
+one dimension down: it builds the triangles' ``tetmesh.Connectivity`` once
+per call and supplies per round the face areas, the lumped vertex areas, the
+cotangent Laplacian (``surface_laplacian``) and the face gradient
+(``surface_gradient``). Each round makes one ``triangle_geometry`` pass
+(edge vectors, unnormalised normals, doubled areas, in component
+arithmetic), shared by the density, the cotangent weights, the face gradient
+and the flip test.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from . import density, linsolve
-from .tetmesh import MeshError, TetMesh, unique_edges
+from .tetmesh import Connectivity, MeshError, TetMesh
 
 # Mean-value smoothing rounds of the spherical embedding.
 SMOOTH_ITERS = 20
@@ -142,38 +144,6 @@ def surface_gradient(geometry: TriangleGeometry, corner_values: np.ndarray) -> n
     face corners, shape (m, 3): n x (sum_k v_k e_k) / |n|^2."""
     s = np.einsum("fk,fkc->fc", corner_values, geometry.edges)
     return _cross(geometry.normals, s) / (geometry.area2 * geometry.area2)[:, None]
-
-
-class Triangulation:
-    """What the surface flow needs from a closed triangle mesh's connectivity,
-    built once per flow: the Laplacian's assembly plan, each edge once, and
-    the face corners that face-to-vertex averages scatter over."""
-
-    def __init__(self, faces: np.ndarray, n_vertices: int):
-        self.n_vertices = n_vertices
-        self.plan = linsolve.AssemblyPlan.for_elements(faces, n_vertices)
-        self.edges = unique_edges(faces[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2))
-        self.corners = faces.reshape(-1)
-        # slot of each (corner, coordinate) pair in a flattened (n, 3) array
-        self.corner_coords = (3 * self.corners[:, None] + np.arange(3)).reshape(-1)
-
-    def vertex_areas(self, areas: np.ndarray) -> np.ndarray:
-        """Summed area of the faces around each vertex."""
-        return np.bincount(self.corners, weights=np.repeat(areas, 3),
-                           minlength=self.n_vertices)
-
-    def to_vertices(self, values: np.ndarray, areas: np.ndarray,
-                    incident: np.ndarray) -> np.ndarray:
-        """Area-weighted mean of per-face scalars (m,) or vectors (m, 3) over
-        the faces around each vertex; ``incident`` is ``vertex_areas(areas)``."""
-        if values.ndim == 1:
-            total = np.bincount(self.corners, weights=np.repeat(areas * values, 3),
-                                minlength=self.n_vertices)
-            return total / incident
-        weights = np.repeat(areas[:, None] * values, 3, axis=0).reshape(-1)
-        total = np.bincount(self.corner_coords, weights=weights,
-                            minlength=3 * self.n_vertices)
-        return total.reshape(-1, 3) / incident[:, None]
 
 
 def vertex_rings(faces: np.ndarray, n_vertices: int) -> csr_matrix:
@@ -432,10 +402,12 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
     """Density-equalizing flow on the sphere with overlap correction.
 
     Face density is population over current area; iterations stop when its
-    sd/mean ratio falls below ``eps`` or after ``max_iter`` rounds. What
-    depends only on the triangulation is built once (``Triangulation``); each
-    round makes one ``triangle_geometry`` pass, which the density, the
-    cotangent weights, the face gradient and the flip test share. Raises
+    sd/mean ratio falls below ``eps`` or after ``max_iter`` rounds. Each
+    round is one ``density.flow_step`` with the triangle supplies, and a
+    flipped result is repaired against the last valid map. What depends only
+    on the triangulation is built once (``Connectivity``); each round makes
+    one ``triangle_geometry`` pass, which the density, the cotangent weights,
+    the face gradient and the flip test share. Raises
     SphereMapError naming the first face whose population is not finite and
     positive. Each call logs the rounds used, the reason and the final ratio
     at DEBUG level.
@@ -443,9 +415,8 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
     u = normalize_rows(np.array(sphere, dtype=np.float64))
     population = density.checked_population(population, len(faces), "face",
                                             SphereMapError)
-    n = len(u)
-    tri = Triangulation(faces, n)
-    on_sphere = np.ones(n, dtype=bool)
+    conn = Connectivity(faces, len(u))
+    on_sphere = np.ones(len(u), dtype=bool)
     geo = triangle_geometry(u, faces)
     last_valid = u
     for rounds in range(max_iter + 1):
@@ -454,14 +425,12 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
         ratio = np.std(rho_face) / np.mean(rho_face)
         if ratio < eps or rounds == max_iter:
             break
-        incident = tri.vertex_areas(areas)
-        ops = density.DiffusionOperators(incident / 3.0, surface_laplacian(geo, tri.plan),
-                                         tri.plan.diagonal)
-        rho = tri.to_vertices(rho_face, areas, incident)
-        rho_next = density.diffusion_step(ops, rho, dt)
-        grad = tri.to_vertices(surface_gradient(geo, rho_next[faces]), areas, incident)
-        vel = density.velocity_field(rho_next, grad)
-        u = density.capped_advect(u, vel, dt, tri.edges, on_sphere)
+        ops = density.DiffusionOperators(conn.vertex_measures(areas) / 3.0,
+                                         surface_laplacian(geo, conn.plan),
+                                         conn.plan.diagonal)
+        u = density.flow_step(conn, u, conn.to_vertices(rho_face, areas), ops, areas,
+                              lambda rho: surface_gradient(geo, rho[faces]), dt,
+                              on_sphere)
         geo = triangle_geometry(u, faces)
         if geo.flipped.any():
             u = correct_spherical_flips(last_valid, u, faces)

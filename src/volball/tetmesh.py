@@ -1,10 +1,11 @@
-"""Tetrahedral mesh container: validation, topology queries, point location."""
+"""Tetrahedral mesh container: validation, topology queries, point location,
+and the element connectivity shared by triangle and tet meshes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -49,10 +50,51 @@ def _det3(M: np.ndarray) -> np.ndarray:
             + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0]))
 
 
-def unique_edges(pairs: np.ndarray) -> np.ndarray:
-    """The distinct undirected edges among (k, 2) vertex pairs, each as a
-    sorted pair, in lexicographic order."""
-    return np.unique(np.sort(pairs, axis=1), axis=0)
+class Connectivity:
+    """What depends only on an (m, k) element array, triangles (k = 3) or
+    tets (k = 4), built once: the assembly plan of the k x k element
+    matrices, each edge once, and the corners that element-to-vertex
+    averages scatter over."""
+
+    def __init__(self, elements: np.ndarray, n_vertices: int):
+        self.elements = elements
+        self.k = elements.shape[1]  # corners per element
+        self.n_vertices = n_vertices
+        self.plan = AssemblyPlan.for_elements(elements, n_vertices)
+        self.corners = elements.reshape(-1)
+        # slot of each (corner, coordinate) pair in a flattened (n, 3) array
+        self.corner_coords = (3 * self.corners[:, None] + np.arange(3)).reshape(-1)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Distinct edges of the elements as sorted vertex pairs in
+        lexicographic order, shape (e, 2)."""
+        pairs = self.elements[:, list(combinations(range(self.k), 2))].reshape(-1, 2)
+        e = np.unique(np.sort(pairs, axis=1), axis=0)
+        e.setflags(write=False)
+        return e
+
+    def vertex_measures(self, measures: np.ndarray) -> np.ndarray:
+        """Summed measure (area or volume) of the elements around each vertex."""
+        return np.bincount(self.corners, weights=np.repeat(measures, self.k),
+                           minlength=self.n_vertices)
+
+    def to_vertices(self, values: np.ndarray, measures: np.ndarray) -> np.ndarray:
+        """Measure-weighted mean of per-element scalars (m,) or vectors (m, 3)
+        over the elements around each vertex.
+
+        Each corner carries the weight measure / (incident measure of its
+        vertex), and the weighted values are summed in corner order, which is
+        bitwise the product with the row-stochastic incidence matrix.
+        """
+        incident = self.vertex_measures(measures)
+        weights = np.repeat(measures, self.k) / incident[self.corners]
+        if values.ndim == 1:
+            return np.bincount(self.corners, weights=weights * np.repeat(values, self.k),
+                               minlength=self.n_vertices)
+        terms = weights[:, None] * np.repeat(values, self.k, axis=0)
+        return np.bincount(self.corner_coords, weights=terms.reshape(-1),
+                           minlength=3 * self.n_vertices).reshape(-1, 3)
 
 
 def signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -294,10 +336,10 @@ class TetMesh:
         return int(np.count_nonzero(signed_volumes(positions, self.tets) <= 0.0))
 
     @cached_property
-    def assembly_plan(self) -> AssemblyPlan:
-        """Pattern of the per-tet 4 x 4 element matrices (16 triplets per tet),
-        shared by every operator assembled on this connectivity."""
-        return AssemblyPlan.for_elements(self.tets, len(self.vertices))
+    def connectivity(self) -> Connectivity:
+        """The tets' assembly plan (16 triplets per tet, shared by every
+        operator assembled on this mesh), edges and corner scatter slots."""
+        return Connectivity(self.tets, len(self.vertices))
 
     @cached_property
     def hat_gradients(self) -> np.ndarray:
@@ -315,13 +357,6 @@ class TetMesh:
         """Containing tet and barycentric weights of each point: see
         ``PointLocator.locate_points``."""
         return self.locator.locate_points(points, tol=tol)
-
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """Distinct edges of the tets as sorted vertex pairs, shape (e, 2)."""
-        e = unique_edges(self.tets[:, EDGE_LOCAL].reshape(-1, 2))
-        e.setflags(write=False)
-        return e
 
     @cached_property
     def boundary_vertices(self) -> np.ndarray:

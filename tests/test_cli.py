@@ -161,6 +161,18 @@ def test_param_typed_errors_exit_1(tmp_path, ball_file, capsys, monkeypatch, err
     assert capsys.readouterr().err == f"volball: error: {error}\n"
 
 
+@pytest.mark.parametrize("flags", [["--dt", "-1"], ["--kt", "0.5"], ["--max-iter", "0"],
+                                   ["--dt", "nan"], ["--eps", "nan"], ["--alpha", "inf"]],
+                         ids=lambda flags: "=".join(flags).lstrip("-"))
+def test_param_bad_config_exit_1(tmp_path, ball_file, capsys, flags):
+    code = cli.main(["param", "--method", "3dqc", ball_file, str(tmp_path / "run"),
+                     *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("volball: error: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_histogram_export(tmp_path, ball_file):
     out = tmp_path / "run"
     hist = tmp_path / "hist.csv"

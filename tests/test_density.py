@@ -1,15 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from volball import density as dem
-from volball.tetmesh import signed_volumes
-
-
-def test_tet_to_vertex_row_stochastic(ball_mesh):
-    conv = dem.tet_to_vertex_matrix(ball_mesh.tets, ball_mesh.volumes,
-                                    len(ball_mesh.vertices))
-    np.testing.assert_allclose(np.asarray(conv.sum(axis=1)).ravel(), 1.0,
-                               atol=1e-12)
+from volball.drivers import SolverConfig, _dem_step
+from volball.sphere_map import normalize_rows, surface_density_equalize
+from volball.synthetic import hemispheric_population
+from volball.tetmesh import EDGE_LOCAL, signed_volumes
 
 
 def test_recouple_identity_and_scaling(ball_mesh):
@@ -100,59 +99,125 @@ def test_velocity_field_rules():
         dem.velocity_field(np.array([0.0]), np.zeros((1, 3)))
 
 
+def _sphere_ball(mesh):
+    """The mesh's vertices with the boundary projected onto the unit sphere."""
+    pos = mesh.vertices.copy()
+    mask = mesh.boundary_vertex_mask
+    pos[mask] = normalize_rows(pos[mask])
+    return pos
+
+
 def test_project_boundary_velocity(ball_mesh):
     mask = ball_mesh.boundary_vertex_mask
-    pos = ball_mesh.vertices.copy()
-    pos[mask] = pos[mask] / np.linalg.norm(pos[mask], axis=1, keepdims=True)
-    vel = np.tile([1.0, 1.0, 0.0], (len(pos), 1))
-    out = dem.project_boundary_velocity(pos, vel, mask)
-    dots = np.einsum("ij,ij->i", out[mask],
-                     pos[mask] / np.linalg.norm(pos[mask], axis=1, keepdims=True))
-    assert np.abs(dots).max() < 1e-12
-    np.testing.assert_array_equal(out[~mask], vel[~mask])
-    # radial velocity is annihilated, tangential passes through
-    radial = pos.copy()
-    outr = dem.project_boundary_velocity(pos, radial, mask)
-    assert np.abs(outr[mask]).max() < 1e-12
+    pos = _sphere_ball(ball_mesh)
+    edges = ball_mesh.connectivity.edges
+    dt = 0.1
+    rng = np.random.default_rng(2)
+    vel = 1e-3 * rng.normal(size=pos.shape)
+    # below the cap, so no move is scaled
+    assert dt * np.linalg.norm(vel, axis=1).max() < \
+        dem.STEP_LIMIT * dem.min_incident_edge(pos, edges).min()
+    out = dem.capped_advect(pos, vel, dt, edges, mask)
+    x = pos[mask]
+    # the velocity that moved each sphere vertex before the renormalization:
+    # its tangential part within 1e-12, the radial part removed
+    moved = (out[mask] / np.einsum("ij,ij->i", out[mask], x)[:, None] - x) / dt
+    tangential = vel[mask] - np.einsum("ij,ij->i", vel[mask], x)[:, None] * x
+    np.testing.assert_allclose(moved, tangential, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(out[~mask], pos[~mask] + dt * vel[~mask])
+    # a purely radial velocity leaves the sphere vertices where they are
+    radial = dem.capped_advect(pos, 1e-3 * pos, dt, edges, mask)
+    assert np.abs(radial[mask] - pos[mask]).max() < 1e-12
 
 
 def test_project_example_point():
     pos = np.array([[1.0, 0.0, 0.0]])
     vel = np.array([[1.0, 1.0, 0.0]])
-    out = dem.project_boundary_velocity(pos, vel, np.array([True]))
-    np.testing.assert_allclose(out, [[0.0, 1.0, 0.0]], atol=1e-15)
+    # one point has no edge, so nothing caps its move
+    out = dem.capped_advect(pos, vel, 0.1, np.empty((0, 2), dtype=np.int64),
+                            np.array([True]))
+    np.testing.assert_allclose(out, [[1.0, 0.1, 0.0]] / np.sqrt(1.01), atol=1e-15)
 
 
 def test_advect_and_renormalize(ball_mesh):
     mask = ball_mesh.boundary_vertex_mask
-    pos = ball_mesh.vertices.copy()
-    pos[mask] = pos[mask] / np.linalg.norm(pos[mask], axis=1, keepdims=True)
-    out = dem.advect_and_renormalize(pos, np.zeros_like(pos), 0.1, mask)
+    pos = _sphere_ball(ball_mesh)
+    edges = ball_mesh.connectivity.edges
+    out = dem.capped_advect(pos, np.zeros_like(pos), 0.1, edges, mask)
     np.testing.assert_allclose(out, pos, atol=1e-15)
     vel = np.tile([0.05, 0.0, 0.0], (len(pos), 1))
-    out = dem.advect_and_renormalize(pos, vel, 0.1, mask)
+    assert 0.1 * 0.05 < dem.STEP_LIMIT * dem.min_incident_edge(pos, edges).min()
+    out = dem.capped_advect(pos, vel, 0.1, edges, mask)
     assert np.abs(np.linalg.norm(out[mask], axis=1) - 1.0).max() < 1e-15
     np.testing.assert_allclose(out[~mask], pos[~mask] + 0.1 * vel[~mask])
 
 
 def test_advect_centroid_shift(ball_mesh):
     mask = np.zeros(len(ball_mesh.vertices), dtype=bool)  # treat all as interior
+    edges = ball_mesh.connectivity.edges
     rng = np.random.default_rng(1)
-    vel = rng.normal(size=ball_mesh.vertices.shape)
-    out = dem.advect_and_renormalize(ball_mesh.vertices, vel, 0.1, mask)
+    vel = 0.01 * rng.normal(size=ball_mesh.vertices.shape)
+    assert 0.1 * np.linalg.norm(vel, axis=1).max() < \
+        dem.STEP_LIMIT * dem.min_incident_edge(ball_mesh.vertices, edges).min()
+    out = dem.capped_advect(ball_mesh.vertices, vel, 0.1, edges, mask)
     np.testing.assert_allclose(out.mean(axis=0) - ball_mesh.vertices.mean(axis=0),
                                0.1 * vel.mean(axis=0), atol=1e-14)
 
 
-def test_full_equalization_fixed_point(ball_mesh):
-    from volball.drivers import _flow_step
-    mask = ball_mesh.boundary_vertex_mask
-    pos = ball_mesh.vertices.copy()
-    pos[mask] /= np.linalg.norm(pos[mask], axis=1, keepdims=True)
-    pop = np.abs(signed_volumes(pos, ball_mesh.tets))
-    field = dem.recouple_density(ball_mesh, pos, pop)
-    out = _flow_step(ball_mesh, pos, field.rho_vertex, 0.1)
+@pytest.mark.parametrize("kind", ["triangles", "tets"])
+def test_full_equalization_fixed_point(ball_mesh, kind):
+    # a uniform density does not move the vertices, on the sphere or in the ball
+    pos = _sphere_ball(ball_mesh)
+    if kind == "tets":
+        field = dem.recouple_density(ball_mesh, pos,
+                                     np.abs(signed_volumes(pos, ball_mesh.tets)))
+        out = _dem_step(ball_mesh, SimpleNamespace(positions=pos, field=field),
+                        SolverConfig())
+    else:
+        vid, faces = ball_mesh.boundary_surface()
+        pos = pos[vid]
+        tri = pos[faces]
+        areas = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0],
+                                              tri[:, 2] - tri[:, 0]), axis=1)
+        # eps 0 makes the round with sd/mean 0 take one step
+        out = surface_density_equalize(pos, faces, areas, eps=0.0, max_iter=1)
     assert np.linalg.norm(out - pos, axis=1).max() < 1e-9
+
+
+def _tet_to_vertex_matrix(tets, volumes, n_vertices):
+    """Reference: the volume-weighted row-stochastic averaging matrix, built
+    from COO triplets."""
+    rows = tets.reshape(-1)
+    cols = np.repeat(np.arange(len(tets)), 4)
+    vals = np.repeat(volumes, 4)
+    incident = np.bincount(rows, weights=vals, minlength=n_vertices)
+    return csr_matrix((vals / incident[rows], (rows, cols)),
+                      shape=(n_vertices, len(tets)))
+
+
+def _volume_step_as_first_written(mesh, pos, rho_vertex, dt):
+    """Reference: the volume flow step before the flows shared one, which
+    averaged the tet gradients onto the vertices with a csr matvec."""
+    ops = dem.build_operators(mesh, pos)
+    rho_next = dem.diffusion_step(ops, rho_vertex, dt)
+    grad_tet = dem.density_gradient(mesh.tets, pos, rho_next)
+    conv = _tet_to_vertex_matrix(mesh.tets, signed_volumes(pos, mesh.tets), len(pos))
+    vel = dem.velocity_field(rho_next, conv @ grad_tet)
+    edges = np.unique(np.sort(mesh.tets[:, EDGE_LOCAL].reshape(-1, 2), axis=1), axis=0)
+    return dem.capped_advect(pos, vel, dt, edges, mesh.boundary_vertex_mask)
+
+
+def test_volume_step_matches_first_formulation(ball_mesh):
+    pos = ball_mesh.vertices
+    field = dem.recouple_density(ball_mesh, pos, hemispheric_population(ball_mesh, 4.0))
+    conv = _tet_to_vertex_matrix(ball_mesh.tets, signed_volumes(pos, ball_mesh.tets),
+                                 len(pos))
+    assert np.array_equal(field.rho_vertex, conv @ field.rho_tet)
+    expected = _volume_step_as_first_written(ball_mesh, pos, field.rho_vertex, 0.1)
+    out = _dem_step(ball_mesh, SimpleNamespace(positions=pos, field=field),
+                    SolverConfig())
+    assert np.linalg.norm(out - pos, axis=1).max() > 1e-3  # the step moves
+    assert np.array_equal(out, expected)
 
 
 def test_density_gradient_matches_lapack_solve(ball_mesh):
@@ -187,7 +252,7 @@ def test_recouple_rejects_population_of_wrong_length(ball_mesh, size):
 
 def test_volume_flow_nan_population_raises_density_error(ball_mesh):
     # a NaN population used to run the diffusion PCG to its iteration budget
-    from volball.drivers import SolverConfig, run_3ddem
+    from volball.drivers import run_3ddem
     pop = np.ones(len(ball_mesh.tets))
     pop[5] = np.nan
     with pytest.raises(dem.DensityError, match="tet 5 has population nan"):

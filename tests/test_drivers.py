@@ -19,10 +19,17 @@ def test_config_validation():
         SolverConfig(k_threshold=1.0)
     with pytest.raises(ValueError):
         SolverConfig(boundary_mode="nope")
+    # NaN fails every comparison, so each setting is tested for finiteness
+    for name, value in [("dt", np.nan), ("dt", np.inf), ("eps", np.nan),
+                        ("k_threshold", np.nan), ("alpha", np.nan),
+                        ("residual_constant", np.inf), ("alpha", np.inf)]:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SolverConfig(**{name: value})
     cfg = SolverConfig()
     assert cfg.resolved_boundary_mode("3dqc") == "conformal"
-    assert cfg.resolved_boundary_mode("3ddem") == "density_equalizing"
-    assert cfg.resolved_boundary_mode("3ddeq") == "density_equalizing"
+    assert cfg.resolved_boundary_mode("3ddem") == "dem"
+    assert cfg.resolved_boundary_mode("3ddeq") == "dem"
+    assert SolverConfig(boundary_mode="dem").resolved_boundary_mode("3dqc") == "dem"
 
 
 def test_initial_ball_on_ball_is_near_identity(ball_mesh):
@@ -355,3 +362,26 @@ def test_reports_match_recorded_values(ball_mesh):
         assert res.converged is converged, method
         got = tuple(res.report.final[k] for k in ("var_rho", "mean_K", "sd_K"))
         assert got == pytest.approx(final, rel=1e-6), method
+
+
+def test_volume_flow_builds_no_coo_matrix(monkeypatch, ball_mesh):
+    # a 3ddem iteration averages through the mesh's connectivity; only the
+    # rest ball's TetMesh, built once per run, makes a COO matrix
+    from scipy.sparse import coo_matrix
+    pop = hemispheric_population(ball_mesh, 1.05)
+    coo = []
+    init = coo_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        coo.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(coo_matrix, "__init__", counted)
+    counts = []
+    for n_max in (1, 3):
+        coo.clear()
+        result = run_3ddem(ball_mesh, pop, SolverConfig(n_max=n_max, eps=1e-4),
+                           init_positions=ball_mesh.vertices)
+        assert [it["folds_pre"] for it in result.report.iterations] == [0] * n_max
+        counts.append(len(coo))
+    assert counts[1] == counts[0]

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volball import linsolve
-from volball.sphere_map import (BoundaryMap, SphereMapError, Triangulation,
-                                beltrami_coefficient, beltrami_stiffness,
-                                center_sphere, compute_boundary_sphere_map,
+from volball.sphere_map import (BoundaryMap, SphereMapError, beltrami_coefficient,
+                                beltrami_stiffness, center_sphere,
+                                compute_boundary_sphere_map,
                                 correct_spherical_flips, face_normals_areas,
                                 inverse_stereographic, mean_value_weights,
                                 normalize_rows, spherical_embedding,
@@ -120,45 +120,6 @@ def test_triangle_geometry_matches_cross_products(ball_mesh):
     det = np.einsum("ij,ij->i", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))
     np.testing.assert_array_equal(geo.flipped, det <= 0.0)
     assert geo.flipped.any()
-
-
-def test_face_to_vertex_row_stochastic(ball_mesh):
-    vid, faces = ball_mesh.boundary_surface()
-    _, areas = face_normals_areas(ball_mesh.vertices[vid], faces)
-    tri = Triangulation(faces, len(vid))
-    incident = tri.vertex_areas(areas)
-    np.testing.assert_allclose(tri.to_vertices(np.ones(len(faces)), areas, incident),
-                               1.0, atol=1e-12)
-    vec = np.array([0.5, -2.0, 3.0])
-    np.testing.assert_allclose(tri.to_vertices(np.tile(vec, (len(faces), 1)), areas,
-                                               incident),
-                               np.tile(vec, (len(vid), 1)), atol=1e-12)
-
-
-def test_face_to_vertex_matches_incidence_matrix(ball_mesh):
-    # oracle: the row-normalised face-area incidence matrix, built densely
-    vid, faces = ball_mesh.boundary_surface()
-    _, areas = face_normals_areas(ball_mesh.vertices[vid], faces)
-    conv = np.zeros((len(vid), len(faces)))
-    for k in range(3):
-        conv[faces[:, k], np.arange(len(faces))] = areas
-    conv /= conv.sum(axis=1, keepdims=True)
-    rng = np.random.default_rng(4)
-    scalars, vectors = rng.normal(size=len(faces)), rng.normal(size=(len(faces), 3))
-    tri = Triangulation(faces, len(vid))
-    incident = tri.vertex_areas(areas)
-    np.testing.assert_allclose(tri.to_vertices(scalars, areas, incident), conv @ scalars,
-                               rtol=0, atol=1e-13)
-    np.testing.assert_allclose(tri.to_vertices(vectors, areas, incident), conv @ vectors,
-                               rtol=0, atol=1e-13)
-
-
-def test_triangulation_lists_each_edge_once(ball_mesh):
-    vid, faces = ball_mesh.boundary_surface()
-    edges = Triangulation(faces, len(vid)).edges
-    pairs = {tuple(sorted(p)) for p in faces[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)}
-    assert len(edges) == len(pairs) == 3 * len(faces) // 2
-    assert {tuple(e) for e in edges} == pairs
 
 
 def test_mean_value_weights_positive_row_stochastic(ball_mesh):

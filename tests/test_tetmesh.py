@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
-from volball.tetmesh import (FACE_LOCAL, BarycentricCoord, DegenerateTetError,
-                             PointLocator, TetMesh, TopologyError,
-                             barycentric_coordinates, signed_volumes)
+from volball.tetmesh import (EDGE_LOCAL, FACE_LOCAL, BarycentricCoord,
+                             Connectivity, DegenerateTetError, PointLocator,
+                             TetMesh, TopologyError, barycentric_coordinates,
+                             signed_volumes)
 
 
 def test_reference_tet_basics(reference_tet):
@@ -267,3 +269,57 @@ def test_hat_gradients_cached_read_only(ball_mesh):
     assert not g.flags.writeable
     # the hat functions sum to 1, so their gradients sum to 0
     assert np.abs(g.sum(axis=1)).max() <= 1e-12 * np.abs(g).max()
+
+
+@pytest.fixture(params=["triangles", "tets"])
+def elements(request, ball_mesh):
+    """Elements of the ball's boundary surface or of the ball itself: the
+    (m, k) array, its vertex count, its element measures and its local edges."""
+    if request.param == "tets":
+        return ball_mesh.tets, len(ball_mesh.vertices), ball_mesh.volumes, EDGE_LOCAL
+    vid, faces = ball_mesh.boundary_surface()
+    tri = ball_mesh.vertices[vid][faces]
+    areas = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]),
+                                 axis=1)
+    return faces, len(vid), areas, np.array([[0, 1], [1, 2], [2, 0]])
+
+
+def test_connectivity_row_stochastic(elements):
+    elems, n, measures, _ = elements
+    conn = Connectivity(elems, n)
+    np.testing.assert_allclose(conn.to_vertices(np.ones(len(elems)), measures), 1.0,
+                               atol=1e-12)
+    vec = np.array([0.5, -2.0, 3.0])
+    np.testing.assert_allclose(conn.to_vertices(np.tile(vec, (len(elems), 1)), measures),
+                               np.tile(vec, (n, 1)), atol=1e-12)
+
+
+def test_connectivity_matches_incidence_matrix(elements):
+    # oracle: the row-normalised measure-weighted incidence matrix, built
+    # densely and, as a csr matrix from COO triplets, matched bitwise
+    elems, n, measures, _ = elements
+    m, k = elems.shape
+    conv = np.zeros((n, m))
+    for c in range(k):
+        conv[elems[:, c], np.arange(m)] = measures
+    conv /= conv.sum(axis=1, keepdims=True)
+    rows, vals = elems.reshape(-1), np.repeat(measures, k)
+    incident = np.bincount(rows, weights=vals, minlength=n)
+    sparse = csr_matrix((vals / incident[rows], (rows, np.repeat(np.arange(m), k))),
+                        shape=(n, m))
+    rng = np.random.default_rng(4)
+    scalars, vectors = rng.normal(size=m), rng.normal(size=(m, 3))
+    conn = Connectivity(elems, n)
+    for values in (scalars, vectors):
+        out = conn.to_vertices(values, measures)
+        np.testing.assert_allclose(out, conv @ values, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(out, sparse @ values)
+    np.testing.assert_array_equal(conn.vertex_measures(measures), incident)
+
+
+def test_connectivity_lists_each_edge_once(elements):
+    elems, n, _, local_edges = elements
+    edges = Connectivity(elems, n).edges
+    pairs = {tuple(sorted(p)) for p in elems[:, local_edges].reshape(-1, 2)}
+    assert len(edges) == len(pairs)
+    assert {tuple(e) for e in edges} == pairs
