@@ -6,8 +6,8 @@ the surface flow on the sphere and the volume flow in the ball: implicit
 diffusion of the vertex density, its gradient per element, the vertex mean,
 the velocity -grad rho / rho and capped advection. Each flow supplies its own
 dimension's measures (areas or volumes), lumped masses and cotangent
-Laplacian, and element gradient (``density_gradient`` for tets,
-``sphere_map.surface_gradient`` for triangles).
+Laplacian, and element gradient (``density_gradient`` for tets, from the
+hat gradients of ``tetmesh.tet_gradients``; ``surface_gradient`` for triangles).
 
 Populations are checked on entry (one finite positive value per element);
 the diffusion system M + dt L is written into the Laplacian's own sparsity
@@ -78,14 +78,14 @@ def recouple_density(mesh: TetMesh, positions: np.ndarray,
     return DensityField(rho_tet, mesh.connectivity.to_vertices(rho_tet, vols))
 
 
-def build_operators(mesh: TetMesh, positions: np.ndarray) -> DiffusionOperators:
-    """Assemble lumped volumes and the cotangent Laplacian on current positions."""
-    vols = signed_volumes(positions, mesh.tets)
-    if np.any(vols <= 0):
+def build_operators(mesh: TetMesh, geometry) -> DiffusionOperators:
+    """Assemble lumped volumes and the cotangent Laplacian from the current
+    (volumes, hat gradients) pair ``geometry`` of ``tetmesh.tet_gradients``."""
+    if np.any(geometry[0] <= 0):
         raise DensityError("deformed mesh has nonpositive volumes")
     conn = mesh.connectivity
-    return DiffusionOperators(conn.vertex_measures(vols / 4.0),
-                              laplacian_matrix(mesh, positions), conn.plan.diagonal)
+    return DiffusionOperators(conn.vertex_measures(geometry[0] / 4.0),
+                              laplacian_matrix(mesh, geometry), conn.plan.diagonal)
 
 
 def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
@@ -107,21 +107,12 @@ def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
     return linsolve.solve(linsolve.LinearSystem(n, matrix), ops.lumped_volumes * rho_vertex)
 
 
-def density_gradient(mesh_or_tets, positions: np.ndarray,
+def density_gradient(tets: np.ndarray, gradients: np.ndarray,
                      rho_vertex: np.ndarray) -> np.ndarray:
-    """Exact per-tet gradient of the vertexwise-linear density field.
-
-    Solves e_i . g = d_i over the edges e_i from corner 0 in closed form:
-    g = (d_0 e_1 x e_2 + d_1 e_2 x e_0 + d_2 e_0 x e_1) / det(e).
-    """
-    tets = mesh_or_tets.tets if isinstance(mesh_or_tets, TetMesh) else np.asarray(mesh_or_tets)
-    positions = np.asarray(positions, dtype=np.float64)
-    e = positions[tets[:, 1:]] - positions[tets[:, :1]]  # (m, 3, 3) rows = edges
+    """Per-tet gradient sum_k rho_k G_k (m, 3) of the vertexwise-linear field
+    over the hat ``gradients`` G of ``tets``, as sum_k (rho_k - rho_0) G_k."""
     d = rho_vertex[tets[:, 1:]] - rho_vertex[tets[:, :1]]  # (m, 3)
-    a, b, c = e[:, 0], e[:, 1], e[:, 2]
-    bc = np.cross(b, c)
-    num = d[:, :1] * bc + d[:, 1:2] * np.cross(c, a) + d[:, 2:] * np.cross(a, b)
-    return num / np.einsum("ij,ij->i", a, bc)[:, None]
+    return np.einsum("mk,mkc->mc", d, gradients[:, 1:])
 
 
 def velocity_field(rho_vertex: np.ndarray, grad_vertex: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ P = sqrt(J^T J) has eigenvalues a >= b >= |c| with sign(c) = sign(det J); the
 ratio a/c measures anisotropic distortion and is negative exactly on inverted
 tets. The module provides the eigenvalue operators used by the solvers
 (flip, residual descent, truncation) and the divergence-form solve that
-rebuilds a map realizing a prescribed frame field.
+rebuilds a map realizing a prescribed frame field (``laplace.p1_stiffness``).
 
 All per-tet 3 x 3 work is closed-form and vectorised over the tets, with no
 batched LAPACK call. J is a matmul against the rest mesh's cached hat
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linsolve
+from .laplace import p1_stiffness
 from .tetmesh import TetMesh, _det3
 
 
@@ -220,15 +221,6 @@ def anisotropy_matrices(frames: TetFrameField) -> np.ndarray:
     return (W * d[:, None, :]) @ np.swapaxes(W, 1, 2)
 
 
-def anisotropic_stiffness(mesh: TetMesh, coeff: np.ndarray) -> linsolve.LinearSystem:
-    """P1 stiffness matrix of div(A grad u) on the rest mesh with per-tet A."""
-    vols = mesh.volumes
-    grads = mesh.hat_gradients
-    local = grads @ coeff @ np.swapaxes(grads, 1, 2) * vols[:, None, None]
-    local = 0.5 * (local + np.swapaxes(local, 1, 2))
-    return linsolve.assemble(mesh.connectivity.plan, local.reshape(-1))
-
-
 def reconstruct_map(mesh: TetMesh, frames: TetFrameField,
                     fixed_indices: np.ndarray, fixed_points: np.ndarray) -> np.ndarray:
     """Rebuild vertex positions realizing a prescribed dilation field.
@@ -237,8 +229,8 @@ def reconstruct_map(mesh: TetMesh, frames: TetFrameField,
     coefficient from ``anisotropy_matrices`` and Dirichlet values at
     ``fixed_indices``. With identity frames this reduces to the harmonic fill.
     """
-    coeff = anisotropy_matrices(frames)
-    system = anisotropic_stiffness(mesh, coeff)
+    system = p1_stiffness(mesh.connectivity.plan, mesh.volumes, mesh.hat_gradients,
+                          anisotropy_matrices(frames))
     fixed_indices = np.asarray(fixed_indices, dtype=np.int64)
     if len(fixed_indices) == 0:
         raise ValueError("reconstruction needs at least one constrained vertex")

@@ -6,8 +6,8 @@ repeat step, settle, evaluate, stop, record, for at most n_max steps. A method
 supplies only its step and its stop rule. ``3dqc`` descends the per-tet
 anisotropy ratios and rejects the candidate, converged, once the energy stops
 decreasing. ``3ddem`` takes one ``density.flow_step`` per iteration, the
-surface flow's step one dimension up, with the tet pieces (lumped volumes and
-Laplacian from ``build_operators``, tet volumes, ``density_gradient``), and
+surface flow's step one dimension up, with the tet pieces (lumped volumes,
+Laplacian, volumes, ``density_gradient``) from one ``tet_gradients`` pass, and
 has converged once sd/mean of the vertex density is below eps, tested on the
 initial ball and after every step. ``3ddeq`` blends the two through per-tet
 eigenvalue updates and has converged once the largest vertex displacement is
@@ -34,8 +34,8 @@ from .report import RunReport
 from .sphere_map import (BoundaryMap, SphereMapError, compute_boundary_sphere_map,
                          correct_spherical_flips, normalize_rows, relax_patch,
                          spherical_embedding, spherical_flips,
-                         surface_density_equalize, vertex_rings)
-from .tetmesh import TetMesh, signed_volumes
+                         surface_density_equalize, triangle_geometry, vertex_rings)
+from .tetmesh import TetMesh, signed_volumes, tet_gradients
 
 METHODS = ("3dqc", "3ddem", "3ddeq")
 
@@ -111,13 +111,10 @@ def _boundary_cone_volumes(mesh: TetMesh) -> np.ndarray:
     the solid is not star-shaped about its centroid (cones then overlap and
     signed volumes change sign).
     """
-    tri = mesh.vertices[mesh.boundary_faces]
-    c = mesh.vertices.mean(axis=0)
-    signed = np.einsum("ij,ij->i", tri[:, 0] - c,
-                       np.cross(tri[:, 1] - c, tri[:, 2] - c)) / 6.0
+    cones = np.insert(mesh.boundary_faces, 0, len(mesh.vertices), axis=1)  # centroid first
+    signed = signed_volumes(np.vstack([mesh.vertices, mesh.vertices.mean(axis=0)]), cones)
     if signed.min() <= 1e-14 * signed.max():
-        return 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0],
-                                             tri[:, 2] - tri[:, 0]), axis=1)
+        return 0.5 * triangle_geometry(mesh.vertices, mesh.boundary_faces).area2
     return signed
 
 
@@ -327,7 +324,8 @@ def compute_energies(ball_mesh: TetMesh, positions: np.ndarray,
         e_qc = float(w @ logk ** 2)
     if density_field is None:
         return e_qc, None, None
-    grad = dem.density_gradient(ball_mesh.tets, positions, density_field.rho_vertex)
+    grad = dem.density_gradient(ball_mesh.tets, tet_gradients(positions, ball_mesh.tets)[1],
+                                density_field.rho_vertex)
     e_dem = float(w @ np.einsum("ij,ij->i", grad, grad))
     return e_qc, e_dem, e_dem + alpha * e_qc
 
@@ -467,13 +465,13 @@ def _qc_step(mesh, state, config):
 
 
 def _dem_step(mesh, state, config):
-    """One step of the shared density flow with the tet supplies: lumped
-    volumes and cotangent Laplacian, tet volumes and the tet gradient."""
+    """One step of the shared density flow with the tet supplies, all from one
+    ``tet_gradients`` pass: lumped volumes, Laplacian, volumes, gradient."""
     pos = state.positions
-    ops = dem.build_operators(mesh, pos)  # raises DensityError on folds
-    return dem.flow_step(mesh.connectivity, pos, state.field.rho_vertex, ops,
-                         signed_volumes(pos, mesh.tets),
-                         lambda rho: dem.density_gradient(mesh.tets, pos, rho),
+    vols, grads = geometry = tet_gradients(pos, mesh.tets)
+    ops = dem.build_operators(mesh, geometry)  # raises DensityError on folds
+    return dem.flow_step(mesh.connectivity, pos, state.field.rho_vertex, ops, vols,
+                         lambda rho: dem.density_gradient(mesh.tets, grads, rho),
                          config.dt, mesh.boundary_vertex_mask)
 
 

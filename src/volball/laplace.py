@@ -1,4 +1,6 @@
-"""Cotangent finite-element Laplacian on tetrahedral meshes and harmonic maps."""
+"""P1 stiffness V G A G^T on tets from ``tetmesh.tet_gradients`` (volumes V, hat
+gradients G): the cotangent Laplacian is A = I / 2, the classical S S^T / (18 V)
+of the face area vectors S = -3 V G; the map reconstruction's A is anisotropic."""
 
 from __future__ import annotations
 
@@ -6,24 +8,31 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import linsolve
-from .tetmesh import TetMesh, face_area_vectors, signed_volumes
+from .tetmesh import TetMesh
 
 
-def laplacian_matrix(mesh: TetMesh, positions: np.ndarray | None = None) -> csr_matrix:
+def p1_stiffness(plan, volumes, gradients, coeff=None) -> linsolve.LinearSystem:
+    """P1 stiffness of div(A grad u) assembled on ``plan``: |V| G A G^T per
+    tet, symmetrised, with per-tet ``coeff`` A (m, 3, 3) or, when None, the
+    Laplacian's A = I / 2."""
+    gt = np.swapaxes(gradients, 1, 2)
+    local = gradients @ gt * 0.5 if coeff is None else gradients @ coeff @ gt
+    local *= np.abs(volumes)[:, None, None]
+    local = 0.5 * (local + np.swapaxes(local, 1, 2))
+    return linsolve.assemble(plan, local.reshape(-1))
+
+
+def laplacian_matrix(mesh: TetMesh, geometry=None) -> csr_matrix:
     """Positive semidefinite cotangent Laplacian L with zero row sums.
 
     Off-diagonal entries are -k_{u,v}; the quadratic form is
-    sum_edges k_{u,v} (phi_u - phi_v)^2 (the discrete harmonic energy). Each
-    tet contributes S S^T / (18 V) from its face area vectors S: the weight of
-    edge (i, j) picks up l * cot(theta)/12 from the opposite edge through the
-    identity -<S_i, S_j> / (18 V), which avoids explicit dihedral angles.
-    ``positions`` replaces the mesh's own vertices in the weights.
+    sum_edges k_{u,v} (phi_u - phi_v)^2 (the discrete harmonic energy), where
+    edge (i, j) of a tet picks up l * cot(theta)/12 from the opposite edge. The
+    weights come from ``geometry``, a (volumes, hat gradients) pair of
+    ``tetmesh.tet_gradients``, by default the mesh's own.
     """
-    x = mesh.vertices if positions is None else np.asarray(positions, dtype=np.float64)
-    S = face_area_vectors(x, mesh.tets)
-    vols = np.abs(signed_volumes(x, mesh.tets))
-    local = S @ np.swapaxes(S, 1, 2) / (18.0 * vols[:, None, None])
-    return linsolve.assemble(mesh.connectivity.plan, local.reshape(-1)).matrix
+    vols, grads = (mesh.volumes, mesh.hat_gradients) if geometry is None else geometry
+    return p1_stiffness(mesh.connectivity.plan, vols, grads).matrix
 
 
 def harmonic_fill(mesh: TetMesh, boundary_points: np.ndarray,

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from . import density, linsolve
-from .tetmesh import Connectivity, MeshError, TetMesh
+from .tetmesh import Connectivity, MeshError, TetMesh, _cross
 
 # Mean-value smoothing rounds of the spherical embedding.
 SMOOTH_ITERS = 20
@@ -63,16 +63,6 @@ class BoundaryMap:
 # Corner k's successor and predecessor in a triangle.
 NEXT = np.array([1, 2, 0])
 PREV = np.array([2, 0, 1])
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of two (m, 3) arrays, component by component
-    (bitwise equal to ``np.cross``)."""
-    out = np.empty((len(a), 3))
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return out
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,14 @@ def _det3(M: np.ndarray) -> np.ndarray:
             + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0]))
 
 
+def _unique_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct undirected edges among the vertex pairs (e, 2) as sorted pairs
+    in lexicographic order, the order of the 1-D key i * n + j, and counts."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    key, counts = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_counts=True)
+    return np.column_stack([key // n, key % n]), counts
+
+
 class Connectivity:
     """What depends only on an (m, k) element array, triangles (k = 3) or
     tets (k = 4), built once: the assembly plan of the k x k element
@@ -70,7 +78,7 @@ class Connectivity:
         """Distinct edges of the elements as sorted vertex pairs in
         lexicographic order, shape (e, 2)."""
         pairs = self.elements[:, list(combinations(range(self.k), 2))].reshape(-1, 2)
-        e = np.unique(np.sort(pairs, axis=1), axis=0)
+        e = _unique_edges(pairs, self.n_vertices)[0]
         e.setflags(write=False)
         return e
 
@@ -103,24 +111,38 @@ def signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return _det3(e) / 6.0
 
 
-def face_area_vectors(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Outward area vector of the face opposite each tet vertex, shape (m, 4, 3)."""
-    corners = vertices[tets]  # (m, 4, 3)
-    tri = corners[:, FACE_LOCAL]  # (m, 4, 3, 3)
-    return 0.5 * np.cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (m, 3) arrays by components, bitwise ``np.cross``."""
+    out = np.empty((len(a), 3))
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
 
 
-def _hat_gradients(vertices: np.ndarray, tets: np.ndarray, tet_ids=None) -> np.ndarray:
-    """Gradients -S / (3 V) of the four P1 hat functions on ``tets[tet_ids]``
-    (every tet by default) under ``vertices``, shape (k, 4, 3), from the face
-    area vectors S. Raises DegenerateTetError naming a tet of zero volume."""
-    sel = tets if tet_ids is None else tets[tet_ids]
-    vols = signed_volumes(vertices, sel)
-    if np.any(vols == 0.0):
-        bad = int(np.argmax(vols == 0.0))
-        raise DegenerateTetError(
-            f"tet {bad if tet_ids is None else int(tet_ids[bad])} has zero volume")
-    return -face_area_vectors(vertices, sel) / (3.0 * vols[:, None, None])
+def tet_gradients(vertices, tets, tet_ids=None) -> tuple[np.ndarray, np.ndarray]:
+    """Signed volumes (k,) and P1 hat gradients (k, 4, 3) of ``tets[tet_ids]``
+    (every tet by default) under ``vertices``, from one gather of the edges
+    a, b, c from corner 0: corners 1-3 get the cofactors b x c, c x a, a x b
+    over det = a . (b x c) (the rows of E^-T), corner 0 minus their sum. The
+    volumes are bitwise ``signed_volumes``; zero ones give non-finite rows."""
+    x = vertices[tets if tet_ids is None else tets[tet_ids]]
+    a, b, c = (x[:, k] - x[:, 0] for k in (1, 2, 3))
+    g = np.empty((len(x), 4, 3))
+    g[:, 1], g[:, 2], g[:, 3] = _cross(b, c), _cross(c, a), _cross(a, b)
+    det = a[:, 0] * g[:, 1, 0] + a[:, 1] * g[:, 1, 1] + a[:, 2] * g[:, 1, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g[:, 1:] /= det[:, None, None]
+    g[:, 0] = -(g[:, 1] + g[:, 2] + g[:, 3])
+    return det / 6.0, g
+
+
+def _invertible(vols: np.ndarray, tet_ids=None) -> None:
+    """Raise DegenerateTetError naming the first tet of zero volume."""
+    bad = np.flatnonzero(vols == 0.0)[:1]
+    if bad.size:
+        bad = bad if tet_ids is None else tet_ids[bad]
+        raise DegenerateTetError(f"tet {bad[0]} has zero volume")
 
 
 def _affine_barycentric(grad: np.ndarray, x0: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -138,8 +160,9 @@ def barycentric_coordinates(vertices: np.ndarray, tets: np.ndarray,
     Returns an array of shape (k, 4) whose rows sum to 1.
     """
     tet_ids = np.asarray(tet_ids, dtype=np.int64)
-    return _affine_barycentric(_hat_gradients(vertices, tets, tet_ids),
-                               vertices[tets[tet_ids, 0]], points)
+    vols, grad = tet_gradients(vertices, tets, tet_ids)
+    _invertible(vols, tet_ids)
+    return _affine_barycentric(grad, vertices[tets[tet_ids, 0]], points)
 
 
 @dataclass(frozen=True)
@@ -176,7 +199,8 @@ class PointLocator:
         centroids = corners.mean(axis=1)
         self._tree = cKDTree(centroids)
         self._x0 = corners[:, 0]
-        self._grad = _hat_gradients(self.vertices, self.tets)
+        vols, self._grad = tet_gradients(self.vertices, self.tets)
+        _invertible(vols)
         self._reach = float(np.linalg.norm(corners - centroids[:, None], axis=2).max())
 
     def locate_points(self, points, tol: float = INSIDE_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -306,18 +330,16 @@ class TetMesh:
     def _check_boundary_topology(boundary: np.ndarray) -> None:
         if len(boundary) == 0:
             raise TopologyError("mesh has no boundary faces")
-        bverts = np.unique(boundary)
-        e = np.sort(boundary[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-        eu, counts = np.unique(e, axis=0, return_counts=True)
+        bverts, compact = np.unique(boundary, return_inverse=True)
+        pairs = compact.reshape(-1, 3)[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+        eu, counts = _unique_edges(pairs, len(bverts))  # over compact indices
         if np.any(counts != 2):
             raise TopologyError("boundary surface is not closed / not edge-manifold")
         euler = len(bverts) - len(eu) + len(boundary)
         if euler != 2:
             raise TopologyError(
                 f"boundary surface is not genus-0 (Euler characteristic {euler})")
-        remap = {v: i for i, v in enumerate(bverts)}
-        ce = np.vectorize(remap.get)(eu)
-        adj = coo_matrix((np.ones(len(ce)), (ce[:, 0], ce[:, 1])),
+        adj = coo_matrix((np.ones(len(eu)), (eu[:, 0], eu[:, 1])),
                          shape=(len(bverts), len(bverts)))
         ncomp, _ = connected_components(adj, directed=False)
         if ncomp != 1:
@@ -343,9 +365,8 @@ class TetMesh:
 
     @cached_property
     def hat_gradients(self) -> np.ndarray:
-        """Gradients of the four P1 hat functions on each rest tet, shape
-        (m, 4, 3): -S / (3 V) from the face area vectors S."""
-        g = -face_area_vectors(self.vertices, self.tets) / (3.0 * self.volumes[:, None, None])
+        """P1 hat gradients (m, 4, 3) of the rest tets, from ``tet_gradients``."""
+        g = tet_gradients(self.vertices, self.tets)[1]
         g.setflags(write=False)
         return g
 
@@ -376,9 +397,7 @@ class TetMesh:
         inv[vertex_ids] = np.arange(len(vertex_ids))
         return vertex_ids, inv[self.boundary_faces]
 
-    def enclosed_volume(self, positions: np.ndarray | None = None) -> float:
+    def enclosed_volume(self) -> float:
         """Volume of the region bounded by the boundary faces (divergence theorem)."""
-        x = self.vertices if positions is None else positions
-        tri = x[self.boundary_faces]
-        return float(np.sum(np.einsum("ij,ij->i", tri[:, 0],
-                                      np.cross(tri[:, 1], tri[:, 2]))) / 6.0)
+        tri = self.vertices[self.boundary_faces]
+        return float(np.sum(tri[:, 0] * _cross(tri[:, 1], tri[:, 2])) / 6.0)

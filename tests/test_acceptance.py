@@ -107,7 +107,7 @@ def test_criterion_6_operator_oracles(ball_mesh):
     rng = np.random.default_rng(2024)
     # (a) per-tet gradient exact on linear fields
     g = np.array([2.0, -3.0, 0.5])
-    grad = dem.density_gradient(ball_mesh, ball_mesh.vertices,
+    grad = dem.density_gradient(ball_mesh.tets, ball_mesh.hat_gradients,
                                 ball_mesh.vertices @ g)
     a_ok = np.abs(grad - g).max() < 1e-10
     # (b) truncation output ratio = min(K, K_T) to 1e-12
@@ -133,7 +133,7 @@ def test_criterion_6_operator_oracles(ball_mesh):
     oracle = sv[:, 0] / sv[:, 2] * np.sign(np.linalg.det(J))
     d_ok = np.abs(frames.ratios / oracle - 1.0).max() < 1e-9
     # (e) diffusion conserves lumped mass to 1e-8 relative
-    ops = dem.build_operators(ball_mesh, ball_mesh.vertices)
+    ops = dem.build_operators(ball_mesh, (ball_mesh.volumes, ball_mesh.hat_gradients))
     rho = 1.0 + rng.uniform(size=len(ball_mesh.vertices))
     rho_next = dem.diffusion_step(ops, rho, 0.1)
     m0 = float(ops.lumped_volumes @ rho)

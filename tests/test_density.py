@@ -8,7 +8,12 @@ from volball import density as dem
 from volball.drivers import SolverConfig, _dem_step
 from volball.sphere_map import normalize_rows, surface_density_equalize
 from volball.synthetic import hemispheric_population
-from volball.tetmesh import EDGE_LOCAL, signed_volumes
+from volball.tetmesh import EDGE_LOCAL, signed_volumes, tet_gradients
+
+
+def _rest(mesh):
+    """The (volumes, hat gradients) pair of the mesh's own vertices."""
+    return mesh.volumes, mesh.hat_gradients
 
 
 def test_recouple_identity_and_scaling(ball_mesh):
@@ -30,12 +35,12 @@ def test_recouple_rejects_bad_input(ball_mesh):
 
 
 def test_build_operators_single_tet(reference_tet):
-    ops = dem.build_operators(reference_tet, reference_tet.vertices)
+    ops = dem.build_operators(reference_tet, _rest(reference_tet))
     np.testing.assert_allclose(ops.lumped_volumes, reference_tet.volumes[0] / 4.0)
 
 
 def test_build_operators_lumped_sharing(two_tet_mesh):
-    ops = dem.build_operators(two_tet_mesh, two_tet_mesh.vertices)
+    ops = dem.build_operators(two_tet_mesh, _rest(two_tet_mesh))
     vols = two_tet_mesh.volumes
     expected = np.zeros(5)
     for t, tet in enumerate(two_tet_mesh.tets):
@@ -44,20 +49,20 @@ def test_build_operators_lumped_sharing(two_tet_mesh):
 
 
 def test_laplacian_rows_zero(ball_mesh):
-    ops = dem.build_operators(ball_mesh, ball_mesh.vertices)
+    ops = dem.build_operators(ball_mesh, _rest(ball_mesh))
     rows = np.asarray(ops.laplacian.sum(axis=1)).ravel()
     assert np.abs(rows).max() < 1e-10
 
 
 def test_diffusion_constant_invariant(ball_mesh):
-    ops = dem.build_operators(ball_mesh, ball_mesh.vertices)
+    ops = dem.build_operators(ball_mesh, _rest(ball_mesh))
     rho = np.full(len(ball_mesh.vertices), 3.7)
     out = dem.diffusion_step(ops, rho, 0.1)
     np.testing.assert_allclose(out, rho, atol=1e-9)
 
 
 def test_diffusion_dt_to_zero_limit(ball_mesh):
-    ops = dem.build_operators(ball_mesh, ball_mesh.vertices)
+    ops = dem.build_operators(ball_mesh, _rest(ball_mesh))
     rng = np.random.default_rng(0)
     rho = 1.0 + rng.uniform(size=len(ball_mesh.vertices))
     out = dem.diffusion_step(ops, rho, 1e-9)
@@ -65,7 +70,7 @@ def test_diffusion_dt_to_zero_limit(ball_mesh):
 
 
 def test_diffusion_conserves_lumped_mass_and_smooths(ball_mesh):
-    ops = dem.build_operators(ball_mesh, ball_mesh.vertices)
+    ops = dem.build_operators(ball_mesh, _rest(ball_mesh))
     rho = np.where(ball_mesh.vertices[:, 0] > 0, 4.0, 1.0)
     out = dem.diffusion_step(ops, rho, 0.1)
     m0 = float(ops.lumped_volumes @ rho)
@@ -76,15 +81,15 @@ def test_diffusion_conserves_lumped_mass_and_smooths(ball_mesh):
 
 def test_density_gradient_linear_fields(ball_mesh):
     rho = ball_mesh.vertices[:, 0]
-    grad = dem.density_gradient(ball_mesh, ball_mesh.vertices, rho)
+    grad = dem.density_gradient(ball_mesh.tets, ball_mesh.hat_gradients, rho)
     np.testing.assert_allclose(grad, np.tile([1.0, 0, 0], (len(grad), 1)),
                                atol=1e-12)
     rho = np.full(len(ball_mesh.vertices), 2.0)
-    np.testing.assert_allclose(dem.density_gradient(ball_mesh, ball_mesh.vertices,
-                                                    rho), 0.0, atol=1e-12)
+    np.testing.assert_array_equal(dem.density_gradient(ball_mesh.tets,
+                                                       ball_mesh.hat_gradients, rho), 0.0)
     g = np.array([2.0, 3.0, -1.0])
     rho = ball_mesh.vertices @ g
-    grad = dem.density_gradient(ball_mesh, ball_mesh.vertices, rho)
+    grad = dem.density_gradient(ball_mesh.tets, ball_mesh.hat_gradients, rho)
     np.testing.assert_allclose(grad, np.tile(g, (len(grad), 1)), atol=1e-10)
 
 
@@ -198,9 +203,10 @@ def _tet_to_vertex_matrix(tets, volumes, n_vertices):
 def _volume_step_as_first_written(mesh, pos, rho_vertex, dt):
     """Reference: the volume flow step before the flows shared one, which
     averaged the tet gradients onto the vertices with a csr matvec."""
-    ops = dem.build_operators(mesh, pos)
+    geometry = tet_gradients(pos, mesh.tets)
+    ops = dem.build_operators(mesh, geometry)
     rho_next = dem.diffusion_step(ops, rho_vertex, dt)
-    grad_tet = dem.density_gradient(mesh.tets, pos, rho_next)
+    grad_tet = dem.density_gradient(mesh.tets, geometry[1], rho_next)
     conv = _tet_to_vertex_matrix(mesh.tets, signed_volumes(pos, mesh.tets), len(pos))
     vel = dem.velocity_field(rho_next, conv @ grad_tet)
     edges = np.unique(np.sort(mesh.tets[:, EDGE_LOCAL].reshape(-1, 2), axis=1), axis=0)
@@ -228,7 +234,7 @@ def test_density_gradient_matches_lapack_solve(ball_mesh):
     e = pos[tets[:, 1:]] - pos[tets[:, :1]]
     d = rho[tets[:, 1:]] - rho[tets[:, :1]]
     lapack = np.linalg.solve(e, d[:, :, None])[..., 0]  # LAPACK oracle
-    grad = dem.density_gradient(ball_mesh, pos, rho)
+    grad = dem.density_gradient(tets, tet_gradients(pos, tets)[1], rho)
     err = np.linalg.norm(grad - lapack, axis=1)
     assert np.all(err <= 1e-12 * np.linalg.norm(lapack, axis=1))
 
@@ -257,3 +263,16 @@ def test_volume_flow_nan_population_raises_density_error(ball_mesh):
     pop[5] = np.nan
     with pytest.raises(dem.DensityError, match="tet 5 has population nan"):
         run_3ddem(ball_mesh, pop, SolverConfig(n_max=2))
+
+
+def test_volume_step_rejects_nonpositive_volumes(ball_mesh):
+    pop = np.abs(ball_mesh.volumes)
+    field = dem.recouple_density(ball_mesh, ball_mesh.vertices, pop)
+    collapsed = ball_mesh.vertices.copy()
+    a, _, _, d = ball_mesh.tets[7]
+    collapsed[d] = collapsed[a]  # zero volume on the tets of edge (a, d)
+    mirrored = ball_mesh.vertices * np.array([-1.0, 1.0, 1.0])
+    for pos in (collapsed, mirrored):
+        with pytest.raises(dem.DensityError, match="nonpositive volumes"):
+            _dem_step(ball_mesh, SimpleNamespace(positions=pos, field=field),
+                      SolverConfig())

@@ -9,7 +9,7 @@ from volball.drivers import (SolverConfig, compute_energies, correct_overlaps,
 from volball.sphere_map import normalize_rows
 from volball.synthetic import (hemispheric_population, smooth_population,
                                stretched_ball_mesh)
-from volball.tetmesh import TetMesh, signed_volumes
+from volball.tetmesh import TetMesh, signed_volumes, tet_gradients
 
 
 def test_config_validation():
@@ -155,7 +155,8 @@ def test_compute_energies_brute_force_oracle(ball_mesh):
         lam = np.sort(np.abs(frames.lambdas[t]))[::-1]
         acc_qc += w[t] * np.log(lam[0] / lam[2]) ** 2
     acc_dem = 0.0
-    grads = dem.density_gradient(ball_mesh.tets, positions, field.rho_vertex)
+    grads = dem.density_gradient(ball_mesh.tets, tet_gradients(positions, ball_mesh.tets)[1],
+                                 field.rho_vertex)
     for t in range(len(ball_mesh.tets)):
         acc_dem += w[t] * float(grads[t] @ grads[t])
     assert e_qc == pytest.approx(acc_qc, rel=1e-12)
@@ -385,3 +386,35 @@ def test_volume_flow_builds_no_coo_matrix(monkeypatch, ball_mesh):
         assert [it["folds_pre"] for it in result.report.iterations] == [0] * n_max
         counts.append(len(coo))
     assert counts[1] == counts[0]
+
+
+def test_volume_flow_step_takes_one_geometry_pass(monkeypatch, ball_mesh):
+    # one 3ddem step reads the volumes and hat gradients of its positions
+    # from a single tet_gradients call and builds no COO matrix
+    import sys
+    from types import SimpleNamespace
+
+    from scipy.sparse import coo_matrix
+
+    from volball.drivers import _dem_step
+    calls = {"tet_gradients": 0, "signed_volumes": 0, "coo_matrix": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("volball")]:
+        for name in ("tet_gradients", "signed_volumes"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(coo_matrix, "__init__", counting("coo_matrix", coo_matrix.__init__))
+    pos = ball_mesh.vertices
+    field = dem.recouple_density(ball_mesh, pos, hemispheric_population(ball_mesh, 4.0))
+    ball_mesh.connectivity.edges  # built once per mesh, not per step
+    for counter in calls:
+        calls[counter] = 0
+    out = _dem_step(ball_mesh, SimpleNamespace(positions=pos, field=field), SolverConfig())
+    assert np.linalg.norm(out - pos, axis=1).max() > 1e-3  # the step moves
+    assert calls == {"tet_gradients": 1, "signed_volumes": 0, "coo_matrix": 0}

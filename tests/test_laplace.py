@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix, triu
 
-from volball.laplace import face_area_vectors, harmonic_fill, laplacian_matrix
+from volball.laplace import harmonic_fill, laplacian_matrix
 from volball.synthetic import cube_mesh, graded_ellipsoid_mesh
-from volball.tetmesh import EDGE_LOCAL, TetMesh
+from volball.tetmesh import EDGE_LOCAL, FACE_LOCAL, TetMesh, tet_gradients
 
 # cot(arccos(1/3)) / 12 for a unit-edge regular tetrahedron
 REGULAR_TET_WEIGHT = (1.0 / (2.0 * np.sqrt(2.0))) / 12.0
@@ -44,7 +44,9 @@ def test_weights_symmetric_pairs(ball_mesh):
 
 
 def test_face_area_vectors_close(reference_tet):
-    S = face_area_vectors(reference_tet.vertices, reference_tet.tets)[0]
+    # the face area vectors S = -3 V G of a closed tet sum to zero
+    vols, G = tet_gradients(reference_tet.vertices, reference_tet.tets)
+    S = -3.0 * vols[0] * G[0]
     np.testing.assert_allclose(S.sum(axis=0), 0.0, atol=1e-14)
 
 
@@ -57,10 +59,12 @@ def test_laplacian_row_sums_zero(ball_mesh):
 
 def _edge_triplet_laplacian(mesh):
     """The edge-weight assembly that the element form replaced: weight
-    -<S_i, S_j> / (18 V) per tet edge, scattered as four triplets."""
+    -<S_i, S_j> / (18 V) per tet edge from the outward face area vectors S,
+    scattered as four triplets."""
     x, tets = mesh.vertices, mesh.tets
     vols = np.abs(np.linalg.det(x[tets[:, 1:]] - x[tets[:, :1]])) / 6.0
-    S = face_area_vectors(x, tets)
+    tri = x[tets][:, FACE_LOCAL]  # (m, 4, 3, 3), face opposite each corner
+    S = 0.5 * np.cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
     dots = np.einsum("tek,tek->te", S[:, EDGE_LOCAL[:, 0]], S[:, EDGE_LOCAL[:, 1]])
     w = (-dots / (18.0 * vols[:, None])).reshape(-1)
     i, j = tets[:, EDGE_LOCAL].reshape(-1, 2).T

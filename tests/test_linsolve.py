@@ -193,7 +193,7 @@ def test_unconstrained_solve_matches_split_path_bitwise(mesh_name, request):
     # backward-Euler diffusion is the solver's unconstrained caller
     from volball.density import build_operators, diffusion_step
     mesh = request.getfixturevalue(mesh_name)
-    ops = build_operators(mesh, mesh.vertices)
+    ops = build_operators(mesh, (mesh.volumes, mesh.hat_gradients))
     n, dt = len(mesh.vertices), 0.1
     rho = 1.0 + mesh.vertices[:, 0] ** 2
     A = csr_matrix((ops.lumped_volumes, (np.arange(n), np.arange(n))), shape=(n, n))
@@ -233,7 +233,7 @@ def _textbook_pcg(A, b, rtol, maxiter):
 def test_pcg_matches_textbook_loop_bitwise(mesh_name, request):
     from volball.density import build_operators
     mesh = request.getfixturevalue(mesh_name)
-    ops = build_operators(mesh, mesh.vertices)
+    ops = build_operators(mesh, (mesh.volumes, mesh.hat_gradients))
     n = len(mesh.vertices)
     mass = csr_matrix((ops.lumped_volumes, (np.arange(n), np.arange(n))), shape=(n, n))
     rng = np.random.default_rng(8)
@@ -253,7 +253,7 @@ def test_pcg_matches_textbook_loop_bitwise(mesh_name, request):
 
 def test_pcg_stops_at_once_on_nan_rhs(ball_mesh):
     from volball.density import build_operators, diffusion_step
-    ops = build_operators(ball_mesh, ball_mesh.vertices)
+    ops = build_operators(ball_mesh, (ball_mesh.volumes, ball_mesh.hat_gradients))
     rho = np.ones(len(ball_mesh.vertices))
     rho[3] = np.nan
     with pytest.raises(linsolve.SolverError, match="not positive definite") as exc:

@@ -5,7 +5,7 @@ from scipy.sparse import csr_matrix
 from volball.tetmesh import (EDGE_LOCAL, FACE_LOCAL, BarycentricCoord,
                              Connectivity, DegenerateTetError, PointLocator,
                              TetMesh, TopologyError, barycentric_coordinates,
-                             signed_volumes)
+                             signed_volumes, tet_gradients)
 
 
 def test_reference_tet_basics(reference_tet):
@@ -188,6 +188,15 @@ def test_locator_rejects_zero_volume_tet(ball_mesh):
         PointLocator(positions, ball_mesh.tets)
 
 
+def test_barycentric_coordinates_reject_zero_volume_tet(ball_mesh):
+    positions = ball_mesh.vertices.copy()
+    a, _, _, d = ball_mesh.tets[7]
+    positions[d] = positions[a]
+    ids = np.array([3, 7, 11])
+    with pytest.raises(DegenerateTetError, match="tet 7 has zero volume"):
+        barycentric_coordinates(positions, ball_mesh.tets, ids, positions[ids])
+
+
 @pytest.mark.parametrize("make", ["ball", "graded"])
 def test_barycentric_coordinates_match_solve(make):
     from volball.remesh import uniform_ball_mesh
@@ -260,6 +269,32 @@ def test_signed_volumes_match_lapack(make):
     assert np.all(np.abs(vols - lapack) <= 1e-13 * np.abs(lapack))
 
 
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("make", ["ball", "cube", "graded"])
+def test_tet_gradients_match_inverse_edge_matrix(make, seed):
+    from volball.remesh import uniform_ball_mesh
+    from volball.synthetic import cube_mesh, graded_ellipsoid_mesh
+    mesh = {"ball": lambda: uniform_ball_mesh(1), "cube": lambda: cube_mesh(4),
+            "graded": lambda: graded_ellipsoid_mesh(1)}[make]()
+    if seed is not None:
+        mesh = _renumbered(mesh, seed)
+    tets = mesh.tets.copy()
+    tets[::2, [2, 3]] = tets[::2, [3, 2]]  # every other tet reflected
+    x = mesh.vertices
+    vols, G = tet_gradients(x, tets)
+    assert G.shape == (len(tets), 4, 3)
+    assert np.array_equal(vols, signed_volumes(x, tets))
+    # rows of E^-T for the edge matrix E (rows: edges from corner 0)
+    oracle = np.swapaxes(np.linalg.inv(x[tets[:, 1:]] - x[tets[:, :1]]), 1, 2)  # LAPACK
+    scale = np.abs(oracle).max(axis=(1, 2))
+    assert np.all(np.abs(G[:, 1:] - oracle).max(axis=(1, 2)) <= 1e-13 * scale)
+    # the hat functions sum to 1, so their gradients sum to 0
+    assert np.all(np.abs(G.sum(axis=1)).max(axis=1) <= 1e-13 * scale)
+    ids = np.random.default_rng(1).integers(0, len(tets), size=50)
+    sub_vols, sub_G = tet_gradients(x, tets, ids)
+    assert np.array_equal(sub_vols, vols[ids]) and np.array_equal(sub_G, G[ids])
+
+
 def test_hat_gradients_cached_read_only(ball_mesh):
     mesh = TetMesh.from_arrays(ball_mesh.vertices, ball_mesh.tets)
     assert "hat_gradients" not in mesh.__dict__  # lazy, not built at load
@@ -323,3 +358,23 @@ def test_connectivity_lists_each_edge_once(elements):
     pairs = {tuple(sorted(p)) for p in elems[:, local_edges].reshape(-1, 2)}
     assert len(edges) == len(pairs)
     assert {tuple(e) for e in edges} == pairs
+
+
+def test_connectivity_edges_match_row_unique(elements):
+    elems, n, _, local_edges = elements
+    edges = Connectivity(elems, n).edges
+    rows = np.unique(np.sort(elems[:, local_edges].reshape(-1, 2), axis=1), axis=0)
+    assert edges.dtype == rows.dtype and np.array_equal(edges, rows)
+
+
+@pytest.mark.parametrize("tets, message", [
+    ([[0, 1, 2, 3], [0, 1, 4, 5]], "not edge-manifold"),  # two tets on one edge
+    ([[0, 1, 2, 3], [4, 5, 6, 7]], "Euler characteristic 4"),  # two separate tets
+])
+def test_boundary_topology_rejected(tets, message):
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                      [0, -1, 0], [0, 0, -1], [1, 1, 1], [2, 1, 1]])
+    tets = np.array(tets)
+    verts = verts[:tets.max() + 1]
+    with pytest.raises(TopologyError, match=message):
+        TetMesh.from_arrays(verts, tets)
