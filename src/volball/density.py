@@ -70,12 +70,17 @@ def recouple_density(mesh: TetMesh, positions: np.ndarray,
                      population: np.ndarray) -> DensityField:
     """Recompute tet and vertex densities from the current volumes."""
     population = checked_population(population, len(mesh.tets), "tet")
-    vols = signed_volumes(positions, mesh.tets)
-    if np.any(vols <= 0):
-        raise DensityError(
-            f"{int(np.count_nonzero(vols <= 0))} tets have nonpositive volume")
-    rho_tet = population / vols
-    return DensityField(rho_tet, mesh.connectivity.to_vertices(rho_tet, vols))
+    return field_from_volumes(mesh, signed_volumes(positions, mesh.tets), population)
+
+
+def field_from_volumes(mesh: TetMesh, volumes: np.ndarray,
+                       population: np.ndarray) -> DensityField:
+    """Tet densities of a checked ``population`` over the current ``volumes``,
+    and their volume-weighted vertex means."""
+    if np.any(volumes <= 0):
+        raise DensityError(f"{int(np.count_nonzero(volumes <= 0))} tets have nonpositive volume")
+    rho_tet = population / volumes
+    return DensityField(rho_tet, mesh.connectivity.to_vertices(rho_tet, volumes))
 
 
 def build_operators(mesh: TetMesh, geometry) -> DiffusionOperators:

@@ -6,22 +6,23 @@ repeat step, settle, evaluate, stop, record, for at most n_max steps. A method
 supplies only its step and its stop rule. ``3dqc`` descends the per-tet
 anisotropy ratios and rejects the candidate, converged, once the energy stops
 decreasing. ``3ddem`` takes one ``density.flow_step`` per iteration, the
-surface flow's step one dimension up, with the tet pieces (lumped volumes,
-Laplacian, volumes, ``density_gradient``) from one ``tet_gradients`` pass, and
-has converged once sd/mean of the vertex density is below eps, tested on the
-initial ball and after every step. ``3ddeq`` blends the two through per-tet
-eigenvalue updates and has converged once the largest vertex displacement is
-below eps. Settling makes every iterate fold-free by a three-pass overlap
-correction (spherical boundary repair, interior reconstruction with the
-boundary fixed, boundary reconstruction with the interior fixed). With the
-correction off, a candidate that still folds is recorded with var_rho None and
-ends the run, whatever the method.
+surface flow's step one dimension up, and has converged once sd/mean of the
+vertex density is below eps, tested on the initial ball and after every step.
+``3ddeq`` blends the two through per-tet eigenvalue updates and has converged
+once the largest vertex displacement is below eps. Settle, evaluate and the
+next step share one record per iterate (``_Iterate``): its volumes and, with a
+population, hat gradients from one ``tet_gradients`` call, and its frames.
+Settling makes every iterate fold-free by an overlap correction whose rounds
+repair the spherical boundary, then rebuild the interior with the boundary
+fixed and, while folds remain, the boundary patch with the interior fixed.
+With the correction off, a candidate that still folds is recorded with var_rho
+None and ends the run, whatever the method.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,9 +33,9 @@ from .distortion import (TetFrameField, flip_eigenvalues, frame_decompose,
 from .laplace import harmonic_fill
 from .report import RunReport
 from .sphere_map import (BoundaryMap, SphereMapError, compute_boundary_sphere_map,
-                         correct_spherical_flips, normalize_rows, relax_patch,
-                         spherical_embedding, spherical_flips,
-                         surface_density_equalize, triangle_geometry, vertex_rings)
+                         correct_spherical_flips, normalize_rows, spherical_embedding,
+                         spherical_flips, surface_density_equalize, triangle_geometry,
+                         vertex_rings)
 from .tetmesh import TetMesh, signed_volumes, tet_gradients
 
 METHODS = ("3dqc", "3ddem", "3ddeq")
@@ -149,9 +150,10 @@ def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
                                           max_iter=config.n_max)
         bmap = BoundaryMap.checked(vertex_ids, faces, sphere)
         pos = harmonic_fill(mesh, bmap.points, bmap.vertex_indices)
-        if mesh.count_folds(pos):
+        vols = signed_volumes(pos, mesh.tets)
+        if np.any(vols <= 0):
             break
-        field = dem.recouple_density(mesh, pos, rest_vols)
+        field = dem.field_from_volumes(mesh, vols, rest_vols)
         var = normalized_density_variance(field.rho_vertex)
         if var >= best_var:
             break
@@ -171,11 +173,11 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
                      frames: TetFrameField | None = None) -> np.ndarray:
     """Remove inverted tets from a ball map, preserving the spherical boundary.
 
-    Rounds of three passes run until the map is fold-free: (1) repair flipped
-    spherical triangles on the boundary surface, (2) rebuild the interior with
-    the boundary fixed after flipping and truncating the eigenvalues of folded
-    tets, (3) rebuild the boundary with the interior fixed to release folds
-    pinned against the sphere, then project the boundary back to unit norm.
+    Rounds run until the map is fold-free: repair flipped spherical triangles
+    on the boundary surface, (1) rebuild the interior with the boundary fixed
+    after flipping and truncating the eigenvalues of folded tets, and while
+    folds remain (2) rebuild the boundary patch pinning them with the interior
+    fixed, project it back to unit norm and rebuild the interior again.
 
     ``mesh`` provides the rest geometry; ``reference_boundary`` must be a
     flip-free spherical configuration of the boundary vertices and defaults to
@@ -191,11 +193,11 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         reference_boundary = normalize_rows(mesh.vertices[b_ids])
     pos = np.array(positions, dtype=np.float64)
 
-    def score(p):
-        return mesh.count_folds(p) + int(spherical_flips(normalize_rows(p[b_ids]),
-                                                         b_faces).sum())
+    def score(p, folded):
+        return int(np.count_nonzero(folded)) + int(
+            spherical_flips(normalize_rows(p[b_ids]), b_faces).sum())
 
-    best_score = score(pos)
+    best_score = score(pos, signed_volumes(pos, mesh.tets) <= 0)
     if best_score == 0:
         if near_fold_ratio is None:
             return pos
@@ -205,9 +207,6 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
             return pos
 
     boundary_adj = vertex_rings(b_faces, len(b_ids))
-    compact = np.full(len(mesh.vertices), -1, dtype=np.int64)
-    compact[b_ids] = np.arange(len(b_ids))
-    all_boundary_tet = mesh.boundary_vertex_mask[mesh.tets].all(axis=1)
 
     def sphere_repair(p):
         sphere = normalize_rows(p[b_ids])
@@ -221,28 +220,12 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
             p[b_ids] = sphere
         return p
 
-    def smooth_slivers(p, w):
-        # tets with all four vertices on the sphere are invisible to the
-        # interior solve and survive radial projection; only tangential
-        # motion unfolds them
-        slivers = (signed_volumes(p, mesh.tets) <= 0) & all_boundary_tet
-        if not slivers.any():
-            return p
-        seeds = np.zeros(len(b_ids), dtype=bool)
-        seeds[compact[np.unique(mesh.tets[slivers])]] = True
-        p = p.copy()
-        p[b_ids] = relax_patch(normalize_rows(p[b_ids]), boundary_adj, seeds, w)
-        return p
-
-    def free_boundary_patch(p, k_cap):
-        # release only the boundary vertices pinning the remaining folds
+    def free_boundary_patch(p, folded, k_cap):
+        # release only the boundary vertices pinning the ``folded`` tets
         # (freeing the whole sphere lets it contract and fold further)
-        folded = signed_volumes(p, mesh.tets) <= 0
-        if not folded.any():
-            return p
-        patch = np.zeros(len(b_ids), dtype=bool)
-        seeds = compact[np.unique(mesh.tets[folded])]
-        patch[seeds[seeds >= 0]] = True
+        pinned = np.zeros(len(mesh.vertices), dtype=bool)
+        pinned[mesh.tets[folded]] = True
+        patch = pinned[b_ids]
         if not patch.any():
             return p
         for _ in range(2):
@@ -263,12 +246,13 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         state = _rebuild(mesh, state, k_cap, fixed_ids=b_ids,
                          near_fold_ratio=near_fold_ratio,
                          frames=frames if state is pos else None)
-        if mesh.count_folds(state):
-            state = smooth_slivers(state, w=min(0.25 + 0.1 * round_no, 0.8))
-            state = free_boundary_patch(state, k_cap)
+        folded = signed_volumes(state, mesh.tets) <= 0
+        if folded.any():
+            state = free_boundary_patch(state, folded, k_cap)
             state = _rebuild(mesh, state, k_cap, fixed_ids=b_ids,
                              near_fold_ratio=near_fold_ratio)
-        current = score(state)
+            folded = signed_volumes(state, mesh.tets) <= 0
+        current = score(state, folded)
         if current < best_score:
             best, best_score = state.copy(), current
         if best_score == 0:
@@ -306,15 +290,16 @@ def _flip_and_floor(lambdas: np.ndarray) -> np.ndarray:
     return lam
 
 
-def compute_energies(ball_mesh: TetMesh, positions: np.ndarray,
+def compute_energies(tets: np.ndarray, w: np.ndarray, gradients: np.ndarray | None,
                      density_field: dem.DensityField | None,
                      frames: TetFrameField, alpha: float):
-    """(geometry, density, combined) energies with initial-ball volume weights.
+    """(geometry, density, combined) energies of a map of ``tets`` with per-tet
+    weights ``w``, in the drivers the volumes of the initial ball.
 
-    A collapsed tet (zero eigenvalue) makes the geometry energy infinite,
-    which disqualifies the candidate in the drivers' comparisons.
+    ``gradients``, the map's hat gradients, are read only with a density
+    field. A collapsed tet (zero eigenvalue) makes the geometry energy
+    infinite, which disqualifies the candidate in the drivers' comparisons.
     """
-    w = ball_mesh.volumes
     lam = flip_eigenvalues(frames.lambdas)
     with np.errstate(divide="ignore", invalid="ignore"):
         logk = np.log(lam[:, 0] / lam[:, 2])
@@ -324,8 +309,7 @@ def compute_energies(ball_mesh: TetMesh, positions: np.ndarray,
         e_qc = float(w @ logk ** 2)
     if density_field is None:
         return e_qc, None, None
-    grad = dem.density_gradient(ball_mesh.tets, tet_gradients(positions, ball_mesh.tets)[1],
-                                density_field.rho_vertex)
+    grad = dem.density_gradient(tets, gradients, density_field.rho_vertex)
     e_dem = float(w @ np.einsum("ij,ij->i", grad, grad))
     return e_qc, e_dem, e_dem + alpha * e_qc
 
@@ -352,108 +336,119 @@ def normalized_density_variance(rho: np.ndarray) -> float:
     return float(np.var(rho / np.mean(rho)))
 
 
-def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None):
-    """Count folds, correct overlaps, and decompose the settled candidate.
-
-    With ``near_fold_ratio`` set, a fold-free candidate is corrected too when
-    some anisotropy ratio exceeds it or is undefined. Returns the candidate,
-    its fold counts before and after correction, and its frames.
-    """
-    folds_pre = mesh.count_folds(cand)
-    frames = None
-    strained = False
-    if folds_pre == 0 and near_fold_ratio is not None:
-        frames = frame_decompose(jacobian_per_tet(mesh, cand))
-        strained = not np.all(np.abs(frames.ratios) <= near_fold_ratio)
-    folds_post = folds_pre
-    if (folds_pre or strained) and config.correction:
-        cand = correct_overlaps(mesh, cand, config.k_threshold,
-                                reference_boundary=ref_boundary,
-                                near_fold_ratio=near_fold_ratio, frames=frames)
-        folds_post = mesh.count_folds(cand)
-        frames = None
-    if frames is None:
-        frames = frame_decompose(jacobian_per_tet(mesh, cand))
-    return cand, folds_pre, folds_post, frames
-
-
 @dataclass
 class _Iterate:
-    """A settled, fold-free map with its frames, its density field (None when
-    the run tracks no population) and its trace row."""
+    """A map, one read of its tets (volumes, and hat gradients from the same
+    ``tet_gradients`` call or None), then its frames, density field (None
+    without a population) and trace row."""
 
     positions: np.ndarray
-    frames: TetFrameField
-    field: dem.DensityField | None
-    row: dict
+    volumes: np.ndarray
+    gradients: np.ndarray | None
+    frames: TetFrameField | None = None
+    field: dem.DensityField | None = None
+    row: dict | None = None
+
+    @classmethod
+    def read(cls, mesh, positions, gradients: bool) -> "_Iterate":
+        if gradients:
+            return cls(positions, *tet_gradients(positions, mesh.tets))
+        return cls(positions, signed_volumes(positions, mesh.tets), None)
+
+    @property
+    def folds(self) -> int:
+        return int(np.count_nonzero(self.volumes <= 0))
+
+
+def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, gradients=False):
+    """Read the candidate, correct its overlaps, and decompose the settled map.
+
+    With ``near_fold_ratio`` set, a fold-free candidate is corrected too when
+    some anisotropy ratio exceeds it or is undefined. Returns the settled
+    map's record (its folds are those after correction) and folds_pre.
+    """
+    settled = _Iterate.read(mesh, cand, gradients)
+    folds_pre = settled.folds
+    strained = False
+    if folds_pre == 0 and near_fold_ratio is not None:
+        settled.frames = frame_decompose(jacobian_per_tet(mesh, cand))
+        strained = not np.all(np.abs(settled.frames.ratios) <= near_fold_ratio)
+    if (folds_pre or strained) and config.correction:
+        settled = _Iterate.read(mesh, correct_overlaps(
+            mesh, cand, config.k_threshold, reference_boundary=ref_boundary,
+            near_fold_ratio=near_fold_ratio, frames=settled.frames), gradients)
+    if settled.frames is None:
+        settled.frames = frame_decompose(jacobian_per_tet(mesh, settled.positions))
+    return settled, folds_pre
 
 
 def _iterate(method, mesh, population, config, init_positions, step, stop,
              near_fold_ratio=NEAR_FOLD_RATIO) -> RunResult:
     """The loop of every driver. ``step(mesh, state, config)`` proposes a map;
-    ``stop(prev, cand, config)`` is one of the stop rules below. Without a
-    population the initial ball is iteration 0 and the final var_rho is that
-    of the rest volumes."""
+    ``stop(prev, cand, config)`` is one of the stop rules below. A population
+    is checked once, here. Without one the initial ball is iteration 0 and
+    the final var_rho is that of the rest volumes."""
     config = config or SolverConfig()
+    tracked = population is not None
+    if tracked:
+        population = dem.checked_population(population, len(mesh.tets), "tet")
     b_ids = mesh.boundary_vertices
     pos0 = initial_ball(mesh, config, method) if init_positions is None \
         else np.array(init_positions, dtype=np.float64)
-    if mesh.count_folds(pos0):
-        pos0 = correct_overlaps(mesh, pos0, config.k_threshold,
-                                reference_boundary=normalize_rows(pos0[b_ids]))
-    ball_rest = TetMesh.from_arrays(pos0, mesh.tets)
+    # the initial ball is corrected whatever the setting
+    state, _ = _settle(mesh, pos0, replace(config, correction=True),
+                       normalize_rows(pos0[b_ids]), gradients=tracked)
+    pos0, ball_volumes = state.positions.copy(), state.volumes
     report = RunReport(method, config.to_dict())
 
-    def evaluate(positions, frames):
-        field = None if population is None else \
-            dem.recouple_density(mesh, positions, population)
-        e_qc, e_dem, e_deq = compute_energies(ball_rest, positions, field, frames,
-                                              config.alpha)
-        mean_k, sd_k = k_stats(frames)
-        row = {"E_3DQC": e_qc, "mean_K": mean_k, "sd_K": sd_k}
-        if field is not None:
-            row.update(E_3DDEM=e_dem, E_3DDEQ=e_deq,
-                       var_rho=normalized_density_variance(field.rho_vertex))
-        return _Iterate(positions, frames, field, row)
+    def evaluate(it):  # fills in the density field and the trace row
+        if tracked:
+            it.field = dem.field_from_volumes(mesh, it.volumes, population)
+        e_qc, e_dem, e_deq = compute_energies(mesh.tets, ball_volumes, it.gradients,
+                                              it.field, it.frames, config.alpha)
+        mean_k, sd_k = k_stats(it.frames)
+        it.row = {"E_3DQC": e_qc, "mean_K": mean_k, "sd_K": sd_k}
+        if tracked:
+            it.row.update(E_3DDEM=e_dem, E_3DDEQ=e_deq,
+                          var_rho=normalized_density_variance(it.field.rho_vertex))
 
-    state = evaluate(pos0.copy(), frame_decompose(jacobian_per_tet(mesh, pos0)))
-    if population is None:
-        folds = mesh.count_folds(pos0)
-        report.add_iteration(iteration=0, folds_pre=folds, folds_post=folds,
-                             **state.row)
-    else:
+    evaluate(state)
+    if tracked:
         report.final["var_rho0"] = state.row["var_rho"]
+    else:
+        report.add_iteration(iteration=0, folds_pre=state.folds, folds_post=state.folds,
+                             **state.row)
     _, converged = stop(None, state, config)
     folded = None
     n = 0
     while not converged and n < config.n_max:
         n += 1
-        cand, folds_pre, folds_post, frames = _settle(
-            mesh, step(mesh, state, config), config,
-            normalize_rows(state.positions[b_ids]), near_fold_ratio)
-        if folds_post:
+        cand, folds_pre = _settle(mesh, step(mesh, state, config), config,
+                                  normalize_rows(state.positions[b_ids]),
+                                  near_fold_ratio, tracked)
+        if cand.folds:
             # correction is off: nothing can be evaluated on inverted volumes
-            folded = (cand, frames)
-            mean_k, sd_k = k_stats(frames)
-            report.add_iteration(iteration=n, var_rho=None, mean_K=mean_k, sd_K=sd_k,
-                                 folds_pre=folds_pre, folds_post=folds_post)
+            folded = cand
+            mean_k, sd_k = k_stats(cand.frames)
+            cand.row = {"var_rho": None, "mean_K": mean_k, "sd_K": sd_k}
+            report.add_iteration(iteration=n, folds_pre=folds_pre, folds_post=cand.folds,
+                                 **cand.row)
             break
-        cand = evaluate(cand, frames)
+        evaluate(cand)
         accept, converged = stop(state, cand, config)
         if not accept:
             break
         state = cand
-        report.add_iteration(iteration=n, folds_pre=folds_pre, folds_post=folds_post,
+        report.add_iteration(iteration=n, folds_pre=folds_pre, folds_post=state.folds,
                              **state.row)
 
-    positions, frames = folded or (state.positions, state.frames)
-    field = state.field or dem.recouple_density(mesh, state.positions,
-                                                np.abs(mesh.volumes))
-    mean_k, sd_k = k_stats(frames)
+    last = folded or state
+    field = state.field or dem.field_from_volumes(mesh, state.volumes,
+                                                  np.abs(mesh.volumes))
     report.final.update({"var_rho": normalized_density_variance(field.rho_vertex),
-                         "mean_K": mean_k, "sd_K": sd_k,
-                         "folds": mesh.count_folds(positions)})
-    return RunResult(positions, report, converged, pos0)
+                         "mean_K": last.row["mean_K"], "sd_K": last.row["sd_K"],
+                         "folds": last.folds})
+    return RunResult(last.positions, report, converged, pos0)
 
 
 def _qc_step(mesh, state, config):
@@ -465,13 +460,12 @@ def _qc_step(mesh, state, config):
 
 
 def _dem_step(mesh, state, config):
-    """One step of the shared density flow with the tet supplies, all from one
-    ``tet_gradients`` pass: lumped volumes, Laplacian, volumes, gradient."""
-    pos = state.positions
-    vols, grads = geometry = tet_gradients(pos, mesh.tets)
-    ops = dem.build_operators(mesh, geometry)  # raises DensityError on folds
-    return dem.flow_step(mesh.connectivity, pos, state.field.rho_vertex, ops, vols,
-                         lambda rho: dem.density_gradient(mesh.tets, grads, rho),
+    """One step of the shared density flow with the tet supplies (lumped
+    volumes, Laplacian, volumes, gradient) from the iterate's record."""
+    vols, grads = state.volumes, state.gradients
+    ops = dem.build_operators(mesh, (vols, grads))  # raises DensityError on folds
+    return dem.flow_step(mesh.connectivity, state.positions, state.field.rho_vertex,
+                         ops, vols, lambda rho: dem.density_gradient(mesh.tets, grads, rho),
                          config.dt, mesh.boundary_vertex_mask)
 
 

@@ -1,11 +1,9 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
 from volball import density as dem
-from volball.drivers import SolverConfig, _dem_step
+from volball.drivers import SolverConfig, _dem_step, _Iterate
 from volball.sphere_map import normalize_rows, surface_density_equalize
 from volball.synthetic import hemispheric_population
 from volball.tetmesh import EDGE_LOCAL, signed_volumes, tet_gradients
@@ -14,6 +12,14 @@ from volball.tetmesh import EDGE_LOCAL, signed_volumes, tet_gradients
 def _rest(mesh):
     """The (volumes, hat gradients) pair of the mesh's own vertices."""
     return mesh.volumes, mesh.hat_gradients
+
+
+def _iterate_at(mesh, pos, field):
+    """The record the 3ddem loop hands ``_dem_step``: one read of ``pos``
+    with its hat gradients, and the density ``field``."""
+    state = _Iterate.read(mesh, pos, gradients=True)
+    state.field = field
+    return state
 
 
 def test_recouple_identity_and_scaling(ball_mesh):
@@ -176,7 +182,7 @@ def test_full_equalization_fixed_point(ball_mesh, kind):
     if kind == "tets":
         field = dem.recouple_density(ball_mesh, pos,
                                      np.abs(signed_volumes(pos, ball_mesh.tets)))
-        out = _dem_step(ball_mesh, SimpleNamespace(positions=pos, field=field),
+        out = _dem_step(ball_mesh, _iterate_at(ball_mesh, pos, field),
                         SolverConfig())
     else:
         vid, faces = ball_mesh.boundary_surface()
@@ -220,7 +226,7 @@ def test_volume_step_matches_first_formulation(ball_mesh):
                                  len(pos))
     assert np.array_equal(field.rho_vertex, conv @ field.rho_tet)
     expected = _volume_step_as_first_written(ball_mesh, pos, field.rho_vertex, 0.1)
-    out = _dem_step(ball_mesh, SimpleNamespace(positions=pos, field=field),
+    out = _dem_step(ball_mesh, _iterate_at(ball_mesh, pos, field),
                     SolverConfig())
     assert np.linalg.norm(out - pos, axis=1).max() > 1e-3  # the step moves
     assert np.array_equal(out, expected)
@@ -274,5 +280,5 @@ def test_volume_step_rejects_nonpositive_volumes(ball_mesh):
     mirrored = ball_mesh.vertices * np.array([-1.0, 1.0, 1.0])
     for pos in (collapsed, mirrored):
         with pytest.raises(dem.DensityError, match="nonpositive volumes"):
-            _dem_step(ball_mesh, SimpleNamespace(positions=pos, field=field),
+            _dem_step(ball_mesh, _iterate_at(ball_mesh, pos, field),
                       SolverConfig())

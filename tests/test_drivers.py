@@ -122,8 +122,8 @@ def test_compute_energies_identity(ball_mesh):
     field = dem.recouple_density(ball_mesh, ball_mesh.vertices,
                                  np.abs(ball_mesh.volumes))
     ball_rest = TetMesh.from_arrays(ball_mesh.vertices.copy(), ball_mesh.tets)
-    e_qc, e_dem, e_deq = compute_energies(ball_rest, ball_mesh.vertices, field,
-                                          frames, 0.01)
+    e_qc, e_dem, e_deq = compute_energies(ball_rest.tets, ball_rest.volumes,
+                                          ball_mesh.hat_gradients, field, frames, 0.01)
     assert e_qc == pytest.approx(0.0, abs=1e-18)
     assert e_dem == pytest.approx(0.0, abs=1e-15)
     assert e_deq == pytest.approx(0.0, abs=1e-15)
@@ -132,7 +132,7 @@ def test_compute_energies_identity(ball_mesh):
 def test_compute_energies_scaling_invariance_of_qc(ball_mesh):
     frames = frame_decompose(jacobian_per_tet(ball_mesh, 3.0 * ball_mesh.vertices))
     ball_rest = TetMesh.from_arrays(ball_mesh.vertices.copy(), ball_mesh.tets)
-    e_qc, _, _ = compute_energies(ball_rest, 3.0 * ball_mesh.vertices, None,
+    e_qc, _, _ = compute_energies(ball_rest.tets, ball_rest.volumes, None, None,
                                   frames, 0.01)
     assert e_qc == pytest.approx(0.0, abs=1e-16)
 
@@ -146,7 +146,9 @@ def test_compute_energies_brute_force_oracle(ball_mesh):
     field = dem.recouple_density(ball_mesh, positions, pop)
     frames = frame_decompose(jacobian_per_tet(ball_mesh, positions))
     ball_rest = TetMesh.from_arrays(ball_mesh.vertices.copy(), ball_mesh.tets)
-    e_qc, e_dem, e_deq = compute_energies(ball_rest, positions, field, frames, 0.01)
+    e_qc, e_dem, e_deq = compute_energies(ball_rest.tets, ball_rest.volumes,
+                                          tet_gradients(positions, ball_mesh.tets)[1],
+                                          field, frames, 0.01)
 
     # independent re-summation over raw arrays
     w = np.abs(signed_volumes(ball_mesh.vertices, ball_mesh.tets))
@@ -203,41 +205,49 @@ def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
     monkeypatch.setattr(drivers, "jacobian_per_tet", recorded)
     # fold-free but strained: correct_overlaps takes over the frames of the
     # candidate instead of decomposing it again
-    drivers._settle(ball_mesh, cand, SolverConfig(),
-                    normalize_rows(cand[ball_mesh.boundary_vertices]),
-                    near_fold_ratio=float(np.median(ratios)))
+    settled, _ = drivers._settle(ball_mesh, cand, SolverConfig(),
+                                 normalize_rows(cand[ball_mesh.boundary_vertices]),
+                                 near_fold_ratio=float(np.median(ratios)))
     assert len(seen) >= 2
     assert len(seen) == len(set(seen))
+    # the record's frames are the last decomposition, that of its positions
+    assert seen[-1] == settled.positions.tobytes()
 
 
 def test_settle_counts_folds_once_without_correction(monkeypatch, ball_mesh):
+    # the fold counts come from the records' volumes: one read per map,
+    # and no TetMesh.count_folds call
     from volball import drivers
     calls = []
-    count = TetMesh.count_folds
 
-    def counted(self, positions):
-        calls.append(1)
-        return count(self, positions)
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
 
-    monkeypatch.setattr(TetMesh, "count_folds", counted)
+    for name in ("signed_volumes", "tet_gradients"):
+        monkeypatch.setattr(drivers, name, counted(getattr(drivers, name)))
+    monkeypatch.setattr(TetMesh, "count_folds", counted(TetMesh.count_folds))
     ref = normalize_rows(ball_mesh.vertices[ball_mesh.boundary_vertices])
-    # fold-free and unstrained: folds_post is folds_pre, counted once
-    _, pre, post, _ = drivers._settle(ball_mesh, ball_mesh.vertices.copy(),
-                                      SolverConfig(), ref)
-    assert (pre, post, len(calls)) == (0, 0, 1)
-    # a mirrored candidate folds everywhere: without correction nothing
-    # recounts; a correction that ran is recounted once
+    # fold-free and unstrained: folds_post is folds_pre, read once
+    settled, pre = drivers._settle(ball_mesh, ball_mesh.vertices.copy(),
+                                   SolverConfig(), ref)
+    assert (pre, settled.folds, calls) == (0, 0, ["signed_volumes"])
+    # a mirrored candidate folds everywhere: without correction nothing is
+    # read again; a correction that ran is read once, with the run's gradients
     m = len(ball_mesh.tets)
     mirrored = ball_mesh.vertices * np.array([-1.0, 1.0, 1.0])
     calls.clear()
-    _, pre, post, _ = drivers._settle(ball_mesh, mirrored,
-                                      SolverConfig(correction=False), ref)
-    assert (pre, post, len(calls)) == (m, m, 1)
+    settled, pre = drivers._settle(ball_mesh, mirrored, SolverConfig(correction=False), ref)
+    assert (pre, settled.folds, calls) == (m, m, ["signed_volumes"])
     monkeypatch.setattr(drivers, "correct_overlaps",
                         lambda mesh, cand, *args, **kwargs: mesh.vertices.copy())
     calls.clear()
-    _, pre, post, _ = drivers._settle(ball_mesh, mirrored, SolverConfig(), ref)
-    assert (pre, post, len(calls)) == (m, 0, 2)
+    settled, pre = drivers._settle(ball_mesh, mirrored, SolverConfig(), ref,
+                                   gradients=True)
+    assert (pre, settled.folds, calls) == (m, 0, ["tet_gradients"] * 2)
+    assert np.array_equal(settled.gradients, ball_mesh.hat_gradients)
 
 
 def test_solvers_run_without_batched_lapack(monkeypatch, ball_mesh):
@@ -390,13 +400,13 @@ def test_volume_flow_builds_no_coo_matrix(monkeypatch, ball_mesh):
 
 def test_volume_flow_step_takes_one_geometry_pass(monkeypatch, ball_mesh):
     # one 3ddem step reads the volumes and hat gradients of its positions
-    # from a single tet_gradients call and builds no COO matrix
+    # from the iterate's record, a single tet_gradients call, and builds no
+    # COO matrix
     import sys
-    from types import SimpleNamespace
 
     from scipy.sparse import coo_matrix
 
-    from volball.drivers import _dem_step
+    from volball.drivers import _dem_step, _Iterate
     calls = {"tet_gradients": 0, "signed_volumes": 0, "coo_matrix": 0}
 
     def counting(name, fn):
@@ -415,6 +425,65 @@ def test_volume_flow_step_takes_one_geometry_pass(monkeypatch, ball_mesh):
     ball_mesh.connectivity.edges  # built once per mesh, not per step
     for counter in calls:
         calls[counter] = 0
-    out = _dem_step(ball_mesh, SimpleNamespace(positions=pos, field=field), SolverConfig())
+    state = _Iterate.read(ball_mesh, pos, gradients=True)
+    state.field = field
+    out = _dem_step(ball_mesh, state, SolverConfig())
     assert np.linalg.norm(out - pos, axis=1).max() > 1e-3  # the step moves
     assert calls == {"tet_gradients": 1, "signed_volumes": 0, "coo_matrix": 0}
+
+
+def _kernel_calls(monkeypatch, run):
+    """Calls of tet_gradients, signed_volumes and TetMesh.count_folds (in
+    every volball module) and of correct_overlaps made by ``run()``, with
+    its result."""
+    import sys
+
+    from volball import drivers
+    calls = dict.fromkeys(("tet_gradients", "signed_volumes", "count_folds",
+                           "correct_overlaps"), 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with monkeypatch.context() as mp:
+        for module in [m for n, m in sys.modules.items() if n.startswith("volball")]:
+            for name in ("tet_gradients", "signed_volumes"):
+                if hasattr(module, name):
+                    mp.setattr(module, name, counting(name, getattr(module, name)))
+        mp.setattr(TetMesh, "count_folds", counting("count_folds", TetMesh.count_folds))
+        mp.setattr(drivers, "correct_overlaps",
+                   counting("correct_overlaps", drivers.correct_overlaps))
+        result = run()
+    return calls, result
+
+
+def test_driver_iterate_reads_its_geometry_once(monkeypatch, ball_mesh):
+    # whole iterations: a 3ddem iterate that needs no correction is read by
+    # one tet_gradients call, which its fold count, density, energies and
+    # next step share; a 3dqc iterate reads volumes only
+    pop = hemispheric_population(ball_mesh, 1.05)
+    per_run = {}
+    for n_max in (1, 3):
+        calls, result = _kernel_calls(monkeypatch, lambda: run_3ddem(
+            ball_mesh, pop, SolverConfig(n_max=n_max, eps=1e-4),
+            init_positions=ball_mesh.vertices))
+        assert [it["folds_pre"] for it in result.report.iterations] == [0] * n_max
+        assert calls["correct_overlaps"] == 0
+        per_run[n_max] = calls
+    per_two = {k: per_run[3][k] - per_run[1][k] for k in per_run[1]}
+    assert per_two == {"tet_gradients": 2, "signed_volumes": 0, "count_folds": 0,
+                       "correct_overlaps": 0}
+
+    mesh = stretched_ball_mesh(1)
+    ball = run_3dqc(mesh, SolverConfig(n_max=1)).initial_positions
+    qc_calls = []
+    for n_max in (1, 3):
+        calls, result = _kernel_calls(monkeypatch, lambda: run_3dqc(
+            mesh, SolverConfig(n_max=n_max), init_positions=ball))
+        assert len(result.report.iterations) == n_max + 1
+        qc_calls.append(calls)
+    assert qc_calls[1]["tet_gradients"] == qc_calls[0]["tet_gradients"]
+    assert qc_calls[1]["signed_volumes"] > qc_calls[0]["signed_volumes"]
