@@ -11,7 +11,7 @@ import numpy as np
 
 from . import drivers, fileio, remesh
 from .density import DensityError, recouple_density
-from .distortion import FrameError, frame_decompose, jacobian_per_tet
+from .distortion import FrameError, dilations, jacobian_per_tet
 from .drivers import SolverConfig, k_stats, normalized_density_variance
 from .linsolve import SolverError
 from .report import write_histogram_csv
@@ -196,7 +196,7 @@ def _cmd_metrics(args) -> int:
             raise CliError("rest and mapped meshes have mismatched connectivity")
         positions = mapped.vertices
         folds = mesh.count_folds(positions)
-        mean_k, sd_k = k_stats(frame_decompose(jacobian_per_tet(mesh, positions)))
+        mean_k, sd_k = k_stats(dilations(jacobian_per_tet(mesh, positions)))
         pop = np.abs(mesh.volumes)
         rho0 = pop / pop  # rest density of the volume population is 1
         out.update({

@@ -9,14 +9,32 @@ rebuilds a map realizing a prescribed frame field (``laplace.p1_stiffness``).
 
 All per-tet 3 x 3 work is closed-form and vectorised over the tets, with no
 batched LAPACK call. J is a matmul against the rest mesh's cached hat
-gradients, det J a cofactor expansion, and the eigenframe of J^T J comes from
-a batched cyclic Jacobi solver: sweeps over the pairs (0,1), (0,2), (1,2)
-until every tet's off-diagonal sum is at most 1e-15 times its diagonal sum
-(4 sweeps on random and on mesh Jacobians, fewer on repeated spectra); the
-8-sweep cap is a safety net that raises ``FrameError``. The smallest
-eigenvalue is c = det J / (a b), exact since det J = a b c, so the ratio
-a/c stays accurate to a few ulps where sqrt of the smallest eigenvalue of
-J^T J would lose cond(J)^2 * eps.
+gradients, det J a cofactor expansion, and J^T J's six unique entries come
+from the columns of J. Its eigenvalues come from a batched cyclic Jacobi
+solver: sweeps over the pairs (0,1), (0,2), (1,2) until every tet's
+off-diagonal sum is at most 1e-15 times its diagonal sum (4 sweeps on random
+and on mesh Jacobians, fewer on repeated spectra); the 8-sweep cap is a
+safety net that raises ``FrameError``. The smallest eigenvalue is
+c = det J / (a b), exact since det J = a b c, so the ratio a/c stays accurate
+to a few ulps where sqrt of the smallest eigenvalue of J^T J would lose
+cond(J)^2 * eps. The closed trigonometric form of a 3 x 3 spectrum is not
+used: on random J with a/c = 1e3 and b close to c its middle eigenvalue is
+off by up to 3e-3 relative against the SVD, where Jacobi's is off by 9e-11.
+
+Eigenvectors are accumulated only where a caller needs frames:
+``frame_decompose`` gives frames and triples, ``dilations`` the bitwise
+identical triples from the same sweeps without them. The drivers read
+triples for every tet and decompose with frames only the tets whose triples
+a step edits (every tet in the 3dqc residual step, the flipped or truncated
+ones in the overlap correction). An unedited tet needs no frame, since
+W diag(bc/a, ac/b, ab/c) W^T = det J (J^T J)^-1 = M M^T / det J, with M the
+cofactor matrix of J (rows j1 x j2, j2 x j0, j0 x j1 of the columns jk of J);
+``rebuild_coefficients`` mixes the two forms. The adjugate form
+adj(J^T J) / det J is algebraically equal but forms J^T J first and so
+squares the condition number. On random J with singular values (K, sqrt K, 1)
+its worst energy-norm error against a 50-digit reference is 1e-8 at K = 1e3
+and 2e-2 at K = 1e5, against 8e-11 and 1.4e-6 for the cofactor form and
+5e-11 and 7e-7 for the frame form.
 """
 
 from __future__ import annotations
@@ -27,7 +45,7 @@ import numpy as np
 
 from . import linsolve
 from .laplace import p1_stiffness
-from .tetmesh import TetMesh, _det3
+from .tetmesh import TetMesh, _cross, _det3
 
 
 class FrameError(ValueError):
@@ -67,10 +85,14 @@ class TetFrameField:
 
     @property
     def ratios(self) -> np.ndarray:
-        """Signed anisotropy ratio a/c per tet (negative on inverted tets,
-        infinite on collapsed ones)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.lambdas[:, 0] / self.lambdas[:, 2]
+        return anisotropy_ratios(self.lambdas)
+
+
+def anisotropy_ratios(lambdas: np.ndarray) -> np.ndarray:
+    """Signed anisotropy ratio a/c per triple (negative on inverted tets,
+    infinite on collapsed ones)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return lambdas[:, 0] / lambdas[:, 2]
 
 
 def _fix_column_signs(W: np.ndarray) -> np.ndarray:
@@ -86,18 +108,35 @@ def _fix_column_signs(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _sym3_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (m, 3) arrays by components."""
+    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
+
+
+def _gram(J: np.ndarray) -> tuple[list, dict]:
+    """J^T J's six unique entries from the columns j_k = J[:, :, k]: the
+    diagonal [j0.j0, j1.j1, j2.j2] and the off-diagonal {(p, q): jp.jq}."""
+    cols = np.moveaxis(J, 2, 0)  # cols[k][:, r] = J[:, r, k]
+    return ([_dot(col, col) for col in cols],
+            {(p, q): _dot(cols[p], cols[q]) for p, q in ((0, 1), (0, 2), (1, 2))})
+
+
+def _sym3_eigh(diag: list, off: dict, vectors: bool):
     """Eigenpairs of a stack of symmetric 3 x 3 matrices by cyclic Jacobi.
 
-    Returns eigenvalues (m, 3) in descending order and the matching
-    orthonormal eigenvectors as the columns of (m, 3, 3).
+    The matrices are given by their diagonal [C00, C11, C22] and off-diagonal
+    {(p, q): Cpq} entries, as ``_gram`` makes them, and are rotated in place.
+    Returns eigenvalues (m, 3) in descending order and, with ``vectors``, the
+    matching orthonormal eigenvectors as the columns of (m, 3, 3), else None.
+    The eigenvalues do not depend on ``vectors``: the same sweeps run either
+    way, and only the accumulation of the rotations is skipped.
     """
-    m = len(C)
-    diag = [C[:, i, i].copy() for i in range(3)]
-    off = {key: C[:, key[0], key[1]].copy() for key in ((0, 1), (0, 2), (1, 2))}
-    V = np.zeros((3, 3, m))
-    for i in range(3):
-        V[i, i] = 1.0
+    m = len(diag[0])
+    V = None
+    if vectors:
+        V = np.zeros((3, 3, m))
+        for i in range(3):
+            V[i, i] = 1.0
     zero = np.zeros(m)
     sweeps = 0
     while True:
@@ -123,14 +162,37 @@ def _sym3_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             arp, arq = off[rp], off[rq]
             off[rp] = c * arp - s * arq
             off[rq] = s * arp + c * arq
-            vp, vq = V[:, p].copy(), V[:, q]
-            V[:, p] = c * vp - s * vq
-            V[:, q] = s * vp + c * vq
+            if V is not None:
+                vp, vq = V[:, p].copy(), V[:, q]
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
         sweeps += 1
     evals = np.stack(diag, axis=1)
     order = np.argsort(-evals, axis=1, kind="stable")
-    return (np.take_along_axis(evals, order, axis=1),
-            np.take_along_axis(np.moveaxis(V, 2, 0), order[:, None, :], axis=2))
+    evals = np.take_along_axis(evals, order, axis=1)
+    if V is None:
+        return evals, None
+    return evals, np.take_along_axis(np.moveaxis(V, 2, 0), order[:, None, :], axis=2)
+
+
+def _checked_jacobians(J) -> tuple[np.ndarray, np.ndarray]:
+    """J as an (m, 3, 3) stack and det J; ``FrameError`` on a singular J."""
+    J = np.asarray(J, dtype=np.float64)
+    if J.ndim == 2:
+        J = J[None]
+    det = _det3(J)
+    if np.any(np.abs(det) <= 1e-14):
+        bad = int(np.argmin(np.abs(det)))
+        raise FrameError(f"singular Jacobian on tet {bad} (det={det[bad]:.3e})")
+    return J, det
+
+
+def _signed_triples(eigvals: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """(a, b, c) from the descending eigenvalues of J^T J: a and b their
+    square roots, c = det J / (a b)."""
+    lam = np.sqrt(np.maximum(eigvals, 0.0))
+    lam[:, 2] = det / (lam[:, 0] * lam[:, 1])
+    return lam
 
 
 def frame_decompose(J: np.ndarray) -> TetFrameField:
@@ -144,20 +206,19 @@ def frame_decompose(J: np.ndarray) -> TetFrameField:
     c = det J / (a b), which is exact algebra (det J = a b c) and keeps a/c
     accurate where sqrt of the smallest eigenvalue would not be.
     """
-    J = np.asarray(J, dtype=np.float64)
-    single = J.ndim == 2
-    if single:
-        J = J[None]
-    det = _det3(J)
-    if np.any(np.abs(det) <= 1e-14):
-        bad = int(np.argmin(np.abs(det)))
-        raise FrameError(f"singular Jacobian on tet {bad} (det={det[bad]:.3e})")
-    eigvals, eigvecs = _sym3_eigh(np.swapaxes(J, 1, 2) @ J)
-    W = _fix_column_signs(eigvecs)
-    lam = np.sqrt(np.maximum(eigvals, 0.0))
-    lam[:, 2] = det / (lam[:, 0] * lam[:, 1])
-    field = TetFrameField(W, lam)
-    return field
+    J, det = _checked_jacobians(J)
+    eigvals, eigvecs = _sym3_eigh(*_gram(J), vectors=True)
+    return TetFrameField(_fix_column_signs(eigvecs), _signed_triples(eigvals, det))
+
+
+def dilations(J: np.ndarray) -> np.ndarray:
+    """Signed dilation eigenvalues (m, 3), a >= b >= |c|, of one or many
+    Jacobians: bitwise ``frame_decompose(J).lambdas`` (the same Jacobi sweeps
+    on the same Gram entries, without the eigenvectors), and the same
+    ``FrameError`` on a singular J."""
+    J, det = _checked_jacobians(J)
+    eigvals, _ = _sym3_eigh(*_gram(J), vectors=False)
+    return _signed_triples(eigvals, det)
 
 
 def flip_eigenvalues(lambdas: np.ndarray) -> np.ndarray:
@@ -221,18 +282,47 @@ def anisotropy_matrices(frames: TetFrameField) -> np.ndarray:
     return (W * d[:, None, :]) @ np.swapaxes(W, 1, 2)
 
 
-def reconstruct_map(mesh: TetMesh, frames: TetFrameField,
-                    fixed_indices: np.ndarray, fixed_points: np.ndarray) -> np.ndarray:
+def rebuild_coefficients(J: np.ndarray, lambdas: np.ndarray,
+                         target: np.ndarray) -> np.ndarray:
+    """Per-tet coefficients (m, 3, 3) that prescribe the triples ``target`` on
+    a map with Jacobians J and triples ``lambdas`` (``dilations(J)``).
+
+    A row whose target is its own positive triple takes M M^T / det J, M the
+    cofactor matrix of J with rows j1 x j2, j2 x j0, j0 x j1 (the columns jk
+    of J): it equals W diag(bc/a, ac/b, ab/c) W^T = det J (J^T J)^-1 exactly
+    and needs no frame. Only the edited rows are decomposed with frames.
+    """
+    framed = np.any(target != lambdas, axis=1) | (target[:, 2] <= 0)
+    j0, j1, j2 = np.moveaxis(J, 2, 0)
+    rows = (_cross(j1, j2), _cross(j2, j0), _cross(j0, j1))
+    det = _dot(j0, rows[0])
+    coeff = np.empty((len(J), 3, 3))
+    for i in range(3):
+        for k in range(i, 3):
+            coeff[:, i, k] = coeff[:, k, i] = _dot(rows[i], rows[k]) / det
+    if framed.any():
+        frames = frame_decompose(J[framed]).frames
+        coeff[framed] = anisotropy_matrices(TetFrameField(frames, target[framed]))
+    return coeff
+
+
+def reconstruct_map(mesh: TetMesh, prescribed: TetFrameField | np.ndarray,
+                    fixed_indices: np.ndarray, fixed_points: np.ndarray,
+                    start: np.ndarray | None = None) -> np.ndarray:
     """Rebuild vertex positions realizing a prescribed dilation field.
 
     Solves the three scalar equations div(A grad u) = 0 with the per-tet
-    coefficient from ``anisotropy_matrices`` and Dirichlet values at
-    ``fixed_indices``. With identity frames this reduces to the harmonic fill.
+    coefficient A, ``anisotropy_matrices`` of a ``TetFrameField`` or given as
+    an (m, 3, 3) array, and Dirichlet values at ``fixed_indices``. The solve
+    starts from ``start`` (all vertices) when given, else from zero; either
+    way it stops at the same relative residual. With identity frames this
+    reduces to the harmonic fill.
     """
-    system = p1_stiffness(mesh.connectivity.plan, mesh.volumes, mesh.hat_gradients,
-                          anisotropy_matrices(frames))
+    coeff = anisotropy_matrices(prescribed) if isinstance(prescribed, TetFrameField) \
+        else prescribed
+    system = p1_stiffness(mesh.connectivity.plan, mesh.volumes, mesh.hat_gradients, coeff)
     fixed_indices = np.asarray(fixed_indices, dtype=np.int64)
     if len(fixed_indices) == 0:
         raise ValueError("reconstruction needs at least one constrained vertex")
     system.constrain(fixed_indices, np.asarray(fixed_points, dtype=np.float64))
-    return linsolve.solve(system, np.zeros((len(mesh.vertices), 3)), tol=1e-9)
+    return linsolve.solve(system, np.zeros((len(mesh.vertices), 3)), tol=1e-9, start=start)

@@ -11,10 +11,16 @@ vertex density is below eps, tested on the initial ball and after every step.
 ``3ddeq`` blends the two through per-tet eigenvalue updates and has converged
 once the largest vertex displacement is below eps. Settle, evaluate and the
 next step share one record per iterate (``_Iterate``): its volumes and, with a
-population, hat gradients from one ``tet_gradients`` call, and its frames.
+population, hat gradients from one ``tet_gradients`` call, and its signed
+dilation eigenvalue triples. Only a run without a population (3dqc, whose
+residual step edits every tet's triple) carries the frames as well.
 Settling makes every iterate fold-free by an overlap correction whose rounds
 repair the spherical boundary, then rebuild the interior with the boundary
 fixed and, while folds remain, the boundary patch with the interior fixed.
+A rebuild decomposes with frames only the tets whose triples it flips or
+truncates; the rest keep their own dilation through the cofactor form
+(``distortion.rebuild_coefficients``), so the current map solves the
+unedited system exactly and the solve starts from it.
 With the correction off, a candidate that still folds is recorded with var_rho
 None and ends the run, whatever the method.
 """
@@ -27,9 +33,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import density as dem
-from .distortion import (TetFrameField, flip_eigenvalues, frame_decompose,
-                         jacobian_per_tet, reconstruct_map, residual_step,
-                         truncate_eigenvalues)
+from .distortion import (TetFrameField, anisotropy_ratios, dilations, flip_eigenvalues,
+                         frame_decompose, jacobian_per_tet, rebuild_coefficients,
+                         reconstruct_map, residual_step, truncate_eigenvalues)
 from .laplace import harmonic_fill
 from .report import RunReport
 from .sphere_map import (BoundaryMap, SphereMapError, compute_boundary_sphere_map,
@@ -170,7 +176,8 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
                      budget: int = 10,
                      reference_boundary: np.ndarray | None = None,
                      near_fold_ratio: float | None = None,
-                     frames: TetFrameField | None = None) -> np.ndarray:
+                     jacobians: np.ndarray | None = None,
+                     lambdas: np.ndarray | None = None) -> np.ndarray:
     """Remove inverted tets from a ball map, preserving the spherical boundary.
 
     Rounds run until the map is fold-free: repair flipped spherical triangles
@@ -184,9 +191,10 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     the normalized rest boundary (exact when the rest mesh is itself a ball).
     With ``near_fold_ratio`` set, tets whose anisotropy ratio exceeds it are
     truncated alongside the truly folded ones (they are one flow step away
-    from folding and otherwise escape all relief). ``frames``, when given, is
-    the decomposition of ``positions`` the caller already holds; it is used
-    instead of decomposing them again.
+    from folding and otherwise escape all relief). ``jacobians`` and
+    ``lambdas``, when given, are the Jacobians of ``positions`` and their
+    ``dilations`` that the caller already holds; they are used instead of
+    reading the positions again.
     """
     b_ids, b_faces = mesh.boundary_surface()
     if reference_boundary is None:
@@ -201,9 +209,11 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     if best_score == 0:
         if near_fold_ratio is None:
             return pos
-        if frames is None:
-            frames = frame_decompose(jacobian_per_tet(mesh, pos))
-        if not np.any(np.abs(frames.ratios) > near_fold_ratio):
+        if jacobians is None:
+            jacobians = jacobian_per_tet(mesh, pos)
+        if lambdas is None:
+            lambdas = dilations(jacobians)
+        if not np.any(np.abs(anisotropy_ratios(lambdas)) > near_fold_ratio):
             return pos
 
     boundary_adj = vertex_rings(b_faces, len(b_ids))
@@ -243,9 +253,11 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         k_cap = k_threshold if round_no < 2 else max(
             2.0, k_threshold * 0.7 ** (round_no - 1))
         state = sphere_repair(state)
+        given = state is pos
         state = _rebuild(mesh, state, k_cap, fixed_ids=b_ids,
                          near_fold_ratio=near_fold_ratio,
-                         frames=frames if state is pos else None)
+                         jacobians=jacobians if given else None,
+                         lambdas=lambdas if given else None)
         folded = signed_volumes(state, mesh.tets) <= 0
         if folded.any():
             state = free_boundary_patch(state, folded, k_cap)
@@ -264,19 +276,24 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     return pos
 
 
-def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None, frames=None):
-    """Flip + truncate the folded tets' eigenvalues and re-solve the map;
-    ``frames`` is the decomposition of ``pos`` if the caller has it."""
-    if frames is None:
-        frames = frame_decompose(jacobian_per_tet(mesh, pos))
-    folded = frames.lambdas[:, 2] <= 0
-    lam = _flip_and_floor(frames.lambdas)
+def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None,
+             jacobians=None, lambdas=None):
+    """Flip + truncate the folded tets' eigenvalues and re-solve the map from
+    ``pos``; ``jacobians`` and ``lambdas`` are those of ``pos`` if the caller
+    has them. Only the tets whose triple this edits get frames
+    (``rebuild_coefficients``)."""
+    if jacobians is None:
+        jacobians = jacobian_per_tet(mesh, pos)
+    if lambdas is None:
+        lambdas = dilations(jacobians)
+    folded = lambdas[:, 2] <= 0
+    lam = _flip_and_floor(lambdas)
     if near_fold_ratio is not None:
         folded = folded | (lam[:, 0] / lam[:, 2] > near_fold_ratio)
     if folded.any():
         lam[folded] = truncate_eigenvalues(lam[folded], k_threshold)
-    return reconstruct_map(mesh, TetFrameField(frames.frames, lam),
-                           fixed_ids, pos[fixed_ids])
+    return reconstruct_map(mesh, rebuild_coefficients(jacobians, lambdas, lam),
+                           fixed_ids, pos[fixed_ids], start=pos)
 
 
 def _flip_and_floor(lambdas: np.ndarray) -> np.ndarray:
@@ -292,15 +309,16 @@ def _flip_and_floor(lambdas: np.ndarray) -> np.ndarray:
 
 def compute_energies(tets: np.ndarray, w: np.ndarray, gradients: np.ndarray | None,
                      density_field: dem.DensityField | None,
-                     frames: TetFrameField, alpha: float):
+                     lambdas: np.ndarray, alpha: float):
     """(geometry, density, combined) energies of a map of ``tets`` with per-tet
-    weights ``w``, in the drivers the volumes of the initial ball.
+    weights ``w``, in the drivers the volumes of the initial ball, and signed
+    dilation triples ``lambdas``.
 
     ``gradients``, the map's hat gradients, are read only with a density
     field. A collapsed tet (zero eigenvalue) makes the geometry energy
     infinite, which disqualifies the candidate in the drivers' comparisons.
     """
-    lam = flip_eigenvalues(frames.lambdas)
+    lam = flip_eigenvalues(lambdas)
     with np.errstate(divide="ignore", invalid="ignore"):
         logk = np.log(lam[:, 0] / lam[:, 2])
     if not np.all(np.isfinite(logk)):
@@ -314,15 +332,14 @@ def compute_energies(tets: np.ndarray, w: np.ndarray, gradients: np.ndarray | No
     return e_qc, e_dem, e_dem + alpha * e_qc
 
 
-def k_stats(frames: TetFrameField):
-    """Mean and standard deviation of the anisotropy ratio K >= 1.
+def k_stats(lambdas: np.ndarray):
+    """Mean and standard deviation of the anisotropy ratio K >= 1 of the
+    signed dilation triples ``lambdas``.
 
     K is taken from the flipped eigenvalues, so inverted tets count with
     their unsigned ratio.
     """
-    lam = flip_eigenvalues(frames.lambdas)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = lam[:, 0] / lam[:, 2]
+    k = anisotropy_ratios(flip_eigenvalues(lambdas))
     # a numerically collapsed tet (eigenvalue rounded to zero) would poison
     # the statistics with an infinity; report over the finite entries
     k = k[np.isfinite(k)]
@@ -339,12 +356,14 @@ def normalized_density_variance(rho: np.ndarray) -> float:
 @dataclass
 class _Iterate:
     """A map, one read of its tets (volumes, and hat gradients from the same
-    ``tet_gradients`` call or None), then its frames, density field (None
-    without a population) and trace row."""
+    ``tet_gradients`` call or None), then its signed dilation triples, its
+    frames (None with a population), density field (None without a
+    population) and trace row."""
 
     positions: np.ndarray
     volumes: np.ndarray
     gradients: np.ndarray | None
+    lambdas: np.ndarray | None = None
     frames: TetFrameField | None = None
     field: dem.DensityField | None = None
     row: dict | None = None
@@ -360,25 +379,35 @@ class _Iterate:
         return int(np.count_nonzero(self.volumes <= 0))
 
 
-def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, gradients=False):
-    """Read the candidate, correct its overlaps, and decompose the settled map.
+def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, tracked=False):
+    """Read the candidate, correct its overlaps, and read the settled map's
+    dilations.
 
     With ``near_fold_ratio`` set, a fold-free candidate is corrected too when
-    some anisotropy ratio exceeds it or is undefined. Returns the settled
-    map's record (its folds are those after correction) and folds_pre.
+    some anisotropy ratio exceeds it or is undefined. With a population
+    (``tracked``) the record reads hat gradients and only the eigenvalue
+    triples; without one (3dqc, whose residual step edits every tet) it
+    carries the frames. Returns the settled map's record (its folds are
+    those after correction) and folds_pre.
     """
-    settled = _Iterate.read(mesh, cand, gradients)
+    settled = _Iterate.read(mesh, cand, tracked)
     folds_pre = settled.folds
     strained = False
+    jacobians = None
     if folds_pre == 0 and near_fold_ratio is not None:
-        settled.frames = frame_decompose(jacobian_per_tet(mesh, cand))
-        strained = not np.all(np.abs(settled.frames.ratios) <= near_fold_ratio)
+        jacobians = jacobian_per_tet(mesh, cand)
+        settled.lambdas = dilations(jacobians)
+        strained = not np.all(np.abs(anisotropy_ratios(settled.lambdas)) <= near_fold_ratio)
     if (folds_pre or strained) and config.correction:
         settled = _Iterate.read(mesh, correct_overlaps(
             mesh, cand, config.k_threshold, reference_boundary=ref_boundary,
-            near_fold_ratio=near_fold_ratio, frames=settled.frames), gradients)
-    if settled.frames is None:
+            near_fold_ratio=near_fold_ratio, jacobians=jacobians,
+            lambdas=settled.lambdas), tracked)
+    if not tracked:
         settled.frames = frame_decompose(jacobian_per_tet(mesh, settled.positions))
+        settled.lambdas = settled.frames.lambdas
+    elif settled.lambdas is None:
+        settled.lambdas = dilations(jacobian_per_tet(mesh, settled.positions))
     return settled, folds_pre
 
 
@@ -397,7 +426,7 @@ def _iterate(method, mesh, population, config, init_positions, step, stop,
         else np.array(init_positions, dtype=np.float64)
     # the initial ball is corrected whatever the setting
     state, _ = _settle(mesh, pos0, replace(config, correction=True),
-                       normalize_rows(pos0[b_ids]), gradients=tracked)
+                       normalize_rows(pos0[b_ids]), tracked=tracked)
     pos0, ball_volumes = state.positions.copy(), state.volumes
     report = RunReport(method, config.to_dict())
 
@@ -405,8 +434,8 @@ def _iterate(method, mesh, population, config, init_positions, step, stop,
         if tracked:
             it.field = dem.field_from_volumes(mesh, it.volumes, population)
         e_qc, e_dem, e_deq = compute_energies(mesh.tets, ball_volumes, it.gradients,
-                                              it.field, it.frames, config.alpha)
-        mean_k, sd_k = k_stats(it.frames)
+                                              it.field, it.lambdas, config.alpha)
+        mean_k, sd_k = k_stats(it.lambdas)
         it.row = {"E_3DQC": e_qc, "mean_K": mean_k, "sd_K": sd_k}
         if tracked:
             it.row.update(E_3DDEM=e_dem, E_3DDEQ=e_deq,
@@ -429,7 +458,7 @@ def _iterate(method, mesh, population, config, init_positions, step, stop,
         if cand.folds:
             # correction is off: nothing can be evaluated on inverted volumes
             folded = cand
-            mean_k, sd_k = k_stats(cand.frames)
+            mean_k, sd_k = k_stats(cand.lambdas)
             cand.row = {"var_rho": None, "mean_K": mean_k, "sd_K": sd_k}
             report.add_iteration(iteration=n, folds_pre=folds_pre, folds_post=cand.folds,
                                  **cand.row)
@@ -475,7 +504,7 @@ def _deq_step(mesh, state, config):
     b_ids = mesh.boundary_vertices
     advected = _dem_step(mesh, state, config)
     adv_frames = frame_decompose(jacobian_per_tet(mesh, advected))
-    lam_cur = _flip_and_floor(state.frames.lambdas)
+    lam_cur = _flip_and_floor(state.lambdas)
     lam_adv = _flip_and_floor(adv_frames.lambdas)
     d_lam1 = lam_adv - lam_cur
     d_lam2 = residual_step(lam_cur, config.residual_constant) - lam_cur

@@ -128,26 +128,35 @@ def assemble(plan: AssemblyPlan, values) -> LinearSystem:
     return LinearSystem(n, csr_matrix((data, plan.indices, plan.indptr), shape=(n, n)))
 
 
-def _pcg(A, b, rtol, maxiter):
-    """Jacobi-preconditioned CG from x = 0: returns (x, iterations, residual).
+def _pcg(A, b, rtol, maxiter, x0=None):
+    """Jacobi-preconditioned CG from x0 (default 0): returns (x, iterations,
+    residual).
 
-    Norms are ``sqrt(r @ r)``, bitwise equal to ``np.linalg.norm`` on 1-D
-    input, and the search direction is updated in place; a curvature
-    ``p @ A p`` that is not positive (NaN included) raises at once.
+    It stops once ``||b - A x|| <= rtol * ||b||``, measured against the
+    right-hand side whatever the start. Norms are ``sqrt(r @ r)``, bitwise
+    equal to ``np.linalg.norm`` on 1-D input, and the search direction is
+    updated in place; a curvature ``p @ A p`` that is not positive (NaN
+    included) raises at once.
     """
     n = len(b)
     diag = A.diagonal().copy()
     diag[diag == 0.0] = 1.0
     inv_diag = 1.0 / diag
-    x = np.zeros(n)
-    r = b.copy()  # contiguous, as np.linalg.norm's ravel makes it
-    bnorm = sqrt(r @ r)
+    b = np.ascontiguousarray(b)  # as np.linalg.norm's ravel makes it
+    bnorm = sqrt(b @ b)
     if bnorm == 0.0:
-        return x, 0, 0.0
+        return np.zeros(n), 0, 0.0
+    if x0 is None:
+        x, r = np.zeros(n), b.copy()
+    else:
+        x = np.array(x0, dtype=np.float64)
+        r = b - A @ x
+    res = sqrt(r @ r)
+    if res <= rtol * bnorm:
+        return x, 0, res
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
-    res = sqrt(r @ r)
     for k in range(1, maxiter + 1):
         Ap = A @ p
         pAp = float(p @ Ap)
@@ -167,11 +176,14 @@ def _pcg(A, b, rtol, maxiter):
     raise SolverError("conjugate gradient did not converge", maxiter, res)
 
 
-def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL) -> np.ndarray:
+def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
+          start: np.ndarray | None = None) -> np.ndarray:
     """Solve the (constrained) system for one or several right-hand sides.
 
     Constrained entries of the result equal their fixed values exactly; the
     free part satisfies ``||A x - b|| <= tol * ||b||`` on the reduced system.
+    ``start``, shaped like the result, is the initial guess of the free part
+    (zero by default).
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     single = rhs.ndim == 1
@@ -199,6 +211,8 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL) -> np.ndarray:
         x[fixed_idx] = fixed_vals
 
     maxiter = max(10 * A_ff.shape[0], 50)
+    guess = None if start is None else np.asarray(start, dtype=np.float64).reshape(n, nrhs)
     for j in range(nrhs):
-        x[free_idx, j], _, _ = _pcg(A_ff, b_f[:, j], tol, maxiter)
+        x[free_idx, j], _, _ = _pcg(A_ff, b_f[:, j], tol, maxiter,
+                                    None if guess is None else guess[free_idx, j])
     return x[:, 0] if single else x

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from volball import distortion
 from volball.distortion import (FrameError, TetFrameField, anisotropy_matrices,
-                                flip_eigenvalues, frame_decompose,
-                                jacobian_per_tet, reconstruct_map, residual_step,
+                                dilations, flip_eigenvalues, frame_decompose,
+                                jacobian_per_tet, rebuild_coefficients,
+                                reconstruct_map, residual_step,
                                 truncate_eigenvalues)
 from volball.laplace import harmonic_fill
 
@@ -46,9 +47,19 @@ def test_jacobian_matches_solve_form(ball_mesh):
     assert np.all(err <= 1e-12 * np.linalg.norm(solved, axis=(1, 2)))
 
 
+def _entries(C):
+    """The diagonal and off-diagonal entries of a symmetric stack, as
+    ``distortion._gram`` gives them."""
+    return ([C[:, i, i].copy() for i in range(3)],
+            {key: C[:, key[0], key[1]].copy() for key in ((0, 1), (0, 2), (1, 2))})
+
+
 def _check_sym3_eigh(C):
-    """The Jacobi eigenpairs of C against np.linalg.eigh."""
-    evals, V = distortion._sym3_eigh(C)
+    """The Jacobi eigenpairs of C against np.linalg.eigh; the eigenvalues
+    are the same without the eigenvectors."""
+    evals, V = distortion._sym3_eigh(*_entries(C), vectors=True)
+    alone, none = distortion._sym3_eigh(*_entries(C), vectors=False)
+    assert none is None and np.array_equal(alone, evals)
     scale = np.linalg.norm(C, axis=(1, 2))[:, None]
     assert np.all(np.abs(evals - np.linalg.eigh(C)[0][:, ::-1]) <= 1e-14 * scale)
     recon = (V * evals[:, None, :]) @ np.swapaxes(V, 1, 2)
@@ -80,9 +91,11 @@ def test_sym3_eigh_sweep_cap_raises(monkeypatch):
     monkeypatch.setattr(distortion, "_MAX_SWEEPS", 1)
     J = np.random.default_rng(0).normal(size=(50, 3, 3))
     with pytest.raises(FrameError, match="did not converge on tet"):
-        distortion._sym3_eigh(np.swapaxes(J, 1, 2) @ J)
+        distortion._sym3_eigh(*distortion._gram(J), vectors=True)
+    with pytest.raises(FrameError, match="did not converge on tet"):
+        distortion.dilations(J)
     # a diagonal input needs no sweep at all
-    distortion._sym3_eigh(np.diag([3.0, 1.0, 2.0])[None])
+    distortion._sym3_eigh(*_entries(np.diag([3.0, 1.0, 2.0])[None]), vectors=True)
 
 
 def test_frame_decompose_identity():
@@ -149,6 +162,100 @@ def test_ratio_matches_singular_value_oracle_tightly(seed):
     sv = np.linalg.svd(J, compute_uv=False)
     expected = sv[:, 0] / sv[:, 2] * np.sign(np.linalg.det(J))
     np.testing.assert_allclose(frame_decompose(J).ratios, expected, rtol=1e-12)
+
+
+def _mesh_jacobians(mesh, seed=7):
+    """Jacobians of a sheared ball map with jittered interior vertices."""
+    shear = np.array([[1.4, 0.2, 0.0], [0.1, 0.9, 0.0], [0.0, 0.1, 1.1]])
+    pos = mesh.vertices @ shear.T
+    interior = ~mesh.boundary_vertex_mask
+    pos[interior] += 0.002 * np.random.default_rng(seed).normal(size=(int(interior.sum()), 3))
+    return jacobian_per_tet(mesh, pos)
+
+
+def test_dilations_bitwise_equal_frame_lambdas(ball_mesh):
+    rng = np.random.default_rng(11)
+    cases = {"random": rng.normal(size=(1000, 3, 3)),
+             "identity": np.eye(3),
+             "diag(2, 1, 1)": np.diag([2.0, 1.0, 1.0]),
+             "reflection": np.diag([-1.0, 1.0, 1.0]),
+             "mesh": _mesh_jacobians(ball_mesh)}
+    for name, J in cases.items():
+        lam = dilations(J)
+        assert lam.shape == (len(J) if J.ndim == 3 else 1, 3), name
+        assert np.array_equal(lam, frame_decompose(J).lambdas), name
+    assert dilations(np.diag([-1.0, 1.0, 1.0]))[0, 2] == -1.0
+
+
+def test_dilations_singular_raises():
+    J = np.random.default_rng(12).normal(size=(20, 3, 3))
+    J[13, :, 2] = J[13, :, 0]
+    with pytest.raises(FrameError, match="singular Jacobian on tet 13"):
+        dilations(J)
+    with pytest.raises(FrameError, match="singular"):
+        dilations(np.zeros((3, 3)))
+
+
+def _jacobians_with_ratio(K, m=200, seed=13):
+    """Random J = U diag(K, sqrt K, 1) V^T with det J > 0: ratio a/c = K."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(m, 3, 3)))[0]
+    V = np.linalg.qr(rng.normal(size=(m, 3, 3)))[0]
+    J = (U * np.array([K, np.sqrt(K), 1.0])) @ np.swapaxes(V, 1, 2)
+    return J * np.sign(np.linalg.det(J))[:, None, None]
+
+
+def _energy_error(coeff, frames):
+    """Largest energy-norm relative error ||A^-1/2 (coeff - A) A^-1/2||_2 over
+    the tets, A = anisotropy_matrices(frames)."""
+    a, b, c = frames.lambdas.T
+    d = np.stack([b * c / a, a * c / b, a * b / c], axis=1)
+    W = frames.frames
+    root = (W / np.sqrt(d)[:, None, :]) @ np.swapaxes(W, 1, 2)
+    err = root @ (coeff - anisotropy_matrices(frames)) @ root
+    return np.linalg.norm(err, 2, axis=(1, 2)).max()
+
+
+@pytest.mark.parametrize("K, tol", [(1.0, 1e-12), (2.0, 1e-12), (10.0, 1e-12),
+                                    (1e5, 1e-5)])
+def test_cofactor_coefficient_matches_frame_form(K, tol):
+    # unedited rows take M M^T / det J; adj(J^T J) / det J, equal in exact
+    # arithmetic, is off by about 2e-2 at K = 1e5 and fails here
+    J = _jacobians_with_ratio(K)
+    lam = dilations(J)
+    assert np.allclose(lam[:, 0] / lam[:, 2], K, rtol=1e-9)
+    assert _energy_error(rebuild_coefficients(J, lam, lam), frame_decompose(J)) <= tol
+
+
+def test_cofactor_coefficient_on_mesh_jacobians(ball_mesh):
+    J = _mesh_jacobians(ball_mesh)
+    lam = dilations(J)
+    assert _energy_error(rebuild_coefficients(J, lam, lam), frame_decompose(J)) <= 1e-12
+
+
+def test_rebuild_coefficients_decompose_only_edited_rows(monkeypatch, ball_mesh):
+    J = _mesh_jacobians(ball_mesh)
+    lam = dilations(J)
+    target = lam.copy()
+    edited = np.zeros(len(J), dtype=bool)
+    edited[::17] = True
+    target[edited] = truncate_eigenvalues(lam[edited], 1.01)
+    assert np.any(target != lam, axis=1).sum() == edited.sum()
+    rows = []
+
+    def recorded(J):
+        rows.append(len(J))
+        return frame_decompose(J)
+
+    monkeypatch.setattr(distortion, "frame_decompose", recorded)
+    coeff = rebuild_coefficients(J, lam, target)
+    assert rows == [int(edited.sum())]
+    frames = frame_decompose(J[edited]).frames
+    np.testing.assert_array_equal(coeff[edited],
+                                  anisotropy_matrices(TetFrameField(frames, target[edited])))
+    full = frame_decompose(J)
+    assert _energy_error(coeff[~edited], TetFrameField(full.frames[~edited],
+                                                        full.lambdas[~edited])) <= 1e-12
 
 
 def test_flip_eigenvalues_cases():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from volball import density as dem
-from volball.distortion import frame_decompose, jacobian_per_tet
+from volball.distortion import dilations, frame_decompose, jacobian_per_tet
+from volball.distortion import rebuild_coefficients
 from volball.drivers import (SolverConfig, compute_energies, correct_overlaps,
                              initial_ball, normalized_density_variance,
                              run_3ddem, run_3ddeq, run_3dqc, run_method)
@@ -118,22 +119,22 @@ def test_correct_overlaps_single_interior_fold(ball_mesh):
 
 
 def test_compute_energies_identity(ball_mesh):
-    frames = frame_decompose(jacobian_per_tet(ball_mesh, ball_mesh.vertices))
+    lambdas = dilations(jacobian_per_tet(ball_mesh, ball_mesh.vertices))
     field = dem.recouple_density(ball_mesh, ball_mesh.vertices,
                                  np.abs(ball_mesh.volumes))
     ball_rest = TetMesh.from_arrays(ball_mesh.vertices.copy(), ball_mesh.tets)
     e_qc, e_dem, e_deq = compute_energies(ball_rest.tets, ball_rest.volumes,
-                                          ball_mesh.hat_gradients, field, frames, 0.01)
+                                          ball_mesh.hat_gradients, field, lambdas, 0.01)
     assert e_qc == pytest.approx(0.0, abs=1e-18)
     assert e_dem == pytest.approx(0.0, abs=1e-15)
     assert e_deq == pytest.approx(0.0, abs=1e-15)
 
 
 def test_compute_energies_scaling_invariance_of_qc(ball_mesh):
-    frames = frame_decompose(jacobian_per_tet(ball_mesh, 3.0 * ball_mesh.vertices))
+    lambdas = dilations(jacobian_per_tet(ball_mesh, 3.0 * ball_mesh.vertices))
     ball_rest = TetMesh.from_arrays(ball_mesh.vertices.copy(), ball_mesh.tets)
     e_qc, _, _ = compute_energies(ball_rest.tets, ball_rest.volumes, None, None,
-                                  frames, 0.01)
+                                  lambdas, 0.01)
     assert e_qc == pytest.approx(0.0, abs=1e-16)
 
 
@@ -144,17 +145,17 @@ def test_compute_energies_brute_force_oracle(ball_mesh):
         positions = ball_mesh.vertices + 0.002 * rng.normal(size=positions.shape)
     pop = np.abs(ball_mesh.volumes)
     field = dem.recouple_density(ball_mesh, positions, pop)
-    frames = frame_decompose(jacobian_per_tet(ball_mesh, positions))
+    lambdas = dilations(jacobian_per_tet(ball_mesh, positions))
     ball_rest = TetMesh.from_arrays(ball_mesh.vertices.copy(), ball_mesh.tets)
     e_qc, e_dem, e_deq = compute_energies(ball_rest.tets, ball_rest.volumes,
                                           tet_gradients(positions, ball_mesh.tets)[1],
-                                          field, frames, 0.01)
+                                          field, lambdas, 0.01)
 
     # independent re-summation over raw arrays
     w = np.abs(signed_volumes(ball_mesh.vertices, ball_mesh.tets))
     acc_qc = 0.0
     for t in range(len(ball_mesh.tets)):
-        lam = np.sort(np.abs(frames.lambdas[t]))[::-1]
+        lam = np.sort(np.abs(lambdas[t]))[::-1]
         acc_qc += w[t] * np.log(lam[0] / lam[2]) ** 2
     acc_dem = 0.0
     grads = dem.density_gradient(ball_mesh.tets, tet_gradients(positions, ball_mesh.tets)[1],
@@ -188,6 +189,34 @@ def test_run_3dqc_stretched_ball_decreases_energy():
     assert res.report.final["folds"] == 0
 
 
+def _decomposed_rows(monkeypatch):
+    """Record the rows of every frame_decompose call made by the drivers."""
+    from volball import distortion, drivers
+    rows = []
+
+    def recorded(J):
+        rows.append(len(J))
+        return frame_decompose(J)
+
+    for module in (distortion, drivers):
+        monkeypatch.setattr(module, "frame_decompose", recorded)
+    return rows
+
+
+def _edited_rows(monkeypatch):
+    """Record the rows each rebuild edits: those whose target triple differs
+    from the map's own."""
+    from volball import drivers
+    edited = []
+
+    def recorded(J, lambdas, target):
+        edited.append(int(np.any(target != lambdas, axis=1).sum()))
+        return rebuild_coefficients(J, lambdas, target)
+
+    monkeypatch.setattr(drivers, "rebuild_coefficients", recorded)
+    return edited
+
+
 def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
     from volball import drivers
     rng = np.random.default_rng(4)
@@ -203,15 +232,22 @@ def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
         return jacobian_per_tet(mesh, positions)
 
     monkeypatch.setattr(drivers, "jacobian_per_tet", recorded)
-    # fold-free but strained: correct_overlaps takes over the frames of the
-    # candidate instead of decomposing it again
-    settled, _ = drivers._settle(ball_mesh, cand, SolverConfig(),
+    rows, edited = _decomposed_rows(monkeypatch), _edited_rows(monkeypatch)
+    # fold-free but strained: correct_overlaps takes over the Jacobians and
+    # triples of the candidate instead of reading them again; the low cap
+    # makes the rebuild truncate the strained tets
+    settled, _ = drivers._settle(ball_mesh, cand, SolverConfig(k_threshold=1.01),
                                  normalize_rows(cand[ball_mesh.boundary_vertices]),
-                                 near_fold_ratio=float(np.median(ratios)))
+                                 near_fold_ratio=float(np.median(ratios)), tracked=True)
     assert len(seen) >= 2
     assert len(seen) == len(set(seen))
-    # the record's frames are the last decomposition, that of its positions
+    # the record's triples are the last read, that of its own positions
     assert seen[-1] == settled.positions.tobytes()
+    assert np.array_equal(settled.lambdas,
+                          dilations(jacobian_per_tet(ball_mesh, settled.positions)))
+    # with a population the record holds no frames; only edited tets get them
+    assert settled.frames is None
+    assert 0 < sum(rows) == sum(edited) < len(ball_mesh.tets) * len(edited)
 
 
 def test_settle_counts_folds_once_without_correction(monkeypatch, ball_mesh):
@@ -245,7 +281,7 @@ def test_settle_counts_folds_once_without_correction(monkeypatch, ball_mesh):
                         lambda mesh, cand, *args, **kwargs: mesh.vertices.copy())
     calls.clear()
     settled, pre = drivers._settle(ball_mesh, mirrored, SolverConfig(), ref,
-                                   gradients=True)
+                                   tracked=True)
     assert (pre, settled.folds, calls) == (m, 0, ["tet_gradients"] * 2)
     assert np.array_equal(settled.gradients, ball_mesh.hat_gradients)
 
@@ -487,3 +523,41 @@ def test_driver_iterate_reads_its_geometry_once(monkeypatch, ball_mesh):
         qc_calls.append(calls)
     assert qc_calls[1]["tet_gradients"] == qc_calls[0]["tet_gradients"]
     assert qc_calls[1]["signed_volumes"] > qc_calls[0]["signed_volumes"]
+
+
+def test_3ddem_iteration_without_correction_decomposes_nothing(monkeypatch, ball_mesh):
+    # a 3ddem iterate that needs no correction reads eigenvalues only
+    pop = hemispheric_population(ball_mesh, 1.05)
+    rows = _decomposed_rows(monkeypatch)
+    result = run_3ddem(ball_mesh, pop, SolverConfig(n_max=3, eps=1e-4),
+                       init_positions=ball_mesh.vertices)
+    assert [it["folds_pre"] for it in result.report.iterations] == [0] * 3
+    assert rows == []
+
+
+def test_3ddem_correction_decomposes_only_edited_tets(monkeypatch, ball_mesh):
+    # folds fire the correction; each rebuild decomposes exactly the tets
+    # whose triples it flips or truncates
+    pop = hemispheric_population(ball_mesh, 4.0)
+    rows, edited = _decomposed_rows(monkeypatch), _edited_rows(monkeypatch)
+    result = run_3ddem(ball_mesh, pop, SolverConfig(n_max=3))
+    assert any(it["folds_pre"] for it in result.report.iterations)
+    assert len(edited) > 0 and all(edited)
+    assert rows == edited
+
+
+def test_3dqc_iterate_decomposes_once(monkeypatch):
+    # the residual step edits every tet, so each 3dqc iterate carries frames
+    # from one full decomposition
+    mesh = stretched_ball_mesh(1)
+    ball = run_3dqc(mesh, SolverConfig(n_max=1)).initial_positions
+    per_run = []
+    for n_max in (1, 3):
+        with monkeypatch.context() as mp:
+            rows = _decomposed_rows(mp)
+            result = run_3dqc(mesh, SolverConfig(n_max=n_max), init_positions=ball)
+        assert len(result.report.iterations) == n_max + 1
+        assert all(it["folds_pre"] == 0 for it in result.report.iterations)
+        assert set(rows) == {len(mesh.tets)}
+        per_run.append(len(rows))
+    assert per_run[1] - per_run[0] == 2

@@ -97,6 +97,31 @@ def test_energy_norm_monotone_descent():
     assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
 
 
+def test_warm_start_stops_against_the_rhs():
+    # a start is only a guess: the stopping test stays ||b - A x|| <= rtol ||b||
+    rng = np.random.default_rng(12)
+    A = _random_spd(rng, 12)
+    b = rng.normal(size=12)
+    A_sparse = csr_matrix(A)
+    rtol = 1e-8
+    x_cold, k_cold, _ = linsolve._pcg(A_sparse, b, rtol, 10000)
+    _, k_exact, _ = linsolve._pcg(A_sparse, b, rtol, 10000, x0=np.linalg.solve(A, b))
+    assert k_exact == 0
+    far = 1e3 * rng.normal(size=12)
+    x_far, k_far, res = linsolve._pcg(A_sparse, b, rtol, 10000, x0=far)
+    assert k_far >= 1 and res <= rtol * np.linalg.norm(b)
+    assert np.linalg.norm(b - A @ x_far) <= 1e-6 * np.linalg.norm(b)
+    near = x_cold + 1e-6 * rng.normal(size=12)
+    assert linsolve._pcg(A_sparse, b, rtol, 10000, x0=near)[1] < k_cold
+    # through solve: the constrained entries keep their values exactly
+    rows, cols = np.nonzero(A)
+    system = _assemble(12, rows, cols, A[rows, cols])
+    system.constrain([2, 7], [0.5, -1.25])
+    x = linsolve.solve(system, b, tol=rtol, start=far)
+    assert x[2] == 0.5 and x[7] == -1.25
+    np.testing.assert_allclose(x, linsolve.solve(system, b, tol=1e-12), atol=1e-6)
+
+
 def test_constrained_values_exact():
     rng = np.random.default_rng(5)
     A = _random_spd(rng, 8)
