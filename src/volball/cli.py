@@ -28,17 +28,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("VOLBALL_THREADS")
-    if not cap:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(int(cap))
-    except (ImportError, ValueError):
-        pass
-
-
 def _add_config_flags(p):
     p.add_argument("--dt", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=1e-2)
@@ -198,12 +187,8 @@ def _cmd_metrics(args) -> int:
         folds = mesh.count_folds(positions)
         mean_k, sd_k = k_stats(dilations(jacobian_per_tet(mesh, positions)))
         pop = np.abs(mesh.volumes)
-        rho0 = pop / pop  # rest density of the volume population is 1
-        out.update({
-            "mean_K": mean_k, "sd_K": sd_k,
-            "folds": int(folds),
-            "var_rho0": normalized_density_variance(rho0),
-        })
+        # the volume population has rest density 1 everywhere
+        out.update({"mean_K": mean_k, "sd_K": sd_k, "folds": int(folds), "var_rho0": 0.0})
         if folds == 0:
             rho = recouple_density(mesh, positions, pop).rho_vertex
             out["var_rho"] = normalized_density_variance(rho)
@@ -230,7 +215,6 @@ def _cmd_convert(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

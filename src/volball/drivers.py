@@ -14,9 +14,10 @@ next step share one record per iterate (``_Iterate``): its volumes and, with a
 population, hat gradients from one ``tet_gradients`` call, and its signed
 dilation eigenvalue triples. Only a run without a population (3dqc, whose
 residual step edits every tet's triple) carries the frames as well.
-Settling makes every iterate fold-free by an overlap correction whose rounds
-repair the spherical boundary, then rebuild the interior with the boundary
-fixed and, while folds remain, the boundary patch with the interior fixed.
+Settling passes a fold-free candidate unchanged and makes a folded one
+fold-free by an overlap correction whose rounds repair the spherical boundary,
+then rebuild the interior with the boundary fixed and, while folds remain, the
+boundary patch with the interior fixed.
 A rebuild decomposes with frames only the tets whose triples it flips or
 truncates; the rest keep their own dilation through the cofactor form
 (``distortion.rebuild_coefficients``), so the current map solves the
@@ -175,26 +176,25 @@ def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
 def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 10.0,
                      budget: int = 10,
                      reference_boundary: np.ndarray | None = None,
-                     near_fold_ratio: float | None = None,
-                     jacobians: np.ndarray | None = None,
-                     lambdas: np.ndarray | None = None) -> np.ndarray:
+                     near_fold_ratio: float | None = None) -> np.ndarray:
     """Remove inverted tets from a ball map, preserving the spherical boundary.
 
-    Rounds run until the map is fold-free: repair flipped spherical triangles
-    on the boundary surface, (1) rebuild the interior with the boundary fixed
-    after flipping and truncating the eigenvalues of folded tets, and while
-    folds remain (2) rebuild the boundary patch pinning them with the interior
-    fixed, project it back to unit norm and rebuild the interior again.
+    A map with no folded tet and no flipped spherical triangle is returned as
+    given. Otherwise rounds run until the map is fold-free: repair flipped
+    spherical triangles on the boundary surface, (1) rebuild the interior with
+    the boundary fixed after flipping and truncating the eigenvalues of folded
+    tets, and while folds remain (2) rebuild the boundary patch pinning them
+    with the interior fixed, project it back to unit norm and rebuild the
+    interior again. The round that reaches no folds is returned with its
+    boundary renormalised; a budget spent first raises ``CorrectionError``
+    with the fewest folds seen.
 
     ``mesh`` provides the rest geometry; ``reference_boundary`` must be a
     flip-free spherical configuration of the boundary vertices and defaults to
     the normalized rest boundary (exact when the rest mesh is itself a ball).
-    With ``near_fold_ratio`` set, tets whose anisotropy ratio exceeds it are
-    truncated alongside the truly folded ones (they are one flow step away
-    from folding and otherwise escape all relief). ``jacobians`` and
-    ``lambdas``, when given, are the Jacobians of ``positions`` and their
-    ``dilations`` that the caller already holds; they are used instead of
-    reading the positions again.
+    With ``near_fold_ratio`` set, the rebuilds truncate tets whose anisotropy
+    ratio exceeds it alongside the truly folded ones (they are one flow step
+    away from folding).
     """
     b_ids, b_faces = mesh.boundary_surface()
     if reference_boundary is None:
@@ -207,14 +207,7 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
 
     best_score = score(pos, signed_volumes(pos, mesh.tets) <= 0)
     if best_score == 0:
-        if near_fold_ratio is None:
-            return pos
-        if jacobians is None:
-            jacobians = jacobian_per_tet(mesh, pos)
-        if lambdas is None:
-            lambdas = dilations(jacobians)
-        if not np.any(np.abs(anisotropy_ratios(lambdas)) > near_fold_ratio):
-            return pos
+        return pos
 
     boundary_adj = vertex_rings(b_faces, len(b_ids))
 
@@ -246,18 +239,14 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         p[free_b] = normalize_rows(p[free_b])
         return p
 
-    best = pos.copy()
     state = pos
     for round_no in range(budget):
         # tighter truncation targets for stubborn rounds
         k_cap = k_threshold if round_no < 2 else max(
             2.0, k_threshold * 0.7 ** (round_no - 1))
         state = sphere_repair(state)
-        given = state is pos
         state = _rebuild(mesh, state, k_cap, fixed_ids=b_ids,
-                         near_fold_ratio=near_fold_ratio,
-                         jacobians=jacobians if given else None,
-                         lambdas=lambdas if given else None)
+                         near_fold_ratio=near_fold_ratio)
         folded = signed_volumes(state, mesh.tets) <= 0
         if folded.any():
             state = free_boundary_patch(state, folded, k_cap)
@@ -265,27 +254,19 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
                              near_fold_ratio=near_fold_ratio)
             folded = signed_volumes(state, mesh.tets) <= 0
         current = score(state, folded)
-        if current < best_score:
-            best, best_score = state.copy(), current
-        if best_score == 0:
-            break
-    if best_score:
-        raise CorrectionError(best_score)
-    pos = best
-    pos[b_ids] = normalize_rows(pos[b_ids])
-    return pos
+        if current == 0:
+            state[b_ids] = normalize_rows(state[b_ids])
+            return state
+        best_score = min(best_score, current)
+    raise CorrectionError(best_score)
 
 
-def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None,
-             jacobians=None, lambdas=None):
+def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None):
     """Flip + truncate the folded tets' eigenvalues and re-solve the map from
-    ``pos``; ``jacobians`` and ``lambdas`` are those of ``pos`` if the caller
-    has them. Only the tets whose triple this edits get frames
+    ``pos``. Only the tets whose triple this edits get frames
     (``rebuild_coefficients``)."""
-    if jacobians is None:
-        jacobians = jacobian_per_tet(mesh, pos)
-    if lambdas is None:
-        lambdas = dilations(jacobians)
+    jacobians = jacobian_per_tet(mesh, pos)
+    lambdas = dilations(jacobians)
     folded = lambdas[:, 2] <= 0
     lam = _flip_and_floor(lambdas)
     if near_fold_ratio is not None:
@@ -380,34 +361,28 @@ class _Iterate:
 
 
 def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, tracked=False):
-    """Read the candidate, correct its overlaps, and read the settled map's
-    dilations.
+    """Read the candidate, correct its overlaps if it folds, and read the
+    settled map's dilations.
 
-    With ``near_fold_ratio`` set, a fold-free candidate is corrected too when
-    some anisotropy ratio exceeds it or is undefined. With a population
-    (``tracked``) the record reads hat gradients and only the eigenvalue
-    triples; without one (3dqc, whose residual step edits every tet) it
-    carries the frames. Returns the settled map's record (its folds are
-    those after correction) and folds_pre.
+    A fold-free candidate passes unchanged; ``near_fold_ratio`` only reaches
+    the rebuilds of a folded one. With a population (``tracked``) the record
+    reads hat gradients and only the eigenvalue triples; without one (3dqc,
+    whose residual step edits every tet) it carries the frames. Returns the
+    settled map's record (its folds are those after correction) and
+    folds_pre.
     """
     settled = _Iterate.read(mesh, cand, tracked)
     folds_pre = settled.folds
-    strained = False
-    jacobians = None
-    if folds_pre == 0 and near_fold_ratio is not None:
-        jacobians = jacobian_per_tet(mesh, cand)
-        settled.lambdas = dilations(jacobians)
-        strained = not np.all(np.abs(anisotropy_ratios(settled.lambdas)) <= near_fold_ratio)
-    if (folds_pre or strained) and config.correction:
+    if folds_pre and config.correction:
         settled = _Iterate.read(mesh, correct_overlaps(
             mesh, cand, config.k_threshold, reference_boundary=ref_boundary,
-            near_fold_ratio=near_fold_ratio, jacobians=jacobians,
-            lambdas=settled.lambdas), tracked)
-    if not tracked:
-        settled.frames = frame_decompose(jacobian_per_tet(mesh, settled.positions))
+            near_fold_ratio=near_fold_ratio), tracked)
+    jacobians = jacobian_per_tet(mesh, settled.positions)
+    if tracked:
+        settled.lambdas = dilations(jacobians)
+    else:
+        settled.frames = frame_decompose(jacobians)
         settled.lambdas = settled.frames.lambdas
-    elif settled.lambdas is None:
-        settled.lambdas = dilations(jacobian_per_tet(mesh, settled.positions))
     return settled, folds_pre
 
 

@@ -93,25 +93,26 @@ def test_correct_overlaps_noop_on_clean_input(ball_mesh):
     np.testing.assert_array_equal(out, pos)
 
 
-def test_correct_overlaps_single_interior_fold(ball_mesh):
-    pos = initial_ball(ball_mesh, SolverConfig(), "3ddem")
-    interior = np.flatnonzero(~ball_mesh.boundary_vertex_mask)
-    broken = None
-    for v in interior:
-        for t in np.flatnonzero(np.any(ball_mesh.tets == v, axis=1)):
-            face = [i for i in ball_mesh.tets[t] if i != v]
+def _single_fold(mesh, pos):
+    """``pos`` with one interior vertex reflected just past the opposite face
+    plane of an incident tet, so that exactly one tet folds."""
+    for v in np.flatnonzero(~mesh.boundary_vertex_mask):
+        for t in np.flatnonzero(np.any(mesh.tets == v, axis=1)):
+            face = [i for i in mesh.tets[t] if i != v]
             p0, p1, p2 = pos[face]
             n = np.cross(p1 - p0, p2 - p0)
             n /= np.linalg.norm(n)
             d = float((pos[v] - p0) @ n)
             cand = pos.copy()
             cand[v] -= 2.02 * d * n
-            if ball_mesh.count_folds(cand) == 1:
-                broken = cand
-                break
-        if broken is not None:
-            break
-    assert broken is not None
+            if mesh.count_folds(cand) == 1:
+                return cand
+    raise AssertionError("no single-fold construction found")
+
+
+def test_correct_overlaps_single_interior_fold(ball_mesh):
+    pos = initial_ball(ball_mesh, SolverConfig(), "3ddem")
+    broken = _single_fold(ball_mesh, pos)
     fixed = correct_overlaps(ball_mesh, broken, 10.0)
     assert ball_mesh.count_folds(fixed) == 0
     assert np.abs(np.linalg.norm(fixed[ball_mesh.boundary_vertex_mask], axis=1)
@@ -219,12 +220,7 @@ def _edited_rows(monkeypatch):
 
 def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
     from volball import drivers
-    rng = np.random.default_rng(4)
-    cand = ball_mesh.vertices.copy()
-    interior = ~ball_mesh.boundary_vertex_mask
-    cand[interior] += 0.002 * rng.normal(size=(int(interior.sum()), 3))
-    assert ball_mesh.count_folds(cand) == 0
-    ratios = np.abs(frame_decompose(jacobian_per_tet(ball_mesh, cand)).ratios)
+    cand = _single_fold(ball_mesh, ball_mesh.vertices)
     seen = []
 
     def recorded(mesh, positions):
@@ -233,12 +229,12 @@ def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
 
     monkeypatch.setattr(drivers, "jacobian_per_tet", recorded)
     rows, edited = _decomposed_rows(monkeypatch), _edited_rows(monkeypatch)
-    # fold-free but strained: correct_overlaps takes over the Jacobians and
-    # triples of the candidate instead of reading them again; the low cap
-    # makes the rebuild truncate the strained tets
-    settled, _ = drivers._settle(ball_mesh, cand, SolverConfig(k_threshold=1.01),
-                                 normalize_rows(cand[ball_mesh.boundary_vertices]),
-                                 near_fold_ratio=float(np.median(ratios)), tracked=True)
+    # the folded candidate is corrected: each rebuild reads its own start,
+    # and the settled map is read once more
+    settled, pre = drivers._settle(ball_mesh, cand, SolverConfig(),
+                                   normalize_rows(cand[ball_mesh.boundary_vertices]),
+                                   near_fold_ratio=drivers.NEAR_FOLD_RATIO, tracked=True)
+    assert (pre, settled.folds) == (1, 0)
     assert len(seen) >= 2
     assert len(seen) == len(set(seen))
     # the record's triples are the last read, that of its own positions
@@ -248,6 +244,30 @@ def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
     # with a population the record holds no frames; only edited tets get them
     assert settled.frames is None
     assert 0 < sum(rows) == sum(edited) < len(ball_mesh.tets) * len(edited)
+
+
+def test_settle_passes_strained_fold_free_candidate(monkeypatch, ball_mesh):
+    # ratios above near_fold_ratio alone trigger no correction and no rebuild
+    from volball import drivers
+    rng = np.random.default_rng(4)
+    cand = ball_mesh.vertices.copy()
+    interior = ~ball_mesh.boundary_vertex_mask
+    cand[interior] += 0.002 * rng.normal(size=(int(interior.sum()), 3))
+    assert ball_mesh.count_folds(cand) == 0
+    lambdas = dilations(jacobian_per_tet(ball_mesh, cand))
+    near_fold_ratio = float(np.median(np.abs(lambdas[:, 0] / lambdas[:, 2])))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fold-free candidate was corrected")
+
+    for name in ("correct_overlaps", "reconstruct_map"):
+        monkeypatch.setattr(drivers, name, refuse)
+    settled, pre = drivers._settle(ball_mesh, cand, SolverConfig(),
+                                   normalize_rows(cand[ball_mesh.boundary_vertices]),
+                                   near_fold_ratio=near_fold_ratio, tracked=True)
+    assert (pre, settled.folds) == (0, 0)
+    assert settled.positions is cand
+    assert np.array_equal(settled.lambdas, lambdas)
 
 
 def test_settle_counts_folds_once_without_correction(monkeypatch, ball_mesh):
