@@ -456,11 +456,12 @@ def _iterate(method, mesh, population, config, init_positions, step, stop,
 
 
 def _qc_step(mesh, state, config):
-    """Residual descent on the anisotropy ratios, boundary held fixed."""
+    """Residual descent on the anisotropy ratios, boundary held fixed; the
+    solve starts from the current map."""
     b_ids = mesh.boundary_vertices
     lam = residual_step(flip_eigenvalues(state.frames.lambdas), config.residual_constant)
     return reconstruct_map(mesh, TetFrameField(state.frames.frames, lam),
-                           b_ids, state.positions[b_ids])
+                           b_ids, state.positions[b_ids], start=state.positions)
 
 
 def _dem_step(mesh, state, config):
@@ -475,7 +476,8 @@ def _dem_step(mesh, state, config):
 
 def _deq_step(mesh, state, config):
     """The flow step as per-tet eigenvalue increments plus an alpha-weighted
-    residual-descent increment, truncated at k_threshold and rebuilt."""
+    residual-descent increment, truncated at k_threshold and rebuilt with
+    the solve started from the advected map."""
     b_ids = mesh.boundary_vertices
     advected = _dem_step(mesh, state, config)
     adv_frames = frame_decompose(jacobian_per_tet(mesh, advected))
@@ -493,7 +495,7 @@ def _deq_step(mesh, state, config):
         lam_bar[bad] = lam_adv[bad]
     lam_bar = truncate_eigenvalues(lam_bar, config.k_threshold)
     return reconstruct_map(mesh, TetFrameField(adv_frames.frames, lam_bar),
-                           b_ids, advected[b_ids])
+                           b_ids, advected[b_ids], start=advected)
 
 
 # Stop rules: (accept, converged) for an evaluated candidate, prev None for

@@ -286,7 +286,7 @@ def test_settle_counts_folds_once_without_correction(monkeypatch, ball_mesh):
         monkeypatch.setattr(drivers, name, counted(getattr(drivers, name)))
     monkeypatch.setattr(TetMesh, "count_folds", counted(TetMesh.count_folds))
     ref = normalize_rows(ball_mesh.vertices[ball_mesh.boundary_vertices])
-    # fold-free and unstrained: folds_post is folds_pre, read once
+    # fold-free: folds_post is folds_pre, read once
     settled, pre = drivers._settle(ball_mesh, ball_mesh.vertices.copy(),
                                    SolverConfig(), ref)
     assert (pre, settled.folds, calls) == (0, 0, ["signed_volumes"])
