@@ -5,7 +5,7 @@ P = sqrt(J^T J) has eigenvalues a >= b >= |c| with sign(c) = sign(det J); the
 ratio a/c measures anisotropic distortion and is negative exactly on inverted
 tets. The module provides the eigenvalue operators used by the solvers
 (flip, residual descent, truncation) and the divergence-form solve that
-rebuilds a map realizing a prescribed frame field (``laplace.p1_stiffness``).
+rebuilds a map realizing a prescribed frame field (``laplace.p1_blocks``).
 
 All per-tet 3 x 3 work is closed-form and vectorised over the tets, with no
 batched LAPACK call. J is a matmul against the rest mesh's cached hat
@@ -18,23 +18,23 @@ safety net that raises ``FrameError``. The smallest eigenvalue is
 c = det J / (a b), exact since det J = a b c, so the ratio a/c stays accurate
 to a few ulps where sqrt of the smallest eigenvalue of J^T J would lose
 cond(J)^2 * eps. The closed trigonometric form of a 3 x 3 spectrum is not
-used: on random J with a/c = 1e3 and b close to c its middle eigenvalue is
-off by up to 3e-3 relative against the SVD, where Jacobi's is off by 9e-11.
+used: on 20 000 random J with a/c = 1e3 and b within 1e-2 of c its middle
+eigenvalue is off by up to 4e-3 relative against the SVD, where Jacobi's is
+off by 1e-10.
 
 Eigenvectors are accumulated only where a caller needs frames:
 ``frame_decompose`` gives frames and triples, ``dilations`` the bitwise
-identical triples from the same sweeps without them. The drivers read
-triples for every tet and decompose with frames only the tets whose triples
-a step edits (every tet in the 3dqc residual step, the flipped or truncated
-ones in the overlap correction). An unedited tet needs no frame, since
-W diag(bc/a, ac/b, ab/c) W^T = det J (J^T J)^-1 = M M^T / det J, with M the
-cofactor matrix of J (rows j1 x j2, j2 x j0, j0 x j1 of the columns jk of J);
-``rebuild_coefficients`` mixes the two forms. The adjugate form
-adj(J^T J) / det J is algebraically equal but forms J^T J first and so
-squares the condition number. On random J with singular values (K, sqrt K, 1)
-its worst energy-norm error against a 50-digit reference is 1e-8 at K = 1e3
-and 2e-2 at K = 1e5, against 8e-11 and 1.4e-6 for the cofactor form and
-5e-11 and 7e-7 for the frame form.
+identical triples from the same sweeps without them. The overlap
+correction's rebuild edits only inverted tets and those with a/c above a
+near-fold ratio; ``fold_candidates`` screens them from det J and tr(J^T J),
+so only screened tets are eigen-solved and only edited ones framed. An
+unedited tet keeps its block |V_rest| G_rest det J (J^T J)^-1 G_rest^T, which
+is the current map's own 2 |V| G G^T (G = G_rest J^-1, V = det J V_rest). On
+200 random J with singular values (K, sqrt K, 1) its worst energy-norm error
+against a long-double reference is 8e-11 at K = 1e3 and 8e-7 at K = 1e5; the
+frame form's is 7e-11 and 6e-7, the cofactor form M M^T / det J's 1.2e-10
+and 9e-7, and that of adj(J^T J) / det J, which squares the condition
+number, 1e-8 and 1e-2.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linsolve
-from .laplace import p1_stiffness
-from .tetmesh import TetMesh, _cross, _det3
+from .laplace import p1_blocks
+from .tetmesh import TetMesh, _det3, tet_gradients
 
 
 class FrameError(ValueError):
@@ -153,7 +153,7 @@ def _sym3_eigh(diag: list, off: dict, vectors: bool):
             tau = diag[q] - diag[p]
             # tan of the rotation angle, the smaller root; 0 when a_pq = 0
             t = 2.0 * apq * np.copysign(1.0, tau) / np.maximum(
-                np.abs(tau) + np.hypot(tau, 2.0 * apq), 1e-300)
+                np.abs(tau) + np.sqrt(tau * tau + 4.0 * apq * apq), 1e-300)
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             diag[p] = diag[p] - t * apq
@@ -221,6 +221,19 @@ def dilations(J: np.ndarray) -> np.ndarray:
     return _signed_triples(eigvals, det)
 
 
+def fold_candidates(J: np.ndarray, ratio: float | None = None) -> np.ndarray:
+    """Indices of the Jacobians with det J <= 0 or, with ``ratio``, with
+    tr(J^T J)^(3/2) > ratio det J: a superset of those with a/c > ratio, since
+    a/c = a^2 b / det J and a^2 b <= tr(J^T J)^(3/2) / 2.6. ``FrameError`` on
+    a singular J of any tet, as ``dilations``."""
+    J, det = _checked_jacobians(J)
+    passed = det <= 0
+    if ratio is not None:
+        flat = J.reshape(len(J), 9)
+        passed |= np.einsum("ij,ij->i", flat, flat) ** 1.5 > ratio * det
+    return np.flatnonzero(passed)
+
+
 def flip_eigenvalues(lambdas: np.ndarray) -> np.ndarray:
     """Repair inverted triples: (a, b, -c) where the ratio is negative."""
     lam = np.atleast_2d(np.asarray(lambdas, dtype=np.float64)).copy()
@@ -282,47 +295,33 @@ def anisotropy_matrices(frames: TetFrameField) -> np.ndarray:
     return (W * d[:, None, :]) @ np.swapaxes(W, 1, 2)
 
 
-def rebuild_coefficients(J: np.ndarray, lambdas: np.ndarray,
-                         target: np.ndarray) -> np.ndarray:
-    """Per-tet coefficients (m, 3, 3) that prescribe the triples ``target`` on
-    a map with Jacobians J and triples ``lambdas`` (``dilations(J)``).
-
-    A row whose target is its own positive triple takes M M^T / det J, M the
-    cofactor matrix of J with rows j1 x j2, j2 x j0, j0 x j1 (the columns jk
-    of J): it equals W diag(bc/a, ac/b, ab/c) W^T = det J (J^T J)^-1 exactly
-    and needs no frame. Only the edited rows are decomposed with frames.
-    """
-    framed = np.any(target != lambdas, axis=1) | (target[:, 2] <= 0)
-    j0, j1, j2 = np.moveaxis(J, 2, 0)
-    rows = (_cross(j1, j2), _cross(j2, j0), _cross(j0, j1))
-    det = _dot(j0, rows[0])
-    coeff = np.empty((len(J), 3, 3))
-    for i in range(3):
-        for k in range(i, 3):
-            coeff[:, i, k] = coeff[:, k, i] = _dot(rows[i], rows[k]) / det
-    if framed.any():
-        frames = frame_decompose(J[framed]).frames
-        coeff[framed] = anisotropy_matrices(TetFrameField(frames, target[framed]))
-    return coeff
-
-
-def reconstruct_map(mesh: TetMesh, prescribed: TetFrameField | np.ndarray,
+def reconstruct_map(mesh: TetMesh, prescribed: TetFrameField,
                     fixed_indices: np.ndarray, fixed_points: np.ndarray,
-                    start: np.ndarray | None = None) -> np.ndarray:
+                    start: np.ndarray | None = None, tets: np.ndarray | None = None,
+                    geometry=None) -> np.ndarray:
     """Rebuild vertex positions realizing a prescribed dilation field.
 
     Solves the three scalar equations div(A grad u) = 0 with the per-tet
-    coefficient A, ``anisotropy_matrices`` of a ``TetFrameField`` or given as
-    an (m, 3, 3) array, and Dirichlet values at ``fixed_indices``. The solve
-    starts from ``start`` (all vertices) when given, else from zero; either
-    way it stops at the same relative residual. With identity frames this
-    reduces to the harmonic fill.
+    A = ``anisotropy_matrices(prescribed)`` and Dirichlet values at
+    ``fixed_indices``. With ``tets``, ``prescribed`` covers only those tets;
+    every other tet must be uninverted under ``start`` and keeps its dilation
+    there through the current stiffness 2 |V| G G^T from ``geometry``, the
+    ``tetmesh.tet_gradients`` pair of ``start`` (read when None). The solve
+    starts from ``start`` when given, else from zero, and stops at the same
+    relative residual either way. With identity frames this reduces to the
+    harmonic fill.
     """
-    coeff = anisotropy_matrices(prescribed) if isinstance(prescribed, TetFrameField) \
-        else prescribed
-    system = p1_stiffness(mesh.connectivity.plan, mesh.volumes, mesh.hat_gradients, coeff)
     fixed_indices = np.asarray(fixed_indices, dtype=np.int64)
     if len(fixed_indices) == 0:
         raise ValueError("reconstruction needs at least one constrained vertex")
+    coeff = anisotropy_matrices(prescribed)
+    if tets is None:
+        local = p1_blocks(mesh.volumes, mesh.hat_gradients, coeff)
+    else:
+        local = p1_blocks(*(tet_gradients(start, mesh.tets) if geometry is None
+                            else geometry), 1.0)
+        local[tets] = p1_blocks(mesh.volumes[tets], mesh.hat_gradients[tets], coeff)
+    system = linsolve.assemble(mesh.connectivity.plan, local.reshape(-1))
+    del coeff, local  # assembled; not held through the solve
     system.constrain(fixed_indices, np.asarray(fixed_points, dtype=np.float64))
     return linsolve.solve(system, np.zeros((len(mesh.vertices), 3)), tol=1e-9, start=start)

@@ -18,10 +18,10 @@ Settling passes a fold-free candidate unchanged and makes a folded one
 fold-free by an overlap correction whose rounds repair the spherical boundary,
 then rebuild the interior with the boundary fixed and, while folds remain, the
 boundary patch with the interior fixed.
-A rebuild decomposes with frames only the tets whose triples it flips or
-truncates; the rest keep their own dilation through the cofactor form
-(``distortion.rebuild_coefficients``), so the current map solves the
-unedited system exactly and the solve starts from it.
+A rebuild eigen-solves only the tets that pass ``distortion.fold_candidates``
+and frames only those whose triples it flips or truncates; the rest keep
+their own dilation through the current map's cotangent stiffness, so the
+current map solves the unedited system exactly and the solve starts from it.
 With the correction off, a candidate that still folds is recorded with var_rho
 None and ends the run, whatever the method.
 """
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import density as dem
 from .distortion import (TetFrameField, anisotropy_ratios, dilations, flip_eigenvalues,
-                         frame_decompose, jacobian_per_tet, rebuild_coefficients,
+                         fold_candidates, frame_decompose, jacobian_per_tet,
                          reconstruct_map, residual_step, truncate_eigenvalues)
 from .laplace import harmonic_fill
 from .report import RunReport
@@ -176,7 +176,7 @@ def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
 def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 10.0,
                      budget: int = 10,
                      reference_boundary: np.ndarray | None = None,
-                     near_fold_ratio: float | None = None) -> np.ndarray:
+                     near_fold_ratio: float | None = None, geometry=None) -> np.ndarray:
     """Remove inverted tets from a ball map, preserving the spherical boundary.
 
     A map with no folded tet and no flipped spherical triangle is returned as
@@ -194,7 +194,8 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     the normalized rest boundary (exact when the rest mesh is itself a ball).
     With ``near_fold_ratio`` set, the rebuilds truncate tets whose anisotropy
     ratio exceeds it alongside the truly folded ones (they are one flow step
-    away from folding).
+    away from folding). ``geometry``, the caller's (volumes, hat gradients or
+    None) of ``positions``, gives the first score and the first rebuild.
     """
     b_ids, b_faces = mesh.boundary_surface()
     if reference_boundary is None:
@@ -205,7 +206,8 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         return int(np.count_nonzero(folded)) + int(
             spherical_flips(normalize_rows(p[b_ids]), b_faces).sum())
 
-    best_score = score(pos, signed_volumes(pos, mesh.tets) <= 0)
+    volumes, gradients = geometry or (signed_volumes(pos, mesh.tets), None)
+    best_score = score(pos, volumes <= 0)
     if best_score == 0:
         return pos
 
@@ -244,9 +246,10 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         # tighter truncation targets for stubborn rounds
         k_cap = k_threshold if round_no < 2 else max(
             2.0, k_threshold * 0.7 ** (round_no - 1))
-        state = sphere_repair(state)
-        state = _rebuild(mesh, state, k_cap, fixed_ids=b_ids,
-                         near_fold_ratio=near_fold_ratio)
+        repaired = sphere_repair(state)
+        reuse = repaired is pos and gradients is not None
+        state = _rebuild(mesh, repaired, k_cap, fixed_ids=b_ids,
+                         near_fold_ratio=near_fold_ratio, geometry=geometry if reuse else None)
         folded = signed_volumes(state, mesh.tets) <= 0
         if folded.any():
             state = free_boundary_patch(state, folded, k_cap)
@@ -261,20 +264,23 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     raise CorrectionError(best_score)
 
 
-def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None):
-    """Flip + truncate the folded tets' eigenvalues and re-solve the map from
-    ``pos``. Only the tets whose triple this edits get frames
-    (``rebuild_coefficients``)."""
+def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None, geometry=None):
+    """Flip + truncate the eigenvalues of the folded tets (with
+    ``near_fold_ratio``, also of those whose ratio exceeds it) and re-solve the
+    map from ``pos``, whose ``tet_gradients`` pair ``geometry`` is read when
+    None. Only the screened tets are eigen-solved."""
     jacobians = jacobian_per_tet(mesh, pos)
-    lambdas = dilations(jacobians)
-    folded = lambdas[:, 2] <= 0
+    rows = fold_candidates(jacobians, near_fold_ratio)
+    lambdas = dilations(jacobians[rows])
     lam = _flip_and_floor(lambdas)
+    edited = lambdas[:, 2] <= 0
     if near_fold_ratio is not None:
-        folded = folded | (lam[:, 0] / lam[:, 2] > near_fold_ratio)
-    if folded.any():
-        lam[folded] = truncate_eigenvalues(lam[folded], k_threshold)
-    return reconstruct_map(mesh, rebuild_coefficients(jacobians, lambdas, lam),
-                           fixed_ids, pos[fixed_ids], start=pos)
+        edited |= lam[:, 0] / lam[:, 2] > near_fold_ratio
+    rows = rows[edited]
+    field = TetFrameField(frame_decompose(jacobians[rows]).frames,
+                          truncate_eigenvalues(lam[edited], k_threshold))
+    return reconstruct_map(mesh, field, fixed_ids, pos[fixed_ids], start=pos, tets=rows,
+                           geometry=geometry)
 
 
 def _flip_and_floor(lambdas: np.ndarray) -> np.ndarray:
@@ -376,7 +382,8 @@ def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, tracked=Fals
     if folds_pre and config.correction:
         settled = _Iterate.read(mesh, correct_overlaps(
             mesh, cand, config.k_threshold, reference_boundary=ref_boundary,
-            near_fold_ratio=near_fold_ratio), tracked)
+            near_fold_ratio=near_fold_ratio,
+            geometry=(settled.volumes, settled.gradients)), tracked)
     jacobians = jacobian_per_tet(mesh, settled.positions)
     if tracked:
         settled.lambdas = dilations(jacobians)

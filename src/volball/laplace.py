@@ -1,6 +1,7 @@
-"""P1 stiffness V G A G^T on tets from ``tetmesh.tet_gradients`` (volumes V, hat
-gradients G): the cotangent Laplacian is A = I / 2, the classical S S^T / (18 V)
-of the face area vectors S = -3 V G; the map reconstruction's A is anisotropic."""
+"""P1 stiffness |V| G A G^T on tets from ``tetmesh.tet_gradients`` (volumes V,
+hat gradients G): the cotangent Laplacian is A = I / 2, the classical
+S S^T / (18 V) of the face area vectors S = -3 V G; the map reconstruction's A
+is anisotropic."""
 
 from __future__ import annotations
 
@@ -11,15 +12,23 @@ from . import linsolve
 from .tetmesh import TetMesh
 
 
-def p1_stiffness(plan, volumes, gradients, coeff=None) -> linsolve.LinearSystem:
-    """P1 stiffness of div(A grad u) assembled on ``plan``: |V| G A G^T per
-    tet, symmetrised, with per-tet ``coeff`` A (m, 3, 3) or, when None, the
-    Laplacian's A = I / 2."""
-    gt = np.swapaxes(gradients, 1, 2)
-    local = gradients @ gt * 0.5 if coeff is None else gradients @ coeff @ gt
-    local *= np.abs(volumes)[:, None, None]
-    local = 0.5 * (local + np.swapaxes(local, 1, 2))
-    return linsolve.assemble(plan, local.reshape(-1))
+def p1_blocks(volumes, gradients, coeff) -> np.ndarray:
+    """Per-tet P1 stiffness |V| G A G^T (m, 4, 4) of div(A grad u), symmetric:
+    ten dot products of the rows of G for a scalar ``coeff`` (A = coeff I),
+    a symmetrised batched matmul for an (m, 3, 3) one."""
+    w = np.abs(volumes)
+    if np.ndim(coeff) == 0:
+        w = coeff * w
+        g = np.ascontiguousarray(np.transpose(gradients, (1, 2, 0)))  # (4, 3, m)
+        local = np.empty((len(w), 4, 4))
+        for i in range(4):
+            for j in range(i, 4):
+                local[:, i, j] = local[:, j, i] = (g[i, 0] * g[j, 0] + g[i, 1] * g[j, 1]
+                                                   + g[i, 2] * g[j, 2]) * w
+        return local
+    local = gradients @ coeff @ np.swapaxes(gradients, 1, 2)
+    local *= w[:, None, None]
+    return 0.5 * (local + np.swapaxes(local, 1, 2))
 
 
 def laplacian_matrix(mesh: TetMesh, geometry=None) -> csr_matrix:
@@ -32,7 +41,8 @@ def laplacian_matrix(mesh: TetMesh, geometry=None) -> csr_matrix:
     ``tetmesh.tet_gradients``, by default the mesh's own.
     """
     vols, grads = (mesh.volumes, mesh.hat_gradients) if geometry is None else geometry
-    return p1_stiffness(mesh.connectivity.plan, vols, grads).matrix
+    return linsolve.assemble(mesh.connectivity.plan,
+                             p1_blocks(vols, grads, 0.5).reshape(-1)).matrix
 
 
 def harmonic_fill(mesh: TetMesh, boundary_points: np.ndarray,

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from volball import distortion
 from volball.distortion import (FrameError, TetFrameField, anisotropy_matrices,
-                                dilations, flip_eigenvalues, frame_decompose,
-                                jacobian_per_tet, rebuild_coefficients,
-                                reconstruct_map, residual_step,
-                                truncate_eigenvalues)
-from volball.laplace import harmonic_fill
+                                dilations, flip_eigenvalues, fold_candidates,
+                                frame_decompose, jacobian_per_tet, reconstruct_map,
+                                residual_step, truncate_eigenvalues)
+from volball.laplace import harmonic_fill, p1_blocks
+from volball.tetmesh import _cross, tet_gradients
 
 
 def test_jacobian_identity(ball_mesh):
@@ -205,57 +205,97 @@ def _jacobians_with_ratio(K, m=200, seed=13):
     return J * np.sign(np.linalg.det(J))[:, None, None]
 
 
-def _energy_error(coeff, frames):
-    """Largest energy-norm relative error ||A^-1/2 (coeff - A) A^-1/2||_2 over
-    the tets, A = anisotropy_matrices(frames)."""
-    a, b, c = frames.lambdas.T
-    d = np.stack([b * c / a, a * c / b, a * b / c], axis=1)
-    W = frames.frames
-    root = (W / np.sqrt(d)[:, None, :]) @ np.swapaxes(W, 1, 2)
-    err = root @ (coeff - anisotropy_matrices(frames)) @ root
-    return np.linalg.norm(err, 2, axis=(1, 2)).max()
+def _stiffness_reference(x):
+    """|V| G G^T of the tets with corners x (m, 4, 3), in long double."""
+    x = x.astype(np.longdouble)
+    a, b, c = (x[:, k] - x[:, 0] for k in (1, 2, 3))
+    g = np.empty((len(x), 4, 3), dtype=np.longdouble)
+    for k, (u, v) in enumerate(((b, c), (c, a), (a, b)), start=1):
+        g[:, k] = np.stack([u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
+                            u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
+                            u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]], axis=1)
+    det = np.sum(a * g[:, 1], axis=1)
+    g[:, 1:] /= det[:, None, None]
+    g[:, 0] = -(g[:, 1] + g[:, 2] + g[:, 3])
+    return np.abs(det / 6)[:, None, None] * (g @ np.swapaxes(g, 1, 2))
 
 
-@pytest.mark.parametrize("K, tol", [(1.0, 1e-12), (2.0, 1e-12), (10.0, 1e-12),
-                                    (1e5, 1e-5)])
-def test_cofactor_coefficient_matches_frame_form(K, tol):
-    # unedited rows take M M^T / det J; adj(J^T J) / det J, equal in exact
-    # arithmetic, is off by about 2e-2 at K = 1e5 and fails here
+def _cofactor_coefficient(J):
+    """det J (J^T J)^-1 as M M^T / det J, M the cofactor matrix of J with rows
+    j1 x j2, j2 x j0, j0 x j1 (the columns jk of J)."""
+    j0, j1, j2 = np.moveaxis(J, 2, 0)
+    M = np.stack([_cross(j1, j2), _cross(j2, j0), _cross(j0, j1)], axis=1)
+    return M @ np.swapaxes(M, 1, 2) / np.sum(j0 * M[:, 0], axis=1)[:, None, None]
+
+
+def _energy_errors(blocks, reference):
+    """Per-tet energy-norm relative error ||R^-1/2 (B - R) R^-1/2||_2 of the
+    blocks B against the reference R, on the complement of the constants."""
+    Q = np.linalg.qr(np.column_stack([np.ones(4), np.eye(4)[:, :3]]))[0][:, 1:]
+    diff = (blocks - reference).astype(np.float64)
+    w, V = np.linalg.eigh(Q.T @ reference.astype(np.float64) @ Q)
+    root = (V / np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2)
+    return np.linalg.norm(root @ (Q.T @ diff @ Q) @ root, 2, axis=(1, 2))
+
+
+@pytest.mark.parametrize("K, tol", [(1.0, 1e-14), (2.0, 1e-14), (10.0, 1e-13),
+                                    (1e3, 1e-9), (1e5, 1e-5)])
+def test_rebuild_blocks_match_current_stiffness(K, tol):
+    # a tet the rebuild leaves unedited takes the current map's own
+    # 2 |V| G G^T; it equals the cofactor form |V_rest| G_rest M M^T / det J
+    # G_rest^T in exact arithmetic and must be no less accurate against the
+    # stiffness of the current corners (below 1e-15 both are at rounding
+    # level). An edited tet takes the frame form, exact on its own triple.
     J = _jacobians_with_ratio(K)
-    lam = dilations(J)
-    assert np.allclose(lam[:, 0] / lam[:, 2], K, rtol=1e-9)
-    assert _energy_error(rebuild_coefficients(J, lam, lam), frame_decompose(J)) <= tol
+    m = len(J)
+    rest = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.4, 0.9, 0.0], [0.3, 0.3, 0.8]])
+    tets = np.arange(4 * m).reshape(m, 4)
+    rest_vols, rest_grads = tet_gradients((rest + 3.0 * np.arange(m)[:, None, None])
+                                          .reshape(-1, 3), tets)
+    shift = np.random.default_rng(5).normal(size=(m, 1, 3))
+    corners = (rest - rest[0]) @ np.swapaxes(J, 1, 2) + shift
+    reference = _stiffness_reference(corners)
+    current = p1_blocks(*tet_gradients(corners.reshape(-1, 3), tets), 1.0)
+    Jm = np.swapaxes(corners, 1, 2) @ rest_grads  # jacobian_per_tet's matmul
+    cofactor = p1_blocks(rest_vols, rest_grads, _cofactor_coefficient(Jm))
+    frame = p1_blocks(rest_vols, rest_grads, anisotropy_matrices(frame_decompose(Jm)))
+    err = {name: _energy_errors(blocks, reference).max()
+           for name, blocks in [("current", current), ("cofactor", cofactor),
+                                ("frame", frame)]}
+    assert err["current"] <= max(err["cofactor"], 1e-15)
+    assert max(err.values()) <= tol
 
 
-def test_cofactor_coefficient_on_mesh_jacobians(ball_mesh):
+def test_reconstruct_keeps_dilation_of_unedited_tets(ball_mesh):
+    # own frames on every 17th tet and the current map's stiffness on the
+    # rest: the jittered map solves the system, reached from a zero start
     J = _mesh_jacobians(ball_mesh)
+    shear = np.array([[1.4, 0.2, 0.0], [0.1, 0.9, 0.0], [0.0, 0.1, 1.1]])
+    pos = ball_mesh.vertices @ shear.T
+    interior = ~ball_mesh.boundary_vertex_mask
+    pos[interior] += 0.002 * np.random.default_rng(7).normal(size=(int(interior.sum()), 3))
+    assert np.array_equal(jacobian_per_tet(ball_mesh, pos), J)
+    rows = np.arange(0, len(J), 17)
+    bidx = ball_mesh.boundary_vertices
+    rec = reconstruct_map(ball_mesh, frame_decompose(J[rows]), bidx, pos[bidx], tets=rows,
+                          geometry=tet_gradients(pos, ball_mesh.tets))
+    np.testing.assert_allclose(rec, pos, atol=1e-7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([10.0, 1e3]), st.floats(-1.0, 1.0), st.floats(0.0, 1.0),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_fold_candidates_keep_every_tet_above_ratio(r, log_k, mid, inverted, seed):
+    # a/c = a^2 b / det J <= tr(J^T J)^(3/2) / det J: every J with a/c > r
+    # passes the screen, and so does every inverted J
+    K = r * 10.0 ** log_k
+    U, V = np.linalg.qr(np.random.default_rng(seed).normal(size=(2, 3, 3)))[0]
+    J = (U * np.array([K, K ** mid, 1.0])) @ V.T
+    J *= np.sign(np.linalg.det(J)) * (-1.0 if inverted else 1.0)
     lam = dilations(J)
-    assert _energy_error(rebuild_coefficients(J, lam, lam), frame_decompose(J)) <= 1e-12
-
-
-def test_rebuild_coefficients_decompose_only_edited_rows(monkeypatch, ball_mesh):
-    J = _mesh_jacobians(ball_mesh)
-    lam = dilations(J)
-    target = lam.copy()
-    edited = np.zeros(len(J), dtype=bool)
-    edited[::17] = True
-    target[edited] = truncate_eigenvalues(lam[edited], 1.01)
-    assert np.any(target != lam, axis=1).sum() == edited.sum()
-    rows = []
-
-    def recorded(J):
-        rows.append(len(J))
-        return frame_decompose(J)
-
-    monkeypatch.setattr(distortion, "frame_decompose", recorded)
-    coeff = rebuild_coefficients(J, lam, target)
-    assert rows == [int(edited.sum())]
-    frames = frame_decompose(J[edited]).frames
-    np.testing.assert_array_equal(coeff[edited],
-                                  anisotropy_matrices(TetFrameField(frames, target[edited])))
-    full = frame_decompose(J)
-    assert _energy_error(coeff[~edited], TetFrameField(full.frames[~edited],
-                                                        full.lambdas[~edited])) <= 1e-12
+    passed = fold_candidates(J[None], r).size == 1
+    assert passed or (lam[0, 2] > 0 and lam[0, 0] / lam[0, 2] <= r)
+    assert fold_candidates(J[None]).size == int(inverted)
 
 
 def test_flip_eigenvalues_cases():

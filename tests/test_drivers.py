@@ -3,7 +3,6 @@ import pytest
 
 from volball import density as dem
 from volball.distortion import dilations, frame_decompose, jacobian_per_tet
-from volball.distortion import rebuild_coefficients
 from volball.drivers import (SolverConfig, compute_energies, correct_overlaps,
                              initial_ball, normalized_density_variance,
                              run_3ddem, run_3ddeq, run_3dqc, run_method)
@@ -205,16 +204,30 @@ def _decomposed_rows(monkeypatch):
 
 
 def _edited_rows(monkeypatch):
-    """Record the rows each rebuild edits: those whose target triple differs
-    from the map's own."""
+    """Record the rows each rebuild edits, and check that they are those of a
+    full decomposition of its start: the inverted tets and, with a near-fold
+    ratio, those whose flipped ratio exceeds it."""
     from volball import drivers
-    edited = []
+    edited, expected = [], []
+    rebuild, reconstruct = drivers._rebuild, drivers.reconstruct_map
 
-    def recorded(J, lambdas, target):
-        edited.append(int(np.any(target != lambdas, axis=1).sum()))
-        return rebuild_coefficients(J, lambdas, target)
+    def recorded_rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None,
+                         geometry=None):
+        lambdas = dilations(jacobian_per_tet(mesh, pos))
+        lam = drivers._flip_and_floor(lambdas)
+        rows = lambdas[:, 2] <= 0
+        if near_fold_ratio is not None:
+            rows |= lam[:, 0] / lam[:, 2] > near_fold_ratio
+        expected.append(np.flatnonzero(rows))
+        return rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio, geometry)
 
-    monkeypatch.setattr(drivers, "rebuild_coefficients", recorded)
+    def recorded_reconstruct(mesh, prescribed, *args, tets=None, **kwargs):
+        assert np.array_equal(tets, expected.pop())
+        edited.append(len(tets))
+        return reconstruct(mesh, prescribed, *args, tets=tets, **kwargs)
+
+    monkeypatch.setattr(drivers, "_rebuild", recorded_rebuild)
+    monkeypatch.setattr(drivers, "reconstruct_map", recorded_reconstruct)
     return edited
 
 
@@ -564,6 +577,53 @@ def test_3ddem_correction_decomposes_only_edited_tets(monkeypatch, ball_mesh):
     assert any(it["folds_pre"] for it in result.report.iterations)
     assert len(edited) > 0 and all(edited)
     assert rows == edited
+
+
+def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh):
+    # each rebuild sends the Jacobi solver only the rows that pass its
+    # screen (then frames a subset of them), every full-mesh sweep is a
+    # settle read, and no position set is read by tet_gradients twice
+    from volball import distortion, drivers
+    events, reads = [], []
+    screen, sweep, gradients = (drivers.fold_candidates, distortion._sym3_eigh,
+                                drivers.tet_gradients)
+
+    def screened(J, ratio=None):
+        rows = screen(J, ratio)
+        events.append(("screen", len(rows)))
+        return rows
+
+    def swept(diag, off, vectors):
+        events.append(("sweep", len(diag[0]), vectors))
+        return sweep(diag, off, vectors)
+
+    def read(positions, tets, tet_ids=None):
+        reads.append(np.asarray(positions).tobytes())
+        return gradients(positions, tets, tet_ids)
+
+    monkeypatch.setattr(drivers, "fold_candidates", screened)
+    monkeypatch.setattr(distortion, "_sym3_eigh", swept)
+    for module in (distortion, drivers):
+        monkeypatch.setattr(module, "tet_gradients", read)
+    pop = hemispheric_population(ball_mesh, 4.0)
+    result = run_3ddem(ball_mesh, pop, SolverConfig(n_max=3))
+    assert any(it["folds_pre"] for it in result.report.iterations)
+    m = len(ball_mesh.tets)
+    rebuilds, full = 0, 0
+    while events:
+        event = events.pop(0)
+        if event[0] == "screen":
+            rebuilds += 1
+            (_, rows, vectors), (_, framed, with_frames) = events.pop(0), events.pop(0)
+            assert rows == event[1] < m and not vectors
+            assert framed <= rows and with_frames
+        else:
+            assert event == ("sweep", m, False)
+            full += 1
+    assert rebuilds > 0
+    # the initial ball and each iterate are read once each
+    assert full == 1 + len(result.report.iterations)
+    assert len(reads) == len(set(reads))
 
 
 def test_3dqc_iterate_decomposes_once(monkeypatch):
