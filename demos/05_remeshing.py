@@ -15,7 +15,7 @@ from volball.synthetic import graded_ellipsoid_mesh
 
 mesh = graded_ellipsoid_mesh(2)
 population = np.abs(mesh.volumes)
-q_in = quality_metrics(mesh)
+q_in = quality_metrics(mesh.tets, mesh.vertices)
 print(f"input: graded ellipsoid, {len(mesh.tets)} tets, "
       f"volume spread max/min = {mesh.volumes.max() / mesh.volumes.min():.1f}")
 print(f"input quality: delta_size={q_in.delta_size:.2e} "

@@ -177,7 +177,7 @@ def _cmd_remesh(args) -> int:
 
 def _cmd_metrics(args) -> int:
     mesh = fileio.load_mesh(args.mesh)
-    quality = remesh.quality_metrics(mesh)
+    quality = remesh.quality_metrics(mesh.tets, mesh.vertices)
     out = {"delta_size": quality.delta_size, "delta_shape": quality.delta_shape}
     if args.mapped:
         mapped = fileio.load_mesh(args.mapped)

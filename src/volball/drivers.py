@@ -50,9 +50,6 @@ METHODS = ("3dqc", "3ddem", "3ddeq")
 
 NEAR_FOLD_RATIO = 1e3
 
-# Population refinement rounds of the density-equalizing initial ball.
-REFINE_ROUNDS = 2
-
 
 class CorrectionError(RuntimeError):
     def __init__(self, folds: int):
@@ -130,28 +127,27 @@ def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
                  method: str = "3dqc") -> np.ndarray:
     """Initial unit ball map: spherical boundary plus harmonic interior.
 
-    In density-equalizing boundary mode the surface population starts from the
-    boundary cone volumes and is refined up to REFINE_ROUNDS rounds against
-    the measured volumetric compression of the fill (solids with
-    concave-prone corners, like cubes, otherwise start with a strong density
-    spike at the corner images). The spherical embedding is computed once
-    and each round reruns only the surface flow from it. The best fold-free
-    fill is kept.
+    In density-equalizing boundary mode the surface flow starts from the
+    boundary cone volumes. A fold-free fill is refined once: the flow reruns
+    from the cone volumes weighted by the fill's measured volumetric
+    compression (solids with concave-prone corners, like cubes, otherwise
+    start with a strong density spike at the corner images), and the refined
+    fill is kept only if it is fold-free with a lower normalized density
+    variance. The spherical embedding is computed once for both flows. A
+    first fill that folds is returned as it is, for the caller's overlap
+    correction.
     """
     config = config or SolverConfig()
     if config.resolved_boundary_mode(method) == "conformal":
         bmap = compute_boundary_sphere_map(mesh)
         return harmonic_fill(mesh, bmap.points, bmap.vertex_indices)
 
-    cone = _boundary_cone_volumes(mesh)
-    rest_vols = np.abs(mesh.volumes)
-    face_population = cone.copy()
-    best = None
-    best_var = np.inf
-    # the embedding depends only on the surface: each round reruns the flow
     vertex_ids, faces = mesh.boundary_surface()
     embedded = spherical_embedding(mesh.vertices[vertex_ids], faces)
-    for _ in range(REFINE_ROUNDS + 1):
+    rest_vols = np.abs(mesh.volumes)
+
+    def fill(face_population):
+        """The flow's harmonic fill and its density field (None if it folds)."""
         sphere = surface_density_equalize(embedded, faces, face_population,
                                           dt=config.dt, eps=config.eps,
                                           max_iter=config.n_max)
@@ -159,18 +155,19 @@ def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
         pos = harmonic_fill(mesh, bmap.points, bmap.vertex_indices)
         vols = signed_volumes(pos, mesh.tets)
         if np.any(vols <= 0):
-            break
-        field = dem.field_from_volumes(mesh, vols, rest_vols)
-        var = normalized_density_variance(field.rho_vertex)
-        if var >= best_var:
-            break
-        best, best_var = pos, var
-        face_population = cone * field.rho_tet[mesh.boundary_owners]
-    if best is None:
-        # every refinement fill folded; fall back to the plain fill and let
-        # the caller's overlap correction deal with it
-        best = pos
-    return best
+            return pos, None
+        return pos, dem.field_from_volumes(mesh, vols, rest_vols)
+
+    cone = _boundary_cone_volumes(mesh)
+    first, field = fill(cone)
+    if field is None:
+        return first
+    refined, refined_field = fill(cone * field.rho_tet[mesh.boundary_owners])
+    if (refined_field is not None
+            and normalized_density_variance(refined_field.rho_vertex)
+            < normalized_density_variance(field.rho_vertex)):
+        return refined
+    return first
 
 
 def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 10.0,

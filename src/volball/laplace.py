@@ -15,7 +15,8 @@ from .tetmesh import TetMesh
 def p1_blocks(volumes, gradients, coeff) -> np.ndarray:
     """Per-tet P1 stiffness |V| G A G^T (m, 4, 4) of div(A grad u), symmetric:
     ten dot products of the rows of G for a scalar ``coeff`` (A = coeff I),
-    a symmetrised batched matmul for an (m, 3, 3) one."""
+    a symmetrised batched matmul for an (m, 3, 3) one. The matmul serves
+    triangles of a planar chart too: V their areas, G (m, 3, 2), A (m, 2, 2)."""
     w = np.abs(volumes)
     if np.ndim(coeff) == 0:
         w = coeff * w

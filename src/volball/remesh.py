@@ -61,20 +61,15 @@ class RemeshQuality:
     regularity: np.ndarray   # (m,) deviation of edge-length fractions from 1/6
 
 
-def quality_metrics(mesh_or_tets, positions: np.ndarray | None = None) -> RemeshQuality:
-    """Size and shape variation of a tet mesh.
+def quality_metrics(tets: np.ndarray, positions: np.ndarray) -> RemeshQuality:
+    """Size and shape variation of the tets ``tets`` at ``positions``.
 
     ``delta_size`` is the standard deviation of the tet volumes; the per-tet
     regularity sums |e_j / sum(e) - 1/6| over the six edge lengths, vanishing
     exactly for equilateral tets, and ``delta_shape`` is its mean.
     """
-    if isinstance(mesh_or_tets, TetMesh):
-        tets = mesh_or_tets.tets
-        vertices = mesh_or_tets.vertices if positions is None else positions
-    else:
-        tets = np.asarray(mesh_or_tets)
-        vertices = positions
-    vertices = np.asarray(vertices, dtype=np.float64)
+    tets = np.asarray(tets)
+    vertices = np.asarray(positions, dtype=np.float64)
     vols = np.abs(signed_volumes(vertices, tets))
     edges = vertices[tets[:, EDGE_LOCAL[:, 0]]] - vertices[tets[:, EDGE_LOCAL[:, 1]]]
     lengths = np.linalg.norm(edges, axis=2)  # (m, 6)

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from . import density, linsolve
+from .laplace import p1_blocks
 from .tetmesh import Connectivity, MeshError, TetMesh, _cross
 
 # Mean-value smoothing rounds of the spherical embedding.
@@ -250,8 +251,7 @@ def beltrami_stiffness(z_domain: np.ndarray, faces: np.ndarray,
     grads = np.stack([-e[:, :, 1], e[:, :, 0]], axis=2) / area2[:, None, None]
     A = np.stack([np.stack([a11, a12], axis=1),
                   np.stack([a12, a22], axis=1)], axis=1)
-    local = grads @ A @ np.swapaxes(grads, 1, 2) * (np.abs(area2) / 2.0)[:, None, None]
-    local = 0.5 * (local + np.swapaxes(local, 1, 2))
+    local = p1_blocks(area2 / 2.0, grads, A)
     # the kept faces change from call to call, so the plan is used once
     plan = linsolve.AssemblyPlan.for_elements(faces, len(z_domain))
     return linsolve.assemble(plan, local.reshape(-1))

@@ -8,7 +8,7 @@ from volball import cli, fileio
 from volball.density import DensityError
 from volball.distortion import FrameError
 from volball.linsolve import SolverError
-from volball.remesh import uniform_ball_mesh
+from volball.remesh import quality_metrics, uniform_ball_mesh
 from volball.synthetic import hemispheric_population
 
 
@@ -77,6 +77,22 @@ def test_metrics_identity_pair(tmp_path, ball_file, capsys):
     assert out["folds"] == 0
     assert {"mean_K", "sd_K", "var_rho0", "var_rho", "folds",
             "delta_size", "delta_shape"} <= set(out)
+
+
+def test_metrics_rest_mesh_alone_prints_and_writes_same_json(tmp_path, ball_file, capsys):
+    report = tmp_path / "metrics.json"
+    code = cli.main(["metrics", ball_file, "--report", str(report)])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert report.read_bytes() == printed.encode("utf-8")
+    out = json.loads(printed)
+    # without a mapped mesh the map is the identity
+    assert {k: out[k] for k in ("mean_K", "sd_K", "folds", "var_rho0", "var_rho")} == {
+        "mean_K": 1.0, "sd_K": 0.0, "folds": 0, "var_rho0": 0.0, "var_rho": 0.0}
+    mesh = fileio.load_mesh(ball_file)
+    quality = quality_metrics(mesh.tets, mesh.vertices)
+    assert (out["delta_size"], out["delta_shape"]) == (quality.delta_size,
+                                                       quality.delta_shape)
 
 
 def test_metrics_mirrored_pair(tmp_path, ball_file, capsys):

@@ -40,19 +40,20 @@ def test_initial_ball_on_ball_is_near_identity(ball_mesh):
     assert np.linalg.norm(pos - ball_mesh.vertices, axis=1).max() < 0.1
 
 
-def _initial_ball_map_per_round(mesh, config):
-    """Reference: the density initial ball with a full boundary map, its
-    embedding included, in every refinement round."""
+def _three_round_initial_ball(mesh, config):
+    """Reference: the density initial ball as a loop of up to three surface
+    flows from one embedding, each round re-weighting the cone volumes by the
+    last fill's tet density and keeping the best fold-free fill."""
     from volball import drivers
     from volball.laplace import harmonic_fill
     from volball.sphere_map import (BoundaryMap, spherical_embedding,
                                     surface_density_equalize)
     cone = drivers._boundary_cone_volumes(mesh)
-    face_population, best, best_var, rounds = cone.copy(), None, np.inf, 0
+    face_population, best, best_var, flows = cone.copy(), None, np.inf, 0
     vertex_ids, faces = mesh.boundary_surface()
-    for _ in range(drivers.REFINE_ROUNDS + 1):
-        rounds += 1
-        embedded = spherical_embedding(mesh.vertices[vertex_ids], faces)
+    embedded = spherical_embedding(mesh.vertices[vertex_ids], faces)
+    for _ in range(3):
+        flows += 1
         sphere = surface_density_equalize(embedded, faces, face_population,
                                           dt=config.dt, eps=config.eps,
                                           max_iter=config.n_max)
@@ -66,16 +67,18 @@ def _initial_ball_map_per_round(mesh, config):
             break
         best, best_var = pos, var
         face_population = cone * field.rho_tet[mesh.boundary_owners]
-    return (pos if best is None else best), rounds
+    return (pos if best is None else best), flows
 
 
-def test_initial_ball_embeds_once_and_matches_per_round_maps(monkeypatch):
-    from volball import drivers
-    from volball.synthetic import graded_ellipsoid_mesh
-    mesh = graded_ellipsoid_mesh(1)
+@pytest.mark.parametrize("solid, size", [("graded_ellipsoid_mesh", 1),
+                                         ("cube_mesh", 3), ("lcube_mesh", 3)])
+def test_initial_ball_embeds_once_and_matches_three_round_loop(solid, size, monkeypatch):
+    # on these solids the three-round loop runs its third flow, which loses
+    from volball import drivers, synthetic
+    mesh = getattr(synthetic, solid)(size)
     config = SolverConfig()
-    expected, rounds = _initial_ball_map_per_round(mesh, config)
-    assert rounds == drivers.REFINE_ROUNDS + 1
+    expected, reference_flows = _three_round_initial_ball(mesh, config)
+    assert reference_flows == 3
     embeddings, flows = [], []
     embed, flow = drivers.spherical_embedding, drivers.surface_density_equalize
     monkeypatch.setattr(drivers, "spherical_embedding",
@@ -83,7 +86,7 @@ def test_initial_ball_embeds_once_and_matches_per_round_maps(monkeypatch):
     monkeypatch.setattr(drivers, "surface_density_equalize",
                         lambda *a, **k: flows.append(1) or flow(*a, **k))
     np.testing.assert_array_equal(initial_ball(mesh, config, "3ddeq"), expected)
-    assert (len(embeddings), len(flows)) == (1, rounds)
+    assert (len(embeddings), len(flows)) == (1, 2)
 
 
 def test_correct_overlaps_noop_on_clean_input(ball_mesh):

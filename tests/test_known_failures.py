@@ -9,7 +9,8 @@ way shows as a failure. Never shrink a solid or change a population here.
 import pytest
 
 from volball.distortion import FrameError
-from volball.drivers import CorrectionError, SolverConfig, initial_ball, run_3ddem
+from volball.drivers import (CorrectionError, SolverConfig, initial_ball, run_3ddem,
+                             run_3dqc)
 from volball.sphere_map import SphereMapError
 from volball.synthetic import cube_mesh, hemispheric_population, lcube_mesh
 
@@ -22,6 +23,16 @@ def test_lcube_density_initial_ball(n):
     mesh = lcube_mesh(n)
     ball = initial_ball(mesh, SolverConfig(), "3ddem")
     assert mesh.count_folds(ball) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=SphereMapError,
+                   reason="the radial start and every smoothing round of the "
+                          "conformal boundary map flip triangles (12 left), so "
+                          "no flip-free map is left to repair against")
+def test_lcube5_conformal_3dqc():
+    mesh = lcube_mesh(5)
+    result = run_3dqc(mesh)
+    assert result.report.final["folds"] == 0
 
 
 @pytest.mark.xfail(strict=True, raises=CorrectionError,

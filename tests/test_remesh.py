@@ -39,7 +39,7 @@ def test_quality_equilateral_tet():
     verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                      dtype=float)
     mesh = TetMesh.from_arrays(verts, np.array([[0, 1, 2, 3]]))
-    q = quality_metrics(mesh)
+    q = quality_metrics(mesh.tets, mesh.vertices)
     assert q.regularity[0] == pytest.approx(0.0, abs=1e-14)
     assert q.delta_size == pytest.approx(0.0)
     assert q.delta_shape == pytest.approx(0.0, abs=1e-14)
@@ -53,7 +53,7 @@ def test_quality_regularity_formula():
     assert R == pytest.approx(10.0 / 42.0, rel=1e-12)
     # cross-check quality_metrics against the same brute-force path
     mesh = uniform_ball_mesh(1)
-    q = quality_metrics(mesh)
+    q = quality_metrics(mesh.tets, mesh.vertices)
     from volball.tetmesh import EDGE_LOCAL
     edges = mesh.vertices[mesh.tets[:, EDGE_LOCAL[:, 0]]] - \
         mesh.vertices[mesh.tets[:, EDGE_LOCAL[:, 1]]]
@@ -68,7 +68,7 @@ def test_quality_regularity_formula():
 def test_quality_scale_invariance_of_regularity():
     verts = np.array([[0.0, 0, 0], [1.3, 0, 0], [0, 0.7, 0], [0, 0, 2.1]])
     mesh = TetMesh.from_arrays(verts, np.array([[0, 1, 2, 3]]))
-    q1 = quality_metrics(mesh)
+    q1 = quality_metrics(mesh.tets, mesh.vertices)
     q2 = quality_metrics(mesh.tets, 5.0 * mesh.vertices)
     np.testing.assert_allclose(q1.regularity, q2.regularity, atol=1e-12)
 
