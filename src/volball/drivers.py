@@ -11,9 +11,10 @@ vertex density is below eps, tested on the initial ball and after every step.
 ``3ddeq`` blends the two through per-tet eigenvalue updates and has converged
 once the largest vertex displacement is below eps. Settle, evaluate and the
 next step share one record per iterate (``_Iterate``): its volumes and, with a
-population, hat gradients from one ``tet_gradients`` call, and its signed
-dilation eigenvalue triples. Only a run without a population (3dqc, whose
-residual step edits every tet's triple) carries the frames as well.
+population, hat gradients from one ``tet_gradients`` call, its Jacobians and
+their signed dilation eigenvalue triples. No iterate carries frames: the
+3dqc step builds its coefficient from the Jacobians and triples alone
+(``distortion.residual_coefficients``), and 3ddeq frames its advected map.
 Settling passes a fold-free candidate unchanged and makes a folded one
 fold-free by an overlap correction whose rounds repair the spherical boundary,
 then rebuild the interior with the boundary fixed and, while folds remain, the
@@ -36,7 +37,8 @@ import numpy as np
 from . import density as dem
 from .distortion import (TetFrameField, anisotropy_ratios, dilations, flip_eigenvalues,
                          fold_candidates, frame_decompose, jacobian_per_tet,
-                         reconstruct_map, residual_step, truncate_eigenvalues)
+                         reconstruct_map, residual_coefficients, residual_step,
+                         truncate_eigenvalues)
 from .laplace import harmonic_fill
 from .report import RunReport
 from .sphere_map import (BoundaryMap, SphereMapError, compute_boundary_sphere_map,
@@ -340,15 +342,15 @@ def normalized_density_variance(rho: np.ndarray) -> float:
 @dataclass
 class _Iterate:
     """A map, one read of its tets (volumes, and hat gradients from the same
-    ``tet_gradients`` call or None), then its signed dilation triples, its
-    frames (None with a population), density field (None without a
-    population) and trace row."""
+    ``tet_gradients`` call or None), then its Jacobians and their signed
+    dilation triples, density field (None without a population) and trace
+    row."""
 
     positions: np.ndarray
     volumes: np.ndarray
     gradients: np.ndarray | None
+    jacobians: np.ndarray | None = None
     lambdas: np.ndarray | None = None
-    frames: TetFrameField | None = None
     field: dem.DensityField | None = None
     row: dict | None = None
 
@@ -365,14 +367,12 @@ class _Iterate:
 
 def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, tracked=False):
     """Read the candidate, correct its overlaps if it folds, and read the
-    settled map's dilations.
+    settled map's Jacobians and dilations.
 
     A fold-free candidate passes unchanged; ``near_fold_ratio`` only reaches
     the rebuilds of a folded one. With a population (``tracked``) the record
-    reads hat gradients and only the eigenvalue triples; without one (3dqc,
-    whose residual step edits every tet) it carries the frames. Returns the
-    settled map's record (its folds are those after correction) and
-    folds_pre.
+    reads hat gradients as well. Returns the settled map's record (its folds
+    are those after correction) and folds_pre.
     """
     settled = _Iterate.read(mesh, cand, tracked)
     folds_pre = settled.folds
@@ -381,12 +381,8 @@ def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, tracked=Fals
             mesh, cand, config.k_threshold, reference_boundary=ref_boundary,
             near_fold_ratio=near_fold_ratio,
             geometry=(settled.volumes, settled.gradients)), tracked)
-    jacobians = jacobian_per_tet(mesh, settled.positions)
-    if tracked:
-        settled.lambdas = dilations(jacobians)
-    else:
-        settled.frames = frame_decompose(jacobians)
-        settled.lambdas = settled.frames.lambdas
+    settled.jacobians = jacobian_per_tet(mesh, settled.positions)
+    settled.lambdas = dilations(settled.jacobians)
     return settled, folds_pre
 
 
@@ -460,12 +456,14 @@ def _iterate(method, mesh, population, config, init_positions, step, stop,
 
 
 def _qc_step(mesh, state, config):
-    """Residual descent on the anisotropy ratios, boundary held fixed; the
-    solve starts from the current map."""
+    """Residual descent on the anisotropy ratios, boundary held fixed, with
+    the coefficient built from the iterate's Jacobians and triples; the solve
+    starts from the current map."""
     b_ids = mesh.boundary_vertices
-    lam = residual_step(flip_eigenvalues(state.frames.lambdas), config.residual_constant)
-    return reconstruct_map(mesh, TetFrameField(state.frames.frames, lam),
-                           b_ids, state.positions[b_ids], start=state.positions)
+    coeff = residual_coefficients(state.jacobians, flip_eigenvalues(state.lambdas),
+                                  config.residual_constant)
+    return reconstruct_map(mesh, coeff, b_ids, state.positions[b_ids],
+                           start=state.positions)
 
 
 def _dem_step(mesh, state, config):

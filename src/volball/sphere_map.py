@@ -353,12 +353,15 @@ def mean_value_weights(points: np.ndarray, faces: np.ndarray,
 
 
 def spherical_embedding(surface_points: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Map a genus-0 surface onto the unit sphere, guaranteed flip-free.
+    """Map a genus-0 surface onto the unit sphere without flipped triangles.
 
     Starts from the centroid-normalized radial projection, then runs
     ``SMOOTH_ITERS`` rounds of tangential mean-value smoothing, each with
     unit-norm projection and one recentring step (``center_sphere``), and
-    fixes any flips against the last valid configuration.
+    fixes any flips against the last valid configuration. The result is
+    flip-free or the call raises ``SphereMapError``: when the radial start
+    and every smoothing round flip there is no valid configuration to repair
+    against (``lcube_mesh(5)``: 12 flips left).
     """
     pts = np.asarray(surface_points, dtype=np.float64)
     u = center_sphere(pts, faces)

@@ -7,7 +7,8 @@ from volball import distortion
 from volball.distortion import (FrameError, TetFrameField, anisotropy_matrices,
                                 dilations, flip_eigenvalues, fold_candidates,
                                 frame_decompose, jacobian_per_tet, reconstruct_map,
-                                residual_step, truncate_eigenvalues)
+                                residual_coefficients, residual_step,
+                                truncate_eigenvalues)
 from volball.laplace import harmonic_fill, p1_blocks
 from volball.tetmesh import _cross, tet_gradients
 
@@ -387,6 +388,100 @@ def test_truncate_property(c, db, da, K_T):
     out = truncate_eigenvalues(lam, K_T)
     assert out[0] / out[2] == pytest.approx(min(lam[0] / lam[2], K_T), rel=1e-9)
     assert out[0] >= out[1] >= out[2] > 0
+
+
+def _frame_coefficient(J, lam, C):
+    """The residual step's coefficient in the frame form."""
+    return anisotropy_matrices(TetFrameField(frame_decompose(J).frames,
+                                             residual_step(lam, C)))
+
+
+def _relative_errors(A, reference):
+    return np.linalg.norm(A - reference, axis=(1, 2)) / np.linalg.norm(reference, axis=(1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 3.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+       st.floats(1.0, 100.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_residual_coefficients_match_frame_form(log_k, mid, log_scale, C, inverted, seed):
+    # P from the closed form squares to J^T J and has the eigenvalues
+    # (a, b, |c|); the coefficient is the frame form's. Where b is near c
+    # both forms sit about K eps from a 40-digit reference (module
+    # docstring), so they are compared at 2e-13 K.
+    K = 10.0 ** log_k
+    U, V = np.linalg.qr(np.random.default_rng(seed).normal(size=(2, 3, 3)))[0]
+    J = 10.0 ** log_scale * (U * np.array([K, K ** mid, 1.0])) @ V.T
+    J *= np.sign(np.linalg.det(J)) * (-1.0 if inverted else 1.0)
+    lam = flip_eigenvalues(dilations(J))
+    P = distortion._sym_matrix(*distortion._stretch(J[None], lam))[0]
+    gram = J.T @ J
+    assert np.array_equal(P, P.T)
+    assert np.linalg.norm(P @ P - gram) <= 1e-12 * np.linalg.norm(gram)
+    np.testing.assert_allclose(np.linalg.eigvalsh(P)[::-1], lam[0], rtol=0,
+                               atol=1e-12 * lam[0, 0])
+    err = _relative_errors(residual_coefficients(J[None], lam, C),
+                           _frame_coefficient(J, lam, C))
+    assert err[0] <= 2e-13 * K
+
+
+@pytest.mark.parametrize("K", [10.0, 1e3])
+def test_residual_coefficients_on_graded_spectra(K):
+    # singular values (K, sqrt K, 1): the two forms agree to 1e-12
+    J = _jacobians_with_ratio(K)
+    lam = flip_eigenvalues(dilations(J))
+    err = _relative_errors(residual_coefficients(J, lam, 50.0),
+                           _frame_coefficient(J, lam, 50.0))
+    assert err.max() <= 1e-12
+
+
+def test_residual_coefficients_exact_cases():
+    # a rotation has P = I and a unit coefficient; a uniform scaling s of it
+    # has ratio 1, no step, and the coefficient det(s I) (s I)^-2 = s I
+    R = np.linalg.qr(np.random.default_rng(21).normal(size=(3, 3)))[0]
+    R *= np.sign(np.linalg.det(R))
+    for s in (1.0, 0.25, 3.0):
+        J = (s * R)[None]
+        lam = flip_eigenvalues(dilations(J))
+        P = distortion._sym_matrix(*distortion._stretch(J, lam))[0]
+        np.testing.assert_allclose(P, s * np.eye(3), rtol=0, atol=1e-14 * s)
+        np.testing.assert_allclose(residual_coefficients(J, lam, 50.0)[0], s * np.eye(3),
+                                   rtol=0, atol=1e-14 * s)
+
+
+@pytest.mark.parametrize("spectrum", [(2.0, 2.0, 1.0), (2.0, 1.0, 1.0), (1.5, 1.5, 1.5)])
+def test_residual_coefficients_repeated_spectra(spectrum):
+    # frames are arbitrary in a repeated eigenspace, the coefficient is not:
+    # J = U diag(s) V^T has P = V diag(s) V^T and the coefficient
+    # V diag(det'/s'^2) V^T of the stepped triple s'
+    rng = np.random.default_rng(22)
+    U = np.linalg.qr(rng.normal(size=(50, 3, 3)))[0]
+    V = np.linalg.qr(rng.normal(size=(50, 3, 3)))[0]
+    s = np.array(spectrum)
+    J = (U * s) @ np.swapaxes(V, 1, 2)
+    lam = flip_eigenvalues(dilations(J))
+    np.testing.assert_allclose(lam, np.broadcast_to(s, lam.shape), rtol=1e-14)
+    P = distortion._sym_matrix(*distortion._stretch(J, lam))
+    assert np.abs(P - (V * s) @ np.swapaxes(V, 1, 2)).max() <= 1e-14 * s[0]
+    stepped = residual_step(s, 50.0)
+    exact = (V * (np.prod(stepped) / stepped ** 2)) @ np.swapaxes(V, 1, 2)
+    assert _relative_errors(residual_coefficients(J, lam, 50.0), exact).max() <= 1e-14
+    assert _relative_errors(_frame_coefficient(J, lam, 50.0), exact).max() <= 1e-14
+
+
+def test_triple_operators_name_the_first_bad_tet():
+    lam = np.array([[2.0, 1.0, 1.0], [3.0, 2.0, 1.0], [2.0, 1.0, -0.5], [2.0, 1.0, -1.0]])
+    with pytest.raises(FrameError, match=r"flip first \(tet 2: 2, 1, -0\.5\)"):
+        residual_step(lam, 50.0)
+    with pytest.raises(FrameError, match=r"flip first \(tet 2: 2, 1, -0\.5\)"):
+        truncate_eigenvalues(lam, 10.0)
+    with pytest.raises(FrameError, match=r"\(tet 2: 2, 1, -0\.5\)"):
+        anisotropy_matrices(TetFrameField(np.broadcast_to(np.eye(3), (4, 3, 3)), lam))
+    J = np.broadcast_to(np.eye(3), (4, 3, 3))
+    with pytest.raises(FrameError, match=r"flip first \(tet 2: 2, 1, -0\.5\)"):
+        residual_coefficients(J, lam, 50.0)
+    # a single triple is row 0
+    with pytest.raises(FrameError, match=r"tet 0: 2, 1, -1\)"):
+        residual_step(np.array([2.0, 1.0, -1.0]), 50.0)
 
 
 def test_anisotropy_identity():

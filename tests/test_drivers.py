@@ -257,8 +257,10 @@ def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
     assert seen[-1] == settled.positions.tobytes()
     assert np.array_equal(settled.lambdas,
                           dilations(jacobian_per_tet(ball_mesh, settled.positions)))
-    # with a population the record holds no frames; only edited tets get them
-    assert settled.frames is None
+    # the record holds the Jacobians of its positions and no frames; only
+    # edited tets get them
+    assert np.array_equal(settled.jacobians, jacobian_per_tet(ball_mesh, settled.positions))
+    assert not hasattr(settled, "frames")
     assert 0 < sum(rows) == sum(edited) < len(ball_mesh.tets) * len(edited)
 
 
@@ -630,17 +632,25 @@ def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh
 
 
 def test_3dqc_iterate_decomposes_once(monkeypatch):
-    # the residual step edits every tet, so each 3dqc iterate carries frames
-    # from one full decomposition
+    # the residual step's coefficient comes from each iterate's Jacobians and
+    # triples: no 3dqc run frames a tet, and each iterate (the initial ball
+    # and every candidate) makes one full-mesh eigenvalue-only sweep
+    from volball import distortion
     mesh = stretched_ball_mesh(1)
     ball = run_3dqc(mesh, SolverConfig(n_max=1)).initial_positions
-    per_run = []
+    sweep = distortion._sym3_eigh
     for n_max in (1, 3):
+        sweeps = []
+
+        def swept(diag, off, vectors):
+            sweeps.append((len(diag[0]), vectors))
+            return sweep(diag, off, vectors)
+
         with monkeypatch.context() as mp:
             rows = _decomposed_rows(mp)
+            mp.setattr(distortion, "_sym3_eigh", swept)
             result = run_3dqc(mesh, SolverConfig(n_max=n_max), init_positions=ball)
         assert len(result.report.iterations) == n_max + 1
         assert all(it["folds_pre"] == 0 for it in result.report.iterations)
-        assert set(rows) == {len(mesh.tets)}
-        per_run.append(len(rows))
-    assert per_run[1] - per_run[0] == 2
+        assert rows == []
+        assert sweeps == [(len(mesh.tets), False)] * (n_max + 1)

@@ -18,7 +18,7 @@ from volball.synthetic import cube_mesh, hemispheric_population, lcube_mesh
 @pytest.mark.xfail(strict=True, raises=SphereMapError,
                    reason="the surface density flow flips triangles that the "
                           "spherical overlap repair cannot remove")
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 8])
 def test_lcube_density_initial_ball(n):
     mesh = lcube_mesh(n)
     ball = initial_ball(mesh, SolverConfig(), "3ddem")
