@@ -11,7 +11,10 @@ hat gradients of ``tetmesh.tet_gradients``; ``surface_gradient`` for triangles).
 
 Populations are checked on entry (one finite positive value per element);
 the diffusion system M + dt L is written into the Laplacian's own sparsity
-pattern at its diagonal slots rather than built as a sparse sum.
+pattern at its diagonal slots rather than built as a sparse sum, and solved
+on the Laplacian's assembly plan: by banded Cholesky in the plan's reverse
+Cuthill-McKee order where its band is narrow (the sphere, small balls), by
+Jacobi PCG elsewhere (``linsolve``).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class DensityField:
 class DiffusionOperators:
     lumped_volumes: np.ndarray  # (n,) diagonal mass
     laplacian: csr_matrix       # (n, n) PSD cotangent Laplacian
-    diagonal: np.ndarray        # (n,) slot of each diagonal entry in laplacian.data
+    plan: linsolve.AssemblyPlan  # the plan the Laplacian was assembled on
 
 
 def checked_population(population, count: int, item: str,
@@ -90,7 +93,7 @@ def build_operators(mesh: TetMesh, geometry) -> DiffusionOperators:
         raise DensityError("deformed mesh has nonpositive volumes")
     conn = mesh.connectivity
     return DiffusionOperators(conn.vertex_measures(geometry[0] / 4.0),
-                              laplacian_matrix(mesh, geometry), conn.plan.diagonal)
+                              laplacian_matrix(mesh, geometry), conn.plan)
 
 
 def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
@@ -99,17 +102,22 @@ def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
 
     Conserves the lumped mass sum(A_ii rho_i) because the Laplacian has zero
     row sums. The system matrix shares the Laplacian's pattern: its data is
-    dt * L with the lumped masses added at the diagonal slots, entry for
-    entry equal to the sparse sum A + dt * L, which it replaces.
+    dt * L with the lumped masses added at the plan's diagonal slots, entry
+    for entry equal to the sparse sum A + dt * L, which it replaces. The
+    system carries the plan, so ``linsolve.solve`` factors it by banded
+    Cholesky when the plan's band is narrow (the surface flow's spheres, the
+    volumes of up to a few hundred vertices) and runs Jacobi PCG otherwise;
+    either way the residual meets ``linsolve.DEFAULT_TOL``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     L = ops.laplacian
     data = dt * L.data
-    data[ops.diagonal] += ops.lumped_volumes
+    data[ops.plan.diagonal] += ops.lumped_volumes
     n = len(rho_vertex)
     matrix = csr_matrix((data, L.indices, L.indptr), shape=(n, n))
-    return linsolve.solve(linsolve.LinearSystem(n, matrix), ops.lumped_volumes * rho_vertex)
+    return linsolve.solve(linsolve.LinearSystem(n, matrix, plan=ops.plan),
+                          ops.lumped_volumes * rho_vertex)
 
 
 def density_gradient(tets: np.ndarray, gradients: np.ndarray,

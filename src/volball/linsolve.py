@@ -1,8 +1,9 @@
 """Sparse symmetric systems with Dirichlet constraints.
 
 All finite-element solves in the package go through this module: assembly,
-constraint handling by row/column elimination, and a diagonally
-preconditioned conjugate gradient for the reduced SPD system.
+constraint handling by row/column elimination, and the solve of the reduced
+SPD system, by banded Cholesky or by a diagonally preconditioned conjugate
+gradient.
 
 Assembly is split in two. An ``AssemblyPlan`` holds what depends only on the
 connectivity: the sorted CSR pattern of a triplet layout and the slot of each
@@ -10,9 +11,51 @@ triplet in it, built once per mesh (or per boundary triangulation). ``assemble``
 takes a plan and one value per triplet and scatters them with ``np.bincount``,
 which sums the duplicates of each entry in input order, so repeated runs are
 bitwise identical. Every assembly still checks symmetry against the plan's
-transpose slots, the precondition of the conjugate gradient solve. A plan
-also knows the slot of each row's diagonal entry, where callers add a mass
-matrix in place.
+transpose slots, the precondition of both solves. A plan also knows the slot
+of each row's diagonal entry, where callers add a mass matrix in place.
+
+``solve`` takes one of two paths. A system that carries its plan
+(``LinearSystem.plan``) and has no fixed rows is factored directly when the
+plan's band is narrow: the plan orders its rows once by reverse Cuthill-McKee
+(E. Cuthill and J. McKee, "Reducing the bandwidth of sparse symmetric
+matrices", ACM 1969), which leaves a surface mesh a band of about sqrt(n),
+and its ``band`` keeps that order, the bandwidth bw and the scatter of the
+CSR data into LAPACK lower band storage. The factorization costs about
+n (bw + 1)^2 flops, so the rule is one inequality:
+
+    direct  iff  n (bw + 1)^2 <= BAND_WORK_LIMIT = 4e6.
+
+Every other system runs the conjugate gradient. Per solve of M + 0.1 L at
+the mesh's own (or the radially projected boundary's) geometry, best of
+repeated runs on a 2-core x86_64 host, PCG to 1e-10 (the results agree to
+1e-10 relative):
+
+    system                   n     bw   n (bw+1)^2  Jacobi PCG    banded
+    graded1 sphere           120   21   5.8e4       0.35-0.64 ms  0.07 ms
+    graded1 volume           187   55   5.9e5       0.68-0.71 ms  0.18 ms
+    ball2 / graded2 sphere   480   39   7.7e5       0.78-1.3 ms   0.20-0.37 ms
+    lcube8 volume            665   66   3.0e6       0.76-1.1 ms   0.73-0.85 ms
+    stretched3 sphere        1080  55   3.4e6       2.5-3.9 ms    0.65-1.1 ms
+    cube8 volume             729   82   5.0e6       0.69-1.1 ms   0.59-1.1 ms
+    ball2 / graded2 volume   1213  219  5.9e7       1.8-2.3 ms    2.6-7.9 ms
+    stretched3 volume        3799  457  8.0e8       10-14 ms      36-41 ms
+
+The volumes break even near 3e6-5e6, the spheres (more PCG iterations)
+later. A dense Cholesky loses to the banded one everywhere (0.11 ms at
+n = 120, 2.3-7.5 ms at n = 480). In production the direct path serves the
+backward-Euler diffusion systems of ``density.diffusion_step`` on the sphere
+and in small balls; the 1 213-row ball and larger volumes stay on PCG.
+Constrained systems always take PCG: their reduced pattern changes with the
+fixed set.
+
+The direct solution is the start of the conjugate gradient, whose first
+residual checks the solve contract ``||b - A x|| <= tol * ||b||`` with one
+product and returns it with no iteration when it holds. Where rounding keeps
+the factored solution above the bound (an ill-conditioned system, whose
+floor eps ||A|| ||x|| exceeds tol ||b||) the iteration carries on from it.
+A leading minor that is not positive definite raises SolverError naming the
+vertex where the factorization broke down; a NaN right-hand side raises at
+the first curvature, as on the PCG path.
 
 The conjugate gradient (``_pcg``) is preconditioned by the inverse diagonal
 and updates its vectors in place; it raises SolverError as soon as a
@@ -22,14 +65,23 @@ iteration budget.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import sqrt
 
 import numpy as np
+from scipy.linalg.lapack import dpbsv
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 DEFAULT_TOL = 1e-10
+
+# A plan's systems are factored directly when n (bw + 1)^2 is at most this
+# (the table in the module docstring).
+BAND_WORK_LIMIT = 4e6
+
+logger = logging.getLogger("volball.linsolve")
 
 
 class SolverError(RuntimeError):
@@ -47,7 +99,9 @@ class LinearSystem:
     ``fixed_values`` their values, one row (a scalar or one value per
     right-hand side) each; a repeated index keeps its first value.
     Constrained rows and columns are eliminated before the iterative solve so
-    the reduced operator stays symmetric.
+    the reduced operator stays symmetric. ``plan``, when given, is the plan
+    whose pattern ``matrix`` has (its data in the plan's entry order); an
+    unconstrained system with a plan may take the direct path of ``solve``.
     """
 
     dimension: int
@@ -55,11 +109,24 @@ class LinearSystem:
     fixed_indices: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
     fixed_values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    plan: AssemblyPlan | None = None
 
     def constrain(self, indices, values) -> None:
         indices = np.asarray(indices, dtype=np.int64)
         self.fixed_indices, first = np.unique(indices, return_index=True)
         self.fixed_values = np.asarray(values, dtype=np.float64)[first]
+
+
+@dataclass(frozen=True)
+class Band:
+    """A plan's pattern in reverse Cuthill-McKee order as LAPACK lower band
+    storage, and the size rule's decision."""
+
+    order: np.ndarray    # (n,) band row k is the plan's row order[k]
+    bandwidth: int
+    entries: np.ndarray  # CSR slots of the entries on or below the band's diagonal
+    cells: np.ndarray    # their flat index in the Fortran-ordered (bandwidth + 1, n) band
+    direct: bool         # n (bandwidth + 1)^2 <= BAND_WORK_LIMIT
 
 
 class AssemblyPlan:
@@ -68,7 +135,8 @@ class AssemblyPlan:
     Sorts the (row, col) triplets once and keeps the CSR ``indptr`` and
     ``indices`` of the unique entries, the CSR ``slot`` of every triplet and,
     for every entry, the slot of its transpose (-1 where the pattern lacks
-    it). ``assemble`` then only scatters values.
+    it). ``assemble`` then only scatters values. Built on first use: each
+    row's ``diagonal`` slot and the ``band`` the direct solve runs in.
     """
 
     def __init__(self, dimension: int, rows, cols):
@@ -101,6 +169,29 @@ class AssemblyPlan:
         if slots.size != self.dimension:
             raise ValueError("pattern lacks a diagonal entry in some row")
         return slots
+
+    @cached_property
+    def band(self) -> Band:
+        """The pattern in reverse Cuthill-McKee order, its band storage and
+        the direct-or-PCG decision, logged once at DEBUG."""
+        n = self.dimension
+        pattern = csr_matrix((np.ones(self.indices.size), self.indices, self.indptr),
+                             shape=(n, n))
+        order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.int64)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        rows = rank[np.repeat(np.arange(n), np.diff(self.indptr))]
+        cols = rank[self.indices]
+        entries = np.flatnonzero(rows >= cols)
+        offset = rows[entries] - cols[entries]
+        bandwidth = int(offset.max(initial=0))
+        work = n * (bandwidth + 1) ** 2
+        path = "direct" if work <= BAND_WORK_LIMIT else "pcg"
+        logger.debug("plan of %d rows: RCM bandwidth %d, n (bw + 1)^2 = %.3g, %s solves",
+                     n, bandwidth, work, path,
+                     extra={"n": n, "bandwidth": bandwidth, "work": work, "path": path})
+        return Band(order, bandwidth, entries, offset + (bandwidth + 1) * cols[entries],
+                    path == "direct")
 
     @classmethod
     def for_elements(cls, elements: np.ndarray, dimension: int) -> "AssemblyPlan":
@@ -139,9 +230,6 @@ def _pcg(A, b, rtol, maxiter, x0=None):
     included) raises at once.
     """
     n = len(b)
-    diag = A.diagonal().copy()
-    diag[diag == 0.0] = 1.0
-    inv_diag = 1.0 / diag
     b = np.ascontiguousarray(b)  # as np.linalg.norm's ravel makes it
     bnorm = sqrt(b @ b)
     if bnorm == 0.0:
@@ -154,6 +242,9 @@ def _pcg(A, b, rtol, maxiter, x0=None):
     res = sqrt(r @ r)
     if res <= rtol * bnorm:
         return x, 0, res
+    diag = A.diagonal().copy()
+    diag[diag == 0.0] = 1.0
+    inv_diag = 1.0 / diag
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
@@ -176,14 +267,38 @@ def _pcg(A, b, rtol, maxiter, x0=None):
     raise SolverError("conjugate gradient did not converge", maxiter, res)
 
 
+def _banded_solve(A: csr_matrix, band: Band, b: np.ndarray) -> np.ndarray:
+    """Solve A X = B for the (n, nrhs) ``b`` by banded Cholesky in ``band``'s
+    order.
+
+    Calls LAPACK's ``dpbsv`` (the routine under ``scipy.linalg.solveh_banded``)
+    directly, so a leading minor that is not positive definite comes back as
+    its order; the SolverError raised on it names that row's vertex.
+    """
+    n = A.shape[0]
+    ab = np.zeros((band.bandwidth + 1) * n)
+    ab[band.cells] = A.data[band.entries]
+    _, y, info = dpbsv(ab.reshape((band.bandwidth + 1, n), order="F"), b[band.order],
+                       lower=1, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise SolverError(f"matrix is not positive definite at vertex {band.order[info - 1]}",
+                          0, float(np.linalg.norm(b)))
+    x = np.empty_like(y)
+    x[band.order] = y
+    return x
+
+
 def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
           start: np.ndarray | None = None) -> np.ndarray:
     """Solve the (constrained) system for one or several right-hand sides.
 
     Constrained entries of the result equal their fixed values exactly; the
     free part satisfies ``||A x - b|| <= tol * ||b||`` on the reduced system.
-    ``start``, shaped like the result, is the initial guess of the free part
-    (zero by default).
+    Jacobi PCG reaches it from ``start``, shaped like the result, as the
+    initial guess of the free part (zero by default). An unconstrained system
+    whose ``plan`` selects the direct path (n (bw + 1)^2 <= BAND_WORK_LIMIT,
+    see the module docstring) replaces that guess by its banded Cholesky
+    solution, which PCG's first residual checks.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     single = rhs.ndim == 1
@@ -196,6 +311,9 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
 
     A = system.matrix
     fixed_idx = system.fixed_indices
+    if fixed_idx.size == 0 and system.plan is not None and system.plan.band.direct:
+        # the factored solution starts PCG, whose first residual checks it
+        start = _banded_solve(A, system.plan.band, b)
     if fixed_idx.size == 0:
         # nothing to eliminate: the reduced system is the system itself
         free_idx, A_ff, b_f = slice(None), A, b

@@ -420,7 +420,7 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
             break
         ops = density.DiffusionOperators(conn.vertex_measures(areas) / 3.0,
                                          surface_laplacian(geo, conn.plan),
-                                         conn.plan.diagonal)
+                                         conn.plan)
         u = density.flow_step(conn, u, conn.to_vertices(rho_face, areas), ops, areas,
                               lambda rho: surface_gradient(geo, rho[faces]), dt,
                               on_sphere)

@@ -213,9 +213,10 @@ def _split_solve(system, rhs, tol=linsolve.DEFAULT_TOL):
     return linsolve._pcg(A_ff, b_f[:, 0], tol, max(10 * n, 50))[0]
 
 
-@pytest.mark.parametrize("mesh_name", ["ball_mesh", "cube8"])
+@pytest.mark.parametrize("mesh_name", ["ball_mesh_6k", "cube8"])
 def test_unconstrained_solve_matches_split_path_bitwise(mesh_name, request):
-    # backward-Euler diffusion is the solver's unconstrained caller
+    # backward-Euler diffusion is the solver's unconstrained caller; on these
+    # two balls its plan's band is too wide for the direct path, so it runs PCG
     from volball.density import build_operators, diffusion_step
     mesh = request.getfixturevalue(mesh_name)
     ops = build_operators(mesh, (mesh.volumes, mesh.hat_gradients))
@@ -276,11 +277,150 @@ def test_pcg_matches_textbook_loop_bitwise(mesh_name, request):
         assert len(stops) > 6
 
 
-def test_pcg_stops_at_once_on_nan_rhs(ball_mesh):
+def test_pcg_stops_at_once_on_nan_rhs(ball_mesh_6k):
+    # the 1 213-vertex ball's diffusion runs PCG (its band is too wide)
     from volball.density import build_operators, diffusion_step
-    ops = build_operators(ball_mesh, (ball_mesh.volumes, ball_mesh.hat_gradients))
-    rho = np.ones(len(ball_mesh.vertices))
+    ops = build_operators(ball_mesh_6k, (ball_mesh_6k.volumes, ball_mesh_6k.hat_gradients))
+    rho = np.ones(len(ball_mesh_6k.vertices))
     rho[3] = np.nan
     with pytest.raises(linsolve.SolverError, match="not positive definite") as exc:
         diffusion_step(ops, rho, 0.1)
     assert exc.value.iterations == 1
+
+
+# -- the direct path: banded Cholesky on a plan whose RCM band is narrow ----
+
+
+def _element_diffusion(rng, n, k, extra):
+    """Operators of M + dt L on random k-vertex elements over n vertices,
+    renumbered by a random permutation: a chain of elements covers every
+    vertex, ``extra`` random ones join far vertices, and each element adds
+    the graph Laplacian of positive random edge weights."""
+    from volball.density import DiffusionOperators
+    chain = (np.arange(n)[:, None] + np.arange(k)) % n
+    far = np.array([rng.choice(n, size=k, replace=False) for _ in range(extra)],
+                   dtype=np.int64).reshape(-1, k)
+    elements = rng.permutation(n)[np.vstack([chain, far])]
+    plan = linsolve.AssemblyPlan.for_elements(elements, n)
+    w = rng.uniform(0.1, 1.0, size=(len(elements), k, k))
+    w = np.triu(w, 1) + np.swapaxes(np.triu(w, 1), 1, 2)
+    local = -w
+    local[:, np.arange(k), np.arange(k)] = w.sum(axis=2)
+    laplacian = linsolve.assemble(plan, local.reshape(-1)).matrix
+    return DiffusionOperators(rng.uniform(0.5, 1.5, size=n), laplacian, plan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=4, max_value=40), st.sampled_from([3, 4]),
+       st.integers(min_value=0, max_value=30), st.floats(min_value=0.01, max_value=10.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_direct_diffusion_matches_dense_solve(n, k, extra, dt, seed):
+    from volball.density import diffusion_step
+    rng = np.random.default_rng(seed)
+    ops = _element_diffusion(rng, n, k, extra)
+    assert ops.plan.band.direct
+    rho = rng.uniform(0.5, 2.0, size=n)
+    dense = np.diag(ops.lumped_volumes) + dt * ops.laplacian.toarray()
+    expected = np.linalg.solve(dense, ops.lumped_volumes * rho)
+    got = diffusion_step(ops, rho, dt)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_direct_solve_needs_no_iteration_and_repeats_bitwise(monkeypatch):
+    from volball.density import diffusion_step
+    ops = _element_diffusion(np.random.default_rng(4), 30, 3, 10)
+    rho = 1.0 + np.arange(30.0) / 30
+    pcg, runs = linsolve._pcg, []
+
+    def counted(*args):
+        out = pcg(*args)
+        runs.append(out[1])
+        return out
+
+    monkeypatch.setattr(linsolve, "_pcg", counted)
+    first, second = diffusion_step(ops, rho, 0.1), diffusion_step(ops, rho, 0.1)
+    np.testing.assert_array_equal(first, second)
+    assert runs == [0, 0]  # PCG's first residual accepts the factored solution
+
+
+def test_direct_solve_iterates_on_where_rounding_misses_the_bound(monkeypatch):
+    # path-graph weights over six decades: the factored solution's residual
+    # sits near eps ||A|| ||x||, above 1e-10 ||b||, so PCG carries on from it
+    n = 30
+    rng = np.random.default_rng(0)
+    w = np.exp(rng.uniform(0.0, np.log(1e6), n - 1))
+    i, j = np.arange(n - 1), np.arange(1, n)
+    plan = linsolve.AssemblyPlan(n, np.concatenate([i, j, i, j, np.arange(n)]),
+                                 np.concatenate([i, j, j, i, np.arange(n)]))
+    A = linsolve.assemble(plan, np.concatenate([w, w, -w, -w, np.full(n, 0.05)])).matrix
+    b = np.full(n, 0.05)
+    factored = linsolve._banded_solve(A, plan.band, b[:, None])[:, 0]
+    assert np.linalg.norm(b - A @ factored) > linsolve.DEFAULT_TOL * np.linalg.norm(b)
+    pcg, runs = linsolve._pcg, []
+
+    def counted(*args):
+        out = pcg(*args)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(linsolve, "_pcg", counted)
+    x = linsolve.solve(linsolve.LinearSystem(n, A, plan=plan), b)
+    [(_, iterations, res)] = runs
+    assert iterations >= 1 and res <= linsolve.DEFAULT_TOL * np.linalg.norm(b)
+    expected = np.linalg.solve(A.toarray(), b)
+    assert np.abs(x - expected).max() <= 1e-6 * np.abs(expected).max()
+
+
+def test_direct_solve_names_the_vertex_of_an_indefinite_system():
+    from volball.density import diffusion_step
+    ops = _element_diffusion(np.random.default_rng(5), 25, 4, 5)
+    ops.lumped_volumes[17] = -100.0
+    with pytest.raises(linsolve.SolverError, match="not positive definite at vertex 17 "):
+        diffusion_step(ops, np.ones(25), 0.1)
+
+
+def test_direct_solve_stops_at_once_on_nan_rhs():
+    from volball.density import diffusion_step
+    ops = _element_diffusion(np.random.default_rng(6), 25, 3, 5)
+    rho = np.ones(25)
+    rho[3] = np.nan
+    with pytest.raises(linsolve.SolverError) as exc:
+        diffusion_step(ops, rho, 0.1)
+    assert exc.value.iterations == 1
+
+
+def _volume_plan(mesh):
+    return mesh.connectivity.plan
+
+
+def _boundary_plan(mesh):
+    from volball.tetmesh import Connectivity
+    vid, faces = mesh.boundary_surface()
+    return Connectivity(faces, len(vid)).plan
+
+
+def test_rule_sides_of_the_benchmarked_systems(ball_mesh_6k):
+    # the remesh solid's surface flow and volume diffusion take the direct
+    # path; the 3ddem ball (1 213 vertices) and the 20k-tet stretched ball
+    # stay on PCG, where banded Cholesky measured slower
+    from volball.synthetic import graded_ellipsoid_mesh, stretched_ball_mesh
+    graded = graded_ellipsoid_mesh(1)
+    assert _boundary_plan(graded).band.direct
+    assert _volume_plan(graded).band.direct
+    assert not _volume_plan(ball_mesh_6k).band.direct
+    assert not _volume_plan(stretched_ball_mesh(3)).band.direct
+
+
+def test_plan_decision_logged_once(caplog):
+    import logging
+    n = 12
+    i = np.arange(n - 1)
+    plan = linsolve.AssemblyPlan(n, np.concatenate([i, i + 1, i, i + 1]),
+                                 np.concatenate([i, i + 1, i + 1, i]))
+    with caplog.at_level(logging.DEBUG, logger="volball"):
+        band = plan.band
+        assert plan.band is band
+    [record] = [r for r in caplog.records if r.name.startswith("volball")]
+    assert record.levelno == logging.DEBUG
+    assert (record.n, record.bandwidth, record.work, record.path) == (n, 1, n * 4, "direct")
+    assert band.bandwidth == 1 and band.direct

@@ -239,8 +239,10 @@ def _surface_flow_as_first_written(sphere, faces, population, dt=0.1, eps=1e-2,
                                    max_iter=100):
     """Reference: the surface flow's first formulation, which rebuilt per
     round a COO-built face-to-vertex matrix, the diagonal mass matrix and the
-    sparse sum M + dt L, with np.cross normals and per-corner cotangents.
-    Returns the positions and the rounds run."""
+    sparse sum M + dt L, with np.cross normals and per-corner cotangents,
+    and solved the diffusion densely (a direct solve, as the flow's narrow
+    band now takes). Returns the positions and the rounds run."""
+    from scipy.linalg import cho_factor, cho_solve
     from scipy.sparse import csr_matrix
 
     from volball import density
@@ -290,8 +292,8 @@ def _surface_flow_as_first_written(sphere, faces, population, dt=0.1, eps=1e-2,
         conv = csr_matrix((vals / incident[rows], (rows, cols)), shape=(n, m))
         lumped = np.bincount(rows, weights=np.repeat(areas / 3.0, 3), minlength=n)
         mass = csr_matrix((lumped, (np.arange(n), np.arange(n))), shape=(n, n))
-        system = linsolve.LinearSystem(n, mass + dt * laplacian(u))
-        rho_next = linsolve.solve(system, lumped * (conv @ rho_face))
+        system = (mass + dt * laplacian(u)).toarray()
+        rho_next = cho_solve(cho_factor(system), lumped * (conv @ rho_face))
         vel = density.velocity_field(rho_next, conv @ gradient(u, rho_next))
         u = density.capped_advect(u, vel, dt, edges, on_sphere)
         if spherical_flips(u, faces).any():
