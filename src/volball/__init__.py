@@ -15,14 +15,13 @@ from .laplace import harmonic_fill
 from .remesh import RemeshQuality, pullback, quality_metrics, uniform_ball_mesh
 from .report import RunReport, write_histogram_csv
 from .sphere_map import BoundaryMap, compute_boundary_sphere_map
-from .tetmesh import (BarycentricCoord, DegenerateTetError, MeshError, TetMesh,
-                      TopologyError, signed_volumes)
+from .tetmesh import DegenerateTetError, MeshError, TetMesh, TopologyError, signed_volumes
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarycentricCoord", "BoundaryMap", "CorrectionError",
-    "DegenerateTetError", "DensityField", "DiffusionOperators", "MeshError",
+    "BoundaryMap", "CorrectionError", "DegenerateTetError", "DensityField",
+    "DiffusionOperators", "MeshError",
     "RemeshQuality", "RunReport", "RunResult", "SolverConfig", "TetFrameField",
     "TetMesh", "TopologyError", "build_operators",
     "compute_boundary_sphere_map", "compute_energies", "correct_overlaps",

@@ -236,6 +236,10 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
             patch |= (boundary_adj @ patch) > 0
         free_b = b_ids[patch]
         fixed = np.setdiff1d(np.arange(len(mesh.vertices)), free_b)
+        if len(fixed) == 0:
+            # every vertex lies in the patch (an all-boundary solid such as
+            # lcube_mesh(2)): nothing would anchor the rebuild
+            return p
         p = _rebuild(mesh, p, k_cap, fixed_ids=fixed)
         p[free_b] = normalize_rows(p[free_b])
         return p
@@ -490,11 +494,9 @@ def _deq_step(mesh, state, config):
     lam_bar = lam_cur + d_lam1 + config.alpha * d_lam2
     lam_bar = np.sort(lam_bar, axis=1)[:, ::-1]
     lam_bar = np.sort(flip_eigenvalues(lam_bar), axis=1)[:, ::-1]
-    bad = lam_bar[:, 2] <= 0
-    if bad.any():
-        # combined increment collapsed the triple; fall back to the pure
-        # flow's eigenvalues for those tets
-        lam_bar[bad] = lam_adv[bad]
+    # b_adv > 0 and c_adv + alpha theta (b_cur - c_cur) > 0 keep the largest
+    # entry positive and the flip the smallest nonnegative; only an exact
+    # cancellation leaves a zero, which truncation rejects as a FrameError
     lam_bar = truncate_eigenvalues(lam_bar, config.k_threshold)
     return reconstruct_map(mesh, TetFrameField(adv_frames.frames, lam_bar),
                            b_ids, advected[b_ids], start=advected)

@@ -1,9 +1,10 @@
 """Bijective spherical maps for the boundary surface of a solid.
 
 The boundary of the solid is a closed genus-0 triangle mesh. It is sent to the
-unit sphere in three stages: a convex normalized embedding smoothed with
-mean-value weights, optional density-equalizing iterations on the sphere, and
-an overlap-correction stage that removes flipped spherical triangles by
+unit sphere by a normalized radial embedding smoothed with mean-value weights,
+which keeps its latest flip-free round, and then, in density mode, by
+density-equalizing iterations on the sphere. Flipped spherical triangles left
+by a density round, or by the volume overlap correction, are repaired by
 truncating the per-triangle Beltrami coefficient in a stereographic chart and
 re-solving the associated elliptic system.
 
@@ -358,35 +359,25 @@ def spherical_embedding(surface_points: np.ndarray, faces: np.ndarray) -> np.nda
     Starts from the centroid-normalized radial projection, then runs
     ``SMOOTH_ITERS`` rounds of tangential mean-value smoothing, each with
     unit-norm projection and one recentring step (``center_sphere``), and
-    fixes any flips against the last valid configuration. The result is
-    flip-free or the call raises ``SphereMapError``: when the radial start
-    and every smoothing round flip there is no valid configuration to repair
-    against (``lcube_mesh(5)``: 12 flips left).
+    returns the latest flip-free configuration among the start and the
+    rounds. When all of them flip the call raises ``SphereMapError`` with the
+    last round's flip count (``lcube_mesh(5)``: 12 flips).
     """
     pts = np.asarray(surface_points, dtype=np.float64)
     u = center_sphere(pts, faces)
-
-    last_valid = None
-    if not spherical_flips(u, faces).any():
-        last_valid = u.copy()
+    flip_free = None if spherical_flips(u, faces).any() else u
     T = mean_value_weights(pts, faces, len(pts))
     for _ in range(SMOOTH_ITERS):
         target = T @ u
         delta = target - u
         delta -= np.einsum("ij,ij->i", delta, u)[:, None] * u
         u = center_sphere(normalize_rows(u + 0.5 * delta), faces)
-        if spherical_flips(u, faces).any():
-            if last_valid is None:
-                continue
-            u = correct_spherical_flips(last_valid, u, faces)
-        last_valid = u.copy()
-    if last_valid is None or spherical_flips(u, faces).any():
-        if last_valid is None:
-            raise SphereMapError(
-                "could not reach a flip-free spherical embedding "
-                f"({int(spherical_flips(u, faces).sum())} flips)")
-        u = last_valid
-    return u
+        if not spherical_flips(u, faces).any():
+            flip_free = u
+    if flip_free is None:
+        raise SphereMapError("could not reach a flip-free spherical embedding "
+                             f"({int(spherical_flips(u, faces).sum())} flips)")
+    return flip_free
 
 
 def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,

@@ -39,6 +39,7 @@ EDGE_LOCAL = np.array(
 # Volume of a tet smaller than DEGENERACY_FACTOR * bbox_diagonal**3 is rejected.
 DEGENERACY_FACTOR = 1e-14
 
+# A point lies in a tet when its smallest barycentric coordinate is >= -INSIDE_TOL.
 INSIDE_TOL = 1e-9
 
 
@@ -165,17 +166,6 @@ def barycentric_coordinates(vertices: np.ndarray, tets: np.ndarray,
     return _affine_barycentric(grad, vertices[tets[tet_ids, 0]], points)
 
 
-@dataclass(frozen=True)
-class BarycentricCoord:
-    """Location of a point inside a tet: tet index plus four weights."""
-
-    tet_index: int
-    lambdas: np.ndarray
-
-    def point(self, vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
-        return self.lambdas @ vertices[tets[self.tet_index]]
-
-
 # Nearest centroids tried first per point, and (point, tet) pairs evaluated
 # at once, which bounds the locator's working memory.
 LOCATE_NEAREST = 8
@@ -203,20 +193,20 @@ class PointLocator:
         _invertible(vols)
         self._reach = float(np.linalg.norm(corners - centroids[:, None], axis=2).max())
 
-    def locate_points(self, points, tol: float = INSIDE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    def locate_points(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Tet index (n,) and barycentric coordinates (n, 4) of each point: the
-        tet whose smallest coordinate is largest, if that is >= -tol; else -1
-        and a row of NaN."""
+        tet whose smallest coordinate is largest, if that is >= -INSIDE_TOL;
+        else -1 and a row of NaN."""
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         tet_index = np.full(len(points), -1, dtype=np.int64)
         lambdas = np.full((len(points), 4), np.nan)
         k = min(LOCATE_NEAREST, len(self.tets))
         for ids in np.array_split(np.arange(len(points)), len(points) * k // LOCATE_PAIRS + 1):
             near = self._tree.query(points[ids], k=k)[1]
-            self._pick(points, np.repeat(ids, k), np.reshape(near, -1), tol, tet_index, lambdas)
+            self._pick(points, np.repeat(ids, k), np.reshape(near, -1), tet_index, lambdas)
 
-        # |p - centroid| <= sum |lambda_i| * reach <= (1 + 6 tol) * reach
-        radius = self._reach * (1.0 + 1e-6 + 6.0 * tol)
+        # |p - centroid| <= sum |lambda_i| * reach <= (1 + 6 INSIDE_TOL) * reach
+        radius = self._reach * (1.0 + 1e-6 + 6.0 * INSIDE_TOL)
         missed = np.flatnonzero(tet_index < 0)
         counts = self._tree.query_ball_point(points[missed], radius, return_length=True)
         # batches of about LOCATE_PAIRS pairs (plus at most one point's)
@@ -224,12 +214,12 @@ class PointLocator:
         for ids, n_ids in zip(np.split(missed, cuts), np.split(counts, cuts)):
             near = self._tree.query_ball_point(points[ids], radius, return_sorted=True)
             cand = np.fromiter(chain.from_iterable(near), dtype=np.int64, count=int(n_ids.sum()))
-            self._pick(points, np.repeat(ids, n_ids), cand, tol, tet_index, lambdas)
+            self._pick(points, np.repeat(ids, n_ids), cand, tet_index, lambdas)
         return tet_index, lambdas
 
-    def _pick(self, points, owner, cand, tol, tet_index, lambdas) -> None:
+    def _pick(self, points, owner, cand, tet_index, lambdas) -> None:
         """Give each point ``owner[j]`` (sorted) its first candidate tet
-        ``cand[j]`` of largest smallest coordinate, if that is >= -tol."""
+        ``cand[j]`` of largest smallest coordinate, if that is >= -INSIDE_TOL."""
         if cand.size == 0:
             return
         lam = _affine_barycentric(self._grad[cand], self._x0[cand], points[owner])
@@ -238,14 +228,15 @@ class PointLocator:
         group = np.cumsum(new) - 1
         hits = np.flatnonzero(worst == np.maximum.reduceat(worst, np.flatnonzero(new))[group])
         head = hits[np.r_[True, group[hits[1:]] != group[hits[:-1]]]]
-        head = head[worst[head] >= -tol]
+        head = head[worst[head] >= -INSIDE_TOL]
         tet_index[owner[head]] = cand[head]
         lambdas[owner[head]] = lam[head]
 
-    def locate(self, point, tol: float = INSIDE_TOL) -> BarycentricCoord | None:
-        """``locate_points`` for one point; None when it lies in no tet."""
-        tet, lam = self.locate_points(np.asarray(point, dtype=np.float64)[None], tol)
-        return None if tet[0] < 0 else BarycentricCoord(int(tet[0]), lam[0])
+    def locate(self, point) -> tuple[int, np.ndarray] | None:
+        """``locate_points`` for one point: (tet, lambdas), or None when it
+        lies in no tet."""
+        tet, lam = self.locate_points(np.asarray(point, dtype=np.float64)[None])
+        return None if tet[0] < 0 else (int(tet[0]), lam[0])
 
 
 @dataclass(frozen=True)
@@ -374,10 +365,10 @@ class TetMesh:
     def locator(self) -> PointLocator:
         return PointLocator(self.vertices, self.tets)
 
-    def locate_points(self, points, tol: float = INSIDE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    def locate_points(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Containing tet and barycentric weights of each point: see
         ``PointLocator.locate_points``."""
-        return self.locator.locate_points(points, tol=tol)
+        return self.locator.locate_points(points)
 
     @cached_property
     def boundary_vertices(self) -> np.ndarray:

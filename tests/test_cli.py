@@ -9,7 +9,7 @@ from volball.density import DensityError
 from volball.distortion import FrameError
 from volball.linsolve import SolverError
 from volball.remesh import quality_metrics, uniform_ball_mesh
-from volball.synthetic import hemispheric_population
+from volball.synthetic import hemispheric_population, lcube_mesh, octant_population
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +162,23 @@ def test_param_non_finite_population_exit_1(tmp_path, ball_file, capsys):
     assert code == 1
     assert capsys.readouterr().err == \
         f"volball: error: {csv}:7: non-finite population 'inf'\n"
+
+
+def test_param_all_boundary_solid_exit_1(tmp_path, capsys):
+    # every vertex of lcube_mesh(2) lies on the boundary; the overlap
+    # correction's boundary-patch rebuild used to free them all and end in a
+    # bare ValueError, which the CLI printed as a traceback
+    mesh = lcube_mesh(2)
+    path = tmp_path / "lcube2.mesh"
+    fileio.save_mesh(str(path), mesh.vertices, mesh.tets)
+    csv = tmp_path / "pop.csv"
+    csv.write_text("tet_index,population\n" + "".join(
+        f"{i},{float(p)!r}\n" for i, p in enumerate(octant_population(mesh))))
+    code = cli.main(["param", "--method", "3ddem", "--population", f"file:{csv}",
+                     str(path), str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "volball: error: overlap correction budget exhausted: 2 folds remain\n"
 
 
 @pytest.mark.parametrize("error", [DensityError("bad density"),

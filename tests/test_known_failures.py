@@ -8,9 +8,10 @@ way shows as a failure. Never shrink a solid or change a population here.
 
 import pytest
 
+from volball import synthetic
 from volball.distortion import FrameError
 from volball.drivers import (CorrectionError, SolverConfig, initial_ball, run_3ddem,
-                             run_3dqc)
+                             run_3ddeq, run_3dqc)
 from volball.sphere_map import SphereMapError
 from volball.synthetic import cube_mesh, hemispheric_population, lcube_mesh
 
@@ -36,7 +37,7 @@ def test_lcube5_conformal_3dqc():
 
 
 @pytest.mark.xfail(strict=True, raises=CorrectionError,
-                   reason="overlap correction budget exhausted with 2 folds "
+                   reason="overlap correction budget exhausted with 1 fold "
                           "left in iteration 86")
 def test_cube4_hemisphere_3ddem():
     mesh = cube_mesh(4)
@@ -59,4 +60,44 @@ def test_cube3_hemisphere_3ddem():
 def test_lcube3_hemisphere_3ddem():
     mesh = lcube_mesh(3)
     result = run_3ddem(mesh, hemispheric_population(mesh, 4.0))
+    assert result.report.final["folds"] == 0
+
+
+POPULATIONS = {"hemi": lambda mesh: hemispheric_population(mesh, 4.0),
+               "smooth": synthetic.smooth_population,
+               "octant": synthetic.octant_population}
+RUNNERS = {"3ddem": run_3ddem, "3ddeq": run_3ddeq}
+
+
+def _pinned(error, reason, solid, size, population, method):
+    return pytest.param(solid, size, population, method,
+                        marks=pytest.mark.xfail(strict=True, raises=error, reason=reason),
+                        id=f"{solid.split('_')[0]}{size}-{population}-{method}")
+
+
+@pytest.mark.parametrize("solid, size, population, method", [
+    _pinned(FrameError, "singular Jacobian on tet 30", "cube_mesh", 2, "hemi", "3ddem"),
+    _pinned(FrameError, "singular Jacobian on tet 21", "cube_mesh", 2, "smooth", "3ddem"),
+    _pinned(FrameError, "singular Jacobian on tet 29", "cube_mesh", 2, "octant", "3ddem"),
+    _pinned(FrameError, "singular Jacobian on tet 34", "cube_mesh", 2, "octant", "3ddeq"),
+    _pinned(FrameError, "singular Jacobian on tet 155", "cube_mesh", 5, "hemi", "3ddem"),
+    _pinned(FrameError, "singular Jacobian on tet 38", "lcube_mesh", 2, "smooth", "3ddem"),
+    _pinned(CorrectionError, "2 folds remain", "cube_mesh", 3, "octant", "3ddem"),
+    _pinned(CorrectionError, "5 folds remain", "cube_mesh", 4, "octant", "3ddem"),
+    _pinned(CorrectionError, "3 folds remain", "cube_mesh", 4, "octant", "3ddeq"),
+    _pinned(CorrectionError, "1 fold remains", "cube_mesh", 5, "octant", "3ddem"),
+    # every vertex of lcube_mesh(2) lies on the boundary, so the correction
+    # has no boundary patch to rebuild against a fixed remainder
+    _pinned(CorrectionError, "2 folds remain", "lcube_mesh", 2, "octant", "3ddem"),
+    _pinned(CorrectionError, "2 folds remain", "lcube_mesh", 2, "octant", "3ddeq"),
+    _pinned(CorrectionError, "4 folds remain", "lcube_mesh", 3, "smooth", "3ddem"),
+    _pinned(CorrectionError, "3 folds remain", "lcube_mesh", 3, "octant", "3ddem"),
+    # the density initial ball folds in 10 tets that its correction cannot
+    # remove; the ball does not depend on the population
+    _pinned(CorrectionError, "initial ball: 10 folds remain", "lcube_mesh", 7, "hemi", "3ddem"),
+    _pinned(CorrectionError, "initial ball: 10 folds remain", "lcube_mesh", 7, "hemi", "3ddeq"),
+])
+def test_default_density_run(solid, size, population, method):
+    mesh = getattr(synthetic, solid)(size)
+    result = RUNNERS[method](mesh, POPULATIONS[population](mesh), SolverConfig())
     assert result.report.final["folds"] == 0

@@ -96,12 +96,11 @@ def test_pullback_vertex_coincidence(ball_mesh):
     # a point placed exactly at a deformed source vertex is located in a tet
     # incident to that vertex and maps to the vertex's rest position
     deformed = 0.9 * ball_mesh.vertices
-    bc = PointLocator(deformed, ball_mesh.tets).locate(deformed[10])
-    assert bc is not None
-    tet = ball_mesh.tets[bc.tet_index]
+    tet_index, lambdas = PointLocator(deformed, ball_mesh.tets).locate(deformed[10])
+    tet = ball_mesh.tets[tet_index]
     assert 10 in tet
-    assert bc.lambdas[list(tet).index(10)] == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(bc.point(ball_mesh.vertices, ball_mesh.tets),
+    assert lambdas[list(tet).index(10)] == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(lambdas @ ball_mesh.vertices[tet],
                                ball_mesh.vertices[10], atol=1e-12)
     direct, _ = pullback(ball_mesh, deformed, ball_mesh)
     inner = np.linalg.norm(ball_mesh.vertices, axis=1) < 0.85

@@ -396,6 +396,33 @@ def test_spherical_embedding_one_centroid_per_round(monkeypatch):
     assert len(calls) <= sphere_map.SMOOTH_ITERS + 1
 
 
+def test_spherical_embedding_keeps_last_flip_free_round(monkeypatch):
+    # a round that flips is passed over, not repaired: the embedding returns
+    # the latest flip-free round and never calls the Beltrami repair
+    from volball import sphere_map
+    from volball.synthetic import cube_mesh
+    mesh = cube_mesh(3)
+    vid, faces = mesh.boundary_surface()
+    center = sphere_map.center_sphere
+    rounds = []
+
+    def mirror_last_round(points, faces):
+        rounds.append(center(points, faces))
+        if len(rounds) == sphere_map.SMOOTH_ITERS + 1:
+            return rounds[-1] * np.array([-1.0, 1.0, 1.0])  # flips every triangle
+        return rounds[-1]
+
+    def no_repair(*args):
+        raise AssertionError("the embedding called correct_spherical_flips")
+
+    monkeypatch.setattr(sphere_map, "center_sphere", mirror_last_round)
+    monkeypatch.setattr(sphere_map, "correct_spherical_flips", no_repair)
+    out = sphere_map.spherical_embedding(mesh.vertices[vid], faces)
+    assert len(rounds) == sphere_map.SMOOTH_ITERS + 1
+    assert not spherical_flips(rounds[-2], faces).any()
+    np.testing.assert_array_equal(out, rounds[-2])
+
+
 def _relabel(mesh, seed):
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(mesh.vertices))  # new vertex i is old order[i]

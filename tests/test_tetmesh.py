@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from volball.tetmesh import (EDGE_LOCAL, FACE_LOCAL, BarycentricCoord,
-                             Connectivity, DegenerateTetError, PointLocator,
-                             TetMesh, TopologyError, barycentric_coordinates,
+from volball.tetmesh import (EDGE_LOCAL, FACE_LOCAL, Connectivity,
+                             DegenerateTetError, PointLocator, TetMesh,
+                             TopologyError, barycentric_coordinates,
                              signed_volumes, tet_gradients)
 
 
@@ -126,16 +126,17 @@ def test_locate_point_roundtrip(ball_mesh):
 
 
 def test_barycentric_point_roundtrip(reference_tet):
-    bc = BarycentricCoord(0, np.array([0.1, 0.2, 0.3, 0.4]))
-    p = bc.point(reference_tet.vertices, reference_tet.tets)
+    weights = np.array([0.1, 0.2, 0.3, 0.4])
+    p = weights @ reference_tet.vertices[reference_tet.tets[0]]
     tets, lams = reference_tet.locate_points(p[None])
     assert tets[0] == 0
-    np.testing.assert_allclose(lams[0], bc.lambdas, atol=1e-12)
+    np.testing.assert_allclose(lams[0], weights, atol=1e-12)
 
 
 def test_locator_standalone(ball_mesh):
     loc = PointLocator(ball_mesh.vertices, ball_mesh.tets)
-    assert loc.locate(np.zeros(3)) is not None
+    tet, lam = loc.locate(np.zeros(3))
+    assert type(tet) is int and lam.shape == (4,)
     assert loc.locate(np.array([0.0, 0.0, 3.0])) is None
 
 
@@ -148,12 +149,12 @@ def test_locate_points_matches_locate_point(ball_mesh):
     assert tets.shape == (len(points),) and lams.shape == (len(points), 4)
     assert np.all(tets[-3:] == -1) and np.isnan(lams[-3:]).all()
     for p, t, lam in zip(points, tets, lams):
-        bc = ball_mesh.locator.locate(p)
-        if bc is None:
+        hit = ball_mesh.locator.locate(p)
+        if hit is None:
             assert t == -1
         else:
-            assert bc.tet_index == t
-            np.testing.assert_array_equal(bc.lambdas, lam)
+            assert hit[0] == t
+            np.testing.assert_array_equal(hit[1], lam)
             assert lam.min() >= -1e-9
 
 
