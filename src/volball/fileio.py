@@ -101,15 +101,19 @@ def _read_medit(path: str) -> tuple[np.ndarray, np.ndarray]:
             np.array(tets, dtype=np.int64).reshape(-1, 4))
 
 
+def _rows(fmt: str, block) -> str:
+    """``fmt`` applied to each row of the 2-D ``block``, in one format call."""
+    block = np.asarray(block)
+    return (fmt * len(block)) % tuple(block.reshape(-1).tolist())
+
+
 def _write_medit(path: str, vertices: np.ndarray, tets: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("MeshVersionFormatted 2\nDimension 3\n")
         fh.write(f"Vertices\n{len(vertices)}\n")
-        for x, y, z in vertices:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g} 0\n")
+        fh.write(_rows("%.17g %.17g %.17g 0\n", vertices))
         fh.write(f"Tetrahedra\n{len(tets)}\n")
-        for t in tets:
-            fh.write(f"{t[0] + 1} {t[1] + 1} {t[2] + 1} {t[3] + 1} 0\n")
+        fh.write(_rows("%d %d %d %d 0\n", np.asarray(tets) + 1))
         fh.write("End\n")
 
 
@@ -159,12 +163,12 @@ def _write_gmsh2(path: str, vertices: np.ndarray, tets: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
         fh.write(f"$Nodes\n{len(vertices)}\n")
-        for i, (x, y, z) in enumerate(vertices):
-            fh.write(f"{i + 1} {x:.17g} {y:.17g} {z:.17g}\n")
+        ids = np.arange(1, len(vertices) + 1)
+        fh.write(_rows("%d %.17g %.17g %.17g\n", np.column_stack([ids, vertices])))
         fh.write("$EndNodes\n")
         fh.write(f"$Elements\n{len(tets)}\n")
-        for i, t in enumerate(tets):
-            fh.write(f"{i + 1} 4 2 0 0 {t[0] + 1} {t[1] + 1} {t[2] + 1} {t[3] + 1}\n")
+        ids = np.arange(1, len(tets) + 1)
+        fh.write(_rows("%d 4 2 0 0 %d %d %d %d\n", np.column_stack([ids, np.asarray(tets) + 1])))
         fh.write("$EndElements\n")
 
 
@@ -176,11 +180,9 @@ def _write_vtk(path: str, vertices: np.ndarray, tets: np.ndarray) -> None:
         fh.write("# vtk DataFile Version 3.0\nvolball mesh\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(vertices)} double\n")
-        for x, y, z in vertices:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        fh.write(_rows("%.17g %.17g %.17g\n", vertices))
         fh.write(f"CELLS {len(tets)} {5 * len(tets)}\n")
-        for t in tets:
-            fh.write(f"4 {t[0]} {t[1]} {t[2]} {t[3]}\n")
+        fh.write(_rows("4 %d %d %d %d\n", tets))
         fh.write(f"CELL_TYPES {len(tets)}\n")
         fh.write("10\n" * len(tets))
 

@@ -69,6 +69,6 @@ def harmonic_fill(mesh: TetMesh, boundary_points: np.ndarray,
     if len(boundary_indices) != len(boundary_points):
         raise ValueError("boundary point count does not match boundary vertices")
     n = len(mesh.vertices)
-    system = linsolve.LinearSystem(n, laplacian_matrix(mesh))
+    system = linsolve.LinearSystem(n, laplacian_matrix(mesh), plan=mesh.connectivity.plan)
     system.constrain(boundary_indices, boundary_points)
     return linsolve.solve(system, np.zeros((n, 3)))

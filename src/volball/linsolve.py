@@ -15,47 +15,64 @@ transpose slots, the precondition of both solves. A plan also knows the slot
 of each row's diagonal entry, where callers add a mass matrix in place.
 
 ``solve`` takes one of two paths. A system that carries its plan
-(``LinearSystem.plan``) and has no fixed rows is factored directly when the
-plan's band is narrow: the plan orders its rows once by reverse Cuthill-McKee
-(E. Cuthill and J. McKee, "Reducing the bandwidth of sparse symmetric
-matrices", ACM 1969), which leaves a surface mesh a band of about sqrt(n),
-and its ``band`` keeps that order, the bandwidth bw and the scatter of the
-CSR data into LAPACK lower band storage. The factorization costs about
-n (bw + 1)^2 flops, so the rule is one inequality:
+(``LinearSystem.plan``; ``assemble`` attaches it) is factored directly when
+its band is narrow enough. The plan orders its rows once by reverse
+Cuthill-McKee (E. Cuthill and J. McKee, "Reducing the bandwidth of sparse
+symmetric matrices", ACM 1969), which leaves a surface mesh a band of about
+sqrt(n), and its ``band`` keeps that order, the bandwidth bw and the scatter
+of the CSR data into LAPACK lower band storage. A system with fixed rows uses
+the same order restricted to its free rows (``Band.restrict``): no ordering
+per solve, and a band within a few percent of the free rows' own RCM band
+(160 against 166 on the ball2 interior, 380 against 376 on stretched3). One
+factorization serves all nrhs right-hand sides, and it costs about
+n_free (bw_free + 1)^2 flops, where PCG's cost grows with nrhs, so the rule
+is one inequality:
 
-    direct  iff  n (bw + 1)^2 <= BAND_WORK_LIMIT = 4e6.
+    direct  iff  n_free (bw_free + 1)^2 <= nrhs * BAND_WORK_LIMIT = nrhs * 8e6.
 
-Every other system runs the conjugate gradient. Per solve of M + 0.1 L at
-the mesh's own (or the radially projected boundary's) geometry, best of
-repeated runs on a 2-core x86_64 host, PCG to 1e-10 (the results agree to
-1e-10 relative):
+Every other system runs the conjugate gradient. Per solve, best of repeated
+runs on a 2-core x86_64 host with two BLAS threads (the results agree to the
+PCG tolerance). One column: M + 0.1 L at the mesh's own (or the radially
+projected boundary's) geometry, unconstrained, PCG to 1e-10 from zero. Three
+columns: the workloads' reconstructions div(A grad u) = 0 with the boundary
+fixed, PCG to 1e-9 from the current map:
 
     system                   n     bw   n (bw+1)^2  Jacobi PCG    banded
+    1 column
     graded1 sphere           120   21   5.8e4       0.35-0.64 ms  0.07 ms
     graded1 volume           187   55   5.9e5       0.68-0.71 ms  0.18 ms
     ball2 / graded2 sphere   480   39   7.7e5       0.78-1.3 ms   0.20-0.37 ms
-    lcube8 volume            665   66   3.0e6       0.76-1.1 ms   0.73-0.85 ms
+    lcube8 volume            665   66   3.0e6       0.56-1.1 ms   0.56-0.85 ms
     stretched3 sphere        1080  55   3.4e6       2.5-3.9 ms    0.65-1.1 ms
     cube8 volume             729   82   5.0e6       0.69-1.1 ms   0.59-1.1 ms
-    ball2 / graded2 volume   1213  219  5.9e7       1.8-2.3 ms    2.6-7.9 ms
+    cube9 volume             1000  101  1.0e7       0.65 ms       1.1 ms
+    ball2 / graded2 volume   1213  219  5.9e7       1.4-2.9 ms    2.6-7.9 ms
     stretched3 volume        3799  457  8.0e8       10-14 ms      36-41 ms
+    3 columns, n = n_free
+    graded1 interior         67    27   5.3e4       1.7-2.5 ms    0.42-0.55 ms
+    ball2 interior           733   160  1.9e7       3.6 ms        2.2-2.5 ms
+    stretched3 interior      2719  380  3.9e8       13-14 ms      18 ms
 
-The volumes break even near 3e6-5e6, the spheres (more PCG iterations)
-later. A dense Cholesky loses to the banded one everywhere (0.11 ms at
-n = 120, 2.3-7.5 ms at n = 480). In production the direct path serves the
+One column breaks even between 5e6 and 1e7, three columns of the harder
+anisotropic systems above 1.9e7; the limit sits between the ball2 interior's
+6.2e6-7.0e6 per column (over 25 renumberings of the mesh) and cube9's 1.0e7.
+A dense Cholesky loses to the banded one everywhere (0.11 ms at n = 120,
+2.3-7.5 ms at n = 480). In production the direct path serves the
 backward-Euler diffusion systems of ``density.diffusion_step`` on the sphere
-and in small balls; the 1 213-row ball and larger volumes stay on PCG.
-Constrained systems always take PCG: their reduced pattern changes with the
-fixed set.
+and in small balls, the harmonic fills and reconstructions up to the ball2
+interior, and the spherical Beltrami repairs; the 1 213-row ball's
+diffusion and the stretched ball's reconstructions stay on PCG.
 
 The direct solution is the start of the conjugate gradient, whose first
 residual checks the solve contract ``||b - A x|| <= tol * ||b||`` with one
-product and returns it with no iteration when it holds. Where rounding keeps
-the factored solution above the bound (an ill-conditioned system, whose
-floor eps ||A|| ||x|| exceeds tol ||b||) the iteration carries on from it.
-A leading minor that is not positive definite raises SolverError naming the
-vertex where the factorization broke down; a NaN right-hand side raises at
-the first curvature, as on the PCG path.
+product per column and returns it with no iteration when it holds. Where
+rounding keeps the factored solution above the bound (an ill-conditioned
+system, whose floor eps ||A|| ||x|| exceeds tol ||b||) the iteration carries
+on from it. A leading minor that is not positive definite hands the system to
+PCG from the caller's start, as if the rule had said no (a singular but
+consistent system can still meet the contract there); if PCG fails too, its
+SolverError names the vertex where the factorization broke down. A NaN
+right-hand side raises at the first curvature, as on the PCG path.
 
 The conjugate gradient (``_pcg``) is preconditioned by the inverse diagonal
 and updates its vectors in place; it raises SolverError as soon as a
@@ -77,9 +94,9 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 DEFAULT_TOL = 1e-10
 
-# A plan's systems are factored directly when n (bw + 1)^2 is at most this
-# (the table in the module docstring).
-BAND_WORK_LIMIT = 4e6
+# A system is factored directly when n_free (bw_free + 1)^2 is at most nrhs
+# times this (the table in the module docstring).
+BAND_WORK_LIMIT = 8e6
 
 logger = logging.getLogger("volball.linsolve")
 
@@ -87,6 +104,7 @@ logger = logging.getLogger("volball.linsolve")
 class SolverError(RuntimeError):
     def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(f"{message} (iterations={iterations}, residual={residual:.3e})")
+        self.message = message
         self.iterations = iterations
         self.residual = residual
 
@@ -100,8 +118,8 @@ class LinearSystem:
     right-hand side) each; a repeated index keeps its first value.
     Constrained rows and columns are eliminated before the iterative solve so
     the reduced operator stays symmetric. ``plan``, when given, is the plan
-    whose pattern ``matrix`` has (its data in the plan's entry order); an
-    unconstrained system with a plan may take the direct path of ``solve``.
+    whose pattern ``matrix`` has (its data in the plan's entry order); a
+    system with a plan may take the direct path of ``solve``.
     """
 
     dimension: int
@@ -119,14 +137,37 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class Band:
-    """A plan's pattern in reverse Cuthill-McKee order as LAPACK lower band
-    storage, and the size rule's decision."""
+    """Rows of a plan's pattern in reverse Cuthill-McKee order as LAPACK lower
+    band storage."""
 
     order: np.ndarray    # (n,) band row k is the plan's row order[k]
     bandwidth: int
     entries: np.ndarray  # CSR slots of the entries on or below the band's diagonal
     cells: np.ndarray    # their flat index in the Fortran-ordered (bandwidth + 1, n) band
-    direct: bool         # n (bandwidth + 1)^2 <= BAND_WORK_LIMIT
+
+    @property
+    def work(self) -> int:
+        """n (bw + 1)^2, the factorization's cost up to a constant."""
+        return len(self.order) * (self.bandwidth + 1) ** 2
+
+    @property
+    def direct(self) -> bool:
+        """The size rule for one right-hand side."""
+        return self.work <= BAND_WORK_LIMIT
+
+    def restrict(self, free: np.ndarray) -> "Band":
+        """This band on the rows where the mask ``free`` holds, in this order:
+        the entries with both ends free, packed at their own bandwidth."""
+        kept = free[self.order]
+        rank = np.cumsum(kept) - 1
+        cols, offset = np.divmod(self.cells, self.bandwidth + 1)
+        rows = cols + offset
+        inside = kept[rows] & kept[cols]
+        rows, cols = rank[rows[inside]], rank[cols[inside]]
+        offset = rows - cols
+        bandwidth = int(offset.max(initial=0))
+        return Band(self.order[kept], bandwidth, self.entries[inside],
+                    offset + (bandwidth + 1) * cols)
 
 
 class AssemblyPlan:
@@ -172,8 +213,8 @@ class AssemblyPlan:
 
     @cached_property
     def band(self) -> Band:
-        """The pattern in reverse Cuthill-McKee order, its band storage and
-        the direct-or-PCG decision, logged once at DEBUG."""
+        """The pattern in reverse Cuthill-McKee order and its band storage;
+        the rule's decision for one right-hand side is logged once at DEBUG."""
         n = self.dimension
         pattern = csr_matrix((np.ones(self.indices.size), self.indices, self.indptr),
                              shape=(n, n))
@@ -185,13 +226,12 @@ class AssemblyPlan:
         entries = np.flatnonzero(rows >= cols)
         offset = rows[entries] - cols[entries]
         bandwidth = int(offset.max(initial=0))
-        work = n * (bandwidth + 1) ** 2
-        path = "direct" if work <= BAND_WORK_LIMIT else "pcg"
+        band = Band(order, bandwidth, entries, offset + (bandwidth + 1) * cols[entries])
+        path = "direct" if band.direct else "pcg"
         logger.debug("plan of %d rows: RCM bandwidth %d, n (bw + 1)^2 = %.3g, %s solves",
-                     n, bandwidth, work, path,
-                     extra={"n": n, "bandwidth": bandwidth, "work": work, "path": path})
-        return Band(order, bandwidth, entries, offset + (bandwidth + 1) * cols[entries],
-                    path == "direct")
+                     n, bandwidth, band.work, path,
+                     extra={"n": n, "bandwidth": bandwidth, "work": band.work, "path": path})
+        return band
 
     @classmethod
     def for_elements(cls, elements: np.ndarray, dimension: int) -> "AssemblyPlan":
@@ -216,7 +256,8 @@ def assemble(plan: AssemblyPlan, values) -> LinearSystem:
     if np.abs(data - mirrored).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("assembled matrix is not symmetric")
     n = plan.dimension
-    return LinearSystem(n, csr_matrix((data, plan.indices, plan.indptr), shape=(n, n)))
+    return LinearSystem(n, csr_matrix((data, plan.indices, plan.indptr), shape=(n, n)),
+                        plan=plan)
 
 
 def _pcg(A, b, rtol, maxiter, x0=None):
@@ -268,14 +309,15 @@ def _pcg(A, b, rtol, maxiter, x0=None):
 
 
 def _banded_solve(A: csr_matrix, band: Band, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for the (n, nrhs) ``b`` by banded Cholesky in ``band``'s
-    order.
+    """Solve for the (n, nrhs) ``b`` on ``band``'s rows by banded Cholesky in
+    its order, all columns from one factorization; rows outside the band come
+    back 0.
 
     Calls LAPACK's ``dpbsv`` (the routine under ``scipy.linalg.solveh_banded``)
     directly, so a leading minor that is not positive definite comes back as
     its order; the SolverError raised on it names that row's vertex.
     """
-    n = A.shape[0]
+    n = len(band.order)
     ab = np.zeros((band.bandwidth + 1) * n)
     ab[band.cells] = A.data[band.entries]
     _, y, info = dpbsv(ab.reshape((band.bandwidth + 1, n), order="F"), b[band.order],
@@ -283,7 +325,7 @@ def _banded_solve(A: csr_matrix, band: Band, b: np.ndarray) -> np.ndarray:
     if info > 0:
         raise SolverError(f"matrix is not positive definite at vertex {band.order[info - 1]}",
                           0, float(np.linalg.norm(b)))
-    x = np.empty_like(y)
+    x = np.zeros_like(b)
     x[band.order] = y
     return x
 
@@ -295,10 +337,11 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
     Constrained entries of the result equal their fixed values exactly; the
     free part satisfies ``||A x - b|| <= tol * ||b||`` on the reduced system.
     Jacobi PCG reaches it from ``start``, shaped like the result, as the
-    initial guess of the free part (zero by default). An unconstrained system
-    whose ``plan`` selects the direct path (n (bw + 1)^2 <= BAND_WORK_LIMIT,
-    see the module docstring) replaces that guess by its banded Cholesky
-    solution, which PCG's first residual checks.
+    initial guess of the free part (zero by default). A system whose ``plan``
+    band, restricted to the free rows, passes the size rule
+    (n_free (bw_free + 1)^2 <= nrhs BAND_WORK_LIMIT, see the module docstring)
+    replaces that guess by its banded Cholesky solution, which PCG's first
+    residual checks.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     single = rhs.ndim == 1
@@ -311,9 +354,7 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
 
     A = system.matrix
     fixed_idx = system.fixed_indices
-    if fixed_idx.size == 0 and system.plan is not None and system.plan.band.direct:
-        # the factored solution starts PCG, whose first residual checks it
-        start = _banded_solve(A, system.plan.band, b)
+    band = None if system.plan is None else system.plan.band
     if fixed_idx.size == 0:
         # nothing to eliminate: the reduced system is the system itself
         free_idx, A_ff, b_f = slice(None), A, b
@@ -323,14 +364,32 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
         free = np.ones(n, dtype=bool)
         free[fixed_idx] = False
         free_idx = np.flatnonzero(free)
-        A_ff = A[free_idx][:, free_idx].tocsr()
-        A_fc = A[free_idx][:, fixed_idx].tocsr()
+        A_f = A[free_idx]
+        A_ff = A_f[:, free_idx].tocsr()
+        A_fc = A_f[:, fixed_idx].tocsr()
         b_f = b[free_idx] - A_fc @ fixed_vals
         x[fixed_idx] = fixed_vals
+        if band is not None:
+            band = band.restrict(free)
+    breakdown = None
+    if band is not None and band.order.size and band.work <= nrhs * BAND_WORK_LIMIT:
+        # the factored solution starts PCG, whose first residual checks it
+        full = np.zeros((n, nrhs))
+        full[free_idx] = b_f
+        try:
+            start = _banded_solve(A, band, full)
+        except SolverError as exc:
+            breakdown = exc  # PCG runs from the caller's start and decides
 
     maxiter = max(10 * A_ff.shape[0], 50)
     guess = None if start is None else np.asarray(start, dtype=np.float64).reshape(n, nrhs)
-    for j in range(nrhs):
-        x[free_idx, j], _, _ = _pcg(A_ff, b_f[:, j], tol, maxiter,
-                                    None if guess is None else guess[free_idx, j])
+    try:
+        for j in range(nrhs):
+            x[free_idx, j], _, _ = _pcg(A_ff, b_f[:, j], tol, maxiter,
+                                        None if guess is None else guess[free_idx, j])
+    except SolverError as exc:
+        if breakdown is None:
+            raise
+        # the factorization names where the system stops being definite
+        raise SolverError(breakdown.message, exc.iterations, exc.residual) from exc
     return x[:, 0] if single else x

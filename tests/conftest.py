@@ -32,3 +32,9 @@ def ball_mesh_6k():
 def cube8():
     from volball.synthetic import cube_mesh
     return cube_mesh(8)
+
+
+@pytest.fixture(scope="session")
+def cube9():
+    from volball.synthetic import cube_mesh
+    return cube_mesh(9)

@@ -117,3 +117,37 @@ def test_population_csv_rejects_non_finite(tmp_path, value):
     with pytest.raises(fileio.ParseError,
                        match=f"pop.csv:3: non-finite population '{value}'"):
         fileio.read_population_csv(path, 2)
+
+
+def _row_by_row(fmt, vertices, tets):
+    """Reference: each writer's output built one formatted row at a time."""
+    verts = [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in vertices]
+    if fmt == "medit":
+        return "".join(["MeshVersionFormatted 2\nDimension 3\n", f"Vertices\n{len(vertices)}\n"]
+                       + [f"{v} 0\n" for v in verts] + [f"Tetrahedra\n{len(tets)}\n"]
+                       + [f"{t[0] + 1} {t[1] + 1} {t[2] + 1} {t[3] + 1} 0\n" for t in tets]
+                       + ["End\n"])
+    if fmt == "gmsh2":
+        return "".join(["$MeshFormat\n2.2 0 8\n$EndMeshFormat\n", f"$Nodes\n{len(vertices)}\n"]
+                       + [f"{i + 1} {v}\n" for i, v in enumerate(verts)]
+                       + ["$EndNodes\n", f"$Elements\n{len(tets)}\n"]
+                       + [f"{i + 1} 4 2 0 0 {t[0] + 1} {t[1] + 1} {t[2] + 1} {t[3] + 1}\n"
+                          for i, t in enumerate(tets)] + ["$EndElements\n"])
+    return "".join(["# vtk DataFile Version 3.0\nvolball mesh\nASCII\n",
+                    "DATASET UNSTRUCTURED_GRID\n", f"POINTS {len(vertices)} double\n"]
+                   + [f"{v}\n" for v in verts] + [f"CELLS {len(tets)} {5 * len(tets)}\n"]
+                   + [f"4 {t[0]} {t[1]} {t[2]} {t[3]}\n" for t in tets]
+                   + [f"CELL_TYPES {len(tets)}\n", "10\n" * len(tets)])
+
+
+@pytest.mark.parametrize("fmt", ["medit", "gmsh2", "vtk"])
+def test_writers_match_row_by_row_reference(tmp_path, fmt):
+    # coordinates over many decades and both signs, -0.0 included, and tet
+    # indices up to the vertex count
+    rng = np.random.default_rng(7)
+    vertices = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-12, 12, size=(300, 3))
+    vertices[5] = [-0.0, 0.0, 1.0]
+    tets = rng.integers(0, 300, size=(500, 4))
+    path = tmp_path / "out.mesh"
+    fileio.save_mesh(str(path), vertices, tets, fmt)
+    assert path.read_bytes() == _row_by_row(fmt, vertices, tets).encode()

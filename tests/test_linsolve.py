@@ -213,13 +213,14 @@ def _split_solve(system, rhs, tol=linsolve.DEFAULT_TOL):
     return linsolve._pcg(A_ff, b_f[:, 0], tol, max(10 * n, 50))[0]
 
 
-@pytest.mark.parametrize("mesh_name", ["ball_mesh_6k", "cube8"])
+@pytest.mark.parametrize("mesh_name", ["ball_mesh_6k", "cube9"])
 def test_unconstrained_solve_matches_split_path_bitwise(mesh_name, request):
     # backward-Euler diffusion is the solver's unconstrained caller; on these
-    # two balls its plan's band is too wide for the direct path, so it runs PCG
+    # two solids its plan's band is too wide for the direct path, so it runs PCG
     from volball.density import build_operators, diffusion_step
     mesh = request.getfixturevalue(mesh_name)
     ops = build_operators(mesh, (mesh.volumes, mesh.hat_gradients))
+    assert not ops.plan.band.direct
     n, dt = len(mesh.vertices), 0.1
     rho = 1.0 + mesh.vertices[:, 0] ** 2
     A = csr_matrix((ops.lumped_volumes, (np.arange(n), np.arange(n))), shape=(n, n))
@@ -424,3 +425,157 @@ def test_plan_decision_logged_once(caplog):
     assert record.levelno == logging.DEBUG
     assert (record.n, record.bandwidth, record.work, record.path) == (n, 1, n * 4, "direct")
     assert band.bandwidth == 1 and band.direct
+
+
+# -- the direct path on constrained systems: the plan's band restricted to the
+# free rows, in the plan's own RCM order
+
+
+def _constrained(rng, n, k, extra, n_fixed, ncols):
+    """A random element diffusion system M + dt L with ``n_fixed`` random
+    Dirichlet rows, fixed values one per column, and its dense reduced solve."""
+    ops = _element_diffusion(rng, n, k, extra)
+    A = ops.laplacian.copy()
+    A.data = 0.3 * A.data
+    A.data[ops.plan.diagonal] += ops.lumped_volumes
+    fixed = np.sort(rng.choice(n, size=n_fixed, replace=False))
+    values = rng.normal(size=(n_fixed, ncols))
+    rhs = rng.normal(size=(n, ncols))
+    system = linsolve.LinearSystem(n, A, plan=ops.plan)
+    system.constrain(fixed, values)
+    free = np.setdiff1d(np.arange(n), fixed)
+    dense = A.toarray()
+    expected = np.zeros((n, ncols))
+    expected[fixed] = values
+    expected[free] = np.linalg.solve(dense[np.ix_(free, free)],
+                                     rhs[free] - dense[np.ix_(free, fixed)] @ values)
+    return system, rhs, fixed, values, expected
+
+
+def _recording(monkeypatch):
+    """Record the (rows, bandwidth) of every banded factorization."""
+    banded, calls = linsolve._banded_solve, []
+
+    def recorded(A, band, b):
+        calls.append((len(band.order), band.bandwidth))
+        return banded(A, band, b)
+
+    monkeypatch.setattr(linsolve, "_banded_solve", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 3])
+def test_constrained_direct_solve_matches_dense_solve(ncols, monkeypatch):
+    calls = _recording(monkeypatch)
+    rng = np.random.default_rng(20 + ncols)
+    for _ in range(10):
+        n = int(rng.integers(8, 40))
+        system, rhs, fixed, values, expected = _constrained(
+            rng, n, int(rng.choice([3, 4])), int(rng.integers(0, 10)),
+            int(rng.integers(1, n // 2)), ncols)
+        got = linsolve.solve(system, rhs[:, 0] if ncols == 1 else rhs)
+        got = got.reshape(n, ncols)
+        assert np.array_equal(got[fixed], values)
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+        # one factorization for all columns, of the free rows only
+        [(rows, _)] = calls
+        calls.clear()
+        assert rows == n - len(fixed)
+
+
+def test_restricted_band_packs_the_free_rows_of_the_plan_order():
+    rng = np.random.default_rng(31)
+    system, *_ = _constrained(rng, 30, 4, 8, 9, 3)
+    band = system.plan.band
+    free = np.ones(30, dtype=bool)
+    free[system.fixed_indices] = False
+    reduced = band.restrict(free)
+    # the plan's order with the fixed rows dropped, and no wider than the plan
+    assert np.array_equal(reduced.order, band.order[free[band.order]])
+    assert reduced.bandwidth <= band.bandwidth
+    # the packed band holds exactly the lower triangle of the reduced matrix
+    A = system.matrix.toarray()[np.ix_(reduced.order, reduced.order)]
+    packed = np.zeros((reduced.bandwidth + 1) * len(reduced.order))
+    packed[reduced.cells] = system.matrix.data[reduced.entries]
+    packed = packed.reshape((reduced.bandwidth + 1, len(reduced.order)), order="F")
+    rebuilt = np.zeros_like(A)
+    for d in range(reduced.bandwidth + 1):
+        idx = np.arange(len(reduced.order) - d)
+        rebuilt[idx + d, idx] = packed[d, idx]
+    np.testing.assert_array_equal(rebuilt, np.tril(A))
+
+
+def test_every_row_fixed_returns_the_values(monkeypatch):
+    # every vertex of lcube_mesh(2) lies on the boundary, so a harmonic fill
+    # has no free row at all
+    from volball.laplace import harmonic_fill
+    from volball.synthetic import lcube_mesh
+    calls = _recording(monkeypatch)
+    mesh = lcube_mesh(2)
+    assert len(mesh.boundary_vertices) == len(mesh.vertices)
+    points = mesh.vertices[mesh.boundary_vertices] * 2.0
+    out = harmonic_fill(mesh, points)
+    assert np.array_equal(out[mesh.boundary_vertices], points)
+    assert calls == []
+
+
+def test_constrained_direct_solve_names_the_vertex_of_an_indefinite_system():
+    rng = np.random.default_rng(33)
+    system, rhs, fixed, _, _ = _constrained(rng, 30, 4, 6, 8, 3)
+    vertex = int(np.setdiff1d(np.arange(30), fixed)[5])
+    system.matrix.data[system.plan.diagonal[vertex]] = -100.0
+    with pytest.raises(linsolve.SolverError,
+                       match=f"not positive definite at vertex {vertex} "):
+        linsolve.solve(system, rhs)
+
+
+def test_constrained_direct_solve_stops_at_once_on_nan_rhs(monkeypatch):
+    calls = _recording(monkeypatch)
+    rng = np.random.default_rng(34)
+    system, rhs, fixed, _, _ = _constrained(rng, 30, 3, 6, 8, 3)
+    rhs[np.setdiff1d(np.arange(30), fixed)[2], 1] = np.nan
+    with pytest.raises(linsolve.SolverError) as exc:
+        linsolve.solve(system, rhs)
+    assert exc.value.iterations == 1
+    assert len(calls) == 1
+
+
+class _Decided(Exception):
+    pass
+
+
+def _decision(monkeypatch, system, rhs):
+    """'direct' or 'pcg': the path ``solve`` takes, stopped before any work."""
+    def direct(A, band, b):
+        raise _Decided("direct")
+
+    def pcg(*args):
+        raise _Decided("pcg")
+
+    monkeypatch.setattr(linsolve, "_banded_solve", direct)
+    monkeypatch.setattr(linsolve, "_pcg", pcg)
+    with pytest.raises(_Decided) as exc:
+        linsolve.solve(system, rhs)
+    return str(exc.value)
+
+
+def test_rule_decides_the_benchmarked_constrained_systems(monkeypatch, ball_mesh_6k):
+    # 3-column reconstructions with the boundary fixed: the 3ddem ball's 733
+    # interior rows (bw 160) go direct, the stretched ball's 2 719 (bw 380)
+    # stay on PCG; the ball's 1-column diffusion (1 213 rows, bw 219) too
+    from volball.density import build_operators
+    from volball.laplace import laplacian_matrix
+    from volball.synthetic import stretched_ball_mesh
+
+    def interior(mesh):
+        n = len(mesh.vertices)
+        system = linsolve.LinearSystem(n, laplacian_matrix(mesh), plan=mesh.connectivity.plan)
+        system.constrain(mesh.boundary_vertices, mesh.vertices[mesh.boundary_vertices])
+        return system, np.zeros((n, 3))
+
+    assert _decision(monkeypatch, *interior(ball_mesh_6k)) == "direct"
+    assert _decision(monkeypatch, *interior(stretched_ball_mesh(3))) == "pcg"
+    ops = build_operators(ball_mesh_6k, (ball_mesh_6k.volumes, ball_mesh_6k.hat_gradients))
+    n = len(ball_mesh_6k.vertices)
+    diffusion = linsolve.LinearSystem(n, ops.laplacian, plan=ops.plan)
+    assert _decision(monkeypatch, diffusion, np.ones(n)) == "pcg"
