@@ -26,7 +26,7 @@ from scipy.sparse import csr_matrix
 
 from . import linsolve
 from .laplace import laplacian_matrix
-from .tetmesh import Connectivity, TetMesh, signed_volumes
+from .tetmesh import Connectivity, TetMesh, _dot, component_major, per_tet, signed_volumes
 
 # Per-vertex moves are capped at STEP_LIMIT times the shortest incident edge;
 # sharp density jumps otherwise produce single-step moves that invert whole
@@ -123,9 +123,13 @@ def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
 def density_gradient(tets: np.ndarray, gradients: np.ndarray,
                      rho_vertex: np.ndarray) -> np.ndarray:
     """Per-tet gradient sum_k rho_k G_k (m, 3) of the vertexwise-linear field
-    over the hat ``gradients`` G of ``tets``, as sum_k (rho_k - rho_0) G_k."""
-    d = rho_vertex[tets[:, 1:]] - rho_vertex[tets[:, :1]]  # (m, 3)
-    return np.einsum("mk,mkc->mc", d, gradients[:, 1:])
+    over the hat ``gradients`` G of ``tets``, as sum_k (rho_k - rho_0) G_k,
+    by component sums over the rows of the component-major G; a view of a
+    (3, m) array."""
+    rho = np.asarray(rho_vertex, dtype=np.float64).take(np.ascontiguousarray(tets.T))
+    d = rho[1:] - rho[0]  # (3, m)
+    g = component_major(gradients)  # (4, 3, m)
+    return per_tet(np.array([_dot(d, g[1:, c]) for c in range(3)]))
 
 
 def velocity_field(rho_vertex: np.ndarray, grad_vertex: np.ndarray) -> np.ndarray:

@@ -8,13 +8,18 @@ tets. The module provides the eigenvalue operators used by the solvers
 rebuilds a map realizing a prescribed frame field (``laplace.p1_blocks``).
 
 All per-tet 3 x 3 work is closed-form and vectorised over the tets, with no
-batched LAPACK call. J is a matmul against the rest mesh's cached hat
-gradients, det J a cofactor expansion, and J^T J's six unique entries come
-from the columns of J. Its eigenvalues come from a batched cyclic Jacobi
-solver: sweeps over the pairs (0,1), (0,2), (1,2) until every tet's
-off-diagonal sum is at most 1e-15 times its diagonal sum (4 sweeps on random
-and on mesh Jacobians, fewer on repeated spectra); the 8-sweep cap is a
-safety net that raises ``FrameError``. The smallest eigenvalue is
+batched LAPACK call, and stored component-major as ``tetmesh`` stores its
+geometry: a Jacobian stack is (3, 3, m), tet index last, handed to callers
+as the (m, 3, 3) view they index by tet, and every entry is a component sum
+over contiguous rows. J = E E_rest^-1 comes from the edges of one corner
+gather and the rest mesh's cached hat gradients, det J is a cofactor
+expansion, and J^T J's six unique entries come from the columns of J. The
+coefficients of ``residual_coefficients`` are (3, 3, m) too, so
+``laplace.p1_blocks`` reads them without a copy. The eigenvalues of J^T J
+come from a batched cyclic Jacobi solver: sweeps over the pairs (0,1), (0,2),
+(1,2) until every tet's off-diagonal sum is at most 1e-15 times its diagonal
+sum (4 sweeps on random and on mesh Jacobians, fewer on repeated spectra);
+the 8-sweep cap is a safety net that raises ``FrameError``. The smallest eigenvalue is
 c = det J / (a b), exact since det J = a b c, so the ratio a/c stays accurate
 to a few ulps where sqrt of the smallest eigenvalue of J^T J would lose
 cond(J)^2 * eps. The closed trigonometric form of a 3 x 3 spectrum is not
@@ -27,7 +32,10 @@ Eigenvectors are accumulated only where a caller needs frames:
 identical triples from the same sweeps without them. The overlap
 correction's rebuild edits only inverted tets and those with a/c above a
 near-fold ratio; ``fold_candidates`` screens them from det J and tr(J^T J),
-so only screened tets are eigen-solved and only edited ones framed. An
+so only screened tets are eigen-solved, in one sweep with their frames
+(the frames of the edited ones matched those of a sweep over the edited
+ones alone bitwise on all 132 edited tets of a ``dem_hemisphere``
+operation). An
 unedited tet keeps its block |V_rest| G_rest det J (J^T J)^-1 G_rest^T, which
 is the current map's own 2 |V| G G^T (G = G_rest J^-1, V = det J V_rest). On
 200 random J with singular values (K, sqrt K, 1) its worst energy-norm error
@@ -71,7 +79,7 @@ import numpy as np
 
 from . import linsolve
 from .laplace import p1_blocks
-from .tetmesh import TetMesh, _det3, tet_gradients
+from .tetmesh import TetMesh, _dot, component_major, corner_edges, per_tet, tet_gradients
 
 
 class FrameError(ValueError):
@@ -88,14 +96,21 @@ _ROTATIONS = (((0, 1), (0, 2), (1, 2)),
 
 
 def jacobian_per_tet(mesh: TetMesh, positions: np.ndarray) -> np.ndarray:
-    """Jacobians of the piecewise-linear map ``mesh.vertices -> positions``.
+    """Jacobians (m, 3, 3) of the piecewise-linear map ``mesh.vertices ->
+    positions``, a view of a component-major (3, 3, m) stack.
 
-    J = sum_k x_k grad(phi_k)^T over the four corners, a batched matmul of the
-    deformed corners against the rest mesh's cached ``hat_gradients``; it
-    satisfies J @ E_rest = E_def per tet.
+    J = E E_rest^-1 from the deformed edges E of one ``tetmesh.corner_edges``
+    gather: the rows of E_rest^-1 are the rest mesh's cached hat gradients of
+    corners 1-3, so each entry J[r, c] = sum_k E[r, k] G_rest[k + 1, c] is a
+    three-term component sum. It satisfies J @ E_rest = E_def per tet.
     """
-    corners = np.asarray(positions, dtype=np.float64)[mesh.tets]  # (m, 4, 3)
-    return np.swapaxes(corners, 1, 2) @ mesh.hat_gradients
+    e = corner_edges(positions, mesh.tets)
+    g = component_major(mesh.hat_gradients)  # (4, 3, m)
+    J = np.empty((3, 3, e.shape[2]))
+    for r in range(3):
+        for c in range(3):
+            np.add(e[r, 0] * g[1, c] + e[r, 1] * g[2, c], e[r, 2] * g[3, c], out=J[r, c])
+    return per_tet(J)
 
 
 @dataclass
@@ -112,6 +127,18 @@ class TetFrameField:
     @property
     def ratios(self) -> np.ndarray:
         return anisotropy_ratios(self.lambdas)
+
+    def descending(self) -> "TetFrameField":
+        """This field with each triple sorted descending and each value kept
+        on its frame column: a reordered tet's columns take the same
+        permutation and are re-gauged to det +1; a tet already in order
+        (ties included) keeps its frame and triple bitwise."""
+        order = np.argsort(-self.lambdas, axis=1, kind="stable")
+        moved = np.flatnonzero(np.any(order != np.arange(3), axis=1))
+        frames = self.frames.copy()
+        frames[moved] = _fix_column_signs(
+            np.take_along_axis(frames[moved], order[moved, None, :], axis=2))
+        return TetFrameField(frames, np.take_along_axis(self.lambdas, order, axis=1))
 
 
 def anisotropy_ratios(lambdas: np.ndarray) -> np.ndarray:
@@ -134,15 +161,20 @@ def _fix_column_signs(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of (m, 3) arrays by components."""
-    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
+def _det3(M) -> np.ndarray:
+    """Determinants of component-major 3 x 3 matrices ``M[i][j]`` (rows of
+    any shape), by cofactor expansion along the first row."""
+    return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
 
 
 def _gram(J: np.ndarray) -> tuple[list, dict]:
-    """J^T J's six unique entries from the columns j_k = J[:, :, k]: the
-    diagonal [j0.j0, j1.j1, j2.j2] and the off-diagonal {(p, q): jp.jq}."""
-    cols = np.moveaxis(J, 2, 0)  # cols[k][:, r] = J[:, r, k]
+    """J^T J's six unique entries of an (m, 3, 3) stack from the columns
+    j_k = J[:, :, k]: the diagonal [j0.j0, j1.j1, j2.j2] and the off-diagonal
+    {(p, q): jp.jq}, each a sum over contiguous rows when J is a view of a
+    component-major stack."""
+    cols = np.transpose(J, (2, 1, 0))  # cols[k][r] = J[:, r, k]
     return ([_dot(col, col) for col in cols],
             {(p, q): _dot(cols[p], cols[q]) for p, q in ((0, 1), (0, 2), (1, 2))})
 
@@ -206,7 +238,7 @@ def _checked_jacobians(J) -> tuple[np.ndarray, np.ndarray]:
     J = np.asarray(J, dtype=np.float64)
     if J.ndim == 2:
         J = J[None]
-    det = _det3(J)
+    det = _det3(component_major(J))
     if np.any(np.abs(det) <= 1e-14):
         bad = int(np.argmin(np.abs(det)))
         raise FrameError(f"singular Jacobian on tet {bad} (det={det[bad]:.3e})")
@@ -255,8 +287,8 @@ def fold_candidates(J: np.ndarray, ratio: float | None = None) -> np.ndarray:
     J, det = _checked_jacobians(J)
     passed = det <= 0
     if ratio is not None:
-        flat = J.reshape(len(J), 9)
-        passed |= np.einsum("ij,ij->i", flat, flat) ** 1.5 > ratio * det
+        Jc = component_major(J)
+        passed |= np.einsum("ijm,ijm->m", Jc, Jc) ** 1.5 > ratio * det
     return np.flatnonzero(passed)
 
 
@@ -344,13 +376,14 @@ def _sym_adj(diag: list, off: dict) -> tuple[list, dict]:
 
 
 def _sym_matrix(diag: list, off: dict) -> np.ndarray:
-    """The (m, 3, 3) stack of the symmetric entries ``_gram`` gives."""
-    out = np.empty((len(diag[0]), 3, 3))
+    """The (m, 3, 3) stack of the symmetric entries ``_gram`` gives, a view
+    of a component-major (3, 3, m) array."""
+    out = np.empty((3, 3, len(diag[0])))
     for i in range(3):
-        out[:, i, i] = diag[i]
+        out[i, i] = diag[i]
     for (p, q), x in off.items():
-        out[:, p, q] = out[:, q, p] = x
-    return out
+        out[p, q] = out[q, p] = x
+    return per_tet(out)
 
 
 def _stretch(J: np.ndarray, lam: np.ndarray) -> tuple[list, dict]:
@@ -375,7 +408,8 @@ def residual_coefficients(J: np.ndarray, lambdas: np.ndarray, C: float) -> np.nd
     and P from ``_stretch``. ``FrameError`` names the first non-positive
     triple.
     """
-    lam = np.asarray(lambdas, dtype=np.float64)
+    # an (m, 3) view of a component-major copy: each lam[:, k] is a row
+    lam = per_tet(np.ascontiguousarray(component_major(np.asarray(lambdas, dtype=np.float64))))
     _reject_rows(np.any(lam <= 0, axis=1), lam,
                  "residual coefficients need positive eigenvalues; flip first")
     theta, stepped = _residual(lam, C)
@@ -384,14 +418,13 @@ def residual_coefficients(J: np.ndarray, lambdas: np.ndarray, C: float) -> np.nd
     (d0, d1, d2), o = _sym_adj([keep * x + shift for x in diag],
                                {key: keep * x for key, x in off.items()})
     o01, o02, o12 = o[0, 1], o[0, 2], o[1, 2]
-    coeff = _sym_matrix([d0 * d0 + o01 * o01 + o02 * o02,
-                         d1 * d1 + o01 * o01 + o12 * o12,
-                         d2 * d2 + o02 * o02 + o12 * o12],
-                        {(0, 1): (d0 + d1) * o01 + o02 * o12,
-                         (0, 2): (d0 + d2) * o02 + o01 * o12,
-                         (1, 2): (d1 + d2) * o12 + o01 * o02})
-    coeff /= (stepped[:, 0] * stepped[:, 1] * stepped[:, 2])[:, None, None]
-    return coeff
+    det = stepped[:, 0] * stepped[:, 1] * stepped[:, 2]
+    return _sym_matrix([(d0 * d0 + o01 * o01 + o02 * o02) / det,
+                        (d1 * d1 + o01 * o01 + o12 * o12) / det,
+                        (d2 * d2 + o02 * o02 + o12 * o12) / det],
+                       {(0, 1): ((d0 + d1) * o01 + o02 * o12) / det,
+                        (0, 2): ((d0 + d2) * o02 + o01 * o12) / det,
+                        (1, 2): ((d1 + d2) * o12 + o01 * o02) / det})
 
 
 def reconstruct_map(mesh: TetMesh, prescribed: TetFrameField | np.ndarray,

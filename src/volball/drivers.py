@@ -271,16 +271,16 @@ def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None, geometry=N
     """Flip + truncate the eigenvalues of the folded tets (with
     ``near_fold_ratio``, also of those whose ratio exceeds it) and re-solve the
     map from ``pos``, whose ``tet_gradients`` pair ``geometry`` is read when
-    None. Only the screened tets are eigen-solved."""
+    None. Only the screened tets are eigen-solved, once, with their frames."""
     jacobians = jacobian_per_tet(mesh, pos)
     rows = fold_candidates(jacobians, near_fold_ratio)
-    lambdas = dilations(jacobians[rows])
-    lam = _flip_and_floor(lambdas)
-    edited = lambdas[:, 2] <= 0
+    screened = frame_decompose(jacobians[rows])
+    lam = _flip_and_floor(screened.lambdas)
+    edited = screened.lambdas[:, 2] <= 0
     if near_fold_ratio is not None:
         edited |= lam[:, 0] / lam[:, 2] > near_fold_ratio
     rows = rows[edited]
-    field = TetFrameField(frame_decompose(jacobians[rows]).frames,
+    field = TetFrameField(screened.frames[edited],
                           truncate_eigenvalues(lam[edited], k_threshold))
     return reconstruct_map(mesh, field, fixed_ids, pos[fixed_ids], start=pos, tets=rows,
                            geometry=geometry)
@@ -348,7 +348,9 @@ class _Iterate:
     """A map, one read of its tets (volumes, and hat gradients from the same
     ``tet_gradients`` call or None), then its Jacobians and their signed
     dilation triples, density field (None without a population) and trace
-    row."""
+    row. Gradients and Jacobians are the (m, 4, 3) and (m, 3, 3) views of
+    the component-major arrays their kernels build; the record holds no
+    other per-tet copy."""
 
     positions: np.ndarray
     volumes: np.ndarray
@@ -482,8 +484,9 @@ def _dem_step(mesh, state, config):
 
 def _deq_step(mesh, state, config):
     """The flow step as per-tet eigenvalue increments plus an alpha-weighted
-    residual-descent increment, truncated at k_threshold and rebuilt with
-    the solve started from the advected map."""
+    residual-descent increment, sorted with the advected frames' columns,
+    truncated at k_threshold and rebuilt with the solve started from the
+    advected map."""
     b_ids = mesh.boundary_vertices
     advected = _dem_step(mesh, state, config)
     adv_frames = frame_decompose(jacobian_per_tet(mesh, advected))
@@ -491,15 +494,15 @@ def _deq_step(mesh, state, config):
     lam_adv = _flip_and_floor(adv_frames.lambdas)
     d_lam1 = lam_adv - lam_cur
     d_lam2 = residual_step(lam_cur, config.residual_constant) - lam_cur
-    lam_bar = lam_cur + d_lam1 + config.alpha * d_lam2
-    lam_bar = np.sort(lam_bar, axis=1)[:, ::-1]
-    lam_bar = np.sort(flip_eigenvalues(lam_bar), axis=1)[:, ::-1]
+    # each blended value stays on the advected frame column it belongs to
+    field = TetFrameField(adv_frames.frames, lam_cur + d_lam1 + config.alpha * d_lam2)
+    field = field.descending()
+    field = TetFrameField(field.frames, flip_eigenvalues(field.lambdas)).descending()
     # b_adv > 0 and c_adv + alpha theta (b_cur - c_cur) > 0 keep the largest
     # entry positive and the flip the smallest nonnegative; only an exact
     # cancellation leaves a zero, which truncation rejects as a FrameError
-    lam_bar = truncate_eigenvalues(lam_bar, config.k_threshold)
-    return reconstruct_map(mesh, TetFrameField(adv_frames.frames, lam_bar),
-                           b_ids, advected[b_ids], start=advected)
+    field.lambdas = truncate_eigenvalues(field.lambdas, config.k_threshold)
+    return reconstruct_map(mesh, field, b_ids, advected[b_ids], start=advected)
 
 
 # Stop rules: (accept, converged) for an evaluated candidate, prev None for

@@ -1,7 +1,12 @@
 """P1 stiffness |V| G A G^T on tets from ``tetmesh.tet_gradients`` (volumes V,
 hat gradients G): the cotangent Laplacian is A = I / 2, the classical
 S S^T / (18 V) of the face area vectors S = -3 V G; the map reconstruction's A
-is anisotropic."""
+is anisotropic.
+
+The blocks are computed component-major, element index last, as ``tetmesh``
+stores the gradients: G as (k, d, m) and A as (d, d, m), each block entry a
+sum of products of contiguous rows, returned as the (m, k, k) view that
+``linsolve.assemble`` flattens in its plan's triplet order."""
 
 from __future__ import annotations
 
@@ -9,27 +14,34 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import linsolve
-from .tetmesh import TetMesh
+from .tetmesh import TetMesh, _dot, component_major, per_tet
 
 
 def p1_blocks(volumes, gradients, coeff) -> np.ndarray:
-    """Per-tet P1 stiffness |V| G A G^T (m, 4, 4) of div(A grad u), symmetric:
-    ten dot products of the rows of G for a scalar ``coeff`` (A = coeff I),
-    a symmetrised batched matmul for an (m, 3, 3) one. The matmul serves
-    triangles of a planar chart too: V their areas, G (m, 3, 2), A (m, 2, 2)."""
+    """Per-element P1 stiffness |V| G A G^T (m, k, k) of div(A grad u) from
+    hat ``gradients`` G (m, k, d), symmetric by construction: the k (k + 1) / 2
+    entries i <= j are computed and mirrored. A scalar ``coeff`` (A = coeff I)
+    takes the dot products of the rows of G; an (m, d, d) one first forms
+    H = G A by component sums, then the dot products of the rows of H and G.
+    Tets have k = 4, d = 3; triangles of a planar chart k = 3, d = 2 (V their
+    areas). The result is a view of a component-major (k, k, m) array."""
     w = np.abs(volumes)
+    g = np.ascontiguousarray(component_major(gradients))  # (k, d, m)
+    k, d = g.shape[:2]
     if np.ndim(coeff) == 0:
         w = coeff * w
-        g = np.ascontiguousarray(np.transpose(gradients, (1, 2, 0)))  # (4, 3, m)
-        local = np.empty((len(w), 4, 4))
-        for i in range(4):
-            for j in range(i, 4):
-                local[:, i, j] = local[:, j, i] = (g[i, 0] * g[j, 0] + g[i, 1] * g[j, 1]
-                                                   + g[i, 2] * g[j, 2]) * w
-        return local
-    local = gradients @ coeff @ np.swapaxes(gradients, 1, 2)
-    local *= w[:, None, None]
-    return 0.5 * (local + np.swapaxes(local, 1, 2))
+        h = g
+    else:
+        A = component_major(coeff)  # (d, d, m)
+        h = np.empty_like(g)
+        for i in range(k):
+            for c in range(d):
+                h[i, c] = _dot(g[i], A[:, c])
+    local = np.empty((k, k, len(w)))
+    for i in range(k):
+        for j in range(i, k):
+            local[i, j] = local[j, i] = _dot(h[i], g[j]) * w
+    return per_tet(local)
 
 
 def laplacian_matrix(mesh: TetMesh, geometry=None) -> csr_matrix:

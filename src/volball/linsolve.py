@@ -14,6 +14,17 @@ bitwise identical. Every assembly still checks symmetry against the plan's
 transpose slots, the precondition of both solves. A plan also knows the slot
 of each row's diagonal entry, where callers add a mass matrix in place.
 
+The Dirichlet elimination needs the free-free and free-fixed blocks of each
+constrained system. A plan keeps the ``Split`` of its ``SPLIT_CACHE`` most
+recently used fixed sets (keyed by the set's bytes): the free rows, the CSR
+patterns of both blocks with the slots of their entries in the data, and the
+band restricted to the free rows, so a repeated fixed set (the boundary, in
+every reconstruction) only gathers data. The blocks are entry for entry the
+scipy slices ``A[free][:, free]`` and ``A[free][:, fixed]``. Building them
+and the restricted band by fancy indexing on every solve cost 49 + 7.6 ms
+per ``dem_hemisphere`` operation (32 constrained solves) and 13 + 7.2 ms per
+``qc_stretched_20k`` one.
+
 ``solve`` takes one of two paths. A system that carries its plan
 (``LinearSystem.plan``; ``assemble`` attaches it) is factored directly when
 its band is narrow enough. The plan orders its rows once by reverse
@@ -98,6 +109,10 @@ DEFAULT_TOL = 1e-10
 # times this (the table in the module docstring).
 BAND_WORK_LIMIT = 8e6
 
+# Dirichlet splits a plan keeps, keyed by their fixed sets (least recently
+# used dropped first).
+SPLIT_CACHE = 4
+
 logger = logging.getLogger("volball.linsolve")
 
 
@@ -170,6 +185,51 @@ class Band:
                     offset + (bandwidth + 1) * cols)
 
 
+@dataclass(frozen=True)
+class Split:
+    """The Dirichlet split of a CSR pattern at a sorted fixed set: the free
+    rows, the CSR patterns of the free-free and free-fixed blocks with the
+    slots of their entries in the full data, and, on a plan, the plan's band
+    restricted to the free rows. ``blocks`` only gathers data."""
+
+    free: np.ndarray   # (n_free,) the free rows, ascending
+    n_fixed: int
+    inner: tuple       # (slots, indices, indptr) of the free-free block
+    outer: tuple       # (slots, indices, indptr) of the free-fixed block
+    band: Band | None
+
+    @classmethod
+    def of(cls, indptr, indices, fixed: np.ndarray, band: Band | None = None) -> "Split":
+        n = len(indptr) - 1
+        free = np.ones(n, dtype=bool)
+        free[fixed] = False
+        free_idx = np.flatnonzero(free)
+        rank = np.empty(n, dtype=np.int64)
+        rank[free_idx] = np.arange(free_idx.size)
+        rank[fixed] = np.arange(fixed.size)
+        in_free_row = np.repeat(free, np.diff(indptr))
+        free_col = free[indices]
+
+        def block(mask):
+            # entries keep their CSR order: free rows ascending, columns sorted
+            before = np.concatenate([[0], np.cumsum(mask)])
+            slots = np.flatnonzero(mask)
+            return slots, rank[indices[slots]], np.append(before[indptr[free_idx]], slots.size)
+
+        return cls(free_idx, fixed.size, block(in_free_row & free_col),
+                   block(in_free_row & ~free_col),
+                   None if band is None else band.restrict(free))
+
+    def blocks(self, data: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
+        """The free-free and free-fixed blocks of a matrix with this pattern
+        and ``data``: entry for entry ``A[free][:, free]`` and
+        ``A[free][:, fixed]``."""
+        n_free = self.free.size
+        (ff, ff_cols, ff_ptr), (fc, fc_cols, fc_ptr) = self.inner, self.outer
+        return (csr_matrix((data[ff], ff_cols, ff_ptr), shape=(n_free, n_free)),
+                csr_matrix((data[fc], fc_cols, fc_ptr), shape=(n_free, self.n_fixed)))
+
+
 class AssemblyPlan:
     """Sparsity pattern of a fixed triplet layout, built once per connectivity.
 
@@ -201,6 +261,7 @@ class AssemblyPlan:
         mirror = c * dimension + r
         at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
         self.transpose_slot = np.where(key[at] == mirror, at, -1)
+        self._splits: dict[bytes, Split] = {}
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -232,6 +293,20 @@ class AssemblyPlan:
                      n, bandwidth, band.work, path,
                      extra={"n": n, "bandwidth": bandwidth, "work": band.work, "path": path})
         return band
+
+    def split(self, fixed: np.ndarray) -> Split:
+        """The Dirichlet split of this pattern at the sorted, unique ``fixed``
+        rows. The splits of the SPLIT_CACHE most recently used fixed sets are
+        kept, keyed by the set's bytes, so only an equal set is served one."""
+        fixed = np.asarray(fixed, dtype=np.int64)
+        key = fixed.tobytes()
+        split = self._splits.pop(key, None)
+        if split is None:
+            split = Split.of(self.indptr, self.indices, fixed, self.band)
+            if len(self._splits) >= SPLIT_CACHE:
+                del self._splits[next(iter(self._splits))]
+        self._splits[key] = split
+        return split
 
     @classmethod
     def for_elements(cls, elements: np.ndarray, dimension: int) -> "AssemblyPlan":
@@ -354,23 +429,20 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
 
     A = system.matrix
     fixed_idx = system.fixed_indices
-    band = None if system.plan is None else system.plan.band
+    plan = system.plan
     if fixed_idx.size == 0:
         # nothing to eliminate: the reduced system is the system itself
         free_idx, A_ff, b_f = slice(None), A, b
+        band = None if plan is None else plan.band
     else:
         # (k,) values repeat across the right-hand sides, (k, nrhs) map one to one
         fixed_vals = np.broadcast_to(system.fixed_values.T, (nrhs, len(fixed_idx))).T
-        free = np.ones(n, dtype=bool)
-        free[fixed_idx] = False
-        free_idx = np.flatnonzero(free)
-        A_f = A[free_idx]
-        A_ff = A_f[:, free_idx].tocsr()
-        A_fc = A_f[:, fixed_idx].tocsr()
+        split = (Split.of(A.indptr, A.indices, fixed_idx) if plan is None
+                 else plan.split(fixed_idx))
+        free_idx, band = split.free, split.band
+        A_ff, A_fc = split.blocks(A.data)
         b_f = b[free_idx] - A_fc @ fixed_vals
         x[fixed_idx] = fixed_vals
-        if band is not None:
-            band = band.restrict(free)
     breakdown = None
     if band is not None and band.order.size and band.work <= nrhs * BAND_WORK_LIMIT:
         # the factored solution starts PCG, whose first residual checks it

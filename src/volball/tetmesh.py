@@ -1,5 +1,14 @@
 """Tetrahedral mesh container: validation, topology queries, point location,
-and the element connectivity shared by triangle and tet meshes."""
+and the element connectivity shared by triangle and tet meshes.
+
+Per-tet geometry is computed and stored component-major: tet index last, so
+every elementwise pass reads and writes contiguous rows of length m. A read
+(``corner_edges``) transposes the positions to (3, n) once and gathers the
+corners with one ``take``; the edge vectors from corner 0 come back as
+(3, 3, m), coordinate first, so ``E[:, k]`` is edge k. ``tet_gradients``
+builds the hat gradients as (4, 3, m) and hands callers the (m, 4, 3) view
+they index by tet; ``np.moveaxis(g, 0, -1)`` (``component_major``) gets the
+contiguous rows back without a copy."""
 
 from __future__ import annotations
 
@@ -43,12 +52,16 @@ DEGENERACY_FACTOR = 1e-14
 INSIDE_TOL = 1e-9
 
 
-def _det3(M: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of 3 x 3 matrices (..., 3, 3), by cofactor
-    expansion along the first row."""
-    return (M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
-            - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
-            + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0]))
+def component_major(a: np.ndarray) -> np.ndarray:
+    """The component-major view (..., m) of a per-tet stack (m, ...): its
+    rows are contiguous when ``a`` is a view of that layout, as the stacks
+    of ``tet_gradients`` and ``distortion.jacobian_per_tet`` are."""
+    return np.moveaxis(a, 0, -1)
+
+
+def per_tet(a: np.ndarray) -> np.ndarray:
+    """The per-tet view (m, ...) of a component-major stack (..., m)."""
+    return np.moveaxis(a, -1, 0)
 
 
 def _unique_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +119,40 @@ class Connectivity:
                            minlength=3 * self.n_vertices).reshape(-1, 3)
 
 
+def corner_edges(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
+    """Edge vectors from corner 0 of each tet, component-major (3, 3, m):
+    ``E[r, k]`` is coordinate r of corner k + 1 minus corner 0, so ``E[:, k]``
+    is edge k and E the edge matrix of each tet with the edges as columns.
+    One ``take`` of the transposed positions gathers all corners."""
+    xt = np.ascontiguousarray(np.transpose(vertices), dtype=np.float64)  # (3, n)
+    x = xt.take(np.ascontiguousarray(np.transpose(tets)), axis=1)  # (3, 4, m)
+    return x[:, 1:] - x[:, :1]
+
+
+def _dot(u, v) -> np.ndarray:
+    """Dot products of component-major vectors: sum_c u[c] v[c] over the
+    leading axis, left to right."""
+    out = u[0] * v[0]
+    for c in range(1, len(u)):
+        out = out + u[c] * v[c]
+    return out
+
+
+def _cross_into(out: np.ndarray, a, b) -> None:
+    """Cross products of component-major vectors (rows x, y, z) into ``out``,
+    the arithmetic of ``_cross``."""
+    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
+
+
 def signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Signed volume of each tet: det of the edge matrix over 6."""
-    e = vertices[tets[:, 1:]] - vertices[tets[:, :1]]
-    return _det3(e) / 6.0
+    """Signed volume of each tet: det of the edge matrix over 6, bitwise the
+    volumes of ``tet_gradients``."""
+    e = corner_edges(vertices, tets)
+    bc = np.empty((3, e.shape[2]))
+    _cross_into(bc, e[:, 1], e[:, 2])
+    return _dot(e[:, 0], bc) / 6.0
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,19 +166,22 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def tet_gradients(vertices, tets, tet_ids=None) -> tuple[np.ndarray, np.ndarray]:
     """Signed volumes (k,) and P1 hat gradients (k, 4, 3) of ``tets[tet_ids]``
-    (every tet by default) under ``vertices``, from one gather of the edges
-    a, b, c from corner 0: corners 1-3 get the cofactors b x c, c x a, a x b
-    over det = a . (b x c) (the rows of E^-T), corner 0 minus their sum. The
+    (every tet by default) under ``vertices``, from the edges a, b, c of one
+    ``corner_edges`` gather: corners 1-3 get the cofactors b x c, c x a,
+    a x b over det = a . (b x c) (the rows of E^-1), corner 0 minus their
+    sum. The gradients are a view of a (4, 3, k) component-major array. The
     volumes are bitwise ``signed_volumes``; zero ones give non-finite rows."""
-    x = vertices[tets if tet_ids is None else tets[tet_ids]]
-    a, b, c = (x[:, k] - x[:, 0] for k in (1, 2, 3))
-    g = np.empty((len(x), 4, 3))
-    g[:, 1], g[:, 2], g[:, 3] = _cross(b, c), _cross(c, a), _cross(a, b)
-    det = a[:, 0] * g[:, 1, 0] + a[:, 1] * g[:, 1, 1] + a[:, 2] * g[:, 1, 2]
+    e = corner_edges(vertices, tets if tet_ids is None else tets[tet_ids])
+    a, b, c = e[:, 0], e[:, 1], e[:, 2]
+    g = np.empty((4, 3, e.shape[2]))
+    _cross_into(g[1], b, c)
+    _cross_into(g[2], c, a)
+    _cross_into(g[3], a, b)
+    det = _dot(a, g[1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        g[:, 1:] /= det[:, None, None]
-    g[:, 0] = -(g[:, 1] + g[:, 2] + g[:, 3])
-    return det / 6.0, g
+        g[1:] /= det
+    np.negative(g[1] + g[2] + g[3], out=g[0])
+    return det / 6.0, per_tet(g)
 
 
 def _invertible(vols: np.ndarray, tet_ids=None) -> None:
@@ -189,8 +235,9 @@ class PointLocator:
         centroids = corners.mean(axis=1)
         self._tree = cKDTree(centroids)
         self._x0 = corners[:, 0]
-        vols, self._grad = tet_gradients(self.vertices, self.tets)
+        vols, grad = tet_gradients(self.vertices, self.tets)
         _invertible(vols)
+        self._grad = np.ascontiguousarray(grad)  # gathered per candidate tet
         self._reach = float(np.linalg.norm(corners - centroids[:, None], axis=2).max())
 
     def locate_points(self, points) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +403,8 @@ class TetMesh:
 
     @cached_property
     def hat_gradients(self) -> np.ndarray:
-        """P1 hat gradients (m, 4, 3) of the rest tets, from ``tet_gradients``."""
+        """P1 hat gradients (m, 4, 3) of the rest tets, from ``tet_gradients``
+        (a view of its component-major (4, 3, m) array)."""
         g = tet_gradients(self.vertices, self.tets)[1]
         g.setflags(write=False)
         return g

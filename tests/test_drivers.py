@@ -258,10 +258,10 @@ def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
     assert np.array_equal(settled.lambdas,
                           dilations(jacobian_per_tet(ball_mesh, settled.positions)))
     # the record holds the Jacobians of its positions and no frames; only
-    # edited tets get them
+    # screened tets get them, a superset of the edited ones
     assert np.array_equal(settled.jacobians, jacobian_per_tet(ball_mesh, settled.positions))
     assert not hasattr(settled, "frames")
-    assert 0 < sum(rows) == sum(edited) < len(ball_mesh.tets) * len(edited)
+    assert 0 < sum(edited) <= sum(rows) < len(ball_mesh.tets) * len(edited)
 
 
 def test_settle_passes_strained_fold_free_candidate(monkeypatch, ball_mesh):
@@ -378,6 +378,59 @@ def test_run_3ddeq_alpha_zero_matches_flow_target(ball_mesh):
     res = run_3ddeq(ball_mesh, pop, SolverConfig(alpha=0.0, n_max=3, eps=1e-9))
     assert res.report.final["folds"] == 0
     assert len(res.report.iterations) >= 1
+
+
+def _frame_matrices(field):
+    """W diag(lambdas) W^T per tet: each value on its frame column."""
+    W = field.frames
+    return (W * field.lambdas[:, None, :]) @ np.swapaxes(W, 1, 2)
+
+
+def test_descending_field_keeps_values_on_their_columns():
+    from volball.distortion import TetFrameField
+    rng = np.random.default_rng(9)
+    field = frame_decompose(rng.normal(size=(200, 3, 3)) + 2.0 * np.eye(3))
+    lam = rng.uniform(0.5, 3.0, size=(200, 3))
+    lam[:100] = np.sort(lam[:100], axis=1)[:, ::-1]  # already in order
+    lam[100] = [2.0, 2.0, 1.0]  # a tie in order stays as it is
+    mixed = TetFrameField(field.frames, lam)
+    out = mixed.descending()
+    assert np.array_equal(out.lambdas, np.sort(lam, axis=1)[:, ::-1])
+    assert np.array_equal(out.frames[:101], field.frames[:101])
+    np.testing.assert_allclose(_frame_matrices(out), _frame_matrices(mixed), atol=1e-14)
+    np.testing.assert_allclose(np.linalg.det(out.frames), 1.0, atol=1e-14)
+
+
+def test_deq_step_keeps_each_value_on_its_frame_column(monkeypatch, ball_mesh):
+    # at alpha 10 the residual increment reorders the blended triples of a
+    # fifth of a stretched map's tets; the prescribed field must still put
+    # every blended value on the advected frame column it was computed for
+    from volball import drivers
+    pop = hemispheric_population(ball_mesh, 4.0)
+    config = SolverConfig(alpha=10.0)
+    state = drivers._Iterate.read(ball_mesh, ball_mesh.vertices * [3.0, 1.5, 1.0], True)
+    state.jacobians = jacobian_per_tet(ball_mesh, state.positions)
+    state.lambdas = dilations(state.jacobians)
+    state.field = dem.field_from_volumes(ball_mesh, state.volumes, pop)
+    advected = drivers._dem_step(ball_mesh, state, config)
+    adv = frame_decompose(jacobian_per_tet(ball_mesh, advected))
+    lam_cur = drivers._flip_and_floor(state.lambdas)
+    blend = (drivers._flip_and_floor(adv.lambdas)
+             + config.alpha * (drivers.residual_step(lam_cur, config.residual_constant)
+                               - lam_cur))
+    assert np.all(blend > 0)  # no flip: the sort alone reorders
+    reordered = np.any(np.diff(blend, axis=1) > 0, axis=1)
+    assert reordered.sum() > len(blend) // 10
+    captured = []
+    monkeypatch.setattr(drivers, "truncate_eigenvalues", lambda lam, k: lam)
+    monkeypatch.setattr(drivers, "reconstruct_map",
+                        lambda mesh, field, *args, **kwargs: captured.append(field))
+    drivers._deq_step(ball_mesh, state, config)
+    [field] = captured
+    assert np.all(np.diff(field.lambdas, axis=1) <= 0)
+    expected = _frame_matrices(drivers.TetFrameField(adv.frames, blend))
+    np.testing.assert_allclose(_frame_matrices(field), expected,
+                               atol=1e-12 * np.abs(expected).max())
 
 
 def test_run_3ddeq_reduces_density_variance(ball_mesh):
@@ -573,21 +626,31 @@ def test_3ddem_iteration_without_correction_decomposes_nothing(monkeypatch, ball
     assert rows == []
 
 
-def test_3ddem_correction_decomposes_only_edited_tets(monkeypatch, ball_mesh):
-    # folds fire the correction; each rebuild decomposes exactly the tets
-    # whose triples it flips or truncates
+def test_3ddem_correction_decomposes_only_screened_tets(monkeypatch, ball_mesh):
+    # folds fire the correction; each rebuild decomposes the tets that pass
+    # its screen, once, and edits those whose triples it flips or truncates
+    from volball import drivers
+    screen, screened = drivers.fold_candidates, []
+
+    def recorded(J, ratio=None):
+        rows = screen(J, ratio)
+        screened.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(drivers, "fold_candidates", recorded)
     pop = hemispheric_population(ball_mesh, 4.0)
     rows, edited = _decomposed_rows(monkeypatch), _edited_rows(monkeypatch)
     result = run_3ddem(ball_mesh, pop, SolverConfig(n_max=3))
     assert any(it["folds_pre"] for it in result.report.iterations)
     assert len(edited) > 0 and all(edited)
-    assert rows == edited
+    assert rows == screened
+    assert all(e <= r for e, r in zip(edited, rows))
 
 
 def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh):
     # each rebuild sends the Jacobi solver only the rows that pass its
-    # screen (then frames a subset of them), every full-mesh sweep is a
-    # settle read, and no position set is read by tet_gradients twice
+    # screen, in one sweep with frames, every full-mesh sweep is a settle
+    # read, and no position set is read by tet_gradients twice
     from volball import distortion, drivers
     events, reads = [], []
     screen, sweep, gradients = (drivers.fold_candidates, distortion._sym3_eigh,
@@ -619,9 +682,8 @@ def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh
         event = events.pop(0)
         if event[0] == "screen":
             rebuilds += 1
-            (_, rows, vectors), (_, framed, with_frames) = events.pop(0), events.pop(0)
-            assert rows == event[1] < m and not vectors
-            assert framed <= rows and with_frames
+            _, rows, vectors = events.pop(0)
+            assert rows == event[1] < m and vectors
         else:
             assert event == ("sweep", m, False)
             full += 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix, triu
 
-from volball.laplace import harmonic_fill, laplacian_matrix
+from volball.laplace import harmonic_fill, laplacian_matrix, p1_blocks
 from volball.synthetic import cube_mesh, graded_ellipsoid_mesh
 from volball.tetmesh import EDGE_LOCAL, FACE_LOCAL, TetMesh, tet_gradients
 
@@ -136,3 +136,34 @@ def test_maximum_principle_advisory(cube8):
     else:
         # negative weights void the maximum principle; just require a valid map
         assert cube8.count_folds(pos) == 0
+
+
+def _blocks_reference(volumes, G, A):
+    """|V| G A G^T per element by einsum over the row layout."""
+    return np.abs(volumes)[:, None, None] * np.einsum("mic,mcd,mjd->mij", G, A, G)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_p1_blocks_match_einsum_reference(seed):
+    # scalar and (m, 3, 3) coefficients on tets, (m, 2, 2) ones on the
+    # triangles of a planar chart, against the per-element product; the
+    # blocks are exactly symmetric
+    rng = np.random.default_rng(seed)
+    mesh = graded_ellipsoid_mesh(1)
+    pos = mesh.vertices + 0.02 * rng.normal(size=mesh.vertices.shape)
+    vols, G = tet_gradients(pos, mesh.tets)
+    M = rng.normal(size=(len(vols), 3, 3))
+    cases = [(vols, G, 0.5, 0.5 * np.broadcast_to(np.eye(3), M.shape)),
+             (vols, G, M @ np.swapaxes(M, 1, 2) + np.eye(3), None)]
+    # planar chart: corner gradients of triangles sum to zero
+    g2 = rng.normal(size=(300, 3, 2))
+    g2[:, 0] = -(g2[:, 1] + g2[:, 2])
+    M2 = rng.normal(size=(300, 2, 2))
+    cases.append((rng.normal(size=300), g2, M2 @ np.swapaxes(M2, 1, 2) + np.eye(2), None))
+    for volumes, grads, coeff, dense in cases:
+        blocks = p1_blocks(volumes, grads, coeff)
+        ref = _blocks_reference(volumes, grads, coeff if dense is None else dense)
+        scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+        assert blocks.shape == ref.shape
+        assert np.all(np.abs(blocks - ref) <= 1e-14 * scale)
+        assert np.array_equal(blocks, np.swapaxes(blocks, 1, 2))

@@ -579,3 +579,56 @@ def test_rule_decides_the_benchmarked_constrained_systems(monkeypatch, ball_mesh
     n = len(ball_mesh_6k.vertices)
     diffusion = linsolve.LinearSystem(n, ops.laplacian, plan=ops.plan)
     assert _decision(monkeypatch, diffusion, np.ones(n)) == "pcg"
+
+
+# -- the Dirichlet split, cached on the plan by fixed set
+
+
+def _scipy_split(A, fixed):
+    free = np.setdiff1d(np.arange(A.shape[0]), fixed)
+    A_f = A[free]
+    return free, A_f[:, free].tocsr(), A_f[:, fixed].tocsr()
+
+
+def _same_csr(a, b):
+    return (a.shape == b.shape and np.array_equal(a.data, b.data)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr))
+
+
+def test_split_cache_serves_only_an_equal_fixed_set():
+    rng = np.random.default_rng(41)
+    ops = _element_diffusion(rng, 40, 4, 12)
+    A, plan = ops.laplacian, ops.plan
+    sets = [np.sort(rng.choice(40, size=k, replace=False)) for k in (5, 5, 9, 5, 13, 2, 7)]
+    sets.append(sets[0].copy())  # an equal set in a new array
+    for _ in range(3):
+        for fixed in sets:
+            split = plan.split(fixed)
+            # served from the cache when the set repeats, never a stale one
+            assert plan.split(fixed.copy()) is split
+            fresh = linsolve.Split.of(A.indptr, A.indices, fixed, plan.band)
+            free, A_ff, A_fc = _scipy_split(A, fixed)
+            assert np.array_equal(split.free, free) and np.array_equal(fresh.free, free)
+            for got in (split.blocks(A.data), fresh.blocks(A.data)):
+                assert _same_csr(got[0], A_ff) and _same_csr(got[1], A_fc)
+            mask = np.ones(40, dtype=bool)
+            mask[fixed] = False
+            band = plan.band.restrict(mask)
+            for field in ("order", "entries", "cells"):
+                assert np.array_equal(getattr(split.band, field), getattr(band, field))
+            assert split.band.bandwidth == band.bandwidth
+    assert len(plan._splits) <= linsolve.SPLIT_CACHE
+
+
+def test_cached_split_solves_bitwise_as_a_fresh_one():
+    # the second solve of a fixed set is served from the cache and gives
+    # the first solve's bits, on the direct path and on PCG
+    rng = np.random.default_rng(43)
+    system, rhs, fixed, values, expected = _constrained(rng, 30, 4, 8, 9, 3)
+    first = linsolve.solve(system, rhs)
+    assert len(system.plan._splits) == 1
+    assert np.array_equal(linsolve.solve(system, rhs), first)
+    bare = linsolve.LinearSystem(30, system.matrix)  # no plan: PCG on a fresh split
+    bare.constrain(fixed, values)
+    got = linsolve.solve(bare, rhs)
+    assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()

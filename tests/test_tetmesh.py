@@ -271,20 +271,27 @@ def test_signed_volumes_match_lapack(make):
 
 
 @pytest.mark.parametrize("seed", [None, 5])
-@pytest.mark.parametrize("make", ["ball", "cube", "graded"])
+@pytest.mark.parametrize("make", ["ball", "cube", "graded", "lcube"])
 def test_tet_gradients_match_inverse_edge_matrix(make, seed):
     from volball.remesh import uniform_ball_mesh
-    from volball.synthetic import cube_mesh, graded_ellipsoid_mesh
+    from volball.synthetic import cube_mesh, graded_ellipsoid_mesh, lcube_mesh
+    from volball.tetmesh import component_major
     mesh = {"ball": lambda: uniform_ball_mesh(1), "cube": lambda: cube_mesh(4),
-            "graded": lambda: graded_ellipsoid_mesh(1)}[make]()
+            "graded": lambda: graded_ellipsoid_mesh(1), "lcube": lambda: lcube_mesh(3)}[make]()
     if seed is not None:
         mesh = _renumbered(mesh, seed)
     tets = mesh.tets.copy()
     tets[::2, [2, 3]] = tets[::2, [3, 2]]  # every other tet reflected
     x = mesh.vertices
     vols, G = tet_gradients(x, tets)
-    assert G.shape == (len(tets), 4, 3)
+    # an (m, 4, 3) view of contiguous component-major rows
+    assert G.shape == (len(tets), 4, 3) and component_major(G).flags.c_contiguous
     assert np.array_equal(vols, signed_volumes(x, tets))
+    # the volumes of one read are signed_volumes' to the last bit on a
+    # deformed map too
+    rng = np.random.default_rng(seed)
+    y = x @ rng.normal(size=(3, 3)) + rng.normal(size=3)
+    assert np.array_equal(tet_gradients(y, tets)[0], signed_volumes(y, tets))
     # rows of E^-T for the edge matrix E (rows: edges from corner 0)
     oracle = np.swapaxes(np.linalg.inv(x[tets[:, 1:]] - x[tets[:, :1]]), 1, 2)  # LAPACK
     scale = np.abs(oracle).max(axis=(1, 2))
