@@ -10,6 +10,7 @@ import numpy as np
 import volball as vb
 from volball.drivers import initial_ball
 from volball.synthetic import cube_mesh, ellipsoid_mesh, graded_ellipsoid_mesh
+from volball.tetmesh import PointLocator, signed_volumes
 
 # %% A tetrahedral solid is vertices + tets; the boundary surface is derived
 # and validated (closed, genus zero) at construction.
@@ -24,7 +25,7 @@ print(f"volume by summation {ball.volumes.sum():.6f} "
 # call: tet -1 marks a point outside.
 probes = np.array([[0.31, -0.12, 0.44], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
                    [-0.5, 0.5, 0.1]])
-tet_ids, weights = ball.locate_points(probes)
+tet_ids, weights = PointLocator(ball.vertices, ball.tets).locate_points(probes)
 for probe, tet, w in zip(probes, tet_ids, weights):
     print(f"point {probe} -> tet {tet}, weights {w.round(4)}")
 
@@ -38,7 +39,7 @@ for name, mesh in [("ball", ball),
     norms = np.linalg.norm(positions[mesh.boundary_vertex_mask], axis=1)
     print(f"{name:18s}: folds={mesh.count_folds(positions)} "
           f"boundary norm error={np.abs(norms - 1).max():.2e} "
-          f"volume ratio={vb.signed_volumes(positions, mesh.tets).sum() / (4 * np.pi / 3):.4f}")
+          f"volume ratio={signed_volumes(positions, mesh.tets).sum() / (4 * np.pi / 3):.4f}")
 
 # %% Meshes round-trip through Medit and Gmsh files with exact coordinates.
 vb.save_mesh("/tmp/volball_demo_ball.mesh", ball.vertices, ball.tets)

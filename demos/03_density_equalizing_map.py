@@ -11,6 +11,7 @@ import numpy as np
 import volball as vb
 from volball import density as dem
 from volball.synthetic import hemispheric_population
+from volball.tetmesh import signed_volumes
 
 mesh = vb.uniform_ball_mesh(2)
 population = hemispheric_population(mesh, ratio=4.0)
@@ -31,7 +32,7 @@ for it in report.iterations[::10]:
           f"{'yes' if it['folds_pre'] else 'no'}")
 
 # %% The dense hemisphere gained volume; the sparse one lost it.
-vols = vb.signed_volumes(result.positions, mesh.tets)
+vols = signed_volumes(result.positions, mesh.tets)
 centroid_x = mesh.vertices[mesh.tets].mean(axis=1)[:, 0]
 dense = vols[centroid_x > 0].sum()
 sparse = vols[centroid_x <= 0].sum()

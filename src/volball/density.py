@@ -9,12 +9,13 @@ dimension's measures (areas or volumes), lumped masses and cotangent
 Laplacian, and element gradient (``density_gradient`` for tets, from the
 hat gradients of ``tetmesh.tet_gradients``; ``surface_gradient`` for triangles).
 
-Populations are checked on entry (one finite positive value per element);
-the diffusion system M + dt L is written into the Laplacian's own sparsity
-pattern at its diagonal slots rather than built as a sparse sum, and solved
-on the Laplacian's assembly plan: by banded Cholesky in the plan's reverse
-Cuthill-McKee order where its band is narrow (the sphere, small balls), by
-Jacobi PCG elsewhere (``linsolve``).
+Populations are checked on entry (one finite positive value per element).
+The Laplacian is a ``linsolve.LinearSystem`` on its assembly plan; the
+diffusion system M + dt L is its scaled data with the lumped masses added at
+the plan's diagonal slots, a system on the same plan rather than a sparse
+sum, solved by banded Cholesky in the plan's reverse Cuthill-McKee order
+where its band is narrow (the sphere, small balls) and by Jacobi PCG
+elsewhere.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from . import linsolve
 from .laplace import laplacian_matrix
@@ -46,9 +46,8 @@ class DensityField:
 
 @dataclass
 class DiffusionOperators:
-    lumped_volumes: np.ndarray  # (n,) diagonal mass
-    laplacian: csr_matrix       # (n, n) PSD cotangent Laplacian
-    plan: linsolve.AssemblyPlan  # the plan the Laplacian was assembled on
+    lumped_volumes: np.ndarray         # (n,) diagonal mass
+    laplacian: linsolve.LinearSystem   # PSD cotangent Laplacian on its plan
 
 
 def checked_population(population, count: int, item: str,
@@ -91,9 +90,8 @@ def build_operators(mesh: TetMesh, geometry) -> DiffusionOperators:
     (volumes, hat gradients) pair ``geometry`` of ``tetmesh.tet_gradients``."""
     if np.any(geometry[0] <= 0):
         raise DensityError("deformed mesh has nonpositive volumes")
-    conn = mesh.connectivity
-    return DiffusionOperators(conn.vertex_measures(geometry[0] / 4.0),
-                              laplacian_matrix(mesh, geometry), conn.plan)
+    return DiffusionOperators(mesh.connectivity.vertex_measures(geometry[0] / 4.0),
+                              laplacian_matrix(mesh, geometry))
 
 
 def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
@@ -101,22 +99,20 @@ def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
     """Backward-Euler diffusion: solve (A + dt L) rho_next = A rho.
 
     Conserves the lumped mass sum(A_ii rho_i) because the Laplacian has zero
-    row sums. The system matrix shares the Laplacian's pattern: its data is
-    dt * L with the lumped masses added at the plan's diagonal slots, entry
-    for entry equal to the sparse sum A + dt * L, which it replaces. The
-    system carries the plan, so ``linsolve.solve`` factors it by banded
-    Cholesky when the plan's band is narrow (the surface flow's spheres, the
-    volumes of up to a few hundred vertices) and runs Jacobi PCG otherwise;
-    either way the residual meets ``linsolve.DEFAULT_TOL``.
+    row sums. The system is ``LinearSystem(L.plan, data)`` with data
+    dt * L.data plus the lumped masses at the plan's diagonal slots, entry
+    for entry equal to the sparse sum A + dt * L, which it replaces.
+    ``linsolve.solve`` factors it by banded Cholesky when the plan's band is
+    narrow (the surface flow's spheres, the volumes of up to a few hundred
+    vertices) and runs Jacobi PCG otherwise; either way the residual meets
+    ``linsolve.DEFAULT_TOL``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     L = ops.laplacian
     data = dt * L.data
-    data[ops.plan.diagonal] += ops.lumped_volumes
-    n = len(rho_vertex)
-    matrix = csr_matrix((data, L.indices, L.indptr), shape=(n, n))
-    return linsolve.solve(linsolve.LinearSystem(n, matrix, plan=ops.plan),
+    data[L.plan.diagonal] += ops.lumped_volumes
+    return linsolve.solve(linsolve.LinearSystem(L.plan, data),
                           ops.lumped_volumes * rho_vertex)
 
 

@@ -6,12 +6,13 @@ is anisotropic.
 The blocks are computed component-major, element index last, as ``tetmesh``
 stores the gradients: G as (k, d, m) and A as (d, d, m), each block entry a
 sum of products of contiguous rows, returned as the (m, k, k) view that
-``linsolve.assemble`` flattens in its plan's triplet order."""
+``linsolve.assemble`` flattens in its plan's triplet order. ``laplacian_matrix``
+returns the assembled ``linsolve.LinearSystem``, which ``harmonic_fill``
+constrains and solves as it is."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from . import linsolve
 from .tetmesh import TetMesh, _dot, component_major, per_tet
@@ -44,8 +45,9 @@ def p1_blocks(volumes, gradients, coeff) -> np.ndarray:
     return per_tet(local)
 
 
-def laplacian_matrix(mesh: TetMesh, geometry=None) -> csr_matrix:
-    """Positive semidefinite cotangent Laplacian L with zero row sums.
+def laplacian_matrix(mesh: TetMesh, geometry=None) -> linsolve.LinearSystem:
+    """Positive semidefinite cotangent Laplacian L with zero row sums, as the
+    system of the mesh's assembly plan.
 
     Off-diagonal entries are -k_{u,v}; the quadratic form is
     sum_edges k_{u,v} (phi_u - phi_v)^2 (the discrete harmonic energy), where
@@ -55,11 +57,11 @@ def laplacian_matrix(mesh: TetMesh, geometry=None) -> csr_matrix:
     """
     vols, grads = (mesh.volumes, mesh.hat_gradients) if geometry is None else geometry
     return linsolve.assemble(mesh.connectivity.plan,
-                             p1_blocks(vols, grads, 0.5).reshape(-1)).matrix
+                             p1_blocks(vols, grads, 0.5).reshape(-1))
 
 
 def harmonic_fill(mesh: TetMesh, boundary_points: np.ndarray,
-                  boundary_indices: np.ndarray | None = None) -> np.ndarray:
+                  boundary_indices: np.ndarray) -> np.ndarray:
     """Fill the interior with the discrete harmonic extension of a boundary map.
 
     Solves the cotangent-Laplace system with Dirichlet rows at the boundary
@@ -71,16 +73,12 @@ def harmonic_fill(mesh: TetMesh, boundary_points: np.ndarray,
         Rest mesh supplying both connectivity and the weights' geometry.
     boundary_points : (k, 3) array
         Target positions of the boundary vertices.
-    boundary_indices : (k,) array, optional
-        Vertex indices the rows of ``boundary_points`` refer to; defaults to
-        ``mesh.boundary_vertices``.
+    boundary_indices : (k,) array
+        Vertex indices the rows of ``boundary_points`` refer to.
     """
-    if boundary_indices is None:
-        boundary_indices = mesh.boundary_vertices
     boundary_points = np.asarray(boundary_points, dtype=np.float64)
     if len(boundary_indices) != len(boundary_points):
         raise ValueError("boundary point count does not match boundary vertices")
-    n = len(mesh.vertices)
-    system = linsolve.LinearSystem(n, laplacian_matrix(mesh), plan=mesh.connectivity.plan)
+    system = laplacian_matrix(mesh)
     system.constrain(boundary_indices, boundary_points)
-    return linsolve.solve(system, np.zeros((n, 3)))
+    return linsolve.solve(system, np.zeros((system.dimension, 3)))

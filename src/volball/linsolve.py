@@ -5,14 +5,18 @@ constraint handling by row/column elimination, and the solve of the reduced
 SPD system, by banded Cholesky or by a diagonally preconditioned conjugate
 gradient.
 
-Assembly is split in two. An ``AssemblyPlan`` holds what depends only on the
-connectivity: the sorted CSR pattern of a triplet layout and the slot of each
-triplet in it, built once per mesh (or per boundary triangulation). ``assemble``
+Every system is a ``LinearSystem(plan, data)``: an ``AssemblyPlan`` holds what
+depends only on the connectivity, the sorted CSR pattern of a triplet layout
+and the slot of each triplet in it, built once per mesh (or per boundary
+triangulation), and ``data`` one value per entry of that pattern. ``assemble``
 takes a plan and one value per triplet and scatters them with ``np.bincount``,
 which sums the duplicates of each entry in input order, so repeated runs are
 bitwise identical. Every assembly still checks symmetry against the plan's
 transpose slots, the precondition of both solves. A plan also knows the slot
-of each row's diagonal entry, where callers add a mass matrix in place.
+of each row's diagonal entry, where callers add a mass matrix to a copy of
+the data. The solves read the data: a constrained solve gathers the CSR
+blocks of its free rows from it, and only an unconstrained one builds the
+full CSR matrix (``LinearSystem.matrix``, for PCG's products).
 
 The Dirichlet elimination needs the free-free and free-fixed blocks of each
 constrained system. A plan keeps the ``Split`` of its ``SPLIT_CACHE`` most
@@ -25,13 +29,12 @@ and the restricted band by fancy indexing on every solve cost 49 + 7.6 ms
 per ``dem_hemisphere`` operation (32 constrained solves) and 13 + 7.2 ms per
 ``qc_stretched_20k`` one.
 
-``solve`` takes one of two paths. A system that carries its plan
-(``LinearSystem.plan``; ``assemble`` attaches it) is factored directly when
-its band is narrow enough. The plan orders its rows once by reverse
-Cuthill-McKee (E. Cuthill and J. McKee, "Reducing the bandwidth of sparse
-symmetric matrices", ACM 1969), which leaves a surface mesh a band of about
-sqrt(n), and its ``band`` keeps that order, the bandwidth bw and the scatter
-of the CSR data into LAPACK lower band storage. A system with fixed rows uses
+``solve`` takes one of two paths: a system whose band is narrow enough is
+factored directly, every other one runs PCG. The plan orders its rows once by
+reverse Cuthill-McKee (E. Cuthill and J. McKee, "Reducing the bandwidth of
+sparse symmetric matrices", ACM 1969), which leaves a surface mesh a band of
+about sqrt(n), and its ``band`` keeps that order, the bandwidth bw and the
+scatter of the CSR data into LAPACK lower band storage. A system with fixed rows uses
 the same order restricted to its free rows (``Band.restrict``): no ordering
 per solve, and a band within a few percent of the free rows' own RCM band
 (160 against 166 on the ball2 interior, 380 against 376 on stretched3). One
@@ -126,23 +129,32 @@ class SolverError(RuntimeError):
 
 @dataclass
 class LinearSystem:
-    """Sparse symmetric operator plus optional Dirichlet constraints.
+    """Sparse symmetric operator on an assembly plan plus optional Dirichlet
+    constraints.
 
+    ``data`` holds one value per entry of ``plan``'s CSR pattern;
+    ``matrix`` is the CSR view of the two, built on first use.
     ``fixed_indices`` (sorted, unique) lists the constrained rows and
     ``fixed_values`` their values, one row (a scalar or one value per
     right-hand side) each; a repeated index keeps its first value.
-    Constrained rows and columns are eliminated before the iterative solve so
-    the reduced operator stays symmetric. ``plan``, when given, is the plan
-    whose pattern ``matrix`` has (its data in the plan's entry order); a
-    system with a plan may take the direct path of ``solve``.
+    Constrained rows and columns are eliminated before the solve so the
+    reduced operator stays symmetric.
     """
 
-    dimension: int
-    matrix: csr_matrix
+    plan: AssemblyPlan
+    data: np.ndarray
     fixed_indices: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
     fixed_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    plan: AssemblyPlan | None = None
+
+    @property
+    def dimension(self) -> int:
+        return self.plan.dimension
+
+    @cached_property
+    def matrix(self) -> csr_matrix:
+        n = self.plan.dimension
+        return csr_matrix((self.data, self.plan.indices, self.plan.indptr), shape=(n, n))
 
     def constrain(self, indices, values) -> None:
         indices = np.asarray(indices, dtype=np.int64)
@@ -189,17 +201,17 @@ class Band:
 class Split:
     """The Dirichlet split of a CSR pattern at a sorted fixed set: the free
     rows, the CSR patterns of the free-free and free-fixed blocks with the
-    slots of their entries in the full data, and, on a plan, the plan's band
+    slots of their entries in the full data, and the pattern's band
     restricted to the free rows. ``blocks`` only gathers data."""
 
     free: np.ndarray   # (n_free,) the free rows, ascending
     n_fixed: int
     inner: tuple       # (slots, indices, indptr) of the free-free block
     outer: tuple       # (slots, indices, indptr) of the free-fixed block
-    band: Band | None
+    band: Band
 
     @classmethod
-    def of(cls, indptr, indices, fixed: np.ndarray, band: Band | None = None) -> "Split":
+    def of(cls, indptr, indices, fixed: np.ndarray, band: Band) -> "Split":
         n = len(indptr) - 1
         free = np.ones(n, dtype=bool)
         free[fixed] = False
@@ -217,8 +229,7 @@ class Split:
             return slots, rank[indices[slots]], np.append(before[indptr[free_idx]], slots.size)
 
         return cls(free_idx, fixed.size, block(in_free_row & free_col),
-                   block(in_free_row & ~free_col),
-                   None if band is None else band.restrict(free))
+                   block(in_free_row & ~free_col), band.restrict(free))
 
     def blocks(self, data: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
         """The free-free and free-fixed blocks of a matrix with this pattern
@@ -318,7 +329,7 @@ class AssemblyPlan:
 
 
 def assemble(plan: AssemblyPlan, values) -> LinearSystem:
-    """Build a symmetric LinearSystem from the values of ``plan``'s triplets.
+    """The symmetric LinearSystem of ``plan`` with the values of its triplets.
 
     Duplicates are summed by ``np.bincount`` in input order, so assembly is
     bitwise reproducible across runs. Raises ValueError when the result is not
@@ -330,9 +341,7 @@ def assemble(plan: AssemblyPlan, values) -> LinearSystem:
     scale = max(np.abs(data).max(initial=0.0), 1.0)
     if np.abs(data - mirrored).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("assembled matrix is not symmetric")
-    n = plan.dimension
-    return LinearSystem(n, csr_matrix((data, plan.indices, plan.indptr), shape=(n, n)),
-                        plan=plan)
+    return LinearSystem(plan, data)
 
 
 def _pcg(A, b, rtol, maxiter, x0=None):
@@ -383,10 +392,10 @@ def _pcg(A, b, rtol, maxiter, x0=None):
     raise SolverError("conjugate gradient did not converge", maxiter, res)
 
 
-def _banded_solve(A: csr_matrix, band: Band, b: np.ndarray) -> np.ndarray:
-    """Solve for the (n, nrhs) ``b`` on ``band``'s rows by banded Cholesky in
-    its order, all columns from one factorization; rows outside the band come
-    back 0.
+def _banded_solve(data: np.ndarray, band: Band, b: np.ndarray) -> np.ndarray:
+    """Solve for the (n, nrhs) ``b`` on ``band``'s rows of the matrix with CSR
+    ``data`` by banded Cholesky in its order, all columns from one
+    factorization; rows outside the band come back 0.
 
     Calls LAPACK's ``dpbsv`` (the routine under ``scipy.linalg.solveh_banded``)
     directly, so a leading minor that is not positive definite comes back as
@@ -394,7 +403,7 @@ def _banded_solve(A: csr_matrix, band: Band, b: np.ndarray) -> np.ndarray:
     """
     n = len(band.order)
     ab = np.zeros((band.bandwidth + 1) * n)
-    ab[band.cells] = A.data[band.entries]
+    ab[band.cells] = data[band.entries]
     _, y, info = dpbsv(ab.reshape((band.bandwidth + 1, n), order="F"), b[band.order],
                        lower=1, overwrite_ab=1, overwrite_b=1)
     if info > 0:
@@ -412,11 +421,12 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
     Constrained entries of the result equal their fixed values exactly; the
     free part satisfies ``||A x - b|| <= tol * ||b||`` on the reduced system.
     Jacobi PCG reaches it from ``start``, shaped like the result, as the
-    initial guess of the free part (zero by default). A system whose ``plan``
-    band, restricted to the free rows, passes the size rule
+    initial guess of the free part (zero by default). When the plan's band,
+    restricted to the free rows, passes the size rule
     (n_free (bw_free + 1)^2 <= nrhs BAND_WORK_LIMIT, see the module docstring)
-    replaces that guess by its banded Cholesky solution, which PCG's first
-    residual checks.
+    its banded Cholesky solution replaces that guess, and PCG's first
+    residual checks it. A constrained solve builds only the CSR blocks of the
+    free rows, never ``system.matrix``.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     single = rhs.ndim == 1
@@ -427,29 +437,26 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
     nrhs = b.shape[1]
     x = np.zeros((n, nrhs))
 
-    A = system.matrix
     fixed_idx = system.fixed_indices
-    plan = system.plan
     if fixed_idx.size == 0:
         # nothing to eliminate: the reduced system is the system itself
-        free_idx, A_ff, b_f = slice(None), A, b
-        band = None if plan is None else plan.band
+        free_idx, band, b_f = slice(None), system.plan.band, b
+        A_ff = system.matrix
     else:
         # (k,) values repeat across the right-hand sides, (k, nrhs) map one to one
         fixed_vals = np.broadcast_to(system.fixed_values.T, (nrhs, len(fixed_idx))).T
-        split = (Split.of(A.indptr, A.indices, fixed_idx) if plan is None
-                 else plan.split(fixed_idx))
+        split = system.plan.split(fixed_idx)
         free_idx, band = split.free, split.band
-        A_ff, A_fc = split.blocks(A.data)
+        A_ff, A_fc = split.blocks(system.data)
         b_f = b[free_idx] - A_fc @ fixed_vals
         x[fixed_idx] = fixed_vals
     breakdown = None
-    if band is not None and band.order.size and band.work <= nrhs * BAND_WORK_LIMIT:
+    if band.order.size and band.work <= nrhs * BAND_WORK_LIMIT:
         # the factored solution starts PCG, whose first residual checks it
         full = np.zeros((n, nrhs))
         full[free_idx] = b_f
         try:
-            start = _banded_solve(A, band, full)
+            start = _banded_solve(system.data, band, full)
         except SolverError as exc:
             breakdown = exc  # PCG runs from the caller's start and decides
 

@@ -114,8 +114,8 @@ def face_normals_areas(points: np.ndarray, faces: np.ndarray):
 
 
 def surface_laplacian(geometry: TriangleGeometry,
-                      plan: linsolve.AssemblyPlan) -> csr_matrix:
-    """PSD cotangent Laplacian of a triangle mesh, assembled on
+                      plan: linsolve.AssemblyPlan) -> linsolve.LinearSystem:
+    """PSD cotangent Laplacian of a triangle mesh, the system of
     ``plan = AssemblyPlan.for_elements(faces, n_vertices)``.
 
     The edge opposite corner k weighs cot(angle k) / 2 = -e_{k+1} . e_{k+2}
@@ -128,7 +128,7 @@ def surface_laplacian(geometry: TriangleGeometry,
     local[:, NEXT, PREV] = -w
     local[:, PREV, NEXT] = -w
     local[:, [0, 1, 2], [0, 1, 2]] = w[:, NEXT] + w[:, PREV]
-    return linsolve.assemble(plan, local.reshape(-1)).matrix
+    return linsolve.assemble(plan, local.reshape(-1))
 
 
 def surface_gradient(geometry: TriangleGeometry, corner_values: np.ndarray) -> np.ndarray:
@@ -410,8 +410,7 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
         if ratio < eps or rounds == max_iter:
             break
         ops = density.DiffusionOperators(conn.vertex_measures(areas) / 3.0,
-                                         surface_laplacian(geo, conn.plan),
-                                         conn.plan)
+                                         surface_laplacian(geo, conn.plan))
         u = density.flow_step(conn, u, conn.to_vertices(rho_face, areas), ops, areas,
                               lambda rho: surface_gradient(geo, rho[faces]), dt,
                               on_sphere)

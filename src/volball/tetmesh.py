@@ -410,15 +410,6 @@ class TetMesh:
         return g
 
     @cached_property
-    def locator(self) -> PointLocator:
-        return PointLocator(self.vertices, self.tets)
-
-    def locate_points(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Containing tet and barycentric weights of each point: see
-        ``PointLocator.locate_points``."""
-        return self.locator.locate_points(points)
-
-    @cached_property
     def boundary_vertices(self) -> np.ndarray:
         idx = np.flatnonzero(self.boundary_vertex_mask)
         idx.setflags(write=False)

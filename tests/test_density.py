@@ -56,7 +56,7 @@ def test_build_operators_lumped_sharing(two_tet_mesh):
 
 def test_laplacian_rows_zero(ball_mesh):
     ops = dem.build_operators(ball_mesh, _rest(ball_mesh))
-    rows = np.asarray(ops.laplacian.sum(axis=1)).ravel()
+    rows = np.asarray(ops.laplacian.matrix.sum(axis=1)).ravel()
     assert np.abs(rows).max() < 1e-10
 
 

@@ -200,13 +200,13 @@ def test_plan_matches_dense_oracle(n, k, seed):
         assert np.abs(got - dense).max(initial=0.0) <= 1e-12 * max(np.abs(dense).max(initial=0.0), 1.0)
 
 
-def _split_solve(system, rhs, tol=linsolve.DEFAULT_TOL):
-    """Reference: the Dirichlet split applied with no fixed index, as the solver
-    did before unconstrained systems skipped it."""
-    n = system.dimension
+def _split_solve(A, rhs, tol=linsolve.DEFAULT_TOL):
+    """Reference: PCG on the scipy-sliced blocks of the CSR matrix ``A`` split
+    with no fixed index, as the solver did before unconstrained systems
+    skipped the split."""
+    n = A.shape[0]
     free_idx = np.arange(n)
     fixed_idx = np.empty(0, dtype=np.int64)
-    A = system.matrix
     A_ff = A[free_idx][:, free_idx].tocsr()
     A_fc = A[free_idx][:, fixed_idx].tocsr()
     b_f = rhs[:, None] - A_fc @ np.zeros((0, 1))
@@ -220,13 +220,13 @@ def test_unconstrained_solve_matches_split_path_bitwise(mesh_name, request):
     from volball.density import build_operators, diffusion_step
     mesh = request.getfixturevalue(mesh_name)
     ops = build_operators(mesh, (mesh.volumes, mesh.hat_gradients))
-    assert not ops.plan.band.direct
+    assert not ops.laplacian.plan.band.direct
     n, dt = len(mesh.vertices), 0.1
     rho = 1.0 + mesh.vertices[:, 0] ** 2
     A = csr_matrix((ops.lumped_volumes, (np.arange(n), np.arange(n))), shape=(n, n))
-    system = linsolve.LinearSystem(n, A + dt * ops.laplacian)
     np.testing.assert_array_equal(diffusion_step(ops, rho, dt),
-                                  _split_solve(system, ops.lumped_volumes * rho))
+                                  _split_solve(A + dt * ops.laplacian.matrix,
+                                               ops.lumped_volumes * rho))
 
 
 def _textbook_pcg(A, b, rtol, maxiter):
@@ -267,7 +267,8 @@ def test_pcg_matches_textbook_loop_bitwise(mesh_name, request):
     b = ops.lumped_volumes * (1.0 + rng.uniform(size=n))
     # each tolerance stops at a different iterate, so together they compare
     # many iterates, not only the last
-    for A in (mass + 0.1 * ops.laplacian, ops.laplacian + 1e-3 * mass):
+    L = ops.laplacian.matrix
+    for A in (mass + 0.1 * L, L + 1e-3 * mass):
         stops = set()
         for rtol in 10.0 ** -np.arange(1, 13):
             x, k, res = linsolve._pcg(A, b, rtol, 10 * n)
@@ -307,8 +308,8 @@ def _element_diffusion(rng, n, k, extra):
     w = np.triu(w, 1) + np.swapaxes(np.triu(w, 1), 1, 2)
     local = -w
     local[:, np.arange(k), np.arange(k)] = w.sum(axis=2)
-    laplacian = linsolve.assemble(plan, local.reshape(-1)).matrix
-    return DiffusionOperators(rng.uniform(0.5, 1.5, size=n), laplacian, plan)
+    laplacian = linsolve.assemble(plan, local.reshape(-1))
+    return DiffusionOperators(rng.uniform(0.5, 1.5, size=n), laplacian)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -319,9 +320,9 @@ def test_direct_diffusion_matches_dense_solve(n, k, extra, dt, seed):
     from volball.density import diffusion_step
     rng = np.random.default_rng(seed)
     ops = _element_diffusion(rng, n, k, extra)
-    assert ops.plan.band.direct
+    assert ops.laplacian.plan.band.direct
     rho = rng.uniform(0.5, 2.0, size=n)
-    dense = np.diag(ops.lumped_volumes) + dt * ops.laplacian.toarray()
+    dense = np.diag(ops.lumped_volumes) + dt * ops.laplacian.matrix.toarray()
     expected = np.linalg.solve(dense, ops.lumped_volumes * rho)
     got = diffusion_step(ops, rho, dt)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -353,9 +354,10 @@ def test_direct_solve_iterates_on_where_rounding_misses_the_bound(monkeypatch):
     i, j = np.arange(n - 1), np.arange(1, n)
     plan = linsolve.AssemblyPlan(n, np.concatenate([i, j, i, j, np.arange(n)]),
                                  np.concatenate([i, j, j, i, np.arange(n)]))
-    A = linsolve.assemble(plan, np.concatenate([w, w, -w, -w, np.full(n, 0.05)])).matrix
+    system = linsolve.assemble(plan, np.concatenate([w, w, -w, -w, np.full(n, 0.05)]))
+    A = system.matrix
     b = np.full(n, 0.05)
-    factored = linsolve._banded_solve(A, plan.band, b[:, None])[:, 0]
+    factored = linsolve._banded_solve(system.data, plan.band, b[:, None])[:, 0]
     assert np.linalg.norm(b - A @ factored) > linsolve.DEFAULT_TOL * np.linalg.norm(b)
     pcg, runs = linsolve._pcg, []
 
@@ -365,7 +367,7 @@ def test_direct_solve_iterates_on_where_rounding_misses_the_bound(monkeypatch):
         return out
 
     monkeypatch.setattr(linsolve, "_pcg", counted)
-    x = linsolve.solve(linsolve.LinearSystem(n, A, plan=plan), b)
+    x = linsolve.solve(system, b)
     [(_, iterations, res)] = runs
     assert iterations >= 1 and res <= linsolve.DEFAULT_TOL * np.linalg.norm(b)
     expected = np.linalg.solve(A.toarray(), b)
@@ -435,16 +437,16 @@ def _constrained(rng, n, k, extra, n_fixed, ncols):
     """A random element diffusion system M + dt L with ``n_fixed`` random
     Dirichlet rows, fixed values one per column, and its dense reduced solve."""
     ops = _element_diffusion(rng, n, k, extra)
-    A = ops.laplacian.copy()
-    A.data = 0.3 * A.data
-    A.data[ops.plan.diagonal] += ops.lumped_volumes
+    plan = ops.laplacian.plan
+    data = 0.3 * ops.laplacian.data
+    data[plan.diagonal] += ops.lumped_volumes
     fixed = np.sort(rng.choice(n, size=n_fixed, replace=False))
     values = rng.normal(size=(n_fixed, ncols))
     rhs = rng.normal(size=(n, ncols))
-    system = linsolve.LinearSystem(n, A, plan=ops.plan)
+    system = linsolve.LinearSystem(plan, data)
     system.constrain(fixed, values)
     free = np.setdiff1d(np.arange(n), fixed)
-    dense = A.toarray()
+    dense = system.matrix.toarray()
     expected = np.zeros((n, ncols))
     expected[fixed] = values
     expected[free] = np.linalg.solve(dense[np.ix_(free, free)],
@@ -456,9 +458,9 @@ def _recording(monkeypatch):
     """Record the (rows, bandwidth) of every banded factorization."""
     banded, calls = linsolve._banded_solve, []
 
-    def recorded(A, band, b):
+    def recorded(data, band, b):
         calls.append((len(band.order), band.bandwidth))
-        return banded(A, band, b)
+        return banded(data, band, b)
 
     monkeypatch.setattr(linsolve, "_banded_solve", recorded)
     return calls
@@ -496,7 +498,7 @@ def test_restricted_band_packs_the_free_rows_of_the_plan_order():
     # the packed band holds exactly the lower triangle of the reduced matrix
     A = system.matrix.toarray()[np.ix_(reduced.order, reduced.order)]
     packed = np.zeros((reduced.bandwidth + 1) * len(reduced.order))
-    packed[reduced.cells] = system.matrix.data[reduced.entries]
+    packed[reduced.cells] = system.data[reduced.entries]
     packed = packed.reshape((reduced.bandwidth + 1, len(reduced.order)), order="F")
     rebuilt = np.zeros_like(A)
     for d in range(reduced.bandwidth + 1):
@@ -514,7 +516,7 @@ def test_every_row_fixed_returns_the_values(monkeypatch):
     mesh = lcube_mesh(2)
     assert len(mesh.boundary_vertices) == len(mesh.vertices)
     points = mesh.vertices[mesh.boundary_vertices] * 2.0
-    out = harmonic_fill(mesh, points)
+    out = harmonic_fill(mesh, points, mesh.boundary_vertices)
     assert np.array_equal(out[mesh.boundary_vertices], points)
     assert calls == []
 
@@ -523,7 +525,7 @@ def test_constrained_direct_solve_names_the_vertex_of_an_indefinite_system():
     rng = np.random.default_rng(33)
     system, rhs, fixed, _, _ = _constrained(rng, 30, 4, 6, 8, 3)
     vertex = int(np.setdiff1d(np.arange(30), fixed)[5])
-    system.matrix.data[system.plan.diagonal[vertex]] = -100.0
+    system.data[system.plan.diagonal[vertex]] = -100.0
     with pytest.raises(linsolve.SolverError,
                        match=f"not positive definite at vertex {vertex} "):
         linsolve.solve(system, rhs)
@@ -546,7 +548,7 @@ class _Decided(Exception):
 
 def _decision(monkeypatch, system, rhs):
     """'direct' or 'pcg': the path ``solve`` takes, stopped before any work."""
-    def direct(A, band, b):
+    def direct(data, band, b):
         raise _Decided("direct")
 
     def pcg(*args):
@@ -568,17 +570,15 @@ def test_rule_decides_the_benchmarked_constrained_systems(monkeypatch, ball_mesh
     from volball.synthetic import stretched_ball_mesh
 
     def interior(mesh):
-        n = len(mesh.vertices)
-        system = linsolve.LinearSystem(n, laplacian_matrix(mesh), plan=mesh.connectivity.plan)
+        system = laplacian_matrix(mesh)
         system.constrain(mesh.boundary_vertices, mesh.vertices[mesh.boundary_vertices])
-        return system, np.zeros((n, 3))
+        return system, np.zeros((system.dimension, 3))
 
     assert _decision(monkeypatch, *interior(ball_mesh_6k)) == "direct"
     assert _decision(monkeypatch, *interior(stretched_ball_mesh(3))) == "pcg"
     ops = build_operators(ball_mesh_6k, (ball_mesh_6k.volumes, ball_mesh_6k.hat_gradients))
     n = len(ball_mesh_6k.vertices)
-    diffusion = linsolve.LinearSystem(n, ops.laplacian, plan=ops.plan)
-    assert _decision(monkeypatch, diffusion, np.ones(n)) == "pcg"
+    assert _decision(monkeypatch, ops.laplacian, np.ones(n)) == "pcg"
 
 
 # -- the Dirichlet split, cached on the plan by fixed set
@@ -598,7 +598,7 @@ def _same_csr(a, b):
 def test_split_cache_serves_only_an_equal_fixed_set():
     rng = np.random.default_rng(41)
     ops = _element_diffusion(rng, 40, 4, 12)
-    A, plan = ops.laplacian, ops.plan
+    A, plan = ops.laplacian.matrix, ops.laplacian.plan
     sets = [np.sort(rng.choice(40, size=k, replace=False)) for k in (5, 5, 9, 5, 13, 2, 7)]
     sets.append(sets[0].copy())  # an equal set in a new array
     for _ in range(3):
@@ -628,7 +628,39 @@ def test_cached_split_solves_bitwise_as_a_fresh_one():
     first = linsolve.solve(system, rhs)
     assert len(system.plan._splits) == 1
     assert np.array_equal(linsolve.solve(system, rhs), first)
-    bare = linsolve.LinearSystem(30, system.matrix)  # no plan: PCG on a fresh split
-    bare.constrain(fixed, values)
-    got = linsolve.solve(bare, rhs)
+    # PCG on scipy-sliced blocks reaches the same solution
+    free, A_ff, A_fc = _scipy_split(system.matrix, fixed)
+    b_f = rhs[free] - A_fc @ values
+    got = np.zeros_like(expected)
+    got[fixed] = values
+    for j in range(3):
+        got[free, j] = linsolve._pcg(A_ff, b_f[:, j], linsolve.DEFAULT_TOL,
+                                       max(10 * len(free), 50))[0]
     assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+
+@pytest.mark.parametrize("limit", [linsolve.BAND_WORK_LIMIT, 0.0])
+def test_constrained_solve_builds_only_the_two_blocks(limit, monkeypatch, ball_mesh):
+    # assembly, constraint and solve of a harmonic fill gather the free rows'
+    # two CSR blocks from the system's data and never build the full matrix,
+    # on the direct path and (with no band work allowed) on PCG
+    from scipy.sparse import csr_matrix
+
+    from volball.laplace import harmonic_fill
+    bidx = ball_mesh.boundary_vertices
+    ball_mesh.connectivity.plan.band  # its one RCM ordering reads a CSR pattern
+    monkeypatch.setattr(linsolve, "BAND_WORK_LIMIT", limit)
+    factored = _recording(monkeypatch)
+    shapes, init = [], csr_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        shapes.append(self.shape)
+
+    monkeypatch.setattr(csr_matrix, "__init__", counted)
+    out = harmonic_fill(ball_mesh, ball_mesh.vertices[bidx], bidx)
+    n_free = len(ball_mesh.vertices) - len(bidx)
+    assert len(factored) == (limit > 0)
+    assert shapes == [(n_free, n_free), (n_free, len(bidx))]
+    np.testing.assert_allclose(out, ball_mesh.vertices, atol=1e-8)

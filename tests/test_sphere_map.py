@@ -82,7 +82,7 @@ def test_surface_laplacian_row_sums(ball_mesh):
     vid, faces = ball_mesh.boundary_surface()
     pts = ball_mesh.vertices[vid]
     L = surface_laplacian(triangle_geometry(pts, faces),
-                          linsolve.AssemblyPlan.for_elements(faces, len(pts)))
+                          linsolve.AssemblyPlan.for_elements(faces, len(pts))).matrix
     rows = np.asarray(L.sum(axis=1)).ravel()
     assert np.abs(rows).max() < 1e-10
 
@@ -103,7 +103,7 @@ def test_surface_laplacian_matches_per_corner_cotangents(ball_mesh):
         np.add.at(dense, (i, i), w)
         np.add.at(dense, (j, j), w)
     L = surface_laplacian(triangle_geometry(pts, faces),
-                          linsolve.AssemblyPlan.for_elements(faces, len(pts)))
+                          linsolve.AssemblyPlan.for_elements(faces, len(pts))).matrix
     np.testing.assert_allclose(L.toarray(), dense, rtol=0, atol=1e-13)
 
 
@@ -184,16 +184,20 @@ def graded_sphere():
 
 
 def test_surface_flow_builds_one_plan(monkeypatch, graded_sphere):
-    # per-triangulation state is built once; a round assembles one Laplacian
-    # and builds no COO matrix and no sparse sum (overlap correction, when it
-    # fires, builds its own plan and vertex rings)
+    # per-triangulation state is built once (the plan's RCM order reads one
+    # CSR pattern); a round assembles one Laplacian, builds one CSR matrix
+    # (the diffusion system's, for its PCG check) and no COO matrix and no
+    # sparse sum (overlap correction, when it fires, builds its own plan,
+    # vertex rings and CSR blocks)
     from scipy.sparse import coo_matrix, csr_matrix
 
     from volball import sphere_map
     sphere, faces, areas = graded_sphere
     plans, stiffness, corrections, coo, sums, assembled = [], [], [], [], [], []
+    csr, csr_in_correction = [], []
     init = linsolve.AssemblyPlan.__init__
     coo_init = coo_matrix.__init__
+    csr_init = csr_matrix.__init__
     add = csr_matrix.__add__
     assemble = linsolve.assemble
     correct = sphere_map.correct_spherical_flips
@@ -208,11 +212,18 @@ def test_surface_flow_builds_one_plan(monkeypatch, graded_sphere):
 
     def counted_correction(*args):
         corrections.append(1)
-        return correct(*args)
+        before = len(csr)
+        out = correct(*args)
+        csr_in_correction.append(len(csr) - before)
+        return out
 
     def counted_coo(self, *args, **kwargs):
         coo.append(1)
         coo_init(self, *args, **kwargs)
+
+    def counted_csr(self, *args, **kwargs):
+        csr.append(1)
+        csr_init(self, *args, **kwargs)
 
     def counted_add(self, other):
         sums.append(1)
@@ -226,6 +237,7 @@ def test_surface_flow_builds_one_plan(monkeypatch, graded_sphere):
     monkeypatch.setattr(sphere_map, "beltrami_stiffness", counted_stiffness)
     monkeypatch.setattr(sphere_map, "correct_spherical_flips", counted_correction)
     monkeypatch.setattr(coo_matrix, "__init__", counted_coo)
+    monkeypatch.setattr(csr_matrix, "__init__", counted_csr)
     monkeypatch.setattr(csr_matrix, "__add__", counted_add)
     monkeypatch.setattr(linsolve, "assemble", counted_assemble)
     surface_density_equalize(sphere, faces, areas, max_iter=20)
@@ -233,6 +245,7 @@ def test_surface_flow_builds_one_plan(monkeypatch, graded_sphere):
     assert len(coo) <= len(corrections)
     assert len(sums) == 0
     assert len(assembled) == 20 + len(stiffness)
+    assert len(csr) - sum(csr_in_correction) == 1 + 20
 
 
 def _surface_flow_as_first_written(sphere, faces, population, dt=0.1, eps=1e-2,

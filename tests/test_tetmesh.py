@@ -91,10 +91,14 @@ def test_count_folds_rigid_motion_invariant(ball_mesh):
     assert ball_mesh.count_folds(moved) == 0
 
 
+def _locator(mesh):
+    return PointLocator(mesh.vertices, mesh.tets)
+
+
 def test_locate_point_centroid(ball_mesh):
     k = 17
     centroid = ball_mesh.vertices[ball_mesh.tets[k]].mean(axis=0)
-    (t,), (weights,) = ball_mesh.locate_points(centroid[None])
+    (t,), (weights,) = _locator(ball_mesh).locate_points(centroid[None])
     assert t >= 0
     lam = barycentric_coordinates(ball_mesh.vertices, ball_mesh.tets,
                                   np.array([t]), centroid[None])[0]
@@ -104,8 +108,8 @@ def test_locate_point_centroid(ball_mesh):
 
 
 def test_locate_point_vertex_and_outside(ball_mesh):
-    tets, lams = ball_mesh.locate_points(np.array([ball_mesh.vertices[5],
-                                                   [2.0, 0, 0]]))
+    tets, lams = _locator(ball_mesh).locate_points(np.array([ball_mesh.vertices[5],
+                                                             [2.0, 0, 0]]))
     assert tets[0] >= 0
     assert np.max(lams[0]) == pytest.approx(1.0, abs=1e-8)
     assert tets[1] == -1
@@ -116,7 +120,7 @@ def test_locate_point_roundtrip(ball_mesh):
     tet_ids = rng.integers(0, len(ball_mesh.tets), size=1000)
     lam = rng.dirichlet(np.ones(4), size=1000)
     points = np.einsum("ki,kij->kj", lam, ball_mesh.vertices[ball_mesh.tets[tet_ids]])
-    located, weights = ball_mesh.locate_points(points)
+    located, weights = _locator(ball_mesh).locate_points(points)
     assert np.all(located >= 0)
     # the located tet must actually contain the point
     check = barycentric_coordinates(ball_mesh.vertices, ball_mesh.tets, located, points)
@@ -128,7 +132,7 @@ def test_locate_point_roundtrip(ball_mesh):
 def test_barycentric_point_roundtrip(reference_tet):
     weights = np.array([0.1, 0.2, 0.3, 0.4])
     p = weights @ reference_tet.vertices[reference_tet.tets[0]]
-    tets, lams = reference_tet.locate_points(p[None])
+    tets, lams = _locator(reference_tet).locate_points(p[None])
     assert tets[0] == 0
     np.testing.assert_allclose(lams[0], weights, atol=1e-12)
 
@@ -145,11 +149,12 @@ def test_locate_points_matches_locate_point(ball_mesh):
     points = np.vstack([rng.uniform(-1.0, 1.0, size=(200, 3)),
                         ball_mesh.vertices[:20],
                         [[2.0, 0, 0], [0.0, 0.0, -3.0], [0.0, 1.2, 0.0]]])
-    tets, lams = ball_mesh.locate_points(points)
+    locator = _locator(ball_mesh)
+    tets, lams = locator.locate_points(points)
     assert tets.shape == (len(points),) and lams.shape == (len(points), 4)
     assert np.all(tets[-3:] == -1) and np.isnan(lams[-3:]).all()
     for p, t, lam in zip(points, tets, lams):
-        hit = ball_mesh.locator.locate(p)
+        hit = locator.locate(p)
         if hit is None:
             assert t == -1
         else:
@@ -167,7 +172,7 @@ def test_locate_points_agrees_with_exhaustive_scan(ball_mesh):
     w = rng.dirichlet(np.ones(3), size=len(faces))
     on_face = np.einsum("ki,kij->kj", w, faces)
     points = np.vstack([on_face * 0.999, on_face * 1.001])
-    tets, lams = ball_mesh.locate_points(points)
+    tets, lams = _locator(ball_mesh).locate_points(points)
     corners = x[ball_mesh.tets]
     e = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)
     for p, t in zip(points, tets):
