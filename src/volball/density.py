@@ -1,21 +1,17 @@
 """Density fields and the one step of the density-equalizing flow.
 
-Densities live on elements (population / current measure) and are averaged
-onto vertices weighted by element measure. ``flow_step`` is the step of both
-the surface flow on the sphere and the volume flow in the ball: implicit
-diffusion of the vertex density, its gradient per element, the vertex mean,
-the velocity -grad rho / rho and capped advection. Each flow supplies its own
-dimension's measures (areas or volumes), lumped masses and cotangent
-Laplacian, and element gradient (``density_gradient`` for tets, from the
-hat gradients of ``tetmesh.tet_gradients``; ``surface_gradient`` for triangles).
+A ``DensityField`` holds a density on elements (population / current
+measure), rho_tet (m,), and its measure-weighted vertex mean, rho_vertex
+(n,). ``flow_step`` is the step of both the surface flow on the sphere and
+the volume flow in the ball: implicit diffusion of the vertex density, its
+gradient per element, the vertex mean, the velocity -grad rho / rho and
+capped advection. Each flow supplies its own measures (areas or volumes),
+lumped masses, cotangent Laplacian (a ``linsolve.LinearSystem``) and
+element gradient.
 
-Populations are checked on entry (one finite positive value per element).
-The Laplacian is a ``linsolve.LinearSystem`` on its assembly plan; the
-diffusion system M + dt L is its scaled data with the lumped masses added at
-the plan's diagonal slots, a system on the same plan rather than a sparse
-sum, solved by banded Cholesky in the plan's reverse Cuthill-McKee order
-where its band is narrow (the sphere, small balls) and by Jacobi PCG
-elsewhere.
+Errors: ``DensityError`` (a ValueError) on a population that is not one
+finite positive value per element, naming the first bad one, and on
+non-positive volumes or vertex densities.
 """
 
 from __future__ import annotations
@@ -99,13 +95,9 @@ def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
     """Backward-Euler diffusion: solve (A + dt L) rho_next = A rho.
 
     Conserves the lumped mass sum(A_ii rho_i) because the Laplacian has zero
-    row sums. The system is ``LinearSystem(L.plan, data)`` with data
-    dt * L.data plus the lumped masses at the plan's diagonal slots, entry
-    for entry equal to the sparse sum A + dt * L, which it replaces.
-    ``linsolve.solve`` factors it by banded Cholesky when the plan's band is
-    narrow (the surface flow's spheres, the volumes of up to a few hundred
-    vertices) and runs Jacobi PCG otherwise; either way the residual meets
-    ``linsolve.DEFAULT_TOL``.
+    row sums. The system lives on the Laplacian's plan: dt * L.data plus the
+    lumped masses at the diagonal slots, entry for entry the sum A + dt * L,
+    solved to ``linsolve.DEFAULT_TOL``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

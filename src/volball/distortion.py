@@ -1,74 +1,31 @@
 """Per-tet Jacobian analysis and prescribed-dilation map reconstruction.
 
-Each tet of a piecewise-linear map carries a Jacobian J whose dilation factor
-P = sqrt(J^T J) has eigenvalues a >= b >= |c| with sign(c) = sign(det J); the
-ratio a/c measures anisotropic distortion and is negative exactly on inverted
-tets. The module provides the eigenvalue operators used by the solvers
-(flip, residual descent, truncation) and the divergence-form solve that
-rebuilds a map realizing a prescribed frame field (``laplace.p1_blocks``).
+Layout: per-tet stacks are component-major as in ``tetmesh``. A Jacobian
+stack is (3, 3, m), tet index last, handed out as its (m, 3, 3) view, and so
+are the coefficients of ``residual_coefficients``, which ``laplace.p1_blocks``
+reads without a copy. A ``TetFrameField`` holds (m, 3, 3) orthonormal frames
+(det +1) and (m, 3) signed triples.
 
-All per-tet 3 x 3 work is closed-form and vectorised over the tets, with no
-batched LAPACK call, and stored component-major as ``tetmesh`` stores its
-geometry: a Jacobian stack is (3, 3, m), tet index last, handed to callers
-as the (m, 3, 3) view they index by tet, and every entry is a component sum
-over contiguous rows. J = E E_rest^-1 comes from the edges of one corner
-gather and the rest mesh's cached hat gradients, det J is a cofactor
-expansion, and J^T J's six unique entries come from the columns of J. The
-coefficients of ``residual_coefficients`` are (3, 3, m) too, so
-``laplace.p1_blocks`` reads them without a copy. The eigenvalues of J^T J
-come from a batched cyclic Jacobi solver: sweeps over the pairs (0,1), (0,2),
-(1,2) until every tet's off-diagonal sum is at most 1e-15 times its diagonal
-sum (4 sweeps on random and on mesh Jacobians, fewer on repeated spectra);
-the 8-sweep cap is a safety net that raises ``FrameError``. The smallest eigenvalue is
-c = det J / (a b), exact since det J = a b c, so the ratio a/c stays accurate
-to a few ulps where sqrt of the smallest eigenvalue of J^T J would lose
-cond(J)^2 * eps. The closed trigonometric form of a 3 x 3 spectrum is not
-used: on 20 000 random J with a/c = 1e3 and b within 1e-2 of c its middle
-eigenvalue is off by up to 4e-3 relative against the SVD, where Jacobi's is
-off by 1e-10.
+Contract: the dilation triple of J = E E_rest^-1 is a >= b >= |c|, the
+singular values of J with sign(c) = sign(det J), so the ratio a/c is
+negative exactly on inverted tets. a and b come from a batched cyclic Jacobi
+solver on J^T J (no LAPACK), run until every tet's off-diagonal sum is at
+most 1e-15 of its diagonal sum; c = det J / (a b) keeps a/c accurate to a
+few ulps. ``dilations`` returns the triples of ``frame_decompose`` bitwise,
+without eigenvectors. The 3dqc coefficient (``residual_coefficients``)
+needs no frames: it comes from the closed-form stretch tensor sqrt(J^T J)
+and agrees with the frame form to 3e-11 relative up to K = 1e5 (CHANGES.md,
+"3dqc runs without eigenvectors"). Frames are computed only for 3ddeq's
+advected map, whose increment is taken index-wise in its frames and so is
+not affine in sqrt(J^T J), and for the tets a rebuild screens
+(``fold_candidates``); ``reconstruct_map`` gives every other tet the current
+map's own stiffness.
 
-Eigenvectors are accumulated only where a caller needs frames:
-``frame_decompose`` gives frames and triples, ``dilations`` the bitwise
-identical triples from the same sweeps without them. The overlap
-correction's rebuild edits only inverted tets and those with a/c above a
-near-fold ratio; ``fold_candidates`` screens them from det J and tr(J^T J),
-so only screened tets are eigen-solved, in one sweep with their frames
-(the frames of the edited ones matched those of a sweep over the edited
-ones alone bitwise on all 132 edited tets of a ``dem_hemisphere``
-operation). An
-unedited tet keeps its block |V_rest| G_rest det J (J^T J)^-1 G_rest^T, which
-is the current map's own 2 |V| G G^T (G = G_rest J^-1, V = det J V_rest). On
-200 random J with singular values (K, sqrt K, 1) its worst energy-norm error
-against a long-double reference is 8e-11 at K = 1e3 and 8e-7 at K = 1e5; the
-frame form's is 7e-11 and 6e-7, the cofactor form M M^T / det J's 1.2e-10
-and 9e-7, and that of adj(J^T J) / det J, which squares the condition
-number, 1e-8 and 1e-2.
-
-The 3dqc step needs no eigenvectors. Its residual step moves every triple to
-(1 - theta)(a, b, c) + theta b, so the stepped stretch tensor is
-P' = (1 - theta) P + theta b I, affine in P = sqrt(J^T J). P itself has a
-closed form (L. P. Franca, "An algorithm to compute the square root of a
-3 x 3 positive definite matrix", Comput. Math. Appl. 18(5), 1989): by
-Cayley-Hamilton on P with P^2 = J^T J and the triple's invariants
-s1 = a + b + c, s2 = ab + bc + ca, s3 = abc (c = |det J| / (a b)),
-P = (J^T J + s2 I)^-1 (s1 J^T J + s3 I) = s1 I - adj(J^T J + s2 I) / k, where
-k = (a + b)(b + c)(c + a) = s1 s2 - s3 comes from the triple without
-cancellation (det(J^T J + s2 I) = k^2) and cond(J^T J + s2 I) <= 1 + a/b.
-The coefficient ``anisotropy_matrices`` would build on the stepped triple
-is then det(P') P'^-2 = adj(P')^2 / (a'b'c'), six-entry component
-arithmetic (``residual_coefficients``). Against a 40-digit mpmath reference
-on 200 random J with singular values (K, sqrt K, 1) and residual constant
-50, the worst relative Frobenius error of the coefficient is
-
-    K       frame form   closed form
-    10      2.3e-15      5.5e-15
-    1e3     9.7e-14      9.7e-14
-    1e5     2.6e-11      2.6e-11
-
-and at most 6e-15 on the repeated spectra (2, 2, 1), (2, 1, 1) and
-(1.5, 1.5, 1.5). The frame form stays for 3ddeq, whose increment is taken
-index-wise in the advected frames and so is not affine in P, and for the
-overlap correction's rebuild, which frames only the few tets it edits.
+Errors: ``FrameError`` (a ValueError) names the first offending tet: a
+singular J (|det J| <= 1e-14), a Jacobi solve unconverged after
+``_MAX_SWEEPS`` sweeps, or a triple an operator cannot take. ValueError on
+a residual constant <= 0, a truncation threshold <= 1, or a reconstruction
+with no fixed vertex.
 """
 
 from __future__ import annotations
@@ -86,7 +43,8 @@ class FrameError(ValueError):
     pass
 
 
-# Safety cap of the Jacobi eigensolver; 4 sweeps is the normal exit.
+# Safety cap of the Jacobi eigensolver: random and mesh Jacobians converge in
+# 4 sweeps, repeated spectra in fewer.
 _MAX_SWEEPS = 8
 # Each rotation (p, q) zeroes a_pq and mixes the two entries a_rp, a_rq of
 # the third index r; keys are (row, col) with row < col.
@@ -100,9 +58,8 @@ def jacobian_per_tet(mesh: TetMesh, positions: np.ndarray) -> np.ndarray:
     positions``, a view of a component-major (3, 3, m) stack.
 
     J = E E_rest^-1 from the deformed edges E of one ``tetmesh.corner_edges``
-    gather: the rows of E_rest^-1 are the rest mesh's cached hat gradients of
-    corners 1-3, so each entry J[r, c] = sum_k E[r, k] G_rest[k + 1, c] is a
-    three-term component sum. It satisfies J @ E_rest = E_def per tet.
+    gather and the rest hat gradients of corners 1-3 (the rows of E_rest^-1),
+    so J @ E_rest = E_def per tet.
     """
     e = corner_edges(positions, mesh.tets)
     g = component_major(mesh.hat_gradients)  # (4, 3, m)
@@ -254,16 +211,11 @@ def _signed_triples(eigvals: np.ndarray, det: np.ndarray) -> np.ndarray:
 
 
 def frame_decompose(J: np.ndarray) -> TetFrameField:
-    """Eigen-decompose the dilation part of one or many Jacobians.
-
-    Accepts (3, 3) or (m, 3, 3); eigenvalues are sorted descending with the
-    smallest one signed by det J. The frames are the eigenvectors of J^T J
-    from the batched Jacobi solver (converged when every tet's off-diagonal
-    sum is at most 1e-15 times its diagonal sum; ``FrameError`` after 8
-    sweeps). a and b are the square roots of the two largest eigenvalues and
-    c = det J / (a b), which is exact algebra (det J = a b c) and keeps a/c
-    accurate where sqrt of the smallest eigenvalue would not be.
-    """
+    """Frames and signed dilation triples of (3, 3) or (m, 3, 3) Jacobians:
+    the eigenvectors of J^T J from the Jacobi solver of the module
+    docstring, gauged by ``_fix_column_signs``, and a >= b >= |c| with
+    c = det J / (a b). ``FrameError`` on a singular J or an unconverged
+    solve."""
     J, det = _checked_jacobians(J)
     eigvals, eigvecs = _sym3_eigh(*_gram(J), vectors=True)
     return TetFrameField(_fix_column_signs(eigvecs), _signed_triples(eigvals, det))
@@ -388,8 +340,11 @@ def _sym_matrix(diag: list, off: dict) -> np.ndarray:
 
 def _stretch(J: np.ndarray, lam: np.ndarray) -> tuple[list, dict]:
     """The entries of P = sqrt(J^T J) of (m, 3, 3) Jacobians with positive
-    triples ``lam`` (c = |det J| / (a b)): s1 I - adj(J^T J + s2 I) / k
-    (module docstring)."""
+    triples ``lam`` (c = |det J| / (a b)), in closed form (L. P. Franca,
+    Comput. Math. Appl. 18(5), 1989): Cayley-Hamilton with P^2 = J^T J and
+    s1 = a + b + c, s2 = ab + bc + ca, s3 = abc gives
+    P = s1 I - adj(J^T J + s2 I) / k, where k = (a + b)(b + c)(c + a)
+    = s1 s2 - s3 comes from the triple without cancellation."""
     a, b, c = lam[:, 0], lam[:, 1], lam[:, 2]
     s1, s2 = a + b + c, a * b + b * c + c * a
     diag, off = _gram(J)

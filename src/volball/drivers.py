@@ -1,30 +1,24 @@
 """End-to-end solid ball parameterization drivers.
 
-Three variational flavors run one loop (``_iterate``): map the boundary to the
-unit sphere, fill the interior harmonically, evaluate this initial ball, then
-repeat step, settle, evaluate, stop, record, for at most n_max steps. A method
-supplies only its step and its stop rule. ``3dqc`` descends the per-tet
-anisotropy ratios and rejects the candidate, converged, once the energy stops
-decreasing. ``3ddem`` takes one ``density.flow_step`` per iteration, the
-surface flow's step one dimension up, and has converged once sd/mean of the
-vertex density is below eps, tested on the initial ball and after every step.
-``3ddeq`` blends the two through per-tet eigenvalue updates and has converged
-once the largest vertex displacement is below eps. Settle, evaluate and the
-next step share one record per iterate (``_Iterate``): its volumes and, with a
-population, hat gradients from one ``tet_gradients`` call, its Jacobians and
-their signed dilation eigenvalue triples. No iterate carries frames: the
-3dqc step builds its coefficient from the Jacobians and triples alone
-(``distortion.residual_coefficients``), and 3ddeq frames its advected map.
-Settling passes a fold-free candidate unchanged and makes a folded one
-fold-free by an overlap correction whose rounds repair the spherical boundary,
-then rebuild the interior with the boundary fixed and, while folds remain, the
-boundary patch with the interior fixed.
-A rebuild eigen-solves only the tets that pass ``distortion.fold_candidates``
-and frames only those whose triples it flips or truncates; the rest keep
-their own dilation through the current map's cotangent stiffness, so the
-current map solves the unedited system exactly and the solve starts from it.
-With the correction off, a candidate that still folds is recorded with var_rho
-None and ends the run, whatever the method.
+The three methods run one loop (``_iterate``): make the initial ball
+(spherical boundary plus harmonic fill) and evaluate it, then repeat step,
+settle, evaluate, stop and record, for at most n_max steps. A method supplies
+only its step and its stop rule: 3dqc rejects the candidate, converged, once
+its energy falls by less than 1e-5 relative; 3ddem has converged once
+sd/mean of the vertex density is below eps, tested on the initial ball and
+after every step; 3ddeq once the largest vertex move is below eps. Settling
+passes a fold-free candidate unchanged and hands a folded one to
+``correct_overlaps``. Settle, evaluate and the next step share one
+``_Iterate`` record per map (volumes, hat gradients with a population,
+Jacobians and signed dilation triples; no frames).
+
+Contract: a run returns a fold-free map with its boundary on the unit sphere,
+or raises a typed error: ``CorrectionError`` when the correction budget is
+spent, ``SphereMapError`` from the boundary map, ``FrameError`` on a
+singular tet, ``DensityError`` on a bad population, ``SolverError`` from a
+solve. With ``config.correction`` off, a candidate that still folds is
+recorded with var_rho None and ends the run instead. Identical inputs give
+bitwise identical results.
 """
 
 from __future__ import annotations
@@ -43,8 +37,7 @@ from .laplace import harmonic_fill
 from .report import RunReport
 from .sphere_map import (BoundaryMap, SphereMapError, compute_boundary_sphere_map,
                          correct_spherical_flips, normalize_rows, spherical_embedding,
-                         spherical_flips, surface_density_equalize, triangle_geometry,
-                         vertex_rings)
+                         spherical_flips, surface_density_equalize, triangle_geometry)
 from .tetmesh import TetMesh, signed_volumes, tet_gradients
 
 METHODS = ("3dqc", "3ddem", "3ddeq")
@@ -54,6 +47,10 @@ NEAR_FOLD_RATIO = 1e3
 
 
 class CorrectionError(RuntimeError):
+    """Raised by ``correct_overlaps`` when its round budget is spent before the
+    map is fold-free; ``.folds`` is the fewest folded tets plus flipped
+    boundary triangles seen, the input's included."""
+
     def __init__(self, folds: int):
         super().__init__(f"overlap correction budget exhausted: {folds} folds remain")
         self.folds = folds
@@ -102,6 +99,12 @@ class SolverConfig:
 
 @dataclass
 class RunResult:
+    """What a run returns. ``positions`` (n, 3) is the final map, fold-free
+    unless the correction was off; ``report`` its ``RunReport``;
+    ``converged`` whether the method's stop rule held (False when n_max ran
+    out or a folded candidate ended the run); ``initial_positions`` (n, 3) the
+    settled initial ball the iterations started from."""
+
     positions: np.ndarray
     report: RunReport
     converged: bool
@@ -129,15 +132,13 @@ def initial_ball(mesh: TetMesh, config: SolverConfig | None = None,
                  method: str = "3dqc") -> np.ndarray:
     """Initial unit ball map: spherical boundary plus harmonic interior.
 
-    In density-equalizing boundary mode the surface flow starts from the
-    boundary cone volumes. A fold-free fill is refined once: the flow reruns
-    from the cone volumes weighted by the fill's measured volumetric
-    compression (solids with concave-prone corners, like cubes, otherwise
-    start with a strong density spike at the corner images), and the refined
-    fill is kept only if it is fold-free with a lower normalized density
-    variance. The spherical embedding is computed once for both flows. A
-    first fill that folds is returned as it is, for the caller's overlap
-    correction.
+    In density boundary mode the surface flow runs on one spherical
+    embedding from the boundary cone volumes. A fold-free fill is refined
+    once: the flow reruns from the cone volumes weighted by the fill's tet
+    densities (without it, cubes start with a density spike at the corner
+    images), and the refined fill is kept only if it is fold-free with a
+    lower normalized density variance. A first fill that folds is returned
+    as it is, for the caller's overlap correction.
     """
     config = config or SolverConfig()
     if config.resolved_boundary_mode(method) == "conformal":
@@ -210,8 +211,6 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     if best_score == 0:
         return pos
 
-    boundary_adj = vertex_rings(b_faces, len(b_ids))
-
     def sphere_repair(p):
         sphere = normalize_rows(p[b_ids])
         if spherical_flips(sphere, b_faces).any():
@@ -233,7 +232,7 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         if not patch.any():
             return p
         for _ in range(2):
-            patch |= (boundary_adj @ patch) > 0
+            patch |= (mesh.boundary_rings @ patch) > 0
         free_b = b_ids[patch]
         fixed = np.setdiff1d(np.arange(len(mesh.vertices)), free_b)
         if len(fixed) == 0:
@@ -324,11 +323,8 @@ def compute_energies(tets: np.ndarray, w: np.ndarray, gradients: np.ndarray | No
 
 def k_stats(lambdas: np.ndarray):
     """Mean and standard deviation of the anisotropy ratio K >= 1 of the
-    signed dilation triples ``lambdas``.
-
-    K is taken from the flipped eigenvalues, so inverted tets count with
-    their unsigned ratio.
-    """
+    signed dilation triples ``lambdas``; inverted tets count with their
+    unsigned ratio."""
     k = anisotropy_ratios(flip_eigenvalues(lambdas))
     # a numerically collapsed tet (eigenvalue rounded to zero) would poison
     # the statistics with an infinity; report over the finite entries
@@ -569,6 +565,8 @@ def run_3ddeq(mesh: TetMesh, population: np.ndarray,
 def run_method(method: str, mesh: TetMesh, population: np.ndarray | None = None,
                config: SolverConfig | None = None,
                init_positions: np.ndarray | None = None) -> RunResult:
+    """``run_3dqc``, ``run_3ddem`` or ``run_3ddeq`` by name (3dqc ignores
+    ``population``); ValueError on any other ``method``."""
     if method == "3dqc":
         return run_3dqc(mesh, config, init_positions)
     if method == "3ddem":

@@ -43,6 +43,10 @@ def load_mesh(path: str, fmt: str | None = None) -> TetMesh:
 
 def save_mesh(path: str, vertices: np.ndarray, tets: np.ndarray,
               fmt: str | None = None) -> None:
+    """Write ``vertices`` (n, 3) and 0-based ``tets`` (m, 4) in ``fmt``
+    (``medit``, ``gmsh2`` or ``vtk``), by default inferred from the extension
+    of ``path`` (``.mesh``, ``.msh``, ``.vtk``). Raises ``ParseError`` on an
+    unknown extension or format."""
     fmt = fmt or format_from_path(path)
     if fmt == "medit":
         _write_medit(path, vertices, tets)

@@ -1,14 +1,8 @@
 """P1 stiffness |V| G A G^T on tets from ``tetmesh.tet_gradients`` (volumes V,
-hat gradients G): the cotangent Laplacian is A = I / 2, the classical
-S S^T / (18 V) of the face area vectors S = -3 V G; the map reconstruction's A
-is anisotropic.
-
-The blocks are computed component-major, element index last, as ``tetmesh``
-stores the gradients: G as (k, d, m) and A as (d, d, m), each block entry a
-sum of products of contiguous rows, returned as the (m, k, k) view that
-``linsolve.assemble`` flattens in its plan's triplet order. ``laplacian_matrix``
-returns the assembled ``linsolve.LinearSystem``, which ``harmonic_fill``
-constrains and solves as it is."""
+hat gradients G): the cotangent Laplacian has A = I / 2, the map
+reconstruction an anisotropic A. Blocks are computed component-major (G as
+(k, d, m), A as (d, d, m)) and returned as the (m, k, k) view that
+``linsolve.assemble`` flattens in its plan's triplet order."""
 
 from __future__ import annotations
 
@@ -62,20 +56,10 @@ def laplacian_matrix(mesh: TetMesh, geometry=None) -> linsolve.LinearSystem:
 
 def harmonic_fill(mesh: TetMesh, boundary_points: np.ndarray,
                   boundary_indices: np.ndarray) -> np.ndarray:
-    """Fill the interior with the discrete harmonic extension of a boundary map.
-
-    Solves the cotangent-Laplace system with Dirichlet rows at the boundary
-    vertices, one scalar solve per coordinate.
-
-    Parameters
-    ----------
-    mesh : TetMesh
-        Rest mesh supplying both connectivity and the weights' geometry.
-    boundary_points : (k, 3) array
-        Target positions of the boundary vertices.
-    boundary_indices : (k,) array
-        Vertex indices the rows of ``boundary_points`` refer to.
-    """
+    """Discrete harmonic extension of a boundary map: the rest mesh's
+    cotangent-Laplace system with the vertices ``boundary_indices`` (k,)
+    fixed at the rows of ``boundary_points`` (k, 3), solved for all three
+    coordinates. ValueError when the two lengths differ."""
     boundary_points = np.asarray(boundary_points, dtype=np.float64)
     if len(boundary_indices) != len(boundary_points):
         raise ValueError("boundary point count does not match boundary vertices")

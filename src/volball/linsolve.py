@@ -1,97 +1,32 @@
-"""Sparse symmetric systems with Dirichlet constraints.
+"""Sparse symmetric systems with Dirichlet constraints: every finite-element
+solve in the package goes through this module.
 
-All finite-element solves in the package go through this module: assembly,
-constraint handling by row/column elimination, and the solve of the reduced
-SPD system, by banded Cholesky or by a diagonally preconditioned conjugate
-gradient.
+Layout: a ``LinearSystem(plan, data)`` is an ``AssemblyPlan``, built once per
+connectivity (the sorted CSR pattern of a triplet layout, the slot of each
+triplet and of each entry's transpose, and, on first use, each row's
+diagonal slot and the pattern's ``Band`` in reverse Cuthill-McKee order),
+plus ``data``, one value per pattern entry. The CSR matrix is a view built
+on first use, and only an unconstrained solve builds it.
 
-Every system is a ``LinearSystem(plan, data)``: an ``AssemblyPlan`` holds what
-depends only on the connectivity, the sorted CSR pattern of a triplet layout
-and the slot of each triplet in it, built once per mesh (or per boundary
-triangulation), and ``data`` one value per entry of that pattern. ``assemble``
-takes a plan and one value per triplet and scatters them with ``np.bincount``,
-which sums the duplicates of each entry in input order, so repeated runs are
-bitwise identical. Every assembly still checks symmetry against the plan's
-transpose slots, the precondition of both solves. A plan also knows the slot
-of each row's diagonal entry, where callers add a mass matrix to a copy of
-the data. The solves read the data: a constrained solve gathers the CSR
-blocks of its free rows from it, and only an unconstrained one builds the
-full CSR matrix (``LinearSystem.matrix``, for PCG's products).
+Contract:
+- ``assemble`` sums duplicate triplets with ``np.bincount`` in input order,
+  so assembly, and every solve after it, is bitwise reproducible.
+- ``solve`` returns the fixed entries exactly and a free part with
+  ``||b - A x|| <= tol ||b||`` on the reduced system (fixed rows and columns
+  eliminated, so it stays symmetric). It factors the system by banded
+  Cholesky in the plan's order restricted to the free rows iff
+  n_free (bw_free + 1)^2 <= nrhs * BAND_WORK_LIMIT, since one factorization
+  serves all nrhs columns while PCG's cost grows with nrhs. Jacobi PCG then
+  starts from the factored solution, so its first residual checks it, or,
+  for every other system and after a breakdown of the factorization, from
+  the caller's start.
 
-The Dirichlet elimination needs the free-free and free-fixed blocks of each
-constrained system. A plan keeps the ``Split`` of its ``SPLIT_CACHE`` most
-recently used fixed sets (keyed by the set's bytes): the free rows, the CSR
-patterns of both blocks with the slots of their entries in the data, and the
-band restricted to the free rows, so a repeated fixed set (the boundary, in
-every reconstruction) only gathers data. The blocks are entry for entry the
-scipy slices ``A[free][:, free]`` and ``A[free][:, fixed]``. Building them
-and the restricted band by fancy indexing on every solve cost 49 + 7.6 ms
-per ``dem_hemisphere`` operation (32 constrained solves) and 13 + 7.2 ms per
-``qc_stretched_20k`` one.
-
-``solve`` takes one of two paths: a system whose band is narrow enough is
-factored directly, every other one runs PCG. The plan orders its rows once by
-reverse Cuthill-McKee (E. Cuthill and J. McKee, "Reducing the bandwidth of
-sparse symmetric matrices", ACM 1969), which leaves a surface mesh a band of
-about sqrt(n), and its ``band`` keeps that order, the bandwidth bw and the
-scatter of the CSR data into LAPACK lower band storage. A system with fixed rows uses
-the same order restricted to its free rows (``Band.restrict``): no ordering
-per solve, and a band within a few percent of the free rows' own RCM band
-(160 against 166 on the ball2 interior, 380 against 376 on stretched3). One
-factorization serves all nrhs right-hand sides, and it costs about
-n_free (bw_free + 1)^2 flops, where PCG's cost grows with nrhs, so the rule
-is one inequality:
-
-    direct  iff  n_free (bw_free + 1)^2 <= nrhs * BAND_WORK_LIMIT = nrhs * 8e6.
-
-Every other system runs the conjugate gradient. Per solve, best of repeated
-runs on a 2-core x86_64 host with two BLAS threads (the results agree to the
-PCG tolerance). One column: M + 0.1 L at the mesh's own (or the radially
-projected boundary's) geometry, unconstrained, PCG to 1e-10 from zero. Three
-columns: the workloads' reconstructions div(A grad u) = 0 with the boundary
-fixed, PCG to 1e-9 from the current map:
-
-    system                   n     bw   n (bw+1)^2  Jacobi PCG    banded
-    1 column
-    graded1 sphere           120   21   5.8e4       0.35-0.64 ms  0.07 ms
-    graded1 volume           187   55   5.9e5       0.68-0.71 ms  0.18 ms
-    ball2 / graded2 sphere   480   39   7.7e5       0.78-1.3 ms   0.20-0.37 ms
-    lcube8 volume            665   66   3.0e6       0.56-1.1 ms   0.56-0.85 ms
-    stretched3 sphere        1080  55   3.4e6       2.5-3.9 ms    0.65-1.1 ms
-    cube8 volume             729   82   5.0e6       0.69-1.1 ms   0.59-1.1 ms
-    cube9 volume             1000  101  1.0e7       0.65 ms       1.1 ms
-    ball2 / graded2 volume   1213  219  5.9e7       1.4-2.9 ms    2.6-7.9 ms
-    stretched3 volume        3799  457  8.0e8       10-14 ms      36-41 ms
-    3 columns, n = n_free
-    graded1 interior         67    27   5.3e4       1.7-2.5 ms    0.42-0.55 ms
-    ball2 interior           733   160  1.9e7       3.6 ms        2.2-2.5 ms
-    stretched3 interior      2719  380  3.9e8       13-14 ms      18 ms
-
-One column breaks even between 5e6 and 1e7, three columns of the harder
-anisotropic systems above 1.9e7; the limit sits between the ball2 interior's
-6.2e6-7.0e6 per column (over 25 renumberings of the mesh) and cube9's 1.0e7.
-A dense Cholesky loses to the banded one everywhere (0.11 ms at n = 120,
-2.3-7.5 ms at n = 480). In production the direct path serves the
-backward-Euler diffusion systems of ``density.diffusion_step`` on the sphere
-and in small balls, the harmonic fills and reconstructions up to the ball2
-interior, and the spherical Beltrami repairs; the 1 213-row ball's
-diffusion and the stretched ball's reconstructions stay on PCG.
-
-The direct solution is the start of the conjugate gradient, whose first
-residual checks the solve contract ``||b - A x|| <= tol * ||b||`` with one
-product per column and returns it with no iteration when it holds. Where
-rounding keeps the factored solution above the bound (an ill-conditioned
-system, whose floor eps ||A|| ||x|| exceeds tol ||b||) the iteration carries
-on from it. A leading minor that is not positive definite hands the system to
-PCG from the caller's start, as if the rule had said no (a singular but
-consistent system can still meet the contract there); if PCG fails too, its
-SolverError names the vertex where the factorization broke down. A NaN
-right-hand side raises at the first curvature, as on the PCG path.
-
-The conjugate gradient (``_pcg``) is preconditioned by the inverse diagonal
-and updates its vectors in place; it raises SolverError as soon as a
-curvature p . A p is not positive, NaN included, rather than running out its
-iteration budget.
+Errors: ``assemble`` raises ValueError on an asymmetric result, the
+precondition of both solves, and ``AssemblyPlan`` IndexError on a triplet
+out of range. ``solve`` raises ValueError on a right-hand side of the wrong
+length, and ``SolverError`` when CG meets a curvature p.Ap that is not
+positive (NaN included) or runs out of iterations; if the factorization
+broke down first, the message names the vertex where it did.
 """
 
 from __future__ import annotations
@@ -109,11 +44,15 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 DEFAULT_TOL = 1e-10
 
 # A system is factored directly when n_free (bw_free + 1)^2 is at most nrhs
-# times this (the table in the module docstring).
+# times this. The banded solve wins at the ball2 interior's 6.2e6-7.0e6 per
+# column and loses at cube9's 1.0e7 (crossover table: CHANGES.md, "Contracts,
+# not histories").
 BAND_WORK_LIMIT = 8e6
 
-# Dirichlet splits a plan keeps, keyed by their fixed sets (least recently
-# used dropped first).
+# Dirichlet splits a plan keeps, keyed by their fixed sets, least recently used
+# dropped first: the boundary set every reconstruction repeats stays cached
+# while an overlap correction's one-off patch sets pass through (savings:
+# CHANGES.md, "Contracts, not histories").
 SPLIT_CACHE = 4
 
 logger = logging.getLogger("volball.linsolve")
@@ -285,8 +224,10 @@ class AssemblyPlan:
 
     @cached_property
     def band(self) -> Band:
-        """The pattern in reverse Cuthill-McKee order and its band storage;
-        the rule's decision for one right-hand side is logged once at DEBUG."""
+        """The pattern in reverse Cuthill-McKee order (E. Cuthill and J. McKee,
+        "Reducing the bandwidth of sparse symmetric matrices", ACM 1969) and
+        its band storage; the rule's decision for one right-hand side is
+        logged once at DEBUG."""
         n = self.dimension
         pattern = csr_matrix((np.ones(self.indices.size), self.indices, self.indptr),
                              shape=(n, n))
@@ -329,12 +270,8 @@ class AssemblyPlan:
 
 
 def assemble(plan: AssemblyPlan, values) -> LinearSystem:
-    """The symmetric LinearSystem of ``plan`` with the values of its triplets.
-
-    Duplicates are summed by ``np.bincount`` in input order, so assembly is
-    bitwise reproducible across runs. Raises ValueError when the result is not
-    symmetric, the precondition of the conjugate gradient solve.
-    """
+    """The symmetric LinearSystem of ``plan`` with the values of its triplets,
+    duplicates summed in input order; ValueError when it is not symmetric."""
     data = np.bincount(plan.slot, weights=np.asarray(values, dtype=np.float64),
                        minlength=plan.indices.size)
     mirrored = np.where(plan.transpose_slot >= 0, data[plan.transpose_slot], 0.0)
@@ -346,14 +283,10 @@ def assemble(plan: AssemblyPlan, values) -> LinearSystem:
 
 def _pcg(A, b, rtol, maxiter, x0=None):
     """Jacobi-preconditioned CG from x0 (default 0): returns (x, iterations,
-    residual).
-
-    It stops once ``||b - A x|| <= rtol * ||b||``, measured against the
-    right-hand side whatever the start. Norms are ``sqrt(r @ r)``, bitwise
-    equal to ``np.linalg.norm`` on 1-D input, and the search direction is
-    updated in place; a curvature ``p @ A p`` that is not positive (NaN
-    included) raises at once.
-    """
+    residual), stopping once ``||b - A x|| <= rtol * ||b||`` whatever the
+    start. Norms are ``sqrt(r @ r)``, bitwise ``np.linalg.norm`` on 1-D
+    input; a curvature ``p @ A p`` that is not positive (NaN included)
+    raises SolverError at once."""
     n = len(b)
     b = np.ascontiguousarray(b)  # as np.linalg.norm's ravel makes it
     bnorm = sqrt(b @ b)
@@ -416,17 +349,12 @@ def _banded_solve(data: np.ndarray, band: Band, b: np.ndarray) -> np.ndarray:
 
 def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
           start: np.ndarray | None = None) -> np.ndarray:
-    """Solve the (constrained) system for one or several right-hand sides.
+    """Solve the (constrained) system for ``rhs`` of shape (n,) or (n, nrhs),
+    to the contract of the module docstring; the result has ``rhs``'s shape.
 
-    Constrained entries of the result equal their fixed values exactly; the
-    free part satisfies ``||A x - b|| <= tol * ||b||`` on the reduced system.
-    Jacobi PCG reaches it from ``start``, shaped like the result, as the
-    initial guess of the free part (zero by default). When the plan's band,
-    restricted to the free rows, passes the size rule
-    (n_free (bw_free + 1)^2 <= nrhs BAND_WORK_LIMIT, see the module docstring)
-    its banded Cholesky solution replaces that guess, and PCG's first
-    residual checks it. A constrained solve builds only the CSR blocks of the
-    free rows, never ``system.matrix``.
+    ``start``, shaped like the result, is CG's guess of the free part (zero
+    by default) unless a banded solution replaces it. A constrained solve
+    builds only the CSR blocks of the free rows, never ``system.matrix``.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     single = rhs.ndim == 1

@@ -1,21 +1,20 @@
 """Bijective spherical maps for the boundary surface of a solid.
 
-The boundary of the solid is a closed genus-0 triangle mesh. It is sent to the
-unit sphere by a normalized radial embedding smoothed with mean-value weights,
-which keeps its latest flip-free round, and then, in density mode, by
-density-equalizing iterations on the sphere. Flipped spherical triangles left
-by a density round, or by the volume overlap correction, are repaired by
-truncating the per-triangle Beltrami coefficient in a stereographic chart and
-re-solving the associated elliptic system.
+The boundary, a closed genus-0 triangle mesh, goes to the unit sphere by a
+centred radial projection smoothed with mean-value weights, keeping the
+latest flip-free round, and in density mode then by the surface
+density-equalizing flow, the volume flow's ``density.flow_step`` one
+dimension down. Flipped spherical triangles left by a flow round, or by the
+volume overlap correction, are repaired by truncating the per-triangle
+Beltrami coefficient in a stereographic chart and re-solving its elliptic
+system. One ``triangle_geometry`` pass per round serves the density, the
+cotangent weights, the face gradient and the flip test.
 
-The surface density flow takes the volume flow's step, ``density.flow_step``,
-one dimension down: it builds the triangles' ``tetmesh.Connectivity`` once
-per call and supplies per round the face areas, the lumped vertex areas, the
-cotangent Laplacian (``surface_laplacian``) and the face gradient
-(``surface_gradient``). Each round makes one ``triangle_geometry`` pass
-(edge vectors, unnormalised normals, doubled areas, in component
-arithmetic), shared by the density, the cotangent weights, the face gradient
-and the flip test.
+Contract: the maps returned by ``spherical_embedding``,
+``correct_spherical_flips``, ``surface_density_equalize`` (from a
+flip-free start) and ``compute_boundary_sphere_map`` have unit-norm rows
+and no flipped triangle; where none can be reached, they raise
+``SphereMapError`` (a ``tetmesh.MeshError``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 
 from . import density, linsolve
 from .laplace import p1_blocks
-from .tetmesh import Connectivity, MeshError, TetMesh, _cross
+from .tetmesh import Connectivity, MeshError, TetMesh, _cross, vertex_rings
 
 # Mean-value smoothing rounds of the spherical embedding.
 SMOOTH_ITERS = 20
@@ -138,15 +137,6 @@ def surface_gradient(geometry: TriangleGeometry, corner_values: np.ndarray) -> n
     return _cross(geometry.normals, s) / (geometry.area2 * geometry.area2)[:, None]
 
 
-def vertex_rings(faces: np.ndarray, n_vertices: int) -> csr_matrix:
-    e = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    adj = coo_matrix((np.ones(2 * len(e)),
-                      (np.concatenate([e[:, 0], e[:, 1]]),
-                       np.concatenate([e[:, 1], e[:, 0]]))),
-                     shape=(n_vertices, n_vertices))
-    return adj.tocsr()
-
-
 def relax_patch(points: np.ndarray, adj: csr_matrix, seeds: np.ndarray,
                 w: float) -> np.ndarray:
     """Move the ``seeds`` vertices and their one-ring three times a fraction
@@ -173,9 +163,9 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
 def center_sphere(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """One recentring step: translate by the area centroid and reproject.
 
-    One step, not a loop: the area centroid of an inscribed polyhedron barely
-    responds to a translation (a step removes 0.6-3% of the offset), and exact
-    centring raises 3dqc's mean_K on the stretched ball by 1.5%.
+    One step, not a loop: a translation barely moves the area centroid of an
+    inscribed polyhedron, and exact centring raises 3dqc's mean_K (CHANGES.md,
+    "One centring step per smoothing round").
     """
     _, areas = face_normals_areas(points, faces)
     centroid = (areas[:, None] * points[faces].mean(axis=1)).sum(axis=0) / areas.sum()
@@ -361,7 +351,7 @@ def spherical_embedding(surface_points: np.ndarray, faces: np.ndarray) -> np.nda
     unit-norm projection and one recentring step (``center_sphere``), and
     returns the latest flip-free configuration among the start and the
     rounds. When all of them flip the call raises ``SphereMapError`` with the
-    last round's flip count (``lcube_mesh(5)``: 12 flips).
+    last round's flip count.
     """
     pts = np.asarray(surface_points, dtype=np.float64)
     u = center_sphere(pts, faces)
@@ -388,10 +378,7 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
     Face density is population over current area; iterations stop when its
     sd/mean ratio falls below ``eps`` or after ``max_iter`` rounds. Each
     round is one ``density.flow_step`` with the triangle supplies, and a
-    flipped result is repaired against the last valid map. What depends only
-    on the triangulation is built once (``Connectivity``); each round makes
-    one ``triangle_geometry`` pass, which the density, the cotangent weights,
-    the face gradient and the flip test share. Raises
+    flipped result is repaired against the last valid map. Raises
     SphereMapError naming the first face whose population is not finite and
     positive. Each call logs the rounds used, the reason and the final ratio
     at DEBUG level.

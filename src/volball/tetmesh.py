@@ -1,14 +1,17 @@
 """Tetrahedral mesh container: validation, topology queries, point location,
 and the element connectivity shared by triangle and tet meshes.
 
-Per-tet geometry is computed and stored component-major: tet index last, so
-every elementwise pass reads and writes contiguous rows of length m. A read
-(``corner_edges``) transposes the positions to (3, n) once and gathers the
-corners with one ``take``; the edge vectors from corner 0 come back as
-(3, 3, m), coordinate first, so ``E[:, k]`` is edge k. ``tet_gradients``
-builds the hat gradients as (4, 3, m) and hands callers the (m, 4, 3) view
-they index by tet; ``np.moveaxis(g, 0, -1)`` (``component_major``) gets the
-contiguous rows back without a copy."""
+Per-tet geometry is component-major, tet index last, so every elementwise
+pass reads contiguous rows of length m: ``corner_edges`` returns (3, 3, m)
+with ``E[:, k]`` edge k, and ``tet_gradients`` builds (4, 3, m) hat
+gradients and hands out their (m, 4, 3) view. ``component_major`` and
+``per_tet`` switch views without a copy.
+
+Errors: ``TetMesh.from_arrays`` raises ``MeshError`` on malformed arrays,
+``DegenerateTetError`` on a degenerate tet and ``TopologyError`` on a bad
+topology; ``PointLocator`` and ``barycentric_coordinates`` raise
+``DegenerateTetError`` on a zero-volume tet.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -29,11 +32,17 @@ class MeshError(ValueError):
 
 
 class DegenerateTetError(MeshError):
-    pass
+    """A tet that repeats a vertex or whose volume is below
+    ``DEGENERACY_FACTOR`` times the cube of the bounding-box diagonal
+    (``TetMesh.from_arrays``), or of zero volume where barycentric
+    coordinates are taken; the message names the tet."""
 
 
 class TopologyError(MeshError):
-    pass
+    """A mesh that is not a simply-connected solid: isolated vertices, a face
+    shared by more than two tets, no boundary, or a boundary that is not one
+    closed, edge-manifold, genus-0 surface. ``load_mesh`` also raises it on a
+    file with no tetrahedra."""
 
 
 # Local vertex triples of the four faces of a tet (0,1,2,3), oriented so the
@@ -70,6 +79,17 @@ def _unique_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = pairs[:, 0], pairs[:, 1]
     key, counts = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_counts=True)
     return np.column_stack([key // n, key % n]), counts
+
+
+def vertex_rings(faces: np.ndarray, n_vertices: int) -> csr_matrix:
+    """Symmetric (n_vertices, n_vertices) adjacency of the edges of the
+    triangles ``faces``; entry (i, j) counts the faces with edge ij."""
+    e = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    adj = coo_matrix((np.ones(2 * len(e)),
+                      (np.concatenate([e[:, 0], e[:, 1]]),
+                       np.concatenate([e[:, 1], e[:, 0]]))),
+                     shape=(n_vertices, n_vertices))
+    return adj.tocsr()
 
 
 class Connectivity:
@@ -202,10 +222,8 @@ def _affine_barycentric(grad: np.ndarray, x0: np.ndarray, points: np.ndarray) ->
 
 def barycentric_coordinates(vertices: np.ndarray, tets: np.ndarray,
                             tet_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of ``points[i]`` inside ``tets[tet_ids[i]]``.
-
-    Returns an array of shape (k, 4) whose rows sum to 1.
-    """
+    """Barycentric coordinates (k, 4), rows summing to 1, of ``points[i]`` in
+    ``tets[tet_ids[i]]``."""
     tet_ids = np.asarray(tet_ids, dtype=np.int64)
     vols, grad = tet_gradients(vertices, tets, tet_ids)
     _invertible(vols, tet_ids)
@@ -415,13 +433,18 @@ class TetMesh:
         idx.setflags(write=False)
         return idx
 
-    def boundary_surface(self) -> tuple[np.ndarray, np.ndarray]:
-        """Boundary triangle mesh with compact vertex indexing.
+    @cached_property
+    def boundary_rings(self) -> csr_matrix:
+        """``vertex_rings`` of the boundary surface in the compact indexing of
+        ``boundary_surface``, built once, with read-only arrays."""
+        rings = vertex_rings(self.boundary_surface()[1], len(self.boundary_vertices))
+        for arr in (rings.data, rings.indices, rings.indptr):
+            arr.setflags(write=False)
+        return rings
 
-        Returns (vertex_ids, faces): ``vertex_ids`` maps compact index back to
-        the volume mesh, ``faces`` are outward-oriented triangles over the
-        compact indices.
-        """
+    def boundary_surface(self) -> tuple[np.ndarray, np.ndarray]:
+        """(vertex_ids, faces): the boundary vertices, which map compact index
+        to volume index, and the outward triangles over compact indices."""
         vertex_ids = self.boundary_vertices
         inv = np.full(len(self.vertices), -1, dtype=np.int64)
         inv[vertex_ids] = np.arange(len(vertex_ids))

@@ -23,3 +23,11 @@ def test_all_is_the_user_api_and_every_name_resolves():
     for name in volball.__all__:
         assert namespace[name] is getattr(volball, name)
         assert callable(namespace[name])
+
+
+def test_every_exported_name_states_its_contract():
+    # a dataclass without a docstring gets its signature as __doc__
+    for name in volball.__all__:
+        doc = (getattr(volball, name).__doc__ or "").strip()
+        assert doc, f"{name} has no docstring"
+        assert not doc.startswith(f"{name}("), f"{name} has only its signature"

@@ -121,6 +121,24 @@ def test_correct_overlaps_single_interior_fold(ball_mesh):
                   - 1).max() < 1e-12
 
 
+def test_correct_overlaps_builds_the_boundary_rings_once(monkeypatch, ball_mesh):
+    # a boundary vertex pushed inward folds tets the interior rebuild cannot
+    # unfold, so each call frees a boundary patch grown over the rings
+    from volball import tetmesh
+    builds = []
+    rings = tetmesh.vertex_rings
+    monkeypatch.setattr(tetmesh, "vertex_rings",
+                        lambda *args: builds.append(1) or rings(*args))
+    mesh = TetMesh.from_arrays(ball_mesh.vertices, ball_mesh.tets)
+    pushed = mesh.vertices.copy()
+    pushed[mesh.boundary_vertices[0]] *= 0.3
+    assert mesh.count_folds(pushed) > 0
+    for _ in range(2):
+        assert mesh.count_folds(correct_overlaps(mesh, pushed, 10.0)) == 0
+    assert len(builds) == 1
+    assert not mesh.boundary_rings.data.flags.writeable
+
+
 def test_compute_energies_identity(ball_mesh):
     lambdas = dilations(jacobian_per_tet(ball_mesh, ball_mesh.vertices))
     field = dem.recouple_density(ball_mesh, ball_mesh.vertices,
