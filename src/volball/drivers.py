@@ -52,7 +52,8 @@ class CorrectionError(RuntimeError):
     boundary triangles seen, the input's included."""
 
     def __init__(self, folds: int):
-        super().__init__(f"overlap correction budget exhausted: {folds} folds remain")
+        super().__init__(f"overlap correction budget exhausted: the best state seen has "
+                         f"{folds} folded tets plus flipped boundary triangles")
         self.folds = folds
 
 
@@ -187,7 +188,7 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     with the interior fixed, project it back to unit norm and rebuild the
     interior again. The round that reaches no folds is returned with its
     boundary renormalised; a budget spent first raises ``CorrectionError``
-    with the fewest folds seen.
+    with the fewest folded tets plus flipped boundary triangles seen.
 
     ``mesh`` provides the rest geometry; ``reference_boundary`` must be a
     flip-free spherical configuration of the boundary vertices and defaults to

@@ -5,8 +5,9 @@ Layout: a ``LinearSystem(plan, data)`` is an ``AssemblyPlan``, built once per
 connectivity (the sorted CSR pattern of a triplet layout, the slot of each
 triplet and of each entry's transpose, and, on first use, each row's
 diagonal slot and the pattern's ``Band`` in reverse Cuthill-McKee order),
-plus ``data``, one value per pattern entry. The CSR matrix is a view built
-on first use, and only an unconstrained solve builds it.
+plus ``data``, one value per pattern entry. A ``Block`` (the whole pattern,
+or a Dirichlet ``Split``'s free-free or free-fixed block) multiplies by its
+part of ``data`` without a matrix: only a solve that iterates builds one.
 
 Contract:
 - ``assemble`` sums duplicate triplets with ``np.bincount`` in input order,
@@ -16,10 +17,10 @@ Contract:
   eliminated, so it stays symmetric). It factors the system by banded
   Cholesky in the plan's order restricted to the free rows iff
   n_free (bw_free + 1)^2 <= nrhs * BAND_WORK_LIMIT, since one factorization
-  serves all nrhs columns while PCG's cost grows with nrhs. Jacobi PCG then
-  starts from the factored solution, so its first residual checks it, or,
-  for every other system and after a breakdown of the factorization, from
-  the caller's start.
+  serves all nrhs columns while PCG's cost grows with nrhs, and checks each
+  factored column against the bound. Jacobi PCG runs where that check fails
+  (from the factored column), or where the band is too wide or the
+  factorization breaks down (from the caller's start).
 
 Errors: ``assemble`` raises ValueError on an asymmetric result, the
 precondition of both solves, and ``AssemblyPlan`` IndexError on a triplet
@@ -72,7 +73,8 @@ class LinearSystem:
     constraints.
 
     ``data`` holds one value per entry of ``plan``'s CSR pattern;
-    ``matrix`` is the CSR view of the two, built on first use.
+    ``matrix`` is the CSR view of the two, built on first use and never by
+    ``solve``.
     ``fixed_indices`` (sorted, unique) lists the constrained rows and
     ``fixed_values`` their values, one row (a scalar or one value per
     right-hand side) each; a repeated index keeps its first value.
@@ -92,8 +94,7 @@ class LinearSystem:
 
     @cached_property
     def matrix(self) -> csr_matrix:
-        n = self.plan.dimension
-        return csr_matrix((self.data, self.plan.indices, self.plan.indptr), shape=(n, n))
+        return self.plan.pattern.matrix(self.data)
 
     def constrain(self, indices, values) -> None:
         indices = np.asarray(indices, dtype=np.int64)
@@ -137,16 +138,45 @@ class Band:
 
 
 @dataclass(frozen=True)
+class Block:
+    """A CSR pattern whose values sit at ``slots`` of a larger data array: a
+    whole plan's pattern (``slots`` then takes all of it) or one block of a
+    Dirichlet split."""
+
+    slots: np.ndarray | slice
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each entry, in CSR order."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def matrix(self, data: np.ndarray) -> csr_matrix:
+        return csr_matrix((data[self.slots], self.indices, self.indptr), shape=self.shape)
+
+    def matvec(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``self.matrix(data) @ x`` for an (ncols, nrhs) ``x``, with no CSR
+        built: each row's products summed from zero in CSR order, as scipy's
+        ``csr_matvec`` sums them, so the result is bitwise scipy's. Columns
+        go one at a time (a 2-D gather of ``x`` rows costs more than the sums)
+        and the result is the transpose of a C-contiguous (nrhs, nrows)."""
+        values = data[self.slots]
+        return np.array([np.bincount(self.rows, values * column[self.indices],
+                                     minlength=self.shape[0]) for column in x.T]).T
+
+
+@dataclass(frozen=True)
 class Split:
     """The Dirichlet split of a CSR pattern at a sorted fixed set: the free
-    rows, the CSR patterns of the free-free and free-fixed blocks with the
-    slots of their entries in the full data, and the pattern's band
-    restricted to the free rows. ``blocks`` only gathers data."""
+    rows, the free-free and free-fixed blocks (entry for entry
+    ``A[free][:, free]`` and ``A[free][:, fixed]``) and the pattern's band
+    restricted to the free rows."""
 
     free: np.ndarray   # (n_free,) the free rows, ascending
-    n_fixed: int
-    inner: tuple       # (slots, indices, indptr) of the free-free block
-    outer: tuple       # (slots, indices, indptr) of the free-fixed block
+    inner: Block       # free-free
+    outer: Block       # free-fixed
     band: Band
 
     @classmethod
@@ -161,23 +191,16 @@ class Split:
         in_free_row = np.repeat(free, np.diff(indptr))
         free_col = free[indices]
 
-        def block(mask):
+        def block(mask, n_cols):
             # entries keep their CSR order: free rows ascending, columns sorted
             before = np.concatenate([[0], np.cumsum(mask)])
             slots = np.flatnonzero(mask)
-            return slots, rank[indices[slots]], np.append(before[indptr[free_idx]], slots.size)
+            return Block(slots, rank[indices[slots]],
+                         np.append(before[indptr[free_idx]], slots.size),
+                         (free_idx.size, n_cols))
 
-        return cls(free_idx, fixed.size, block(in_free_row & free_col),
-                   block(in_free_row & ~free_col), band.restrict(free))
-
-    def blocks(self, data: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
-        """The free-free and free-fixed blocks of a matrix with this pattern
-        and ``data``: entry for entry ``A[free][:, free]`` and
-        ``A[free][:, fixed]``."""
-        n_free = self.free.size
-        (ff, ff_cols, ff_ptr), (fc, fc_cols, fc_ptr) = self.inner, self.outer
-        return (csr_matrix((data[ff], ff_cols, ff_ptr), shape=(n_free, n_free)),
-                csr_matrix((data[fc], fc_cols, fc_ptr), shape=(n_free, self.n_fixed)))
+        return cls(free_idx, block(in_free_row & free_col, free_idx.size),
+                   block(in_free_row & ~free_col, fixed.size), band.restrict(free))
 
 
 class AssemblyPlan:
@@ -214,10 +237,14 @@ class AssemblyPlan:
         self._splits: dict[bytes, Split] = {}
 
     @cached_property
+    def pattern(self) -> Block:
+        """The whole pattern as a block of the data it is assembled into."""
+        return Block(slice(None), self.indices, self.indptr, (self.dimension,) * 2)
+
+    @cached_property
     def diagonal(self) -> np.ndarray:
         """CSR slot of each row's diagonal entry, shape (dimension,)."""
-        rows = np.repeat(np.arange(self.dimension), np.diff(self.indptr))
-        slots = np.flatnonzero(self.indices == rows)
+        slots = np.flatnonzero(self.indices == self.pattern.rows)
         if slots.size != self.dimension:
             raise ValueError("pattern lacks a diagonal entry in some row")
         return slots
@@ -229,12 +256,11 @@ class AssemblyPlan:
         its band storage; the rule's decision for one right-hand side is
         logged once at DEBUG."""
         n = self.dimension
-        pattern = csr_matrix((np.ones(self.indices.size), self.indices, self.indptr),
-                             shape=(n, n))
-        order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.int64)
+        order = reverse_cuthill_mckee(self.pattern.matrix(np.ones(self.indices.size)),
+                                      symmetric_mode=True).astype(np.int64)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
-        rows = rank[np.repeat(np.arange(n), np.diff(self.indptr))]
+        rows = rank[self.pattern.rows]
         cols = rank[self.indices]
         entries = np.flatnonzero(rows >= cols)
         offset = rows[entries] - cols[entries]
@@ -353,50 +379,66 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
     to the contract of the module docstring; the result has ``rhs``'s shape.
 
     ``start``, shaped like the result, is CG's guess of the free part (zero
-    by default) unless a banded solution replaces it. A constrained solve
-    builds only the CSR blocks of the free rows, never ``system.matrix``.
+    by default); a factored column that meets the bound needs none. Only CG
+    builds a CSR matrix, and then only the free-free block, never
+    ``system.matrix``.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     single = rhs.ndim == 1
-    b = rhs[:, None] if single else rhs.copy()
+    b = rhs[:, None] if single else rhs
     if b.shape[0] != system.dimension:
         raise ValueError("rhs size does not match system dimension")
-    n = system.dimension
-    nrhs = b.shape[1]
+    n, nrhs = b.shape
+    data = system.data
     x = np.zeros((n, nrhs))
 
     fixed_idx = system.fixed_indices
     if fixed_idx.size == 0:
         # nothing to eliminate: the reduced system is the system itself
-        free_idx, band, b_f = slice(None), system.plan.band, b
-        A_ff = system.matrix
+        free_idx, inner, band, b_f = slice(None), system.plan.pattern, system.plan.band, b
     else:
         # (k,) values repeat across the right-hand sides, (k, nrhs) map one to one
         fixed_vals = np.broadcast_to(system.fixed_values.T, (nrhs, len(fixed_idx))).T
         split = system.plan.split(fixed_idx)
-        free_idx, band = split.free, split.band
-        A_ff, A_fc = split.blocks(system.data)
-        b_f = b[free_idx] - A_fc @ fixed_vals
+        free_idx, inner, band = split.free, split.inner, split.band
+        b_f = b[free_idx] - split.outer.matvec(data, fixed_vals)
         x[fixed_idx] = fixed_vals
-    breakdown = None
+    x_f = np.zeros((inner.shape[0], nrhs))
+    guess = None if start is None else \
+        np.asarray(start, dtype=np.float64).reshape(n, nrhs)[free_idx]
+    iterate, breakdown = range(nrhs), None
     if band.order.size and band.work <= nrhs * BAND_WORK_LIMIT:
-        # the factored solution starts PCG, whose first residual checks it
         full = np.zeros((n, nrhs))
         full[free_idx] = b_f
         try:
-            start = _banded_solve(system.data, band, full)
+            factored = _banded_solve(data, band, full)[free_idx]
         except SolverError as exc:
-            breakdown = exc  # PCG runs from the caller's start and decides
+            breakdown = exc  # CG runs from the caller's start and decides
+        else:
+            # per column, CG's own stopping test with its norms sqrt(v @ v)
+            b_rows = np.ascontiguousarray(b_f.T)
+            r_rows = b_rows - inner.matvec(data, factored).T
+            iterate = []
+            for j in range(nrhs):
+                bnorm = sqrt(b_rows[j] @ b_rows[j])
+                if bnorm == 0.0:
+                    continue  # a zero column solves to zeros
+                x_f[:, j] = factored[:, j]
+                if not sqrt(r_rows[j] @ r_rows[j]) <= tol * bnorm:
+                    iterate.append(j)  # rounding missed the bound: CG goes on
+            guess = factored
 
-    maxiter = max(10 * A_ff.shape[0], 50)
-    guess = None if start is None else np.asarray(start, dtype=np.float64).reshape(n, nrhs)
-    try:
-        for j in range(nrhs):
-            x[free_idx, j], _, _ = _pcg(A_ff, b_f[:, j], tol, maxiter,
-                                        None if guess is None else guess[free_idx, j])
-    except SolverError as exc:
-        if breakdown is None:
-            raise
-        # the factorization names where the system stops being definite
-        raise SolverError(breakdown.message, exc.iterations, exc.residual) from exc
+    if iterate:
+        A_ff = inner.matrix(data)
+        maxiter = max(10 * A_ff.shape[0], 50)
+        try:
+            for j in iterate:
+                x_f[:, j], _, _ = _pcg(A_ff, b_f[:, j], tol, maxiter,
+                                       None if guess is None else guess[:, j])
+        except SolverError as exc:
+            if breakdown is None:
+                raise
+            # the factorization names where the system stops being definite
+            raise SolverError(breakdown.message, exc.iterations, exc.residual) from exc
+    x[free_idx] = x_f
     return x[:, 0] if single else x

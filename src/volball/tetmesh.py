@@ -41,8 +41,8 @@ class DegenerateTetError(MeshError):
 class TopologyError(MeshError):
     """A mesh that is not a simply-connected solid: isolated vertices, a face
     shared by more than two tets, no boundary, or a boundary that is not one
-    closed, edge-manifold, genus-0 surface. ``load_mesh`` also raises it on a
-    file with no tetrahedra."""
+    closed, edge-manifold, genus-0 surface, or no tetrahedra at all (from
+    ``TetMesh.from_arrays`` and ``load_mesh`` alike)."""
 
 
 # Local vertex triples of the four faces of a tet (0,1,2,3), oriented so the
@@ -332,7 +332,7 @@ class TetMesh:
         if tets.size and (tets.min() < 0 or tets.max() >= n):
             raise MeshError("tet vertex index out of range")
         if len(tets) == 0:
-            raise MeshError("mesh has no tetrahedra")
+            raise TopologyError("mesh has no tetrahedra")
         sorted_t = np.sort(tets, axis=1)
         if np.any(sorted_t[:, :-1] == sorted_t[:, 1:]):
             bad = int(np.where(np.any(sorted_t[:, :-1] == sorted_t[:, 1:], axis=1))[0][0])
@@ -357,7 +357,7 @@ class TetMesh:
             raise TopologyError(
                 f"{int((~used).sum())} isolated vertices not referenced by any tet")
 
-        boundary, owners = cls._extract_boundary(tets)
+        boundary, owners = cls._extract_boundary(tets, n)
         mask = np.zeros(n, dtype=bool)
         mask[boundary.ravel()] = True
         cls._check_boundary_topology(boundary)
@@ -367,14 +367,17 @@ class TetMesh:
         return cls(vertices, tets, boundary, mask, owners)
 
     @staticmethod
-    def _extract_boundary(tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _extract_boundary(tets: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
         """Faces incident to exactly one tet, and the index of that tet."""
         faces = tets[:, FACE_LOCAL].reshape(-1, 3)
-        key = np.sort(faces, axis=1)
-        order = np.lexsort(key.T[::-1])
-        key_sorted = key[order]
-        new_group = np.ones(len(key_sorted), dtype=bool)
-        new_group[1:] = np.any(key_sorted[1:] != key_sorted[:-1], axis=1)
+        # each face's sorted corners (a, b, c) as two keys, a * n + b and c;
+        # a * n + b < n^2 fits int64 for any n below 3e9 vertices
+        a, b, c = np.sort(faces, axis=1).T
+        ab = a * n_vertices + b
+        order = np.lexsort((c, ab))
+        ab, c = ab[order], c[order]
+        new_group = np.ones(len(order), dtype=bool)
+        new_group[1:] = (ab[1:] != ab[:-1]) | (c[1:] != c[:-1])
         group_ids = np.cumsum(new_group) - 1
         counts = np.bincount(group_ids)
         if counts.max(initial=0) > 2:

@@ -178,7 +178,8 @@ def test_param_all_boundary_solid_exit_1(tmp_path, capsys):
                      str(path), str(tmp_path / "run")])
     assert code == 1
     assert capsys.readouterr().err == \
-        "volball: error: overlap correction budget exhausted: 2 folds remain\n"
+        "volball: error: overlap correction budget exhausted: the best state seen has " \
+        "2 folded tets plus flipped boundary triangles\n"
 
 
 @pytest.mark.parametrize("error", [DensityError("bad density"),

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from volball import linsolve
+from volball.sphere_map import surface_density_equalize
 
 
 def _assemble(n, rows, cols, values):
@@ -328,21 +331,113 @@ def test_direct_diffusion_matches_dense_solve(n, k, extra, dt, seed):
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_direct_solve_needs_no_iteration_and_repeats_bitwise(monkeypatch):
-    from volball.density import diffusion_step
-    ops = _element_diffusion(np.random.default_rng(4), 30, 3, 10)
-    rho = 1.0 + np.arange(30.0) / 30
-    pcg, runs = linsolve._pcg, []
+def _spy_pcg_and_csr(monkeypatch):
+    """Record every ``_pcg`` call and every CSR matrix ``linsolve`` builds."""
+    pcg, calls = linsolve._pcg, {"pcg": 0, "csr": 0}
+    csr = linsolve.csr_matrix
 
-    def counted(*args):
-        out = pcg(*args)
-        runs.append(out[1])
+    def counted_pcg(*args):
+        calls["pcg"] += 1
+        return pcg(*args)
+
+    def counted_csr(*args, **kwargs):
+        calls["csr"] += 1
+        return csr(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "_pcg", counted_pcg)
+    monkeypatch.setattr(linsolve, "csr_matrix", counted_csr)
+    return calls
+
+
+def test_direct_solve_needs_no_iteration_and_repeats_bitwise(monkeypatch):
+    ops = _element_diffusion(np.random.default_rng(4), 30, 3, 10)
+    plan = ops.laplacian.plan
+    plan.band  # its one RCM ordering reads a CSR pattern
+    data = 0.1 * ops.laplacian.data
+    data[plan.diagonal] += ops.lumped_volumes
+    b = ops.lumped_volumes * (1.0 + np.arange(30.0) / 30)
+    calls = _spy_pcg_and_csr(monkeypatch)
+    systems = [linsolve.LinearSystem(plan, data) for _ in range(2)]
+    first, second = (linsolve.solve(system, b) for system in systems)
+    np.testing.assert_array_equal(first, second)
+    # the factored solution meets the bound, so nothing iterates and no CSR
+    # view or block is built
+    assert calls == {"pcg": 0, "csr": 0}
+    assert all("matrix" not in system.__dict__ for system in systems)
+    np.testing.assert_array_equal(
+        first, linsolve._banded_solve(data, plan.band, b[:, None])[:, 0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=6, max_value=40), st.sampled_from([3, 4]),
+       st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
+def test_direct_solve_is_the_banded_solution_bitwise(n, k, extra, n_fixed, ncols, seed):
+    # unconstrained (n_fixed = 0) and constrained plans, 1-3 columns: the
+    # result is exactly what banded Cholesky returns for the reduced system,
+    # and each block's matvec is exactly scipy's CSR product, zeros and
+    # negative zeros included
+    rng = np.random.default_rng(seed)
+    if n_fixed:
+        system, rhs, fixed, values, _ = _constrained(rng, n, k, extra, n_fixed, ncols)
+    else:
+        ops = _element_diffusion(rng, n, k, extra)
+        data = 0.3 * ops.laplacian.data
+        data[ops.laplacian.plan.diagonal] += ops.lumped_volumes
+        system, fixed = linsolve.LinearSystem(ops.laplacian.plan, data), np.empty(0, int)
+        rhs, values = rng.normal(size=(n, ncols)), np.zeros((0, ncols))
+    rhs[rng.integers(0, n, size=3), rng.integers(0, ncols, size=3)] = -0.0
+    plan, data = system.plan, system.data
+    split = plan.split(fixed)
+    free = split.free
+    for block in (plan.pattern, split.inner, split.outer):
+        x = rng.normal(size=(block.shape[1], ncols))
+        x[rng.random(x.shape) < 0.2] = -0.0
+        # scipy's csr_matvec for one column, csr_matvecs for more
+        expected = block.matrix(data) @ (x[:, 0] if ncols == 1 else x)
+        assert block.matvec(data, x).tobytes() == expected.tobytes()
+    b_f = rhs[free] - split.outer.matrix(data) @ values
+    full = np.zeros((n, ncols))
+    full[free] = b_f
+    expected = linsolve._banded_solve(data, split.band, full)
+    expected[fixed] = values
+    with mock.patch.object(linsolve, "_pcg", wraps=linsolve._pcg) as pcg:
+        got = linsolve.solve(system, rhs[:, 0] if ncols == 1 else rhs)
+    assert pcg.call_count == 0
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_surface_flow_diffusion_builds_no_sparse_matrix(monkeypatch):
+    # the remesh solid's surface flow: every diffusion solve is factored and
+    # checked on the plan's data, with no CSR view and no PCG call
+    import scipy.sparse._compressed as compressed
+
+    from volball import density
+    from volball.sphere_map import face_normals_areas, spherical_embedding
+    from volball.synthetic import graded_ellipsoid_mesh
+    mesh = graded_ellipsoid_mesh(1)
+    vid, faces = mesh.boundary_surface()
+    _, areas = face_normals_areas(mesh.vertices[vid], faces)
+    sphere = spherical_embedding(mesh.vertices[vid], faces)
+    init, step, built, per_solve = compressed._cs_matrix.__init__, density.diffusion_step, [], []
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_step(ops, rho, dt):
+        ops.laplacian.plan.band  # the plan's one RCM ordering reads a CSR pattern
+        before = len(built)
+        out = step(ops, rho, dt)
+        per_solve.append(len(built) - before)
         return out
 
-    monkeypatch.setattr(linsolve, "_pcg", counted)
-    first, second = diffusion_step(ops, rho, 0.1), diffusion_step(ops, rho, 0.1)
-    np.testing.assert_array_equal(first, second)
-    assert runs == [0, 0]  # PCG's first residual accepts the factored solution
+    calls = _spy_pcg_and_csr(monkeypatch)
+    monkeypatch.setattr(compressed._cs_matrix, "__init__", counted_init)
+    monkeypatch.setattr(density, "diffusion_step", counted_step)
+    surface_density_equalize(sphere, faces, areas, max_iter=20)
+    assert per_solve == [0] * 20
+    assert calls["pcg"] == 0
 
 
 def test_direct_solve_iterates_on_where_rounding_misses_the_bound(monkeypatch):
@@ -609,8 +704,9 @@ def test_split_cache_serves_only_an_equal_fixed_set():
             fresh = linsolve.Split.of(A.indptr, A.indices, fixed, plan.band)
             free, A_ff, A_fc = _scipy_split(A, fixed)
             assert np.array_equal(split.free, free) and np.array_equal(fresh.free, free)
-            for got in (split.blocks(A.data), fresh.blocks(A.data)):
-                assert _same_csr(got[0], A_ff) and _same_csr(got[1], A_fc)
+            for got in (split, fresh):
+                assert _same_csr(got.inner.matrix(A.data), A_ff)
+                assert _same_csr(got.outer.matrix(A.data), A_fc)
             mask = np.ones(40, dtype=bool)
             mask[fixed] = False
             band = plan.band.restrict(mask)
@@ -641,10 +737,10 @@ def test_cached_split_solves_bitwise_as_a_fresh_one():
 
 
 @pytest.mark.parametrize("limit", [linsolve.BAND_WORK_LIMIT, 0.0])
-def test_constrained_solve_builds_only_the_two_blocks(limit, monkeypatch, ball_mesh):
-    # assembly, constraint and solve of a harmonic fill gather the free rows'
-    # two CSR blocks from the system's data and never build the full matrix,
-    # on the direct path and (with no band work allowed) on PCG
+def test_constrained_solve_builds_only_the_free_block_for_pcg(limit, monkeypatch, ball_mesh):
+    # assembly, constraint and solve of a harmonic fill build no CSR matrix on
+    # the direct path; with no band work allowed, PCG gets the free-free block
+    # and nothing else: the free-fixed block only enters b_f through its matvec
     from scipy.sparse import csr_matrix
 
     from volball.laplace import harmonic_fill
@@ -662,5 +758,5 @@ def test_constrained_solve_builds_only_the_two_blocks(limit, monkeypatch, ball_m
     out = harmonic_fill(ball_mesh, ball_mesh.vertices[bidx], bidx)
     n_free = len(ball_mesh.vertices) - len(bidx)
     assert len(factored) == (limit > 0)
-    assert shapes == [(n_free, n_free), (n_free, len(bidx))]
+    assert shapes == ([] if limit > 0 else [(n_free, n_free)])
     np.testing.assert_allclose(out, ball_mesh.vertices, atol=1e-8)

@@ -185,10 +185,10 @@ def graded_sphere():
 
 def test_surface_flow_builds_one_plan(monkeypatch, graded_sphere):
     # per-triangulation state is built once (the plan's RCM order reads one
-    # CSR pattern); a round assembles one Laplacian, builds one CSR matrix
-    # (the diffusion system's, for its PCG check) and no COO matrix and no
-    # sparse sum (overlap correction, when it fires, builds its own plan,
-    # vertex rings and CSR blocks)
+    # CSR pattern); a round assembles one Laplacian and builds no CSR matrix
+    # (its diffusion system is factored and checked on the plan's data), no
+    # COO matrix and no sparse sum (overlap correction, when it fires, builds
+    # its own plan, vertex rings and CSR blocks)
     from scipy.sparse import coo_matrix, csr_matrix
 
     from volball import sphere_map
@@ -245,7 +245,7 @@ def test_surface_flow_builds_one_plan(monkeypatch, graded_sphere):
     assert len(coo) <= len(corrections)
     assert len(sums) == 0
     assert len(assembled) == 20 + len(stiffness)
-    assert len(csr) - sum(csr_in_correction) == 1 + 20
+    assert len(csr) - sum(csr_in_correction) == 1
 
 
 def _surface_flow_as_first_written(sphere, faces, population, dt=0.1, eps=1e-2,

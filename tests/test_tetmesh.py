@@ -260,6 +260,38 @@ def test_boundary_owners(make, seed):
     np.testing.assert_array_equal(owners, _dict_loop_owners(mesh))
 
 
+def _three_key_boundary(tets):
+    """Reference: faces grouped by a three-key lexsort of their sorted corners."""
+    faces = tets[:, FACE_LOCAL].reshape(-1, 3)
+    key = np.sort(faces, axis=1)
+    order = np.lexsort(key.T[::-1])
+    key_sorted = key[order]
+    new_group = np.ones(len(key_sorted), dtype=bool)
+    new_group[1:] = np.any(key_sorted[1:] != key_sorted[:-1], axis=1)
+    group_ids = np.cumsum(new_group) - 1
+    single = order[np.bincount(group_ids)[group_ids] == 1]
+    return faces[single], single // 4
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("make", ["ball", "cube", "lcube"])
+def test_boundary_extraction_matches_three_key_order(make, seed):
+    from volball.remesh import uniform_ball_mesh
+    from volball.synthetic import cube_mesh, lcube_mesh
+    mesh = {"ball": lambda: uniform_ball_mesh(1), "cube": lambda: cube_mesh(4),
+            "lcube": lambda: lcube_mesh(3)}[make]()
+    if seed is not None:
+        mesh = _renumbered(mesh, seed)
+    faces, owners = _three_key_boundary(mesh.tets)
+    np.testing.assert_array_equal(mesh.boundary_faces, faces)
+    np.testing.assert_array_equal(mesh.boundary_owners, owners)
+
+
+def test_no_tetrahedra_is_a_topology_error():
+    with pytest.raises(TopologyError, match="no tetrahedra"):
+        TetMesh.from_arrays(np.eye(3), np.zeros((0, 4), dtype=np.int64))
+
+
 @pytest.mark.parametrize("make", ["ball", "cube", "graded"])
 def test_signed_volumes_match_lapack(make):
     from volball.remesh import uniform_ball_mesh
