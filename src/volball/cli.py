@@ -150,6 +150,8 @@ def _cmd_param(args) -> int:
 
 
 def _cmd_remesh(args) -> int:
+    if args.resolution < 1:
+        raise CliError(f"--resolution must be at least 1, got {args.resolution}")
     mesh = fileio.load_mesh(args.input)
     config = _config_from(args)
     population = None

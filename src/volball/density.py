@@ -5,9 +5,9 @@ measure), rho_tet (m,), and its measure-weighted vertex mean, rho_vertex
 (n,). ``flow_step`` is the step of both the surface flow on the sphere and
 the volume flow in the ball: implicit diffusion of the vertex density, its
 gradient per element, the vertex mean, the velocity -grad rho / rho and
-capped advection. Each flow supplies its own measures (areas or volumes),
-lumped masses, cotangent Laplacian (a ``linsolve.LinearSystem``) and
-element gradient.
+capped advection. Each flow supplies its own measures (areas or volumes)
+and their sums around each vertex, computed once per step, lumped masses,
+cotangent Laplacian (a ``linsolve.LinearSystem``) and element gradient.
 
 Errors: ``DensityError`` (a ValueError) on a population that is not one
 finite positive value per element, naming the first bad one, and on
@@ -78,15 +78,19 @@ def field_from_volumes(mesh: TetMesh, volumes: np.ndarray,
     if np.any(volumes <= 0):
         raise DensityError(f"{int(np.count_nonzero(volumes <= 0))} tets have nonpositive volume")
     rho_tet = population / volumes
-    return DensityField(rho_tet, mesh.connectivity.to_vertices(rho_tet, volumes))
+    conn = mesh.connectivity
+    return DensityField(rho_tet,
+                        conn.to_vertices(rho_tet, volumes, conn.vertex_measures(volumes)))
 
 
 def build_operators(mesh: TetMesh, geometry) -> DiffusionOperators:
     """Assemble lumped volumes and the cotangent Laplacian from the current
-    (volumes, hat gradients) pair ``geometry`` of ``tetmesh.tet_gradients``."""
+    (volumes, hat gradients) pair ``geometry`` of ``tetmesh.tet_gradients``.
+    The lumped volumes are the incident volumes over 4, so 4 times them is
+    exactly ``vertex_measures`` of the volumes."""
     if np.any(geometry[0] <= 0):
         raise DensityError("deformed mesh has nonpositive volumes")
-    return DiffusionOperators(mesh.connectivity.vertex_measures(geometry[0] / 4.0),
+    return DiffusionOperators(mesh.connectivity.vertex_measures(geometry[0]) / 4.0,
                               laplacian_matrix(mesh, geometry))
 
 
@@ -127,10 +131,16 @@ def velocity_field(rho_vertex: np.ndarray, grad_vertex: np.ndarray) -> np.ndarra
     return -grad_vertex / rho_vertex[:, None]
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 3) array by component sums, in
+    the order ``np.linalg.norm(x, axis=1)`` sums, so bitwise equal to it."""
+    return np.sqrt(_dot(x.T, x.T))
+
+
 def min_incident_edge(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Length of the shortest edge at each vertex; ``edges`` holds vertex
     index pairs (repeats allowed, though callers pass each edge once)."""
-    lengths = np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
+    lengths = _row_norms(positions[edges[:, 0]] - positions[edges[:, 1]])
     out = np.full(len(positions), np.inf)
     np.minimum.at(out, edges[:, 0], lengths)
     np.minimum.at(out, edges[:, 1], lengths)
@@ -148,27 +158,29 @@ def capped_advect(positions: np.ndarray, velocity: np.ndarray, dt: float,
         raise ValueError("dt must be positive")
     vel = np.array(velocity, dtype=np.float64, copy=True)
     x = positions[on_sphere]
-    n = x / np.linalg.norm(x, axis=1, keepdims=True)
+    n = x / _row_norms(x)[:, None]
     vb = vel[on_sphere]
     vel[on_sphere] = vb - (np.einsum("ij,ij->i", vb, n))[:, None] * n
-    move = dt * np.linalg.norm(vel, axis=1)
+    move = dt * _row_norms(vel)
     cap = STEP_LIMIT * min_incident_edge(positions, edges)
     vel = vel * np.minimum(1.0, cap / np.maximum(move, 1e-300))[:, None]
     out = positions + dt * vel
     b = out[on_sphere]
-    out[on_sphere] = b / np.linalg.norm(b, axis=1, keepdims=True)
+    out[on_sphere] = b / _row_norms(b)[:, None]
     return out
 
 
 def flow_step(conn: Connectivity, positions: np.ndarray, rho_vertex: np.ndarray,
-              ops: DiffusionOperators, measures: np.ndarray, element_gradient,
-              dt: float, on_sphere: np.ndarray) -> np.ndarray:
+              ops: DiffusionOperators, measures: np.ndarray, incident: np.ndarray,
+              element_gradient, dt: float, on_sphere: np.ndarray) -> np.ndarray:
     """One flow step, on the sphere or in the ball: diffuse ``rho_vertex``
     under ``ops``, take the gradient per element (``element_gradient(rho)``,
     (m, 3)), average it onto the vertices weighted by the element
-    ``measures`` and advect ``positions`` along -grad rho / rho, keeping the
-    ``on_sphere`` vertices on the unit sphere. Returns the moved positions."""
+    ``measures`` (``incident`` their sums per vertex, as
+    ``Connectivity.to_vertices`` takes them) and advect ``positions`` along
+    -grad rho / rho, keeping the ``on_sphere`` vertices on the unit sphere.
+    Returns the moved positions."""
     rho_next = diffusion_step(ops, rho_vertex, dt)
-    grad = conn.to_vertices(element_gradient(rho_next), measures)
+    grad = conn.to_vertices(element_gradient(rho_next), measures, incident)
     vel = velocity_field(rho_next, grad)
     return capped_advect(positions, vel, dt, conn.edges, on_sphere)

@@ -471,11 +471,13 @@ def _qc_step(mesh, state, config):
 
 def _dem_step(mesh, state, config):
     """One step of the shared density flow with the tet supplies (lumped
-    volumes, Laplacian, volumes, gradient) from the iterate's record."""
+    volumes, Laplacian, volumes, gradient) from the iterate's record; the
+    incident volumes are 4 times the lumped ones, exactly."""
     vols, grads = state.volumes, state.gradients
     ops = dem.build_operators(mesh, (vols, grads))  # raises DensityError on folds
     return dem.flow_step(mesh.connectivity, state.positions, state.field.rho_vertex,
-                         ops, vols, lambda rho: dem.density_gradient(mesh.tets, grads, rho),
+                         ops, vols, 4.0 * ops.lumped_volumes,
+                         lambda rho: dem.density_gradient(mesh.tets, grads, rho),
                          config.dt, mesh.boundary_vertex_mask)
 
 

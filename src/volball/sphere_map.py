@@ -10,6 +10,13 @@ Beltrami coefficient in a stereographic chart and re-solving its elliptic
 system. One ``triangle_geometry`` pass per round serves the density, the
 cotangent weights, the face gradient and the flip test.
 
+Layout: per-triangle geometry is component-major as in ``tetmesh``, triangle
+index last: a ``TriangleGeometry`` holds (3, 3, m) corners and edges and
+(3, m) normals, gathered by one ``take`` of the transposed points, and the
+kernels read its contiguous rows. ``face_normals_areas`` and
+``surface_gradient`` hand out their (m, 3) results as views of (3, m)
+arrays. Every kernel equals its row-major form bitwise.
+
 Contract: the maps returned by ``spherical_embedding``,
 ``correct_spherical_flips``, ``surface_density_equalize`` (from a
 flip-free start) and ``compute_boundary_sphere_map`` have unit-norm rows
@@ -21,13 +28,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from . import density, linsolve
 from .laplace import p1_blocks
-from .tetmesh import Connectivity, MeshError, TetMesh, _cross, vertex_rings
+from .tetmesh import Connectivity, MeshError, TetMesh, _cross_into, _dot, vertex_rings
 
 # Mean-value smoothing rounds of the spherical embedding.
 SMOOTH_ITERS = 20
@@ -61,23 +69,25 @@ class BoundaryMap:
 
 # -- triangle geometry -------------------------------------------------------
 
-# Corner k's successor and predecessor in a triangle.
-NEXT = np.array([1, 2, 0])
-PREV = np.array([2, 0, 1])
+# Corner k's successor (first three) and predecessor (last three) in a
+# triangle, one index for a single ``take``.
+NEXT_PREV = np.array([1, 2, 0, 2, 0, 1])
 
 
 @dataclass(frozen=True)
 class TriangleGeometry:
-    """One pass over the triangles of a surface.
+    """One pass over the triangles of a surface, component-major with the
+    triangle index last.
 
-    ``edges[:, k]`` is the edge opposite corner k, from corner k+1 to corner
-    k+2 (mod 3); ``normals`` is the unnormalised normal edges[:, 1] x
-    edges[:, 2], and ``area2`` its norm, twice the triangle's area.
+    ``corners[r, k]`` is coordinate r of corner k. ``edges[:, k]`` is the
+    edge opposite corner k, from corner k+1 to corner k+2 (mod 3);
+    ``normals`` is the unnormalised normal edges[:, 1] x edges[:, 2], and
+    ``area2`` its norm, twice the triangle's area.
     """
 
-    corners: np.ndarray  # (m, 3, 3) corner positions
-    edges: np.ndarray    # (m, 3, 3)
-    normals: np.ndarray  # (m, 3)
+    corners: np.ndarray  # (3, 3, m) corner positions
+    edges: np.ndarray    # (3, 3, m)
+    normals: np.ndarray  # (3, m)
     area2: np.ndarray    # (m,)
 
     @property
@@ -85,31 +95,36 @@ class TriangleGeometry:
         """Mask of triangles whose corner determinant det(x0, x1, x2) =
         x0 . normal is not positive: the orientation test of a triangle
         inscribed in the unit sphere."""
-        x0, nrm = self.corners[:, 0], self.normals
-        return x0[:, 0] * nrm[:, 0] + x0[:, 1] * nrm[:, 1] + x0[:, 2] * nrm[:, 2] <= 0.0
+        return _dot(self.corners[:, 0], self.normals) <= 0.0
 
 
 def triangle_geometry(points: np.ndarray, faces: np.ndarray) -> TriangleGeometry:
     """Corners, edges, normals and doubled areas of the triangles ``faces``,
-    in component arithmetic."""
-    x = points[faces]
-    edges = np.empty_like(x)
-    np.subtract(x[:, 2], x[:, 1], out=edges[:, 0])
-    np.subtract(x[:, 0], x[:, 2], out=edges[:, 1])
-    np.subtract(x[:, 1], x[:, 0], out=edges[:, 2])
-    normals = _cross(edges[:, 1], edges[:, 2])
+    in component arithmetic; one ``take`` of the transposed points gathers
+    all corners."""
+    xt = np.ascontiguousarray(np.transpose(points), dtype=np.float64)  # (3, n)
+    x = xt.take(np.ascontiguousarray(np.transpose(faces)), axis=1)  # (3, 3, m)
+    turned = x.take(NEXT_PREV, axis=1)
+    edges = turned[:, 3:] - turned[:, :3]
+    normals = np.empty((3, x.shape[2]))
+    _cross_into(normals, edges[:, 1], edges[:, 2])
     # summed in the order np.linalg.norm sums, so areas match it bitwise
-    area2 = np.sqrt(normals[:, 0] * normals[:, 0] + normals[:, 1] * normals[:, 1]
-                    + normals[:, 2] * normals[:, 2])
+    area2 = np.sqrt(_dot(normals, normals))
     return TriangleGeometry(x, edges, normals, area2)
 
 
 def face_normals_areas(points: np.ndarray, faces: np.ndarray):
-    """Unit normals (zero on degenerate triangles) and areas of the faces."""
+    """Unit normals (m, 3) (zero on degenerate triangles; a view of a (3, m)
+    array) and areas (m,) of the faces."""
     g = triangle_geometry(points, faces)
     with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(g.area2[:, None] > 0, g.normals / g.area2[:, None], 0.0)
-    return unit, 0.5 * g.area2
+        unit = np.where(g.area2 > 0, g.normals / g.area2, 0.0)
+    return unit.T, 0.5 * g.area2
+
+
+# Row-major (i, j) entries of a triangle's local Laplacian, as rows of the
+# (6, m) stack [-w0, -w1, -w2, w1 + w2, w2 + w0, w0 + w1] below.
+_LOCAL_ENTRIES = np.array([3, 2, 1, 2, 4, 0, 1, 0, 5])
 
 
 def surface_laplacian(geometry: TriangleGeometry,
@@ -117,24 +132,30 @@ def surface_laplacian(geometry: TriangleGeometry,
     """PSD cotangent Laplacian of a triangle mesh, the system of
     ``plan = AssemblyPlan.for_elements(faces, n_vertices)``.
 
-    The edge opposite corner k weighs cot(angle k) / 2 = -e_{k+1} . e_{k+2}
-    / (2 |n|), the edges and normal taken from ``geometry``.
+    The edge opposite corner k weighs w_k = cot(angle k) / 2 = -e_{k+1} .
+    e_{k+2} / (2 |n|), the edges and normal taken from ``geometry``; the
+    local matrices go to ``linsolve.assemble`` triangle by triangle, each
+    row-major.
     """
-    e = geometry.edges
-    dots = (e[:, NEXT] * e[:, PREV]).sum(axis=2)
-    w = -0.5 * dots / np.maximum(geometry.area2, 1e-300)[:, None]
-    local = np.empty((len(w), 3, 3))
-    local[:, NEXT, PREV] = -w
-    local[:, PREV, NEXT] = -w
-    local[:, [0, 1, 2], [0, 1, 2]] = w[:, NEXT] + w[:, PREV]
-    return linsolve.assemble(plan, local.reshape(-1))
+    e = geometry.edges.take(NEXT_PREV, axis=1)
+    w = -0.5 * _dot(e[:, :3], e[:, 3:]) / np.maximum(geometry.area2, 1e-300)
+    stack = np.empty((6, w.shape[1]))
+    np.negative(w, out=stack[:3])
+    w = w.take(NEXT_PREV, axis=0)
+    np.add(w[:3], w[3:], out=stack[3:])
+    return linsolve.assemble(plan, stack.T.take(_LOCAL_ENTRIES, axis=1).reshape(-1))
 
 
 def surface_gradient(geometry: TriangleGeometry, corner_values: np.ndarray) -> np.ndarray:
-    """Per-face gradient of a vertexwise-linear field from its values at the
-    face corners, shape (m, 3): n x (sum_k v_k e_k) / |n|^2."""
-    s = np.einsum("fk,fkc->fc", corner_values, geometry.edges)
-    return _cross(geometry.normals, s) / (geometry.area2 * geometry.area2)[:, None]
+    """Per-face gradient of a vertexwise-linear field from its values (m, 3)
+    at the face corners: n x (sum_k v_k e_k) / |n|^2, shape (m, 3), a view
+    of a (3, m) array."""
+    e, v = geometry.edges, corner_values.T
+    s = e[:, 0] * v[0] + e[:, 1] * v[1] + e[:, 2] * v[2]
+    grad = np.empty_like(s)
+    _cross_into(grad, geometry.normals, s)
+    grad /= geometry.area2 * geometry.area2
+    return grad.T
 
 
 def relax_patch(points: np.ndarray, adj: csr_matrix, seeds: np.ndarray,
@@ -370,6 +391,14 @@ def spherical_embedding(surface_points: np.ndarray, faces: np.ndarray) -> np.nda
     return flip_free
 
 
+def _sd_over_mean(x: np.ndarray) -> float:
+    """np.std(x) / np.mean(x) of a 1-D array by the same reductions, without
+    their wrappers."""
+    mean = x.sum() / x.size
+    dev = x - mean
+    return sqrt((dev * dev).sum() / x.size) / mean
+
+
 def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
                              population: np.ndarray, dt: float = 0.1,
                              eps: float = 1e-2, max_iter: int = 100) -> np.ndarray:
@@ -393,12 +422,13 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
     for rounds in range(max_iter + 1):
         areas = 0.5 * geo.area2
         rho_face = population / areas
-        ratio = np.std(rho_face) / np.mean(rho_face)
+        ratio = _sd_over_mean(rho_face)
         if ratio < eps or rounds == max_iter:
             break
-        ops = density.DiffusionOperators(conn.vertex_measures(areas) / 3.0,
-                                         surface_laplacian(geo, conn.plan))
-        u = density.flow_step(conn, u, conn.to_vertices(rho_face, areas), ops, areas,
+        incident = conn.vertex_measures(areas)
+        ops = density.DiffusionOperators(incident / 3.0, surface_laplacian(geo, conn.plan))
+        u = density.flow_step(conn, u, conn.to_vertices(rho_face, areas, incident), ops,
+                              areas, incident,
                               lambda rho: surface_gradient(geo, rho[faces]), dt,
                               on_sphere)
         geo = triangle_geometry(u, faces)

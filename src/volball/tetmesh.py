@@ -121,15 +121,17 @@ class Connectivity:
         return np.bincount(self.corners, weights=np.repeat(measures, self.k),
                            minlength=self.n_vertices)
 
-    def to_vertices(self, values: np.ndarray, measures: np.ndarray) -> np.ndarray:
+    def to_vertices(self, values: np.ndarray, measures: np.ndarray,
+                    incident: np.ndarray) -> np.ndarray:
         """Measure-weighted mean of per-element scalars (m,) or vectors (m, 3)
         over the elements around each vertex.
 
-        Each corner carries the weight measure / (incident measure of its
-        vertex), and the weighted values are summed in corner order, which is
-        bitwise the product with the row-stochastic incidence matrix.
+        ``incident`` is ``vertex_measures(measures)``, the summed measure
+        around each vertex, which the caller has already computed. Each
+        corner carries the weight measure / (incident measure of its vertex),
+        and the weighted values are summed in corner order, which is bitwise
+        the product with the row-stochastic incidence matrix.
         """
-        incident = self.vertex_measures(measures)
         weights = np.repeat(measures, self.k) / incident[self.corners]
         if values.ndim == 1:
             return np.bincount(self.corners, weights=weights * np.repeat(values, self.k),
@@ -241,22 +243,24 @@ class PointLocator:
 
     A point is tested against the tets of its ``LOCATE_NEAREST`` nearest
     centroids and, if none contains it, against every tet whose centroid lies
-    within ``reach``, the largest corner-to-centroid distance of any tet. A
-    tet that contains the point has its centroid that close, so the second
-    pass finds whatever an exhaustive scan would.
+    within its own reach of the point, a tet's reach being its largest
+    corner-to-centroid distance (the k-d tree gathers them within the
+    largest reach of any tet). A tet that contains the point has its
+    centroid that close, so the second pass finds whatever an exhaustive
+    scan would.
     """
 
     def __init__(self, vertices: np.ndarray, tets: np.ndarray):
         self.vertices = np.asarray(vertices, dtype=np.float64)
         self.tets = np.asarray(tets, dtype=np.int64)
         corners = self.vertices[self.tets]
-        centroids = corners.mean(axis=1)
-        self._tree = cKDTree(centroids)
+        self._centroids = corners.mean(axis=1)
+        self._tree = cKDTree(self._centroids)
         self._x0 = corners[:, 0]
         vols, grad = tet_gradients(self.vertices, self.tets)
         _invertible(vols)
         self._grad = np.ascontiguousarray(grad)  # gathered per candidate tet
-        self._reach = float(np.linalg.norm(corners - centroids[:, None], axis=2).max())
+        self._tet_reach = np.linalg.norm(corners - self._centroids[:, None], axis=2).max(axis=1)
 
     def locate_points(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Tet index (n,) and barycentric coordinates (n, 4) of each point: the
@@ -270,8 +274,11 @@ class PointLocator:
             near = self._tree.query(points[ids], k=k)[1]
             self._pick(points, np.repeat(ids, k), np.reshape(near, -1), tet_index, lambdas)
 
-        # |p - centroid| <= sum |lambda_i| * reach <= (1 + 6 INSIDE_TOL) * reach
-        radius = self._reach * (1.0 + 1e-6 + 6.0 * INSIDE_TOL)
+        # a tet containing p has |p - centroid| <= sum |lambda_i| * its reach
+        # <= (1 + 6 INSIDE_TOL) * its reach; a candidate farther off cannot
+        # be the one picked, so dropping it leaves the pick as it was
+        slack = 1.0 + 1e-6 + 6.0 * INSIDE_TOL
+        radius = float(self._tet_reach.max()) * slack
         missed = np.flatnonzero(tet_index < 0)
         counts = self._tree.query_ball_point(points[missed], radius, return_length=True)
         # batches of about LOCATE_PAIRS pairs (plus at most one point's)
@@ -279,7 +286,10 @@ class PointLocator:
         for ids, n_ids in zip(np.split(missed, cuts), np.split(counts, cuts)):
             near = self._tree.query_ball_point(points[ids], radius, return_sorted=True)
             cand = np.fromiter(chain.from_iterable(near), dtype=np.int64, count=int(n_ids.sum()))
-            self._pick(points, np.repeat(ids, n_ids), cand, tet_index, lambdas)
+            owner = np.repeat(ids, n_ids)
+            close = (np.linalg.norm(points[owner] - self._centroids[cand], axis=1)
+                     <= self._tet_reach[cand] * slack)
+            self._pick(points, owner[close], cand[close], tet_index, lambdas)
         return tet_index, lambdas
 
     def _pick(self, points, owner, cand, tet_index, lambdas) -> None:

@@ -229,6 +229,21 @@ def test_remesh_command(tmp_path, ball_file):
     assert (out / "remeshed.vtk").exists()
 
 
+@pytest.mark.parametrize("resolution", ["0", "-2"])
+def test_remesh_bad_resolution_exit_1(tmp_path, ball_file, capsys, monkeypatch, resolution):
+    # checked before the parameterization runs, not by uniform_ball_mesh
+    # after it
+    calls = []
+    monkeypatch.setattr(cli.drivers, "run_method", lambda *args: calls.append(args))
+    out = tmp_path / "rm"
+    code = cli.main(["remesh", "--method", "3dqc", "--resolution", resolution,
+                     ball_file, str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"volball: error: --resolution must be at least 1, got {resolution}\n"
+    assert calls == [] and not out.exists()
+
+
 def test_cli_determinism(tmp_path, ball_file):
     outs = []
     for name in ("a", "b"):

@@ -114,9 +114,10 @@ def test_triangle_geometry_matches_cross_products(ball_mesh):
     geo = triangle_geometry(pts, faces)
     tri = pts[faces]
     n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    np.testing.assert_array_equal(geo.normals, n)
+    # component-major: coordinates first, the triangle index last
+    np.testing.assert_array_equal(geo.normals, n.T)
     np.testing.assert_array_equal(geo.area2, np.linalg.norm(n, axis=1))
-    np.testing.assert_array_equal(geo.edges[:, 0], tri[:, 2] - tri[:, 1])
+    np.testing.assert_array_equal(geo.edges[:, 0], (tri[:, 2] - tri[:, 1]).T)
     det = np.einsum("ij,ij->i", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))
     np.testing.assert_array_equal(geo.flipped, det <= 0.0)
     assert geo.flipped.any()
@@ -463,3 +464,198 @@ def test_conformal_boundary_map_invariants_under_relabelling(solids, name, seed)
     again = compute_boundary_sphere_map(mesh)
     np.testing.assert_array_equal(again.vertex_indices, bmap.vertex_indices)
     np.testing.assert_array_equal(again.points, bmap.points)
+
+
+# -- the per-triangle kernels against their row-major formulas ----------------
+#
+# The formulas below are the kernels as written before the component-major
+# layout: per-triangle rows (m, 3, 3), np.linalg.norm, the einsum gradient
+# and a to_vertices that sums the incident measures itself. The kernels must
+# equal them bitwise.
+
+NEXT, PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _ref_cross(a, b):
+    out = np.empty((len(a), 3))
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
+
+
+class _RefGeometry:
+    def __init__(self, points, faces):
+        x = points[faces]
+        edges = np.empty_like(x)
+        np.subtract(x[:, 2], x[:, 1], out=edges[:, 0])
+        np.subtract(x[:, 0], x[:, 2], out=edges[:, 1])
+        np.subtract(x[:, 1], x[:, 0], out=edges[:, 2])
+        normals = _ref_cross(edges[:, 1], edges[:, 2])
+        self.corners, self.edges, self.normals = x, edges, normals
+        self.area2 = np.sqrt(normals[:, 0] * normals[:, 0] + normals[:, 1] * normals[:, 1]
+                             + normals[:, 2] * normals[:, 2])
+
+    @property
+    def flipped(self):
+        x0, nrm = self.corners[:, 0], self.normals
+        return x0[:, 0] * nrm[:, 0] + x0[:, 1] * nrm[:, 1] + x0[:, 2] * nrm[:, 2] <= 0.0
+
+
+def _ref_surface_laplacian(geometry, plan):
+    e = geometry.edges
+    dots = (e[:, NEXT] * e[:, PREV]).sum(axis=2)
+    w = -0.5 * dots / np.maximum(geometry.area2, 1e-300)[:, None]
+    local = np.empty((len(w), 3, 3))
+    local[:, NEXT, PREV] = -w
+    local[:, PREV, NEXT] = -w
+    local[:, [0, 1, 2], [0, 1, 2]] = w[:, NEXT] + w[:, PREV]
+    return linsolve.assemble(plan, local.reshape(-1))
+
+
+def _ref_surface_gradient(geometry, corner_values):
+    s = np.einsum("fk,fkc->fc", corner_values, geometry.edges)
+    return _ref_cross(geometry.normals, s) / (geometry.area2 * geometry.area2)[:, None]
+
+
+def _ref_min_incident_edge(positions, edges):
+    lengths = np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
+    out = np.full(len(positions), np.inf)
+    np.minimum.at(out, edges[:, 0], lengths)
+    np.minimum.at(out, edges[:, 1], lengths)
+    return out
+
+
+def _ref_capped_advect(positions, velocity, dt, edges, on_sphere):
+    from volball.density import STEP_LIMIT
+    vel = np.array(velocity, dtype=np.float64, copy=True)
+    x = positions[on_sphere]
+    n = x / np.linalg.norm(x, axis=1, keepdims=True)
+    vb = vel[on_sphere]
+    vel[on_sphere] = vb - (np.einsum("ij,ij->i", vb, n))[:, None] * n
+    move = dt * np.linalg.norm(vel, axis=1)
+    cap = STEP_LIMIT * _ref_min_incident_edge(positions, edges)
+    vel = vel * np.minimum(1.0, cap / np.maximum(move, 1e-300))[:, None]
+    out = positions + dt * vel
+    b = out[on_sphere]
+    out[on_sphere] = b / np.linalg.norm(b, axis=1, keepdims=True)
+    return out
+
+
+def _ref_to_vertices(conn, values, measures, incident=None):
+    # the incident measures are summed here, whatever the caller passes
+    incident = np.bincount(conn.corners, weights=np.repeat(measures, conn.k),
+                           minlength=conn.n_vertices)
+    weights = np.repeat(measures, conn.k) / incident[conn.corners]
+    if values.ndim == 1:
+        return np.bincount(conn.corners, weights=weights * np.repeat(values, conn.k),
+                           minlength=conn.n_vertices)
+    terms = weights[:, None] * np.repeat(values, conn.k, axis=0)
+    return np.bincount(conn.corner_coords, weights=terms.reshape(-1),
+                       minlength=3 * conn.n_vertices).reshape(-1, 3)
+
+
+@pytest.fixture(scope="module")
+def kernel_solids(ball_mesh_6k):
+    from volball.synthetic import graded_ellipsoid_mesh
+    return {"graded1": graded_ellipsoid_mesh(1), "ball2": ball_mesh_6k}
+
+
+def _sphere_points(kernel_solids, source, seed):
+    """Points on the unit sphere and triangles over them: a random hull, or a
+    renumbered solid's boundary projected radially."""
+    rng = np.random.default_rng(seed)
+    if source == "hull":
+        from scipy.spatial import ConvexHull
+        points = normalize_rows(rng.normal(size=(int(rng.integers(4, 80)), 3)))
+        return points, ConvexHull(points).simplices.astype(np.int64), rng
+    mesh = _relabel(kernel_solids[source], seed)
+    vid, faces = mesh.boundary_surface()
+    return normalize_rows(mesh.vertices[vid]), faces, rng
+
+
+@pytest.mark.parametrize("source", ["hull", "graded1", "ball2"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_triangle_kernels_equal_row_major_formulas(kernel_solids, source, seed):
+    from volball import density
+    from volball.tetmesh import Connectivity
+    points, faces, rng = _sphere_points(kernel_solids, source, seed)
+    n, m = len(points), len(faces)
+    geo, ref = triangle_geometry(points, faces), _RefGeometry(points, faces)
+    for name in ("corners", "edges"):
+        assert np.array_equal(getattr(geo, name), np.transpose(getattr(ref, name), (2, 1, 0)))
+    assert np.array_equal(geo.normals, ref.normals.T)
+    assert np.array_equal(geo.area2, ref.area2)
+    assert np.array_equal(geo.flipped, ref.flipped)
+    normals, areas = face_normals_areas(points, faces)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(ref.area2[:, None] > 0, ref.normals / ref.area2[:, None], 0.0)
+    assert np.array_equal(normals, unit) and np.array_equal(areas, 0.5 * ref.area2)
+
+    plan = linsolve.AssemblyPlan.for_elements(faces, n)
+    assert np.array_equal(surface_laplacian(geo, plan).data,
+                          _ref_surface_laplacian(ref, plan).data)
+    rho = rng.uniform(0.5, 2.0, size=n)
+    grad = surface_gradient(geo, rho[faces])
+    assert np.array_equal(grad, _ref_surface_gradient(ref, rho[faces]))
+
+    conn = Connectivity(faces, n)
+    incident = conn.vertex_measures(areas)
+    for values in (rho[faces[:, 0]], grad):
+        assert np.array_equal(conn.to_vertices(values, areas, incident),
+                              _ref_to_vertices(conn, values, areas))
+    on_sphere = rng.random(n) < 0.7
+    velocity = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 10.0)
+    assert np.array_equal(density.min_incident_edge(points, conn.edges),
+                          _ref_min_incident_edge(points, conn.edges))
+    for mask in (on_sphere, np.ones(n, dtype=bool)):
+        assert np.array_equal(density.capped_advect(points, velocity, 0.1, conn.edges, mask),
+                              _ref_capped_advect(points, velocity, 0.1, conn.edges, mask))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 500), st.integers(0, 2**32 - 1), st.floats(-8.0, 8.0))
+def test_sd_over_mean_is_numpys(size, seed, log_scale):
+    from volball.sphere_map import _sd_over_mean
+    x = np.random.default_rng(seed).lognormal(log_scale, 1.0, size=size)
+    assert _sd_over_mean(x) == np.std(x) / np.mean(x)
+
+
+@pytest.fixture
+def lcube7_flow_input():
+    """The lcube7 density ball's first surface flow: its embedding and its
+    boundary cone volumes, a flow whose rounds flip triangles."""
+    from volball.drivers import _boundary_cone_volumes
+    from volball.synthetic import lcube_mesh
+    mesh = lcube_mesh(7)
+    vid, faces = mesh.boundary_surface()
+    return (spherical_embedding(mesh.vertices[vid], faces), faces,
+            _boundary_cone_volumes(mesh))
+
+
+@pytest.mark.parametrize("flow", ["graded_sphere", "lcube7_flow_input"])
+def test_surface_flow_equals_row_major_kernels_bitwise(monkeypatch, request, flow):
+    from volball import density, sphere_map
+    from volball.tetmesh import Connectivity
+    sphere, faces, population = request.getfixturevalue(flow)
+    repairs = []
+    repair = sphere_map.correct_spherical_flips
+
+    def counted_repair(*args):
+        repairs.append(1)
+        return repair(*args)
+
+    monkeypatch.setattr(sphere_map, "correct_spherical_flips", counted_repair)
+    out = surface_density_equalize(sphere, faces, population)
+    with monkeypatch.context() as patch:
+        patch.setattr(sphere_map, "triangle_geometry", _RefGeometry)
+        patch.setattr(sphere_map, "surface_laplacian", _ref_surface_laplacian)
+        patch.setattr(sphere_map, "surface_gradient", _ref_surface_gradient)
+        patch.setattr(sphere_map, "_sd_over_mean", lambda x: np.std(x) / np.mean(x))
+        patch.setattr(density, "capped_advect", _ref_capped_advect)
+        patch.setattr(Connectivity, "to_vertices", _ref_to_vertices)
+        expected = surface_density_equalize(sphere, faces, population)
+    assert out.tobytes() == expected.tobytes()
+    # the lcube7 flow runs through the flip repair, the graded one does not
+    assert bool(repairs) == (flow == "lcube7_flow_input")

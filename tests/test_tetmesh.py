@@ -184,6 +184,47 @@ def test_locate_points_agrees_with_exhaustive_scan(ball_mesh):
     assert np.all(tets[:len(faces)] >= 0) and np.all(tets[len(faces):] == -1)
 
 
+def test_locate_points_on_a_deformed_ball_map():
+    # the remesh pullback's case: a ball map of the graded solid and template
+    # points on, and just inside, the unit sphere, many of which the nearest
+    # centroids miss; each tet's own reach drops candidates, not the pick
+    from volball.drivers import initial_ball
+    from volball.remesh import fibonacci_sphere
+    from volball.synthetic import graded_ellipsoid_mesh
+    mesh = graded_ellipsoid_mesh(1)
+    x = initial_ball(mesh)
+    sphere = fibonacci_sphere(480)
+    points = np.vstack([sphere, 0.99 * sphere, 0.97 * sphere])
+    pairs = {}
+
+    def located(locator, key):
+        pick = locator._pick
+
+        def counted(points, owner, cand, tet_index, lambdas):
+            pairs[key] = pairs.get(key, 0) + cand.size
+            pick(points, owner, cand, tet_index, lambdas)
+
+        locator._pick = counted
+        return locator.locate_points(points)
+
+    tets, lams = located(PointLocator(x, mesh.tets), "own reach")
+    # every tet given the largest reach: the radius pass of one global reach
+    unfiltered = PointLocator(x, mesh.tets)
+    unfiltered._tet_reach = np.full(len(mesh.tets), unfiltered._tet_reach.max())
+    tets0, lams0 = located(unfiltered, "global reach")
+    assert np.array_equal(tets, tets0) and np.array_equal(lams, lams0, equal_nan=True)
+    assert pairs["own reach"] < pairs["global reach"]
+    corners = x[mesh.tets]
+    e = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)
+    for p, t in zip(points, tets):
+        lam = np.linalg.solve(e, (p - corners[:, 0])[:, :, None])[..., 0]  # LAPACK oracle
+        worst = np.minimum(1.0 - lam.sum(axis=1), lam.min(axis=1))
+        assert (t >= 0) == (worst.max() >= -1e-9)
+        if t >= 0:
+            assert worst[t] >= -1e-9
+    assert np.any(tets >= 0) and np.any(tets == -1)
+
+
 def test_locator_rejects_zero_volume_tet(ball_mesh):
     positions = ball_mesh.vertices.copy()
     a, _, _, d = ball_mesh.tets[7]
@@ -367,11 +408,13 @@ def elements(request, ball_mesh):
 def test_connectivity_row_stochastic(elements):
     elems, n, measures, _ = elements
     conn = Connectivity(elems, n)
-    np.testing.assert_allclose(conn.to_vertices(np.ones(len(elems)), measures), 1.0,
-                               atol=1e-12)
+    incident = conn.vertex_measures(measures)
+    np.testing.assert_allclose(conn.to_vertices(np.ones(len(elems)), measures, incident),
+                               1.0, atol=1e-12)
     vec = np.array([0.5, -2.0, 3.0])
-    np.testing.assert_allclose(conn.to_vertices(np.tile(vec, (len(elems), 1)), measures),
-                               np.tile(vec, (n, 1)), atol=1e-12)
+    np.testing.assert_allclose(
+        conn.to_vertices(np.tile(vec, (len(elems), 1)), measures, incident),
+        np.tile(vec, (n, 1)), atol=1e-12)
 
 
 def test_connectivity_matches_incidence_matrix(elements):
@@ -391,7 +434,7 @@ def test_connectivity_matches_incidence_matrix(elements):
     scalars, vectors = rng.normal(size=m), rng.normal(size=(m, 3))
     conn = Connectivity(elems, n)
     for values in (scalars, vectors):
-        out = conn.to_vertices(values, measures)
+        out = conn.to_vertices(values, measures, conn.vertex_measures(measures))
         np.testing.assert_allclose(out, conv @ values, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(out, sparse @ values)
     np.testing.assert_array_equal(conn.vertex_measures(measures), incident)
