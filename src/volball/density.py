@@ -80,7 +80,8 @@ def field_from_volumes(mesh: TetMesh, volumes: np.ndarray,
     rho_tet = population / volumes
     conn = mesh.connectivity
     return DensityField(rho_tet,
-                        conn.to_vertices(rho_tet, volumes, conn.vertex_measures(volumes)))
+                        conn.to_vertices(rho_tet, conn.corner_weights(
+                            volumes, conn.vertex_measures(volumes))))
 
 
 def build_operators(mesh: TetMesh, geometry) -> DiffusionOperators:
@@ -171,16 +172,15 @@ def capped_advect(positions: np.ndarray, velocity: np.ndarray, dt: float,
 
 
 def flow_step(conn: Connectivity, positions: np.ndarray, rho_vertex: np.ndarray,
-              ops: DiffusionOperators, measures: np.ndarray, incident: np.ndarray,
+              ops: DiffusionOperators, weights: np.ndarray,
               element_gradient, dt: float, on_sphere: np.ndarray) -> np.ndarray:
     """One flow step, on the sphere or in the ball: diffuse ``rho_vertex``
     under ``ops``, take the gradient per element (``element_gradient(rho)``,
-    (m, 3)), average it onto the vertices weighted by the element
-    ``measures`` (``incident`` their sums per vertex, as
-    ``Connectivity.to_vertices`` takes them) and advect ``positions`` along
-    -grad rho / rho, keeping the ``on_sphere`` vertices on the unit sphere.
-    Returns the moved positions."""
+    (m, 3)), average it onto the vertices with the ``corner_weights`` of the
+    element measures and advect ``positions`` along -grad rho / rho,
+    keeping the ``on_sphere`` vertices on the unit sphere. Returns the moved
+    positions."""
     rho_next = diffusion_step(ops, rho_vertex, dt)
-    grad = conn.to_vertices(element_gradient(rho_next), measures, incident)
+    grad = conn.to_vertices(element_gradient(rho_next), weights)
     vel = velocity_field(rho_next, grad)
     return capped_advect(positions, vel, dt, conn.edges, on_sphere)

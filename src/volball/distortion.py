@@ -385,7 +385,7 @@ def residual_coefficients(J: np.ndarray, lambdas: np.ndarray, C: float) -> np.nd
 def reconstruct_map(mesh: TetMesh, prescribed: TetFrameField | np.ndarray,
                     fixed_indices: np.ndarray, fixed_points: np.ndarray,
                     start: np.ndarray | None = None, tets: np.ndarray | None = None,
-                    geometry=None) -> np.ndarray:
+                    geometry=None, history=()) -> np.ndarray:
     """Rebuild vertex positions realizing a prescribed dilation field.
 
     Solves the three scalar equations div(A grad u) = 0 with Dirichlet values
@@ -397,7 +397,11 @@ def reconstruct_map(mesh: TetMesh, prescribed: TetFrameField | np.ndarray,
     stiffness 2 |V| G G^T from ``geometry``, the ``tetmesh.tet_gradients``
     pair of ``start`` (read when None). The solve starts from ``start`` when
     given, else from zero, and stops at the same relative residual either
-    way. With identity frames this reduces to the harmonic fill.
+    way. ``history``, a bounded list of the caller's earlier maps of the
+    same run, moves an iterative solve's start to the A-norm-best
+    combination of ``start`` and them (``linsolve.solve``); the stopping
+    test stays as it is. With identity frames this reduces to the harmonic
+    fill.
     """
     fixed_indices = np.asarray(fixed_indices, dtype=np.int64)
     if len(fixed_indices) == 0:
@@ -413,4 +417,5 @@ def reconstruct_map(mesh: TetMesh, prescribed: TetFrameField | np.ndarray,
     system = linsolve.assemble(mesh.connectivity.plan, local.reshape(-1))
     del coeff, local  # assembled; not held through the solve
     system.constrain(fixed_indices, np.asarray(fixed_points, dtype=np.float64))
-    return linsolve.solve(system, np.zeros((len(mesh.vertices), 3)), tol=1e-9, start=start)
+    return linsolve.solve(system, np.zeros((len(mesh.vertices), 3)), tol=1e-9, start=start,
+                          history=history)

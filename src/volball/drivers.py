@@ -10,7 +10,10 @@ after every step; 3ddeq once the largest vertex move is below eps. Settling
 passes a fold-free candidate unchanged and hands a folded one to
 ``correct_overlaps``. Settle, evaluate and the next step share one
 ``_Iterate`` record per map (volumes, hat gradients with a population,
-Jacobians and signed dilation triples; no frames).
+Jacobians and signed dilation triples; no frames). A run keeps its last
+HISTORY accepted maps for its own 3dqc reconstructions only: their CG
+solves start from the A-norm-best combination of the current map and those
+maps, and stop by the same test.
 
 Contract: a run returns a fold-free map with its boundary on the unit sphere,
 or raises a typed error: ``CorrectionError`` when the correction budget is
@@ -24,6 +27,7 @@ bitwise identical results.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -44,6 +48,13 @@ METHODS = ("3dqc", "3ddem", "3ddeq")
 
 
 NEAR_FOLD_RATIO = 1e3
+
+# Accepted maps a run keeps for its 3dqc solves' Galerkin starts. The
+# uncapped run_3dqc(stretched_ball_mesh(3)) (20 iterations) took 4 687 PCG
+# iterations with none, 1 836 with 3, 1 706 with 5, 1 655 with 8 and 1 618
+# with 12; each kept map costs one sparse product per CG column (CHANGES.md,
+# "3dqc reconstructions start from the run's own history").
+HISTORY = 8
 
 
 class CorrectionError(RuntimeError):
@@ -391,10 +402,12 @@ def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, tracked=Fals
 
 def _iterate(method, mesh, population, config, init_positions, step, stop,
              near_fold_ratio=NEAR_FOLD_RATIO) -> RunResult:
-    """The loop of every driver. ``step(mesh, state, config)`` proposes a map;
-    ``stop(prev, cand, config)`` is one of the stop rules below. A population
-    is checked once, here. Without one the initial ball is iteration 0 and
-    the final var_rho is that of the rest volumes."""
+    """The loop of every driver. ``step(mesh, state, config, history)``
+    proposes a map, ``history`` holding the accepted maps before ``state``,
+    newest first, at most HISTORY of them; ``stop(prev, cand, config)`` is
+    one of the stop rules below. A population is checked once, here. Without
+    one the initial ball is iteration 0 and the final var_rho is that of the
+    rest volumes."""
     config = config or SolverConfig()
     tracked = population is not None
     if tracked:
@@ -427,10 +440,11 @@ def _iterate(method, mesh, population, config, init_positions, step, stop,
                              **state.row)
     _, converged = stop(None, state, config)
     folded = None
+    history = deque(maxlen=HISTORY)
     n = 0
     while not converged and n < config.n_max:
         n += 1
-        cand, folds_pre = _settle(mesh, step(mesh, state, config), config,
+        cand, folds_pre = _settle(mesh, step(mesh, state, config, history), config,
                                   normalize_rows(state.positions[b_ids]),
                                   near_fold_ratio, tracked)
         if cand.folds:
@@ -445,6 +459,7 @@ def _iterate(method, mesh, population, config, init_positions, step, stop,
         accept, converged = stop(state, cand, config)
         if not accept:
             break
+        history.appendleft(state.positions)
         state = cand
         report.add_iteration(iteration=n, folds_pre=folds_pre, folds_post=state.folds,
                              **state.row)
@@ -458,30 +473,31 @@ def _iterate(method, mesh, population, config, init_positions, step, stop,
     return RunResult(last.positions, report, converged, pos0)
 
 
-def _qc_step(mesh, state, config):
+def _qc_step(mesh, state, config, history=()):
     """Residual descent on the anisotropy ratios, boundary held fixed, with
     the coefficient built from the iterate's Jacobians and triples; the solve
-    starts from the current map."""
+    starts from the current map projected with the run's earlier maps."""
     b_ids = mesh.boundary_vertices
     coeff = residual_coefficients(state.jacobians, flip_eigenvalues(state.lambdas),
                                   config.residual_constant)
     return reconstruct_map(mesh, coeff, b_ids, state.positions[b_ids],
-                           start=state.positions)
+                           start=state.positions, history=history)
 
 
-def _dem_step(mesh, state, config):
+def _dem_step(mesh, state, config, history=()):
     """One step of the shared density flow with the tet supplies (lumped
-    volumes, Laplacian, volumes, gradient) from the iterate's record; the
-    incident volumes are 4 times the lumped ones, exactly."""
+    volumes, Laplacian, corner weights, gradient) from the iterate's record;
+    the incident volumes are 4 times the lumped ones, exactly."""
     vols, grads = state.volumes, state.gradients
     ops = dem.build_operators(mesh, (vols, grads))  # raises DensityError on folds
-    return dem.flow_step(mesh.connectivity, state.positions, state.field.rho_vertex,
-                         ops, vols, 4.0 * ops.lumped_volumes,
+    conn = mesh.connectivity
+    return dem.flow_step(conn, state.positions, state.field.rho_vertex, ops,
+                         conn.corner_weights(vols, 4.0 * ops.lumped_volumes),
                          lambda rho: dem.density_gradient(mesh.tets, grads, rho),
                          config.dt, mesh.boundary_vertex_mask)
 
 
-def _deq_step(mesh, state, config):
+def _deq_step(mesh, state, config, history=()):
     """The flow step as per-tet eigenvalue increments plus an alpha-weighted
     residual-descent increment, sorted with the advected frames' columns,
     truncated at k_threshold and rebuilt with the solve started from the

@@ -21,6 +21,12 @@ Contract:
   factored column against the bound. Jacobi PCG runs where that check fails
   (from the factored column), or where the band is too wide or the
   factorization breaks down (from the caller's start).
+- With ``history``, a bounded list of earlier solutions of the caller's own
+  run (never kept on a plan), each CG column starts from the A-norm-best
+  combination of its start and them (P. F. Fischer, CMAME 163, 1998) and
+  stops by the same test; factored columns ignore it. Each solve that
+  iterates logs one DEBUG record: ``rows``, ``columns``, and per column
+  ``history`` (directions the history added) and ``iterations``.
 
 Errors: ``assemble`` raises ValueError on an asymmetric result, the
 precondition of both solves, and ``AssemblyPlan`` IndexError on a triplet
@@ -38,6 +44,8 @@ from functools import cached_property
 from math import sqrt
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpbsv
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -55,6 +63,11 @@ BAND_WORK_LIMIT = 8e6
 # while an overlap correction's one-off patch sets pass through (savings:
 # CHANGES.md, "Contracts, not histories").
 SPLIT_CACHE = 4
+
+# A guess left with at most this share of its norm once the directions before
+# it are projected out adds nothing to a Galerkin start: a repeat, or a
+# combination of the others, up to rounding.
+RANK_TOL = 1e-12
 
 logger = logging.getLogger("volball.linsolve")
 
@@ -373,15 +386,64 @@ def _banded_solve(data: np.ndarray, band: Band, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _galerkin_start(A, b: np.ndarray, start: np.ndarray | None,
+                    earlier: list[np.ndarray]):
+    """The A-norm-best combination of ``start`` (None: left out) and the
+    ``earlier`` solutions for A x = b, and the number of directions the
+    earlier ones add to the start's.
+
+    The vectors, the start first, get a thin QR by Gram-Schmidt run twice
+    over the kept ones ("twice is enough"); a vector left with at most
+    RANK_TOL of its norm is dropped, so repeated and dependent guesses cost
+    nothing. Each kept direction takes one A-product, and the small Galerkin
+    system Q^T A Q y = Q^T b is solved by Cholesky. The dense products are
+    1-D dots, as in ``_pcg``: LAPACK's QR makes many small BLAS calls, each
+    a thread hand-off on a multithreaded BLAS. Returns ``start`` itself when
+    no direction is kept or Q^T A Q is not positive definite (CG then meets
+    the same curvature and raises).
+    """
+    basis, own = [], 0
+    for v in earlier if start is None else [start, *earlier]:
+        w = np.array(v, dtype=np.float64)
+        norm = sqrt(w @ w)
+        for _ in range(2):
+            for q in basis:
+                w -= (q @ w) * q
+        left = sqrt(w @ w)
+        if left > RANK_TOL * norm:
+            basis.append(w / left)
+        if v is start:
+            own = len(basis)
+    if not basis:
+        return start, 0
+    products = np.ascontiguousarray((A @ np.column_stack(basis)).T)
+    gram = np.zeros((len(basis), len(basis)))
+    for i, q in enumerate(basis):
+        for j in range(i + 1):
+            gram[i, j] = q @ products[j]
+    try:
+        factor = cho_factor(gram, lower=True, check_finite=False)
+    except LinAlgError:
+        return start, 0
+    y = cho_solve(factor, np.array([q @ b for q in basis]), check_finite=False)
+    x = y[0] * basis[0]
+    for coefficient, q in zip(y[1:], basis[1:]):
+        x += coefficient * q
+    return x, len(basis) - own
+
+
 def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
-          start: np.ndarray | None = None) -> np.ndarray:
+          start: np.ndarray | None = None, history=()) -> np.ndarray:
     """Solve the (constrained) system for ``rhs`` of shape (n,) or (n, nrhs),
     to the contract of the module docstring; the result has ``rhs``'s shape.
 
     ``start``, shaped like the result, is CG's guess of the free part (zero
-    by default); a factored column that meets the bound needs none. Only CG
-    builds a CSR matrix, and then only the free-free block, never
-    ``system.matrix``.
+    by default); a factored column that meets the bound needs none.
+    ``history``, arrays shaped like the result (earlier solutions of nearby
+    systems), moves a CG column's start from the caller's to the A-norm-best
+    combination of it and their free parts; without history, or from a
+    factored column, CG starts as given. Only CG builds a CSR matrix, and
+    then only the free-free block, never ``system.matrix``.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     single = rhs.ndim == 1
@@ -406,7 +468,7 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
     x_f = np.zeros((inner.shape[0], nrhs))
     guess = None if start is None else \
         np.asarray(start, dtype=np.float64).reshape(n, nrhs)[free_idx]
-    iterate, breakdown = range(nrhs), None
+    iterate, breakdown, factored = range(nrhs), None, None
     if band.order.size and band.work <= nrhs * BAND_WORK_LIMIT:
         full = np.zeros((n, nrhs))
         full[free_idx] = b_f
@@ -431,14 +493,24 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
     if iterate:
         A_ff = inner.matrix(data)
         maxiter = max(10 * A_ff.shape[0], 50)
+        earlier = [] if factored is not None else \
+            [np.asarray(h, dtype=np.float64).reshape(n, nrhs)[free_idx] for h in history]
+        used, iterations = [0] * nrhs, [0] * nrhs
         try:
             for j in iterate:
-                x_f[:, j], _, _ = _pcg(A_ff, b_f[:, j], tol, maxiter,
-                                       None if guess is None else guess[:, j])
+                x0 = None if guess is None else guess[:, j]
+                if earlier:
+                    x0, used[j] = _galerkin_start(A_ff, b_f[:, j], x0,
+                                                  [h[:, j] for h in earlier])
+                x_f[:, j], iterations[j], _ = _pcg(A_ff, b_f[:, j], tol, maxiter, x0)
         except SolverError as exc:
             if breakdown is None:
                 raise
             # the factorization names where the system stops being definite
             raise SolverError(breakdown.message, exc.iterations, exc.residual) from exc
+        logger.debug("pcg solve of %d rows x %d columns: history directions %s, iterations %s",
+                     A_ff.shape[0], nrhs, used, iterations,
+                     extra={"rows": A_ff.shape[0], "columns": nrhs, "history": used,
+                            "iterations": iterations})
     x[free_idx] = x_f
     return x[:, 0] if single else x

@@ -426,9 +426,9 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
         if ratio < eps or rounds == max_iter:
             break
         incident = conn.vertex_measures(areas)
+        weights = conn.corner_weights(areas, incident)
         ops = density.DiffusionOperators(incident / 3.0, surface_laplacian(geo, conn.plan))
-        u = density.flow_step(conn, u, conn.to_vertices(rho_face, areas, incident), ops,
-                              areas, incident,
+        u = density.flow_step(conn, u, conn.to_vertices(rho_face, weights), ops, weights,
                               lambda rho: surface_gradient(geo, rho[faces]), dt,
                               on_sphere)
         geo = triangle_geometry(u, faces)

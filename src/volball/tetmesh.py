@@ -121,18 +121,19 @@ class Connectivity:
         return np.bincount(self.corners, weights=np.repeat(measures, self.k),
                            minlength=self.n_vertices)
 
-    def to_vertices(self, values: np.ndarray, measures: np.ndarray,
-                    incident: np.ndarray) -> np.ndarray:
-        """Measure-weighted mean of per-element scalars (m,) or vectors (m, 3)
-        over the elements around each vertex.
+    def corner_weights(self, measures: np.ndarray, incident: np.ndarray) -> np.ndarray:
+        """Weight of each corner in the element-to-vertex means, shape
+        (m k,): its element's measure over ``incident``, the summed measure
+        around its vertex (``vertex_measures(measures)``, which the caller
+        has already computed)."""
+        return np.repeat(measures, self.k) / incident[self.corners]
 
-        ``incident`` is ``vertex_measures(measures)``, the summed measure
-        around each vertex, which the caller has already computed. Each
-        corner carries the weight measure / (incident measure of its vertex),
-        and the weighted values are summed in corner order, which is bitwise
-        the product with the row-stochastic incidence matrix.
+    def to_vertices(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Measure-weighted mean of per-element scalars (m,) or vectors (m, 3)
+        over the elements around each vertex, with the ``corner_weights`` of
+        the measures. The weighted values are summed in corner order, which
+        is bitwise the product with the row-stochastic incidence matrix.
         """
-        weights = np.repeat(measures, self.k) / incident[self.corners]
         if values.ndim == 1:
             return np.bincount(self.corners, weights=weights * np.repeat(values, self.k),
                                minlength=self.n_vertices)

@@ -372,6 +372,52 @@ def test_run_3dqc_builds_one_tet_plan(monkeypatch):
     assert sizes.count(16 * len(mesh.tets)) == 1
 
 
+def test_run_3dqc_history_cuts_pcg_work_and_keeps_the_run(monkeypatch):
+    # the 2 719-row interior of stretched3 is too wide for the banded rule, so
+    # every reconstruction iterates and starts from the run's earlier maps
+    from volball import drivers, linsolve
+    mesh = stretched_ball_mesh(3)
+    interior = mesh.connectivity.plan.split(mesh.boundary_vertices).band
+    assert interior.work > 3 * linsolve.BAND_WORK_LIMIT
+    ball = initial_ball(mesh)
+    iterations, sizes = [], []
+    pcg, reconstruct = linsolve._pcg, drivers.reconstruct_map
+
+    def counted(*args):
+        out = pcg(*args)
+        iterations.append(out[1])
+        return out
+
+    def recorded(*args, history=(), **kwargs):
+        sizes.append(len(history))
+        return reconstruct(*args, history=history, **kwargs)
+
+    monkeypatch.setattr(linsolve, "_pcg", counted)
+    monkeypatch.setattr(drivers, "reconstruct_map", recorded)
+
+    def run():
+        iterations.clear()
+        sizes.clear()
+        res = run_3dqc(mesh, SolverConfig(n_max=8), init_positions=ball)
+        return res, sum(iterations), list(sizes)
+
+    bound = drivers.HISTORY
+    res, work, held = run()
+    again, _, _ = run()
+    monkeypatch.setattr(drivers, "HISTORY", 0)
+    plain, plain_work, plain_held = run()
+    assert work < plain_work
+    rows, plain_rows = res.report.iterations, plain.report.iterations
+    assert len(rows) == len(plain_rows) == 9 and res.converged is plain.converged is False
+    for key in ("E_3DQC", "mean_K"):
+        assert rows[-1][key] == pytest.approx(plain_rows[-1][key], rel=1e-8)
+    assert again.positions.tobytes() == res.positions.tobytes()
+    assert again.report.to_json() == res.report.to_json()
+    # step i starts with the i earlier accepted maps, at most HISTORY of them
+    assert held == [min(i, bound) for i in range(8)]
+    assert plain_held == [0] * 8
+
+
 def test_run_3ddem_uniform_population_immediate(ball_mesh):
     pop = np.abs(ball_mesh.volumes)
     res = run_3ddem(ball_mesh, pop)

@@ -1,3 +1,4 @@
+from math import sqrt
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from volball import linsolve
+from volball.drivers import HISTORY
 from volball.sphere_map import surface_density_equalize
 
 
@@ -760,3 +762,101 @@ def test_constrained_solve_builds_only_the_free_block_for_pcg(limit, monkeypatch
     assert len(factored) == (limit > 0)
     assert shapes == ([] if limit > 0 else [(n_free, n_free)])
     np.testing.assert_allclose(out, ball_mesh.vertices, atol=1e-8)
+
+
+# -- Galerkin starts from earlier solutions (the history of a run) -----------
+
+
+def _recording_pcg(calls):
+    """A ``_pcg`` that appends (b, x0, iterations, residual) to ``calls``."""
+    pcg = linsolve._pcg
+
+    def recorded(A, b, rtol, maxiter, x0=None):
+        x, k, res = pcg(A, b, rtol, maxiter, x0)
+        calls.append((b, None if x0 is None else np.array(x0), k, res))
+        return x, k, res
+
+    return recorded
+
+
+GUESSES = ("near", "far", "repeat", "dependent", "exact")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=6, max_value=40), st.sampled_from([3, 4]),
+       st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=5),
+       st.integers(min_value=1, max_value=3),
+       st.lists(st.sampled_from(GUESSES), max_size=HISTORY), st.booleans(),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_history_start_is_the_galerkin_projection(n, k, extra, n_fixed, ncols, kinds,
+                                                  with_start, seed):
+    rng = np.random.default_rng(seed)
+    system, rhs, fixed, values, expected = _constrained(rng, n, k, extra, n_fixed, ncols)
+    guesses = []
+    for kind in kinds:
+        if kind == "near":
+            guesses.append(expected + 1e-3 * rng.normal(size=expected.shape))
+        elif kind == "far":
+            guesses.append(rng.normal(size=expected.shape))
+        elif kind == "exact":
+            guesses.append(expected.copy())
+        elif kind == "repeat" and guesses:
+            guesses.append(guesses[-1].copy())
+        elif kind == "dependent" and len(guesses) >= 2:
+            mix = 0.3 * guesses[-1] - 1.7 * guesses[-2]
+            guesses.append(mix * (1.0 + 1e-14 * rng.normal(size=mix.shape)))
+    start = expected + 1e-2 * rng.normal(size=expected.shape) if with_start else None
+    free = np.setdiff1d(np.arange(n), fixed)
+    A_ff = system.matrix.toarray()[np.ix_(free, free)]
+
+    def energy_error(x0, j):
+        d = (np.zeros(len(free)) if x0 is None else x0) - expected[free, j]
+        return sqrt(d @ A_ff @ d)
+
+    def solved(history, limit=0.0):
+        calls = []
+        with mock.patch.object(linsolve, "BAND_WORK_LIMIT", limit), \
+                mock.patch.object(linsolve, "_pcg", _recording_pcg(calls)):
+            return linsolve.solve(system, rhs, start=start, history=history), calls
+
+    x, calls = solved(guesses)
+    again, _ = solved(guesses)
+    _, plain_calls = solved(())
+    assert x.tobytes() == again.tobytes()
+    np.testing.assert_array_equal(x[fixed], values)
+    scale = sqrt(expected[free].ravel() @ expected[free].ravel())
+    for j, ((b, x0, iters, res), (_, plain_x0, _, _)) in enumerate(zip(calls, plain_calls)):
+        bnorm = sqrt(b @ b)
+        assert res <= linsolve.DEFAULT_TOL * bnorm
+        true_residual = b - A_ff @ x[free, j]
+        assert sqrt(true_residual @ true_residual) <= 10 * linsolve.DEFAULT_TOL * bnorm
+        assert energy_error(x0, j) <= energy_error(plain_x0, j) + 1e-10 * scale
+        if "exact" in kinds:
+            assert iters == 0
+    # the direct path ignores the history
+    direct = [linsolve.solve(system, rhs, start=start, history=h) for h in (guesses, ())]
+    assert direct[0].tobytes() == direct[1].tobytes()
+
+
+def test_iterative_solve_logged_once(caplog, monkeypatch):
+    import logging
+    rng = np.random.default_rng(3)
+    system, rhs, _, _, expected = _constrained(rng, 30, 3, 10, 4, 2)
+    system.plan.band  # the plan's own decision record comes first
+    monkeypatch.setattr(linsolve, "BAND_WORK_LIMIT", 0.0)
+    calls = []
+    monkeypatch.setattr(linsolve, "_pcg", _recording_pcg(calls))
+    history = [expected + 1e-3 * rng.normal(size=expected.shape), expected.copy(),
+               expected.copy()]
+    with caplog.at_level(logging.DEBUG, logger="volball"):
+        linsolve.solve(system, rhs, start=np.zeros_like(rhs), history=history)
+    [record] = [r for r in caplog.records if r.name.startswith("volball")]
+    assert record.name == "volball.linsolve" and record.levelno == logging.DEBUG
+    # the start is zero and the repeat adds nothing: two history directions
+    assert (record.rows, record.columns, record.history) == (26, 2, [2, 2])
+    assert record.iterations == [k for _, _, k, _ in calls] == [0, 0]
+    caplog.clear()
+    monkeypatch.setattr(linsolve, "BAND_WORK_LIMIT", 8e6)
+    with caplog.at_level(logging.DEBUG, logger="volball"):
+        linsolve.solve(system, rhs, history=history)
+    assert not [r for r in caplog.records if r.name.startswith("volball")]

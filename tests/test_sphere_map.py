@@ -470,8 +470,8 @@ def test_conformal_boundary_map_invariants_under_relabelling(solids, name, seed)
 #
 # The formulas below are the kernels as written before the component-major
 # layout: per-triangle rows (m, 3, 3), np.linalg.norm, the einsum gradient
-# and a to_vertices that sums the incident measures itself. The kernels must
-# equal them bitwise.
+# and corner weights that sum the incident measures themselves. The kernels
+# must equal them bitwise.
 
 NEXT, PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
@@ -542,11 +542,14 @@ def _ref_capped_advect(positions, velocity, dt, edges, on_sphere):
     return out
 
 
-def _ref_to_vertices(conn, values, measures, incident=None):
+def _ref_corner_weights(conn, measures, incident=None):
     # the incident measures are summed here, whatever the caller passes
     incident = np.bincount(conn.corners, weights=np.repeat(measures, conn.k),
                            minlength=conn.n_vertices)
-    weights = np.repeat(measures, conn.k) / incident[conn.corners]
+    return np.repeat(measures, conn.k) / incident[conn.corners]
+
+
+def _ref_to_vertices(conn, values, weights):
     if values.ndim == 1:
         return np.bincount(conn.corners, weights=weights * np.repeat(values, conn.k),
                            minlength=conn.n_vertices)
@@ -601,10 +604,11 @@ def test_triangle_kernels_equal_row_major_formulas(kernel_solids, source, seed):
     assert np.array_equal(grad, _ref_surface_gradient(ref, rho[faces]))
 
     conn = Connectivity(faces, n)
-    incident = conn.vertex_measures(areas)
+    weights = conn.corner_weights(areas, conn.vertex_measures(areas))
+    assert np.array_equal(weights, _ref_corner_weights(conn, areas))
     for values in (rho[faces[:, 0]], grad):
-        assert np.array_equal(conn.to_vertices(values, areas, incident),
-                              _ref_to_vertices(conn, values, areas))
+        assert np.array_equal(conn.to_vertices(values, weights),
+                              _ref_to_vertices(conn, values, _ref_corner_weights(conn, areas)))
     on_sphere = rng.random(n) < 0.7
     velocity = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 10.0)
     assert np.array_equal(density.min_incident_edge(points, conn.edges),
@@ -654,6 +658,7 @@ def test_surface_flow_equals_row_major_kernels_bitwise(monkeypatch, request, flo
         patch.setattr(sphere_map, "surface_gradient", _ref_surface_gradient)
         patch.setattr(sphere_map, "_sd_over_mean", lambda x: np.std(x) / np.mean(x))
         patch.setattr(density, "capped_advect", _ref_capped_advect)
+        patch.setattr(Connectivity, "corner_weights", _ref_corner_weights)
         patch.setattr(Connectivity, "to_vertices", _ref_to_vertices)
         expected = surface_density_equalize(sphere, faces, population)
     assert out.tobytes() == expected.tobytes()

@@ -408,12 +408,12 @@ def elements(request, ball_mesh):
 def test_connectivity_row_stochastic(elements):
     elems, n, measures, _ = elements
     conn = Connectivity(elems, n)
-    incident = conn.vertex_measures(measures)
-    np.testing.assert_allclose(conn.to_vertices(np.ones(len(elems)), measures, incident),
+    weights = conn.corner_weights(measures, conn.vertex_measures(measures))
+    np.testing.assert_allclose(conn.to_vertices(np.ones(len(elems)), weights),
                                1.0, atol=1e-12)
     vec = np.array([0.5, -2.0, 3.0])
     np.testing.assert_allclose(
-        conn.to_vertices(np.tile(vec, (len(elems), 1)), measures, incident),
+        conn.to_vertices(np.tile(vec, (len(elems), 1)), weights),
         np.tile(vec, (n, 1)), atol=1e-12)
 
 
@@ -434,7 +434,8 @@ def test_connectivity_matches_incidence_matrix(elements):
     scalars, vectors = rng.normal(size=m), rng.normal(size=(m, 3))
     conn = Connectivity(elems, n)
     for values in (scalars, vectors):
-        out = conn.to_vertices(values, measures, conn.vertex_measures(measures))
+        out = conn.to_vertices(values,
+                               conn.corner_weights(measures, conn.vertex_measures(measures)))
         np.testing.assert_allclose(out, conv @ values, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(out, sparse @ values)
     np.testing.assert_array_equal(conn.vertex_measures(measures), incident)
