@@ -164,6 +164,8 @@ def _cmd_remesh(args) -> int:
     result.report.final["delta_size"] = quality.delta_size
     result.report.final["delta_shape"] = quality.delta_shape
     result.report.final["snapped_template_vertices"] = snapped
+    # quality_metrics scores |volume|, so an inverted output tet shows only here
+    result.report.final["remeshed_folds"] = template.count_folds(positions)
 
     os.makedirs(args.outdir, exist_ok=True)
     in_fmt = fileio.format_from_path(args.input)

@@ -5,9 +5,10 @@ measure), rho_tet (m,), and its measure-weighted vertex mean, rho_vertex
 (n,). ``flow_step`` is the step of both the surface flow on the sphere and
 the volume flow in the ball: implicit diffusion of the vertex density, its
 gradient per element, the vertex mean, the velocity -grad rho / rho and
-capped advection. Each flow supplies its own measures (areas or volumes)
-and their sums around each vertex, computed once per step, lumped masses,
-cotangent Laplacian (a ``linsolve.LinearSystem``) and element gradient.
+capped advection. Each flow supplies its own ``DiffusionOperators`` (lumped
+masses, cotangent Laplacian as a ``linsolve.LinearSystem`` and the corner
+weights of its measures, areas or volumes, computed once per step) and
+element gradient.
 
 Errors: ``DensityError`` (a ValueError) on a population that is not one
 finite positive value per element, naming the first bad one, and on
@@ -44,6 +45,7 @@ class DensityField:
 class DiffusionOperators:
     lumped_volumes: np.ndarray         # (n,) diagonal mass
     laplacian: linsolve.LinearSystem   # PSD cotangent Laplacian on its plan
+    corner_weights: np.ndarray         # (m k,) Connectivity.corner_weights of the measures
 
 
 def checked_population(population, count: int, item: str,
@@ -79,20 +81,18 @@ def field_from_volumes(mesh: TetMesh, volumes: np.ndarray,
         raise DensityError(f"{int(np.count_nonzero(volumes <= 0))} tets have nonpositive volume")
     rho_tet = population / volumes
     conn = mesh.connectivity
-    return DensityField(rho_tet,
-                        conn.to_vertices(rho_tet, conn.corner_weights(
-                            volumes, conn.vertex_measures(volumes))))
+    return DensityField(rho_tet, conn.to_vertices(rho_tet, conn.corner_weights(volumes)[1]))
 
 
 def build_operators(mesh: TetMesh, geometry) -> DiffusionOperators:
-    """Assemble lumped volumes and the cotangent Laplacian from the current
-    (volumes, hat gradients) pair ``geometry`` of ``tetmesh.tet_gradients``.
-    The lumped volumes are the incident volumes over 4, so 4 times them is
-    exactly ``vertex_measures`` of the volumes."""
+    """Assemble lumped volumes, the cotangent Laplacian and the corner
+    weights from the current (volumes, hat gradients) pair ``geometry`` of
+    ``tetmesh.tet_gradients``. The lumped volumes are the incident volumes
+    over 4."""
     if np.any(geometry[0] <= 0):
         raise DensityError("deformed mesh has nonpositive volumes")
-    return DiffusionOperators(mesh.connectivity.vertex_measures(geometry[0]) / 4.0,
-                              laplacian_matrix(mesh, geometry))
+    incident, weights = mesh.connectivity.corner_weights(geometry[0])
+    return DiffusionOperators(incident / 4.0, laplacian_matrix(mesh, geometry), weights)
 
 
 def diffusion_step(ops: DiffusionOperators, rho_vertex: np.ndarray,
@@ -149,12 +149,16 @@ def min_incident_edge(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def capped_advect(positions: np.ndarray, velocity: np.ndarray, dt: float,
-                  edges: np.ndarray, on_sphere: np.ndarray) -> np.ndarray:
+                  edges: np.ndarray, on_sphere) -> np.ndarray:
     """Move the vertices by dt * velocity: the velocity loses its radial part
     at the ``on_sphere`` vertices (the outward normal there is the normalized
     position), each move is capped at STEP_LIMIT times the vertex's shortest
     ``edges`` edge, and the ``on_sphere`` vertices are projected back onto
-    the unit sphere."""
+    the unit sphere.
+    ``on_sphere`` is a boolean mask or an index, such as ``slice(None)`` for
+    a flow whose every vertex is on the sphere: an index gathers and
+    scatters nothing it does not select, and gives the same result as its
+    mask."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     vel = np.array(velocity, dtype=np.float64, copy=True)
@@ -172,15 +176,15 @@ def capped_advect(positions: np.ndarray, velocity: np.ndarray, dt: float,
 
 
 def flow_step(conn: Connectivity, positions: np.ndarray, rho_vertex: np.ndarray,
-              ops: DiffusionOperators, weights: np.ndarray,
-              element_gradient, dt: float, on_sphere: np.ndarray) -> np.ndarray:
+              ops: DiffusionOperators, element_gradient, dt: float,
+              on_sphere) -> np.ndarray:
     """One flow step, on the sphere or in the ball: diffuse ``rho_vertex``
     under ``ops``, take the gradient per element (``element_gradient(rho)``,
-    (m, 3)), average it onto the vertices with the ``corner_weights`` of the
-    element measures and advect ``positions`` along -grad rho / rho,
-    keeping the ``on_sphere`` vertices on the unit sphere. Returns the moved
-    positions."""
+    (m, 3)), average it onto the vertices with the ops' corner weights and
+    advect ``positions`` along -grad rho / rho, keeping the ``on_sphere``
+    vertices (a mask or an index, as ``capped_advect`` takes) on the unit
+    sphere. Returns the moved positions."""
     rho_next = diffusion_step(ops, rho_vertex, dt)
-    grad = conn.to_vertices(element_gradient(rho_next), weights)
+    grad = conn.to_vertices(element_gradient(rho_next), ops.corner_weights)
     vel = velocity_field(rho_next, grad)
     return capped_advect(positions, vel, dt, conn.edges, on_sphere)

@@ -486,13 +486,11 @@ def _qc_step(mesh, state, config, history=()):
 
 def _dem_step(mesh, state, config, history=()):
     """One step of the shared density flow with the tet supplies (lumped
-    volumes, Laplacian, corner weights, gradient) from the iterate's record;
-    the incident volumes are 4 times the lumped ones, exactly."""
+    volumes, Laplacian, corner weights, gradient) from the iterate's
+    record."""
     vols, grads = state.volumes, state.gradients
     ops = dem.build_operators(mesh, (vols, grads))  # raises DensityError on folds
-    conn = mesh.connectivity
-    return dem.flow_step(conn, state.positions, state.field.rho_vertex, ops,
-                         conn.corner_weights(vols, 4.0 * ops.lumped_volumes),
+    return dem.flow_step(mesh.connectivity, state.positions, state.field.rho_vertex, ops,
                          lambda rho: dem.density_gradient(mesh.tets, grads, rho),
                          config.dt, mesh.boundary_vertex_mask)
 

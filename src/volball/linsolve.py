@@ -20,7 +20,9 @@ Contract:
   serves all nrhs columns while PCG's cost grows with nrhs, and checks each
   factored column against the bound. Jacobi PCG runs where that check fails
   (from the factored column), or where the band is too wide or the
-  factorization breaks down (from the caller's start).
+  factorization breaks down (from the caller's start). A system with no
+  fixed row skips the split: the band solves ``rhs`` as given, and the
+  factored array, with CG's columns written into it, is the result.
 - With ``history``, a bounded list of earlier solutions of the caller's own
   run (never kept on a plan), each CG column starts from the A-norm-best
   combination of its start and them (P. F. Fischer, CMAME 163, 1998) and
@@ -452,11 +454,11 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
         raise ValueError("rhs size does not match system dimension")
     n, nrhs = b.shape
     data = system.data
-    x = np.zeros((n, nrhs))
 
     fixed_idx = system.fixed_indices
     if fixed_idx.size == 0:
-        # nothing to eliminate: the reduced system is the system itself
+        # nothing to eliminate: the reduced system is the system itself, and
+        # the band solves b as it stands
         free_idx, inner, band, b_f = slice(None), system.plan.pattern, system.plan.band, b
     else:
         # (k,) values repeat across the right-hand sides, (k, nrhs) map one to one
@@ -464,16 +466,16 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
         split = system.plan.split(fixed_idx)
         free_idx, inner, band = split.free, split.inner, split.band
         b_f = b[free_idx] - split.outer.matvec(data, fixed_vals)
-        x[fixed_idx] = fixed_vals
-    x_f = np.zeros((inner.shape[0], nrhs))
     guess = None if start is None else \
         np.asarray(start, dtype=np.float64).reshape(n, nrhs)[free_idx]
     iterate, breakdown, factored = range(nrhs), None, None
     if band.order.size and band.work <= nrhs * BAND_WORK_LIMIT:
-        full = np.zeros((n, nrhs))
-        full[free_idx] = b_f
+        padded = b_f  # the band reads its rows of an (n, nrhs) right-hand side
+        if fixed_idx.size:
+            padded = np.zeros((n, nrhs))
+            padded[free_idx] = b_f
         try:
-            factored = _banded_solve(data, band, full)[free_idx]
+            factored = _banded_solve(data, band, padded)[free_idx]
         except SolverError as exc:
             breakdown = exc  # CG runs from the caller's start and decides
         else:
@@ -484,11 +486,12 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
             for j in range(nrhs):
                 bnorm = sqrt(b_rows[j] @ b_rows[j])
                 if bnorm == 0.0:
-                    continue  # a zero column solves to zeros
-                x_f[:, j] = factored[:, j]
-                if not sqrt(r_rows[j] @ r_rows[j]) <= tol * bnorm:
+                    factored[:, j] = 0.0  # a zero column solves to zeros
+                elif not sqrt(r_rows[j] @ r_rows[j]) <= tol * bnorm:
                     iterate.append(j)  # rounding missed the bound: CG goes on
             guess = factored
+    # CG overwrites only the columns it iterates, each after reading its start
+    x_f = np.zeros((inner.shape[0], nrhs)) if factored is None else factored
 
     if iterate:
         A_ff = inner.matrix(data)
@@ -512,5 +515,10 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
                      A_ff.shape[0], nrhs, used, iterations,
                      extra={"rows": A_ff.shape[0], "columns": nrhs, "history": used,
                             "iterations": iterations})
-    x[free_idx] = x_f
+    if fixed_idx.size:
+        x = np.zeros((n, nrhs))
+        x[fixed_idx] = fixed_vals
+        x[free_idx] = x_f
+    else:
+        x = x_f
     return x[:, 0] if single else x

@@ -5,12 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import ConvexHull, Delaunay, cKDTree
 
-from .tetmesh import (EDGE_LOCAL, PointLocator, TetMesh,
+from .tetmesh import (EDGE_LOCAL, INSIDE_TOL, LOCATE_PAIRS, PointLocator, TetMesh,
                       barycentric_coordinates, signed_volumes)
 
 _JITTER_SEED = 20240915
+
+# A point whose barycentric coordinates in a tet are all >= -INSIDE_TOL lies
+# within 3 INSIDE_TOL times the tet's diameter of it (PointLocator), so at
+# most 3 INSIDE_TOL times the bounding-box diagonal beyond any facet plane
+# of the hull around it. The margin is over twenty times that bound, so
+# rounding in the coordinates and in qhull's facet equations cannot carry a
+# point the locator would place past it.
+HULL_MARGIN = 64 * INSIDE_TOL
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -64,9 +72,11 @@ class RemeshQuality:
 def quality_metrics(tets: np.ndarray, positions: np.ndarray) -> RemeshQuality:
     """Size and shape variation of the tets ``tets`` at ``positions``.
 
-    ``delta_size`` is the standard deviation of the tet volumes; the per-tet
-    regularity sums |e_j / sum(e) - 1/6| over the six edge lengths, vanishing
-    exactly for equilateral tets, and ``delta_shape`` is its mean.
+    ``delta_size`` is the standard deviation of the tet volumes, taken as
+    |signed volume|, so an inverted tet scores as its mirror image; the
+    per-tet regularity sums |e_j / sum(e) - 1/6| over the six edge lengths,
+    vanishing exactly for equilateral tets, and ``delta_shape`` is its mean.
+    Neither reveals inverted tets: ``TetMesh.count_folds`` counts them.
     """
     tets = np.asarray(tets)
     vertices = np.asarray(positions, dtype=np.float64)
@@ -123,34 +133,86 @@ def _closest_point_on_triangles(points: np.ndarray, tri: np.ndarray) -> np.ndarr
 def _snap(source: TetMesh, forward_positions: np.ndarray,
           points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Owner tet and weights of the closest point on the deformed boundary to
-    each of ``points``, sought on the 16 boundary faces of nearest centroid;
-    the weights are clipped to be nonnegative and renormalised."""
+    each of ``points``, sought on the 16 boundary faces of nearest centroid
+    (the first of them on a tie); the weights are clipped to be nonnegative
+    and renormalised.
+
+    A face lies within its reach (largest corner-to-centroid distance) of
+    its centroid, so it is no closer to a point than their distance minus
+    that reach. Only faces whose bound does not exceed the distance to the
+    nearest centroid's face, with a 1e-9 relative slack for rounding, get a
+    closest point; the rest cannot be picked, and each pair's arithmetic
+    does not depend on the others, so the picks are those of all 16."""
     faces = source.boundary_faces
+    tri = forward_positions[faces]
+    centroids = tri.mean(axis=1)
+    reach = np.linalg.norm(tri - centroids[:, None], axis=2).max(axis=1)
     k = min(16, len(faces))
-    _, cand = cKDTree(forward_positions[faces].mean(axis=1)).query(points, k=k)
-    cand = np.reshape(cand, (len(points), k))
-    proj = _closest_point_on_triangles(points[:, None], forward_positions[faces[cand]])
+    dist, cand = cKDTree(centroids).query(points, k=k)
+    dist, cand = np.reshape(dist, (len(points), k)), np.reshape(cand, (len(points), k))
+    proj = np.empty((len(points), k, 3))
+    proj[:, 0] = _closest_point_on_triangles(points, tri[cand[:, 0]])
+    gap = np.full((len(points), k), np.inf)
+    gap[:, 0] = np.linalg.norm(proj[:, 0] - points, axis=1)
+    near = gap[:, :1] + 1e-9 * (dist[:, 1:] + gap[:, :1])
+    rows, cols = np.nonzero(dist[:, 1:] - reach[cand[:, 1:]] <= near)
+    cols += 1
+    proj[rows, cols] = _closest_point_on_triangles(points[rows], tri[cand[rows, cols]])
+    gap[rows, cols] = np.linalg.norm(proj[rows, cols] - points[rows], axis=1)
     rows = np.arange(len(points))
-    best = np.argmin(np.linalg.norm(proj - points[:, None], axis=2), axis=1)
+    best = np.argmin(gap, axis=1)
     tets = source.boundary_owners[cand[rows, best]]
     lam = np.clip(barycentric_coordinates(forward_positions, source.tets, tets,
                                           proj[rows, best]), 0.0, None)
     return tets, lam / lam.sum(axis=1, keepdims=True)
 
 
+def _beyond_hull(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Mask of the ``points`` farther than HULL_MARGIN times the bounding-box
+    diagonal of ``vertices`` beyond a facet plane of their convex hull (qhull's
+    Quickhull, outward unit normals n and offsets d): max(n . p + d) exceeds
+    the margin. ``PointLocator`` locates no such point in any tet over
+    ``vertices`` (see its docstring). Rows go in batches of about
+    LOCATE_PAIRS (point, facet) pairs."""
+    equations = ConvexHull(vertices).equations
+    normals = np.ascontiguousarray(equations[:, :3].T)
+    offsets = np.ascontiguousarray(equations[:, 3])
+    margin = HULL_MARGIN * float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
+    step = max(1, LOCATE_PAIRS // len(offsets))
+    worst = []
+    for i in range(0, len(points), step):
+        violation = points[i:i + step] @ normals
+        violation += offsets
+        worst.append(violation.max(axis=1))
+    return np.concatenate(worst) > margin
+
+
 def pullback(source: TetMesh, forward_positions: np.ndarray,
              template: TetMesh) -> tuple[np.ndarray, int]:
     """Map template vertices back through the inverse of a forward map.
 
-    All template vertices are located at once inside the deformed source mesh
+    The template vertices are located at once inside the deformed source mesh
     (``forward_positions``), and their barycentric weights are replayed on the
     source's rest coordinates. Vertices that fall outside the deformed mesh
     (typically template boundary points beyond the piecewise-linear sphere)
-    are snapped, again in one batch, to the nearest deformed boundary face;
-    the snap count is returned alongside the mapped positions.
+    are snapped, again in one batch and in index order, to the nearest
+    deformed boundary face; the snap count is returned alongside the mapped
+    positions.
+
+    A vertex beyond the convex hull of all forward positions by more than
+    HULL_MARGIN times their bounding-box diagonal (``_beyond_hull``) skips
+    point location: every tet, folded or not, lies inside that hull, so the
+    locator would miss it, and it joins the misses as it would have. Every
+    other vertex is located as one batch, and a point's pick does not depend
+    on the rest of its batch, so positions and snap count are those of
+    locating every vertex.
     """
     forward_positions = np.asarray(forward_positions, dtype=np.float64)
-    tets, lam = PointLocator(forward_positions, source.tets).locate_points(template.vertices)
+    locator = PointLocator(forward_positions, source.tets)
+    tets = np.full(len(template.vertices), -1, dtype=np.int64)
+    lam = np.full((len(template.vertices), 4), np.nan)
+    near = np.flatnonzero(~_beyond_hull(forward_positions, template.vertices))
+    tets[near], lam[near] = locator.locate_points(template.vertices[near])
     missed = np.flatnonzero(tets < 0)
     if missed.size:
         tets[missed], lam[missed] = _snap(source, forward_positions,

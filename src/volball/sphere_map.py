@@ -416,7 +416,6 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
     population = density.checked_population(population, len(faces), "face",
                                             SphereMapError)
     conn = Connectivity(faces, len(u))
-    on_sphere = np.ones(len(u), dtype=bool)
     geo = triangle_geometry(u, faces)
     last_valid = u
     for rounds in range(max_iter + 1):
@@ -425,12 +424,13 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
         ratio = _sd_over_mean(rho_face)
         if ratio < eps or rounds == max_iter:
             break
-        incident = conn.vertex_measures(areas)
-        weights = conn.corner_weights(areas, incident)
-        ops = density.DiffusionOperators(incident / 3.0, surface_laplacian(geo, conn.plan))
-        u = density.flow_step(conn, u, conn.to_vertices(rho_face, weights), ops, weights,
+        incident, weights = conn.corner_weights(areas)
+        ops = density.DiffusionOperators(incident / 3.0, surface_laplacian(geo, conn.plan),
+                                         weights)
+        # every vertex is on the sphere: an index, so no all-true mask gathers
+        u = density.flow_step(conn, u, conn.to_vertices(rho_face, weights), ops,
                               lambda rho: surface_gradient(geo, rho[faces]), dt,
-                              on_sphere)
+                              slice(None))
         geo = triangle_geometry(u, faces)
         if geo.flipped.any():
             u = correct_spherical_flips(last_valid, u, faces)

@@ -116,22 +116,20 @@ class Connectivity:
         e.setflags(write=False)
         return e
 
-    def vertex_measures(self, measures: np.ndarray) -> np.ndarray:
-        """Summed measure (area or volume) of the elements around each vertex."""
-        return np.bincount(self.corners, weights=np.repeat(measures, self.k),
-                           minlength=self.n_vertices)
-
-    def corner_weights(self, measures: np.ndarray, incident: np.ndarray) -> np.ndarray:
-        """Weight of each corner in the element-to-vertex means, shape
-        (m k,): its element's measure over ``incident``, the summed measure
-        around its vertex (``vertex_measures(measures)``, which the caller
-        has already computed)."""
-        return np.repeat(measures, self.k) / incident[self.corners]
+    def corner_weights(self, measures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The summed measure (area or volume) of the elements around each
+        vertex, shape (n,), and the weight of each corner in the
+        element-to-vertex means, shape (m k,): its element's measure over
+        that sum at its vertex. One per-corner copy of the measures serves
+        both."""
+        per_corner = np.repeat(measures, self.k)
+        incident = np.bincount(self.corners, weights=per_corner, minlength=self.n_vertices)
+        return incident, per_corner / incident[self.corners]
 
     def to_vertices(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Measure-weighted mean of per-element scalars (m,) or vectors (m, 3)
         over the elements around each vertex, with the ``corner_weights`` of
-        the measures. The weighted values are summed in corner order, which
+        the measures (the second array). The weighted values are summed in corner order, which
         is bitwise the product with the row-stochastic incidence matrix.
         """
         if values.ndim == 1:
@@ -249,6 +247,13 @@ class PointLocator:
     largest reach of any tet). A tet that contains the point has its
     centroid that close, so the second pass finds whatever an exhaustive
     scan would.
+
+    A point's pick depends on that point alone, not on the rest of its
+    batch. A point placed in a tet T (coordinates >= -INSIDE_TOL, at most
+    three of them negative) lies within 3 INSIDE_TOL diam(T) of T, so no
+    point beyond the convex hull of ``vertices`` by more than that is ever
+    placed: ``remesh.pullback`` sends the points beyond it by its far wider
+    HULL_MARGIN straight to its misses, and no pick changes.
     """
 
     def __init__(self, vertices: np.ndarray, tets: np.ndarray):

@@ -245,11 +245,41 @@ def test_remesh_bad_resolution_exit_1(tmp_path, ball_file, capsys, monkeypatch, 
 
 
 def test_cli_determinism(tmp_path, ball_file):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        code = cli.main(["param", "--method", "3ddem", "--population", "volume",
-                         ball_file, str(out)])
-        assert code == 0
-        outs.append((out / "report.json").read_bytes())
-    assert outs[0] == outs[1]
+    runs = [(["param", "--method", "3ddem", "--population", "volume"], ["report.json"]),
+            (["remesh", "--method", "3ddeq", "--population", "volume", "--resolution", "2"],
+             ["remeshed.mesh", "remeshed.vtk", "report.json", "trace.csv"])]
+    for command, files in runs:
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / command[0] / name
+            code = cli.main([*command, ball_file, str(out)])
+            assert code == 0
+            outs.append([(out / f).read_bytes() for f in files])
+        assert outs[0] == outs[1]
+
+
+@pytest.fixture(scope="module")
+def graded_file(tmp_path_factory):
+    from volball.synthetic import graded_ellipsoid_mesh
+    mesh = graded_ellipsoid_mesh(1)
+    path = tmp_path_factory.mktemp("meshes") / "graded1.mesh"
+    fileio.save_mesh(str(path), mesh.vertices, mesh.tets)
+    return str(path)
+
+
+@pytest.mark.parametrize("resolution, folds", [("2", 0), ("3", 3)])
+def test_remesh_report_counts_inverted_tets(tmp_path, graded_file, resolution, folds):
+    # the bench's remesh (template resolution 2) writes no inverted tet; at
+    # resolution 3 the template is finer than the graded solid, and three
+    # pulled-back tets come out inverted while the command still exits 0
+    from volball.tetmesh import signed_volumes
+    out = tmp_path / "out"
+    code = cli.main(["remesh", "--method", "3ddeq", "--population", "volume",
+                     "--resolution", resolution, graded_file, str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    # the raw arrays: load_mesh would reorient the inverted tets
+    vertices, tets = fileio._read_medit(str(out / "remeshed.mesh"))
+    recount = int(np.count_nonzero(signed_volumes(vertices, tets) <= 0.0))
+    assert report["final"]["remeshed_folds"] == recount == folds
+    assert report["final"]["folds"] == 0

@@ -205,33 +205,73 @@ def test_plan_matches_dense_oracle(n, k, seed):
         assert np.abs(got - dense).max(initial=0.0) <= 1e-12 * max(np.abs(dense).max(initial=0.0), 1.0)
 
 
-def _split_solve(A, rhs, tol=linsolve.DEFAULT_TOL):
-    """Reference: PCG on the scipy-sliced blocks of the CSR matrix ``A`` split
-    with no fixed index, as the solver did before unconstrained systems
-    skipped the split."""
-    n = A.shape[0]
-    free_idx = np.arange(n)
-    fixed_idx = np.empty(0, dtype=np.int64)
+def _split_solve(system, rhs, tol=linsolve.DEFAULT_TOL):
+    """Reference: the unconstrained solve with the Dirichlet-split bookkeeping
+    it had before it skipped it: scipy-sliced blocks of the CSR matrix with
+    no fixed index, zero-filled (n, nrhs) copies of b and x, factored
+    columns (where the band rule factors) copied one at a time, and PCG
+    from zero, or from a factored column that misses the bound."""
+    b = rhs[:, None] if rhs.ndim == 1 else rhs
+    n, nrhs = b.shape
+    free_idx, fixed_idx = np.arange(n), np.empty(0, dtype=np.int64)
+    A = system.matrix
     A_ff = A[free_idx][:, free_idx].tocsr()
     A_fc = A[free_idx][:, fixed_idx].tocsr()
-    b_f = rhs[:, None] - A_fc @ np.zeros((0, 1))
-    return linsolve._pcg(A_ff, b_f[:, 0], tol, max(10 * n, 50))[0]
+    b_f = b[free_idx] - A_fc @ np.zeros((0, nrhs))
+    x, starts, iterate = np.zeros((n, nrhs)), [None] * nrhs, range(nrhs)
+    band = system.plan.band
+    if band.work <= nrhs * linsolve.BAND_WORK_LIMIT:
+        full = np.zeros((n, nrhs))
+        full[free_idx] = b_f
+        factored = linsolve._banded_solve(system.data, band, full)[free_idx]
+        iterate = []
+        for j in range(nrhs):
+            column = np.ascontiguousarray(b_f[:, j])
+            if sqrt(column @ column) == 0.0:
+                continue
+            x[:, j] = starts[j] = factored[:, j]
+            r = column - A_ff @ factored[:, j]
+            if not sqrt(r @ r) <= tol * sqrt(column @ column):
+                iterate.append(j)
+    for j in iterate:
+        x[:, j] = linsolve._pcg(A_ff, b_f[:, j], tol, max(10 * n, 50), starts[j])[0]
+    return x[:, 0] if rhs.ndim == 1 else x
 
 
-@pytest.mark.parametrize("mesh_name", ["ball_mesh_6k", "cube9"])
-def test_unconstrained_solve_matches_split_path_bitwise(mesh_name, request):
-    # backward-Euler diffusion is the solver's unconstrained caller; on these
-    # two solids its plan's band is too wide for the direct path, so it runs PCG
+@pytest.mark.parametrize("mesh_name, columns, tol", [
+    pytest.param("ball_mesh_6k", 0, linsolve.DEFAULT_TOL, id="ball_mesh_6k"),
+    pytest.param("cube9", 0, linsolve.DEFAULT_TOL, id="cube9"),
+    pytest.param("ball_mesh", 0, linsolve.DEFAULT_TOL, id="ball_mesh-factored"),
+    pytest.param("ball_mesh", 3, linsolve.DEFAULT_TOL, id="ball_mesh-factored-3"),
+    pytest.param("ball_mesh", 3, 1e-15, id="ball_mesh-factored-3-cg")])
+def test_unconstrained_solve_matches_split_path_bitwise(mesh_name, columns, tol, request,
+                                                        caplog):
+    # backward-Euler diffusion is the solver's unconstrained caller. The bands
+    # of the two larger solids are too wide for the direct path, so they run
+    # PCG; the 187-vertex ball's is factored, and at tol 1e-15 rounding
+    # misses the bound, so CG goes on from the factored columns. columns 0
+    # is one 1-D right-hand side; with 3, the middle one is zero
     from volball.density import build_operators, diffusion_step
     mesh = request.getfixturevalue(mesh_name)
     ops = build_operators(mesh, (mesh.volumes, mesh.hat_gradients))
-    assert not ops.laplacian.plan.band.direct
+    direct = mesh_name == "ball_mesh"
+    assert ops.laplacian.plan.band.direct == direct
     n, dt = len(mesh.vertices), 0.1
     rho = 1.0 + mesh.vertices[:, 0] ** 2
-    A = csr_matrix((ops.lumped_volumes, (np.arange(n), np.arange(n))), shape=(n, n))
-    np.testing.assert_array_equal(diffusion_step(ops, rho, dt),
-                                  _split_solve(A + dt * ops.laplacian.matrix,
-                                               ops.lumped_volumes * rho))
+    data = dt * ops.laplacian.data
+    data[ops.laplacian.plan.diagonal] += ops.lumped_volumes
+    system = linsolve.LinearSystem(ops.laplacian.plan, data)
+    caplog.set_level("DEBUG", logger="volball.linsolve")
+    if columns == 0:
+        got, rhs = diffusion_step(ops, rho, dt), ops.lumped_volumes * rho
+    else:
+        rhs = ops.lumped_volumes[:, None] * np.column_stack(
+            [rho, np.zeros(n), 2.0 - mesh.vertices[:, 1]])
+        got = linsolve.solve(system, rhs, tol)
+    assert got.tobytes() == _split_solve(system, rhs, tol).tobytes()
+    iterated = any(r.name == "volball.linsolve" and r.message.startswith("pcg solve")
+                   for r in caplog.records)
+    assert iterated == (not direct or tol < linsolve.DEFAULT_TOL)
 
 
 def _textbook_pcg(A, b, rtol, maxiter):
@@ -314,7 +354,8 @@ def _element_diffusion(rng, n, k, extra):
     local = -w
     local[:, np.arange(k), np.arange(k)] = w.sum(axis=2)
     laplacian = linsolve.assemble(plan, local.reshape(-1))
-    return DiffusionOperators(rng.uniform(0.5, 1.5, size=n), laplacian)
+    # diffusion_step reads no corner weights
+    return DiffusionOperators(rng.uniform(0.5, 1.5, size=n), laplacian, np.empty(0))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

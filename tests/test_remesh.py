@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
-from volball.remesh import (RemeshQuality, pullback, quality_metrics,
-                            uniform_ball_mesh)
-from volball.tetmesh import INSIDE_TOL, PointLocator, TetMesh, signed_volumes
+from volball.remesh import (RemeshQuality, _beyond_hull, _closest_point_on_triangles, _snap,
+                            pullback, quality_metrics, uniform_ball_mesh)
+from volball.tetmesh import (INSIDE_TOL, PointLocator, TetMesh, barycentric_coordinates,
+                             signed_volumes)
 
 
 def test_uniform_ball_resolution_one():
@@ -206,3 +207,124 @@ def test_pullback_invariant_under_source_renumbering(graded_map, template_2, see
     pos_r, snapped_r = pullback(*_renumber(source, forward, seed), template_2)
     assert snapped_r == snapped
     assert np.abs(pos_r - pos).max() <= 1e-12
+
+
+def _snap_every_candidate(source, forward, points):
+    """Reference: the snap with a closest point on each of the 16 candidate
+    faces of every point."""
+    faces = source.boundary_faces
+    k = min(16, len(faces))
+    _, cand = cKDTree(forward[faces].mean(axis=1)).query(points, k=k)
+    cand = np.reshape(cand, (len(points), k))
+    proj = _closest_point_on_triangles(points[:, None], forward[faces[cand]])
+    rows = np.arange(len(points))
+    best = np.argmin(np.linalg.norm(proj - points[:, None], axis=2), axis=1)
+    tets = source.boundary_owners[cand[rows, best]]
+    lam = np.clip(barycentric_coordinates(forward, source.tets, tets, proj[rows, best]),
+                  0.0, None)
+    return tets, lam / lam.sum(axis=1, keepdims=True)
+
+
+def _locate_everything_pullback(source, forward, template):
+    """Reference: the pullback with every template vertex sent through the
+    locator, the misses snapped in one batch against every candidate face."""
+    forward = np.asarray(forward, dtype=np.float64)
+    tets, lam = PointLocator(forward, source.tets).locate_points(template.vertices)
+    missed = np.flatnonzero(tets < 0)
+    if missed.size:
+        tets[missed], lam[missed] = _snap_every_candidate(source, forward,
+                                                          template.vertices[missed])
+    return np.matmul(lam[:, None, :], source.vertices[source.tets[tets]])[:, 0], int(missed.size)
+
+
+@pytest.fixture(scope="module")
+def pullback_maps(graded_map, ball_mesh):
+    from volball.drivers import run_method
+    from volball.synthetic import cube_mesh, graded_ellipsoid_mesh
+    graded, cube = graded_ellipsoid_mesh(1), cube_mesh(4)
+    return {"graded1_3ddeq": graded_map,
+            "graded1_3dqc": (graded, run_method("3dqc", graded, None).positions),
+            "cube4_3dqc": (cube, run_method("3dqc", cube, None).positions),
+            "ball_scaled": (ball_mesh, 0.8 * ball_mesh.vertices)}
+
+
+@pytest.fixture(scope="module")
+def templates(template_2):
+    return {1: uniform_ball_mesh(1), 2: template_2, 3: uniform_ball_mesh(3)}
+
+
+@pytest.mark.parametrize("case", ["graded1_3ddeq", "graded1_3dqc", "cube4_3dqc", "ball_scaled"])
+@pytest.mark.parametrize("resolution", [1, 2, 3])
+def test_pullback_equals_locating_every_vertex(monkeypatch, pullback_maps, templates, case,
+                                               resolution):
+    source, forward = pullback_maps[case]
+    template = templates[resolution]
+    located = []
+    locate = PointLocator.locate_points
+
+    def recorded(self, points):
+        located.append(len(points))
+        return locate(self, points)
+
+    monkeypatch.setattr(PointLocator, "locate_points", recorded)
+    pos, snapped = pullback(source, forward, template)
+    ref, ref_snapped = _locate_everything_pullback(source, forward, template)
+    assert snapped == ref_snapped and pos.tobytes() == ref.tobytes()
+    # the ball maps put every shell vertex of the template beyond the hull
+    beyond = _beyond_hull(np.asarray(forward), template.vertices)
+    if case != "ball_scaled":
+        assert np.array_equal(beyond, template.boundary_vertex_mask)
+    assert located[0] == len(template.vertices) - np.count_nonzero(beyond)
+
+
+def test_pullback_locates_points_inside_the_hull_or_its_margin(monkeypatch):
+    # the L-shaped solid as its own map: the removed octant lies inside the
+    # hull but outside the solid, and points just off the hull's facet x = 1,
+    # within the margin or not, take the locator path; a point past the
+    # margin does not
+    from volball.remesh import HULL_MARGIN
+    from volball.synthetic import lcube_mesh
+    source = lcube_mesh(4)
+    forward = source.vertices
+    margin = HULL_MARGIN * np.linalg.norm(forward.max(axis=0) - forward.min(axis=0))
+    rng = np.random.default_rng(5)
+    notch = rng.uniform(0.1, 0.6, size=(20, 3))  # below the hull's facet x + y + z = 2
+    off_facet = np.column_stack([1.0 + np.array([1e-12, 0.1, 0.5, 0.9]) * margin,
+                                 rng.uniform(-0.9, -0.1, size=(4, 2))])
+    far = np.array([[1.0 + 2.0 * margin, -0.5, -0.5], [0.0, 0.0, 1.5]])
+    inside = rng.uniform(-0.9, -0.1, size=(30, 3))
+    cloud = np.vstack([notch, off_facet, far, inside])
+    template = TetMesh.from_arrays(cloud, Delaunay(cloud).simplices)
+    is_far = np.zeros(len(cloud), dtype=bool)
+    is_far[len(notch) + len(off_facet):][:len(far)] = True
+    assert np.array_equal(_beyond_hull(forward, cloud), is_far)
+    located = []
+    locate = PointLocator.locate_points
+
+    def recorded(self, points):
+        located.append(np.array(points))
+        return locate(self, points)
+
+    monkeypatch.setattr(PointLocator, "locate_points", recorded)
+    pos, snapped = pullback(source, forward, template)
+    ref, ref_snapped = _locate_everything_pullback(source, forward, template)
+    assert snapped == ref_snapped and pos.tobytes() == ref.tobytes()
+    assert located[0].tobytes() == np.vstack([notch, off_facet, inside]).tobytes()
+    # the notch and the points off the facet by 0.1-0.9 margins are missed and
+    # snapped, as are the far ones; the point off by 1e-12 margins is placed
+    assert snapped == len(notch) + 3 + len(far)
+
+
+@pytest.mark.parametrize("case", ["graded1_3ddeq", "cube4_3dqc", "ball_scaled"])
+def test_snap_equals_every_candidate(pullback_maps, templates, case):
+    # template points, and points where faces tie: on the mapped boundary's
+    # vertices, edge midpoints and face centroids, and just off them
+    source, forward = pullback_maps[case]
+    corners = np.asarray(forward)[source.boundary_faces]
+    rng = np.random.default_rng(7)
+    for points in (templates[3].vertices, corners[:, 0], corners[:, :2].mean(axis=1),
+                   corners.mean(axis=1), 1.01 * corners[:, 0],
+                   corners[:, 0] + 1e-12 * rng.normal(size=corners[:, 0].shape)):
+        tets, lam = _snap(source, forward, points)
+        ref_tets, ref_lam = _snap_every_candidate(source, forward, points)
+        assert tets.tobytes() == ref_tets.tobytes() and lam.tobytes() == ref_lam.tobytes()

@@ -527,7 +527,11 @@ def _ref_min_incident_edge(positions, edges):
 
 
 def _ref_capped_advect(positions, velocity, dt, edges, on_sphere):
+    # the mask form: an index is turned into its mask
     from volball.density import STEP_LIMIT
+    mask = np.zeros(len(positions), dtype=bool)
+    mask[on_sphere] = True
+    on_sphere = mask
     vel = np.array(velocity, dtype=np.float64, copy=True)
     x = positions[on_sphere]
     n = x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -542,11 +546,10 @@ def _ref_capped_advect(positions, velocity, dt, edges, on_sphere):
     return out
 
 
-def _ref_corner_weights(conn, measures, incident=None):
-    # the incident measures are summed here, whatever the caller passes
+def _ref_corner_weights(conn, measures):
     incident = np.bincount(conn.corners, weights=np.repeat(measures, conn.k),
                            minlength=conn.n_vertices)
-    return np.repeat(measures, conn.k) / incident[conn.corners]
+    return incident, np.repeat(measures, conn.k) / incident[conn.corners]
 
 
 def _ref_to_vertices(conn, values, weights):
@@ -604,18 +607,24 @@ def test_triangle_kernels_equal_row_major_formulas(kernel_solids, source, seed):
     assert np.array_equal(grad, _ref_surface_gradient(ref, rho[faces]))
 
     conn = Connectivity(faces, n)
-    weights = conn.corner_weights(areas, conn.vertex_measures(areas))
-    assert np.array_equal(weights, _ref_corner_weights(conn, areas))
+    incident, weights = conn.corner_weights(areas)
+    ref_incident, ref_weights = _ref_corner_weights(conn, areas)
+    assert np.array_equal(incident, ref_incident) and np.array_equal(weights, ref_weights)
     for values in (rho[faces[:, 0]], grad):
         assert np.array_equal(conn.to_vertices(values, weights),
-                              _ref_to_vertices(conn, values, _ref_corner_weights(conn, areas)))
+                              _ref_to_vertices(conn, values, ref_weights))
     on_sphere = rng.random(n) < 0.7
     velocity = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 10.0)
-    assert np.array_equal(density.min_incident_edge(points, conn.edges),
-                          _ref_min_incident_edge(points, conn.edges))
-    for mask in (on_sphere, np.ones(n, dtype=bool)):
-        assert np.array_equal(density.capped_advect(points, velocity, 0.1, conn.edges, mask),
-                              _ref_capped_advect(points, velocity, 0.1, conn.edges, mask))
+    assert density.min_incident_edge(points, conn.edges).tobytes() == \
+        _ref_min_incident_edge(points, conn.edges).tobytes()
+    # repeated, reversed and shuffled pairs, and vertices with no edge
+    pairs = np.vstack([conn.edges, conn.edges[::2, ::-1]])
+    pairs = pairs[rng.permutation(len(pairs))][:max(1, len(pairs) - int(rng.integers(0, 8)))]
+    assert density.min_incident_edge(points, pairs).tobytes() == \
+        _ref_min_incident_edge(points, pairs).tobytes()
+    for mask in (on_sphere, np.flatnonzero(on_sphere), np.ones(n, dtype=bool), slice(None)):
+        assert density.capped_advect(points, velocity, 0.1, conn.edges, mask).tobytes() == \
+            _ref_capped_advect(points, velocity, 0.1, conn.edges, mask).tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
