@@ -318,6 +318,9 @@ def compute_energies(tets: np.ndarray, w: np.ndarray, gradients: np.ndarray | No
     ``gradients``, the map's hat gradients, are read only with a density
     field. A collapsed tet (zero eigenvalue) makes the geometry energy
     infinite, which disqualifies the candidate in the drivers' comparisons.
+    The weighted sums are numpy's pairwise sums, not BLAS dots, whose order
+    follows the thread split, so the energies do not depend on the BLAS
+    thread count.
     """
     lam = flip_eigenvalues(lambdas)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -325,11 +328,11 @@ def compute_energies(tets: np.ndarray, w: np.ndarray, gradients: np.ndarray | No
     if not np.all(np.isfinite(logk)):
         e_qc = float("inf")
     else:
-        e_qc = float(w @ logk ** 2)
+        e_qc = float(np.add.reduce(w * logk ** 2))
     if density_field is None:
         return e_qc, None, None
     grad = dem.density_gradient(tets, gradients, density_field.rho_vertex)
-    e_dem = float(w @ np.einsum("ij,ij->i", grad, grad))
+    e_dem = float(np.add.reduce(w * np.einsum("ij,ij->i", grad, grad)))
     return e_qc, e_dem, e_dem + alpha * e_qc
 
 

@@ -780,3 +780,38 @@ def test_3dqc_iterate_decomposes_once(monkeypatch):
         assert all(it["folds_pre"] == 0 for it in result.report.iterations)
         assert rows == []
         assert sweeps == [(len(mesh.tets), False)] * (n_max + 1)
+
+
+_THREAD_RUNS = """
+import hashlib
+from volball.drivers import SolverConfig, run_3ddem, run_3dqc
+from volball.remesh import uniform_ball_mesh
+from volball.synthetic import hemispheric_population, stretched_ball_mesh
+qc = run_3dqc(stretched_ball_mesh(3), SolverConfig(n_max=2))
+ball = uniform_ball_mesh(2)
+dem = run_3ddem(ball, hemispheric_population(ball, 4.0), SolverConfig(n_max=5))
+for result in (qc, dem):
+    print(hashlib.sha256(result.report.to_json().encode()).hexdigest(),
+          hashlib.sha256(result.positions.tobytes()).hexdigest())
+"""
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # the energies of 20 112 tets are summed past OpenBLAS's threading
+    # threshold for a dot product; reports and maps must not see the split
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                                     if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_RUNS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]
