@@ -170,10 +170,9 @@ def _cmd_remesh(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     in_fmt = fileio.format_from_path(args.input)
     ext = "mesh" if in_fmt == "medit" else "msh"
-    fileio.save_mesh(os.path.join(args.outdir, f"remeshed.{ext}"),
-                     positions, template.tets, fmt=in_fmt)
-    fileio.save_mesh(os.path.join(args.outdir, "remeshed.vtk"),
-                     positions, template.tets, fmt="vtk")
+    fileio.save_mesh_with_vtk(os.path.join(args.outdir, f"remeshed.{ext}"),
+                              os.path.join(args.outdir, "remeshed.vtk"),
+                              positions, template.tets, fmt=in_fmt)
     result.report.write_json(args.report or os.path.join(args.outdir, "report.json"))
     result.report.write_trace_csv(args.trace or os.path.join(args.outdir, "trace.csv"))
     return 0 if result.converged else 2

@@ -3,8 +3,11 @@
 Layout: per-tet stacks are component-major as in ``tetmesh``. A Jacobian
 stack is (3, 3, m), tet index last, handed out as its (m, 3, 3) view, and so
 are the coefficients of ``residual_coefficients``, which ``laplace.p1_blocks``
-reads without a copy. A ``TetFrameField`` holds (m, 3, 3) orthonormal frames
-(det +1) and (m, 3) signed triples.
+reads without a copy. ``edge_jacobians`` builds it from the corner edges a
+caller has gathered, so one gather serves the volumes, gradients and
+Jacobians of a map; its Gram entries J^T J (``_gram``) serve ``dilations``
+and ``residual_coefficients`` alike. A ``TetFrameField`` holds (m, 3, 3)
+orthonormal frames (det +1) and (m, 3) signed triples.
 
 Contract: the dilation triple of J = E E_rest^-1 is a >= b >= |c|, the
 singular values of J with sign(c) = sign(det J), so the ratio a/c is
@@ -12,7 +15,9 @@ negative exactly on inverted tets. a and b come from a batched cyclic Jacobi
 solver on J^T J (no LAPACK), run until every tet's off-diagonal sum is at
 most 1e-15 of its diagonal sum; c = det J / (a b) keeps a/c accurate to a
 few ulps. ``dilations`` returns the triples of ``frame_decompose`` bitwise,
-without eigenvectors. The 3dqc coefficient (``residual_coefficients``)
+without eigenvectors; a converged tet leaves its sweeps once a bound shows
+that the rotations left can move neither its values nor the batch's sweep
+count (``_sym3_eigh``). The 3dqc coefficient (``residual_coefficients``)
 needs no frames: it comes from the closed-form stretch tensor sqrt(J^T J)
 and agrees with the frame form to 3e-11 relative up to K = 1e5 (CHANGES.md,
 "3dqc runs without eigenvectors"). Frames are computed only for 3ddeq's
@@ -55,14 +60,18 @@ _ROTATIONS = (((0, 1), (0, 2), (1, 2)),
 
 def jacobian_per_tet(mesh: TetMesh, positions: np.ndarray) -> np.ndarray:
     """Jacobians (m, 3, 3) of the piecewise-linear map ``mesh.vertices ->
-    positions``, a view of a component-major (3, 3, m) stack.
+    positions``: ``edge_jacobians`` of one ``tetmesh.corner_edges``
+    gather."""
+    return edge_jacobians(corner_edges(positions, mesh.tets), mesh.hat_gradients)
 
-    J = E E_rest^-1 from the deformed edges E of one ``tetmesh.corner_edges``
-    gather and the rest hat gradients of corners 1-3 (the rows of E_rest^-1),
-    so J @ E_rest = E_def per tet.
-    """
-    e = corner_edges(positions, mesh.tets)
-    g = component_major(mesh.hat_gradients)  # (4, 3, m)
+
+def edge_jacobians(e: np.ndarray, rest_gradients: np.ndarray) -> np.ndarray:
+    """Jacobians (m, 3, 3), a view of a component-major (3, 3, m) stack, of
+    the tets whose deformed ``corner_edges`` are ``e`` and whose rest hat
+    gradients are ``rest_gradients`` (m, 4, 3): J = E E_rest^-1, the rows of
+    E_rest^-1 being the gradients of corners 1-3, so J @ E_rest = E_def per
+    tet."""
+    g = component_major(rest_gradients)  # (4, 3, m)
     J = np.empty((3, 3, e.shape[2]))
     for r in range(3):
         for c in range(3):
@@ -140,29 +149,62 @@ def _sym3_eigh(diag: list, off: dict, vectors: bool):
     """Eigenpairs of a stack of symmetric 3 x 3 matrices by cyclic Jacobi.
 
     The matrices are given by their diagonal [C00, C11, C22] and off-diagonal
-    {(p, q): Cpq} entries, as ``_gram`` makes them, and are rotated in place.
-    Returns eigenvalues (m, 3) in descending order and, with ``vectors``, the
-    matching orthonormal eigenvectors as the columns of (m, 3, 3), else None.
-    The eigenvalues do not depend on ``vectors``: the same sweeps run either
-    way, and only the accumulation of the rotations is skipped.
+    {(p, q): Cpq} entries, as ``_gram`` makes them; the caller's list and
+    dict are left as they are. Returns eigenvalues (m, 3) in descending
+    order and, with ``vectors``, the matching orthonormal eigenvectors as the
+    columns of (m, 3, 3), else None. The eigenvalues do not depend on
+    ``vectors``: every tet sees the same rotations until the check at which
+    the whole batch has converged.
+
+    Without ``vectors``, a tet leaves the sweeps at a check where at least
+    half the swept tets have converged, if it has converged and its
+    off-diagonal square sum s = C01^2 + C02^2 + C12^2 meets ``_retired``:
+    s < 2^-55 min_k |Ckk| min_{p<q} |Cqq - Cpp| and 12 s <= (1e-15 sum_k
+    |Ckk|)^2. Each rotation it would have had moves Cpp and Cqq by t Cpq with
+    |t| <= |Cpq| / |Cqq - Cpp|, so by at most s / min |Cqq - Cpp|, less than
+    a quarter ulp of either: its diagonal, and with it each later t, stays
+    bitwise. A rotation zeroes Cpq and turns the other two entries
+    orthogonally, so s does not grow, and the off-diagonal sum stays at most
+    sqrt(3 s), half the tolerance: the tet would have passed every later
+    check, so its leaving changes neither its values nor the sweep count.
+    (This holds for entries far from under- and overflow, as the Gram
+    entries of checked Jacobians are.) Compacting pays only in the tail: on
+    the benchmark's meshes a tet converges after three sweeps, and a few
+    tets per thousand need a fourth. The values are then sorted by a
+    min/max network; the diagonal is never -0.0 (sums of squares, and a
+    difference that cancels rounds to +0.0), so equal values are equal bits
+    and the network gives the order's values bitwise.
     """
+    diag, off = list(diag), dict(off)
     m = len(diag[0])
     V = None
     if vectors:
         V = np.zeros((3, 3, m))
         for i in range(3):
             V[i, i] = 1.0
+    live = values = None  # after a retirement: swept tets' indices, every tet's values
     zero = np.zeros(m)
     sweeps = 0
     while True:
         excess = (np.abs(off[0, 1]) + np.abs(off[0, 2]) + np.abs(off[1, 2])
                   - 1e-15 * (np.abs(diag[0]) + np.abs(diag[1]) + np.abs(diag[2])))
-        if np.all(excess <= 0.0):
+        converged = excess <= 0.0
+        if np.all(converged):
             break
         if sweeps == _MAX_SWEEPS:
             bad = int(np.argmax(excess))
-            raise FrameError(f"Jacobi eigensolver did not converge on tet {bad} "
-                             f"in {_MAX_SWEEPS} sweeps")
+            raise FrameError(f"Jacobi eigensolver did not converge on tet "
+                             f"{bad if live is None else live[bad]} in {_MAX_SWEEPS} sweeps")
+        if V is None and 2 * np.count_nonzero(converged) >= len(converged):
+            done = converged & _retired(diag, off)
+            if values is None:
+                live, values = np.arange(m), np.empty((3, m))
+            for k in range(3):
+                values[k, live[done]] = diag[k][done]
+            keep = ~done
+            live, zero = live[keep], zero[keep]
+            diag = [x[keep] for x in diag]
+            off = {key: x[keep] for key, x in off.items()}
         for (p, q), rp, rq in _ROTATIONS:
             apq = off[p, q]
             tau = diag[q] - diag[p]
@@ -182,12 +224,39 @@ def _sym3_eigh(diag: list, off: dict, vectors: bool):
                 V[:, p] = c * vp - s * vq
                 V[:, q] = s * vp + c * vq
         sweeps += 1
+    if V is None:
+        if values is not None:
+            for k in range(3):
+                values[k, live] = diag[k]
+            diag = values
+        return _descending(*diag), None
     evals = np.stack(diag, axis=1)
     order = np.argsort(-evals, axis=1, kind="stable")
     evals = np.take_along_axis(evals, order, axis=1)
-    if V is None:
-        return evals, None
     return evals, np.take_along_axis(np.moveaxis(V, 2, 0), order[:, None, :], axis=2)
+
+
+def _retired(diag: list, off: dict) -> np.ndarray:
+    """Mask of the matrices whose later Jacobi rotations can move no
+    diagonal entry and cannot make them unconverged (``_sym3_eigh``)."""
+    d0, d1, d2 = (np.abs(x) for x in diag)
+    s = off[0, 1] * off[0, 1] + off[0, 2] * off[0, 2] + off[1, 2] * off[1, 2]
+    gap = np.minimum(np.minimum(np.abs(diag[1] - diag[0]), np.abs(diag[2] - diag[0])),
+                     np.abs(diag[2] - diag[1]))
+    tol = 1e-15 * (d0 + d1 + d2)
+    return (s < 2.0 ** -55 * np.minimum(np.minimum(d0, d1), d2) * gap) & (12.0 * s <= tol * tol)
+
+
+def _descending(x0, x1, x2) -> np.ndarray:
+    """The rows (m, 3) of three value arrays, each sorted descending by a
+    min/max network."""
+    hi, lo = np.maximum(x0, x1), np.minimum(x0, x1)
+    mid = np.minimum(hi, x2)
+    out = np.empty((len(x0), 3))
+    np.maximum(hi, x2, out=out[:, 0])
+    np.maximum(lo, mid, out=out[:, 1])
+    np.minimum(lo, mid, out=out[:, 2])
+    return out
 
 
 def _checked_jacobians(J) -> tuple[np.ndarray, np.ndarray]:
@@ -221,13 +290,15 @@ def frame_decompose(J: np.ndarray) -> TetFrameField:
     return TetFrameField(_fix_column_signs(eigvecs), _signed_triples(eigvals, det))
 
 
-def dilations(J: np.ndarray) -> np.ndarray:
+def dilations(J: np.ndarray, gram=None) -> np.ndarray:
     """Signed dilation eigenvalues (m, 3), a >= b >= |c|, of one or many
     Jacobians: bitwise ``frame_decompose(J).lambdas`` (the same Jacobi sweeps
-    on the same Gram entries, without the eigenvectors), and the same
-    ``FrameError`` on a singular J."""
+    on the same Gram entries, without the eigenvectors; converged tets leave
+    the sweeps as ``_sym3_eigh`` says), and the same ``FrameError`` on a
+    singular J. ``gram``, the ``_gram(J)`` entries when the caller holds
+    them, spares recomputing them."""
     J, det = _checked_jacobians(J)
-    eigvals, _ = _sym3_eigh(*_gram(J), vectors=False)
+    eigvals, _ = _sym3_eigh(*(gram or _gram(J)), vectors=False)
     return _signed_triples(eigvals, det)
 
 
@@ -260,16 +331,16 @@ def _reject_rows(bad: np.ndarray, lam: np.ndarray, message: str) -> None:
         raise FrameError(f"{message} (tet {i}: {a:.6g}, {b:.6g}, {c:.6g})")
 
 
-def _residual(lam: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:
-    """theta = (K - 1)/((K - 1) + C) per (m, 3) triple and the stepped triples
-    (a - theta R, b, c + theta L)."""
+def _residual(lam: np.ndarray, C: float) -> tuple[np.ndarray, tuple]:
+    """theta = (K - 1)/((K - 1) + C) per (m, 3) triple and the columns of the
+    stepped triples (a - theta R, b, c + theta L)."""
     if C <= 0:
         raise ValueError("residual constant must be positive")
     a, b, c = lam[:, 0], lam[:, 1], lam[:, 2]
     K = a / c
     _reject_rows(K <= 0, lam, "residual step requires positive ratios; flip first")
     theta = (K - 1.0) / ((K - 1.0) + C)
-    return theta, np.column_stack([a - theta * (a - b), b, c + theta * (b - c)])
+    return theta, (a - theta * (a - b), b, c + theta * (b - c))
 
 
 def residual_step(lambdas: np.ndarray, C: float) -> np.ndarray:
@@ -280,7 +351,7 @@ def residual_step(lambdas: np.ndarray, C: float) -> np.ndarray:
     the ratio never increases and is unchanged only when a = b = c.
     """
     lam = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
-    return _residual(lam, C)[1].reshape(np.shape(lambdas))
+    return np.column_stack(_residual(lam, C)[1]).reshape(np.shape(lambdas))
 
 
 def truncate_eigenvalues(lambdas: np.ndarray, K_T: float) -> np.ndarray:
@@ -338,42 +409,46 @@ def _sym_matrix(diag: list, off: dict) -> np.ndarray:
     return per_tet(out)
 
 
-def _stretch(J: np.ndarray, lam: np.ndarray) -> tuple[list, dict]:
-    """The entries of P = sqrt(J^T J) of (m, 3, 3) Jacobians with positive
-    triples ``lam`` (c = |det J| / (a b)), in closed form (L. P. Franca,
+def _stretch(gram: tuple, lam: np.ndarray) -> tuple[list, dict]:
+    """The entries of P = sqrt(J^T J) from the ``_gram`` entries of (m, 3, 3)
+    Jacobians with positive triples ``lam`` (c = |det J| / (a b)), in closed
+    form (L. P. Franca,
     Comput. Math. Appl. 18(5), 1989): Cayley-Hamilton with P^2 = J^T J and
     s1 = a + b + c, s2 = ab + bc + ca, s3 = abc gives
     P = s1 I - adj(J^T J + s2 I) / k, where k = (a + b)(b + c)(c + a)
     = s1 s2 - s3 comes from the triple without cancellation."""
     a, b, c = lam[:, 0], lam[:, 1], lam[:, 2]
     s1, s2 = a + b + c, a * b + b * c + c * a
-    diag, off = _gram(J)
+    diag, off = gram
     adj_d, adj_o = _sym_adj([x + s2 for x in diag], off)
     k = (a + b) * (b + c) * (c + a)
     return [s1 - x / k for x in adj_d], {key: -x / k for key, x in adj_o.items()}
 
 
-def residual_coefficients(J: np.ndarray, lambdas: np.ndarray, C: float) -> np.ndarray:
+def residual_coefficients(J: np.ndarray, lambdas: np.ndarray, C: float,
+                          gram=None) -> np.ndarray:
     """The reconstruction coefficient of the residual step, without frames.
 
     Equals ``anisotropy_matrices(TetFrameField(frame_decompose(J).frames,
     residual_step(lambdas, C)))`` for the positive (flipped) triples
     ``lambdas`` of (m, 3, 3) Jacobians ``J``: det(P') P'^-2 = adj(P')^2 /
     (a'b'c') with the stepped stretch tensor P' = (1 - theta) P + theta b I
-    and P from ``_stretch``. ``FrameError`` names the first non-positive
-    triple.
+    and P from ``_stretch``. ``gram``, the ``_gram(J)`` entries when the
+    caller holds them, spares recomputing them. ``FrameError`` names the
+    first non-positive triple.
     """
-    # an (m, 3) view of a component-major copy: each lam[:, k] is a row
+    # an (m, 3) view of a component-major copy: each lam[:, k] is a row, and
+    # so is each column of the stepped triples
     lam = per_tet(np.ascontiguousarray(component_major(np.asarray(lambdas, dtype=np.float64))))
     _reject_rows(np.any(lam <= 0, axis=1), lam,
                  "residual coefficients need positive eigenvalues; flip first")
-    theta, stepped = _residual(lam, C)
-    diag, off = _stretch(np.asarray(J, dtype=np.float64), lam)
+    theta, (a, b, c) = _residual(lam, C)
+    diag, off = _stretch(gram or _gram(np.asarray(J, dtype=np.float64)), lam)
     keep, shift = 1.0 - theta, theta * lam[:, 1]
     (d0, d1, d2), o = _sym_adj([keep * x + shift for x in diag],
                                {key: keep * x for key, x in off.items()})
     o01, o02, o12 = o[0, 1], o[0, 2], o[1, 2]
-    det = stepped[:, 0] * stepped[:, 1] * stepped[:, 2]
+    det = a * b * c
     return _sym_matrix([(d0 * d0 + o01 * o01 + o02 * o02) / det,
                         (d1 * d1 + o01 * o01 + o12 * o12) / det,
                         (d2 * d2 + o02 * o02 + o12 * o12) / det],

@@ -9,11 +9,11 @@ sd/mean of the vertex density is below eps, tested on the initial ball and
 after every step; 3ddeq once the largest vertex move is below eps. Settling
 passes a fold-free candidate unchanged and hands a folded one to
 ``correct_overlaps``. Settle, evaluate and the next step share one
-``_Iterate`` record per map (volumes, hat gradients with a population,
-Jacobians and signed dilation triples; no frames). A run keeps its last
-HISTORY accepted maps for its own 3dqc reconstructions only: their CG
-solves start from the A-norm-best combination of the current map and those
-maps, and stop by the same test.
+``_Iterate`` record per map (volumes, hat gradients with a population and
+Jacobians from one gather, the Gram entries J^T J and signed dilation
+triples; no frames). A run keeps its last HISTORY accepted maps for its own
+3dqc reconstructions only: their CG solves start from the A-norm-best
+combination of the current map and those maps, and stop by the same test.
 
 Contract: a run returns a fold-free map with its boundary on the unit sphere,
 or raises a typed error: ``CorrectionError`` when the correction budget is
@@ -33,16 +33,16 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import density as dem
-from .distortion import (TetFrameField, anisotropy_ratios, dilations, flip_eigenvalues,
-                         fold_candidates, frame_decompose, jacobian_per_tet,
-                         reconstruct_map, residual_coefficients, residual_step,
-                         truncate_eigenvalues)
+from .distortion import (TetFrameField, _gram, anisotropy_ratios, dilations,
+                         edge_jacobians, flip_eigenvalues, fold_candidates, frame_decompose,
+                         jacobian_per_tet, reconstruct_map, residual_coefficients,
+                         residual_step, truncate_eigenvalues)
 from .laplace import harmonic_fill
 from .report import RunReport
 from .sphere_map import (BoundaryMap, SphereMapError, compute_boundary_sphere_map,
                          correct_spherical_flips, normalize_rows, spherical_embedding,
                          spherical_flips, surface_density_equalize, triangle_geometry)
-from .tetmesh import TetMesh, signed_volumes, tet_gradients
+from .tetmesh import TetMesh, corner_edges, edge_geometry, signed_volumes
 
 METHODS = ("3dqc", "3ddem", "3ddeq")
 
@@ -206,8 +206,9 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     the normalized rest boundary (exact when the rest mesh is itself a ball).
     With ``near_fold_ratio`` set, the rebuilds truncate tets whose anisotropy
     ratio exceeds it alongside the truly folded ones (they are one flow step
-    away from folding). ``geometry``, the caller's (volumes, hat gradients or
-    None) of ``positions``, gives the first score and the first rebuild.
+    away from folding). ``geometry``, the caller's ``_read`` of ``positions``
+    (volumes, hat gradients or None, Jacobians), gives the first score and
+    the first rebuild.
     """
     b_ids, b_faces = mesh.boundary_surface()
     if reference_boundary is None:
@@ -218,7 +219,7 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         return int(np.count_nonzero(folded)) + int(
             spherical_flips(normalize_rows(p[b_ids]), b_faces).sum())
 
-    volumes, gradients = geometry or (signed_volumes(pos, mesh.tets), None)
+    volumes = signed_volumes(pos, mesh.tets) if geometry is None else geometry[0]
     best_score = score(pos, volumes <= 0)
     if best_score == 0:
         return pos
@@ -261,9 +262,8 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
         k_cap = k_threshold if round_no < 2 else max(
             2.0, k_threshold * 0.7 ** (round_no - 1))
         repaired = sphere_repair(state)
-        reuse = repaired is pos and gradients is not None
-        state = _rebuild(mesh, repaired, k_cap, fixed_ids=b_ids,
-                         near_fold_ratio=near_fold_ratio, geometry=geometry if reuse else None)
+        state = _rebuild(mesh, repaired, k_cap, fixed_ids=b_ids, near_fold_ratio=near_fold_ratio,
+                         geometry=geometry if repaired is pos else None)
         folded = signed_volumes(state, mesh.tets) <= 0
         if folded.any():
             state = free_boundary_patch(state, folded, k_cap)
@@ -281,9 +281,10 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
 def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None, geometry=None):
     """Flip + truncate the eigenvalues of the folded tets (with
     ``near_fold_ratio``, also of those whose ratio exceeds it) and re-solve the
-    map from ``pos``, whose ``tet_gradients`` pair ``geometry`` is read when
-    None. Only the screened tets are eigen-solved, once, with their frames."""
-    jacobians = jacobian_per_tet(mesh, pos)
+    map from ``pos``, whose ``_read`` ``geometry`` is made, gradients
+    included, when None. Only the screened tets are eigen-solved, once, with
+    their frames."""
+    volumes, gradients, jacobians = geometry or _read(mesh, pos, gradients=True)
     rows = fold_candidates(jacobians, near_fold_ratio)
     screened = frame_decompose(jacobians[rows])
     lam = _flip_and_floor(screened.lambdas)
@@ -294,7 +295,7 @@ def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None, geometry=N
     field = TetFrameField(screened.frames[edited],
                           truncate_eigenvalues(lam[edited], k_threshold))
     return reconstruct_map(mesh, field, fixed_ids, pos[fixed_ids], start=pos, tets=rows,
-                           geometry=geometry)
+                           geometry=None if gradients is None else (volumes, gradients))
 
 
 def _flip_and_floor(lambdas: np.ndarray) -> np.ndarray:
@@ -354,28 +355,36 @@ def normalized_density_variance(rho: np.ndarray) -> float:
     return float(np.var(rho / np.mean(rho)))
 
 
+def _read(mesh, positions, gradients: bool) -> tuple:
+    """Signed volumes, hat gradients (with ``gradients``, else None) and
+    Jacobians of a map from one ``corner_edges`` gather: bitwise
+    ``signed_volumes``, ``tet_gradients`` and ``jacobian_per_tet``."""
+    e = corner_edges(positions, mesh.tets)
+    return (*edge_geometry(e, gradients), edge_jacobians(e, mesh.hat_gradients))
+
+
 @dataclass
 class _Iterate:
-    """A map, one read of its tets (volumes, and hat gradients from the same
-    ``tet_gradients`` call or None), then its Jacobians and their signed
-    dilation triples, density field (None without a population) and trace
-    row. Gradients and Jacobians are the (m, 4, 3) and (m, 3, 3) views of
-    the component-major arrays their kernels build; the record holds no
-    other per-tet copy."""
+    """A map and one ``_read`` of its tets: volumes, hat gradients (with a
+    population, else None) and Jacobians, the (m, 4, 3) and (m, 3, 3) views
+    of the component-major arrays their kernels build. ``_settle`` adds the
+    settled map's Gram entries J^T J (the ``distortion._gram`` pair, read by
+    ``dilations`` and by 3dqc's coefficient) and signed dilation triples;
+    the evaluation adds the density field (None without a population) and
+    the trace row. The record holds no other per-tet copy."""
 
     positions: np.ndarray
     volumes: np.ndarray
     gradients: np.ndarray | None
-    jacobians: np.ndarray | None = None
+    jacobians: np.ndarray
+    gram: tuple | None = None
     lambdas: np.ndarray | None = None
     field: dem.DensityField | None = None
     row: dict | None = None
 
     @classmethod
     def read(cls, mesh, positions, gradients: bool) -> "_Iterate":
-        if gradients:
-            return cls(positions, *tet_gradients(positions, mesh.tets))
-        return cls(positions, signed_volumes(positions, mesh.tets), None)
+        return cls(positions, *_read(mesh, positions, gradients))
 
     @property
     def folds(self) -> int:
@@ -383,13 +392,14 @@ class _Iterate:
 
 
 def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, tracked=False):
-    """Read the candidate, correct its overlaps if it folds, and read the
-    settled map's Jacobians and dilations.
+    """Read the candidate, correct its overlaps if it folds, and take the
+    settled map's Gram entries and dilations.
 
     A fold-free candidate passes unchanged; ``near_fold_ratio`` only reaches
-    the rebuilds of a folded one. With a population (``tracked``) the record
-    reads hat gradients as well. Returns the settled map's record (its folds
-    are those after correction) and folds_pre.
+    the rebuilds of a folded one, the first of which reuses the candidate's
+    read. With a population (``tracked``) the record reads hat gradients as
+    well. Returns the settled map's record (its folds are those after
+    correction) and folds_pre.
     """
     settled = _Iterate.read(mesh, cand, tracked)
     folds_pre = settled.folds
@@ -397,9 +407,9 @@ def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, tracked=Fals
         settled = _Iterate.read(mesh, correct_overlaps(
             mesh, cand, config.k_threshold, reference_boundary=ref_boundary,
             near_fold_ratio=near_fold_ratio,
-            geometry=(settled.volumes, settled.gradients)), tracked)
-    settled.jacobians = jacobian_per_tet(mesh, settled.positions)
-    settled.lambdas = dilations(settled.jacobians)
+            geometry=(settled.volumes, settled.gradients, settled.jacobians)), tracked)
+    settled.gram = _gram(settled.jacobians)
+    settled.lambdas = dilations(settled.jacobians, settled.gram)
     return settled, folds_pre
 
 
@@ -482,7 +492,7 @@ def _qc_step(mesh, state, config, history=()):
     starts from the current map projected with the run's earlier maps."""
     b_ids = mesh.boundary_vertices
     coeff = residual_coefficients(state.jacobians, flip_eigenvalues(state.lambdas),
-                                  config.residual_constant)
+                                  config.residual_constant, state.gram)
     return reconstruct_map(mesh, coeff, b_ids, state.positions[b_ids],
                            start=state.positions, history=history)
 

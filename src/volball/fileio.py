@@ -58,6 +58,20 @@ def save_mesh(path: str, vertices: np.ndarray, tets: np.ndarray,
         raise ParseError(f"unsupported output format {fmt!r}")
 
 
+def save_mesh_with_vtk(path: str, vtk_path: str, vertices: np.ndarray, tets: np.ndarray,
+                       fmt: str | None = None) -> None:
+    """``save_mesh(path, vertices, tets, fmt)`` and a VTK copy at
+    ``vtk_path``, byte for byte as ``save_mesh`` writes them; a Medit file
+    shares the VTK file's coordinate text, formatted once."""
+    fmt = fmt or format_from_path(path)
+    coords = _coordinate_rows(vertices)
+    if fmt == "medit":
+        _write_medit(path, vertices, tets, coords)
+    else:
+        save_mesh(path, vertices, tets, fmt)
+    _write_vtk(vtk_path, vertices, tets, coords)
+
+
 # -- Medit ---------------------------------------------------------------
 
 
@@ -111,11 +125,21 @@ def _rows(fmt: str, block) -> str:
     return (fmt * len(block)) % tuple(block.reshape(-1).tolist())
 
 
-def _write_medit(path: str, vertices: np.ndarray, tets: np.ndarray) -> None:
+def _coordinate_rows(vertices: np.ndarray) -> str:
+    """One "x y z" line per vertex, 17 significant digits: the VTK rows, and
+    the Medit rows without their reference tag."""
+    return _rows("%.17g %.17g %.17g\n", vertices)
+
+
+def _write_medit(path: str, vertices: np.ndarray, tets: np.ndarray,
+                 coords: str | None = None) -> None:
+    """The Medit file; ``coords``, the ``_coordinate_rows`` of ``vertices``
+    when the caller has them, get the reference tag 0 on each line."""
+    coords = _coordinate_rows(vertices) if coords is None else coords
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("MeshVersionFormatted 2\nDimension 3\n")
         fh.write(f"Vertices\n{len(vertices)}\n")
-        fh.write(_rows("%.17g %.17g %.17g 0\n", vertices))
+        fh.write(coords.replace("\n", " 0\n"))
         fh.write(f"Tetrahedra\n{len(tets)}\n")
         fh.write(_rows("%d %d %d %d 0\n", np.asarray(tets) + 1))
         fh.write("End\n")
@@ -179,12 +203,14 @@ def _write_gmsh2(path: str, vertices: np.ndarray, tets: np.ndarray) -> None:
 # -- VTK legacy unstructured grid (output only) -----------------------------
 
 
-def _write_vtk(path: str, vertices: np.ndarray, tets: np.ndarray) -> None:
+def _write_vtk(path: str, vertices: np.ndarray, tets: np.ndarray,
+               coords: str | None = None) -> None:
+    """The legacy VTK file, with ``coords`` as in ``_write_medit``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\nvolball mesh\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(vertices)} double\n")
-        fh.write(_rows("%.17g %.17g %.17g\n", vertices))
+        fh.write(_coordinate_rows(vertices) if coords is None else coords)
         fh.write(f"CELLS {len(tets)} {5 * len(tets)}\n")
         fh.write(_rows("4 %d %d %d %d\n", tets))
         fh.write(f"CELL_TYPES {len(tets)}\n")

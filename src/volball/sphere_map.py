@@ -188,8 +188,14 @@ def center_sphere(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
     inscribed polyhedron, and exact centring raises 3dqc's mean_K (CHANGES.md,
     "One centring step per smoothing round").
     """
-    _, areas = face_normals_areas(points, faces)
-    centroid = (areas[:, None] * points[faces].mean(axis=1)).sum(axis=0) / areas.sum()
+    g = triangle_geometry(points, faces)
+    areas = 0.5 * g.area2
+    x = g.corners
+    # the area-weighted corner means in (m, 3) rows, summed down the rows as
+    # the row-major form sums them, so the centroid is bitwise the same
+    weighted = np.empty((len(areas), 3))
+    np.multiply(areas, (x[:, 0] + x[:, 1] + x[:, 2]) / 3.0, out=weighted.T)
+    centroid = weighted.sum(axis=0) / areas.sum()
     return normalize_rows(points - centroid)
 
 

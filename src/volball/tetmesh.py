@@ -3,11 +3,12 @@ and the element connectivity shared by triangle and tet meshes.
 
 Per-tet geometry is component-major, tet index last, so every elementwise
 pass reads contiguous rows of length m: ``corner_edges`` returns (3, 3, m)
-with ``E[:, k]`` edge k, and ``tet_gradients`` builds (4, 3, m) hat
-gradients and hands out their (m, 4, 3) view. ``component_major`` and
-``per_tet`` switch views without a copy.
+with ``E[:, k]`` edge k, and ``edge_geometry`` turns one such gather into
+volumes and (4, 3, m) hat gradients, handing out their (m, 4, 3) view.
+``component_major`` and ``per_tet`` switch views without a copy.
 
-Errors: ``TetMesh.from_arrays`` raises ``MeshError`` on malformed arrays,
+Errors: ``TetMesh.from_arrays`` raises ``MeshError`` on malformed arrays or
+more than ``MAX_VERTICES`` vertices,
 ``DegenerateTetError`` on a degenerate tet and ``TopologyError`` on a bad
 topology; ``PointLocator`` and ``barycentric_coordinates`` raise
 ``DegenerateTetError`` on a zero-volume tet.
@@ -56,6 +57,11 @@ EDGE_LOCAL = np.array(
 
 # Volume of a tet smaller than DEGENERACY_FACTOR * bbox_diagonal**3 is rejected.
 DEGENERACY_FACTOR = 1e-14
+
+# Largest vertex count a mesh may have: the boundary extraction keys a face
+# with sorted corners a < b < c by (a n + b) n + c <= n^3 - 1, an int64 up to
+# n = 2^21.
+MAX_VERTICES = 1 << 21
 
 # A point lies in a tet when its smallest barycentric coordinate is >= -INSIDE_TOL.
 INSIDE_TOL = 1e-9
@@ -170,10 +176,7 @@ def _cross_into(out: np.ndarray, a, b) -> None:
 def signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """Signed volume of each tet: det of the edge matrix over 6, bitwise the
     volumes of ``tet_gradients``."""
-    e = corner_edges(vertices, tets)
-    bc = np.empty((3, e.shape[2]))
-    _cross_into(bc, e[:, 1], e[:, 2])
-    return _dot(e[:, 0], bc) / 6.0
+    return edge_geometry(corner_edges(vertices, tets), gradients=False)[0]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -185,24 +188,32 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def tet_gradients(vertices, tets, tet_ids=None) -> tuple[np.ndarray, np.ndarray]:
-    """Signed volumes (k,) and P1 hat gradients (k, 4, 3) of ``tets[tet_ids]``
-    (every tet by default) under ``vertices``, from the edges a, b, c of one
-    ``corner_edges`` gather: corners 1-3 get the cofactors b x c, c x a,
-    a x b over det = a . (b x c) (the rows of E^-1), corner 0 minus their
-    sum. The gradients are a view of a (4, 3, k) component-major array. The
-    volumes are bitwise ``signed_volumes``; zero ones give non-finite rows."""
-    e = corner_edges(vertices, tets if tet_ids is None else tets[tet_ids])
+def edge_geometry(e: np.ndarray, gradients: bool = True):
+    """Signed volumes (m,) and, with ``gradients``, P1 hat gradients (m, 4, 3)
+    (else None) of the tets whose ``corner_edges`` are ``e``: with the edges
+    a, b, c, corners 1-3 get the cofactors b x c, c x a, a x b over
+    det = a . (b x c) (the rows of E^-1), corner 0 minus their sum. The
+    gradients are a view of a (4, 3, m) component-major array; zero volumes
+    give non-finite rows."""
     a, b, c = e[:, 0], e[:, 1], e[:, 2]
-    g = np.empty((4, 3, e.shape[2]))
+    g = np.empty((4 if gradients else 2, 3, e.shape[2]))  # g[1] = b x c either way
     _cross_into(g[1], b, c)
+    det = _dot(a, g[1])
+    if not gradients:
+        return det / 6.0, None
     _cross_into(g[2], c, a)
     _cross_into(g[3], a, b)
-    det = _dot(a, g[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         g[1:] /= det
-    np.negative(g[1] + g[2] + g[3], out=g[0])
+        np.negative(g[1] + g[2] + g[3], out=g[0])
     return det / 6.0, per_tet(g)
+
+
+def tet_gradients(vertices, tets, tet_ids=None) -> tuple[np.ndarray, np.ndarray]:
+    """Signed volumes (k,) and P1 hat gradients (k, 4, 3) of ``tets[tet_ids]``
+    (every tet by default) under ``vertices``: ``edge_geometry`` of one
+    ``corner_edges`` gather. The volumes are bitwise ``signed_volumes``."""
+    return edge_geometry(corner_edges(vertices, tets if tet_ids is None else tets[tet_ids]))
 
 
 def _invertible(vols: np.ndarray, tet_ids=None) -> None:
@@ -384,16 +395,25 @@ class TetMesh:
 
     @staticmethod
     def _extract_boundary(tets: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
-        """Faces incident to exactly one tet, and the index of that tet."""
+        """Faces incident to exactly one tet, and the index of that tet, in
+        the order of the faces' sorted corners. ``MeshError`` above
+        ``MAX_VERTICES``."""
+        if n_vertices > MAX_VERTICES:
+            raise MeshError(f"{n_vertices} vertices: boundary extraction keys faces "
+                            f"by one int64, which holds at most {MAX_VERTICES}")
         faces = tets[:, FACE_LOCAL].reshape(-1, 3)
-        # each face's sorted corners (a, b, c) as two keys, a * n + b and c;
-        # a * n + b < n^2 fits int64 for any n below 3e9 vertices
-        a, b, c = np.sort(faces, axis=1).T
-        ab = a * n_vertices + b
-        order = np.lexsort((c, ab))
-        ab, c = ab[order], c[order]
+        # each face's corners sorted a < b < c by a min/max network, keyed
+        # (a n + b) n + c: the stable order of the keys is the lexicographic
+        # order of (a, b, c), ties in face order
+        f0, f1, f2 = faces.T
+        lo, hi = np.minimum(f0, f1), np.maximum(f0, f1)
+        mid = np.maximum(lo, f2)
+        key = np.minimum(lo, f2) * n_vertices + np.minimum(hi, mid)
+        key = key * n_vertices + np.maximum(hi, mid)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
         new_group = np.ones(len(order), dtype=bool)
-        new_group[1:] = (ab[1:] != ab[:-1]) | (c[1:] != c[:-1])
+        new_group[1:] = key[1:] != key[:-1]
         group_ids = np.cumsum(new_group) - 1
         counts = np.bincount(group_ids)
         if counts.max(initial=0) > 2:

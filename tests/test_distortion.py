@@ -188,6 +188,86 @@ def test_dilations_bitwise_equal_frame_lambdas(ball_mesh):
     assert dilations(np.diag([-1.0, 1.0, 1.0]))[0, 2] == -1.0
 
 
+def _mixed_jacobians(seed, n_random, n_near_identity, n_repeated, n_anisotropic):
+    """A shuffled stack of Jacobians that leave the Jacobi sweeps early and
+    late, a fifth of them reflected: random ones; s I plus noise of 1e-15 to
+    1e-9; near-repeated singular value pairs; ratios K up to 1e8."""
+    rng = np.random.default_rng(seed)
+
+    def rotation():
+        return np.linalg.qr(rng.normal(size=(3, 3)))[0]
+
+    s = 10.0 ** rng.uniform(-1.0, 1.0, (n_near_identity, 1, 1))
+    noise = 10.0 ** rng.uniform(-15.0, -9.0, (n_near_identity, 1, 1))
+    singular = []
+    for _ in range(n_repeated):
+        x = 10.0 ** rng.uniform(-1.0, 1.0)
+        singular.append([x, x * (1.0 + 10.0 ** rng.uniform(-15.0, -6.0)),
+                         10.0 ** rng.uniform(-1.0, 1.0)])
+    for _ in range(n_anisotropic):
+        K = 10.0 ** rng.uniform(0.0, 8.0)
+        singular.append([K, 10.0 ** rng.uniform(0.0, np.log10(K)), 1.0])
+    J = np.concatenate([rng.normal(size=(n_random, 3, 3)),
+                        s * np.eye(3) + noise * rng.normal(size=(n_near_identity, 3, 3)),
+                        np.array([(rotation() * v) @ rotation().T
+                                  for v in singular]).reshape(-1, 3, 3)])
+    J[rng.random(len(J)) < 0.2, :, 0] *= -1.0
+    return J[rng.permutation(len(J))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 80),
+       st.integers(0, 20), st.integers(0, 20))
+def test_dilations_bitwise_on_early_and_late_convergers(seed, n_random, n_near_identity,
+                                                       n_repeated, n_anisotropic):
+    # tets that leave the values-only sweeps early keep the values the frame
+    # path, which sweeps every tet to the end, gives them
+    J = _mixed_jacobians(seed, n_random, n_near_identity, n_repeated, n_anisotropic)
+    assert np.array_equal(dilations(J), frame_decompose(J).lambdas)
+
+
+def test_dilations_keep_the_sweep_count_and_name_tets_in_the_full_batch(monkeypatch):
+    # most tets leave early; under every sweep cap the values path raises
+    # exactly when the frame path does, naming the same tet of the full stack
+    J = _mixed_jacobians(5, 30, 70, 10, 10)
+    retire, left = distortion._retired, []
+
+    def recorded(diag, off):
+        mask = retire(diag, off)
+        left.append(int(np.count_nonzero(mask)))
+        return mask
+
+    monkeypatch.setattr(distortion, "_retired", recorded)
+    outcomes = []
+    for cap in range(distortion._MAX_SWEEPS + 1):
+        monkeypatch.setattr(distortion, "_MAX_SWEEPS", cap)
+        results = []
+        for run in (lambda: frame_decompose(J).lambdas, lambda: dilations(J)):
+            try:
+                results.append(run())
+            except FrameError as exc:
+                results.append(str(exc))
+        expected, got = results
+        assert type(got) is type(expected), cap
+        assert got == expected if isinstance(got, str) else np.array_equal(got, expected)
+        outcomes.append(isinstance(got, str))
+    # the caps below the sweep count raise, after tets have left the batch,
+    # and a later one does not; the named tet is not the first
+    assert outcomes[0] and not outcomes[-1] and sum(left) > 0
+    monkeypatch.setattr(distortion, "_MAX_SWEEPS", outcomes.index(False) - 1)
+    with pytest.raises(FrameError, match=r"on tet [1-9]"):
+        dilations(J)
+
+
+def test_sym3_eigh_leaves_the_callers_entries_as_they_are():
+    diag, off = distortion._gram(np.random.default_rng(3).normal(size=(40, 3, 3)))
+    kept = [x.copy() for x in diag], {key: x.copy() for key, x in off.items()}
+    for vectors in (False, True):
+        distortion._sym3_eigh(diag, off, vectors)
+        assert all(np.array_equal(x, y) for x, y in zip(diag, kept[0]))
+        assert all(np.array_equal(off[key], kept[1][key]) for key in kept[1])
+
+
 def test_dilations_singular_raises():
     J = np.random.default_rng(12).normal(size=(20, 3, 3))
     J[13, :, 2] = J[13, :, 0]
@@ -413,7 +493,7 @@ def test_residual_coefficients_match_frame_form(log_k, mid, log_scale, C, invert
     J = 10.0 ** log_scale * (U * np.array([K, K ** mid, 1.0])) @ V.T
     J *= np.sign(np.linalg.det(J)) * (-1.0 if inverted else 1.0)
     lam = flip_eigenvalues(dilations(J))
-    P = distortion._sym_matrix(*distortion._stretch(J[None], lam))[0]
+    P = distortion._sym_matrix(*distortion._stretch(distortion._gram(J[None]), lam))[0]
     gram = J.T @ J
     assert np.array_equal(P, P.T)
     assert np.linalg.norm(P @ P - gram) <= 1e-12 * np.linalg.norm(gram)
@@ -442,7 +522,7 @@ def test_residual_coefficients_exact_cases():
     for s in (1.0, 0.25, 3.0):
         J = (s * R)[None]
         lam = flip_eigenvalues(dilations(J))
-        P = distortion._sym_matrix(*distortion._stretch(J, lam))[0]
+        P = distortion._sym_matrix(*distortion._stretch(distortion._gram(J), lam))[0]
         np.testing.assert_allclose(P, s * np.eye(3), rtol=0, atol=1e-14 * s)
         np.testing.assert_allclose(residual_coefficients(J, lam, 50.0)[0], s * np.eye(3),
                                    rtol=0, atol=1e-14 * s)
@@ -460,7 +540,7 @@ def test_residual_coefficients_repeated_spectra(spectrum):
     J = (U * s) @ np.swapaxes(V, 1, 2)
     lam = flip_eigenvalues(dilations(J))
     np.testing.assert_allclose(lam, np.broadcast_to(s, lam.shape), rtol=1e-14)
-    P = distortion._sym_matrix(*distortion._stretch(J, lam))
+    P = distortion._sym_matrix(*distortion._stretch(distortion._gram(J), lam))
     assert np.abs(P - (V * s) @ np.swapaxes(V, 1, 2)).max() <= 1e-14 * s[0]
     stepped = residual_step(s, 50.0)
     exact = (V * (np.prod(stepped) / stepped ** 2)) @ np.swapaxes(V, 1, 2)

@@ -9,7 +9,7 @@ from volball.drivers import (SolverConfig, compute_energies, correct_overlaps,
 from volball.sphere_map import normalize_rows
 from volball.synthetic import (hemispheric_population, smooth_population,
                                stretched_ball_mesh)
-from volball.tetmesh import TetMesh, signed_volumes, tet_gradients
+from volball.tetmesh import TetMesh, corner_edges, signed_volumes, tet_gradients
 
 
 def test_config_validation():
@@ -253,31 +253,41 @@ def _edited_rows(monkeypatch):
 
 
 def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
-    from volball import drivers
+    from volball import distortion, drivers
     cand = _single_fold(ball_mesh, ball_mesh.vertices)
     seen = []
 
-    def recorded(mesh, positions):
+    def recorded(positions, tets):
         seen.append(np.asarray(positions).tobytes())
-        return jacobian_per_tet(mesh, positions)
+        return corner_edges(positions, tets)
 
-    monkeypatch.setattr(drivers, "jacobian_per_tet", recorded)
+    def refuse(*args):
+        raise AssertionError("a settle read takes its Jacobians from its gather")
+
+    monkeypatch.setattr(drivers, "corner_edges", recorded)
+    monkeypatch.setattr(drivers, "jacobian_per_tet", refuse)
     rows, edited = _decomposed_rows(monkeypatch), _edited_rows(monkeypatch)
-    # the folded candidate is corrected: each rebuild reads its own start,
-    # and the settled map is read once more
+    # the folded candidate is gathered once, and its read serves the first
+    # rebuild; any later rebuild gathers its own start, and the settled map
+    # is gathered once more
     settled, pre = drivers._settle(ball_mesh, cand, SolverConfig(),
                                    normalize_rows(cand[ball_mesh.boundary_vertices]),
                                    near_fold_ratio=drivers.NEAR_FOLD_RATIO, tracked=True)
     assert (pre, settled.folds) == (1, 0)
     assert len(seen) >= 2
     assert len(seen) == len(set(seen))
+    assert seen[0] == cand.tobytes()
     # the record's triples are the last read, that of its own positions
     assert seen[-1] == settled.positions.tobytes()
     assert np.array_equal(settled.lambdas,
                           dilations(jacobian_per_tet(ball_mesh, settled.positions)))
-    # the record holds the Jacobians of its positions and no frames; only
-    # screened tets get them, a superset of the edited ones
-    assert np.array_equal(settled.jacobians, jacobian_per_tet(ball_mesh, settled.positions))
+    # the record holds the Jacobians of its positions and their Gram entries
+    # and no frames; only screened tets get them, a superset of the edited ones
+    jacobians = jacobian_per_tet(ball_mesh, settled.positions)
+    assert np.array_equal(settled.jacobians, jacobians)
+    diag, off = distortion._gram(jacobians)
+    assert all(np.array_equal(x, y) for x, y in zip(settled.gram[0], diag))
+    assert all(np.array_equal(settled.gram[1][key], off[key]) for key in off)
     assert not hasattr(settled, "frames")
     assert 0 < sum(edited) <= sum(rows) < len(ball_mesh.tets) * len(edited)
 
@@ -307,8 +317,8 @@ def test_settle_passes_strained_fold_free_candidate(monkeypatch, ball_mesh):
 
 
 def test_settle_counts_folds_once_without_correction(monkeypatch, ball_mesh):
-    # the fold counts come from the records' volumes: one read per map,
-    # and no TetMesh.count_folds call
+    # the fold counts come from the records' volumes: one corner gather per
+    # map, and no signed_volumes, jacobian_per_tet or TetMesh.count_folds call
     from volball import drivers
     calls = []
 
@@ -318,28 +328,40 @@ def test_settle_counts_folds_once_without_correction(monkeypatch, ball_mesh):
             return fn(*args)
         return wrapped
 
-    for name in ("signed_volumes", "tet_gradients"):
+    for name in ("corner_edges", "signed_volumes", "jacobian_per_tet"):
         monkeypatch.setattr(drivers, name, counted(getattr(drivers, name)))
     monkeypatch.setattr(TetMesh, "count_folds", counted(TetMesh.count_folds))
     ref = normalize_rows(ball_mesh.vertices[ball_mesh.boundary_vertices])
     # fold-free: folds_post is folds_pre, read once
     settled, pre = drivers._settle(ball_mesh, ball_mesh.vertices.copy(),
                                    SolverConfig(), ref)
-    assert (pre, settled.folds, calls) == (0, 0, ["signed_volumes"])
+    assert (pre, settled.folds, calls) == (0, 0, ["corner_edges"])
+    assert settled.gradients is None
     # a mirrored candidate folds everywhere: without correction nothing is
-    # read again; a correction that ran is read once, with the run's gradients
+    # read again; a correction that ran gets the candidate's read and its
+    # result is read once, with the run's gradients
     m = len(ball_mesh.tets)
     mirrored = ball_mesh.vertices * np.array([-1.0, 1.0, 1.0])
     calls.clear()
     settled, pre = drivers._settle(ball_mesh, mirrored, SolverConfig(correction=False), ref)
-    assert (pre, settled.folds, calls) == (m, m, ["signed_volumes"])
-    monkeypatch.setattr(drivers, "correct_overlaps",
-                        lambda mesh, cand, *args, **kwargs: mesh.vertices.copy())
+    assert (pre, settled.folds, calls) == (m, m, ["corner_edges"])
+    geometries = []
+
+    def corrected(mesh, cand, *args, geometry=None, **kwargs):
+        geometries.append(geometry)
+        return mesh.vertices.copy()
+
+    monkeypatch.setattr(drivers, "correct_overlaps", corrected)
     calls.clear()
     settled, pre = drivers._settle(ball_mesh, mirrored, SolverConfig(), ref,
                                    tracked=True)
-    assert (pre, settled.folds, calls) == (m, 0, ["tet_gradients"] * 2)
+    assert (pre, settled.folds, calls) == (m, 0, ["corner_edges"] * 2)
     assert np.array_equal(settled.gradients, ball_mesh.hat_gradients)
+    volumes, gradients = tet_gradients(mirrored, ball_mesh.tets)
+    [(read_volumes, read_gradients, read_jacobians)] = geometries
+    assert np.array_equal(read_volumes, volumes)
+    assert np.array_equal(read_gradients, gradients, equal_nan=True)
+    assert np.array_equal(read_jacobians, jacobian_per_tet(ball_mesh, mirrored))
 
 
 def test_solvers_run_without_batched_lapack(monkeypatch, ball_mesh):
@@ -589,16 +611,84 @@ def test_volume_flow_builds_no_coo_matrix(monkeypatch, ball_mesh):
     assert counts[1] == counts[0]
 
 
+def _gather_per_kernel(vertices, tets):
+    """The edges of each tet from its own gather, in the component form the
+    kernels had when each took its own ``corner_edges``."""
+    x = np.ascontiguousarray(np.transpose(vertices)).take(
+        np.ascontiguousarray(np.transpose(tets)), axis=1)
+    return x[:, 1:] - x[:, :1]
+
+
+def _old_volumes(vertices, tets):
+    e = _gather_per_kernel(vertices, tets)
+    bc = np.stack([e[1, 1] * e[2, 2] - e[2, 1] * e[1, 2],
+                   e[2, 1] * e[0, 2] - e[0, 1] * e[2, 2],
+                   e[0, 1] * e[1, 2] - e[1, 1] * e[0, 2]])
+    return (e[0, 0] * bc[0] + e[1, 0] * bc[1] + e[2, 0] * bc[2]) / 6.0
+
+
+def _old_gradients(vertices, tets):
+    e = _gather_per_kernel(vertices, tets)
+    a, b, c = e[:, 0], e[:, 1], e[:, 2]
+
+    def cross(u, v):
+        return np.stack([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                         u[0] * v[1] - u[1] * v[0]])
+
+    g = np.stack([np.zeros_like(a), cross(b, c), cross(c, a), cross(a, b)])
+    det = a[0] * g[1, 0] + a[1] * g[1, 1] + a[2] * g[1, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g[1:] /= det
+        g[0] = -(g[1] + g[2] + g[3])
+    return det / 6.0, np.moveaxis(g, -1, 0)
+
+
+def _old_jacobians(mesh, positions):
+    e = _gather_per_kernel(positions, mesh.tets)
+    g = np.moveaxis(mesh.hat_gradients, 0, -1)
+    J = np.empty((3, 3, e.shape[2]))
+    for r in range(3):
+        for c in range(3):
+            J[r, c] = e[r, 0] * g[1, c] + e[r, 1] * g[2, c] + e[r, 2] * g[3, c]
+    return np.moveaxis(J, -1, 0)
+
+
+@pytest.mark.parametrize("solid", ["ball", "stretched", "graded"])
+def test_one_read_equals_the_separate_kernels(solid, ball_mesh):
+    # the volumes, hat gradients and Jacobians of one corner gather are
+    # bitwise those each kernel took from its own gather, folds included
+    from volball import drivers, synthetic
+    mesh = {"ball": ball_mesh, "stretched": synthetic.stretched_ball_mesh(1),
+            "graded": synthetic.graded_ellipsoid_mesh(1)}[solid]
+    rng = np.random.default_rng(7)
+    for scale in (0.0, 1e-3, 0.3):
+        pos = mesh.vertices + scale * rng.normal(size=mesh.vertices.shape)
+        volumes, gradients = _old_gradients(pos, mesh.tets)
+        assert np.array_equal(volumes, _old_volumes(pos, mesh.tets))
+        jacobians = _old_jacobians(mesh, pos)
+        for tracked in (False, True):
+            read = drivers._Iterate.read(mesh, pos, tracked)
+            assert read.positions is pos
+            assert np.array_equal(read.volumes, volumes)
+            assert np.array_equal(read.jacobians, jacobians)
+            assert (read.gradients is None) if not tracked else \
+                np.array_equal(read.gradients, gradients)
+        assert np.array_equal(signed_volumes(pos, mesh.tets), volumes)
+        assert np.array_equal(tet_gradients(pos, mesh.tets)[1], gradients)
+        assert np.array_equal(jacobian_per_tet(mesh, pos), jacobians)
+    assert np.any(volumes <= 0)
+
+
 def test_volume_flow_step_takes_one_geometry_pass(monkeypatch, ball_mesh):
     # one 3ddem step reads the volumes and hat gradients of its positions
-    # from the iterate's record, a single tet_gradients call, and builds no
-    # COO matrix
+    # from the iterate's record, a single corner gather, and builds no COO
+    # matrix
     import sys
 
     from scipy.sparse import coo_matrix
 
     from volball.drivers import _dem_step, _Iterate
-    calls = {"tet_gradients": 0, "signed_volumes": 0, "coo_matrix": 0}
+    calls = {"corner_edges": 0, "tet_gradients": 0, "signed_volumes": 0, "coo_matrix": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -607,7 +697,7 @@ def test_volume_flow_step_takes_one_geometry_pass(monkeypatch, ball_mesh):
         return wrapped
 
     for module in [m for name, m in sys.modules.items() if name.startswith("volball")]:
-        for name in ("tet_gradients", "signed_volumes"):
+        for name in ("corner_edges", "tet_gradients", "signed_volumes"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(coo_matrix, "__init__", counting("coo_matrix", coo_matrix.__init__))
@@ -620,18 +710,20 @@ def test_volume_flow_step_takes_one_geometry_pass(monkeypatch, ball_mesh):
     state.field = field
     out = _dem_step(ball_mesh, state, SolverConfig())
     assert np.linalg.norm(out - pos, axis=1).max() > 1e-3  # the step moves
-    assert calls == {"tet_gradients": 1, "signed_volumes": 0, "coo_matrix": 0}
+    assert calls == {"corner_edges": 1, "tet_gradients": 0, "signed_volumes": 0,
+                     "coo_matrix": 0}
 
 
 def _kernel_calls(monkeypatch, run):
-    """Calls of tet_gradients, signed_volumes and TetMesh.count_folds (in
-    every volball module) and of correct_overlaps made by ``run()``, with
-    its result."""
+    """Calls of corner_edges (every gather of a map's tets), tet_gradients,
+    signed_volumes, jacobian_per_tet and TetMesh.count_folds (in every
+    volball module) and of correct_overlaps made by ``run()``, with its
+    result."""
     import sys
 
     from volball import drivers
-    calls = dict.fromkeys(("tet_gradients", "signed_volumes", "count_folds",
-                           "correct_overlaps"), 0)
+    kernels = ("corner_edges", "tet_gradients", "signed_volumes", "jacobian_per_tet")
+    calls = dict.fromkeys(kernels + ("count_folds", "correct_overlaps"), 0)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -641,7 +733,7 @@ def _kernel_calls(monkeypatch, run):
 
     with monkeypatch.context() as mp:
         for module in [m for n, m in sys.modules.items() if n.startswith("volball")]:
-            for name in ("tet_gradients", "signed_volumes"):
+            for name in kernels:
                 if hasattr(module, name):
                     mp.setattr(module, name, counting(name, getattr(module, name)))
         mp.setattr(TetMesh, "count_folds", counting("count_folds", TetMesh.count_folds))
@@ -652,9 +744,10 @@ def _kernel_calls(monkeypatch, run):
 
 
 def test_driver_iterate_reads_its_geometry_once(monkeypatch, ball_mesh):
-    # whole iterations: a 3ddem iterate that needs no correction is read by
-    # one tet_gradients call, which its fold count, density, energies and
-    # next step share; a 3dqc iterate reads volumes only
+    # whole iterations: an iterate that needs no correction is read by one
+    # corner gather, which its fold count, Jacobians, dilations and, in
+    # 3ddem, density, energies and next step share; no iterate calls a
+    # per-map kernel of its own
     pop = hemispheric_population(ball_mesh, 1.05)
     per_run = {}
     for n_max in (1, 3):
@@ -665,8 +758,8 @@ def test_driver_iterate_reads_its_geometry_once(monkeypatch, ball_mesh):
         assert calls["correct_overlaps"] == 0
         per_run[n_max] = calls
     per_two = {k: per_run[3][k] - per_run[1][k] for k in per_run[1]}
-    assert per_two == {"tet_gradients": 2, "signed_volumes": 0, "count_folds": 0,
-                       "correct_overlaps": 0}
+    assert per_two == {"corner_edges": 2, "tet_gradients": 0, "signed_volumes": 0,
+                       "jacobian_per_tet": 0, "count_folds": 0, "correct_overlaps": 0}
 
     mesh = stretched_ball_mesh(1)
     ball = run_3dqc(mesh, SolverConfig(n_max=1)).initial_positions
@@ -676,8 +769,7 @@ def test_driver_iterate_reads_its_geometry_once(monkeypatch, ball_mesh):
             mesh, SolverConfig(n_max=n_max), init_positions=ball))
         assert len(result.report.iterations) == n_max + 1
         qc_calls.append(calls)
-    assert qc_calls[1]["tet_gradients"] == qc_calls[0]["tet_gradients"]
-    assert qc_calls[1]["signed_volumes"] > qc_calls[0]["signed_volumes"]
+    assert {k: qc_calls[1][k] - qc_calls[0][k] for k in qc_calls[0]} == per_two
 
 
 def test_3ddem_iteration_without_correction_decomposes_nothing(monkeypatch, ball_mesh):
@@ -714,11 +806,11 @@ def test_3ddem_correction_decomposes_only_screened_tets(monkeypatch, ball_mesh):
 def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh):
     # each rebuild sends the Jacobi solver only the rows that pass its
     # screen, in one sweep with frames, every full-mesh sweep is a settle
-    # read, and no position set is read by tet_gradients twice
+    # read, and no position set is gathered twice for its gradients or
+    # Jacobians: by a settle read, a rebuild or a solve
     from volball import distortion, drivers
     events, reads = [], []
-    screen, sweep, gradients = (drivers.fold_candidates, distortion._sym3_eigh,
-                                drivers.tet_gradients)
+    screen, sweep = drivers.fold_candidates, distortion._sym3_eigh
 
     def screened(J, ratio=None):
         rows = screen(J, ratio)
@@ -729,14 +821,19 @@ def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh
         events.append(("sweep", len(diag[0]), vectors))
         return sweep(diag, off, vectors)
 
-    def read(positions, tets, tet_ids=None):
+    def read(positions, tets):
         reads.append(np.asarray(positions).tobytes())
-        return gradients(positions, tets, tet_ids)
+        return corner_edges(positions, tets)
+
+    def read_gradients(positions, tets, tet_ids=None):
+        reads.append(np.asarray(positions).tobytes())
+        return tet_gradients(positions, tets, tet_ids)
 
     monkeypatch.setattr(drivers, "fold_candidates", screened)
     monkeypatch.setattr(distortion, "_sym3_eigh", swept)
     for module in (distortion, drivers):
-        monkeypatch.setattr(module, "tet_gradients", read)
+        monkeypatch.setattr(module, "corner_edges", read)
+    monkeypatch.setattr(distortion, "tet_gradients", read_gradients)
     pop = hemispheric_population(ball_mesh, 4.0)
     result = run_3ddem(ball_mesh, pop, SolverConfig(n_max=3))
     assert any(it["folds_pre"] for it in result.report.iterations)

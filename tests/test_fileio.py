@@ -151,3 +151,20 @@ def test_writers_match_row_by_row_reference(tmp_path, fmt):
     path = tmp_path / "out.mesh"
     fileio.save_mesh(str(path), vertices, tets, fmt)
     assert path.read_bytes() == _row_by_row(fmt, vertices, tets).encode()
+
+
+@pytest.mark.parametrize("fmt", ["medit", "gmsh2"])
+def test_mesh_with_vtk_copy_matches_both_writers(tmp_path, fmt):
+    # the remesh output pair: one coordinate formatting serves the Medit and
+    # VTK files, each byte for byte what save_mesh writes alone
+    rng = np.random.default_rng(8)
+    vertices = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-12, 12, size=(200, 3))
+    vertices[3] = [-0.0, 0.0, -1.0]
+    tets = rng.integers(0, 200, size=(300, 4))
+    path, vtk_path = tmp_path / f"pair.{'mesh' if fmt == 'medit' else 'msh'}", tmp_path / "pair.vtk"
+    fileio.save_mesh_with_vtk(str(path), str(vtk_path), vertices, tets, fmt)
+    assert path.read_bytes() == _row_by_row(fmt, vertices, tets).encode()
+    assert vtk_path.read_bytes() == _row_by_row("vtk", vertices, tets).encode()
+    alone = tmp_path / "alone.vtk"
+    fileio.save_mesh(str(alone), vertices, tets)
+    assert alone.read_bytes() == vtk_path.read_bytes()

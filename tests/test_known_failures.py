@@ -1,14 +1,22 @@
-"""Runs that return no map at present, pinned as strict expected failures.
+"""Runs that return no map, or a wrong one, at present, pinned as strict
+expected failures.
 
 Each case asserts what a working run would give. The marker names the error
-the run raises today (see the FOUND lines in CHANGES.md), so a change that
-makes one pass has to flip its marker, and one that makes it fail in another
-way shows as a failure. Never shrink a solid or change a population here.
+the run raises today, or AssertionError where it returns a wrong result (see
+the FOUND lines in CHANGES.md), so a change that makes one pass has to flip
+its marker, and one that makes it fail in another way shows as a failure.
+Never shrink a solid or change a population here.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from volball import synthetic
+from volball import cli, fileio, synthetic
 from volball.distortion import FrameError
 from volball.drivers import (CorrectionError, SolverConfig, initial_ball, run_3ddem,
                              run_3ddeq, run_3dqc)
@@ -111,3 +119,58 @@ def test_ball1_octant_3ddeq_alpha10():
     mesh = uniform_ball_mesh(1)
     result = run_3ddeq(mesh, synthetic.octant_population(mesh), SolverConfig(alpha=10.0))
     assert result.report.final["folds"] == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the pullback inverts 3 template tets where the template "
+                          "is finer than the graded solid, and the command exits 0")
+def test_remesh_graded1_resolution3_writes_no_inverted_tet(tmp_path):
+    mesh = synthetic.graded_ellipsoid_mesh(1)
+    source = str(tmp_path / "in.mesh")
+    fileio.save_mesh(source, mesh.vertices, mesh.tets)
+    out = tmp_path / "out"
+    code = cli.main(["remesh", "--method", "3ddeq", "--population", "volume",
+                     "--resolution", "3", source, str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["final"]["remeshed_folds"] == 0
+
+
+_PCG_THREADS = """
+import hashlib
+import numpy as np
+from volball import linsolve
+from volball.laplace import laplacian_matrix
+from volball.synthetic import cube_mesh
+mesh = cube_mesh(29)  # 21 952 interior rows: past OpenBLAS's threaded dot
+ids = mesh.boundary_vertices
+x = mesh.vertices[ids]
+system = laplacian_matrix(mesh)
+earlier = []
+for k in range(3):
+    system.constrain(ids, np.sin((k + 1.0) * x) + x[:, ::-1] ** 2)
+    earlier.insert(0, linsolve.solve(system, np.zeros((len(mesh.vertices), 3)),
+                                     start=earlier[0] if earlier else None,
+                                     history=earlier[1:]))
+print(hashlib.sha256(earlier[0].tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="PCG's and the Galerkin start's dot products are BLAS "
+                          "dots, whose sums follow the thread split above about "
+                          "20 000 entries")
+def test_pcg_solve_does_not_depend_on_the_blas_thread_count():
+    # three Laplace solves on the PCG path, the last two with a history
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                                     if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _PCG_THREADS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 1
+    assert outputs[0] == outputs[1]

@@ -627,6 +627,20 @@ def test_triangle_kernels_equal_row_major_formulas(kernel_solids, source, seed):
             _ref_capped_advect(points, velocity, 0.1, conn.edges, mask).tobytes()
 
 
+@pytest.mark.parametrize("source", ["hull", "graded1", "ball2"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_center_sphere_equals_row_major_formula(kernel_solids, source, seed):
+    # areas from the row-major geometry, corner means and the centroid sum
+    # over (m, 3) rows, on spheres moved off the origin and rescaled
+    points, faces, rng = _sphere_points(kernel_solids, source, seed)
+    points = (points + rng.uniform(0.0, 0.3) * rng.normal(size=points.shape)
+              + rng.normal(size=3) * 0.2) * rng.uniform(0.1, 10.0)
+    areas = 0.5 * _RefGeometry(points, faces).area2
+    centroid = (areas[:, None] * points[faces].mean(axis=1)).sum(axis=0) / areas.sum()
+    assert center_sphere(points, faces).tobytes() == normalize_rows(points - centroid).tobytes()
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(1, 500), st.integers(0, 2**32 - 1), st.floats(-8.0, 8.0))
 def test_sd_over_mean_is_numpys(size, seed, log_scale):

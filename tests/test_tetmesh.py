@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from volball.tetmesh import (EDGE_LOCAL, FACE_LOCAL, Connectivity,
-                             DegenerateTetError, PointLocator, TetMesh,
+from volball.tetmesh import (EDGE_LOCAL, FACE_LOCAL, MAX_VERTICES, Connectivity,
+                             DegenerateTetError, MeshError, PointLocator, TetMesh,
                              TopologyError, barycentric_coordinates,
                              signed_volumes, tet_gradients)
 
@@ -467,3 +469,59 @@ def test_boundary_topology_rejected(tets, message):
     verts = verts[:tets.max() + 1]
     with pytest.raises(TopologyError, match=message):
         TetMesh.from_arrays(verts, tets)
+
+
+def _lexsort_boundary(tets, n):
+    """The boundary faces and owners by sorted corners and a two-key lexsort."""
+    faces = tets[:, FACE_LOCAL].reshape(-1, 3)
+    a, b, c = np.sort(faces, axis=1).T
+    ab = a * n + b
+    order = np.lexsort((c, ab))
+    ab, c = ab[order], c[order]
+    new_group = np.ones(len(order), dtype=bool)
+    new_group[1:] = (ab[1:] != ab[:-1]) | (c[1:] != c[:-1])
+    group_ids = np.cumsum(new_group) - 1
+    single = order[np.bincount(group_ids)[group_ids] == 1]
+    return faces[single], single // 4
+
+
+@pytest.fixture(scope="module")
+def boundary_solids():
+    from volball.remesh import uniform_ball_mesh
+    from volball.synthetic import (cube_mesh, graded_ellipsoid_mesh, lcube_mesh,
+                                   stretched_ball_mesh)
+    return [uniform_ball_mesh(1), cube_mesh(3), lcube_mesh(3), graded_ellipsoid_mesh(1),
+            stretched_ball_mesh(1)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_boundary_extraction_equals_lexsort(boundary_solids, which, seed):
+    # renumbered vertices and tets, and each tet's corners rotated among
+    # themselves: the same faces and owners as the lexsort form, in its order
+    mesh = boundary_solids[which]
+    rng = np.random.default_rng(seed)
+    n = len(mesh.vertices)
+    new_id = rng.permutation(n)
+    tets = new_id[mesh.tets][rng.permutation(len(mesh.tets))]
+    tets = np.take_along_axis(tets, (np.arange(4) + rng.integers(0, 4, (len(tets), 1))) % 4,
+                              axis=1)
+    faces, owners = TetMesh._extract_boundary(tets, n)
+    ref_faces, ref_owners = _lexsort_boundary(tets, n)
+    assert np.array_equal(faces, ref_faces) and np.array_equal(owners, ref_owners)
+    assert len(faces) == len(mesh.boundary_faces)
+
+
+def test_boundary_extraction_limits():
+    # a face of three tets is not a manifold; a vertex count past the int64
+    # key's range is refused by name
+    tets = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
+    with pytest.raises(TopologyError, match="non-manifold"):
+        TetMesh._extract_boundary(tets, 6)
+    assert MAX_VERTICES ** 3 - 1 == np.iinfo(np.int64).max
+    top = MAX_VERTICES - 1 - tets[:2]  # the largest keys the limit allows
+    for got, ref in zip(TetMesh._extract_boundary(top, MAX_VERTICES),
+                        _lexsort_boundary(top, MAX_VERTICES)):
+        assert np.array_equal(got, ref)
+    with pytest.raises(MeshError, match=f"at most {MAX_VERTICES}"):
+        TetMesh._extract_boundary(tets[:2], MAX_VERTICES + 1)
