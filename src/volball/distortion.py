@@ -153,27 +153,30 @@ def _sym3_eigh(diag: list, off: dict, vectors: bool):
     dict are left as they are. Returns eigenvalues (m, 3) in descending
     order and, with ``vectors``, the matching orthonormal eigenvectors as the
     columns of (m, 3, 3), else None. The eigenvalues do not depend on
-    ``vectors``: every tet sees the same rotations until the check at which
-    the whole batch has converged.
+    ``vectors``: the same sweeps run either way, without the accumulation of
+    the rotations and, below, the rotations that can no longer move a value.
 
     Without ``vectors``, a tet leaves the sweeps at a check where at least
-    half the swept tets have converged, if it has converged and its
-    off-diagonal square sum s = C01^2 + C02^2 + C12^2 meets ``_retired``:
-    s < 2^-55 min_k |Ckk| min_{p<q} |Cqq - Cpp| and 12 s <= (1e-15 sum_k
-    |Ckk|)^2. Each rotation it would have had moves Cpp and Cqq by t Cpq with
-    |t| <= |Cpq| / |Cqq - Cpp|, so by at most s / min |Cqq - Cpp|, less than
-    a quarter ulp of either: its diagonal, and with it each later t, stays
-    bitwise. A rotation zeroes Cpq and turns the other two entries
-    orthogonally, so s does not grow, and the off-diagonal sum stays at most
-    sqrt(3 s), half the tolerance: the tet would have passed every later
-    check, so its leaving changes neither its values nor the sweep count.
-    (This holds for entries far from under- and overflow, as the Gram
+    half the swept tets have converged, if it has converged and ``_retired``
+    holds for it: with s = C01^2 + C02^2 + C12^2,
+
+        s < 2^-55 min_k |Ckk| min_{p<q} |Cqq - Cpp|,  12 s <= (1e-15 sum_k |Ckk|)^2.
+
+    A rotation (p, q) it would have had moves Cpp and Cqq by t Cpq with
+    |t| <= |Cpq| / |Cqq - Cpp|, so by at most s / min |Cqq - Cpp|, under a
+    quarter of the float spacing at either: both stay bitwise. The rotation
+    zeroes Cpq and turns the other two entries orthogonally, so s does not
+    grow and both bounds hold at the next rotation too. The off-diagonal sum
+    stays at most sqrt(3 s), half the tolerance, so the tet would have passed
+    every later check: its leaving changes neither its values nor the sweep
+    count. (This holds for entries far from under- and overflow, as the Gram
     entries of checked Jacobians are.) Compacting pays only in the tail: on
-    the benchmark's meshes a tet converges after three sweeps, and a few
-    tets per thousand need a fourth. The values are then sorted by a
-    min/max network; the diagonal is never -0.0 (sums of squares, and a
+    the benchmark's meshes most tets converge after three sweeps and a few
+    per thousand need a fourth, while compacting earlier, with most tets
+    still live, costs more than it saves. The values are then sorted by a
+    min/max network: the diagonal is never -0.0 (sums of squares, and a
     difference that cancels rounds to +0.0), so equal values are equal bits
-    and the network gives the order's values bitwise.
+    and the network gives the values of the order bitwise.
     """
     diag, off = list(diag), dict(off)
     m = len(diag[0])
@@ -412,9 +415,8 @@ def _sym_matrix(diag: list, off: dict) -> np.ndarray:
 def _stretch(gram: tuple, lam: np.ndarray) -> tuple[list, dict]:
     """The entries of P = sqrt(J^T J) from the ``_gram`` entries of (m, 3, 3)
     Jacobians with positive triples ``lam`` (c = |det J| / (a b)), in closed
-    form (L. P. Franca,
-    Comput. Math. Appl. 18(5), 1989): Cayley-Hamilton with P^2 = J^T J and
-    s1 = a + b + c, s2 = ab + bc + ca, s3 = abc gives
+    form (L. P. Franca, Comput. Math. Appl. 18(5), 1989): Cayley-Hamilton
+    with P^2 = J^T J and s1 = a + b + c, s2 = ab + bc + ca, s3 = abc gives
     P = s1 I - adj(J^T J + s2 I) / k, where k = (a + b)(b + c)(c + a)
     = s1 s2 - s3 comes from the triple without cancellation."""
     a, b, c = lam[:, 0], lam[:, 1], lam[:, 2]

@@ -403,14 +403,15 @@ class TetMesh:
                             f"by one int64, which holds at most {MAX_VERTICES}")
         faces = tets[:, FACE_LOCAL].reshape(-1, 3)
         # each face's corners sorted a < b < c by a min/max network, keyed
-        # (a n + b) n + c: the stable order of the keys is the lexicographic
-        # order of (a, b, c), ties in face order
+        # (a n + b) n + c, whose order is the lexicographic order of (a, b, c);
+        # a boundary face's key is unique, so any sort lists the boundary
+        # faces in the same order
         f0, f1, f2 = faces.T
         lo, hi = np.minimum(f0, f1), np.maximum(f0, f1)
         mid = np.maximum(lo, f2)
         key = np.minimum(lo, f2) * n_vertices + np.minimum(hi, mid)
         key = key * n_vertices + np.maximum(hi, mid)
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key)
         key = key[order]
         new_group = np.ones(len(order), dtype=bool)
         new_group[1:] = key[1:] != key[:-1]
