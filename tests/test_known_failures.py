@@ -147,7 +147,7 @@ ids = mesh.boundary_vertices
 x = mesh.vertices[ids]
 system = laplacian_matrix(mesh)
 earlier = []
-for k in range(3):
+for k in range(4):  # each solve starts from the last; the last two take a history
     system.constrain(ids, np.sin((k + 1.0) * x) + x[:, ::-1] ** 2)
     earlier.insert(0, linsolve.solve(system, np.zeros((len(mesh.vertices), 3)),
                                      start=earlier[0] if earlier else None,
@@ -158,10 +158,11 @@ print(hashlib.sha256(earlier[0].tobytes()).hexdigest())
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="PCG's and the Galerkin start's dot products are BLAS "
-                          "dots, whose sums follow the thread split above about "
-                          "20 000 entries")
+                          "dots, whose sums follow the thread split above 10 000 "
+                          "entries")
 def test_pcg_solve_does_not_depend_on_the_blas_thread_count():
-    # three Laplace solves on the PCG path, the last two with a history
+    # four Laplace solves on the PCG path, the last two with a history of the
+    # earlier results
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):
