@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,27 +29,35 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+# solver flag -> the SolverConfig field whose default and type it takes
+_CONFIG_FLAGS = {"--dt": "dt", "--eps": "eps", "--max-iter": "n_max", "--kt": "k_threshold",
+                 "--c-residual": "residual_constant", "--alpha": "alpha"}
+
+
 def _add_config_flags(p):
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--eps", type=float, default=1e-2)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--kt", type=float, default=10.0, help="anisotropy ratio cap")
-    p.add_argument("--c-residual", type=float, default=50.0)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--boundary", choices=("conformal", "dem"), default=None)
-    p.add_argument("--no-correction", action="store_true",
+    defaults = SolverConfig()
+    for flag, field in _CONFIG_FLAGS.items():
+        value = getattr(defaults, field)
+        p.add_argument(flag, dest=field, type=type(value), default=value)
+    p.add_argument("--boundary", dest="boundary_mode", choices=("conformal", "dem"),
+                   default=defaults.boundary_mode)
+    p.add_argument("--no-correction", dest="correction", action="store_false",
+                   default=defaults.correction,
                    help="disable the overlap correction scheme (diagnostics)")
 
 
-def _config_from(args) -> SolverConfig:
+def _load(args):
+    """The input mesh, the solver config and a density method's population."""
+    mesh = fileio.load_mesh(args.input)
     try:
-        return SolverConfig(dt=args.dt, eps=args.eps, n_max=args.max_iter,
-                            k_threshold=args.kt, residual_constant=args.c_residual,
-                            alpha=args.alpha,
-                            boundary_mode=args.boundary or "auto",
-                            correction=not args.no_correction)
+        config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    if not drivers.METHODS[args.method].density:
+        return mesh, config, None
+    if args.population is None:
+        raise CliError(f"--population is required for {args.method}")
+    return mesh, config, _population_from(args.population, mesh)
 
 
 def _population_from(source: str, mesh: TetMesh) -> np.ndarray:
@@ -67,34 +76,29 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Volumetric parameterization of tetrahedral "
                                  "solids onto the unit ball")
     sub = parser.add_subparsers(dest="command", required=True)
+    solver = argparse.ArgumentParser(add_help=False)  # what the three runs share
+    solver.add_argument("input")
+    solver.add_argument("outdir")
+    _add_config_flags(solver)
 
-    p = sub.add_parser("init-ball", help="initial ball map only")
-    p.add_argument("input")
-    p.add_argument("outdir")
-    _add_config_flags(p)
+    sub.add_parser("init-ball", parents=[solver],
+                   help="initial ball map only").set_defaults(method="3dqc")
 
-    p = sub.add_parser("param", help="run a parameterization method")
-    p.add_argument("input")
-    p.add_argument("outdir")
-    p.add_argument("--method", choices=drivers.METHODS, required=True)
+    run = argparse.ArgumentParser(add_help=False, parents=[solver])
+    run.add_argument("--method", choices=drivers.METHODS, required=True)
+    run.add_argument("--report", default=None, help="report JSON path override")
+    run.add_argument("--trace", default=None, help="trace CSV path override")
+
+    p = sub.add_parser("param", parents=[run], help="run a parameterization method")
     p.add_argument("--population", default=None,
                    help="uniform | volume | file:PATH (required for 3ddem/3ddeq)")
-    p.add_argument("--report", default=None, help="report JSON path override")
-    p.add_argument("--trace", default=None, help="trace CSV path override")
     p.add_argument("--histogram", default=None,
                    help="write a 50-bin density histogram CSV here")
-    _add_config_flags(p)
 
-    p = sub.add_parser("remesh", help="parameterize, build a uniform ball "
-                                      "template, and pull it back")
-    p.add_argument("input")
-    p.add_argument("outdir")
-    p.add_argument("--method", choices=drivers.METHODS, required=True)
-    p.add_argument("--population", default=None)
+    p = sub.add_parser("remesh", parents=[run], help="parameterize, build a uniform "
+                                                     "ball template, and pull it back")
+    p.add_argument("--population", default="volume")
     p.add_argument("--resolution", type=int, default=3)
-    p.add_argument("--report", default=None)
-    p.add_argument("--trace", default=None)
-    _add_config_flags(p)
 
     p = sub.add_parser("metrics", help="distortion and quality metrics")
     p.add_argument("mesh", help="rest mesh")
@@ -108,55 +112,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_result(outdir, mesh, result, report_path, trace_path, in_fmt):
-    os.makedirs(outdir, exist_ok=True)
-    out_mesh = os.path.join(outdir, "result.mesh" if in_fmt == "medit" else "result.msh")
-    fileio.save_mesh(out_mesh, result.positions, mesh.tets, fmt=in_fmt)
-    result.report.write_json(report_path or os.path.join(outdir, "report.json"))
-    result.report.write_trace_csv(trace_path or os.path.join(outdir, "trace.csv"))
-    return out_mesh
+def _output(args, stem: str) -> str:
+    """``outdir/stem`` with the input's Medit or Gmsh extension; makes ``outdir``."""
+    os.makedirs(args.outdir, exist_ok=True)
+    ext = "mesh" if fileio.format_from_path(args.input) == "medit" else "msh"
+    return os.path.join(args.outdir, f"{stem}.{ext}")
+
+
+def _finish(args, result) -> int:
+    """Write the run's report and trace; exit 0 if it converged, else 2."""
+    result.report.write_json(args.report or os.path.join(args.outdir, "report.json"))
+    result.report.write_trace_csv(args.trace or os.path.join(args.outdir, "trace.csv"))
+    return 0 if result.converged else 2
 
 
 def _cmd_init_ball(args) -> int:
-    mesh = fileio.load_mesh(args.input)
-    config = _config_from(args)
-    positions = drivers.initial_ball(mesh, config, method="3dqc")
-    os.makedirs(args.outdir, exist_ok=True)
-    fmt = fileio.format_from_path(args.input)
-    out = os.path.join(args.outdir, "ball.mesh" if fmt == "medit" else "ball.msh")
-    fileio.save_mesh(out, positions, mesh.tets, fmt=fmt)
+    mesh, config, _ = _load(args)
+    positions = drivers.initial_ball(mesh, config, args.method)
+    out = _output(args, "ball")
+    fileio.save_mesh(out, positions, mesh.tets)
     print(out)
     return 0
 
 
 def _cmd_param(args) -> int:
-    mesh = fileio.load_mesh(args.input)
-    config = _config_from(args)
-    population = None
-    if args.method in ("3ddem", "3ddeq"):
-        if args.population is None:
-            raise CliError(f"--population is required for {args.method}")
-        population = _population_from(args.population, mesh)
+    mesh, config, population = _load(args)
     result = drivers.run_method(args.method, mesh, population, config)
-    in_fmt = fileio.format_from_path(args.input)
-    _write_result(args.outdir, mesh, result, args.report, args.trace, in_fmt)
+    fileio.save_mesh(_output(args, "result"), result.positions, mesh.tets)
+    code = _finish(args, result)
     if args.histogram:
-        field = recouple_density(
-            mesh, result.positions,
-            population if population is not None else np.abs(mesh.volumes))
-        rho = field.rho_vertex
+        rest = np.abs(mesh.volumes) if population is None else population
+        rho = recouple_density(mesh, result.positions, rest).rho_vertex
         write_histogram_csv(args.histogram, rho / np.mean(rho))
-    return 0 if result.converged else 2
+    return code
 
 
 def _cmd_remesh(args) -> int:
     if args.resolution < 1:
         raise CliError(f"--resolution must be at least 1, got {args.resolution}")
-    mesh = fileio.load_mesh(args.input)
-    config = _config_from(args)
-    population = None
-    if args.method in ("3ddem", "3ddeq"):
-        population = _population_from(args.population or "volume", mesh)
+    mesh, config, population = _load(args)
     result = drivers.run_method(args.method, mesh, population, config)
     template = remesh.uniform_ball_mesh(args.resolution)
     positions, snapped = remesh.pullback(mesh, result.positions, template)
@@ -166,16 +160,10 @@ def _cmd_remesh(args) -> int:
     result.report.final["snapped_template_vertices"] = snapped
     # quality_metrics scores |volume|, so an inverted output tet shows only here
     result.report.final["remeshed_folds"] = template.count_folds(positions)
-
-    os.makedirs(args.outdir, exist_ok=True)
-    in_fmt = fileio.format_from_path(args.input)
-    ext = "mesh" if in_fmt == "medit" else "msh"
-    fileio.save_mesh_with_vtk(os.path.join(args.outdir, f"remeshed.{ext}"),
+    fileio.save_mesh_with_vtk(_output(args, "remeshed"),
                               os.path.join(args.outdir, "remeshed.vtk"),
-                              positions, template.tets, fmt=in_fmt)
-    result.report.write_json(args.report or os.path.join(args.outdir, "report.json"))
-    result.report.write_trace_csv(args.trace or os.path.join(args.outdir, "trace.csv"))
-    return 0 if result.converged else 2
+                              positions, template.tets)
+    return _finish(args, result)
 
 
 def _cmd_metrics(args) -> int:
@@ -189,11 +177,10 @@ def _cmd_metrics(args) -> int:
         positions = mapped.vertices
         folds = mesh.count_folds(positions)
         mean_k, sd_k = k_stats(dilations(jacobian_per_tet(mesh, positions)))
-        pop = np.abs(mesh.volumes)
         # the volume population has rest density 1 everywhere
         out.update({"mean_K": mean_k, "sd_K": sd_k, "folds": int(folds), "var_rho0": 0.0})
         if folds == 0:
-            rho = recouple_density(mesh, positions, pop).rho_vertex
+            rho = recouple_density(mesh, positions, np.abs(mesh.volumes)).rho_vertex
             out["var_rho"] = normalized_density_variance(rho)
         else:
             out["var_rho"] = None
@@ -209,9 +196,6 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    in_fmt = fileio.format_from_path(args.input)
-    if in_fmt == "vtk":
-        raise CliError("VTK is an output-only format")
     mesh = fileio.load_mesh(args.input)
     fileio.save_mesh(args.output, mesh.vertices, mesh.tets)
     return 0

@@ -52,9 +52,11 @@ def checked_population(population, count: int, item: str,
                        error: type[ValueError] = DensityError) -> np.ndarray:
     """``population`` as a float64 array of ``count`` finite positive values.
 
-    Raises ``error`` on a wrong shape, or naming the first ``item`` whose
-    value is not finite and positive.
+    Raises ``error`` on a missing population or a wrong shape, or naming the
+    first ``item`` whose value is not finite and positive.
     """
+    if population is None:
+        raise error(f"no population given; expected one value per {item}")
     population = np.asarray(population, dtype=np.float64)
     if population.shape != (count,):
         raise error(f"population has shape {population.shape}; "

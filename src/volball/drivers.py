@@ -2,13 +2,16 @@
 
 The three methods run one loop (``_iterate``): make the initial ball
 (spherical boundary plus harmonic fill) and evaluate it, then repeat step,
-settle, evaluate, stop and record, for at most n_max steps. A method supplies
-only its step and its stop rule: 3dqc rejects the candidate, converged, once
-its energy falls by less than 1e-5 relative; 3ddem has converged once
-sd/mean of the vertex density is below eps, tested on the initial ball and
-after every step; 3ddeq once the largest vertex move is below eps. Settling
-passes a fold-free candidate unchanged and hands a folded one to
-``correct_overlaps``. Settle, evaluate and the next step share one
+settle, evaluate, stop and record, for at most n_max steps. ``METHODS`` maps
+each method's name to its rules: its step, its stop rule, and whether it is a
+density method (3ddem and 3ddeq), which takes a population, starts under
+``auto`` from the surface density flow's boundary and has its overlap
+rebuilds also truncate tets one flow step from folding. 3dqc rejects the
+candidate, converged, once its energy falls by less than 1e-5 relative; 3ddem
+has converged once sd/mean of the vertex density is below eps, tested on the
+initial ball and after every step; 3ddeq once the largest vertex move is
+below eps. Settling passes a fold-free candidate unchanged and hands a folded
+one to ``correct_overlaps``. Settle, evaluate and the next step share one
 ``_Iterate`` record per map (volumes, hat gradients with a population and
 Jacobians from one gather, the Gram entries J^T J and signed dilation
 triples; no frames). A run keeps its last HISTORY accepted maps for its own
@@ -18,10 +21,12 @@ combination of the current map and those maps, and stop by the same test.
 Contract: a run returns a fold-free map with its boundary on the unit sphere,
 or raises a typed error: ``CorrectionError`` when the correction budget is
 spent, ``SphereMapError`` from the boundary map, ``FrameError`` on a
-singular tet, ``DensityError`` on a bad population, ``SolverError`` from a
-solve. With ``config.correction`` off, a candidate that still folds is
-recorded with var_rho None and ends the run instead. Identical inputs give
-bitwise identical results.
+singular tet, ``DensityError`` on a bad or missing population,
+``SolverError`` from a solve, ``ValueError`` on an unknown method or on
+``init_positions`` that are not one finite point per vertex. With
+``config.correction`` off, a candidate that still folds is recorded with
+var_rho None and ends the run instead. Identical inputs give bitwise
+identical results.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,13 +45,10 @@ from .distortion import (TetFrameField, _gram, anisotropy_ratios, dilations,
                          residual_step, truncate_eigenvalues)
 from .laplace import harmonic_fill
 from .report import RunReport
-from .sphere_map import (BoundaryMap, SphereMapError, compute_boundary_sphere_map,
+from .sphere_map import (BoundaryMap, SphereMapError, _sd_over_mean, compute_boundary_sphere_map,
                          correct_spherical_flips, normalize_rows, spherical_embedding,
                          spherical_flips, surface_density_equalize, triangle_geometry)
 from .tetmesh import TetMesh, corner_edges, edge_geometry, signed_volumes
-
-METHODS = ("3dqc", "3ddem", "3ddeq")
-
 
 NEAR_FOLD_RATIO = 1e3
 
@@ -100,13 +103,10 @@ class SolverConfig:
             raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
 
     def resolved_boundary_mode(self, method: str) -> str:
-        """``conformal`` or ``dem``; ``auto`` is conformal for 3dqc only."""
-        if self.boundary_mode != "auto":
-            return self.boundary_mode
-        return "conformal" if method == "3dqc" else "dem"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        """``conformal`` or ``dem``; ``auto`` is dem for the density methods.
+        ValueError on an unknown ``method``."""
+        mode = "dem" if _rules(method).density else "conformal"
+        return mode if self.boundary_mode == "auto" else self.boundary_mode
 
 
 @dataclass
@@ -413,26 +413,31 @@ def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, tracked=Fals
     return settled, folds_pre
 
 
-def _iterate(method, mesh, population, config, init_positions, step, stop,
-             near_fold_ratio=NEAR_FOLD_RATIO) -> RunResult:
-    """The loop of every driver. ``step(mesh, state, config, history)``
-    proposes a map, ``history`` holding the accepted maps before ``state``,
-    newest first, at most HISTORY of them; ``stop(prev, cand, config)`` is
-    one of the stop rules below. A population is checked once, here. Without
-    one the initial ball is iteration 0 and the final var_rho is that of the
-    rest volumes."""
+def _iterate(method, mesh, population, config, init_positions) -> RunResult:
+    """The loop of every driver, with ``method``'s ``METHODS`` rules:
+    ``step(mesh, state, config, history)`` proposes a map, ``history``
+    holding the accepted maps before ``state``, newest first, at most HISTORY
+    of them; ``stop(prev, cand, config)`` is one of the stop rules below. A
+    density method's population is checked once, here; otherwise the initial
+    ball is iteration 0 and the final var_rho is that of the rest volumes."""
     config = config or SolverConfig()
-    tracked = population is not None
-    if tracked:
-        population = dem.checked_population(population, len(mesh.tets), "tet")
+    step, stop, tracked = _rules(method)
+    population = dem.checked_population(population, len(mesh.tets), "tet") if tracked else None
     b_ids = mesh.boundary_vertices
-    pos0 = initial_ball(mesh, config, method) if init_positions is None \
-        else np.array(init_positions, dtype=np.float64)
+    if init_positions is None:
+        pos0 = initial_ball(mesh, config, method)
+    else:
+        pos0 = np.array(init_positions, dtype=np.float64)
+        if pos0.shape != mesh.vertices.shape:
+            raise ValueError(f"init_positions has shape {pos0.shape}; expected "
+                             f"{mesh.vertices.shape}, one point per vertex")
+        if not np.all(np.isfinite(pos0)):
+            raise ValueError("init_positions must be finite")
     # the initial ball is corrected whatever the setting
     state, _ = _settle(mesh, pos0, replace(config, correction=True),
                        normalize_rows(pos0[b_ids]), tracked=tracked)
     pos0, ball_volumes = state.positions.copy(), state.volumes
-    report = RunReport(method, config.to_dict())
+    report = RunReport(method, asdict(config))
 
     def evaluate(it):  # fills in the density field and the trace row
         if tracked:
@@ -459,7 +464,7 @@ def _iterate(method, mesh, population, config, init_positions, step, stop,
         n += 1
         cand, folds_pre = _settle(mesh, step(mesh, state, config, history), config,
                                   normalize_rows(state.positions[b_ids]),
-                                  near_fold_ratio, tracked)
+                                  NEAR_FOLD_RATIO if tracked else None, tracked)
         if cand.folds:
             # correction is off: nothing can be evaluated on inverted volumes
             folded = cand
@@ -478,8 +483,7 @@ def _iterate(method, mesh, population, config, init_positions, step, stop,
                              **state.row)
 
     last = folded or state
-    field = state.field or dem.field_from_volumes(mesh, state.volumes,
-                                                  np.abs(mesh.volumes))
+    field = state.field or dem.field_from_volumes(mesh, state.volumes, np.abs(mesh.volumes))
     report.final.update({"var_rho": normalized_density_variance(field.rho_vertex),
                          "mean_K": last.row["mean_K"], "sd_K": last.row["sd_K"],
                          "folds": last.folds})
@@ -540,17 +544,35 @@ def _qc_stop(prev, cand, config):
 
 
 def _dem_stop(prev, cand, config):
-    rho = cand.field.rho_vertex
-    return True, bool(np.std(rho) / np.mean(rho) < config.eps)
+    return True, bool(_sd_over_mean(cand.field.rho_vertex) < config.eps)
 
 
 def _deq_stop(prev, cand, config):
     if prev is None:
         return True, False
     # the displacement joins the candidate's trace row
-    moves = np.linalg.norm(cand.positions - prev.positions, axis=1)
+    moves = dem._row_norms(cand.positions - prev.positions)
     cand.row["displacement"] = float(np.max(moves))
     return True, cand.row["displacement"] < config.eps
+
+
+class Method(NamedTuple):
+    """A method's rules, as the module docstring describes them."""
+
+    step: Callable
+    stop: Callable
+    density: bool
+
+
+METHODS = {"3dqc": Method(_qc_step, _qc_stop, density=False),
+           "3ddem": Method(_dem_step, _dem_stop, density=True),
+           "3ddeq": Method(_deq_step, _deq_stop, density=True)}
+
+
+def _rules(method: str) -> Method:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    return METHODS[method]
 
 
 def run_3dqc(mesh: TetMesh, config: SolverConfig | None = None,
@@ -560,8 +582,7 @@ def run_3dqc(mesh: TetMesh, config: SolverConfig | None = None,
     Iterates until the weighted energy sum(vol0 * ln(K)^2) stops decreasing or
     n_max is reached; every accepted iterate is fold-free.
     """
-    return _iterate("3dqc", mesh, None, config, init_positions, _qc_step, _qc_stop,
-                    near_fold_ratio=None)
+    return _iterate("3dqc", mesh, None, config, init_positions)
 
 
 def run_3ddem(mesh: TetMesh, population: np.ndarray,
@@ -573,8 +594,7 @@ def run_3ddem(mesh: TetMesh, population: np.ndarray,
     iterations. With ``config.correction`` disabled the run is aborted as soon
     as folds appear (the flow cannot continue on inverted volumes).
     """
-    return _iterate("3ddem", mesh, population, config, init_positions, _dem_step,
-                    _dem_stop)
+    return _iterate("3ddem", mesh, population, config, init_positions)
 
 
 def run_3ddeq(mesh: TetMesh, population: np.ndarray,
@@ -588,8 +608,7 @@ def run_3ddeq(mesh: TetMesh, population: np.ndarray,
     the prescribed eigenvalues. Stops when the maximum vertex displacement
     falls below eps.
     """
-    return _iterate("3ddeq", mesh, population, config, init_positions, _deq_step,
-                    _deq_stop)
+    return _iterate("3ddeq", mesh, population, config, init_positions)
 
 
 def run_method(method: str, mesh: TetMesh, population: np.ndarray | None = None,
@@ -597,10 +616,7 @@ def run_method(method: str, mesh: TetMesh, population: np.ndarray | None = None,
                init_positions: np.ndarray | None = None) -> RunResult:
     """``run_3dqc``, ``run_3ddem`` or ``run_3ddeq`` by name (3dqc ignores
     ``population``); ValueError on any other ``method``."""
-    if method == "3dqc":
+    if not _rules(method).density:
         return run_3dqc(mesh, config, init_positions)
-    if method == "3ddem":
-        return run_3ddem(mesh, population, config, init_positions)
-    if method == "3ddeq":
-        return run_3ddeq(mesh, population, config, init_positions)
-    raise ValueError(f"unknown method {method!r}")
+    run = run_3ddem if method == "3ddem" else run_3ddeq
+    return run(mesh, population, config, init_positions)

@@ -180,6 +180,8 @@ def _read_gmsh2(path: str) -> tuple[np.ndarray, np.ndarray]:
                     if etype == 4:
                         tets.append([id_map[int(v)] for v in nodes[:4]])
                 next(lines)  # $EndElements
+    except ParseError:
+        raise
     except (StopIteration, ValueError, KeyError, IndexError) as exc:
         raise ParseError(f"{path}: malformed Gmsh file ({exc})") from exc
     if vertices is None:

@@ -11,7 +11,9 @@ part of ``data`` without a matrix: only a solve that iterates builds one.
 
 Contract:
 - ``assemble`` sums duplicate triplets with ``np.bincount`` in input order,
-  so assembly, and every solve after it, is bitwise reproducible.
+  so assembly, and every solve after it, is bitwise reproducible; CG's dots
+  are summed in chunks of at most DOT_CHUNK values, so its results do not
+  depend on the BLAS thread count either.
 - ``solve`` returns the fixed entries exactly and a free part with
   ``||b - A x|| <= tol ||b||`` on the reduced system (fixed rows and columns
   eliminated, so it stays symmetric). It factors the system by banded
@@ -70,6 +72,12 @@ SPLIT_CACHE = 4
 # it are projected out adds nothing to a Galerkin start: a repeat, or a
 # combination of the others, up to rounding.
 RANK_TOL = 1e-12
+
+# OpenBLAS splits a dot product of more than 10 000 values across its threads,
+# and the split changes the sum's last bits with the thread count. A longer
+# dot is summed in chunks of at most this many values, one BLAS call each, the
+# chunks added in order.
+DOT_CHUNK = 8192
 
 logger = logging.getLogger("volball.linsolve")
 
@@ -322,15 +330,32 @@ def assemble(plan: AssemblyPlan, values) -> LinearSystem:
     return LinearSystem(plan, data)
 
 
+def _chunked_dot(u: np.ndarray, v: np.ndarray):
+    """``np.dot`` of two 1-D arrays summed in DOT_CHUNK pieces, in order."""
+    total = np.dot(u[:DOT_CHUNK], v[:DOT_CHUNK])
+    for start in range(DOT_CHUNK, len(u), DOT_CHUNK):
+        total += np.dot(u[start:start + DOT_CHUNK], v[start:start + DOT_CHUNK])
+    return total
+
+
+def _dot_for(n: int):
+    """The dot of 1-D arrays of ``n`` values, whose bits do not depend on the
+    BLAS thread count: ``np.dot`` (bitwise ``@``) when they fit in one chunk,
+    else ``_chunked_dot``."""
+    return np.dot if n <= DOT_CHUNK else _chunked_dot
+
+
 def _pcg(A, b, rtol, maxiter, x0=None):
     """Jacobi-preconditioned CG from x0 (default 0): returns (x, iterations,
     residual), stopping once ``||b - A x|| <= rtol * ||b||`` whatever the
-    start. Norms are ``sqrt(r @ r)``, bitwise ``np.linalg.norm`` on 1-D
-    input; a curvature ``p @ A p`` that is not positive (NaN included)
-    raises SolverError at once."""
+    start. Norms are ``sqrt(r . r)``, bitwise ``np.linalg.norm`` on 1-D
+    input up to DOT_CHUNK values; a curvature ``p . A p`` that is not
+    positive (NaN included) raises SolverError at once. Every dot is
+    ``_dot_for``'s."""
     n = len(b)
+    dot = _dot_for(n)
     b = np.ascontiguousarray(b)  # as np.linalg.norm's ravel makes it
-    bnorm = sqrt(b @ b)
+    bnorm = sqrt(dot(b, b))
     if bnorm == 0.0:
         return np.zeros(n), 0, 0.0
     if x0 is None:
@@ -338,7 +363,7 @@ def _pcg(A, b, rtol, maxiter, x0=None):
     else:
         x = np.array(x0, dtype=np.float64)
         r = b - A @ x
-    res = sqrt(r @ r)
+    res = sqrt(dot(r, r))
     if res <= rtol * bnorm:
         return x, 0, res
     diag = A.diagonal().copy()
@@ -346,20 +371,20 @@ def _pcg(A, b, rtol, maxiter, x0=None):
     inv_diag = 1.0 / diag
     z = inv_diag * r
     p = z.copy()
-    rz = float(r @ z)
+    rz = float(dot(r, z))
     for k in range(1, maxiter + 1):
         Ap = A @ p
-        pAp = float(p @ Ap)
+        pAp = float(dot(p, Ap))
         if not pAp > 0.0:
             raise SolverError("matrix is not positive definite", k, res)
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        res = sqrt(r @ r)
+        res = sqrt(dot(r, r))
         if res <= rtol * bnorm:
             return x, k, res
         np.multiply(inv_diag, r, out=z)
-        rz_new = float(r @ z)
+        rz_new = float(dot(r, z))
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -399,19 +424,20 @@ def _galerkin_start(A, b: np.ndarray, start: np.ndarray | None,
     RANK_TOL of its norm is dropped, so repeated and dependent guesses cost
     nothing. Each kept direction takes one A-product, and the small Galerkin
     system Q^T A Q y = Q^T b is solved by Cholesky. The dense products are
-    1-D dots, as in ``_pcg``: LAPACK's QR makes many small BLAS calls, each
-    a thread hand-off on a multithreaded BLAS. Returns ``start`` itself when
-    no direction is kept or Q^T A Q is not positive definite (CG then meets
-    the same curvature and raises).
+    ``_dot_for``'s 1-D dots, as in ``_pcg``: LAPACK's QR makes many small
+    BLAS calls, each a thread hand-off on a multithreaded BLAS. Returns
+    ``start`` itself when no direction is kept or Q^T A Q is not positive
+    definite (CG then meets the same curvature and raises).
     """
     basis, own = [], 0
+    dot = _dot_for(len(b))
     for v in earlier if start is None else [start, *earlier]:
         w = np.array(v, dtype=np.float64)
-        norm = sqrt(w @ w)
+        norm = sqrt(dot(w, w))
         for _ in range(2):
             for q in basis:
-                w -= (q @ w) * q
-        left = sqrt(w @ w)
+                w -= dot(q, w) * q
+        left = sqrt(dot(w, w))
         if left > RANK_TOL * norm:
             basis.append(w / left)
         if v is start:
@@ -422,12 +448,12 @@ def _galerkin_start(A, b: np.ndarray, start: np.ndarray | None,
     gram = np.zeros((len(basis), len(basis)))
     for i, q in enumerate(basis):
         for j in range(i + 1):
-            gram[i, j] = q @ products[j]
+            gram[i, j] = dot(q, products[j])
     try:
         factor = cho_factor(gram, lower=True, check_finite=False)
     except LinAlgError:
         return start, 0
-    y = cho_solve(factor, np.array([q @ b for q in basis]), check_finite=False)
+    y = cho_solve(factor, np.array([dot(q, b) for q in basis]), check_finite=False)
     x = y[0] * basis[0]
     for coefficient, q in zip(y[1:], basis[1:]):
         x += coefficient * q
@@ -479,15 +505,15 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
         except SolverError as exc:
             breakdown = exc  # CG runs from the caller's start and decides
         else:
-            # per column, CG's own stopping test with its norms sqrt(v @ v)
+            # per column, CG's own stopping test with its norms and dots
             b_rows = np.ascontiguousarray(b_f.T)
             r_rows = b_rows - inner.matvec(data, factored).T
-            iterate = []
+            iterate, dot = [], _dot_for(b_rows.shape[1])
             for j in range(nrhs):
-                bnorm = sqrt(b_rows[j] @ b_rows[j])
+                bnorm = sqrt(dot(b_rows[j], b_rows[j]))
                 if bnorm == 0.0:
                     factored[:, j] = 0.0  # a zero column solves to zeros
-                elif not sqrt(r_rows[j] @ r_rows[j]) <= tol * bnorm:
+                elif not sqrt(dot(r_rows[j], r_rows[j])) <= tol * bnorm:
                     iterate.append(j)  # rounding missed the bound: CG goes on
             guess = factored
     # CG overwrites only the columns it iterates, each after reading its start

@@ -178,7 +178,7 @@ def spherical_flips(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return x / density._row_norms(x)[:, None]
 
 
 def center_sphere(points: np.ndarray, faces: np.ndarray) -> np.ndarray:

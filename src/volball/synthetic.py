@@ -18,10 +18,9 @@ _CUBE_TETS = np.array([
 ])
 
 
-def cube_mesh(n: int = 8, half_width: float = 1.0) -> TetMesh:
-    """Regular tetrahedralization of the cube [-h, h]^3 with 6 n^3 tets."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _grid_cells(n: int, half_width: float):
+    """The axis and vertices of the (n + 1)^3 grid on [-h, h]^3, its cells'
+    (i, j, k) indices, i slowest, and their 8 corner vertex ids."""
     axis = np.linspace(-half_width, half_width, n + 1)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
@@ -30,12 +29,18 @@ def cube_mesh(n: int = 8, half_width: float = 1.0) -> TetMesh:
         return (i * (n + 1) + j) * (n + 1) + k
 
     cells = np.arange(n)
-    ci, cj, ck = np.meshgrid(cells, cells, cells, indexing="ij")
-    ci, cj, ck = ci.ravel(), cj.ravel(), ck.ravel()
+    ci, cj, ck = (c.ravel() for c in np.meshgrid(cells, cells, cells, indexing="ij"))
     corner = np.stack([vid(ci + ((b >> 2) & 1), cj + ((b >> 1) & 1), ck + (b & 1))
                        for b in range(8)], axis=1)  # (cells, 8)
-    tets = corner[:, _CUBE_TETS].reshape(-1, 4)
-    return TetMesh.from_arrays(vertices, tets)
+    return axis, vertices, (ci, cj, ck), corner
+
+
+def cube_mesh(n: int = 8, half_width: float = 1.0) -> TetMesh:
+    """Regular tetrahedralization of the cube [-h, h]^3 with 6 n^3 tets."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _, vertices, _, corner = _grid_cells(n, half_width)
+    return TetMesh.from_arrays(vertices, corner[:, _CUBE_TETS].reshape(-1, 4))
 
 
 def ellipsoid_mesh(resolution: int = 2, axes=(2.0, 1.0, 1.0)) -> TetMesh:
@@ -69,24 +74,10 @@ def lcube_mesh(n: int = 8, stretch=(1.0, 1.0, 1.0)) -> TetMesh:
     harmonic ball map develops genuine folds, which exercises the correction
     machinery.
     """
-    axis = np.linspace(-1.0, 1.0, n + 1)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
+    axis, vertices, (ci, cj, ck), corner = _grid_cells(n, 1.0)
     mid = (axis[:-1] + axis[1:]) / 2.0
-    keep = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if mid[i] > 0 and mid[j] > 0 and mid[k] > 0:
-                    continue
-                corner = np.array([vid(i + ((b >> 2) & 1), j + ((b >> 1) & 1),
-                                       k + (b & 1)) for b in range(8)])
-                keep.append(corner[_CUBE_TETS])
-    tets = np.vstack(keep)
+    kept = ~((mid[ci] > 0) & (mid[cj] > 0) & (mid[ck] > 0))  # drop the positive octant
+    tets = corner[kept][:, _CUBE_TETS].reshape(-1, 4)
     used = np.unique(tets)
     remap = np.full(len(vertices), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))

@@ -167,7 +167,7 @@ def _dot(u, v) -> np.ndarray:
 
 def _cross_into(out: np.ndarray, a, b) -> None:
     """Cross products of component-major vectors (rows x, y, z) into ``out``,
-    the arithmetic of ``_cross``."""
+    the arithmetic of ``np.cross``."""
     np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
     np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
     np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
@@ -177,15 +177,6 @@ def signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """Signed volume of each tet: det of the edge matrix over 6, bitwise the
     volumes of ``tet_gradients``."""
     return edge_geometry(corner_edges(vertices, tets), gradients=False)[0]
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (m, 3) arrays by components, bitwise ``np.cross``."""
-    out = np.empty((len(a), 3))
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return out
 
 
 def edge_geometry(e: np.ndarray, gradients: bool = True):
@@ -493,4 +484,4 @@ class TetMesh:
     def enclosed_volume(self) -> float:
         """Volume of the region bounded by the boundary faces (divergence theorem)."""
         tri = self.vertices[self.boundary_faces]
-        return float(np.sum(tri[:, 0] * _cross(tri[:, 1], tri[:, 2])) / 6.0)
+        return float(np.sum(tri[:, 0] * np.cross(tri[:, 1], tri[:, 2])) / 6.0)

@@ -207,6 +207,48 @@ def test_param_bad_config_exit_1(tmp_path, ball_file, capsys, flags):
     assert not (tmp_path / "run").exists()
 
 
+def test_usage_error_exit_1(tmp_path, ball_file, capsys):
+    code = cli.main(["param", ball_file, str(tmp_path / "run"), "--method", "3dxx"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: volball param")
+    assert err.count("volball: error:") == 1
+    assert err.splitlines()[-1].startswith("volball: error: argument --method: invalid choice")
+
+
+def test_param_uniform_population(tmp_path, ball_file):
+    from volball.drivers import SolverConfig, run_3ddem
+    out = tmp_path / "run"
+    code = cli.main(["param", "--method", "3ddem", "--population", "uniform",
+                     "--max-iter", "3", ball_file, str(out)])
+    mesh = fileio.load_mesh(ball_file)
+    expected = run_3ddem(mesh, np.ones(len(mesh.tets)), SolverConfig(n_max=3))
+    assert code == (0 if expected.converged else 2)
+    assert (out / "report.json").read_text() == expected.report.to_json()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["param", "--method", "3ddeq", "--population", "bogus", "{ball}", "{tmp}/run"],
+     "unknown population source 'bogus' (expected uniform, volume, or file:PATH)"),
+    (["metrics", "{ball}", "--mapped", "{other}"],
+     "rest and mapped meshes have mismatched connectivity"),
+    (["convert", "{tmp}/ball.vtk", "{tmp}/back.mesh"], "unsupported input format 'vtk'"),
+    (["convert", "{tmp}/ball.obj", "{tmp}/back.mesh"],
+     "cannot infer mesh format from extension '.obj'"),
+    (["init-ball", "{tmp}/ball.off", "{tmp}/ib"],
+     "cannot infer mesh format from extension '.off'"),
+], ids=["unknown-population", "metrics-mismatch", "convert-from-vtk", "convert-unknown-ext",
+        "init-ball-unknown-ext"])
+def test_input_errors_exit_1(tmp_path, ball_file, capsys, argv, message):
+    ball, other = fileio.load_mesh(ball_file), lcube_mesh(2)
+    fileio.save_mesh(str(tmp_path / "ball.vtk"), ball.vertices, ball.tets)
+    fileio.save_mesh(str(tmp_path / "other.mesh"), other.vertices, other.tets)
+    names = {"ball": ball_file, "tmp": str(tmp_path), "other": str(tmp_path / "other.mesh")}
+    code = cli.main([arg.format(**names) for arg in argv])
+    assert code == 1
+    assert capsys.readouterr().err == f"volball: error: {message}\n"
+
+
 def test_histogram_export(tmp_path, ball_file):
     out = tmp_path / "run"
     hist = tmp_path / "hist.csv"

@@ -10,7 +10,7 @@ from volball.distortion import (FrameError, TetFrameField, anisotropy_matrices,
                                 residual_coefficients, residual_step,
                                 truncate_eigenvalues)
 from volball.laplace import harmonic_fill, p1_blocks
-from volball.tetmesh import _cross, tet_gradients
+from volball.tetmesh import tet_gradients
 
 
 def test_jacobian_identity(ball_mesh):
@@ -305,7 +305,7 @@ def _cofactor_coefficient(J):
     """det J (J^T J)^-1 as M M^T / det J, M the cofactor matrix of J with rows
     j1 x j2, j2 x j0, j0 x j1 (the columns jk of J)."""
     j0, j1, j2 = np.moveaxis(J, 2, 0)
-    M = np.stack([_cross(j1, j2), _cross(j2, j0), _cross(j0, j1)], axis=1)
+    M = np.stack([np.cross(j1, j2), np.cross(j2, j0), np.cross(j0, j1)], axis=1)
     return M @ np.swapaxes(M, 1, 2) / np.sum(j0 * M[:, 0], axis=1)[:, None, None]
 
 

@@ -30,6 +30,14 @@ def test_config_validation():
     assert cfg.resolved_boundary_mode("3ddem") == "dem"
     assert cfg.resolved_boundary_mode("3ddeq") == "dem"
     assert SolverConfig(boundary_mode="dem").resolved_boundary_mode("3dqc") == "dem"
+    for config in (cfg, SolverConfig(boundary_mode="dem")):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            config.resolved_boundary_mode("bogus")
+
+
+def test_initial_ball_rejects_an_unknown_method(ball_mesh):
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        initial_ball(ball_mesh, SolverConfig(), "bogus")
 
 
 def test_initial_ball_on_ball_is_near_identity(ball_mesh):
@@ -531,6 +539,27 @@ def test_run_method_dispatch(ball_mesh):
     assert run_method("3ddem", ball_mesh, pop).report.method == "3ddem"
     with pytest.raises(ValueError):
         run_method("bogus", ball_mesh, pop)
+
+
+@pytest.mark.parametrize("run", [run_3ddem, run_3ddeq,
+                                 lambda mesh, pop: run_method("3ddem", mesh, pop),
+                                 lambda mesh, pop: run_method("3ddeq", mesh)],
+                         ids=["run_3ddem", "run_3ddeq", "run_method-3ddem", "run_method-3ddeq"])
+def test_density_run_without_population_is_a_density_error(ball_mesh, run):
+    with pytest.raises(dem.DensityError, match="no population given"):
+        run(ball_mesh, None)
+
+
+@pytest.mark.parametrize("method", ["3dqc", "3ddem"])
+def test_init_positions_must_be_one_finite_point_per_vertex(ball_mesh, method):
+    pop = np.abs(ball_mesh.volumes)
+    n = len(ball_mesh.vertices)
+    with pytest.raises(ValueError, match=rf"shape \(5, 3\); expected \({n}, 3\)"):
+        run_method(method, ball_mesh, pop, init_positions=np.zeros((5, 3)))
+    ball = ball_mesh.vertices.copy()
+    ball[7, 1] = np.nan
+    with pytest.raises(ValueError, match="init_positions must be finite"):
+        run_method(method, ball_mesh, pop, init_positions=ball)
 
 
 @pytest.mark.parametrize("method", ["3ddem", "3ddeq"])

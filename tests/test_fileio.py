@@ -47,6 +47,30 @@ def test_medit_malformed(tmp_path):
         fileio.load_mesh(path)
 
 
+def test_medit_skips_triangles_and_edges(tmp_path):
+    extra = "Triangles\n1\n1 2 3 7\nEdges\n2\n1 2 5\n3 4 5\nTetrahedra"
+    path = _write(tmp_path, "extra.mesh", MEDIT_ONE_TET.replace("Tetrahedra", extra))
+    mesh = fileio.load_mesh(path)
+    np.testing.assert_array_equal(mesh.tets, [[0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize("text, message", [
+    (MEDIT_ONE_TET.split("Tetrahedra")[0] + "Triangles\n2\n1 2 3 0\n", "malformed Medit file"),
+    ("MeshVersionFormatted 2\nDimension 3\nEnd\n", "no Vertices section"),
+], ids=["triangles-cut-short", "no-vertices"])
+def test_medit_cut_short_or_without_vertices(tmp_path, text, message):
+    path = _write(tmp_path, "bad.mesh", text)
+    with pytest.raises(fileio.ParseError, match=message):
+        fileio.load_mesh(path)
+
+
+def test_gmsh_other_version_is_named(tmp_path):
+    path = _write(tmp_path, "v4.msh", "$MeshFormat\n4.1 0 8\n$EndMeshFormat\n")
+    with pytest.raises(fileio.ParseError) as info:
+        fileio.load_mesh(path)
+    assert str(info.value) == f"{path}: unsupported Gmsh version 4.1"
+
+
 def test_gmsh_roundtrip(tmp_path, ball_mesh):
     path = str(tmp_path / "ball.msh")
     fileio.save_mesh(path, ball_mesh.vertices, ball_mesh.tets)
@@ -109,6 +133,19 @@ def test_population_csv(tmp_path):
     bad = _write(tmp_path, "bad.csv", "tet_index,population\n0,-1\n")
     with pytest.raises(fileio.ParseError):
         fileio.read_population_csv(bad, 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("tet,pop\n0,1.0\n", "pop.csv: expected header 'tet_index,population'"),
+    ("tet_index,population\n0,1.0,2\n", "pop.csv:2: malformed row '0,1.0,2'"),
+    ("tet_index,population\n0,x\n", "pop.csv:2: malformed row '0,x'"),
+    ("tet_index,population\n0,1.0\n\n2,1.0\n", "pop.csv:4: tet index 2 out of range"),
+    ("tet_index,population\n-1,1.0\n", "pop.csv:2: tet index -1 out of range"),
+], ids=["header", "three-fields", "not-a-number", "index-past-end", "negative-index"])
+def test_population_csv_rejects_bad_rows(tmp_path, text, message):
+    path = _write(tmp_path, "pop.csv", text)
+    with pytest.raises(fileio.ParseError, match=message):
+        fileio.read_population_csv(path, 2)
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

@@ -156,10 +156,6 @@ print(hashlib.sha256(earlier[0].tobytes()).hexdigest())
 """
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="PCG's and the Galerkin start's dot products are BLAS "
-                          "dots, whose sums follow the thread split above 10 000 "
-                          "entries")
 def test_pcg_solve_does_not_depend_on_the_blas_thread_count():
     # four Laplace solves on the PCG path, the last two with a history of the
     # earlier results

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from volball.synthetic import (cube_mesh, ellipsoid_mesh, graded_ellipsoid_mesh,
+from volball.synthetic import (_CUBE_TETS, cube_mesh, ellipsoid_mesh, graded_ellipsoid_mesh,
                                hemispheric_population, lcube_mesh,
                                octant_population, smooth_population,
                                stretched_ball_mesh)
+from volball.tetmesh import TetMesh
 
 
 def test_cube_mesh_counts():
@@ -34,6 +35,38 @@ def test_lcube_topology():
     assert mesh.count_folds(mesh.vertices) == 0
     # 7/8 of the full cube volume
     assert mesh.enclosed_volume() == pytest.approx(7.0, rel=1e-12)
+
+
+def _lcube_loop(n, stretch):
+    """lcube_mesh's vertices and tets as a triple loop over the cells builds
+    them, the reference for its vectorised cells."""
+    axis = np.linspace(-1.0, 1.0, n + 1)
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    mid = (axis[:-1] + axis[1:]) / 2.0
+    keep = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if mid[i] > 0 and mid[j] > 0 and mid[k] > 0:
+                    continue
+                corner = np.array([((i + ((b >> 2) & 1)) * (n + 1) + j + ((b >> 1) & 1))
+                                   * (n + 1) + k + (b & 1) for b in range(8)])
+                keep.append(corner[_CUBE_TETS])
+    tets = np.vstack(keep)
+    used = np.unique(tets)
+    remap = np.full(len(vertices), -1, dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return vertices[used] * np.asarray(stretch, dtype=float), remap[tets]
+
+
+@pytest.mark.parametrize("stretch", [(1.0, 1.0, 1.0), (4.0, 1.0, 0.25)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 10])
+def test_lcube_mesh_matches_the_loop_form(n, stretch):
+    expected = TetMesh.from_arrays(*_lcube_loop(n, stretch))
+    mesh = lcube_mesh(n, stretch)
+    assert np.array_equal(mesh.vertices, expected.vertices)
+    assert np.array_equal(mesh.tets, expected.tets)
 
 
 def test_populations_positive_and_patterned():
