@@ -47,17 +47,20 @@ def _add_config_flags(p):
 
 
 def _load(args):
-    """The input mesh, the solver config and a density method's population."""
+    """The input mesh, the solver config and a density method's population.
+    A given ``--population`` source is read for every method, so 3dqc too
+    refuses a bad one."""
     mesh = fileio.load_mesh(args.input)
     try:
         config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    population = None if args.population is None else _population_from(args.population, mesh)
     if not drivers.METHODS[args.method].density:
         return mesh, config, None
-    if args.population is None:
+    if population is None:
         raise CliError(f"--population is required for {args.method}")
-    return mesh, config, _population_from(args.population, mesh)
+    return mesh, config, population
 
 
 def _population_from(source: str, mesh: TetMesh) -> np.ndarray:
@@ -82,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(solver)
 
     sub.add_parser("init-ball", parents=[solver],
-                   help="initial ball map only").set_defaults(method="3dqc")
+                   help="initial ball map only").set_defaults(method="3dqc", population=None)
 
     run = argparse.ArgumentParser(add_help=False, parents=[solver])
     run.add_argument("--method", choices=drivers.METHODS, required=True)
@@ -113,10 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _output(args, stem: str) -> str:
-    """``outdir/stem`` with the input's Medit or Gmsh extension; makes ``outdir``."""
+    """``outdir/stem`` with the input's lowercased extension; makes ``outdir``."""
     os.makedirs(args.outdir, exist_ok=True)
-    ext = "mesh" if fileio.format_from_path(args.input) == "medit" else "msh"
-    return os.path.join(args.outdir, f"{stem}.{ext}")
+    return os.path.join(args.outdir, stem + os.path.splitext(args.input)[1].lower())
 
 
 def _finish(args, result) -> int:

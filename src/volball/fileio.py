@@ -1,5 +1,8 @@
 """Readers and writers for Medit .mesh, Gmsh v2.2 .msh, and legacy VTK files.
 
+A path's extension picks its format through one table, ``_FORMATS``:
+extension -> (reader, writer), with no reader for VTK, an output-only format.
+Every writer lays out its vertices from one ``_coordinate_rows`` text.
 Indices are 1-based on disk and 0-based in memory. Coordinates are written
 with 17 significant digits so float64 values round-trip exactly through text.
 """
@@ -7,6 +10,7 @@ with 17 significant digits so float64 values round-trip exactly through text.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -17,106 +21,40 @@ class ParseError(MeshError):
     pass
 
 
-_EXT_TO_FORMAT = {".mesh": "medit", ".msh": "gmsh2", ".vtk": "vtk"}
-
-
-def format_from_path(path: str) -> str:
+def _extension(path: str) -> str:
+    """``path``'s lowercased extension, a key of ``_FORMATS``."""
     ext = os.path.splitext(path)[1].lower()
-    if ext not in _EXT_TO_FORMAT:
+    if ext not in _FORMATS:
         raise ParseError(f"cannot infer mesh format from extension {ext!r}")
-    return _EXT_TO_FORMAT[ext]
+    return ext
 
 
-def load_mesh(path: str, fmt: str | None = None) -> TetMesh:
+def load_mesh(path: str) -> TetMesh:
     """Load a tetrahedral mesh, validating topology and orientation."""
-    fmt = fmt or format_from_path(path)
-    if fmt == "medit":
-        vertices, tets = _read_medit(path)
-    elif fmt == "gmsh2":
-        vertices, tets = _read_gmsh2(path)
-    else:
-        raise ParseError(f"unsupported input format {fmt!r}")
+    ext = _extension(path)
+    read = _FORMATS[ext][0]
+    if read is None:
+        raise ParseError(f"unsupported input format {ext[1:]!r}")
+    vertices, tets = read(path)
     if len(tets) == 0:
         raise TopologyError(f"{path}: no tetrahedra found")
     return TetMesh.from_arrays(vertices, tets)
 
 
-def save_mesh(path: str, vertices: np.ndarray, tets: np.ndarray,
-              fmt: str | None = None) -> None:
-    """Write ``vertices`` (n, 3) and 0-based ``tets`` (m, 4) in ``fmt``
-    (``medit``, ``gmsh2`` or ``vtk``), by default inferred from the extension
-    of ``path`` (``.mesh``, ``.msh``, ``.vtk``). Raises ``ParseError`` on an
-    unknown extension or format."""
-    fmt = fmt or format_from_path(path)
-    if fmt == "medit":
-        _write_medit(path, vertices, tets)
-    elif fmt == "gmsh2":
-        _write_gmsh2(path, vertices, tets)
-    elif fmt == "vtk":
-        _write_vtk(path, vertices, tets)
-    else:
-        raise ParseError(f"unsupported output format {fmt!r}")
+def save_mesh(path: str, vertices: np.ndarray, tets: np.ndarray) -> None:
+    """Write ``vertices`` (n, 3) and 0-based ``tets`` (m, 4) in the format of
+    ``path``'s extension (``.mesh``, ``.msh``, ``.vtk``). Raises
+    ``ParseError`` on an unknown extension."""
+    _FORMATS[_extension(path)][1](path, vertices, tets, _coordinate_rows(vertices))
 
 
-def save_mesh_with_vtk(path: str, vtk_path: str, vertices: np.ndarray, tets: np.ndarray,
-                       fmt: str | None = None) -> None:
-    """``save_mesh(path, vertices, tets, fmt)`` and a VTK copy at
-    ``vtk_path``, byte for byte as ``save_mesh`` writes them; a Medit file
-    shares the VTK file's coordinate text, formatted once."""
-    fmt = fmt or format_from_path(path)
+def save_mesh_with_vtk(path: str, vtk_path: str, vertices: np.ndarray, tets: np.ndarray) -> None:
+    """``save_mesh(path, vertices, tets)`` and a VTK copy at ``vtk_path``,
+    byte for byte as ``save_mesh`` writes them, from one formatting of the
+    coordinates."""
     coords = _coordinate_rows(vertices)
-    if fmt == "medit":
-        _write_medit(path, vertices, tets, coords)
-    else:
-        save_mesh(path, vertices, tets, fmt)
+    _FORMATS[_extension(path)][1](path, vertices, tets, coords)
     _write_vtk(vtk_path, vertices, tets, coords)
-
-
-# -- Medit ---------------------------------------------------------------
-
-
-def _tokens(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0]
-            yield from line.split()
-
-
-def _read_medit(path: str) -> tuple[np.ndarray, np.ndarray]:
-    tok = _tokens(path)
-    vertices: list[float] = []
-    tets: list[int] = []
-    try:
-        for word in tok:
-            key = word.lower()
-            if key == "vertices":
-                n = int(next(tok))
-                for _ in range(n):
-                    for _ in range(3):
-                        vertices.append(float(next(tok)))
-                    next(tok)  # reference tag
-            elif key == "tetrahedra":
-                n = int(next(tok))
-                for _ in range(n):
-                    for _ in range(4):
-                        tets.append(int(next(tok)) - 1)
-                    next(tok)
-            elif key == "triangles":
-                n = int(next(tok))
-                for _ in range(4 * n):
-                    next(tok)
-            elif key == "edges":
-                n = int(next(tok))
-                for _ in range(3 * n):
-                    next(tok)
-            elif key == "end":
-                break
-    except (StopIteration, ValueError) as exc:
-        raise ParseError(f"{path}: malformed Medit file ({exc})") from exc
-    if not vertices:
-        raise ParseError(f"{path}: no Vertices section")
-    return (np.array(vertices, dtype=np.float64).reshape(-1, 3),
-            np.array(tets, dtype=np.int64).reshape(-1, 4))
 
 
 def _rows(fmt: str, block) -> str:
@@ -126,16 +64,44 @@ def _rows(fmt: str, block) -> str:
 
 
 def _coordinate_rows(vertices: np.ndarray) -> str:
-    """One "x y z" line per vertex, 17 significant digits: the VTK rows, and
-    the Medit rows without their reference tag."""
+    """One "x y z" line per vertex, 17 significant digits: the text each
+    writer lays out its vertices from."""
     return _rows("%.17g %.17g %.17g\n", vertices)
 
 
-def _write_medit(path: str, vertices: np.ndarray, tets: np.ndarray,
-                 coords: str | None = None) -> None:
-    """The Medit file; ``coords``, the ``_coordinate_rows`` of ``vertices``
-    when the caller has them, get the reference tag 0 on each line."""
-    coords = _coordinate_rows(vertices) if coords is None else coords
+# -- Medit ---------------------------------------------------------------
+
+# section -> values per row, reference tag included; Triangles and Edges are
+# read past
+_MEDIT_WIDTHS = {"vertices": 4, "tetrahedra": 5, "triangles": 4, "edges": 3}
+
+
+def _read_medit(path: str) -> tuple[np.ndarray, np.ndarray]:
+    sections = {key: [] for key in _MEDIT_WIDTHS}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            words = re.sub("#.*", "", fh.read()).split()
+        i = 0
+        while i < len(words) and words[i].lower() != "end":
+            key, i = words[i].lower(), i + 1
+            if key in _MEDIT_WIDTHS:
+                n, width = int(words[i]), _MEDIT_WIDTHS[key]
+                start, i = i + 1, i + 1 + n * width
+                if n < 0 or i > len(words):
+                    raise ValueError(f"{n} {key} rows, {len(words) - start} values left")
+                sections[key].append(np.array(words[start:i], dtype=object).reshape(n, width))
+        vertices = np.concatenate([np.empty((0, 4), object)] + sections["vertices"])[:, :3]
+        tets = np.concatenate([np.empty((0, 5), object)] + sections["tetrahedra"])[:, :4]
+        vertices, tets = vertices.astype(np.float64), tets.astype(np.int64) - 1
+    except (IndexError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed Medit file ({exc})") from exc
+    if len(vertices) == 0:
+        raise ParseError(f"{path}: no Vertices section")
+    return vertices, tets
+
+
+def _write_medit(path: str, vertices: np.ndarray, tets: np.ndarray, coords: str) -> None:
+    """The Medit file; each ``coords`` line gets the reference tag 0."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("MeshVersionFormatted 2\nDimension 3\n")
         fh.write(f"Vertices\n{len(vertices)}\n")
@@ -152,15 +118,18 @@ def _read_gmsh2(path: str) -> tuple[np.ndarray, np.ndarray]:
     vertices = None
     tets: list[list[int]] = []
     id_map: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = iter(fh.read().splitlines())
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = iter(fh.read().splitlines())
         for line in lines:
             tag = line.strip()
             if tag == "$MeshFormat":
-                version = next(lines).split()[0]
+                version, file_type = next(lines).split()[:2]
                 if not version.startswith("2"):
                     raise ParseError(f"{path}: unsupported Gmsh version {version}")
+                if file_type != "0":
+                    raise ParseError(f"{path}: unsupported Gmsh file type {file_type} "
+                                     "(only ASCII, type 0, is read)")
                 next(lines)  # $EndMeshFormat
             elif tag == "$Nodes":
                 n = int(next(lines))
@@ -178,7 +147,7 @@ def _read_gmsh2(path: str) -> tuple[np.ndarray, np.ndarray]:
                     ntags = int(parts[2])
                     nodes = parts[3 + ntags:]
                     if etype == 4:
-                        tets.append([id_map[int(v)] for v in nodes[:4]])
+                        tets.append([id_map[int(nodes[k])] for k in range(4)])
                 next(lines)  # $EndElements
     except ParseError:
         raise
@@ -189,12 +158,12 @@ def _read_gmsh2(path: str) -> tuple[np.ndarray, np.ndarray]:
     return vertices, np.array(tets, dtype=np.int64).reshape(-1, 4)
 
 
-def _write_gmsh2(path: str, vertices: np.ndarray, tets: np.ndarray) -> None:
+def _write_gmsh2(path: str, vertices: np.ndarray, tets: np.ndarray, coords: str) -> None:
+    """The Gmsh file; each ``coords`` line, prefixed by its 1-based id, is a node."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
         fh.write(f"$Nodes\n{len(vertices)}\n")
-        ids = np.arange(1, len(vertices) + 1)
-        fh.write(_rows("%d %.17g %.17g %.17g\n", np.column_stack([ids, vertices])))
+        fh.writelines(f"{i} {row}\n" for i, row in enumerate(coords.splitlines(), 1))
         fh.write("$EndNodes\n")
         fh.write(f"$Elements\n{len(tets)}\n")
         ids = np.arange(1, len(tets) + 1)
@@ -205,18 +174,22 @@ def _write_gmsh2(path: str, vertices: np.ndarray, tets: np.ndarray) -> None:
 # -- VTK legacy unstructured grid (output only) -----------------------------
 
 
-def _write_vtk(path: str, vertices: np.ndarray, tets: np.ndarray,
-               coords: str | None = None) -> None:
-    """The legacy VTK file, with ``coords`` as in ``_write_medit``."""
+def _write_vtk(path: str, vertices: np.ndarray, tets: np.ndarray, coords: str) -> None:
+    """The legacy VTK file, with ``coords`` as its points."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\nvolball mesh\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(vertices)} double\n")
-        fh.write(_coordinate_rows(vertices) if coords is None else coords)
+        fh.write(coords)
         fh.write(f"CELLS {len(tets)} {5 * len(tets)}\n")
         fh.write(_rows("4 %d %d %d %d\n", tets))
         fh.write(f"CELL_TYPES {len(tets)}\n")
         fh.write("10\n" * len(tets))
+
+
+# extension -> (reader or None for an output-only format, writer)
+_FORMATS = {".mesh": (_read_medit, _write_medit), ".msh": (_read_gmsh2, _write_gmsh2),
+            ".vtk": (None, _write_vtk)}
 
 
 def read_population_csv(path: str, n_tets: int) -> np.ndarray:

@@ -13,17 +13,14 @@ import numpy as np
 
 TRACE_COLUMNS = ("iteration", "E_3DQC", "E_3DDEM", "E_3DDEQ", "var_rho",
                  "mean_K", "sd_K", "folds_pre", "folds_post", "displacement")
+HISTOGRAM_BINS = 50
 
 
 def _py(value):
     if isinstance(value, dict):
         return {k: _py(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_py(v) for v in value]
     if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, np.ndarray):
-        return [_py(v) for v in value.tolist()]
     return value
 
 
@@ -61,10 +58,10 @@ class RunReport:
                 fh.write(",".join(row) + "\n")
 
 
-def write_histogram_csv(path: str, data: np.ndarray, bins: int = 50) -> None:
-    """Histogram export as rows of (bin_left, bin_right, count)."""
+def write_histogram_csv(path: str, data: np.ndarray) -> None:
+    """Histogram export as HISTOGRAM_BINS rows of (bin_left, bin_right, count)."""
     data = np.asarray(data, dtype=np.float64)
-    counts, edges = np.histogram(data, bins=bins)
+    counts, edges = np.histogram(data, bins=HISTOGRAM_BINS)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_left,bin_right,count\n")
         for i, c in enumerate(counts):

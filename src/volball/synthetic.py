@@ -18,10 +18,10 @@ _CUBE_TETS = np.array([
 ])
 
 
-def _grid_cells(n: int, half_width: float):
-    """The axis and vertices of the (n + 1)^3 grid on [-h, h]^3, its cells'
+def _grid_cells(n: int):
+    """The axis and vertices of the (n + 1)^3 grid on [-1, 1]^3, its cells'
     (i, j, k) indices, i slowest, and their 8 corner vertex ids."""
-    axis = np.linspace(-half_width, half_width, n + 1)
+    axis = np.linspace(-1.0, 1.0, n + 1)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
@@ -35,11 +35,11 @@ def _grid_cells(n: int, half_width: float):
     return axis, vertices, (ci, cj, ck), corner
 
 
-def cube_mesh(n: int = 8, half_width: float = 1.0) -> TetMesh:
-    """Regular tetrahedralization of the cube [-h, h]^3 with 6 n^3 tets."""
+def cube_mesh(n: int = 8) -> TetMesh:
+    """Regular tetrahedralization of the cube [-1, 1]^3 with 6 n^3 tets."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, vertices, _, corner = _grid_cells(n, half_width)
+    _, vertices, _, corner = _grid_cells(n)
     return TetMesh.from_arrays(vertices, corner[:, _CUBE_TETS].reshape(-1, 4))
 
 
@@ -53,17 +53,17 @@ def stretched_ball_mesh(resolution: int = 2, stretch=(2.0, 1.0, 0.7)) -> TetMesh
     return ellipsoid_mesh(resolution, axes=stretch)
 
 
-def graded_ellipsoid_mesh(resolution: int = 2, axes=(2.0, 1.0, 1.0),
-                          power: float = 1.5) -> TetMesh:
-    """Ellipsoid whose tet sizes grow from the center outwards.
+def graded_ellipsoid_mesh(resolution: int = 2) -> TetMesh:
+    """Ellipsoid with axes (2, 1, 1) whose tet sizes grow from the center
+    outwards.
 
-    The radial warp r -> r^power thins the mesh near the center while keeping
+    The radial warp r -> r^1.5 thins the mesh near the center while keeping
     the boundary fixed, giving a strongly nonuniform but valid solid.
     """
     ball = uniform_ball_mesh(resolution)
     r = np.linalg.norm(ball.vertices, axis=1)
-    scale = np.where(r > 0, r ** (power - 1.0), 1.0)
-    warped = ball.vertices * scale[:, None] * np.asarray(axes)
+    scale = np.where(r > 0, r ** 0.5, 1.0)
+    warped = ball.vertices * scale[:, None] * np.asarray((2.0, 1.0, 1.0))
     return TetMesh.from_arrays(warped, ball.tets)
 
 
@@ -74,7 +74,7 @@ def lcube_mesh(n: int = 8, stretch=(1.0, 1.0, 1.0)) -> TetMesh:
     harmonic ball map develops genuine folds, which exercises the correction
     machinery.
     """
-    axis, vertices, (ci, cj, ck), corner = _grid_cells(n, 1.0)
+    axis, vertices, (ci, cj, ck), corner = _grid_cells(n)
     mid = (axis[:-1] + axis[1:]) / 2.0
     kept = ~((mid[ci] > 0) & (mid[cj] > 0) & (mid[ck] > 0))  # drop the positive octant
     tets = corner[kept][:, _CUBE_TETS].reshape(-1, 4)
@@ -89,19 +89,18 @@ def _tet_centroids(mesh: TetMesh) -> np.ndarray:
     return mesh.vertices[mesh.tets].mean(axis=1)
 
 
-def hemispheric_population(mesh: TetMesh, ratio: float = 4.0,
-                           axis: int = 0) -> np.ndarray:
-    """Volume-proportional population with a density jump across one plane."""
+def hemispheric_population(mesh: TetMesh, ratio: float = 4.0) -> np.ndarray:
+    """Volume-proportional population with a density jump across the plane x = 0."""
     vols = np.abs(signed_volumes(mesh.vertices, mesh.tets))
-    weight = np.where(_tet_centroids(mesh)[:, axis] > 0.0, ratio, 1.0)
+    weight = np.where(_tet_centroids(mesh)[:, 0] > 0.0, ratio, 1.0)
     return vols * weight
 
 
-def smooth_population(mesh: TetMesh, ratio: float = 5.0,
-                      axis: int = 0) -> np.ndarray:
-    """Volume-proportional population with a smooth max/min density ratio."""
+def smooth_population(mesh: TetMesh, ratio: float = 5.0) -> np.ndarray:
+    """Volume-proportional population whose density grows linearly in x to
+    a max/min ratio of ``ratio``."""
     vols = np.abs(signed_volumes(mesh.vertices, mesh.tets))
-    x = _tet_centroids(mesh)[:, axis]
+    x = _tet_centroids(mesh)[:, 0]
     t = (x - x.min()) / max(x.max() - x.min(), 1e-300)
     return vols * (1.0 + (ratio - 1.0) * t)
 

@@ -137,6 +137,25 @@ def test_init_ball_command(tmp_path, ball_file):
     assert np.abs(norms - 1).max() < 1e-12
 
 
+def test_init_ball_boundary_flag(tmp_path, ball_file):
+    from volball.drivers import SolverConfig, initial_ball
+    mesh = fileio.load_mesh(ball_file)
+    out = tmp_path / "ib"
+    assert cli.main(["init-ball", "--boundary", "dem", ball_file, str(out)]) == 0
+    ball = fileio.load_mesh(str(out / "ball.mesh")).vertices
+    expected = initial_ball(mesh, SolverConfig(boundary_mode="dem"))
+    np.testing.assert_array_equal(ball, expected)
+    assert not np.array_equal(ball, initial_ball(mesh, SolverConfig()))
+
+
+def test_param_no_correction_is_recorded(tmp_path, ball_file):
+    out = tmp_path / "run"
+    code = cli.main(["param", "--method", "3dqc", "--max-iter", "1", "--no-correction",
+                     ball_file, str(out)])
+    assert code in (0, 2)
+    assert json.loads((out / "report.json").read_text())["config"]["correction"] is False
+
+
 def test_population_file_source(tmp_path, ball_file):
     mesh = fileio.load_mesh(ball_file)
     pop = hemispheric_population(mesh, 2.0)
@@ -237,16 +256,29 @@ def test_param_uniform_population(tmp_path, ball_file):
      "cannot infer mesh format from extension '.obj'"),
     (["init-ball", "{tmp}/ball.off", "{tmp}/ib"],
      "cannot infer mesh format from extension '.off'"),
+    (["param", "--method", "3dqc", "--population", "bogus", "{ball}", "{tmp}/run"],
+     "unknown population source 'bogus' (expected uniform, volume, or file:PATH)"),
+    (["param", "--method", "3dqc", "--population", "file:{tmp}/none.csv", "{ball}", "{tmp}/run"],
+     "[Errno 2] No such file or directory: '{tmp}/none.csv'"),
+    (["convert", "{tmp}/latin1.msh", "{tmp}/back.mesh"],
+     "{tmp}/latin1.msh: malformed Gmsh file ('utf-8' codec can't decode byte 0xff "
+     "in position 50: invalid start byte)"),
+    (["convert", "{tmp}/binary.msh", "{tmp}/back.mesh"],
+     "{tmp}/binary.msh: unsupported Gmsh file type 1 (only ASCII, type 0, is read)"),
 ], ids=["unknown-population", "metrics-mismatch", "convert-from-vtk", "convert-unknown-ext",
-        "init-ball-unknown-ext"])
+        "init-ball-unknown-ext", "3dqc-unknown-population", "3dqc-missing-population-file",
+        "gmsh-not-utf8", "gmsh-binary"])
 def test_input_errors_exit_1(tmp_path, ball_file, capsys, argv, message):
     ball, other = fileio.load_mesh(ball_file), lcube_mesh(2)
     fileio.save_mesh(str(tmp_path / "ball.vtk"), ball.vertices, ball.tets)
     fileio.save_mesh(str(tmp_path / "other.mesh"), other.vertices, other.tets)
+    header = b"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+    (tmp_path / "latin1.msh").write_bytes(header + b"$Nodes\n1\n1 0 0 \xff\n")
+    (tmp_path / "binary.msh").write_bytes(header.replace(b" 0 ", b" 1 "))
     names = {"ball": ball_file, "tmp": str(tmp_path), "other": str(tmp_path / "other.mesh")}
     code = cli.main([arg.format(**names) for arg in argv])
     assert code == 1
-    assert capsys.readouterr().err == f"volball: error: {message}\n"
+    assert capsys.readouterr().err == f"volball: error: {message.format(**names)}\n"
 
 
 def test_histogram_export(tmp_path, ball_file):

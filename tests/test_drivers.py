@@ -48,6 +48,24 @@ def test_initial_ball_on_ball_is_near_identity(ball_mesh):
     assert np.linalg.norm(pos - ball_mesh.vertices, axis=1).max() < 0.1
 
 
+def test_boundary_cone_volumes_fall_back_to_face_areas_off_star_shape():
+    # a U-shaped solid: the floor of a 3x3x3 grid of cells and its two end
+    # walls. Its centroid lies in the notch, so some cones about it are
+    # inverted, and each boundary face weighs its area, a right triangle with
+    # legs 2/3
+    from volball import drivers
+    from volball.synthetic import _CUBE_TETS, _grid_cells
+    _, vertices, (ci, cj, ck), corner = _grid_cells(3)
+    tets = corner[(ck == 0) | (ci != 1)][:, _CUBE_TETS].reshape(-1, 4)
+    used, tets = np.unique(tets, return_inverse=True)
+    mesh = TetMesh.from_arrays(vertices[used], tets.reshape(-1, 4))
+    assert len(mesh.tets) == 126
+    cones = np.insert(mesh.boundary_faces, 0, len(mesh.vertices), axis=1)
+    signed = signed_volumes(np.vstack([mesh.vertices, mesh.vertices.mean(axis=0)]), cones)
+    assert signed.min() <= 0.0
+    np.testing.assert_allclose(drivers._boundary_cone_volumes(mesh), 2.0 / 9.0, rtol=1e-12)
+
+
 def _three_round_initial_ball(mesh, config):
     """Reference: the density initial ball as a loop of up to three surface
     flows from one embedding, each round re-weighting the cone volumes by the

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volball import fileio
 from volball.tetmesh import TopologyError
@@ -60,6 +62,21 @@ def test_medit_skips_triangles_and_edges(tmp_path):
 ], ids=["triangles-cut-short", "no-vertices"])
 def test_medit_cut_short_or_without_vertices(tmp_path, text, message):
     path = _write(tmp_path, "bad.mesh", text)
+    with pytest.raises(fileio.ParseError, match=message):
+        fileio.load_mesh(path)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("neg.mesh", MEDIT_ONE_TET.replace("Tetrahedra\n1\n", "Tetrahedra\n-1\n"),
+     "malformed Medit file \\(-1 tetrahedra rows, 6 values left\\)"),
+    ("big.mesh", MEDIT_ONE_TET.replace("1 2 3 4 0", "1 2 3 99999999999999999999 0"),
+     "malformed Medit file \\(Python int too large"),
+    ("short.msh", "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n1\n1 0 0 0\n$EndNodes\n"
+                  "$Elements\n1\n1 4 2 0 0 1 1 1\n$EndElements\n",
+     "malformed Gmsh file \\(list index out of range\\)"),
+], ids=["medit-negative-count", "medit-index-overflow", "gmsh-tet-of-three-nodes"])
+def test_malformed_counts_and_indices_are_parse_errors(tmp_path, name, text, message):
+    path = _write(tmp_path, name, text)
     with pytest.raises(fileio.ParseError, match=message):
         fileio.load_mesh(path)
 
@@ -156,6 +173,9 @@ def test_population_csv_rejects_non_finite(tmp_path, value):
         fileio.read_population_csv(path, 2)
 
 
+_EXTENSION = {"medit": ".mesh", "gmsh2": ".msh", "vtk": ".vtk"}
+
+
 def _row_by_row(fmt, vertices, tets):
     """Reference: each writer's output built one formatted row at a time."""
     verts = [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in vertices]
@@ -185,8 +205,8 @@ def test_writers_match_row_by_row_reference(tmp_path, fmt):
     vertices = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-12, 12, size=(300, 3))
     vertices[5] = [-0.0, 0.0, 1.0]
     tets = rng.integers(0, 300, size=(500, 4))
-    path = tmp_path / "out.mesh"
-    fileio.save_mesh(str(path), vertices, tets, fmt)
+    path = tmp_path / f"out{_EXTENSION[fmt]}"
+    fileio.save_mesh(str(path), vertices, tets)
     assert path.read_bytes() == _row_by_row(fmt, vertices, tets).encode()
 
 
@@ -198,10 +218,81 @@ def test_mesh_with_vtk_copy_matches_both_writers(tmp_path, fmt):
     vertices = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-12, 12, size=(200, 3))
     vertices[3] = [-0.0, 0.0, -1.0]
     tets = rng.integers(0, 200, size=(300, 4))
-    path, vtk_path = tmp_path / f"pair.{'mesh' if fmt == 'medit' else 'msh'}", tmp_path / "pair.vtk"
-    fileio.save_mesh_with_vtk(str(path), str(vtk_path), vertices, tets, fmt)
+    path, vtk_path = tmp_path / f"pair{_EXTENSION[fmt]}", tmp_path / "pair.vtk"
+    fileio.save_mesh_with_vtk(str(path), str(vtk_path), vertices, tets)
     assert path.read_bytes() == _row_by_row(fmt, vertices, tets).encode()
     assert vtk_path.read_bytes() == _row_by_row("vtk", vertices, tets).encode()
     alone = tmp_path / "alone.vtk"
     fileio.save_mesh(str(alone), vertices, tets)
     assert alone.read_bytes() == vtk_path.read_bytes()
+
+
+def _token_loop_medit(path):
+    """Reference: the Medit reader as a loop over tokens, one value at a time."""
+    def tokens():
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                yield from line.split("#", 1)[0].split()
+
+    tok = tokens()
+    vertices, tets = [], []
+    for word in tok:
+        key = word.lower()
+        if key == "vertices":
+            for _ in range(int(next(tok))):
+                vertices += [float(next(tok)) for _ in range(3)]
+                next(tok)  # reference tag
+        elif key == "tetrahedra":
+            for _ in range(int(next(tok))):
+                tets += [int(next(tok)) - 1 for _ in range(4)]
+                next(tok)
+        elif key in ("triangles", "edges"):
+            for _ in range((4 if key == "triangles" else 3) * int(next(tok))):
+                next(tok)
+        elif key == "end":
+            break
+    if not vertices:
+        raise fileio.ParseError(f"{path}: no Vertices section")
+    return (np.array(vertices, dtype=np.float64).reshape(-1, 3),
+            np.array(tets, dtype=np.int64).reshape(-1, 4))
+
+
+_VALUES = {
+    "Vertices": st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False),
+                          st.floats(allow_nan=False), st.integers(-3, 3)),
+    "Tetrahedra": st.tuples(*[st.integers(1, 10**6)] * 4, st.integers(0, 9)),
+    "Triangles": st.tuples(*[st.integers(1, 10**6)] * 3, st.integers(0, 9)),
+    "Edges": st.tuples(*[st.integers(1, 10**6)] * 2, st.integers(0, 9)),
+}
+_SECTION = st.sampled_from(sorted(_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), st.lists(_VALUES[key], max_size=6),
+                          st.sampled_from(["", " # note Vertices 9", "#"])))
+
+
+@pytest.fixture(scope="module")
+def medit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("medit")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SECTION, max_size=6), st.booleans(), st.sampled_from([" ", "\n", "  \n\t"]))
+def test_medit_reader_matches_token_loop(medit_dir, sections, end, sep):
+    # floats of every decade and -0.0, written as repr; repeated sections;
+    # comments after a count, on rows and in whole lines; Triangles and Edges
+    lines = ["MeshVersionFormatted 2", "# a comment line", "Dimension 3"]
+    for key, rows, comment in sections:
+        lines += [key.upper() if comment == "#" else key, f"{len(rows)}{comment}"]
+        lines += [sep.join(repr(v) for v in row) + comment for row in rows]
+    lines += ["End", "Vertices 1 garbage after End"] if end else []
+    path = medit_dir / "case.mesh"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        expected = _token_loop_medit(str(path))
+    except fileio.ParseError as exc:
+        with pytest.raises(fileio.ParseError, match="no Vertices section") as info:
+            fileio._read_medit(str(path))
+        assert str(info.value) == str(exc)
+        return
+    for got, want in zip(fileio._read_medit(str(path)), expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

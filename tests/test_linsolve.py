@@ -901,3 +901,18 @@ def test_iterative_solve_logged_once(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="volball"):
         linsolve.solve(system, rhs, history=history)
     assert not [r for r in caplog.records if r.name.startswith("volball")]
+
+
+@pytest.mark.parametrize("n", [1, 100, linsolve.DOT_CHUNK, linsolve.DOT_CHUNK + 1,
+                               3 * linsolve.DOT_CHUNK + 17])
+def test_chunked_dot_adds_the_chunk_dots_in_order(n):
+    rng = np.random.default_rng(n)
+    u, v = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-8, 8, size=(2, n))
+    chunk = linsolve.DOT_CHUNK
+    expected = 0.0
+    for start in range(0, n, chunk):
+        expected += float(np.dot(u[start:start + chunk], v[start:start + chunk]))
+    assert float(linsolve._chunked_dot(u, v)) == expected
+    if n <= chunk:
+        assert float(linsolve._chunked_dot(u, v)) == float(np.dot(u, v))
+    assert linsolve._dot_for(n) is (np.dot if n <= chunk else linsolve._chunked_dot)

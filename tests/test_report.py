@@ -43,7 +43,7 @@ def test_trace_csv_columns(tmp_path):
 def test_histogram_csv(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "h.csv"
-    write_histogram_csv(str(path), rng.normal(size=1000), bins=50)
+    write_histogram_csv(str(path), rng.normal(size=1000))
     lines = path.read_text().splitlines()
     assert lines[0] == "bin_left,bin_right,count"
     assert len(lines) == 51
