@@ -1,8 +1,9 @@
 """P1 stiffness |V| G A G^T on tets from ``tetmesh.tet_gradients`` (volumes V,
 hat gradients G): the cotangent Laplacian has A = I / 2, the map
-reconstruction an anisotropic A. Blocks are computed component-major (G as
-(k, d, m), A as (d, d, m)) and returned as the (m, k, k) view that
-``linsolve.assemble`` flattens in its plan's triplet order."""
+reconstruction an anisotropic A. Only the entries i <= j of a symmetric
+block are computed, component-major (G as (k, d, m), A as (d, d, m)), and
+returned as the (m, k (k + 1) / 2) view that ``linsolve.assemble`` flattens
+in the pair order of ``AssemblyPlan.for_elements``."""
 
 from __future__ import annotations
 
@@ -13,13 +14,14 @@ from .tetmesh import TetMesh, _dot, component_major, per_tet
 
 
 def p1_blocks(volumes, gradients, coeff) -> np.ndarray:
-    """Per-element P1 stiffness |V| G A G^T (m, k, k) of div(A grad u) from
-    hat ``gradients`` G (m, k, d), symmetric by construction: the k (k + 1) / 2
-    entries i <= j are computed and mirrored. A scalar ``coeff`` (A = coeff I)
-    takes the dot products of the rows of G; an (m, d, d) one first forms
-    H = G A by component sums, then the dot products of the rows of H and G.
-    Tets have k = 4, d = 3; triangles of a planar chart k = 3, d = 2 (V their
-    areas). The result is a view of a component-major (k, k, m) array."""
+    """Per-element P1 stiffness |V| G A G^T of div(A grad u) from hat
+    ``gradients`` G (m, k, d), symmetric by construction, as its k (k + 1) / 2
+    entries i <= j, row-major: shape (m, k (k + 1) / 2). A scalar ``coeff``
+    (A = coeff I) takes the dot products of the rows of G; an (m, d, d) one
+    first forms H = G A by component sums, then the dot products of the rows
+    of H and G. Tets have k = 4, d = 3; triangles of a planar chart k = 3,
+    d = 2 (V their areas). The result is a view of a component-major
+    (k (k + 1) / 2, m) array."""
     w = np.abs(volumes)
     g = np.ascontiguousarray(component_major(gradients))  # (k, d, m)
     k, d = g.shape[:2]
@@ -32,10 +34,10 @@ def p1_blocks(volumes, gradients, coeff) -> np.ndarray:
         for i in range(k):
             for c in range(d):
                 h[i, c] = _dot(g[i], A[:, c])
-    local = np.empty((k, k, len(w)))
-    for i in range(k):
-        for j in range(i, k):
-            local[i, j] = local[j, i] = _dot(h[i], g[j]) * w
+    rows, cols = np.triu_indices(k)
+    local = np.empty((len(rows), len(w)))
+    for p, (i, j) in enumerate(zip(rows, cols)):
+        np.multiply(_dot(h[i], g[j]), w, out=local[p])
     return per_tet(local)
 
 

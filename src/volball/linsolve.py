@@ -2,18 +2,20 @@
 solve in the package goes through this module.
 
 Layout: a ``LinearSystem(plan, data)`` is an ``AssemblyPlan``, built once per
-connectivity (the sorted CSR pattern of a triplet layout, the slot of each
-triplet and of each entry's transpose, and, on first use, each row's
-diagonal slot and the pattern's ``Band`` in reverse Cuthill-McKee order),
-plus ``data``, one value per pattern entry. A ``Block`` (the whole pattern,
-or a Dirichlet ``Split``'s free-free or free-fixed block) multiplies by its
-part of ``data`` without a matrix: only a solve that iterates builds one.
+connectivity (the sorted CSR pattern of a layout of symmetric pairs, where a
+triplet (r, c) stands for both (r, c) and (c, r); the pair of each triplet
+and of each entry; and, on first use, each row's diagonal slot and the
+pattern's ``Band`` in reverse Cuthill-McKee order), plus ``data``, one value
+per pattern entry. A ``Block`` (the whole pattern, or a Dirichlet ``Split``'s
+free-free or free-fixed block) multiplies by its part of ``data`` without a
+matrix: only a solve that iterates builds one.
 
 Contract:
-- ``assemble`` sums duplicate triplets with ``np.bincount`` in input order,
-  so assembly, and every solve after it, is bitwise reproducible; CG's dots
-  are summed in chunks of at most DOT_CHUNK values, so its results do not
-  depend on the BLAS thread count either.
+- ``assemble`` sums each pair's triplets with ``np.bincount`` in input order
+  and writes the sum to the pair's entry and its mirror, so the result is
+  symmetric by construction, and assembly, and every solve after it, is
+  bitwise reproducible; CG's dots are summed in chunks of at most DOT_CHUNK
+  values, so its results do not depend on the BLAS thread count either.
 - ``solve`` returns the fixed entries exactly and a free part with
   ``||b - A x|| <= tol ||b||`` on the reduced system (fixed rows and columns
   eliminated, so it stays symmetric). It factors the system by banded
@@ -32,9 +34,9 @@ Contract:
   iterates logs one DEBUG record: ``rows``, ``columns``, and per column
   ``history`` (directions the history added) and ``iterations``.
 
-Errors: ``assemble`` raises ValueError on an asymmetric result, the
-precondition of both solves, and ``AssemblyPlan`` IndexError on a triplet
-out of range. ``solve`` raises ValueError on a right-hand side of the wrong
+Errors: ``AssemblyPlan`` raises IndexError on a triplet out of range and
+``assemble`` ValueError when the values and the plan's triplets differ in
+number. ``solve`` raises ValueError on a right-hand side of the wrong
 length, and ``SolverError`` when CG meets a curvature p.Ap that is not
 positive (NaN included) or runs out of iterations; if the factorization
 broke down first, the message names the vertex where it did.
@@ -227,13 +229,16 @@ class Split:
 
 
 class AssemblyPlan:
-    """Sparsity pattern of a fixed triplet layout, built once per connectivity.
+    """Sparsity pattern of a fixed layout of symmetric pairs, built once per
+    connectivity.
 
-    Sorts the (row, col) triplets once and keeps the CSR ``indptr`` and
-    ``indices`` of the unique entries, the CSR ``slot`` of every triplet and,
-    for every entry, the slot of its transpose (-1 where the pattern lacks
-    it). ``assemble`` then only scatters values. Built on first use: each
-    row's ``diagonal`` slot and the ``band`` the direct solve runs in.
+    A triplet (r, c) stands for both entries (r, c) and (c, r), or for one
+    diagonal entry when r == c; the CSR pattern is the union of the pairs
+    and their mirrors. The plan sorts the distinct pairs once and keeps the
+    CSR ``indptr`` and ``indices``, the ``slot`` of each triplet among the
+    distinct pairs and the ``pair`` of each CSR entry, so ``assemble`` only
+    sums and copies values. Built on first use: each row's ``diagonal`` slot
+    and the ``band`` the direct solve runs in.
     """
 
     def __init__(self, dimension: int, rows, cols):
@@ -243,20 +248,15 @@ class AssemblyPlan:
                           or cols.min() < 0 or cols.max() >= dimension):
             raise IndexError("triplet index out of range")
         self.dimension = dimension
-        order = np.lexsort((cols, rows))
-        r, c = rows[order], cols[order]
-        new_entry = np.ones(r.size, dtype=bool)
-        new_entry[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        self.slot = np.empty(r.size, dtype=np.int64)
-        self.slot[order] = np.cumsum(new_entry) - 1
-        r, c = r[new_entry], c[new_entry]
-        self.indices = c
-        self.indptr = np.searchsorted(r, np.arange(dimension + 1))
-        # entries are sorted by (row, col), so their keys are sorted too
-        key = r * dimension + c
-        mirror = c * dimension + r
-        at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
-        self.transpose_slot = np.where(key[at] == mirror, at, -1)
+        keys, self.slot = np.unique(np.minimum(rows, cols) * dimension + np.maximum(rows, cols),
+                                    return_inverse=True)
+        lo, hi = np.divmod(keys, dimension)
+        off = np.flatnonzero(lo != hi)  # the pairs that have a mirror entry
+        r, c = np.concatenate([lo, hi[off]]), np.concatenate([hi, lo[off]])
+        order = np.argsort(r * dimension + c)
+        self.pair = np.concatenate([np.arange(keys.size), off])[order]
+        self.indices = c[order]
+        self.indptr = np.searchsorted(r[order], np.arange(dimension + 1))
         self._splits: dict[bytes, Split] = {}
 
     @cached_property
@@ -311,23 +311,20 @@ class AssemblyPlan:
 
     @classmethod
     def for_elements(cls, elements: np.ndarray, dimension: int) -> "AssemblyPlan":
-        """Plan of the k x k local matrices of an (m, k) element array, each
-        flattened row-major."""
-        k = elements.shape[1]
-        return cls(dimension, np.repeat(elements, k, axis=1).reshape(-1),
-                   np.tile(elements, (1, k)).reshape(-1))
+        """Plan of the symmetric k x k local matrices of an (m, k) element
+        array: the k (k + 1) / 2 pairs i <= j of each element, row-major,
+        element after element. Each element must have distinct corners, so
+        that a pair meets each entry of the pattern at most once."""
+        i, j = np.triu_indices(elements.shape[1])
+        return cls(dimension, elements[:, i].reshape(-1), elements[:, j].reshape(-1))
 
 
 def assemble(plan: AssemblyPlan, values) -> LinearSystem:
-    """The symmetric LinearSystem of ``plan`` with the values of its triplets,
-    duplicates summed in input order; ValueError when it is not symmetric."""
-    data = np.bincount(plan.slot, weights=np.asarray(values, dtype=np.float64),
-                       minlength=plan.indices.size)
-    mirrored = np.where(plan.transpose_slot >= 0, data[plan.transpose_slot], 0.0)
-    scale = max(np.abs(data).max(initial=0.0), 1.0)
-    if np.abs(data - mirrored).max(initial=0.0) > 1e-12 * scale:
-        raise ValueError("assembled matrix is not symmetric")
-    return LinearSystem(plan, data)
+    """The symmetric LinearSystem of ``plan`` with one value per triplet:
+    each distinct pair takes the sum of its values in input order, and its
+    entry and its mirror both read that sum."""
+    sums = np.bincount(plan.slot, weights=np.asarray(values, dtype=np.float64))
+    return LinearSystem(plan, sums[plan.pair])
 
 
 def _chunked_dot(u: np.ndarray, v: np.ndarray):

@@ -122,9 +122,9 @@ def face_normals_areas(points: np.ndarray, faces: np.ndarray):
     return unit.T, 0.5 * g.area2
 
 
-# Row-major (i, j) entries of a triangle's local Laplacian, as rows of the
-# (6, m) stack [-w0, -w1, -w2, w1 + w2, w2 + w0, w0 + w1] below.
-_LOCAL_ENTRIES = np.array([3, 2, 1, 2, 4, 0, 1, 0, 5])
+# The entries i <= j of a triangle's local Laplacian, row-major, as rows of
+# the (6, m) stack [-w0, -w1, -w2, w1 + w2, w2 + w0, w0 + w1] below.
+_LOCAL_ENTRIES = np.array([3, 2, 1, 4, 0, 5])
 
 
 def surface_laplacian(geometry: TriangleGeometry,
@@ -134,8 +134,8 @@ def surface_laplacian(geometry: TriangleGeometry,
 
     The edge opposite corner k weighs w_k = cot(angle k) / 2 = -e_{k+1} .
     e_{k+2} / (2 |n|), the edges and normal taken from ``geometry``; the
-    local matrices go to ``linsolve.assemble`` triangle by triangle, each
-    row-major.
+    entries i <= j of the local matrices go to ``linsolve.assemble``
+    triangle by triangle, each row-major.
     """
     e = geometry.edges.take(NEXT_PREV, axis=1)
     w = -0.5 * _dot(e[:, :3], e[:, 3:]) / np.maximum(geometry.area2, 1e-300)

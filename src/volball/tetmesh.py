@@ -100,9 +100,9 @@ def vertex_rings(faces: np.ndarray, n_vertices: int) -> csr_matrix:
 
 class Connectivity:
     """What depends only on an (m, k) element array, triangles (k = 3) or
-    tets (k = 4), built once: the assembly plan of the k x k element
-    matrices, each edge once, and the corners that element-to-vertex
-    averages scatter over."""
+    tets (k = 4), built once: the assembly plan of the symmetric k x k
+    element matrices (k (k + 1) / 2 pairs each), each edge once, and the
+    corners that element-to-vertex averages scatter over."""
 
     def __init__(self, elements: np.ndarray, n_vertices: int):
         self.elements = elements
@@ -446,7 +446,7 @@ class TetMesh:
 
     @cached_property
     def connectivity(self) -> Connectivity:
-        """The tets' assembly plan (16 triplets per tet, shared by every
+        """The tets' assembly plan (10 pairs per tet, shared by every
         operator assembled on this mesh), edges and corner scatter slots."""
         return Connectivity(self.tets, len(self.vertices))
 

@@ -309,9 +309,13 @@ def _cofactor_coefficient(J):
     return M @ np.swapaxes(M, 1, 2) / np.sum(j0 * M[:, 0], axis=1)[:, None, None]
 
 
-def _energy_errors(blocks, reference):
+def _energy_errors(packed, reference):
     """Per-tet energy-norm relative error ||R^-1/2 (B - R) R^-1/2||_2 of the
-    blocks B against the reference R, on the complement of the constants."""
+    symmetric blocks B, packed as ``p1_blocks`` returns them, against the
+    reference R, on the complement of the constants."""
+    rows, cols = np.triu_indices(4)
+    blocks = np.empty((len(packed), 4, 4))
+    blocks[:, rows, cols] = blocks[:, cols, rows] = packed
     Q = np.linalg.qr(np.column_stack([np.ones(4), np.eye(4)[:, :3]]))[0][:, 1:]
     diff = (blocks - reference).astype(np.float64)
     w, V = np.linalg.eigh(Q.T @ reference.astype(np.float64) @ Q)

@@ -416,8 +416,8 @@ def test_run_3dqc_builds_one_tet_plan(monkeypatch):
 
     monkeypatch.setattr(linsolve.AssemblyPlan, "__init__", counted)
     run_3dqc(mesh, SolverConfig(n_max=3))
-    # the 16-triplet tet layout serves every harmonic fill and reconstruction
-    assert sizes.count(16 * len(mesh.tets)) == 1
+    # the 10-pair tet layout serves every harmonic fill and reconstruction
+    assert sizes.count(10 * len(mesh.tets)) == 1
 
 
 def test_run_3dqc_history_cuts_pcg_work_and_keeps_the_run(monkeypatch):

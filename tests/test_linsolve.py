@@ -48,9 +48,9 @@ def test_path_graph_ramp():
     n = 11
     rows, cols, vals = [], [], []
     for i in range(n - 1):
-        rows += [i, i + 1, i, i + 1]
-        cols += [i, i + 1, i + 1, i]
-        vals += [1.0, 1.0, -1.0, -1.0]
+        rows += [i, i + 1, i]
+        cols += [i, i + 1, i + 1]
+        vals += [1.0, 1.0, -1.0]
     system = _assemble(n, rows, cols, vals)
     system.constrain([0, n - 1], [0.0, 1.0])
     x = linsolve.solve(system, np.zeros(n))
@@ -62,13 +62,26 @@ def _random_spd(rng, n):
     return A @ A.T + n * np.eye(n)
 
 
+def _upper(A):
+    """The triplets of a dense symmetric matrix: its entries i <= j."""
+    rows, cols = np.triu_indices(len(A))
+    return rows, cols, A[rows, cols]
+
+
+def _packed(local):
+    """The triplets of (m, k, k) symmetric element matrices, as
+    ``AssemblyPlan.for_elements`` lays them out: each one's entries i <= j,
+    row-major."""
+    rows, cols = np.triu_indices(local.shape[1])
+    return local[:, rows, cols]
+
+
 def test_random_spd_vs_dense_oracle():
     rng = np.random.default_rng(42)
     A = _random_spd(rng, 10)
     b = rng.normal(size=10)
     expected = np.linalg.solve(A, b)  # dense elimination oracle
-    rows, cols = np.nonzero(A)
-    system = _assemble(10, rows, cols, A[rows, cols])
+    system = _assemble(10, *_upper(A))
     x = linsolve.solve(system, b)
     np.testing.assert_allclose(x, expected, atol=1e-9 * np.abs(expected).max())
 
@@ -79,8 +92,7 @@ def test_recover_known_solution_many():
         n = int(rng.integers(3, 12))
         A = _random_spd(rng, n)
         x_true = rng.normal(size=n)
-        rows, cols = np.nonzero(A)
-        system = _assemble(n, rows, cols, A[rows, cols])
+        system = _assemble(n, *_upper(A))
         x = linsolve.solve(system, A @ x_true)
         assert np.linalg.norm(x - x_true) <= 1e-9 * max(np.linalg.norm(x_true), 1)
 
@@ -119,8 +131,7 @@ def test_warm_start_stops_against_the_rhs():
     near = x_cold + 1e-6 * rng.normal(size=12)
     assert linsolve._pcg(A_sparse, b, rtol, 10000, x0=near)[1] < k_cold
     # through solve: the constrained entries keep their values exactly
-    rows, cols = np.nonzero(A)
-    system = _assemble(12, rows, cols, A[rows, cols])
+    system = _assemble(12, *_upper(A))
     system.constrain([2, 7], [0.5, -1.25])
     x = linsolve.solve(system, b, tol=rtol, start=far)
     assert x[2] == 0.5 and x[7] == -1.25
@@ -130,8 +141,7 @@ def test_warm_start_stops_against_the_rhs():
 def test_constrained_values_exact():
     rng = np.random.default_rng(5)
     A = _random_spd(rng, 8)
-    rows, cols = np.nonzero(A)
-    system = _assemble(8, rows, cols, A[rows, cols])
+    system = _assemble(8, *_upper(A))
     system.constrain([2, 5], [1.5, -0.5])
     x = linsolve.solve(system, np.zeros(8))
     assert x[2] == 1.5 and x[5] == -0.5
@@ -141,19 +151,24 @@ def test_multi_rhs():
     rng = np.random.default_rng(9)
     A = _random_spd(rng, 6)
     B = rng.normal(size=(6, 3))
-    rows, cols = np.nonzero(A)
-    system = _assemble(6, rows, cols, A[rows, cols])
+    system = _assemble(6, *_upper(A))
     X = linsolve.solve(system, B)
     np.testing.assert_allclose(A @ X, B, atol=1e-8)
 
 
-def test_asymmetric_flagged_symmetric_raises():
-    with pytest.raises(ValueError):
-        linsolve.assemble(linsolve.AssemblyPlan(2, [0, 1], [1, 0]), [1.0, 2.0])
+def test_off_diagonal_pair_fills_both_mirror_entries():
+    # a triplet (r, c) stands for (r, c) and (c, r): either orientation fills
+    # both, and the two orientations of one pair sum into one value
+    for rows, cols in (([0], [1]), ([1], [0])):
+        system = _assemble(2, rows, cols, [3.0])
+        assert system.matrix.toarray().tolist() == [[0.0, 3.0], [3.0, 0.0]]
+    system = _assemble(2, [0, 1], [1, 0], [1.0, 2.0])
+    assert system.matrix.toarray().tolist() == [[0.0, 3.0], [3.0, 0.0]]
+    assert system.matrix.nnz == 2
 
 
 def test_singular_reports_iterations():
-    system = _assemble(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0])
+    system = _assemble(2, [0, 0, 1], [0, 1, 1], [1.0, 1.0, 1.0])
     with pytest.raises(linsolve.SolverError) as exc:
         linsolve.solve(system, np.array([1.0, -1.0]))
     assert exc.value.iterations >= 1
@@ -165,9 +180,6 @@ def test_assembly_deterministic():
     rows = rng.integers(0, 30, size=500)
     cols = rng.integers(0, 30, size=500)
     vals = rng.normal(size=500)
-    # mirror every triplet so the assembled matrix is symmetric
-    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    vals = np.concatenate([vals, vals])
     a = _assemble(30, rows, cols, vals)
     b = _assemble(30, rows, cols, vals)
     assert (a.matrix != b.matrix).nnz == 0
@@ -179,8 +191,7 @@ def test_property_spd_solve(n, seed):
     rng = np.random.default_rng(seed)
     A = _random_spd(rng, n)
     x_true = rng.normal(size=n)
-    rows, cols = np.nonzero(A)
-    system = _assemble(n, rows, cols, A[rows, cols])
+    system = _assemble(n, *_upper(A))
     x = linsolve.solve(system, A @ x_true)
     assert np.linalg.norm(A @ x - A @ x_true) <= 1e-8 * max(np.linalg.norm(A @ x_true), 1e-9)
 
@@ -189,18 +200,18 @@ def test_property_spd_solve(n, seed):
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=40),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_plan_matches_dense_oracle(n, k, seed):
-    # few rows and many triplets, so entries repeat; each triplet is mirrored
-    # so that every value vector assembles a symmetric matrix
+    # few rows and many triplets, so entries repeat in either orientation;
+    # each off-diagonal triplet adds its value at its entry and its mirror
     rng = np.random.default_rng(seed)
-    r = rng.integers(0, n, size=k)
-    c = rng.integers(0, n, size=k)
-    rows, cols = np.concatenate([r, c]), np.concatenate([c, r])
+    rows = rng.integers(0, n, size=k)
+    cols = rng.integers(0, n, size=k)
     plan = linsolve.AssemblyPlan(n, rows, cols)
+    off = rows != cols
     for _ in range(2):  # one plan, two value vectors
-        v = rng.normal(size=k)
-        vals = np.concatenate([v, v])
+        vals = rng.normal(size=k)
         dense = np.zeros((n, n))
         np.add.at(dense, (rows, cols), vals)
+        np.add.at(dense, (cols[off], rows[off]), vals[off])
         got = linsolve.assemble(plan, vals).matrix.toarray()
         assert np.abs(got - dense).max(initial=0.0) <= 1e-12 * max(np.abs(dense).max(initial=0.0), 1.0)
 
@@ -353,7 +364,7 @@ def _element_diffusion(rng, n, k, extra):
     w = np.triu(w, 1) + np.swapaxes(np.triu(w, 1), 1, 2)
     local = -w
     local[:, np.arange(k), np.arange(k)] = w.sum(axis=2)
-    laplacian = linsolve.assemble(plan, local.reshape(-1))
+    laplacian = linsolve.assemble(plan, _packed(local).reshape(-1))
     # diffusion_step reads no corner weights
     return DiffusionOperators(rng.uniform(0.5, 1.5, size=n), laplacian, np.empty(0))
 
@@ -490,9 +501,9 @@ def test_direct_solve_iterates_on_where_rounding_misses_the_bound(monkeypatch):
     rng = np.random.default_rng(0)
     w = np.exp(rng.uniform(0.0, np.log(1e6), n - 1))
     i, j = np.arange(n - 1), np.arange(1, n)
-    plan = linsolve.AssemblyPlan(n, np.concatenate([i, j, i, j, np.arange(n)]),
-                                 np.concatenate([i, j, j, i, np.arange(n)]))
-    system = linsolve.assemble(plan, np.concatenate([w, w, -w, -w, np.full(n, 0.05)]))
+    plan = linsolve.AssemblyPlan(n, np.concatenate([i, j, i, np.arange(n)]),
+                                 np.concatenate([i, j, j, np.arange(n)]))
+    system = linsolve.assemble(plan, np.concatenate([w, w, -w, np.full(n, 0.05)]))
     A = system.matrix
     b = np.full(n, 0.05)
     factored = linsolve._banded_solve(system.data, plan.band, b[:, None])[:, 0]
@@ -556,8 +567,8 @@ def test_plan_decision_logged_once(caplog):
     import logging
     n = 12
     i = np.arange(n - 1)
-    plan = linsolve.AssemblyPlan(n, np.concatenate([i, i + 1, i, i + 1]),
-                                 np.concatenate([i, i + 1, i + 1, i]))
+    plan = linsolve.AssemblyPlan(n, np.concatenate([i, i + 1, i]),
+                                 np.concatenate([i, i + 1, i + 1]))
     with caplog.at_level(logging.DEBUG, logger="volball"):
         band = plan.band
         assert plan.band is band
@@ -916,3 +927,132 @@ def test_chunked_dot_adds_the_chunk_dots_in_order(n):
     if n <= chunk:
         assert float(linsolve._chunked_dot(u, v)) == float(np.dot(u, v))
     assert linsolve._dot_for(n) is (np.dot if n <= chunk else linsolve._chunked_dot)
+
+
+# -- pair plans against the k x k assembly they replaced: every element's full
+# local matrix as k^2 triplets, lexsorted into CSR slots, summed by
+# np.bincount in input order and checked for symmetry
+
+
+def _reference_assemble(elements, n, local):
+    """CSR (data, indices, indptr) of the (m, k, k) element matrices ``local``
+    by the k x k path."""
+    k = elements.shape[1]
+    rows = np.repeat(elements, k, axis=1).reshape(-1)
+    cols = np.tile(elements, (1, k)).reshape(-1)
+    order = np.lexsort((cols, rows))
+    r, c = rows[order], cols[order]
+    new_entry = np.ones(r.size, dtype=bool)
+    new_entry[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    slot = np.empty(r.size, dtype=np.int64)
+    slot[order] = np.cumsum(new_entry) - 1
+    r, c = r[new_entry], c[new_entry]
+    data = np.bincount(slot, weights=np.asarray(local, dtype=np.float64).reshape(-1),
+                       minlength=r.size)
+    key, mirror = r * n + c, c * n + r
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    mirrored = np.where(key[at] == mirror, data[at], 0.0)
+    assert np.abs(data - mirrored).max(initial=0.0) <= \
+        1e-12 * max(np.abs(data).max(initial=0.0), 1.0)
+    return data, c, np.searchsorted(r, np.arange(n + 1))
+
+
+def _reference_blocks(volumes, gradients, coeff):
+    """(m, k, k) P1 stiffness blocks as ``laplace.p1_blocks`` wrote them before
+    it packed them: each entry i <= j computed and mirrored."""
+    from volball.tetmesh import _dot, component_major, per_tet
+    w = np.abs(volumes)
+    g = np.ascontiguousarray(component_major(gradients))
+    k, d = g.shape[:2]
+    if np.ndim(coeff) == 0:
+        w, h = coeff * w, g
+    else:
+        A = component_major(coeff)
+        h = np.empty_like(g)
+        for i in range(k):
+            for c in range(d):
+                h[i, c] = _dot(g[i], A[:, c])
+    local = np.empty((k, k, len(w)))
+    for i in range(k):
+        for j in range(i, k):
+            local[i, j] = local[j, i] = _dot(h[i], g[j]) * w
+    return per_tet(local)
+
+
+def _assert_bitwise(system, elements, n, local):
+    data, indices, indptr = _reference_assemble(elements, n, local)
+    assert system.data.tobytes() == data.tobytes()
+    assert np.array_equal(system.plan.indices, indices)
+    assert np.array_equal(system.plan.indptr, indptr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(min_value=4, max_value=30),
+       st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=2**32 - 1))
+def test_pair_plan_assembles_the_full_path_bitwise(k, n, m, seed):
+    # distinct corners in random order, some elements repeated (in either
+    # orientation), random symmetric locals over many decades
+    rng = np.random.default_rng(seed)
+    elements = np.array([rng.choice(n, size=k, replace=False) for _ in range(m)],
+                        dtype=np.int64).reshape(-1, k)
+    if m:
+        again = rng.integers(0, m, size=m // 3)
+        elements = np.vstack([elements, rng.permuted(elements[again], axis=1)])
+        elements = elements[rng.permutation(len(elements))]
+    local = rng.normal(size=(len(elements), k, k)) * 10.0 ** rng.integers(-6, 6, size=(1, k, k))
+    local = np.triu(local) + np.swapaxes(np.triu(local, 1), 1, 2)
+    plan = linsolve.AssemblyPlan.for_elements(elements, n)
+    _assert_bitwise(linsolve.assemble(plan, _packed(local).reshape(-1)), elements, n, local)
+
+
+def test_laplacian_assembles_the_full_path_bitwise(ball_mesh_6k):
+    from volball.laplace import laplacian_matrix
+    mesh = ball_mesh_6k
+    local = _reference_blocks(mesh.volumes, mesh.hat_gradients, 0.5)
+    _assert_bitwise(laplacian_matrix(mesh), mesh.tets, len(mesh.vertices), local)
+
+
+@pytest.mark.parametrize("edited", [False, True])
+def test_reconstruction_assembles_the_full_path_bitwise(edited, monkeypatch):
+    # an anisotropic coefficient on every tet, or on every fifth tet with the
+    # current map's stiffness on the rest
+    from volball.distortion import reconstruct_map
+    from volball.synthetic import stretched_ball_mesh
+    from volball.tetmesh import tet_gradients
+    mesh = stretched_ball_mesh(1)
+    rng = np.random.default_rng(2)
+    n = len(mesh.vertices)
+    start = mesh.vertices @ np.diag([1.2, 0.9, 1.0])
+    tets = np.arange(0, len(mesh.tets), 5) if edited else None
+    M = rng.normal(size=(len(mesh.tets) if tets is None else len(tets), 3, 3))
+    coeff = M @ np.swapaxes(M, 1, 2) + np.eye(3)
+    if tets is None:
+        local = _reference_blocks(mesh.volumes, mesh.hat_gradients, coeff)
+    else:
+        local = _reference_blocks(*tet_gradients(start, mesh.tets), 1.0).copy()
+        local[tets] = _reference_blocks(mesh.volumes[tets], mesh.hat_gradients[tets], coeff)
+    assembled, assemble = [], linsolve.assemble
+
+    def kept(plan, values):
+        assembled.append(assemble(plan, values))
+        return assembled[-1]
+
+    monkeypatch.setattr(linsolve, "assemble", kept)
+    bidx = mesh.boundary_vertices
+    reconstruct_map(mesh, coeff, bidx, start[bidx], start=start, tets=tets)
+    [system] = assembled
+    _assert_bitwise(system, mesh.tets, n, local)
+
+
+def test_surface_laplacian_assembles_the_full_path_bitwise(ball_mesh_6k):
+    from volball.sphere_map import NEXT_PREV, surface_laplacian, triangle_geometry
+    from volball.tetmesh import _dot
+    vid, faces = ball_mesh_6k.boundary_surface()
+    geometry = triangle_geometry(ball_mesh_6k.vertices[vid], faces)
+    # the k x k path's row-major 3 x 3 entries from the same six rows
+    e = geometry.edges.take(NEXT_PREV, axis=1)
+    w = -0.5 * _dot(e[:, :3], e[:, 3:]) / np.maximum(geometry.area2, 1e-300)
+    stack = np.vstack([-w, w[[1, 2, 0]] + w[[2, 0, 1]]])
+    local = stack.T.take([3, 2, 1, 2, 4, 0, 1, 0, 5], axis=1).reshape(-1, 3, 3)
+    plan = linsolve.AssemblyPlan.for_elements(faces, len(vid))
+    _assert_bitwise(surface_laplacian(geometry, plan), faces, len(vid), local)

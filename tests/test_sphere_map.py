@@ -278,7 +278,7 @@ def _surface_flow_as_first_written(sphere, faces, population, dt=0.1, eps=1e-2,
             local[:, i, j] = local[:, j, i] = -w
             local[:, i, i] += w
             local[:, j, j] += w
-        return linsolve.assemble(plan, local.reshape(-1)).matrix
+        return linsolve.assemble(plan, local[:, pair_i, pair_j].reshape(-1)).matrix
 
     def gradient(points, values):
         normal, areas = normals_areas(points)
@@ -293,6 +293,7 @@ def _surface_flow_as_first_written(sphere, faces, population, dt=0.1, eps=1e-2,
     edges = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
     on_sphere = np.ones(n, dtype=bool)
     plan = linsolve.AssemblyPlan.for_elements(faces, n)
+    pair_i, pair_j = np.triu_indices(3)  # each local matrix's triplets i <= j
     rows, cols = faces.reshape(-1), np.repeat(np.arange(m), 3)
     last_valid = u.copy()
     for rounds in range(max_iter + 1):
@@ -510,7 +511,8 @@ def _ref_surface_laplacian(geometry, plan):
     local[:, NEXT, PREV] = -w
     local[:, PREV, NEXT] = -w
     local[:, [0, 1, 2], [0, 1, 2]] = w[:, NEXT] + w[:, PREV]
-    return linsolve.assemble(plan, local.reshape(-1))
+    rows, cols = np.triu_indices(3)
+    return linsolve.assemble(plan, local[:, rows, cols].reshape(-1))
 
 
 def _ref_surface_gradient(geometry, corner_values):
