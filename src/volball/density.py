@@ -1,14 +1,15 @@
 """Density fields and the one step of the density-equalizing flow.
 
 A ``DensityField`` holds a density on elements (population / current
-measure), rho_tet (m,), and its measure-weighted vertex mean, rho_vertex
-(n,). ``flow_step`` is the step of both the surface flow on the sphere and
-the volume flow in the ball: implicit diffusion of the vertex density, its
-gradient per element, the vertex mean, the velocity -grad rho / rho and
-capped advection. Each flow supplies its own ``DiffusionOperators`` (lumped
+measure), rho_tet (m,), its measure-weighted vertex mean, rho_vertex (n,),
+and the ``Connectivity.corner_weights`` pair that mean used. ``flow_step``
+is the step of both the surface flow on the sphere and the volume flow in
+the ball: implicit diffusion of the vertex density, its gradient per
+element, the vertex mean, the velocity -grad rho / rho and capped
+advection. Each flow supplies its own ``DiffusionOperators`` (lumped
 masses, cotangent Laplacian as a ``linsolve.LinearSystem`` and the corner
-weights of its measures, areas or volumes, computed once per step) and
-element gradient.
+weights of its measures, areas or volumes, computed once per map: the
+volume flow takes its iterate's density field's) and element gradient.
 
 Errors: ``DensityError`` (a ValueError) on a population that is not one
 finite positive value per element, naming the first bad one, and on
@@ -39,6 +40,7 @@ class DensityError(ValueError):
 class DensityField:
     rho_tet: np.ndarray     # (m,)
     rho_vertex: np.ndarray  # (n,)
+    corner_weights: tuple[np.ndarray, np.ndarray]  # Connectivity.corner_weights of the volumes
 
 
 @dataclass
@@ -83,17 +85,22 @@ def field_from_volumes(mesh: TetMesh, volumes: np.ndarray,
         raise DensityError(f"{int(np.count_nonzero(volumes <= 0))} tets have nonpositive volume")
     rho_tet = population / volumes
     conn = mesh.connectivity
-    return DensityField(rho_tet, conn.to_vertices(rho_tet, conn.corner_weights(volumes)[1]))
+    corner_weights = conn.corner_weights(volumes)
+    return DensityField(rho_tet, conn.to_vertices(rho_tet, corner_weights[1]), corner_weights)
 
 
-def build_operators(mesh: TetMesh, geometry) -> DiffusionOperators:
+def build_operators(mesh: TetMesh, geometry, corner_weights=None) -> DiffusionOperators:
     """Assemble lumped volumes, the cotangent Laplacian and the corner
     weights from the current (volumes, hat gradients) pair ``geometry`` of
     ``tetmesh.tet_gradients``. The lumped volumes are the incident volumes
-    over 4."""
+    over 4. ``corner_weights`` is the ``Connectivity.corner_weights`` pair
+    of exactly ``geometry[0]`` (the ``DensityField``'s of the same volumes),
+    or None to compute it here; a pair of other volumes is not detected."""
     if np.any(geometry[0] <= 0):
         raise DensityError("deformed mesh has nonpositive volumes")
-    incident, weights = mesh.connectivity.corner_weights(geometry[0])
+    if corner_weights is None:
+        corner_weights = mesh.connectivity.corner_weights(geometry[0])
+    incident, weights = corner_weights
     return DiffusionOperators(incident / 4.0, laplacian_matrix(mesh, geometry), weights)
 
 
@@ -143,7 +150,9 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 def min_incident_edge(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Length of the shortest edge at each vertex; ``edges`` holds vertex
     index pairs (repeats allowed, though callers pass each edge once)."""
-    lengths = _row_norms(positions[edges[:, 0]] - positions[edges[:, 1]])
+    xt = positions.T  # gathered as (3, e) coordinate rows, which the sums read in order
+    d = xt.take(edges[:, 0], axis=1) - xt.take(edges[:, 1], axis=1)
+    lengths = np.sqrt(_dot(d, d))  # bitwise _row_norms of the (e, 3) differences
     out = np.full(len(positions), np.inf)
     np.minimum.at(out, edges[:, 0], lengths)
     np.minimum.at(out, edges[:, 1], lengths)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -91,8 +92,11 @@ class SolverConfig:
     correction: bool = True
 
     def __post_init__(self):
-        numbers = ("dt", "eps", "n_max", "k_threshold", "residual_constant", "alpha")
-        bad = [name for name in numbers if not math.isfinite(getattr(self, name))]
+        # a bool is an Integral too, but True would read as one iteration
+        if isinstance(self.n_max, bool) or not isinstance(self.n_max, Integral):
+            raise ValueError(f"n_max must be an integer, not {self.n_max!r}")
+        reals = ("dt", "eps", "k_threshold", "residual_constant", "alpha")
+        bad = [name for name in reals if not math.isfinite(getattr(self, name))]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be finite")
         if self.dt <= 0 or self.eps <= 0 or self.n_max < 1:
@@ -506,7 +510,9 @@ def _dem_step(mesh, state, config, history=()):
     volumes, Laplacian, corner weights, gradient) from the iterate's
     record."""
     vols, grads = state.volumes, state.gradients
-    ops = dem.build_operators(mesh, (vols, grads))  # raises DensityError on folds
+    # the corner weights of the evaluation's density field, of the same volumes;
+    # raises DensityError on folds
+    ops = dem.build_operators(mesh, (vols, grads), state.field.corner_weights)
     return dem.flow_step(mesh.connectivity, state.positions, state.field.rho_vertex, ops,
                          lambda rho: dem.density_gradient(mesh.tets, grads, rho),
                          config.dt, mesh.boundary_vertex_mask)

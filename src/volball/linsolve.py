@@ -24,9 +24,14 @@ Contract:
   serves all nrhs columns while PCG's cost grows with nrhs, and checks each
   factored column against the bound. Jacobi PCG runs where that check fails
   (from the factored column), or where the band is too wide or the
-  factorization breaks down (from the caller's start). A system with no
-  fixed row skips the split: the band solves ``rhs`` as given, and the
-  factored array, with CG's columns written into it, is the result.
+  factorization breaks down (from the caller's start). Each check is CG's
+  own stopping test on one ``np.bincount`` residual per column.
+- A system with no fixed row skips the split. When its band passes the
+  rule, ``rhs`` goes to the band as given, with no padded or transposed
+  copy and no start, and the factored array, with CG's columns written into
+  it, is the result. A column that misses the bound still continues in CG
+  from itself, a breakdown still hands every column to CG from the caller's
+  start, and a NaN right-hand side stops at CG's first curvature test.
 - With ``history``, a bounded list of earlier solutions of the caller's own
   run (never kept on a plan), each CG column starts from the A-norm-best
   combination of its start and them (P. F. Fischer, CMAME 163, 1998) and
@@ -142,10 +147,15 @@ class Band:
         """n (bw + 1)^2, the factorization's cost up to a constant."""
         return len(self.order) * (self.bandwidth + 1) ** 2
 
+    def factors(self, nrhs: int) -> bool:
+        """The size rule: whether ``solve`` factors this band for ``nrhs``
+        right-hand sides (an empty band never is)."""
+        return bool(self.order.size) and self.work <= nrhs * BAND_WORK_LIMIT
+
     @property
     def direct(self) -> bool:
         """The size rule for one right-hand side."""
-        return self.work <= BAND_WORK_LIMIT
+        return self.factors(1)
 
     def restrict(self, free: np.ndarray) -> "Band":
         """This band on the rows where the mask ``free`` holds, in this order:
@@ -457,6 +467,59 @@ def _galerkin_start(A, b: np.ndarray, start: np.ndarray | None,
     return x, len(basis) - own
 
 
+def _check_factored(block: Block, data: np.ndarray, b: np.ndarray, x: np.ndarray,
+                    tol: float) -> None:
+    """Check each factored column of ``x`` by CG's stopping test
+    ``||b - A x|| <= tol ||b||``, A the matrix of ``block`` on ``data``, with
+    CG's norms and dots, and continue the columns that miss it in CG from
+    themselves. Each residual is one ``np.bincount`` over the block's rows,
+    bitwise ``block.matvec``; a zero column of ``b`` sets its column of
+    ``x`` to zeros and passes."""
+    values, dot, missed = data[block.slots], _dot_for(len(b)), []
+    for j in range(b.shape[1]):
+        column = np.ascontiguousarray(b[:, j])
+        bnorm = sqrt(dot(column, column))
+        if bnorm == 0.0:
+            x[:, j] = 0.0
+            continue
+        r = column - np.bincount(block.rows, values * x[:, j][block.indices],
+                                 minlength=len(column))
+        if not sqrt(dot(r, r)) <= tol * bnorm:
+            missed.append(j)  # rounding missed the bound: CG goes on
+    _pcg_columns(block, data, b, x, missed, tol, guess=x)
+
+
+def _pcg_columns(block: Block, data: np.ndarray, b: np.ndarray, x: np.ndarray,
+                 columns, tol: float, guess: np.ndarray | None = None, earlier=(),
+                 breakdown: SolverError | None = None) -> None:
+    """Jacobi PCG into the ``columns`` of ``x`` for the matrix of ``block``
+    on ``data``, each from its column of ``guess`` (None: zero) moved to the
+    Galerkin start of the ``earlier`` solutions, and one DEBUG record. A
+    column is overwritten only after its start is read, so ``guess`` may be
+    ``x``. A SolverError after the factorization broke down carries the
+    ``breakdown``'s message, which names where the system stops being
+    definite."""
+    if not columns:
+        return
+    A = block.matrix(data)
+    maxiter, nrhs = max(10 * A.shape[0], 50), x.shape[1]
+    used, iterations = [0] * nrhs, [0] * nrhs
+    try:
+        for j in columns:
+            x0 = None if guess is None else guess[:, j]
+            if earlier:
+                x0, used[j] = _galerkin_start(A, b[:, j], x0, [h[:, j] for h in earlier])
+            x[:, j], iterations[j], _ = _pcg(A, b[:, j], tol, maxiter, x0)
+    except SolverError as exc:
+        if breakdown is None:
+            raise
+        raise SolverError(breakdown.message, exc.iterations, exc.residual) from exc
+    logger.debug("pcg solve of %d rows x %d columns: history directions %s, iterations %s",
+                 A.shape[0], nrhs, used, iterations,
+                 extra={"rows": A.shape[0], "columns": nrhs, "history": used,
+                        "iterations": iterations})
+
+
 def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
           start: np.ndarray | None = None, history=()) -> np.ndarray:
     """Solve the (constrained) system for ``rhs`` of shape (n,) or (n, nrhs),
@@ -476,23 +539,19 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
     if b.shape[0] != system.dimension:
         raise ValueError("rhs size does not match system dimension")
     n, nrhs = b.shape
-    data = system.data
-
-    fixed_idx = system.fixed_indices
-    if fixed_idx.size == 0:
+    plan, data, fixed_idx = system.plan, system.data, system.fixed_indices
+    if not fixed_idx.size:
         # nothing to eliminate: the reduced system is the system itself, and
         # the band solves b as it stands
-        free_idx, inner, band, b_f = slice(None), system.plan.pattern, system.plan.band, b
+        free_idx, inner, band, b_f = slice(None), plan.pattern, plan.band, b
     else:
         # (k,) values repeat across the right-hand sides, (k, nrhs) map one to one
         fixed_vals = np.broadcast_to(system.fixed_values.T, (nrhs, len(fixed_idx))).T
-        split = system.plan.split(fixed_idx)
+        split = plan.split(fixed_idx)
         free_idx, inner, band = split.free, split.inner, split.band
         b_f = b[free_idx] - split.outer.matvec(data, fixed_vals)
-    guess = None if start is None else \
-        np.asarray(start, dtype=np.float64).reshape(n, nrhs)[free_idx]
-    iterate, breakdown, factored = range(nrhs), None, None
-    if band.order.size and band.work <= nrhs * BAND_WORK_LIMIT:
+    factored = breakdown = None
+    if band.factors(nrhs):
         padded = b_f  # the band reads its rows of an (n, nrhs) right-hand side
         if fixed_idx.size:
             padded = np.zeros((n, nrhs))
@@ -501,47 +560,19 @@ def solve(system: LinearSystem, rhs, tol: float = DEFAULT_TOL,
             factored = _banded_solve(data, band, padded)[free_idx]
         except SolverError as exc:
             breakdown = exc  # CG runs from the caller's start and decides
-        else:
-            # per column, CG's own stopping test with its norms and dots
-            b_rows = np.ascontiguousarray(b_f.T)
-            r_rows = b_rows - inner.matvec(data, factored).T
-            iterate, dot = [], _dot_for(b_rows.shape[1])
-            for j in range(nrhs):
-                bnorm = sqrt(dot(b_rows[j], b_rows[j]))
-                if bnorm == 0.0:
-                    factored[:, j] = 0.0  # a zero column solves to zeros
-                elif not sqrt(dot(r_rows[j], r_rows[j])) <= tol * bnorm:
-                    iterate.append(j)  # rounding missed the bound: CG goes on
-            guess = factored
-    # CG overwrites only the columns it iterates, each after reading its start
-    x_f = np.zeros((inner.shape[0], nrhs)) if factored is None else factored
-
-    if iterate:
-        A_ff = inner.matrix(data)
-        maxiter = max(10 * A_ff.shape[0], 50)
-        earlier = [] if factored is not None else \
-            [np.asarray(h, dtype=np.float64).reshape(n, nrhs)[free_idx] for h in history]
-        used, iterations = [0] * nrhs, [0] * nrhs
-        try:
-            for j in iterate:
-                x0 = None if guess is None else guess[:, j]
-                if earlier:
-                    x0, used[j] = _galerkin_start(A_ff, b_f[:, j], x0,
-                                                  [h[:, j] for h in earlier])
-                x_f[:, j], iterations[j], _ = _pcg(A_ff, b_f[:, j], tol, maxiter, x0)
-        except SolverError as exc:
-            if breakdown is None:
-                raise
-            # the factorization names where the system stops being definite
-            raise SolverError(breakdown.message, exc.iterations, exc.residual) from exc
-        logger.debug("pcg solve of %d rows x %d columns: history directions %s, iterations %s",
-                     A_ff.shape[0], nrhs, used, iterations,
-                     extra={"rows": A_ff.shape[0], "columns": nrhs, "history": used,
-                            "iterations": iterations})
-    if fixed_idx.size:
-        x = np.zeros((n, nrhs))
-        x[fixed_idx] = fixed_vals
-        x[free_idx] = x_f
+    if factored is None:
+        x_f = np.zeros((inner.shape[0], nrhs))
+        guess = None if start is None else \
+            np.asarray(start, dtype=np.float64).reshape(n, nrhs)[free_idx]
+        _pcg_columns(inner, data, b_f, x_f, range(nrhs), tol, guess,
+                     [np.asarray(h, dtype=np.float64).reshape(n, nrhs)[free_idx]
+                      for h in history], breakdown)
     else:
-        x = x_f
+        x_f = factored
+        _check_factored(inner, data, b_f, x_f, tol)
+    if not fixed_idx.size:
+        return x_f[:, 0] if single else x_f
+    x = np.zeros((n, nrhs))
+    x[fixed_idx] = fixed_vals
+    x[free_idx] = x_f
     return x[:, 0] if single else x

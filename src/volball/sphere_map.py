@@ -424,6 +424,10 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
     conn = Connectivity(faces, len(u))
     geo = triangle_geometry(u, faces)
     last_valid = u
+
+    def face_gradient(rho):  # reads the round's ``geo`` when the step calls it
+        return surface_gradient(geo, rho[faces])
+
     for rounds in range(max_iter + 1):
         areas = 0.5 * geo.area2
         rho_face = population / areas
@@ -435,8 +439,7 @@ def surface_density_equalize(sphere: np.ndarray, faces: np.ndarray,
                                          weights)
         # every vertex is on the sphere: an index, so no all-true mask gathers
         u = density.flow_step(conn, u, conn.to_vertices(rho_face, weights), ops,
-                              lambda rho: surface_gradient(geo, rho[faces]), dt,
-                              slice(None))
+                              face_gradient, dt, slice(None))
         geo = triangle_geometry(u, faces)
         if geo.flipped.any():
             u = correct_spherical_flips(last_valid, u, faces)

@@ -110,8 +110,8 @@ class Connectivity:
         self.n_vertices = n_vertices
         self.plan = AssemblyPlan.for_elements(elements, n_vertices)
         self.corners = elements.reshape(-1)
-        # slot of each (corner, coordinate) pair in a flattened (n, 3) array
-        self.corner_coords = (3 * self.corners[:, None] + np.arange(3)).reshape(-1)
+        # slot of each (coordinate, corner) pair in a flattened (3, n) array
+        self.coordinate_corners = (self.corners + n_vertices * np.arange(3)[:, None]).reshape(-1)
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -136,14 +136,19 @@ class Connectivity:
         """Measure-weighted mean of per-element scalars (m,) or vectors (m, 3)
         over the elements around each vertex, with the ``corner_weights`` of
         the measures (the second array). The weighted values are summed in corner order, which
-        is bitwise the product with the row-stochastic incidence matrix.
+        is bitwise the product with the row-stochastic incidence matrix. Vectors
+        are weighted and summed one coordinate row after another, which reads
+        the (3, m) arrays that the gradient kernels return views of in order.
+        The (n, 3) result is C-ordered, as it was when summed by rows: the
+        advection's ``np.einsum`` sums differently on another layout.
         """
         if values.ndim == 1:
             return np.bincount(self.corners, weights=weights * np.repeat(values, self.k),
                                minlength=self.n_vertices)
-        terms = weights[:, None] * np.repeat(values, self.k, axis=0)
-        return np.bincount(self.corner_coords, weights=terms.reshape(-1),
-                           minlength=3 * self.n_vertices).reshape(-1, 3)
+        terms = weights * np.repeat(values.T, self.k, axis=1)  # (3, m k)
+        sums = np.bincount(self.coordinate_corners, weights=terms.reshape(-1),
+                           minlength=3 * self.n_vertices)
+        return np.ascontiguousarray(sums.reshape(3, -1).T)
 
 
 def corner_edges(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:

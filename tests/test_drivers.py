@@ -25,6 +25,11 @@ def test_config_validation():
                         ("residual_constant", np.inf), ("alpha", np.inf)]:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SolverConfig(**{name: value})
+    # a non-integral n_max used to reach the surface flow's range() as a TypeError
+    for value in (2.5, 3.0, np.nan, True, "3"):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            SolverConfig(n_max=value)
+    assert SolverConfig(n_max=np.int64(3)).n_max == 3
     cfg = SolverConfig()
     assert cfg.resolved_boundary_mode("3dqc") == "conformal"
     assert cfg.resolved_boundary_mode("3ddem") == "dem"
@@ -817,6 +822,24 @@ def test_driver_iterate_reads_its_geometry_once(monkeypatch, ball_mesh):
         assert len(result.report.iterations) == n_max + 1
         qc_calls.append(calls)
     assert {k: qc_calls[1][k] - qc_calls[0][k] for k in qc_calls[0]} == per_two
+
+
+def test_3ddem_takes_corner_weights_once_per_settled_iterate(monkeypatch, ball_mesh):
+    # the evaluation's density field and the next step's diffusion operators
+    # share one Connectivity.corner_weights of the iterate's volumes
+    from volball.tetmesh import Connectivity
+    pop = hemispheric_population(ball_mesh, 4.0)
+    ball = initial_ball(ball_mesh, SolverConfig(), "3ddem")
+    seen, corner_weights = [], Connectivity.corner_weights
+
+    def recorded(self, measures):
+        seen.append(measures.tobytes())
+        return corner_weights(self, measures)
+
+    monkeypatch.setattr(Connectivity, "corner_weights", recorded)
+    result = run_3ddem(ball_mesh, pop, SolverConfig(n_max=3), init_positions=ball)
+    assert len(result.report.iterations) == 3
+    assert len(seen) == len(set(seen)) == 4  # the settled ball and three iterates
 
 
 def test_3ddem_iteration_without_correction_decomposes_nothing(monkeypatch, ball_mesh):

@@ -422,6 +422,32 @@ def test_direct_solve_needs_no_iteration_and_repeats_bitwise(monkeypatch):
         first, linsolve._banded_solve(data, plan.band, b[:, None])[:, 0])
 
 
+def test_direct_branch_is_one_banded_solve_and_its_check():
+    # an unconstrained one-column system that passes the band rule: one
+    # factorization, no split, no block product and no PCG, and the result is
+    # the factored column bit for bit
+    ops = _element_diffusion(np.random.default_rng(7), 30, 3, 10)
+    plan = ops.laplacian.plan
+    assert plan.band.direct
+    data = 0.1 * ops.laplacian.data
+    data[plan.diagonal] += ops.lumped_volumes
+    b = ops.lumped_volumes * (1.0 + np.arange(30.0) / 30)
+    expected = linsolve._banded_solve(data, plan.band, b[:, None])[:, 0]
+    spies = {name: mock.patch.object(owner, name, autospec=True,
+                                     side_effect=getattr(owner, name))
+             for owner, name in [(linsolve, "_banded_solve"), (linsolve, "_pcg"),
+                                 (linsolve.AssemblyPlan, "split"),
+                                 (linsolve.Block, "matvec")]}
+    calls = {name: spy.start() for name, spy in spies.items()}
+    try:
+        got = linsolve.solve(linsolve.LinearSystem(plan, data), b)
+    finally:
+        mock.patch.stopall()
+    assert {name: call.call_count for name, call in calls.items()} == \
+        {"_banded_solve": 1, "_pcg": 0, "split": 0, "matvec": 0}
+    assert got.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(min_value=6, max_value=40), st.sampled_from([3, 4]),
        st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=3),

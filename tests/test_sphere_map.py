@@ -559,7 +559,8 @@ def _ref_to_vertices(conn, values, weights):
         return np.bincount(conn.corners, weights=weights * np.repeat(values, conn.k),
                            minlength=conn.n_vertices)
     terms = weights[:, None] * np.repeat(values, conn.k, axis=0)
-    return np.bincount(conn.corner_coords, weights=terms.reshape(-1),
+    coords = (3 * conn.corners[:, None] + np.arange(3)).reshape(-1)  # (corner, coordinate)
+    return np.bincount(coords, weights=terms.reshape(-1),
                        minlength=3 * conn.n_vertices).reshape(-1, 3)
 
 
