@@ -169,10 +169,13 @@ def capped_advect(positions: np.ndarray, velocity: np.ndarray, dt: float,
     ``on_sphere`` is a boolean mask or an index, such as ``slice(None)`` for
     a flow whose every vertex is on the sphere: an index gathers and
     scatters nothing it does not select, and gives the same result as its
-    mask."""
+    mask. The bytes of the result depend on the values of the inputs, not on
+    their memory layout."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    vel = np.array(velocity, dtype=np.float64, copy=True)
+    # C-ordered float64, because the row sums below add in memory order
+    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    vel = np.array(velocity, dtype=np.float64, order="C")
     x = positions[on_sphere]
     n = x / _row_norms(x)[:, None]
     vb = vel[on_sphere]

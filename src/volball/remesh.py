@@ -1,8 +1,19 @@
-"""Uniform ball templates, inverse-map pullback, and remeshing quality scores."""
+"""Uniform ball templates, inverse-map pullback, and remeshing quality scores.
+
+A ball template's connectivity is the Delaunay triangulation of its point
+cloud (``_ball_cloud``). For resolutions 1-3 it is stored in the package
+file ``ball_tets.npz``, as qhull returned it (``Delaunay(cloud).simplices``,
+as int16), so that a template costs no qhull run and does not depend on the
+installed qhull version. Regenerate the file from the repository root with
+
+    PYTHONPATH=src python -c "import numpy as np; from scipy.spatial import Delaunay; from volball.remesh import _ball_cloud; np.savez_compressed('src/volball/ball_tets.npz', **{f'r{r}': Delaunay(_ball_cloud(r)).simplices.astype(np.int16) for r in (1, 2, 3)})"
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import resources
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, cKDTree
@@ -11,6 +22,11 @@ from .tetmesh import (EDGE_LOCAL, INSIDE_TOL, LOCATE_PAIRS, PointLocator, TetMes
                       barycentric_coordinates, signed_volumes)
 
 _JITTER_SEED = 20240915
+# uniform_ball_mesh's stored tets: one int16 array "r<resolution>" per
+# resolution 1.._STORED_RESOLUTIONS, which covers the CLI's default and every
+# resolution the benchmark and the tests build
+_TEMPLATE_FILE = "ball_tets.npz"
+_STORED_RESOLUTIONS = 3
 
 # A point whose barycentric coordinates in a tet are all >= -INSIDE_TOL lies
 # within 3 INSIDE_TOL times the tet's diameter of it (PointLocator), so at
@@ -30,17 +46,12 @@ def fibonacci_sphere(n: int) -> np.ndarray:
                             np.cos(phi)])
 
 
-def uniform_ball_mesh(resolution: int = 3) -> TetMesh:
-    """Near-uniform tetrahedralization of the unit ball.
-
-    Points are laid out on concentric spherical shells with equal radial
-    spacing and per-shell counts proportional to the shell area, then
-    tetrahedralized with a Delaunay triangulation of the (convex) cloud. A
-    deterministic sub-percent jitter breaks the cospherical degeneracies that
-    would otherwise produce sliver tets.
-    """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+def _ball_cloud(resolution: int) -> np.ndarray:
+    """The point cloud of ``uniform_ball_mesh(resolution)``: the centre,
+    then concentric spherical shells with equal radial spacing and per-shell
+    Fibonacci counts proportional to the shell area. A deterministic
+    sub-percent jitter breaks the cospherical degeneracies that would
+    otherwise produce sliver tets."""
     shells = 3 * resolution
     n_outer = 120 * resolution * resolution
     rng = np.random.default_rng(_JITTER_SEED)
@@ -57,8 +68,32 @@ def uniform_ball_mesh(resolution: int = 3) -> TetMesh:
             # the exact cosphericity
             shell = shell * (r - 5e-5 * spacing * rng.random((nk, 1)))
         points.append(shell)
-    cloud = np.vstack(points)
-    tets = Delaunay(cloud).simplices
+    return np.vstack(points)
+
+
+def uniform_ball_mesh(resolution: int = 3) -> TetMesh:
+    """Near-uniform tetrahedralization of the unit ball: the Delaunay
+    triangulation of ``_ball_cloud(resolution)``, a convex cloud.
+
+    The tets of resolutions 1 to ``_STORED_RESOLUTIONS`` are read, on each
+    call, from the package file ``_TEMPLATE_FILE`` (see the module
+    docstring); higher resolutions run qhull.
+
+    ValueError unless ``resolution`` is an integer (not a bool) >= 1;
+    FileNotFoundError when a stored resolution's file is missing.
+    """
+    # a bool is an Integral too, but True would read as resolution 1
+    if isinstance(resolution, bool) or not isinstance(resolution, Integral):
+        raise ValueError(f"resolution must be an integer, not {resolution!r}")
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    cloud = _ball_cloud(int(resolution))
+    if resolution <= _STORED_RESOLUTIONS:
+        with resources.files(__package__).joinpath(_TEMPLATE_FILE).open("rb") as f, \
+                np.load(f) as stored:
+            tets = stored[f"r{resolution}"]
+    else:
+        tets = Delaunay(cloud).simplices
     return TetMesh.from_arrays(cloud, tets)
 
 

@@ -427,15 +427,17 @@ class TetMesh:
         eu, counts = _unique_edges(pairs, len(bverts))  # over compact indices
         if np.any(counts != 2):
             raise TopologyError("boundary surface is not closed / not edge-manifold")
-        euler = len(bverts) - len(eu) + len(boundary)
-        if euler != 2:
-            raise TopologyError(
-                f"boundary surface is not genus-0 (Euler characteristic {euler})")
+        # components first: k closed genus-0 components sum to Euler
+        # characteristic 2k, which the genus test would misname
         adj = coo_matrix((np.ones(len(eu)), (eu[:, 0], eu[:, 1])),
                          shape=(len(bverts), len(bverts)))
         ncomp, _ = connected_components(adj, directed=False)
         if ncomp != 1:
             raise TopologyError(f"boundary surface has {ncomp} components")
+        euler = len(bverts) - len(eu) + len(boundary)
+        if euler != 2:
+            raise TopologyError(
+                f"boundary surface is not genus-0 (Euler characteristic {euler})")
 
     # -- geometric queries ---------------------------------------------------
 

@@ -141,6 +141,23 @@ def test_project_boundary_velocity(ball_mesh):
     assert np.abs(radial[mask] - pos[mask]).max() < 1e-12
 
 
+def test_capped_advect_bytes_do_not_depend_on_layout(ball_mesh):
+    # inputs passed as transposed views of (3, n) arrays, as a caller holding
+    # coordinate rows would pass them, give the bytes of the C-ordered call
+    mask = ball_mesh.boundary_vertex_mask
+    pos = _sphere_ball(ball_mesh)
+    edges = ball_mesh.connectivity.edges
+    rng = np.random.default_rng(7)
+    for trial in range(10):
+        vel = rng.uniform(1e-3, 10.0) * rng.normal(size=pos.shape)
+        pos_t, vel_t = np.ascontiguousarray(pos.T).T, np.ascontiguousarray(vel.T).T
+        assert not vel_t.flags.c_contiguous
+        for on_sphere in (mask, np.flatnonzero(mask)):
+            expected = dem.capped_advect(pos, vel, 0.1, edges, on_sphere).tobytes()
+            for p, v in ((pos, vel_t), (pos_t, vel), (pos_t, vel_t)):
+                assert dem.capped_advect(p, v, 0.1, edges, on_sphere).tobytes() == expected
+
+
 def test_project_example_point():
     pos = np.array([[1.0, 0.0, 0.0]])
     vel = np.array([[1.0, 1.0, 0.0]])

@@ -1,9 +1,12 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay, cKDTree
 
+from volball import remesh
 from volball.remesh import (RemeshQuality, _beyond_hull, _closest_point_on_triangles, _snap,
                             pullback, quality_metrics, uniform_ball_mesh)
 from volball.tetmesh import (INSIDE_TOL, PointLocator, TetMesh, barycentric_coordinates,
@@ -34,6 +37,54 @@ def test_uniform_ball_is_deterministic():
     b = uniform_ball_mesh(1)
     np.testing.assert_array_equal(a.vertices, b.vertices)
     np.testing.assert_array_equal(a.tets, b.tets)
+
+
+@pytest.mark.parametrize("resolution", [2.5, 2.0, True, np.bool_(True), "2"])
+def test_uniform_ball_rejects_a_resolution_that_is_not_an_integer(resolution):
+    with pytest.raises(ValueError, match=f"resolution must be an integer, not {resolution!r}"):
+        uniform_ball_mesh(resolution)
+
+
+def test_uniform_ball_takes_a_numpy_integer_resolution():
+    a, b = uniform_ball_mesh(np.int64(1)), uniform_ball_mesh(1)
+    assert a.vertices.tobytes() == b.vertices.tobytes() and a.tets.tobytes() == b.tets.tobytes()
+
+
+def test_stored_templates_are_the_delaunay_of_their_clouds():
+    # the package file, as an installed package finds it, holds resolutions
+    # 1-3, each the qhull triangulation of its cloud; rows and their corners
+    # are compared as sets, which a qhull version may order otherwise
+    resource = resources.files("volball").joinpath(remesh._TEMPLATE_FILE)
+    assert resource.is_file()
+    with resource.open("rb") as f, np.load(f) as stored:
+        tets = {name: stored[name] for name in stored.files}
+    assert sorted(tets) == ["r1", "r2", "r3"] and remesh._STORED_RESOLUTIONS == 3
+    for r in (1, 2, 3):
+        ref = Delaunay(remesh._ball_cloud(r)).simplices
+        assert tets[f"r{r}"].shape == ref.shape
+        assert set(map(tuple, np.sort(tets[f"r{r}"], axis=1))) == \
+            set(map(tuple, np.sort(ref, axis=1)))
+
+
+def test_uniform_ball_runs_qhull_above_the_stored_resolutions(monkeypatch):
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return Delaunay(points)
+
+    monkeypatch.setattr(remesh, "Delaunay", counted)
+    for r in (1, 2, 3):
+        uniform_ball_mesh(r)
+    assert calls == []
+    mesh = uniform_ball_mesh(4)
+    assert calls == [len(mesh.vertices)]
+    assert np.array_equal(mesh.vertices, remesh._ball_cloud(4))
+    # a missing file is an error, not a reason to run qhull
+    monkeypatch.setattr(remesh, "_TEMPLATE_FILE", "missing.npz")
+    with pytest.raises(FileNotFoundError):
+        uniform_ball_mesh(2)
+    assert len(calls) == 1
 
 
 def test_quality_equilateral_tet():

@@ -460,13 +460,49 @@ def test_connectivity_edges_match_row_unique(elements):
 
 @pytest.mark.parametrize("tets, message", [
     ([[0, 1, 2, 3], [0, 1, 4, 5]], "not edge-manifold"),  # two tets on one edge
-    ([[0, 1, 2, 3], [4, 5, 6, 7]], "Euler characteristic 4"),  # two separate tets
+    ([[0, 1, 2, 3], [4, 5, 6, 7]], "2 components"),  # two separate tets
 ])
 def test_boundary_topology_rejected(tets, message):
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
                       [0, -1, 0], [0, 0, -1], [1, 1, 1], [2, 1, 1]])
     tets = np.array(tets)
     verts = verts[:tets.max() + 1]
+    with pytest.raises(TopologyError, match=message):
+        TetMesh.from_arrays(verts, tets)
+
+
+def _prism_ring(n_slices=4):
+    """A solid torus: a ring of triangular prisms around the z axis, each
+    split into three tets; its boundary is one closed genus-1 surface."""
+    theta = 2 * np.pi * np.arange(n_slices) / n_slices
+    section = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # (radial offset, z)
+    radius = 3.0 + section[:, 0]
+    verts = np.column_stack([np.outer(np.cos(theta), radius).ravel(),
+                             np.outer(np.sin(theta), radius).ravel(),
+                             np.tile(section[:, 1], n_slices)])
+    a = 3 * np.arange(n_slices)[:, None] + np.arange(3)
+    b = np.roll(a, -1, axis=0)
+    tets = np.concatenate([np.column_stack([a[:, 0], a[:, 1], a[:, 2], b[:, 0]]),
+                           np.column_stack([a[:, 1], a[:, 2], b[:, 0], b[:, 1]]),
+                           np.column_stack([a[:, 2], b[:, 0], b[:, 1], b[:, 2]])])
+    return verts, tets
+
+
+def _two_cubes():
+    from volball.synthetic import cube_mesh
+    cube = cube_mesh(2)
+    verts = np.vstack([cube.vertices, cube.vertices + [3.0, 0.0, 0.0]])
+    return verts, np.vstack([cube.tets, cube.tets + len(cube.vertices)])
+
+
+@pytest.mark.parametrize("solid, message", [
+    (_two_cubes, "boundary surface has 2 components"),
+    (_prism_ring, r"not genus-0 \(Euler characteristic 0\)"),
+])
+def test_boundary_topology_names_the_fault(solid, message):
+    # the component count is tested before the genus: two genus-0 solids
+    # sum to Euler characteristic 4, which is not their fault
+    verts, tets = solid()
     with pytest.raises(TopologyError, match=message):
         TetMesh.from_arrays(verts, tets)
 
