@@ -1,12 +1,15 @@
 """Uniform ball templates, inverse-map pullback, and remeshing quality scores.
 
 A ball template's connectivity is the Delaunay triangulation of its point
-cloud (``_ball_cloud``). For resolutions 1-3 it is stored in the package
-file ``ball_tets.npz``, as qhull returned it (``Delaunay(cloud).simplices``,
-as int16), so that a template costs no qhull run and does not depend on the
-installed qhull version. Regenerate the file from the repository root with
+cloud (``_ball_cloud``). For resolutions 1-3 the package file
+``ball_tets.npz`` stores it as ``TetMesh.from_arrays`` derives it from
+qhull's tets: the oriented tets and the boundary faces and owners, as int16
+arrays ``r<resolution>_tets``, ``r<resolution>_boundary_faces`` and
+``r<resolution>_boundary_owners``. A stored template costs no qhull run and
+no validation, and does not depend on the installed qhull version.
+Regenerate the file from the repository root with
 
-    PYTHONPATH=src python -c "import numpy as np; from scipy.spatial import Delaunay; from volball.remesh import _ball_cloud; np.savez_compressed('src/volball/ball_tets.npz', **{f'r{r}': Delaunay(_ball_cloud(r)).simplices.astype(np.int16) for r in (1, 2, 3)})"
+    PYTHONPATH=src python -c "import numpy as np; from scipy.spatial import Delaunay; from volball.remesh import _ball_cloud, _STORED_FIELDS; from volball.tetmesh import TetMesh; meshes = {r: TetMesh.from_arrays(_ball_cloud(r), Delaunay(_ball_cloud(r)).simplices) for r in (1, 2, 3)}; np.savez('src/volball/ball_tets.npz', **{f'r{r}_{name}': getattr(m, name).astype(np.int16) for r, m in meshes.items() for name in _STORED_FIELDS})"
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ from .tetmesh import (EDGE_LOCAL, INSIDE_TOL, LOCATE_PAIRS, PointLocator, TetMes
                       barycentric_coordinates, signed_volumes)
 
 _JITTER_SEED = 20240915
-# uniform_ball_mesh's stored tets: one int16 array "r<resolution>" per
-# resolution 1.._STORED_RESOLUTIONS, which covers the CLI's default and every
+# uniform_ball_mesh's stored meshes: the int16 arrays "r<resolution>_<name>"
+# for each TetMesh field in _STORED_FIELDS and each resolution
+# 1.._STORED_RESOLUTIONS, which covers the CLI's default and every
 # resolution the benchmark and the tests build
 _TEMPLATE_FILE = "ball_tets.npz"
+_STORED_FIELDS = ("tets", "boundary_faces", "boundary_owners")
 _STORED_RESOLUTIONS = 3
 
 # A point whose barycentric coordinates in a tet are all >= -INSIDE_TOL lies
@@ -75,9 +80,12 @@ def uniform_ball_mesh(resolution: int = 3) -> TetMesh:
     """Near-uniform tetrahedralization of the unit ball: the Delaunay
     triangulation of ``_ball_cloud(resolution)``, a convex cloud.
 
-    The tets of resolutions 1 to ``_STORED_RESOLUTIONS`` are read, on each
-    call, from the package file ``_TEMPLATE_FILE`` (see the module
-    docstring); higher resolutions run qhull.
+    Resolutions 1 to ``_STORED_RESOLUTIONS`` read, on each call, the tets,
+    boundary faces and owners that ``TetMesh.from_arrays`` derives from
+    qhull's tets, from the package file ``_TEMPLATE_FILE`` (see the module
+    docstring), and run no check: the tests compare the stored arrays with
+    that derivation. Higher resolutions run qhull and ``from_arrays``,
+    with all its checks.
 
     ValueError unless ``resolution`` is an integer (not a bool) >= 1;
     FileNotFoundError when a stored resolution's file is missing.
@@ -88,13 +96,12 @@ def uniform_ball_mesh(resolution: int = 3) -> TetMesh:
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     cloud = _ball_cloud(int(resolution))
-    if resolution <= _STORED_RESOLUTIONS:
-        with resources.files(__package__).joinpath(_TEMPLATE_FILE).open("rb") as f, \
-                np.load(f) as stored:
-            tets = stored[f"r{resolution}"]
-    else:
-        tets = Delaunay(cloud).simplices
-    return TetMesh.from_arrays(cloud, tets)
+    if resolution > _STORED_RESOLUTIONS:
+        return TetMesh.from_arrays(cloud, Delaunay(cloud).simplices)
+    with resources.files(__package__).joinpath(_TEMPLATE_FILE).open("rb") as f, \
+            np.load(f) as stored:
+        fields = [stored[f"r{resolution}_{name}"].astype(np.int64) for name in _STORED_FIELDS]
+    return TetMesh._from_validated(cloud, *fields)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ with ``E[:, k]`` edge k, and ``edge_geometry`` turns one such gather into
 volumes and (4, 3, m) hat gradients, handing out their (m, 4, 3) view.
 ``component_major`` and ``per_tet`` switch views without a copy.
 
-Errors: ``TetMesh.from_arrays`` raises ``MeshError`` on malformed arrays or
-more than ``MAX_VERTICES`` vertices,
+Errors: ``TetMesh.from_arrays`` raises ``MeshError`` on malformed arrays
+(wrong shapes, bool or fractional indices, indices out of range,
+non-finite coordinates) or more than ``MAX_VERTICES`` vertices,
 ``DegenerateTetError`` on a degenerate tet and ``TopologyError`` on a bad
-topology; ``PointLocator`` and ``barycentric_coordinates`` raise
+topology, naming the first offending entry, vertex, tet, face or edge;
+``PointLocator`` and ``barycentric_coordinates`` raise
 ``DegenerateTetError`` on a zero-volume tet.
 """
 
@@ -85,6 +87,22 @@ def _unique_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = pairs[:, 0], pairs[:, 1]
     key, counts = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_counts=True)
     return np.column_stack([key // n, key % n]), counts
+
+
+def _whole_indices(tets: np.ndarray) -> np.ndarray:
+    """``tets`` as a C-ordered int64 array; ``MeshError`` naming the first
+    entry of a bool array, or the first entry of a float array that is not a
+    whole number, which the cast would truncate."""
+    if tets.dtype.kind == "b":
+        bad = np.ones(tets.shape, dtype=bool)
+    elif tets.dtype.kind == "f":
+        bad = ~np.isfinite(tets) | (tets != np.trunc(tets))
+    else:
+        return np.ascontiguousarray(tets, dtype=np.int64)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise MeshError(f"tet {i} corner {j} is {tets[i, j].item()!r}, not an integer index")
+    return np.ascontiguousarray(tets, dtype=np.int64)
 
 
 def vertex_rings(faces: np.ndarray, n_vertices: int) -> csr_matrix:
@@ -335,6 +353,14 @@ class TetMesh:
     orientation are repaired at construction by swapping two vertices), the
     boundary is the set of faces incident to exactly one tet, and the boundary
     surface is required to be a single closed genus-0 triangle mesh.
+
+    ``from_arrays`` is the checked path: it validates the arrays (shapes,
+    whole indices in range, finite coordinates, distinct corners, volume,
+    no isolated vertex, manifold faces, boundary topology) and derives the
+    orientation and the boundary. ``_from_validated`` checks nothing and
+    derives only the boundary vertex mask, for arrays ``from_arrays`` has
+    already derived, such as the stored ball templates of
+    ``remesh.uniform_ball_mesh``.
     """
 
     vertices: np.ndarray            # (n, 3) float64
@@ -346,20 +372,26 @@ class TetMesh:
     @classmethod
     def from_arrays(cls, vertices, tets) -> "TetMesh":
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        tets = np.ascontiguousarray(tets, dtype=np.int64)
+        tets = np.asarray(tets)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshError(f"vertices must be (n, 3), got {vertices.shape}")
         if tets.ndim != 2 or tets.shape[1] != 4:
             raise MeshError(f"tets must be (m, 4), got {tets.shape}")
+        tets = _whole_indices(tets)
         n = len(vertices)
         if tets.size and (tets.min() < 0 or tets.max() >= n):
             raise MeshError("tet vertex index out of range")
         if len(tets) == 0:
             raise TopologyError("mesh has no tetrahedra")
-        sorted_t = np.sort(tets, axis=1)
-        if np.any(sorted_t[:, :-1] == sorted_t[:, 1:]):
-            bad = int(np.where(np.any(sorted_t[:, :-1] == sorted_t[:, 1:], axis=1))[0][0])
-            raise DegenerateTetError(f"tet {bad} repeats a vertex")
+        repeats = np.zeros(len(tets), dtype=bool)
+        for i, j in EDGE_LOCAL:
+            repeats |= tets[:, i] == tets[:, j]
+        if repeats.any():
+            raise DegenerateTetError(f"tet {int(np.argmax(repeats))} repeats a vertex")
+        finite = np.isfinite(vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise MeshError(f"vertex {bad} has a non-finite coordinate {vertices[bad].tolist()}")
 
         # Canonical orientation: make every signed volume positive.
         vols = signed_volumes(vertices, tets)
@@ -380,20 +412,28 @@ class TetMesh:
             raise TopologyError(
                 f"{int((~used).sum())} isolated vertices not referenced by any tet")
 
-        boundary, owners = cls._extract_boundary(tets, n)
-        mask = np.zeros(n, dtype=bool)
-        mask[boundary.ravel()] = True
-        cls._check_boundary_topology(boundary)
+        mesh = cls._from_validated(vertices, tets, *cls._extract_boundary(tets, n))
+        cls._check_boundary_topology(mesh.boundary_faces, mesh.boundary_vertex_mask)
+        return mesh
 
-        for arr in (vertices, tets, boundary, mask, owners):
+    @classmethod
+    def _from_validated(cls, vertices, tets, boundary_faces, boundary_owners) -> "TetMesh":
+        """The mesh of arrays as ``from_arrays`` derives them: float64 and
+        int64, C-ordered, positively oriented tets and their boundary faces
+        and owners. It derives the boundary vertex mask, makes every array
+        read-only and checks nothing."""
+        mask = np.zeros(len(vertices), dtype=bool)
+        mask[boundary_faces.ravel()] = True
+        for arr in (vertices, tets, boundary_faces, mask, boundary_owners):
             arr.setflags(write=False)
-        return cls(vertices, tets, boundary, mask, owners)
+        return cls(vertices, tets, boundary_faces, mask, boundary_owners)
 
     @staticmethod
     def _extract_boundary(tets: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
         """Faces incident to exactly one tet, and the index of that tet, in
         the order of the faces' sorted corners. ``MeshError`` above
-        ``MAX_VERTICES``."""
+        ``MAX_VERTICES``; ``TopologyError`` naming the first face (in that
+        order) of more than two tets."""
         if n_vertices > MAX_VERTICES:
             raise MeshError(f"{n_vertices} vertices: boundary extraction keys faces "
                             f"by one int64, which holds at most {MAX_VERTICES}")
@@ -409,24 +449,36 @@ class TetMesh:
         key = key * n_vertices + np.maximum(hi, mid)
         order = np.argsort(key)
         key = key[order]
-        new_group = np.ones(len(order), dtype=bool)
-        new_group[1:] = key[1:] != key[:-1]
-        group_ids = np.cumsum(new_group) - 1
-        counts = np.bincount(group_ids)
-        if counts.max(initial=0) > 2:
-            raise TopologyError("non-manifold face shared by more than two tets")
-        single = order[counts[group_ids] == 1]
+        # differs[j]: sorted faces j - 1 and j differ (true at both ends)
+        differs = np.ones(len(key) + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=differs[1:-1])
+        triple = ~(differs[1:-2] | differs[2:-1])  # faces j, j + 1 and j + 2 equal
+        if triple.any():
+            j = int(np.argmax(triple))
+            count = int(np.searchsorted(key, key[j], side="right")) - j
+            a, b, c = np.sort(faces[order[j]]).tolist()
+            raise TopologyError("non-manifold face shared by more than two tets: "
+                                f"face ({a}, {b}, {c}) is in {count} tets")
+        single = order[differs[:-1] & differs[1:]]
         return np.ascontiguousarray(faces[single]), single // 4
 
     @staticmethod
-    def _check_boundary_topology(boundary: np.ndarray) -> None:
+    def _check_boundary_topology(boundary: np.ndarray, mask: np.ndarray) -> None:
+        """Raise ``TopologyError`` unless the faces ``boundary``, whose
+        vertices ``mask`` marks, form one closed, edge-manifold, genus-0
+        surface; a fault names its first edge or the counts it read."""
         if len(boundary) == 0:
             raise TopologyError("mesh has no boundary faces")
-        bverts, compact = np.unique(boundary, return_inverse=True)
-        pairs = compact.reshape(-1, 3)[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+        bverts = np.flatnonzero(mask)
+        compact = np.zeros(len(mask), dtype=np.int64)
+        compact[bverts] = np.arange(len(bverts))
+        pairs = compact[boundary][:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
         eu, counts = _unique_edges(pairs, len(bverts))  # over compact indices
-        if np.any(counts != 2):
-            raise TopologyError("boundary surface is not closed / not edge-manifold")
+        bad = np.flatnonzero(counts != 2)
+        if bad.size:
+            a, b = bverts[eu[bad[0]]].tolist()
+            raise TopologyError("boundary surface is not closed / not edge-manifold: "
+                                f"edge ({a}, {b}) is in {counts[bad[0]]} faces")
         # components first: k closed genus-0 components sum to Euler
         # characteristic 2k, which the genus test would misname
         adj = coo_matrix((np.ones(len(eu)), (eu[:, 0], eu[:, 1])),

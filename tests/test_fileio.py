@@ -296,3 +296,12 @@ def test_medit_reader_matches_token_loop(medit_dir, sections, end, sep):
     for got, want in zip(fileio._read_medit(str(path)), expected):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_medit_non_finite_coordinates_name_the_vertex(tmp_path, value):
+    # the reader parses them; the mesh refuses them by vertex (0-based)
+    text = MEDIT_ONE_TET.replace("0 1 0 0\n", f"0 {value} 0 0\n")
+    message = rf"vertex 2 has a non-finite coordinate \[0\.0, {value}, 0\.0\]"
+    with pytest.raises(fileio.MeshError, match=message):
+        fileio.load_mesh(_write(tmp_path, "nan.mesh", text))

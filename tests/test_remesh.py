@@ -51,19 +51,49 @@ def test_uniform_ball_takes_a_numpy_integer_resolution():
 
 
 def test_stored_templates_are_the_delaunay_of_their_clouds():
-    # the package file, as an installed package finds it, holds resolutions
-    # 1-3, each the qhull triangulation of its cloud; rows and their corners
-    # are compared as sets, which a qhull version may order otherwise
+    # the package file, as an installed package finds it, holds for
+    # resolutions 1-3 exactly what from_arrays derives from qhull's
+    # triangulation of the cloud, and the template built from it equals
+    # that mesh array for array, with the same write flags
     resource = resources.files("volball").joinpath(remesh._TEMPLATE_FILE)
     assert resource.is_file()
     with resource.open("rb") as f, np.load(f) as stored:
-        tets = {name: stored[name] for name in stored.files}
-    assert sorted(tets) == ["r1", "r2", "r3"] and remesh._STORED_RESOLUTIONS == 3
+        arrays = {name: stored[name] for name in stored.files}
+    fields = ("tets", "boundary_faces", "boundary_owners")
+    assert remesh._STORED_FIELDS == fields and remesh._STORED_RESOLUTIONS == 3
+    assert sorted(arrays) == sorted(f"r{r}_{name}" for r in (1, 2, 3) for name in fields)
     for r in (1, 2, 3):
-        ref = Delaunay(remesh._ball_cloud(r)).simplices
-        assert tets[f"r{r}"].shape == ref.shape
-        assert set(map(tuple, np.sort(tets[f"r{r}"], axis=1))) == \
-            set(map(tuple, np.sort(ref, axis=1)))
+        cloud = remesh._ball_cloud(r)
+        ref = TetMesh.from_arrays(cloud, Delaunay(cloud).simplices)
+        for name in fields:
+            got = arrays[f"r{r}_{name}"]
+            assert got.dtype == np.int16
+            assert got.astype(np.int64).tobytes() == getattr(ref, name).tobytes()
+        mesh = uniform_ball_mesh(r)
+        for name in ("vertices", "tets", "boundary_faces", "boundary_vertex_mask",
+                     "boundary_owners"):
+            got, want = getattr(mesh, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert not want.flags.writeable
+
+
+def test_stored_templates_extract_no_boundary(monkeypatch):
+    # resolutions 1-3 take their boundary from the file; 4 derives it
+    calls = []
+    extract = TetMesh._extract_boundary
+
+    def counted(tets, n_vertices):
+        calls.append(len(tets))
+        return extract(tets, n_vertices)
+
+    monkeypatch.setattr(TetMesh, "_extract_boundary", staticmethod(counted))
+    for r in (1, 2, 3):
+        uniform_ball_mesh(r)
+    assert calls == []
+    mesh = uniform_ball_mesh(4)
+    assert calls == [len(mesh.tets)]
 
 
 def test_uniform_ball_runs_qhull_above_the_stored_resolutions(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -561,3 +563,188 @@ def test_boundary_extraction_limits():
         assert np.array_equal(got, ref)
     with pytest.raises(MeshError, match=f"at most {MAX_VERTICES}"):
         TetMesh._extract_boundary(tets[:2], MAX_VERTICES + 1)
+
+
+def _groups_boundary(tets, n):
+    """Reference: the extraction before neighbour comparisons, grouping the
+    sorted face keys by ``cumsum`` and counting them by ``bincount``."""
+    faces = tets[:, FACE_LOCAL].reshape(-1, 3)
+    f0, f1, f2 = faces.T
+    lo, hi = np.minimum(f0, f1), np.maximum(f0, f1)
+    mid = np.maximum(lo, f2)
+    key = (np.minimum(lo, f2) * n + np.minimum(hi, mid)) * n + np.maximum(hi, mid)
+    order = np.argsort(key)
+    key = key[order]
+    new_group = np.ones(len(order), dtype=bool)
+    new_group[1:] = key[1:] != key[:-1]
+    group_ids = np.cumsum(new_group) - 1
+    counts = np.bincount(group_ids)
+    if counts.max(initial=0) > 2:
+        raise TopologyError("non-manifold face shared by more than two tets")
+    single = order[counts[group_ids] == 1]
+    return np.ascontiguousarray(faces[single]), single // 4
+
+
+def _reference_from_arrays(vertices, tets):
+    """Reference: the validation and derivations of ``from_arrays`` before it
+    compared corner pairs, took the boundary by neighbour comparisons and
+    named faults, as (tets, boundary faces, owners, mask), or its error."""
+    vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+    tets = np.ascontiguousarray(tets, dtype=np.int64)
+    n = len(vertices)
+    if tets.min() < 0 or tets.max() >= n:
+        raise MeshError("tet vertex index out of range")
+    sorted_t = np.sort(tets, axis=1)
+    if np.any(sorted_t[:, :-1] == sorted_t[:, 1:]):
+        bad = int(np.where(np.any(sorted_t[:, :-1] == sorted_t[:, 1:], axis=1))[0][0])
+        raise DegenerateTetError(f"tet {bad} repeats a vertex")
+    vols = signed_volumes(vertices, tets)
+    flip = vols < 0
+    if np.any(flip):
+        tets = tets.copy()
+        tets[flip, 2], tets[flip, 3] = tets[flip, 3], tets[flip, 2].copy()
+        vols = np.abs(vols)
+    diag = float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
+    if np.any(vols < 1e-14 * diag**3):
+        bad = int(np.argmin(vols))
+        raise DegenerateTetError(f"tet {bad} is degenerate (volume {vols[bad]:.3e})")
+    used = np.zeros(n, dtype=bool)
+    used[tets.ravel()] = True
+    if not used.all():
+        raise TopologyError(f"{int((~used).sum())} isolated vertices not referenced by any tet")
+    boundary, owners = _groups_boundary(tets, n)
+    mask = np.zeros(n, dtype=bool)
+    mask[boundary.ravel()] = True
+    bverts, compact = np.unique(boundary, return_inverse=True)
+    pairs = np.sort(compact.reshape(-1, 3)[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+    counts = np.unique(pairs, axis=0, return_counts=True)[1]
+    if np.any(counts != 2):
+        raise TopologyError("boundary surface is not closed / not edge-manifold")
+    return tets, boundary, owners, mask
+
+
+def _bench_solids():
+    from volball.remesh import uniform_ball_mesh
+    from volball.synthetic import (cube_mesh, graded_ellipsoid_mesh, lcube_mesh,
+                                   stretched_ball_mesh)
+    return {"ball2": lambda: uniform_ball_mesh(2), "stretched3": lambda: stretched_ball_mesh(3),
+            "graded1": lambda: graded_ellipsoid_mesh(1), "cube4": lambda: cube_mesh(4),
+            "lcube5": lambda: lcube_mesh(5)}
+
+
+def _relabelled(mesh, seed):
+    """The renumbering of the benchmark's inputs, as raw arrays: seed 0 as
+    is, else vertices and tets permuted by one seeded generator."""
+    if seed == 0:
+        return mesh.vertices, mesh.tets
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(mesh.vertices))
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(len(order))
+    return mesh.vertices[order], new_id[mesh.tets][rng.permutation(len(mesh.tets))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("solid", ["ball2", "stretched3", "graded1", "cube4", "lcube5"])
+def test_boundary_extraction_matches_the_grouped_reference(solid, seed):
+    mesh = _bench_solids()[solid]()
+    vertices, tets = _relabelled(mesh, seed)
+    faces, owners = TetMesh._extract_boundary(tets, len(vertices))
+    ref_faces, ref_owners = _groups_boundary(tets, len(vertices))
+    assert faces.dtype == ref_faces.dtype and faces.tobytes() == ref_faces.tobytes()
+    assert owners.dtype == ref_owners.dtype and owners.tobytes() == ref_owners.tobytes()
+
+
+def _corrupted(fault):
+    """A relabelled ``uniform_ball_mesh(1)`` with one fault: a repeated
+    corner, a flipped tet, a vertex no tet uses, or a new tet on an
+    interior face, which that face then shares with two others."""
+    from volball.remesh import uniform_ball_mesh
+    mesh = uniform_ball_mesh(1)
+    vertices, tets = _relabelled(mesh, 5)
+    tets = tets.copy()
+    if fault == "repeated corner":
+        tets[17, 2] = tets[17, 0]
+    elif fault == "flipped tet":
+        tets[17, [1, 2]] = tets[17, [2, 1]]
+    elif fault == "isolated vertex":
+        vertices = np.vstack([vertices, [5.0, 5.0, 5.0]])
+    else:
+        interior = np.sort(mesh.tets[np.setdiff1d(np.arange(len(mesh.tets)),
+                                                  mesh.boundary_owners)[0]][:3])
+        vertices = np.vstack([mesh.vertices, [5.0, 5.0, 5.0]])
+        tets = np.vstack([mesh.tets, np.r_[interior, len(mesh.vertices)]])
+    return vertices, tets
+
+
+@pytest.mark.parametrize("fault", ["repeated corner", "flipped tet", "isolated vertex",
+                                   "shared face"])
+def test_from_arrays_matches_the_grouped_reference_on_faults(fault):
+    # the same arrays or the same error type and message, apart from the
+    # context a non-manifold face now adds
+    vertices, tets = _corrupted(fault)
+    try:
+        expected = _reference_from_arrays(vertices, tets)
+    except MeshError as err:
+        with pytest.raises(type(err)) as got:
+            TetMesh.from_arrays(vertices, tets)
+        assert type(got.value) is type(err) and str(got.value).startswith(str(err))
+        return
+    mesh = TetMesh.from_arrays(vertices, tets)
+    for got, ref in zip((mesh.tets, mesh.boundary_faces, mesh.boundary_owners,
+                         mesh.boundary_vertex_mask), expected):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_non_manifold_face_names_its_corners_and_tets():
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1],
+                      [1, 1, 1], [1, 1, -1]])
+    for extra, count in (([[1, 0, 2, 5]], 3), ([[1, 0, 2, 5], [2, 0, 1, 6]], 4)):
+        tets = np.vstack([[[0, 1, 2, 3], [0, 1, 2, 4]], extra])
+        with pytest.raises(TopologyError, match=re.escape(
+                "non-manifold face shared by more than two tets: "
+                f"face (0, 1, 2) is in {count} tets")):
+            TetMesh.from_arrays(verts[:tets.max() + 1], tets)
+
+
+def test_open_boundary_names_its_edge_and_faces():
+    # a tet meeting cube_mesh(2) at its boundary edge (25, 26) only: four
+    # boundary faces hold the edge, named by volume vertex ids although the
+    # interior vertex 13 shifts the surface's own numbering
+    from volball.synthetic import cube_mesh
+    cube = cube_mesh(2)
+    verts = np.vstack([cube.vertices, [[2.0, 2.0, 0.5], [1.5, 2.5, 0.2]]])
+    tets = np.vstack([cube.tets, [[25, 26, 27, 28]]])
+    with pytest.raises(TopologyError, match=re.escape(
+            "boundary surface is not closed / not edge-manifold: edge (25, 26) is in 4 faces")):
+        TetMesh.from_arrays(verts, tets)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_rejected(value):
+    from volball.synthetic import cube_mesh
+    cube = cube_mesh(2)
+    verts = cube.vertices.copy()
+    verts[[5, 9], 1] = value
+    with pytest.raises(MeshError, match=re.escape(
+            f"vertex 5 has a non-finite coordinate [-1.0, {value}, 1.0]")) as err:
+        TetMesh.from_arrays(verts, cube.tets)
+    assert type(err.value) is MeshError
+
+
+@pytest.mark.parametrize("tets, message", [
+    ([[0, 1, 2, 3], [1, 2, 3, 4.0], [0, 1, 2, 3.7]], "tet 2 corner 3 is 3.7"),
+    ([[0, 1, 2, 3], [1, 2, np.nan, 4]], "tet 1 corner 2 is nan"),
+    ([[0, 1, 2, 3], [1, 2, np.inf, 4]], "tet 1 corner 2 is inf"),
+    (np.ones((2, 4), dtype=bool), "tet 0 corner 0 is True"),
+])
+def test_tet_indices_must_be_integers(tets, message):
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    with pytest.raises(MeshError, match=re.escape(f"{message}, not an integer index")):
+        TetMesh.from_arrays(verts, np.asarray(tets))
+
+
+def test_whole_valued_float_indices_are_accepted(two_tet_mesh):
+    mesh = TetMesh.from_arrays(two_tet_mesh.vertices, two_tet_mesh.tets.astype(np.float64))
+    assert mesh.tets.dtype == np.int64
+    assert mesh.tets.tobytes() == two_tet_mesh.tets.tobytes()
