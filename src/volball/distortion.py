@@ -11,24 +11,34 @@ orthonormal frames (det +1) and (m, 3) signed triples.
 
 Contract: the dilation triple of J = E E_rest^-1 is a >= b >= |c|, the
 singular values of J with sign(c) = sign(det J), so the ratio a/c is
-negative exactly on inverted tets. a and b come from a batched cyclic Jacobi
-solver on J^T J (no LAPACK), run until every tet's off-diagonal sum is at
-most 1e-15 of its diagonal sum; c = det J / (a b) keeps a/c accurate to a
-few ulps. ``dilations`` returns the triples of ``frame_decompose`` bitwise,
-without eigenvectors; a converged tet leaves its sweeps once a bound shows
-that the rotations left can move neither its values nor the batch's sweep
-count (``_sym3_eigh``). The 3dqc coefficient (``residual_coefficients``)
-needs no frames: it comes from the closed-form stretch tensor sqrt(J^T J)
-and agrees with the frame form to 3e-11 relative up to K = 1e5 (CHANGES.md,
-"3dqc runs without eigenvectors"). Frames are computed only for 3ddeq's
-advected map, whose increment is taken index-wise in its frames and so is
-not affine in sqrt(J^T J), and for the tets a rebuild screens
-(``fold_candidates``); ``reconstruct_map`` gives every other tet the current
-map's own stiffness.
+negative exactly on inverted tets; c = det J / (a b) keeps a/c accurate to
+a few ulps. ``dilations`` takes a^2 and b^2 from O. K. Smith's closed form
+for the eigenvalues of C = J^T J (CACM 4(4), 1961; ``_smith_roots``):
+q + 2 p cos(acos(r) / 3 + 2 pi k / 3) with q = tr C / 3, B = C - q I,
+p = sqrt(tr B^2 / 6) and r = det B / (2 p^3) clipped to [-1, 1], and q
+itself where p = 0. Rounding moves r by a few eps, so the angle by that
+over 3 sqrt(1 - r^2) and the roots by 2 p times as much, and q's rounding
+moves them by eps q: to first order a root is off by a small multiple of
+eps (q + p) / sqrt(1 - r^2) (the tests check 4 times it). A tet keeps its
+roots where that bound is at most 64 eps times the middle root. The others
+(near-repeated roots with a spread spectrum, or a >> b: 0.03% of the 3dqc
+and 1% of the 3ddem tets of the benchmark) fall back, as in J. Kopp (Int.
+J. Mod. Phys. C 19, 2008), to a batched cyclic Jacobi solver on C
+(``_sym3_eigh``, no LAPACK) run until every tet's off-diagonal sum is at
+most 1e-15 of its diagonal sum, which alone gives ``frame_decompose`` its
+values and frames. The triples agree with the Jacobi ones to 21 eps
+relative. The 3dqc coefficient (``residual_coefficients``) needs no
+frames: it comes from the closed-form stretch tensor sqrt(J^T J) and agrees
+with the frame form to 3e-11 relative up to K = 1e5 (CHANGES.md, "3dqc runs
+without eigenvectors"). Frames are computed only for 3ddeq's advected map,
+whose increment is taken index-wise in its frames and so is not affine in
+sqrt(J^T J), and for the tets a rebuild screens (``fold_candidates``);
+``reconstruct_map`` gives every other tet the current map's own stiffness.
 
 Errors: ``FrameError`` (a ValueError) names the first offending tet: a
 singular J (|det J| <= 1e-14), a Jacobi solve unconverged after
-``_MAX_SWEEPS`` sweeps, or a triple an operator cannot take. ValueError on
+``_MAX_SWEEPS`` sweeps (by its index in the whole stack, also in
+``dilations``' fallback), or a triple an operator cannot take. ValueError on
 a residual constant <= 0, a truncation threshold <= 1, or a reconstruction
 with no fixed vertex.
 """
@@ -145,38 +155,23 @@ def _gram(J: np.ndarray) -> tuple[list, dict]:
             {(p, q): _dot(cols[p], cols[q]) for p, q in ((0, 1), (0, 2), (1, 2))})
 
 
-def _sym3_eigh(diag: list, off: dict, vectors: bool):
-    """Eigenpairs of a stack of symmetric 3 x 3 matrices by cyclic Jacobi.
+def _sym3_eigh(diag: list, off: dict, vectors: bool, tets=None):
+    """Eigenpairs of a stack of symmetric 3 x 3 matrices by cyclic Jacobi:
+    the frames of ``frame_decompose`` and the values of the tets whose
+    closed-form roots ``dilations`` cannot certify.
 
     The matrices are given by their diagonal [C00, C11, C22] and off-diagonal
     {(p, q): Cpq} entries, as ``_gram`` makes them; the caller's list and
     dict are left as they are. Returns eigenvalues (m, 3) in descending
     order and, with ``vectors``, the matching orthonormal eigenvectors as the
     columns of (m, 3, 3), else None. The eigenvalues do not depend on
-    ``vectors``: the same sweeps run either way, without the accumulation of
-    the rotations and, below, the rotations that can no longer move a value.
-
-    Without ``vectors``, a tet leaves the sweeps at a check where at least
-    half the swept tets have converged, if it has converged and ``_retired``
-    holds for it: with s = C01^2 + C02^2 + C12^2,
-
-        s < 2^-55 min_k |Ckk| min_{p<q} |Cqq - Cpp|,  12 s <= (1e-15 sum_k |Ckk|)^2.
-
-    A rotation (p, q) it would have had moves Cpp and Cqq by t Cpq with
-    |t| <= |Cpq| / |Cqq - Cpp|, so by at most s / min |Cqq - Cpp|, under a
-    quarter of the float spacing at either: both stay bitwise. The rotation
-    zeroes Cpq and turns the other two entries orthogonally, so s does not
-    grow and both bounds hold at the next rotation too. The off-diagonal sum
-    stays at most sqrt(3 s), half the tolerance, so the tet would have passed
-    every later check: its leaving changes neither its values nor the sweep
-    count. (This holds for entries far from under- and overflow, as the Gram
-    entries of checked Jacobians are.) Compacting pays only in the tail: on
-    the benchmark's meshes most tets converge after three sweeps and a few
-    per thousand need a fourth, while compacting earlier, with most tets
-    still live, costs more than it saves. The values are then sorted by a
+    ``vectors``: the same sweeps run either way, only the accumulation of the
+    rotations is left out. Without ``vectors`` the values are sorted by a
     min/max network: the diagonal is never -0.0 (sums of squares, and a
     difference that cancels rounds to +0.0), so equal values are equal bits
-    and the network gives the values of the order bitwise.
+    and the network gives the values of the order bitwise. The
+    ``FrameError`` of an unconverged solve names the tet by its index in
+    ``tets``, the rows' indices in a larger stack, when given.
     """
     diag, off = list(diag), dict(off)
     m = len(diag[0])
@@ -185,29 +180,17 @@ def _sym3_eigh(diag: list, off: dict, vectors: bool):
         V = np.zeros((3, 3, m))
         for i in range(3):
             V[i, i] = 1.0
-    live = values = None  # after a retirement: swept tets' indices, every tet's values
     zero = np.zeros(m)
     sweeps = 0
     while True:
         excess = (np.abs(off[0, 1]) + np.abs(off[0, 2]) + np.abs(off[1, 2])
                   - 1e-15 * (np.abs(diag[0]) + np.abs(diag[1]) + np.abs(diag[2])))
-        converged = excess <= 0.0
-        if np.all(converged):
+        if np.all(excess <= 0.0):
             break
         if sweeps == _MAX_SWEEPS:
             bad = int(np.argmax(excess))
             raise FrameError(f"Jacobi eigensolver did not converge on tet "
-                             f"{bad if live is None else live[bad]} in {_MAX_SWEEPS} sweeps")
-        if V is None and 2 * np.count_nonzero(converged) >= len(converged):
-            done = converged & _retired(diag, off)
-            if values is None:
-                live, values = np.arange(m), np.empty((3, m))
-            for k in range(3):
-                values[k, live[done]] = diag[k][done]
-            keep = ~done
-            live, zero = live[keep], zero[keep]
-            diag = [x[keep] for x in diag]
-            off = {key: x[keep] for key, x in off.items()}
+                             f"{bad if tets is None else tets[bad]} in {_MAX_SWEEPS} sweeps")
         for (p, q), rp, rq in _ROTATIONS:
             apq = off[p, q]
             tau = diag[q] - diag[p]
@@ -228,10 +211,6 @@ def _sym3_eigh(diag: list, off: dict, vectors: bool):
                 V[:, q] = s * vp + c * vq
         sweeps += 1
     if V is None:
-        if values is not None:
-            for k in range(3):
-                values[k, live] = diag[k]
-            diag = values
         return _descending(*diag), None
     evals = np.stack(diag, axis=1)
     order = np.argsort(-evals, axis=1, kind="stable")
@@ -239,15 +218,27 @@ def _sym3_eigh(diag: list, off: dict, vectors: bool):
     return evals, np.take_along_axis(np.moveaxis(V, 2, 0), order[:, None, :], axis=2)
 
 
-def _retired(diag: list, off: dict) -> np.ndarray:
-    """Mask of the matrices whose later Jacobi rotations can move no
-    diagonal entry and cannot make them unconverged (``_sym3_eigh``)."""
-    d0, d1, d2 = (np.abs(x) for x in diag)
-    s = off[0, 1] * off[0, 1] + off[0, 2] * off[0, 2] + off[1, 2] * off[1, 2]
-    gap = np.minimum(np.minimum(np.abs(diag[1] - diag[0]), np.abs(diag[2] - diag[0])),
-                     np.abs(diag[2] - diag[1]))
-    tol = 1e-15 * (d0 + d1 + d2)
-    return (s < 2.0 ** -55 * np.minimum(np.minimum(d0, d1), d2) * gap) & (12.0 * s <= tol * tol)
+def _smith_roots(diag: list, off: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Smith's trigonometric eigenvalues (m, 3), descending, of a stack of
+    symmetric positive definite 3 x 3 matrices given as ``_gram`` gives
+    them, and the scale (q + p) / sqrt(1 - r^2) of their error bound (module
+    docstring), inf where r = +-1."""
+    d0, d1, d2 = diag
+    o01, o02, o12 = off[0, 1], off[0, 2], off[1, 2]
+    # the deviator B = C - q I from the differences of the diagonal, so that
+    # the rounding of q is not in it; q = C00 - B00 is C00 exactly when p = 0
+    e01, e02, e12 = d0 - d1, d0 - d2, d1 - d2
+    b0, b1, b2 = (e01 + e02) / 3.0, (e12 - e01) / 3.0, -(e02 + e12) / 3.0
+    q = d0 - b0
+    p = np.sqrt((e01 * e01 + e02 * e02 + e12 * e12) / 18.0
+                + (o01 * o01 + o02 * o02 + o12 * o12) / 3.0)
+    r = np.clip(_det3(((b0, o01, o02), (o01, b1, o12), (o02, o12, b2)))
+                / np.maximum(2.0 * p * p * p, 1e-300), -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    c, t = p * np.cos(phi), np.sqrt(3.0) * p * np.sin(phi)
+    with np.errstate(divide="ignore"):
+        scale = (q + p) / np.sqrt(1.0 - r * r)
+    return np.stack([q + 2.0 * c, q + (t - c), q - (t + c)], axis=1), scale
 
 
 def _descending(x0, x1, x2) -> np.ndarray:
@@ -295,13 +286,20 @@ def frame_decompose(J: np.ndarray) -> TetFrameField:
 
 def dilations(J: np.ndarray, gram=None) -> np.ndarray:
     """Signed dilation eigenvalues (m, 3), a >= b >= |c|, of one or many
-    Jacobians: bitwise ``frame_decompose(J).lambdas`` (the same Jacobi sweeps
-    on the same Gram entries, without the eigenvectors; converged tets leave
-    the sweeps as ``_sym3_eigh`` says), and the same ``FrameError`` on a
-    singular J. ``gram``, the ``_gram(J)`` entries when the caller holds
-    them, spares recomputing them."""
+    Jacobians, without frames: ``frame_decompose(J).lambdas`` to within
+    64 eps relative, and the same ``FrameError`` on a singular J. a and b
+    are ``_smith_roots``' where their error bound is at most 64 eps times
+    the middle root; the other rows, NaN rows included, take the Jacobi
+    solver's values. ``gram``, the ``_gram(J)`` entries when the caller
+    holds them, spares recomputing them."""
     J, det = _checked_jacobians(J)
-    eigvals, _ = _sym3_eigh(*(gram or _gram(J)), vectors=False)
+    diag, off = gram or _gram(J)
+    eigvals, scale = _smith_roots(diag, off)
+    unsure = np.flatnonzero(~(scale <= 64.0 * eigvals[:, 1]))
+    if len(unsure):
+        eigvals[unsure] = _sym3_eigh([x[unsure] for x in diag],
+                                     {key: x[unsure] for key, x in off.items()}, False,
+                                     unsure)[0]
     return _signed_triples(eigvals, det)
 
 

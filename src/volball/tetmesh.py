@@ -91,18 +91,19 @@ def _unique_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _whole_indices(tets: np.ndarray) -> np.ndarray:
     """``tets`` as a C-ordered int64 array; ``MeshError`` naming the first
-    entry of a bool array, or the first entry of a float array that is not a
-    whole number, which the cast would truncate."""
-    if tets.dtype.kind == "b":
-        bad = np.ones(tets.shape, dtype=bool)
-    elif tets.dtype.kind == "f":
-        bad = ~np.isfinite(tets) | (tets != np.trunc(tets))
-    else:
+    entry the cast would truncate: any entry of a bool array, and an entry
+    of a float, complex or object array that is not a whole number."""
+    kind = tets.dtype.kind
+    if kind not in "bfcO":
         return np.ascontiguousarray(tets, dtype=np.int64)
+    values = tets.astype(np.complex128) if kind == "O" else tets
+    bad = (np.ones(tets.shape, dtype=bool) if kind == "b"
+           else ~np.isfinite(values) | (values != np.trunc(values.real)))
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise MeshError(f"tet {i} corner {j} is {tets[i, j].item()!r}, not an integer index")
-    return np.ascontiguousarray(tets, dtype=np.int64)
+        raise MeshError(f"tet {i} corner {j} is {np.asarray(tets[i, j]).item()!r}, "
+                        "not an integer index")
+    return np.ascontiguousarray(values.real, dtype=np.int64)
 
 
 def vertex_rings(faces: np.ndarray, n_vertices: int) -> csr_matrix:

@@ -174,7 +174,16 @@ def _mesh_jacobians(mesh, seed=7):
     return jacobian_per_tet(mesh, pos)
 
 
-def test_dilations_bitwise_equal_frame_lambdas(ball_mesh):
+_EPS = np.finfo(np.float64).eps
+
+
+def _assert_within(lam, expected, ulps, name=""):
+    """Each entry of ``lam`` within ``ulps`` eps of ``expected``, relative."""
+    err = np.abs(lam - expected)
+    assert np.all(err <= ulps * _EPS * np.abs(expected)), (name, np.max(err / np.abs(expected)))
+
+
+def test_dilations_agree_with_frame_lambdas(ball_mesh):
     rng = np.random.default_rng(11)
     cases = {"random": rng.normal(size=(1000, 3, 3)),
              "identity": np.eye(3),
@@ -184,14 +193,15 @@ def test_dilations_bitwise_equal_frame_lambdas(ball_mesh):
     for name, J in cases.items():
         lam = dilations(J)
         assert lam.shape == (len(J) if J.ndim == 3 else 1, 3), name
-        assert np.array_equal(lam, frame_decompose(J).lambdas), name
+        _assert_within(lam, frame_decompose(J).lambdas, 64, name)
     assert dilations(np.diag([-1.0, 1.0, 1.0]))[0, 2] == -1.0
 
 
-def _mixed_jacobians(seed, n_random, n_near_identity, n_repeated, n_anisotropic):
-    """A shuffled stack of Jacobians that leave the Jacobi sweeps early and
-    late, a fifth of them reflected: random ones; s I plus noise of 1e-15 to
-    1e-9; near-repeated singular value pairs; ratios K up to 1e8."""
+def _mixed_jacobians(seed, n_random, n_near_identity, n_repeated, n_anisotropic, n_spread=0):
+    """A shuffled stack of Jacobians with near-repeated and far-apart
+    singular values, a fifth of them reflected: random ones; s I plus noise
+    of 1e-15 to 1e-9; near-repeated singular value pairs; ratios K up to
+    1e8; singular values spread over four decades."""
     rng = np.random.default_rng(seed)
 
     def rotation():
@@ -207,6 +217,7 @@ def _mixed_jacobians(seed, n_random, n_near_identity, n_repeated, n_anisotropic)
     for _ in range(n_anisotropic):
         K = 10.0 ** rng.uniform(0.0, 8.0)
         singular.append([K, 10.0 ** rng.uniform(0.0, np.log10(K)), 1.0])
+    singular.extend(10.0 ** rng.uniform(-2.0, 2.0, (n_spread, 3)))
     J = np.concatenate([rng.normal(size=(n_random, 3, 3)),
                         s * np.eye(3) + noise * rng.normal(size=(n_near_identity, 3, 3)),
                         np.array([(rotation() * v) @ rotation().T
@@ -215,47 +226,88 @@ def _mixed_jacobians(seed, n_random, n_near_identity, n_repeated, n_anisotropic)
     return J[rng.permutation(len(J))]
 
 
+_MIXED = (st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 80),
+          st.integers(0, 20), st.integers(0, 20), st.integers(0, 40))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 80),
-       st.integers(0, 20), st.integers(0, 20))
-def test_dilations_bitwise_on_early_and_late_convergers(seed, n_random, n_near_identity,
-                                                       n_repeated, n_anisotropic):
-    # tets that leave the values-only sweeps early keep the values the frame
-    # path, which sweeps every tet to the end, gives them
-    J = _mixed_jacobians(seed, n_random, n_near_identity, n_repeated, n_anisotropic)
-    assert np.array_equal(dilations(J), frame_decompose(J).lambdas)
+@given(*_MIXED, st.floats(-2.0, 3.0))
+def test_dilations_agree_with_frame_lambdas_on_mixed_stacks(seed, n_random, n_near_identity,
+                                                            n_repeated, n_anisotropic,
+                                                            n_spread, log_scale):
+    # closed-form rows and Jacobi rows alike, on any scale of the spectrum
+    J = 10.0 ** log_scale * _mixed_jacobians(seed, n_random, n_near_identity, n_repeated,
+                                             n_anisotropic, n_spread)
+    _assert_within(dilations(J), frame_decompose(J).lambdas, 64)
 
 
-def test_dilations_keep_the_sweep_count_and_name_tets_in_the_full_batch(monkeypatch):
-    # most tets leave early; under every sweep cap the values path raises
-    # exactly when the frame path does, naming the same tet of the full stack
-    J = _mixed_jacobians(5, 30, 70, 10, 10)
-    retire, left = distortion._retired, []
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs an extended long double")
+@settings(max_examples=100, deadline=None)
+@given(*_MIXED)
+def test_smith_roots_within_their_error_bound(seed, n_random, n_near_identity, n_repeated,
+                                              n_anisotropic, n_spread):
+    # the module docstring's first-order bound, a small multiple of
+    # eps (q + p) / sqrt(1 - r^2), holds at 4 times it on every row the
+    # closed form keeps; the reference is the Jacobi solve of the same
+    # entries in long double
+    diag, off = distortion._gram(_mixed_jacobians(seed, n_random, n_near_identity,
+                                                  n_repeated, n_anisotropic, n_spread))
+    roots, scale = distortion._smith_roots(diag, off)
+    exact, _ = distortion._sym3_eigh([x.astype(np.longdouble) for x in diag],
+                                     {key: x.astype(np.longdouble) for key, x in off.items()},
+                                     vectors=False)
+    kept = scale <= 64.0 * roots[:, 1]
+    err = np.abs(roots - exact).astype(np.float64)
+    assert np.all(err[kept] <= 4.0 * _EPS * scale[kept, None])
+    # and a kept middle root is within 4 * 64 eps of its own size
+    assert np.all(err[kept, 1] <= 256.0 * _EPS * roots[kept, 1])
 
-    def recorded(diag, off):
-        mask = retire(diag, off)
-        left.append(int(np.count_nonzero(mask)))
-        return mask
 
-    monkeypatch.setattr(distortion, "_retired", recorded)
-    outcomes = []
-    for cap in range(distortion._MAX_SWEEPS + 1):
-        monkeypatch.setattr(distortion, "_MAX_SWEEPS", cap)
-        results = []
-        for run in (lambda: frame_decompose(J).lambdas, lambda: dilations(J)):
-            try:
-                results.append(run())
-            except FrameError as exc:
-                results.append(str(exc))
-        expected, got = results
-        assert type(got) is type(expected), cap
-        assert got == expected if isinstance(got, str) else np.array_equal(got, expected)
-        outcomes.append(isinstance(got, str))
-    # the caps below the sweep count raise, after tets have left the batch,
-    # and a later one does not; the named tet is not the first
-    assert outcomes[0] and not outcomes[-1] and sum(left) > 0
-    monkeypatch.setattr(distortion, "_MAX_SWEEPS", outcomes.index(False) - 1)
-    with pytest.raises(FrameError, match=r"on tet [1-9]"):
+@pytest.mark.parametrize("s", [0.5, 1.0, 3.0, -2.0, 1e-3])
+def test_dilations_of_a_multiple_of_the_identity_are_exact(s):
+    # p = 0: the roots are q = s^2 itself, with no Jacobi fallback
+    J = np.stack([s * np.eye(3)] * 4)
+    assert np.array_equal(distortion._smith_roots(*distortion._gram(J))[0],
+                          np.full((4, 3), s * s))
+    assert np.array_equal(dilations(J), np.tile([abs(s), abs(s), s], (4, 1)))
+
+
+def test_dilations_of_diag_2_1_1_are_exact():
+    assert np.array_equal(dilations(np.diag([2.0, 1.0, 1.0])), [[2.0, 1.0, 1.0]])
+    assert np.array_equal(dilations(np.diag([1.0, 2.0, 1.0])), [[2.0, 1.0, 1.0]])
+
+
+def _rotated(singular, seed=4):
+    """Jacobians U diag(singular) V^T with random rotations U and V."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(len(singular), 3, 3)))[0]
+    V = np.linalg.qr(rng.normal(size=(len(singular), 3, 3)))[0]
+    return (U * np.asarray(singular, dtype=np.float64)[:, None, :]) @ np.swapaxes(V, 1, 2)
+
+
+def test_dilations_fall_back_on_exact_double_roots(monkeypatch):
+    # rows 2 and 5 have a double singular value; the Jacobi solver takes
+    # them, and only them, and names them by their index in the whole stack
+    singular = [[3.0, 2.0, 1.0]] * 8
+    singular[2], singular[5] = [2.0, 2.0, 1.0], [3.0, 1.0, 1.0]
+    J = _rotated(singular)
+    sweep, calls = distortion._sym3_eigh, []
+
+    def swept(diag, off, vectors, tets=None):
+        calls.append((list(tets), vectors))
+        return sweep(diag, off, vectors, tets)
+
+    monkeypatch.setattr(distortion, "_sym3_eigh", swept)
+    lam = dilations(J)
+    assert calls == [([2, 5], False)]
+    _assert_within(lam, np.asarray(singular), 64)
+
+
+def test_dilations_fallback_names_tets_in_the_full_stack(monkeypatch):
+    J = _rotated([[3.0, 2.0, 1.0]] * 5 + [[2.0, 2.0, 1.0]] + [[3.0, 2.0, 1.0]] * 3)
+    monkeypatch.setattr(distortion, "_MAX_SWEEPS", 0)
+    with pytest.raises(FrameError, match="did not converge on tet 5 in 0 sweeps"):
         dilations(J)
 
 

@@ -401,7 +401,7 @@ def test_solvers_run_without_batched_lapack(monkeypatch, ball_mesh):
     def refuse(*args, **kwargs):
         raise AssertionError("batched LAPACK call on the solver path")
 
-    for name in ("eigh", "det", "solve"):
+    for name in ("eigh", "eigvalsh", "svd", "det", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse)
     pop = hemispheric_population(ball_mesh, 4.0)
     dem_res = run_3ddem(ball_mesh, pop, SolverConfig(n_max=3))
@@ -875,21 +875,27 @@ def test_3ddem_correction_decomposes_only_screened_tets(monkeypatch, ball_mesh):
 
 def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh):
     # each rebuild sends the Jacobi solver only the rows that pass its
-    # screen, in one sweep with frames, every full-mesh sweep is a settle
-    # read, and no position set is gathered twice for its gradients or
+    # screen, in one sweep with frames; every full-mesh eigenvalue call is a
+    # settle read, whose only Jacobi sweep is its fallback's few rows, without
+    # frames; and no position set is gathered twice for its gradients or
     # Jacobians: by a settle read, a rebuild or a solve
     from volball import distortion, drivers
     events, reads = [], []
     screen, sweep = drivers.fold_candidates, distortion._sym3_eigh
+    roots = distortion._smith_roots
 
     def screened(J, ratio=None):
         rows = screen(J, ratio)
         events.append(("screen", len(rows)))
         return rows
 
-    def swept(diag, off, vectors):
+    def swept(diag, off, vectors, tets=None):
         events.append(("sweep", len(diag[0]), vectors))
-        return sweep(diag, off, vectors)
+        return sweep(diag, off, vectors, tets)
+
+    def solved(diag, off):
+        events.append(("roots", len(diag[0])))
+        return roots(diag, off)
 
     def read(positions, tets):
         reads.append(np.asarray(positions).tobytes())
@@ -901,6 +907,7 @@ def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh
 
     monkeypatch.setattr(drivers, "fold_candidates", screened)
     monkeypatch.setattr(distortion, "_sym3_eigh", swept)
+    monkeypatch.setattr(distortion, "_smith_roots", solved)
     for module in (distortion, drivers):
         monkeypatch.setattr(module, "corner_edges", read)
     monkeypatch.setattr(distortion, "tet_gradients", read_gradients)
@@ -916,8 +923,11 @@ def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh
             _, rows, vectors = events.pop(0)
             assert rows == event[1] < m and vectors
         else:
-            assert event == ("sweep", m, False)
+            assert event == ("roots", m)
             full += 1
+            if events and events[0][0] == "sweep":
+                _, rows, vectors = events.pop(0)
+                assert rows < m and not vectors
     assert rebuilds > 0
     # the initial ball and each iterate are read once each
     assert full == 1 + len(result.report.iterations)
@@ -927,26 +937,34 @@ def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh
 def test_3dqc_iterate_decomposes_once(monkeypatch):
     # the residual step's coefficient comes from each iterate's Jacobians and
     # triples: no 3dqc run frames a tet, and each iterate (the initial ball
-    # and every candidate) makes one full-mesh eigenvalue-only sweep
+    # and every candidate) makes one full-mesh eigenvalue call, whose Jacobi
+    # fallback, if any, takes a few rows without frames
     from volball import distortion
     mesh = stretched_ball_mesh(1)
     ball = run_3dqc(mesh, SolverConfig(n_max=1)).initial_positions
-    sweep = distortion._sym3_eigh
+    sweep, roots = distortion._sym3_eigh, distortion._smith_roots
     for n_max in (1, 3):
-        sweeps = []
+        calls, sweeps = [], []
 
-        def swept(diag, off, vectors):
+        def swept(diag, off, vectors, tets=None):
             sweeps.append((len(diag[0]), vectors))
-            return sweep(diag, off, vectors)
+            return sweep(diag, off, vectors, tets)
+
+        def solved(diag, off):
+            calls.append(len(diag[0]))
+            return roots(diag, off)
 
         with monkeypatch.context() as mp:
             rows = _decomposed_rows(mp)
             mp.setattr(distortion, "_sym3_eigh", swept)
+            mp.setattr(distortion, "_smith_roots", solved)
             result = run_3dqc(mesh, SolverConfig(n_max=n_max), init_positions=ball)
         assert len(result.report.iterations) == n_max + 1
         assert all(it["folds_pre"] == 0 for it in result.report.iterations)
         assert rows == []
-        assert sweeps == [(len(mesh.tets), False)] * (n_max + 1)
+        assert calls == [len(mesh.tets)] * (n_max + 1)
+        assert len(sweeps) <= len(calls)
+        assert all(n < len(mesh.tets) and not vectors for n, vectors in sweeps)
 
 
 _THREAD_RUNS = """

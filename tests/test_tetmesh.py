@@ -1,4 +1,6 @@
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -737,6 +739,12 @@ def test_non_finite_coordinates_rejected(value):
     ([[0, 1, 2, 3], [1, 2, np.nan, 4]], "tet 1 corner 2 is nan"),
     ([[0, 1, 2, 3], [1, 2, np.inf, 4]], "tet 1 corner 2 is inf"),
     (np.ones((2, 4), dtype=bool), "tet 0 corner 0 is True"),
+    (np.array([[0, 1, 2, 3], [0, 1, 2, 3.7]], dtype=object), "tet 1 corner 3 is 3.7"),
+    (np.array([[0, 1, 2, 3], [1, 2, 3, Fraction(7, 2)]], dtype=object),
+     "tet 1 corner 3 is Fraction(7, 2)"),
+    (np.array([[0, 1, 2, 3], [1, 2, 3, None]], dtype=object), "tet 1 corner 3 is None"),
+    (np.array([[0, 1, 2, 3], [0, 1, 2, 3.7 + 0j]]), "tet 1 corner 3 is (3.7+0j)"),
+    (np.array([[0, 1, 2, 3 + 1j], [1, 2, 3, 4]]), "tet 0 corner 3 is (3+1j)"),
 ])
 def test_tet_indices_must_be_integers(tets, message):
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
@@ -746,5 +754,19 @@ def test_tet_indices_must_be_integers(tets, message):
 
 def test_whole_valued_float_indices_are_accepted(two_tet_mesh):
     mesh = TetMesh.from_arrays(two_tet_mesh.vertices, two_tet_mesh.tets.astype(np.float64))
+    assert mesh.tets.dtype == np.int64
+    assert mesh.tets.tobytes() == two_tet_mesh.tets.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [object, np.complex128])
+def test_whole_valued_object_and_complex_indices_are_accepted(two_tet_mesh, dtype):
+    # whole floats and ints mixed in an object array, and a complex array
+    # with zero imaginary parts, without a ComplexWarning
+    tets = two_tet_mesh.tets.astype(dtype)
+    if dtype is object:
+        tets[0] = [float(x) for x in tets[0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = TetMesh.from_arrays(two_tet_mesh.vertices, tets)
     assert mesh.tets.dtype == np.int64
     assert mesh.tets.tobytes() == two_tet_mesh.tets.tobytes()
