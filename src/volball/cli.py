@@ -154,14 +154,9 @@ def _cmd_remesh(args) -> int:
         raise CliError(f"--resolution must be at least 1, got {args.resolution}")
     mesh, config, population = _load(args)
     result = drivers.run_method(args.method, mesh, population, config)
-    template = remesh.uniform_ball_mesh(args.resolution)
-    positions, snapped = remesh.pullback(mesh, result.positions, template)
-    quality = remesh.quality_metrics(template.tets, positions)
-    result.report.final["delta_size"] = quality.delta_size
-    result.report.final["delta_shape"] = quality.delta_shape
-    result.report.final["snapped_template_vertices"] = snapped
-    # quality_metrics scores |volume|, so an inverted output tet shows only here
-    result.report.final["remeshed_folds"] = template.count_folds(positions)
+    template, positions, final = remesh.remesh_through(mesh, result.positions,
+                                                       args.resolution)
+    result.report.final.update(final)
     fileio.save_mesh_with_vtk(_output(args, "remeshed"),
                               os.path.join(args.outdir, "remeshed.vtk"),
                               positions, template.tets)

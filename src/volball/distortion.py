@@ -166,12 +166,9 @@ def _sym3_eigh(diag: list, off: dict, vectors: bool, tets=None):
     order and, with ``vectors``, the matching orthonormal eigenvectors as the
     columns of (m, 3, 3), else None. The eigenvalues do not depend on
     ``vectors``: the same sweeps run either way, only the accumulation of the
-    rotations is left out. Without ``vectors`` the values are sorted by a
-    min/max network: the diagonal is never -0.0 (sums of squares, and a
-    difference that cancels rounds to +0.0), so equal values are equal bits
-    and the network gives the values of the order bitwise. The
-    ``FrameError`` of an unconverged solve names the tet by its index in
-    ``tets``, the rows' indices in a larger stack, when given.
+    rotations is left out. The ``FrameError`` of an unconverged solve names
+    the tet by its index in ``tets``, the rows' indices in a larger stack,
+    when given.
     """
     diag, off = list(diag), dict(off)
     m = len(diag[0])
@@ -210,11 +207,11 @@ def _sym3_eigh(diag: list, off: dict, vectors: bool, tets=None):
                 V[:, p] = c * vp - s * vq
                 V[:, q] = s * vp + c * vq
         sweeps += 1
-    if V is None:
-        return _descending(*diag), None
     evals = np.stack(diag, axis=1)
     order = np.argsort(-evals, axis=1, kind="stable")
     evals = np.take_along_axis(evals, order, axis=1)
+    if V is None:
+        return evals, None
     return evals, np.take_along_axis(np.moveaxis(V, 2, 0), order[:, None, :], axis=2)
 
 
@@ -239,18 +236,6 @@ def _smith_roots(diag: list, off: dict) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):
         scale = (q + p) / np.sqrt(1.0 - r * r)
     return np.stack([q + 2.0 * c, q + (t - c), q - (t + c)], axis=1), scale
-
-
-def _descending(x0, x1, x2) -> np.ndarray:
-    """The rows (m, 3) of three value arrays, each sorted descending by a
-    min/max network."""
-    hi, lo = np.maximum(x0, x1), np.minimum(x0, x1)
-    mid = np.minimum(hi, x2)
-    out = np.empty((len(x0), 3))
-    np.maximum(hi, x2, out=out[:, 0])
-    np.maximum(lo, mid, out=out[:, 1])
-    np.minimum(lo, mid, out=out[:, 2])
-    return out
 
 
 def _checked_jacobians(J) -> tuple[np.ndarray, np.ndarray]:

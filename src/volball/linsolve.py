@@ -152,11 +152,6 @@ class Band:
         right-hand sides (an empty band never is)."""
         return bool(self.order.size) and self.work <= nrhs * BAND_WORK_LIMIT
 
-    @property
-    def direct(self) -> bool:
-        """The size rule for one right-hand side."""
-        return self.factors(1)
-
     def restrict(self, free: np.ndarray) -> "Band":
         """This band on the rows where the mask ``free`` holds, in this order:
         the entries with both ends free, packed at their own bandwidth."""
@@ -299,7 +294,7 @@ class AssemblyPlan:
         offset = rows[entries] - cols[entries]
         bandwidth = int(offset.max(initial=0))
         band = Band(order, bandwidth, entries, offset + (bandwidth + 1) * cols[entries])
-        path = "direct" if band.direct else "pcg"
+        path = "direct" if band.factors(1) else "pcg"
         logger.debug("plan of %d rows: RCM bandwidth %d, n (bw + 1)^2 = %.3g, %s solves",
                      n, bandwidth, band.work, path,
                      extra={"n": n, "bandwidth": bandwidth, "work": band.work, "path": path})

@@ -1,4 +1,5 @@
-"""Uniform ball templates, inverse-map pullback, and remeshing quality scores.
+"""Uniform ball templates, inverse-map pullback, remeshing quality scores, and
+``remesh_through``, the remeshing stage that chains them.
 
 A ball template's connectivity is the Delaunay triangulation of its point
 cloud (``_ball_cloud``). For resolutions 1-3 the package file
@@ -261,3 +262,23 @@ def pullback(source: TetMesh, forward_positions: np.ndarray,
                                           template.vertices[missed])
     out = np.matmul(lam[:, None, :], source.vertices[source.tets[tets]])[:, 0]
     return out, int(missed.size)
+
+
+def remesh_through(source: TetMesh, forward_positions: np.ndarray,
+                   resolution: int = 3) -> tuple[TetMesh, np.ndarray, dict]:
+    """Remesh ``source`` through the inverse of its ball map
+    ``forward_positions``: the template ``uniform_ball_mesh(resolution)``,
+    its vertices pulled back (``pullback``), and the keys a remeshing run
+    adds to its report's final. These are the scores of ``quality_metrics``
+    (``delta_size``, ``delta_shape``), ``snapped_template_vertices`` and
+    ``remeshed_folds``, the template tets that the pulled-back positions
+    invert; the scores take |volume|, so an inverted tet shows only in that
+    count. ValueError as ``uniform_ball_mesh`` on a bad ``resolution``.
+    """
+    template = uniform_ball_mesh(resolution)
+    positions, snapped = pullback(source, forward_positions, template)
+    quality = quality_metrics(template.tets, positions)
+    return template, positions, {
+        "delta_size": quality.delta_size, "delta_shape": quality.delta_shape,
+        "snapped_template_vertices": snapped,
+        "remeshed_folds": template.count_folds(positions)}

@@ -542,6 +542,8 @@ class TetMesh:
         return vertex_ids, inv[self.boundary_faces]
 
     def enclosed_volume(self) -> float:
-        """Volume of the region bounded by the boundary faces (divergence theorem)."""
+        """Volume of the region bounded by the boundary faces (divergence theorem).
+        Kept as a volume oracle independent of the tets: the tests and demo 01
+        check the tets' volume sum against it."""
         tri = self.vertices[self.boundary_faces]
         return float(np.sum(tri[:, 0] * np.cross(tri[:, 1], tri[:, 2])) / 6.0)

@@ -7,7 +7,7 @@ import volball
 USER_API = [
     "run_3dqc", "run_3ddem", "run_3ddeq", "run_method", "SolverConfig", "RunResult",
     "TetMesh", "load_mesh", "save_mesh", "initial_ball", "compute_boundary_sphere_map",
-    "pullback", "quality_metrics", "uniform_ball_mesh", "RunReport",
+    "pullback", "quality_metrics", "remesh_through", "uniform_ball_mesh", "RunReport",
     "CorrectionError", "DegenerateTetError", "MeshError", "TopologyError",
 ]
 ACCEPTANCE_KERNELS = [

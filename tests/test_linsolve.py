@@ -266,7 +266,7 @@ def test_unconstrained_solve_matches_split_path_bitwise(mesh_name, columns, tol,
     mesh = request.getfixturevalue(mesh_name)
     ops = build_operators(mesh, (mesh.volumes, mesh.hat_gradients))
     direct = mesh_name == "ball_mesh"
-    assert ops.laplacian.plan.band.direct == direct
+    assert ops.laplacian.plan.band.factors(1) == direct
     n, dt = len(mesh.vertices), 0.1
     rho = 1.0 + mesh.vertices[:, 0] ** 2
     data = dt * ops.laplacian.data
@@ -377,7 +377,7 @@ def test_direct_diffusion_matches_dense_solve(n, k, extra, dt, seed):
     from volball.density import diffusion_step
     rng = np.random.default_rng(seed)
     ops = _element_diffusion(rng, n, k, extra)
-    assert ops.laplacian.plan.band.direct
+    assert ops.laplacian.plan.band.factors(1)
     rho = rng.uniform(0.5, 2.0, size=n)
     dense = np.diag(ops.lumped_volumes) + dt * ops.laplacian.matrix.toarray()
     expected = np.linalg.solve(dense, ops.lumped_volumes * rho)
@@ -428,7 +428,7 @@ def test_direct_branch_is_one_banded_solve_and_its_check():
     # the factored column bit for bit
     ops = _element_diffusion(np.random.default_rng(7), 30, 3, 10)
     plan = ops.laplacian.plan
-    assert plan.band.direct
+    assert plan.band.factors(1)
     data = 0.1 * ops.laplacian.data
     data[plan.diagonal] += ops.lumped_volumes
     b = ops.lumped_volumes * (1.0 + np.arange(30.0) / 30)
@@ -583,10 +583,10 @@ def test_rule_sides_of_the_benchmarked_systems(ball_mesh_6k):
     # stay on PCG, where banded Cholesky measured slower
     from volball.synthetic import graded_ellipsoid_mesh, stretched_ball_mesh
     graded = graded_ellipsoid_mesh(1)
-    assert _boundary_plan(graded).band.direct
-    assert _volume_plan(graded).band.direct
-    assert not _volume_plan(ball_mesh_6k).band.direct
-    assert not _volume_plan(stretched_ball_mesh(3)).band.direct
+    assert _boundary_plan(graded).band.factors(1)
+    assert _volume_plan(graded).band.factors(1)
+    assert not _volume_plan(ball_mesh_6k).band.factors(1)
+    assert not _volume_plan(stretched_ball_mesh(3)).band.factors(1)
 
 
 def test_plan_decision_logged_once(caplog):
@@ -601,7 +601,7 @@ def test_plan_decision_logged_once(caplog):
     [record] = [r for r in caplog.records if r.name.startswith("volball")]
     assert record.levelno == logging.DEBUG
     assert (record.n, record.bandwidth, record.work, record.path) == (n, 1, n * 4, "direct")
-    assert band.bandwidth == 1 and band.direct
+    assert band.bandwidth == 1 and band.factors(1)
 
 
 # -- the direct path on constrained systems: the plan's band restricted to the
