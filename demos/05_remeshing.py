@@ -31,5 +31,4 @@ for method in ("3dqc", "3ddem", "3ddeq"):
     vb.save_mesh(f"/tmp/volball_demo_remeshed_{method}.vtk", positions, template.tets)
 
 print()
-print(f"template: uniform ball, {len(template.tets)} tets")
 print("remeshed solids written to /tmp/volball_demo_remeshed_<method>.vtk")

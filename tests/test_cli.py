@@ -341,15 +341,25 @@ def graded_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("resolution, folds", [("2", 0), ("3", 3)])
-def test_remesh_report_counts_inverted_tets(tmp_path, graded_file, resolution, folds):
+@pytest.mark.parametrize("resolution, folds", [(1, 0), (2, 0), (3, 3)])
+def test_remesh_report_counts_inverted_tets(tmp_path, graded_file, monkeypatch,
+                                            resolution, folds):
     # the bench's remesh (template resolution 2) writes no inverted tet; at
     # resolution 3 the template is finer than the graded solid, and three
-    # pulled-back tets come out inverted while the command still exits 0
+    # pulled-back tets come out inverted while the command still exits 0.
+    # The files are what remesh.remesh_through gives on the command's map
+    from volball import drivers, remesh
     from volball.tetmesh import signed_volumes
+    runs, run_method = [], drivers.run_method
+
+    def recorded(*args):
+        runs.append((args[1], run_method(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli.drivers, "run_method", recorded)
     out = tmp_path / "out"
     code = cli.main(["remesh", "--method", "3ddeq", "--population", "volume",
-                     "--resolution", resolution, graded_file, str(out)])
+                     "--resolution", str(resolution), graded_file, str(out)])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     # the raw arrays: load_mesh would reorient the inverted tets
@@ -357,3 +367,8 @@ def test_remesh_report_counts_inverted_tets(tmp_path, graded_file, resolution, f
     recount = int(np.count_nonzero(signed_volumes(vertices, tets) <= 0.0))
     assert report["final"]["remeshed_folds"] == recount == folds
     assert report["final"]["folds"] == 0
+    [(mesh, result)] = runs
+    template, positions, fields = remesh.remesh_through(mesh, result.positions, resolution)
+    assert vertices.tobytes() == positions.tobytes()
+    assert tets.tobytes() == template.tets.tobytes()
+    assert report["final"] == {**result.report.final, **fields}

@@ -89,23 +89,23 @@ def test_sym3_eigh_explicit_cases():
 
 
 def test_sym3_eigh_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(distortion, "_MAX_SWEEPS", 1)
+    J = np.random.default_rng(0).normal(size=(50, 3, 3))
+    with pytest.raises(FrameError, match="did not converge on tet"):
+        distortion._sym3_eigh(*distortion._gram(J), vectors=True)
     # row 6 always falls back: its Gram is a generic rotation of
-    # diag(4, 1, 1), an exactly repeated root, so r = +-1 to rounding and the
-    # bound's scale is at least 1e8; the diagonal rows are certified, and
-    # would need no sweep if they fell back. A repeated root converges in
-    # one sweep, so the cap that must raise is 0.
+    # diag(4, 1 + 1e-7, 1), two roots 1e-7 apart, so the bound's scale is
+    # some 3e7 times the middle root; the diagonal rows are certified.
+    # Jacobi needs two sweeps on it, so the cap of one raises, and the error
+    # names the row by its index in the whole stack
     Q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
     J = np.array([np.diag([3.0, 2.0, 1.0]) * (k + 1) for k in range(10)])
-    J[6] = (Q * [2.0, 1.0, 1.0]) @ Q.T
+    J[6] = (Q * [2.0, np.sqrt(1.0 + 1e-7), 1.0]) @ Q.T
     eigvals, scale = distortion._smith_roots(*distortion._gram(J))
-    assert scale[6] >= 1e8
+    assert scale[6] >= 1e6 * eigvals[6, 1]
     assert np.flatnonzero(~(scale <= 64.0 * eigvals[:, 1])).tolist() == [6]
-    monkeypatch.setattr(distortion, "_MAX_SWEEPS", 0)
-    # the fallback runs on row 6 alone, and the error names it in the stack
-    with pytest.raises(FrameError, match="did not converge on tet 6 in 0 sweeps"):
+    with pytest.raises(FrameError, match="did not converge on tet 6 in 1 sweeps"):
         distortion.dilations(J)
-    with pytest.raises(FrameError, match="did not converge on tet 6 in 0 sweeps"):
-        distortion._sym3_eigh(*distortion._gram(J), vectors=True)
     # a diagonal input needs no sweep at all
     distortion._sym3_eigh(*_entries(np.diag([3.0, 1.0, 2.0])[None]), vectors=True)
 

@@ -1,4 +1,3 @@
-import json
 from importlib import resources
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay, cKDTree
 
-from volball import cli, fileio, remesh
+from volball import remesh
 from volball.remesh import (RemeshQuality, _beyond_hull, _closest_point_on_triangles, _snap,
                             pullback, quality_metrics, uniform_ball_mesh)
 from volball.tetmesh import (INSIDE_TOL, PointLocator, TetMesh, barycentric_coordinates,
@@ -410,42 +409,3 @@ def test_snap_equals_every_candidate(pullback_maps, templates, case):
         tets, lam = _snap(source, forward, points)
         ref_tets, ref_lam = _snap_every_candidate(source, forward, points)
         assert tets.tobytes() == ref_tets.tobytes() and lam.tobytes() == ref_lam.tobytes()
-
-
-@pytest.fixture(scope="module")
-def graded_file_map(tmp_path_factory):
-    # the graded solid read back from a Medit file and its 3ddeq ball map
-    # with the volume population, as `volball remesh` computes them
-    from volball.drivers import run_method
-    from volball.synthetic import graded_ellipsoid_mesh
-    solid = graded_ellipsoid_mesh(1)
-    path = tmp_path_factory.mktemp("meshes") / "graded1.mesh"
-    fileio.save_mesh(str(path), solid.vertices, solid.tets)
-    mesh = fileio.load_mesh(str(path))
-    return str(path), mesh, run_method("3ddeq", mesh, np.abs(mesh.volumes))
-
-
-@pytest.mark.parametrize("resolution, folds", [(1, 0), (2, 0), (3, 3)])
-def test_remesh_through_is_what_the_cli_writes(tmp_path, graded_file_map, resolution, folds):
-    # the stage's template, positions and report keys are the files the CLI
-    # writes; at resolution 3 three pulled-back tets come out inverted
-    path, mesh, result = graded_file_map
-    template, positions, fields = remesh.remesh_through(mesh, result.positions, resolution)
-    ball = uniform_ball_mesh(resolution)
-    assert template.vertices.tobytes() == ball.vertices.tobytes()
-    assert template.tets.tobytes() == ball.tets.tobytes()
-    ref, snapped = pullback(mesh, result.positions, ball)
-    quality = quality_metrics(ball.tets, ref)
-    assert positions.tobytes() == ref.tobytes()
-    assert fields == {"delta_size": quality.delta_size, "delta_shape": quality.delta_shape,
-                      "snapped_template_vertices": snapped, "remeshed_folds": folds}
-    assert np.count_nonzero(signed_volumes(ref, ball.tets) <= 0.0) == folds
-    out = tmp_path / "out"
-    assert cli.main(["remesh", "--method", "3ddeq", "--population", "volume",
-                     "--resolution", str(resolution), path, str(out)]) == 0
-    # the raw arrays: load_mesh would reorient the inverted tets
-    vertices, tets = fileio._read_medit(str(out / "remeshed.mesh"))
-    assert vertices.tobytes() == positions.tobytes()
-    assert tets.tobytes() == template.tets.tobytes()
-    final = json.loads((out / "report.json").read_text())["final"]
-    assert final == {**result.report.final, **fields}
