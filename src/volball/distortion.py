@@ -30,10 +30,15 @@ values and frames. The triples agree with the Jacobi ones to 21 eps
 relative. The 3dqc coefficient (``residual_coefficients``) needs no
 frames: it comes from the closed-form stretch tensor sqrt(J^T J) and agrees
 with the frame form to 3e-11 relative up to K = 1e5 (CHANGES.md, "3dqc runs
-without eigenvectors"). Frames are computed only for 3ddeq's advected map,
+without eigenvectors"). Nor does an overlap rebuild's
+(``rebuild_coefficients``): both are det(P') P'^-2 of an affine image
+P' = keep P + shift I of that tensor (``_shifted_coefficients``), the
+residual step's or the truncation's (``_truncation``), and the rebuild
+takes its screened tets' triples from closed-form invariants
+(``_fold_triples``). Frames are computed only for 3ddeq's advected map,
 whose increment is taken index-wise in its frames and so is not affine in
-sqrt(J^T J), and for the tets a rebuild screens (``fold_candidates``);
-``reconstruct_map`` gives every other tet the current map's own stiffness.
+sqrt(J^T J); ``reconstruct_map`` gives every tet a rebuild leaves unedited
+the current map's own stiffness.
 
 Errors: ``FrameError`` (a ValueError) names the first offending tet: a
 singular J (|det J| <= 1e-14), a Jacobi solve unconverged after
@@ -238,15 +243,17 @@ def _smith_roots(diag: list, off: dict) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([q + 2.0 * c, q + (t - c), q - (t + c)], axis=1), scale
 
 
-def _checked_jacobians(J) -> tuple[np.ndarray, np.ndarray]:
-    """J as an (m, 3, 3) stack and det J; ``FrameError`` on a singular J."""
+def _checked_jacobians(J, tets=None) -> tuple[np.ndarray, np.ndarray]:
+    """J as an (m, 3, 3) stack and det J; ``FrameError`` on a singular J,
+    naming the tet by its index in ``tets`` when given."""
     J = np.asarray(J, dtype=np.float64)
     if J.ndim == 2:
         J = J[None]
     det = _det3(component_major(J))
     if np.any(np.abs(det) <= 1e-14):
         bad = int(np.argmin(np.abs(det)))
-        raise FrameError(f"singular Jacobian on tet {bad} (det={det[bad]:.3e})")
+        raise FrameError(f"singular Jacobian on tet {bad if tets is None else tets[bad]} "
+                         f"(det={det[bad]:.3e})")
     return J, det
 
 
@@ -288,12 +295,14 @@ def dilations(J: np.ndarray, gram=None) -> np.ndarray:
     return _signed_triples(eigvals, det)
 
 
-def fold_candidates(J: np.ndarray, ratio: float | None = None) -> np.ndarray:
+def fold_candidates(J: np.ndarray, ratio: float | None = None,
+                    tets: np.ndarray | None = None) -> np.ndarray:
     """Indices of the Jacobians with det J <= 0 or, with ``ratio``, with
     tr(J^T J)^(3/2) > ratio det J: a superset of those with a/c > ratio, since
     a/c = a^2 b / det J and a^2 b <= tr(J^T J)^(3/2) / 2.6. ``FrameError`` on
-    a singular J of any tet, as ``dilations``."""
-    J, det = _checked_jacobians(J)
+    a singular J of any tet, as ``dilations``, naming it by its index in
+    ``tets`` when given."""
+    J, det = _checked_jacobians(J, tets)
     passed = det <= 0
     if ratio is not None:
         Jc = component_major(J)
@@ -340,26 +349,46 @@ def residual_step(lambdas: np.ndarray, C: float) -> np.ndarray:
     return np.column_stack(_residual(lam, C)[1]).reshape(np.shape(lambdas))
 
 
+def _flip_and_floor(lambdas: np.ndarray) -> np.ndarray:
+    """Flipped eigenvalue triples with b and c floored at 1e-12 * a.
+
+    A numerically collapsed tet can leave c at zero after the flip; the floor
+    keeps its ratio finite (truncation then rescales it to the threshold).
+    """
+    lam = flip_eigenvalues(lambdas)
+    lam[:, 1:] = np.maximum(lam[:, 1:], 1e-12 * lam[:, :1])
+    return lam
+
+
+def _truncation(lam: np.ndarray, K_T: float) -> tuple[np.ndarray, np.ndarray]:
+    """The affine map x -> keep x + shift of ``truncate_eigenvalues`` per
+    (m, 3) triple: keep 1 and shift 0 where a/c <= K_T, else keep = l and
+    shift = (1 - l) e, with e = (a + c)/2 and
+    l = (K_T - 1) e / ((K_T + 1)(a - e))."""
+    if K_T <= 1:
+        raise ValueError("truncation threshold must exceed 1")
+    _reject_rows(np.any(lam <= 0, axis=1), lam,
+                 "truncation requires positive eigenvalues; flip first")
+    a, c = lam[:, 0], lam[:, 2]
+    keep, shift = np.ones(len(lam)), np.zeros(len(lam))
+    over = a / c > K_T
+    e = 0.5 * (a[over] + c[over])
+    keep[over] = (K_T - 1.0) * e / ((K_T + 1.0) * (a[over] - e))
+    shift[over] = (1.0 - keep[over]) * e
+    return keep, shift
+
+
 def truncate_eigenvalues(lambdas: np.ndarray, K_T: float) -> np.ndarray:
     """Cap the per-tet ratio at K_T by an order-preserving affine rescale.
 
     Triples with a/c <= K_T pass through unchanged; the rest are mapped by
-    x -> l (x - e) + e with e = (a + c)/2 and slope
+    x -> l x + (1 - l) e with e = (a + c)/2 and slope
     l = (K_T - 1) e / ((K_T + 1)(a - e)), which pins the output ratio to K_T
     exactly while keeping a' >= b' >= c' > 0.
     """
-    if K_T <= 1:
-        raise ValueError("truncation threshold must exceed 1")
-    lam = np.atleast_2d(np.asarray(lambdas, dtype=np.float64)).copy()
-    _reject_rows(np.any(lam <= 0, axis=1), lam,
-                 "truncation requires positive eigenvalues; flip first")
-    a, c = lam[:, 0], lam[:, 2]
-    over = a / c > K_T
-    if np.any(over):
-        e = 0.5 * (a[over] + c[over])
-        slope = (K_T - 1.0) * e / ((K_T + 1.0) * (a[over] - e))
-        lam[over] = slope[:, None] * (lam[over] - e[:, None]) + e[:, None]
-    return lam.reshape(np.shape(lambdas))
+    lam = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
+    keep, shift = _truncation(lam, K_T)
+    return (keep[:, None] * lam + shift[:, None]).reshape(np.shape(lambdas))
 
 
 def anisotropy_matrices(frames: TetFrameField) -> np.ndarray:
@@ -428,18 +457,86 @@ def residual_coefficients(J: np.ndarray, lambdas: np.ndarray, C: float,
     _reject_rows(np.any(lam <= 0, axis=1), lam,
                  "residual coefficients need positive eigenvalues; flip first")
     theta, (a, b, c) = _residual(lam, C)
-    diag, off = _stretch(gram or _gram(np.asarray(J, dtype=np.float64)), lam)
-    keep, shift = 1.0 - theta, theta * lam[:, 1]
+    stretch = _stretch(gram or _gram(np.asarray(J, dtype=np.float64)), lam)
+    return _shifted_coefficients(stretch, 1.0 - theta, theta * lam[:, 1], a * b * c)
+
+
+def _fold_triples(J: np.ndarray, gram: tuple) -> np.ndarray:
+    """Signed triples (m, 3) of Jacobians with a >> b allowed, from closed
+    forms alone: a^2 is Smith's largest root, exact to a few eps where it
+    is isolated (r near 1 leaves its cosine flat); b^2 c^2 = det^2 / a^2
+    and b^2 + c^2 = (|cof J|^2 - b^2 c^2) / a^2, where the squared norm of
+    the cofactor matrix, a^2 b^2 + a^2 c^2 + b^2 c^2, is summed from the
+    2 x 2 minors of J and so keeps b^2 to about eps a / b; b^2 is the larger
+    root of their quadratic, and ``_signed_triples`` sets c = det J / (a b).
+    A near-repeated pair is split only to about sqrt(eps) relative, its sum
+    and product to a few eps."""
+    M = component_major(J)
+    det = _det3(M)
+    a2 = _smith_roots(*gram)[0][:, 0]
+    cof2 = 0.0
+    for r, s in ((1, 2), (0, 2), (0, 1)):
+        for p, q in ((1, 2), (0, 2), (0, 1)):
+            minor = M[r][p] * M[s][q] - M[r][q] * M[s][p]
+            cof2 = cof2 + minor * minor
+    prod = det * det / a2
+    total = (cof2 - prod) / a2
+    b2 = 0.5 * (total + np.sqrt(np.maximum(total * total - 4.0 * prod, 0.0)))
+    return _signed_triples(np.column_stack([np.maximum(a2, b2), np.minimum(a2, b2),
+                                            np.zeros(len(a2))]), det)
+
+
+def _shifted_coefficients(stretch: tuple, keep, shift, det) -> np.ndarray:
+    """det(P') P'^-2 = adj(P')^2 / det(P'), an (m, 3, 3) stack, of
+    P' = keep P + shift I, P given as the entries ``_stretch`` returns and
+    ``det`` the product of the triple P' has."""
+    diag, off = stretch
     (d0, d1, d2), o = _sym_adj([keep * x + shift for x in diag],
                                {key: keep * x for key, x in off.items()})
     o01, o02, o12 = o[0, 1], o[0, 2], o[1, 2]
-    det = a * b * c
     return _sym_matrix([(d0 * d0 + o01 * o01 + o02 * o02) / det,
                         (d1 * d1 + o01 * o01 + o12 * o12) / det,
                         (d2 * d2 + o02 * o02 + o12 * o12) / det],
                        {(0, 1): ((d0 + d1) * o01 + o02 * o12) / det,
                         (0, 2): ((d0 + d2) * o02 + o01 * o12) / det,
                         (1, 2): ((d1 + d2) * o12 + o01 * o02) / det})
+
+
+def rebuild_coefficients(J: np.ndarray, k_threshold: float,
+                         near_fold_ratio: float | None = None,
+                         tets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the Jacobians ``J`` (m, 3, 3) that an overlap rebuild
+    edits, and their reconstruction coefficients (k, 3, 3), without frames.
+
+    The edited rows are those of ``fold_candidates(J, near_fold_ratio)``
+    whose triple is inverted or, with ``near_fold_ratio``, whose flipped
+    ratio exceeds it. Each takes the coefficient of its flipped triple,
+    floored (``_flip_and_floor``) and truncated at ``k_threshold``: the
+    frame form W diag(b'c'/a', a'c'/b', a'b'/c') W^T equals det(P') P'^-2
+    with P' = keep P + shift I, (keep, shift) the truncation's affine map
+    and P the stretch tensor (``_stretch``) of the floored triple, whose
+    third root it returns as the floor. The triples are ``_fold_triples``'.
+    The two forms agree to 1e-8 relative, the split of a near-repeated pair
+    that the truncation reads through a and c, plus 16 eps K min(K,
+    k_threshold), the frame form's own conditioning (the tests check it).
+    ``FrameError`` as ``fold_candidates``, naming a tet by its index in
+    ``tets`` when given.
+    """
+    rows = fold_candidates(J, near_fold_ratio, tets)
+    J = np.asarray(J, dtype=np.float64)[rows]
+    gram = _gram(J)
+    signed = _fold_triples(J, gram)
+    lam = _flip_and_floor(signed)
+    edited = signed[:, 2] <= 0
+    if near_fold_ratio is not None:
+        edited |= lam[:, 0] / lam[:, 2] > near_fold_ratio
+    lam = lam[edited]
+    keep, shift = _truncation(lam, k_threshold)
+    cut = keep[:, None] * lam + shift[:, None]
+    stretch = _stretch(([x[edited] for x in gram[0]],
+                        {key: x[edited] for key, x in gram[1].items()}), lam)
+    return rows[edited], _shifted_coefficients(stretch, keep, shift,
+                                               cut[:, 0] * cut[:, 1] * cut[:, 2])
 
 
 def reconstruct_map(mesh: TetMesh, prescribed: TetFrameField | np.ndarray,
@@ -476,6 +573,13 @@ def reconstruct_map(mesh: TetMesh, prescribed: TetFrameField | np.ndarray,
         local[tets] = p1_blocks(mesh.volumes[tets], mesh.hat_gradients[tets], coeff)
     system = linsolve.assemble(mesh.connectivity.plan, local.reshape(-1))
     del coeff, local  # assembled; not held through the solve
+    return _solve_positions(system, fixed_indices, fixed_points, start, history)
+
+
+def _solve_positions(system, fixed_indices, fixed_points, start, history=()) -> np.ndarray:
+    """The positions (system.dimension, 3) solving the assembled ``system``
+    with the rows ``fixed_indices`` held at ``fixed_points``: the solve of
+    ``reconstruct_map``, started from ``start`` and its ``history``."""
     system.constrain(fixed_indices, np.asarray(fixed_points, dtype=np.float64))
-    return linsolve.solve(system, np.zeros((len(mesh.vertices), 3)), tol=1e-9, start=start,
+    return linsolve.solve(system, np.zeros((system.dimension, 3)), tol=1e-9, start=start,
                           history=history)

@@ -40,16 +40,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import density as dem
-from .distortion import (TetFrameField, _gram, anisotropy_ratios, dilations,
-                         edge_jacobians, flip_eigenvalues, fold_candidates, frame_decompose,
-                         jacobian_per_tet, reconstruct_map, residual_coefficients,
-                         residual_step, truncate_eigenvalues)
-from .laplace import harmonic_fill
+from . import linsolve
+from .distortion import (TetFrameField, _flip_and_floor, _gram, _solve_positions,
+                         anisotropy_ratios, dilations, edge_jacobians, flip_eigenvalues,
+                         frame_decompose, jacobian_per_tet, rebuild_coefficients,
+                         reconstruct_map, residual_coefficients, residual_step,
+                         truncate_eigenvalues)
+from .laplace import harmonic_fill, p1_blocks
 from .report import RunReport
 from .sphere_map import (BoundaryMap, SphereMapError, _sd_over_mean, compute_boundary_sphere_map,
                          correct_spherical_flips, normalize_rows, spherical_embedding,
                          spherical_flips, surface_density_equalize, triangle_geometry)
-from .tetmesh import TetMesh, corner_edges, edge_geometry, signed_volumes
+from .tetmesh import (TetMesh, component_major, corner_edges, edge_geometry, per_tet,
+                      signed_volumes)
 
 NEAR_FOLD_RATIO = 1e3
 
@@ -200,84 +203,70 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     spherical triangles on the boundary surface, (1) rebuild the interior with
     the boundary fixed after flipping and truncating the eigenvalues of folded
     tets, and while folds remain (2) rebuild the boundary patch pinning them
-    with the interior fixed, project it back to unit norm and rebuild the
-    interior again. The round that reaches no folds is returned with its
-    boundary renormalised; a budget spent first raises ``CorrectionError``
-    with the fewest folded tets plus flipped boundary triangles seen.
+    with the interior fixed (``_patch_rebuild``), project it back to unit
+    norm and rebuild the interior again. Each rebuilt map has its boundary
+    renormalised and is read once (``_Iterate.read``, gradients included):
+    that read gives its fold count and the next rebuild from it. The
+    boundary's flips are tested on the input and again only after a patch
+    rebuild has moved it; a repair leaves none. The round that reaches no
+    folds is returned; a budget spent first raises ``CorrectionError`` with
+    the fewest folded tets plus flipped boundary triangles seen.
 
     ``mesh`` provides the rest geometry; ``reference_boundary`` must be a
     flip-free spherical configuration of the boundary vertices and defaults to
     the normalized rest boundary (exact when the rest mesh is itself a ball).
     With ``near_fold_ratio`` set, the rebuilds truncate tets whose anisotropy
     ratio exceeds it alongside the truly folded ones (they are one flow step
-    away from folding). ``geometry``, the caller's ``_read`` of ``positions``
-    (volumes, hat gradients or None, Jacobians), gives the first score and
-    the first rebuild.
+    away from folding). ``geometry``, the caller's ``_Iterate`` record of
+    ``positions``, gives the first score and the first rebuild; a correction
+    that returns a new map leaves that map and its read in the record, so the
+    caller need not read it again.
     """
     b_ids, b_faces = mesh.boundary_surface()
     if reference_boundary is None:
         reference_boundary = normalize_rows(mesh.vertices[b_ids])
-    pos = np.array(positions, dtype=np.float64)
+    state = geometry or _Iterate.read(mesh, np.array(positions, dtype=np.float64), True)
 
-    def score(p, folded):
-        return int(np.count_nonzero(folded)) + int(
-            spherical_flips(normalize_rows(p[b_ids]), b_faces).sum())
+    def flips(p):
+        return int(spherical_flips(normalize_rows(p[b_ids]), b_faces).sum())
 
-    volumes = signed_volumes(pos, mesh.tets) if geometry is None else geometry[0]
-    best_score = score(pos, volumes <= 0)
+    def rebuilt(state, k_cap):
+        # the interior rebuild from a record, renormalised and read
+        p = _rebuild(mesh, state.positions, k_cap, b_ids, near_fold_ratio, state.geometry)
+        p[b_ids] = normalize_rows(p[b_ids])
+        return _Iterate.read(mesh, p, True)
+
+    flipped = flips(state.positions)
+    best_score = state.folds + flipped
     if best_score == 0:
-        return pos
-
-    def sphere_repair(p):
-        sphere = normalize_rows(p[b_ids])
-        if spherical_flips(sphere, b_faces).any():
-            try:
-                sphere = correct_spherical_flips(reference_boundary, sphere,
-                                                 b_faces)
-            except SphereMapError:
-                return p
-            p = p.copy()
-            p[b_ids] = sphere
-        return p
-
-    def free_boundary_patch(p, folded, k_cap):
-        # release only the boundary vertices pinning the ``folded`` tets
-        # (freeing the whole sphere lets it contract and fold further)
-        pinned = np.zeros(len(mesh.vertices), dtype=bool)
-        pinned[mesh.tets[folded]] = True
-        patch = pinned[b_ids]
-        if not patch.any():
-            return p
-        for _ in range(2):
-            patch |= (mesh.boundary_rings @ patch) > 0
-        free_b = b_ids[patch]
-        fixed = np.setdiff1d(np.arange(len(mesh.vertices)), free_b)
-        if len(fixed) == 0:
-            # every vertex lies in the patch (an all-boundary solid such as
-            # lcube_mesh(2)): nothing would anchor the rebuild
-            return p
-        p = _rebuild(mesh, p, k_cap, fixed_ids=fixed)
-        p[free_b] = normalize_rows(p[free_b])
-        return p
-
-    state = pos
+        return state.positions
     for round_no in range(budget):
         # tighter truncation targets for stubborn rounds
         k_cap = k_threshold if round_no < 2 else max(
             2.0, k_threshold * 0.7 ** (round_no - 1))
-        repaired = sphere_repair(state)
-        state = _rebuild(mesh, repaired, k_cap, fixed_ids=b_ids, near_fold_ratio=near_fold_ratio,
-                         geometry=geometry if repaired is pos else None)
-        folded = signed_volumes(state, mesh.tets) <= 0
-        if folded.any():
-            state = free_boundary_patch(state, folded, k_cap)
-            state = _rebuild(mesh, state, k_cap, fixed_ids=b_ids,
-                             near_fold_ratio=near_fold_ratio)
-            folded = signed_volumes(state, mesh.tets) <= 0
-        current = score(state, folded)
+        if flipped:
+            try:
+                sphere = correct_spherical_flips(reference_boundary,
+                                                 normalize_rows(state.positions[b_ids]),
+                                                 b_faces)
+            except SphereMapError:
+                pass
+            else:
+                p = state.positions.copy()
+                p[b_ids] = sphere
+                state, flipped = _Iterate.read(mesh, p, True), 0
+        state = rebuilt(state, k_cap)
+        if state.folds:
+            patched = _patch_rebuild(mesh, state, k_cap)
+            if patched is not state:
+                flipped = flips(patched.positions)
+            state = rebuilt(patched, k_cap)
+        current = state.folds + flipped
         if current == 0:
-            state[b_ids] = normalize_rows(state[b_ids])
-            return state
+            if geometry is not None:
+                geometry.positions = state.positions
+                geometry.volumes, geometry.gradients, geometry.jacobians = state.geometry
+            return state.positions
         best_score = min(best_score, current)
     raise CorrectionError(best_score)
 
@@ -286,31 +275,63 @@ def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None, geometry=N
     """Flip + truncate the eigenvalues of the folded tets (with
     ``near_fold_ratio``, also of those whose ratio exceeds it) and re-solve the
     map from ``pos``, whose ``_read`` ``geometry`` is made, gradients
-    included, when None. Only the screened tets are eigen-solved, once, with
-    their frames."""
+    included, when None. The edited tets' coefficients come from
+    ``rebuild_coefficients``, in closed form from the screened rows alone."""
     volumes, gradients, jacobians = geometry or _read(mesh, pos, gradients=True)
-    rows = fold_candidates(jacobians, near_fold_ratio)
-    screened = frame_decompose(jacobians[rows])
-    lam = _flip_and_floor(screened.lambdas)
-    edited = screened.lambdas[:, 2] <= 0
-    if near_fold_ratio is not None:
-        edited |= lam[:, 0] / lam[:, 2] > near_fold_ratio
-    rows = rows[edited]
-    field = TetFrameField(screened.frames[edited],
-                          truncate_eigenvalues(lam[edited], k_threshold))
-    return reconstruct_map(mesh, field, fixed_ids, pos[fixed_ids], start=pos, tets=rows,
+    rows, coeff = rebuild_coefficients(jacobians, k_threshold, near_fold_ratio)
+    return reconstruct_map(mesh, coeff, fixed_ids, pos[fixed_ids], start=pos, tets=rows,
                            geometry=None if gradients is None else (volumes, gradients))
 
 
-def _flip_and_floor(lambdas: np.ndarray) -> np.ndarray:
-    """Flipped eigenvalue triples with b and c floored at 1e-12 * a.
+def _patch_rebuild(mesh, state, k_threshold) -> "_Iterate":
+    """The record ``state`` with the boundary patch pinning its folded tets
+    rebuilt, the rest of the map fixed, and projected back to unit norm;
+    ``state`` itself when there is no patch to free.
 
-    A numerically collapsed tet can leave c at zero after the flip; the floor
-    keeps its ratio finite (truncation then rescales it to the threshold).
+    The patch is the folded tets' boundary corners grown by two boundary
+    rings: only those vertices, not the whole sphere, are released (freeing
+    the whole sphere lets it contract and fold further). Only the tets with
+    a free corner reach a free row, so they alone are screened
+    (``rebuild_coefficients`` on their rows of the record's read), take the
+    current stiffness or an edited coefficient, and are assembled, on a plan
+    of their own vertices; the solve is the full mesh's up to rounding. They
+    alone move, so the new record re-reads only them and keeps the rest of
+    the read: bitwise a full ``_read``.
     """
-    lam = flip_eigenvalues(lambdas)
-    lam[:, 1:] = np.maximum(lam[:, 1:], 1e-12 * lam[:, :1])
-    return lam
+    b_ids = mesh.boundary_vertices
+    pinned = np.zeros(len(mesh.vertices), dtype=bool)
+    pinned[mesh.tets[state.volumes <= 0]] = True
+    patch = pinned[b_ids]
+    if not patch.any():
+        return state
+    for _ in range(2):
+        patch |= (mesh.boundary_rings @ patch) > 0
+    free = np.zeros(len(mesh.vertices), dtype=bool)
+    free[b_ids[patch]] = True
+    if free.all():
+        # every vertex lies in the patch (an all-boundary solid such as
+        # lcube_mesh(2)): nothing would anchor the rebuild
+        return state
+    corner_free = free[mesh.tets]
+    tets = np.flatnonzero(corner_free[:, 0] | corner_free[:, 1] | corner_free[:, 2]
+                          | corner_free[:, 3])
+    verts, corners = np.unique(mesh.tets[tets], return_inverse=True)
+    volumes, gradients, jacobians = (x[tets] for x in state.geometry)
+    rows, coeff = rebuild_coefficients(jacobians, k_threshold, tets=tets)
+    local = p1_blocks(volumes, gradients, 1.0)
+    edited = tets[rows]
+    local[rows] = p1_blocks(mesh.volumes[edited], mesh.hat_gradients[edited], coeff)
+    system = linsolve.assemble(
+        linsolve.AssemblyPlan.for_elements(corners.reshape(-1, 4), len(verts)),
+        local.reshape(-1))
+    fixed = np.flatnonzero(~free[verts])
+    p = state.positions.copy()
+    p[verts] = _solve_positions(system, fixed, p[verts[fixed]], p[verts])
+    p[free] = normalize_rows(p[free])
+    read = [component_major(x).copy() for x in state.geometry]
+    for whole, part in zip(read, _read(mesh, p, True, tets)):
+        whole[..., tets] = component_major(part)
+    return _Iterate(p, *(per_tet(x) for x in read))
 
 
 def compute_energies(tets: np.ndarray, w: np.ndarray, gradients: np.ndarray | None,
@@ -359,23 +380,27 @@ def normalized_density_variance(rho: np.ndarray) -> float:
     return float(np.var(rho / np.mean(rho)))
 
 
-def _read(mesh, positions, gradients: bool) -> tuple:
+def _read(mesh, positions, gradients: bool, tets=None) -> tuple:
     """Signed volumes, hat gradients (with ``gradients``, else None) and
-    Jacobians of a map from one ``corner_edges`` gather: bitwise
-    ``signed_volumes``, ``tet_gradients`` and ``jacobian_per_tet``."""
-    e = corner_edges(positions, mesh.tets)
-    return (*edge_geometry(e, gradients), edge_jacobians(e, mesh.hat_gradients))
+    Jacobians of a map from one ``corner_edges`` gather, of every tet or of
+    ``tets``: bitwise ``signed_volumes``, ``tet_gradients`` and
+    ``jacobian_per_tet``."""
+    corners, rest = ((mesh.tets, mesh.hat_gradients) if tets is None
+                     else (mesh.tets[tets], mesh.hat_gradients[tets]))
+    e = corner_edges(positions, corners)
+    return (*edge_geometry(e, gradients), edge_jacobians(e, rest))
 
 
 @dataclass
 class _Iterate:
     """A map and one ``_read`` of its tets: volumes, hat gradients (with a
-    population, else None) and Jacobians, the (m, 4, 3) and (m, 3, 3) views
-    of the component-major arrays their kernels build. ``_settle`` adds the
-    settled map's Gram entries J^T J (the ``distortion._gram`` pair, read by
-    ``dilations`` and by 3dqc's coefficient) and signed dilation triples;
-    the evaluation adds the density field (None without a population) and
-    the trace row. The record holds no other per-tet copy."""
+    population or from a correction, else None) and Jacobians, the (m, 4, 3)
+    and (m, 3, 3) views of the component-major arrays their kernels build.
+    ``_settle`` adds the settled map's Gram entries J^T J (the
+    ``distortion._gram`` pair, read by ``dilations`` and by 3dqc's
+    coefficient) and signed dilation triples; the evaluation adds the
+    density field (None without a population) and the trace row. The record
+    holds no other per-tet copy."""
 
     positions: np.ndarray
     volumes: np.ndarray
@@ -391,6 +416,11 @@ class _Iterate:
         return cls(positions, *_read(mesh, positions, gradients))
 
     @property
+    def geometry(self) -> tuple:
+        """The read: (volumes, hat gradients or None, Jacobians)."""
+        return self.volumes, self.gradients, self.jacobians
+
+    @property
     def folds(self) -> int:
         return int(np.count_nonzero(self.volumes <= 0))
 
@@ -401,17 +431,17 @@ def _settle(mesh, cand, config, ref_boundary, near_fold_ratio=None, tracked=Fals
 
     A fold-free candidate passes unchanged; ``near_fold_ratio`` only reaches
     the rebuilds of a folded one, the first of which reuses the candidate's
-    read. With a population (``tracked``) the record reads hat gradients as
-    well. Returns the settled map's record (its folds are those after
-    correction) and folds_pre.
+    read, and the correction's last read, of the map it returns, becomes the
+    record. With a population (``tracked``) the record reads hat gradients
+    as well (a corrected map's read always has them). Returns the settled
+    map's record (its folds are those after correction) and folds_pre.
     """
     settled = _Iterate.read(mesh, cand, tracked)
     folds_pre = settled.folds
     if folds_pre and config.correction:
-        settled = _Iterate.read(mesh, correct_overlaps(
-            mesh, cand, config.k_threshold, reference_boundary=ref_boundary,
-            near_fold_ratio=near_fold_ratio,
-            geometry=(settled.volumes, settled.gradients, settled.jacobians)), tracked)
+        # the correction leaves the corrected map and its read in the record
+        correct_overlaps(mesh, cand, config.k_threshold, reference_boundary=ref_boundary,
+                         near_fold_ratio=near_fold_ratio, geometry=settled)
     settled.gram = _gram(settled.jacobians)
     settled.lambdas = dilations(settled.jacobians, settled.gram)
     return settled, folds_pre

@@ -71,8 +71,8 @@ BAND_WORK_LIMIT = 8e6
 
 # Dirichlet splits a plan keeps, keyed by their fixed sets, least recently used
 # dropped first: the boundary set every reconstruction repeats stays cached
-# while an overlap correction's one-off patch sets pass through (savings:
-# CHANGES.md, "Contracts, not histories").
+# while one-off fixed sets pass through (savings: CHANGES.md, "Contracts, not
+# histories").
 SPLIT_CACHE = 4
 
 # A guess left with at most this share of its norm once the directions before

@@ -615,6 +615,63 @@ def test_residual_coefficients_repeated_spectra(spectrum):
     assert _relative_errors(_frame_coefficient(J, lam, 50.0), exact).max() <= 1e-14
 
 
+def _rebuild_frame_form(J, k_threshold):
+    """The rebuild's coefficient in the frame form: Jacobi frames and
+    triples, flipped, floored at 1e-12 a and truncated."""
+    field = frame_decompose(J)
+    lam = truncate_eigenvalues(distortion._flip_and_floor(field.lambdas), k_threshold)
+    return anisotropy_matrices(TetFrameField(field.frames, lam))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["folded", "near-fold", "needle", "flat"]), st.floats(0.0, 5.0),
+       st.floats(0.0, 1.0), st.floats(-14.0, -2.0), st.sampled_from([2.0, 10.0, 100.0]),
+       st.floats(-1.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_rebuild_coefficients_match_frame_form(kind, log_k, mid, log_gap, k_threshold,
+                                               log_scale, inverted, seed):
+    # singular values (K, K^mid, 1), a needle's (K, 1 + gap, 1) or a flat
+    # tet's (K, K (1 - gap), 1): every inverted row, and every row past the
+    # near-fold ratio, is edited, and its closed-form coefficient is the
+    # frame form's to 1e-8 relative (the split of a near-repeated pair,
+    # which the truncation reads through a and c) plus 16 eps K min(K, K_T)
+    # (the frame form's own conditioning). Rows with K > K_T are truncated,
+    # the others only flipped.
+    if kind == "near-fold":
+        log_k, inverted = 3.01 + 0.4 * log_k, False
+    elif kind == "folded":
+        inverted = True
+    K, gap = 10.0 ** log_k, 10.0 ** log_gap
+    spectrum = {"folded": (K, K ** mid, 1.0), "near-fold": (K, K ** mid, 1.0),
+                "needle": (K, 1.0 + gap, 1.0), "flat": (K, K * (1.0 - gap), 1.0)}[kind]
+    U, V = np.linalg.qr(np.random.default_rng(seed).normal(size=(2, 3, 3)))[0]
+    J = 10.0 ** log_scale * (U * np.array(spectrum)) @ V.T
+    J *= np.sign(np.linalg.det(J)) * (-1.0 if inverted else 1.0)
+    rows, coeff = distortion.rebuild_coefficients(J[None], k_threshold, 1e3)
+    if not (inverted or K > 1e3):
+        assert len(rows) == 0
+        return
+    assert rows.tolist() == [0]
+    err = _relative_errors(coeff, _rebuild_frame_form(J[None], k_threshold))
+    assert err[0] <= 1e-8 + 16.0 * np.finfo(float).eps * K * min(K, k_threshold)
+
+
+def test_rebuild_coefficients_screen_and_name_tets():
+    # only the screened rows are edited: inverted ones always, strained ones
+    # past the near-fold ratio only when it is given; a singular Jacobian is
+    # named by its index in the caller's tets
+    J = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]), np.diag([2e3, 1.0, 1.0]),
+                  np.diag([3.0, 2.0, 1.0])])
+    rows, coeff = distortion.rebuild_coefficients(J, 10.0)
+    assert rows.tolist() == [1]
+    np.testing.assert_allclose(coeff[0], np.eye(3), rtol=0, atol=1e-15)
+    rows, coeff = distortion.rebuild_coefficients(J, 10.0, 1e3)
+    assert rows.tolist() == [1, 2]
+    np.testing.assert_allclose(coeff[1], _rebuild_frame_form(J[2:3], 10.0)[0], rtol=1e-13)
+    J[3] = 0.0
+    with pytest.raises(FrameError, match="singular Jacobian on tet 42"):
+        distortion.rebuild_coefficients(J, 10.0, tets=np.array([7, 8, 9, 42]))
+
+
 def test_triple_operators_name_the_first_bad_tet():
     lam = np.array([[2.0, 1.0, 1.0], [3.0, 2.0, 1.0], [2.0, 1.0, -0.5], [2.0, 1.0, -1.0]])
     with pytest.raises(FrameError, match=r"flip first \(tet 2: 2, 1, -0\.5\)"):

@@ -152,22 +152,82 @@ def test_correct_overlaps_single_interior_fold(ball_mesh):
                   - 1).max() < 1e-12
 
 
+def _pinned_fold(mesh, vertex, radius):
+    """The rest map with boundary vertex ``vertex`` (an index into
+    ``mesh.boundary_vertices``) pulled in to ``radius`` and its interior
+    neighbours 70% of the way to it: folds that pin the boundary vertex, so
+    that the correction frees a boundary patch."""
+    pos = mesh.vertices.copy()
+    v = mesh.boundary_vertices[vertex]
+    ring = np.unique(mesh.tets[np.any(mesh.tets == v, axis=1)])
+    inner = ring[~mesh.boundary_vertex_mask[ring]]
+    pos[v] *= radius
+    pos[inner] = 0.3 * pos[inner] + 0.7 * pos[v]
+    return pos
+
+
 def test_correct_overlaps_builds_the_boundary_rings_once(monkeypatch, ball_mesh):
-    # a boundary vertex pushed inward folds tets the interior rebuild cannot
-    # unfold, so each call frees a boundary patch grown over the rings
-    from volball import tetmesh
-    builds = []
-    rings = tetmesh.vertex_rings
+    # folds around a boundary vertex pulled inward, which the interior
+    # rebuild cannot unfold, so each call frees a boundary patch grown over
+    # the rings
+    from volball import drivers, tetmesh
+    builds, patches = [], []
+    rings, patch_rebuild = tetmesh.vertex_rings, drivers._patch_rebuild
     monkeypatch.setattr(tetmesh, "vertex_rings",
                         lambda *args: builds.append(1) or rings(*args))
+
+    def recorded(mesh, state, k_threshold):
+        patched = patch_rebuild(mesh, state, k_threshold)
+        patches.append(patched is not state)
+        return patched
+
+    monkeypatch.setattr(drivers, "_patch_rebuild", recorded)
     mesh = TetMesh.from_arrays(ball_mesh.vertices, ball_mesh.tets)
-    pushed = mesh.vertices.copy()
-    pushed[mesh.boundary_vertices[0]] *= 0.3
+    pushed = _pinned_fold(mesh, 24, 0.7)
     assert mesh.count_folds(pushed) > 0
-    for _ in range(2):
+    for calls in (1, 2):
         assert mesh.count_folds(correct_overlaps(mesh, pushed, 10.0)) == 0
+        assert sum(patches) == calls
     assert len(builds) == 1
     assert not mesh.boundary_rings.data.flags.writeable
+
+
+def test_patch_rebuild_matches_the_full_mesh_solve(monkeypatch, ball_mesh_6k):
+    # the patch rebuild screens, reads and assembles only the tets with a
+    # free corner, on a plan of their vertices; the full mesh's system with
+    # every other vertex fixed has the same free rows, so the two solves
+    # agree up to the rounding of their factorizations
+    from volball import drivers, linsolve
+    mesh = ball_mesh_6k
+    pos = _pinned_fold(mesh, 12, 0.7)
+    state = drivers._Iterate.read(mesh, pos, True)
+    b_ids = mesh.boundary_vertices
+    patch = np.isin(b_ids, mesh.tets[state.volumes <= 0])
+    for _ in range(2):
+        patch |= (mesh.boundary_rings @ patch) > 0
+    free = b_ids[patch]
+    fixed = np.setdiff1d(np.arange(len(pos)), free)
+    reference = drivers._rebuild(mesh, pos, 10.0, fixed, geometry=state.geometry)
+    reference[free] = normalize_rows(reference[free])
+    assembled, assemble = [], linsolve.assemble
+
+    def recorded(plan, values):
+        assembled.append(len(values) // 10)
+        return assemble(plan, values)
+
+    monkeypatch.setattr(linsolve, "assemble", recorded)
+    record = drivers._patch_rebuild(mesh, state, 10.0)
+    patched = record.positions
+    # the record re-reads only the patch's tets, bitwise a full read
+    for part, whole in zip(record.geometry, drivers._read(mesh, patched, True)):
+        assert np.array_equal(part, whole)
+    with_free_corner = np.isin(mesh.tets, free).any(axis=1)
+    assert assembled == [int(with_free_corner.sum())]
+    assert 0 < assembled[0] < len(mesh.tets) / 10
+    assert np.array_equal(patched[fixed], pos[fixed])
+    moved = reference[free] - pos[free]
+    assert np.linalg.norm(moved) > 1e-3
+    assert np.linalg.norm(patched[free] - reference[free]) <= 1e-12 * np.linalg.norm(moved)
 
 
 def test_compute_energies_identity(ball_mesh):
@@ -255,32 +315,42 @@ def _decomposed_rows(monkeypatch):
     return rows
 
 
-def _edited_rows(monkeypatch):
-    """Record the rows each rebuild edits, and check that they are those of a
-    full decomposition of its start: the inverted tets and, with a near-fold
-    ratio, those whose flipped ratio exceeds it."""
-    from volball import drivers
-    edited, expected = [], []
-    rebuild, reconstruct = drivers._rebuild, drivers.reconstruct_map
+def _rebuild_rows(monkeypatch):
+    """Record (screened, edited) per rebuild coefficient call of the
+    drivers, and check that the edited rows are those a full SVD of the
+    same Jacobians edits: the inverted tets and, with a near-fold ratio,
+    those whose flipped, floored ratio exceeds it."""
+    from volball import distortion, drivers
+    records, coefficients = [], drivers.rebuild_coefficients
 
-    def recorded_rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None,
-                         geometry=None):
-        lambdas = dilations(jacobian_per_tet(mesh, pos))
-        lam = drivers._flip_and_floor(lambdas)
-        rows = lambdas[:, 2] <= 0
+    def recorded(J, k_threshold, near_fold_ratio=None, tets=None):
+        rows, coeff = coefficients(J, k_threshold, near_fold_ratio, tets)
+        s = np.linalg.svd(J, compute_uv=False)
+        lambdas = s.copy()
+        lambdas[:, 2] = np.linalg.det(J) / (s[:, 0] * s[:, 1])
+        lam = distortion._flip_and_floor(lambdas)
+        edited = lambdas[:, 2] <= 0
         if near_fold_ratio is not None:
-            rows |= lam[:, 0] / lam[:, 2] > near_fold_ratio
-        expected.append(np.flatnonzero(rows))
-        return rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio, geometry)
+            edited |= lam[:, 0] / lam[:, 2] > near_fold_ratio
+        assert np.array_equal(rows, np.flatnonzero(edited))
+        records.append((len(distortion.fold_candidates(J, near_fold_ratio)), len(rows)))
+        return rows, coeff
 
-    def recorded_reconstruct(mesh, prescribed, *args, tets=None, **kwargs):
-        assert np.array_equal(tets, expected.pop())
-        edited.append(len(tets))
-        return reconstruct(mesh, prescribed, *args, tets=tets, **kwargs)
+    monkeypatch.setattr(drivers, "rebuild_coefficients", recorded)
+    return records
 
-    monkeypatch.setattr(drivers, "_rebuild", recorded_rebuild)
-    monkeypatch.setattr(drivers, "reconstruct_map", recorded_reconstruct)
-    return edited
+
+def _sweeps(monkeypatch):
+    """Record (rows, vectors) of every Jacobi sweep run."""
+    from volball import distortion
+    sweeps, sweep = [], distortion._sym3_eigh
+
+    def recorded(diag, off, vectors, tets=None):
+        sweeps.append((len(diag[0]), vectors))
+        return sweep(diag, off, vectors, tets)
+
+    monkeypatch.setattr(distortion, "_sym3_eigh", recorded)
+    return sweeps
 
 
 def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
@@ -297,10 +367,11 @@ def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
 
     monkeypatch.setattr(drivers, "corner_edges", recorded)
     monkeypatch.setattr(drivers, "jacobian_per_tet", refuse)
-    rows, edited = _decomposed_rows(monkeypatch), _edited_rows(monkeypatch)
+    rows, edits = _decomposed_rows(monkeypatch), _rebuild_rows(monkeypatch)
+    sweeps = _sweeps(monkeypatch)
     # the folded candidate is gathered once, and its read serves the first
-    # rebuild; any later rebuild gathers its own start, and the settled map
-    # is gathered once more
+    # rebuild; each rebuilt map is gathered once, and the last of those
+    # reads, of the map the correction returns, is the settled record's
     settled, pre = drivers._settle(ball_mesh, cand, SolverConfig(),
                                    normalize_rows(cand[ball_mesh.boundary_vertices]),
                                    near_fold_ratio=drivers.NEAR_FOLD_RATIO, tracked=True)
@@ -308,19 +379,25 @@ def test_settle_decomposes_each_iterate_once(monkeypatch, ball_mesh):
     assert len(seen) >= 2
     assert len(seen) == len(set(seen))
     assert seen[0] == cand.tobytes()
-    # the record's triples are the last read, that of its own positions
     assert seen[-1] == settled.positions.tobytes()
     assert np.array_equal(settled.lambdas,
                           dilations(jacobian_per_tet(ball_mesh, settled.positions)))
-    # the record holds the Jacobians of its positions and their Gram entries
-    # and no frames; only screened tets get them, a superset of the edited ones
+    # the record holds the Jacobians of its positions, their Gram entries
+    # and gradients, and no frames
     jacobians = jacobian_per_tet(ball_mesh, settled.positions)
     assert np.array_equal(settled.jacobians, jacobians)
+    assert np.array_equal(settled.gradients,
+                          tet_gradients(settled.positions, ball_mesh.tets)[1])
     diag, off = distortion._gram(jacobians)
     assert all(np.array_equal(x, y) for x, y in zip(settled.gram[0], diag))
     assert all(np.array_equal(settled.gram[1][key], off[key]) for key in off)
     assert not hasattr(settled, "frames")
-    assert 0 < sum(edited) <= sum(rows) < len(ball_mesh.tets) * len(edited)
+    # each rebuild edits some of the tets that pass its screen, from their
+    # closed-form triples: no tet is framed and no Jacobi sweep has vectors
+    assert rows == []
+    assert all(not vectors for _, vectors in sweeps)
+    assert edits and all(0 < edited <= screened < len(ball_mesh.tets)
+                         for screened, edited in edits)
 
 
 def test_settle_passes_strained_fold_free_candidate(monkeypatch, ball_mesh):
@@ -369,8 +446,8 @@ def test_settle_counts_folds_once_without_correction(monkeypatch, ball_mesh):
     assert (pre, settled.folds, calls) == (0, 0, ["corner_edges"])
     assert settled.gradients is None
     # a mirrored candidate folds everywhere: without correction nothing is
-    # read again; a correction that ran gets the candidate's read and its
-    # result is read once, with the run's gradients
+    # read again; a correction that ran gets the candidate's record and
+    # leaves its result and that result's one read, with gradients, in it
     m = len(ball_mesh.tets)
     mirrored = ball_mesh.vertices * np.array([-1.0, 1.0, 1.0])
     calls.clear()
@@ -379,8 +456,11 @@ def test_settle_counts_folds_once_without_correction(monkeypatch, ball_mesh):
     geometries = []
 
     def corrected(mesh, cand, *args, geometry=None, **kwargs):
-        geometries.append(geometry)
-        return mesh.vertices.copy()
+        geometries.append(geometry.geometry)
+        fixed = drivers._Iterate.read(mesh, mesh.vertices.copy(), True)
+        geometry.positions = fixed.positions
+        geometry.volumes, geometry.gradients, geometry.jacobians = fixed.geometry
+        return fixed.positions
 
     monkeypatch.setattr(drivers, "correct_overlaps", corrected)
     calls.clear()
@@ -852,40 +932,61 @@ def test_3ddem_iteration_without_correction_decomposes_nothing(monkeypatch, ball
     assert rows == []
 
 
-def test_3ddem_correction_decomposes_only_screened_tets(monkeypatch, ball_mesh):
-    # folds fire the correction; each rebuild decomposes the tets that pass
-    # its screen, once, and edits those whose triples it flips or truncates
-    from volball import drivers
-    screen, screened = drivers.fold_candidates, []
+def test_3ddem_correction_decomposes_only_screened_tets(monkeypatch, ball_mesh_6k):
+    # folds fire the correction; each rebuild takes the closed-form roots of
+    # the tets that pass its screen, once, frames none of them, and edits
+    # those whose triples it flips or truncates; a boundary-patch rebuild
+    # screens only the tets with a free corner
+    from volball import distortion
+    mesh, m = ball_mesh_6k, len(ball_mesh_6k.tets)
+    screen, roots = distortion.fold_candidates, distortion._smith_roots
+    screened, rooted = [], []
 
-    def recorded(J, ratio=None):
-        rows = screen(J, ratio)
-        screened.append(len(rows))
+    def recorded_screen(J, ratio=None, tets=None):
+        rows = screen(J, ratio, tets)
+        screened.append((len(J), len(rows)))
         return rows
 
-    monkeypatch.setattr(drivers, "fold_candidates", recorded)
-    pop = hemispheric_population(ball_mesh, 4.0)
-    rows, edited = _decomposed_rows(monkeypatch), _edited_rows(monkeypatch)
-    result = run_3ddem(ball_mesh, pop, SolverConfig(n_max=3))
+    def recorded_roots(diag, off):
+        rooted.append(len(diag[0]))
+        return roots(diag, off)
+
+    pop = hemispheric_population(mesh, 4.0)
+    ball = initial_ball(mesh, SolverConfig(), "3ddem")
+    rows, edits = _decomposed_rows(monkeypatch), _rebuild_rows(monkeypatch)
+    sweeps = _sweeps(monkeypatch)
+    monkeypatch.setattr(distortion, "fold_candidates", recorded_screen)
+    monkeypatch.setattr(distortion, "_smith_roots", recorded_roots)
+    result = run_3ddem(mesh, pop, SolverConfig(n_max=6), init_positions=ball)
     assert any(it["folds_pre"] for it in result.report.iterations)
-    assert len(edited) > 0 and all(edited)
-    assert rows == screened
-    assert all(e <= r for e, r in zip(edited, rows))
+    assert rows == []
+    assert all(not vectors for _, vectors in sweeps)
+    # every roots call on fewer than all tets is a rebuild's, on its
+    # screened rows (the recording rebuild screens each stack twice)
+    rebuilds = screened[::2]
+    assert screened[1::2] == rebuilds
+    assert [n for n in rooted if n < m] == [k for _, k in rebuilds]
+    assert [k for k, _ in edits] == [k for _, k in rebuilds]
+    assert all(0 < e <= k for k, e in edits)
+    patches = [n for n, _ in rebuilds if n < m]
+    assert patches and all(n < m / 10 for n in patches)
 
 
-def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh):
-    # each rebuild sends the Jacobi solver only the rows that pass its
-    # screen, in one sweep with frames; every full-mesh eigenvalue call is a
-    # settle read, whose only Jacobi sweep is its fallback's few rows, without
-    # frames; and no position set is gathered twice for its gradients or
-    # Jacobians: by a settle read, a rebuild or a solve
-    from volball import distortion, drivers
-    events, reads = [], []
-    screen, sweep = drivers.fold_candidates, distortion._sym3_eigh
-    roots = distortion._smith_roots
+def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh_6k):
+    # each rebuild takes closed-form roots of the rows that pass its screen
+    # and runs no Jacobi sweep; every full-mesh eigenvalue call is a settle
+    # read, whose only Jacobi sweep is its fallback's few rows, without
+    # frames; no position set is gathered twice, by a settle read, a
+    # rebuild, a solve or a fold count; and no boundary is tested for flips
+    # twice
+    from volball import distortion, drivers, tetmesh
+    mesh, m = ball_mesh_6k, len(ball_mesh_6k.tets)
+    events, reads, flip_tests = [], [], []
+    screen, sweep = distortion.fold_candidates, distortion._sym3_eigh
+    roots, flips = distortion._smith_roots, drivers.spherical_flips
 
-    def screened(J, ratio=None):
-        rows = screen(J, ratio)
+    def screened(J, ratio=None, tets=None):
+        rows = screen(J, ratio, tets)
         events.append(("screen", len(rows)))
         return rows
 
@@ -905,23 +1006,28 @@ def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh
         reads.append(np.asarray(positions).tobytes())
         return tet_gradients(positions, tets, tet_ids)
 
-    monkeypatch.setattr(drivers, "fold_candidates", screened)
+    def tested(points, faces):
+        flip_tests.append(np.asarray(points).tobytes())
+        return flips(points, faces)
+
+    pop = hemispheric_population(mesh, 4.0)
+    ball = initial_ball(mesh, SolverConfig(), "3ddem")
+    monkeypatch.setattr(distortion, "fold_candidates", screened)
     monkeypatch.setattr(distortion, "_sym3_eigh", swept)
     monkeypatch.setattr(distortion, "_smith_roots", solved)
-    for module in (distortion, drivers):
+    for module in (distortion, drivers, tetmesh):
         monkeypatch.setattr(module, "corner_edges", read)
     monkeypatch.setattr(distortion, "tet_gradients", read_gradients)
-    pop = hemispheric_population(ball_mesh, 4.0)
-    result = run_3ddem(ball_mesh, pop, SolverConfig(n_max=3))
+    monkeypatch.setattr(drivers, "spherical_flips", tested)
+    result = run_3ddem(mesh, pop, SolverConfig(n_max=6), init_positions=ball)
     assert any(it["folds_pre"] for it in result.report.iterations)
-    m = len(ball_mesh.tets)
     rebuilds, full = 0, 0
     while events:
         event = events.pop(0)
         if event[0] == "screen":
             rebuilds += 1
-            _, rows, vectors = events.pop(0)
-            assert rows == event[1] < m and vectors
+            assert events.pop(0) == ("roots", event[1])
+            assert event[1] < m
         else:
             assert event == ("roots", m)
             full += 1
@@ -932,6 +1038,7 @@ def test_3ddem_correction_screens_and_reads_each_map_once(monkeypatch, ball_mesh
     # the initial ball and each iterate are read once each
     assert full == 1 + len(result.report.iterations)
     assert len(reads) == len(set(reads))
+    assert 0 < len(flip_tests) == len(set(flip_tests))
 
 
 def test_3dqc_iterate_decomposes_once(monkeypatch):
