@@ -230,11 +230,11 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
     def flips(p):
         return int(spherical_flips(normalize_rows(p[b_ids]), b_faces).sum())
 
-    def rebuilt(state, k_cap):
-        # the interior rebuild from a record, renormalised and read
-        p = _rebuild(mesh, state.positions, k_cap, b_ids, near_fold_ratio, state.geometry)
+    def rebuilt(record, k_cap):
+        # the interior rebuild from a record, renormalised
+        p = _rebuild(mesh, record.positions, k_cap, b_ids, near_fold_ratio, record.geometry)
         p[b_ids] = normalize_rows(p[b_ids])
-        return _Iterate.read(mesh, p, True)
+        return p
 
     flipped = flips(state.positions)
     best_score = state.folds + flipped
@@ -255,12 +255,16 @@ def correct_overlaps(mesh: TetMesh, positions: np.ndarray, k_threshold: float = 
                 p = state.positions.copy()
                 p[b_ids] = sphere
                 state, flipped = _Iterate.read(mesh, p, True), 0
-        state = rebuilt(state, k_cap)
+        p = rebuilt(state, k_cap)
+        del state  # a superseded read is not held through the next one
+        state = _Iterate.read(mesh, p, True)
         if state.folds:
             patched = _patch_rebuild(mesh, state, k_cap)
-            if patched is not state:
-                flipped = flips(patched.positions)
-            state = rebuilt(patched, k_cap)
+            if patched is not None:
+                state, flipped = patched, flips(patched.positions)
+            p = rebuilt(state, k_cap)
+            del state, patched
+            state = _Iterate.read(mesh, p, True)
         current = state.folds + flipped
         if current == 0:
             if geometry is not None:
@@ -283,10 +287,10 @@ def _rebuild(mesh, pos, k_threshold, fixed_ids, near_fold_ratio=None, geometry=N
                            geometry=None if gradients is None else (volumes, gradients))
 
 
-def _patch_rebuild(mesh, state, k_threshold) -> "_Iterate":
+def _patch_rebuild(mesh, state, k_threshold) -> "_Iterate | None":
     """The record ``state`` with the boundary patch pinning its folded tets
     rebuilt, the rest of the map fixed, and projected back to unit norm;
-    ``state`` itself when there is no patch to free.
+    None when there is no patch to free.
 
     The patch is the folded tets' boundary corners grown by two boundary
     rings: only those vertices, not the whole sphere, are released (freeing
@@ -303,7 +307,7 @@ def _patch_rebuild(mesh, state, k_threshold) -> "_Iterate":
     pinned[mesh.tets[state.volumes <= 0]] = True
     patch = pinned[b_ids]
     if not patch.any():
-        return state
+        return None
     for _ in range(2):
         patch |= (mesh.boundary_rings @ patch) > 0
     free = np.zeros(len(mesh.vertices), dtype=bool)
@@ -311,7 +315,7 @@ def _patch_rebuild(mesh, state, k_threshold) -> "_Iterate":
     if free.all():
         # every vertex lies in the patch (an all-boundary solid such as
         # lcube_mesh(2)): nothing would anchor the rebuild
-        return state
+        return None
     corner_free = free[mesh.tets]
     tets = np.flatnonzero(corner_free[:, 0] | corner_free[:, 1] | corner_free[:, 2]
                           | corner_free[:, 3])

@@ -178,7 +178,7 @@ def test_correct_overlaps_builds_the_boundary_rings_once(monkeypatch, ball_mesh)
 
     def recorded(mesh, state, k_threshold):
         patched = patch_rebuild(mesh, state, k_threshold)
-        patches.append(patched is not state)
+        patches.append(patched is not None)
         return patched
 
     monkeypatch.setattr(drivers, "_patch_rebuild", recorded)
