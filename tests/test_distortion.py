@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from volball import distortion
@@ -640,6 +640,8 @@ def test_rebuild_coefficients_match_frame_form(kind, log_k, mid, log_gap, k_thre
         log_k, inverted = 3.01 + 0.4 * log_k, False
     elif kind == "folded":
         inverted = True
+    # a ratio within rounding of the near-fold ratio may be edited or not
+    assume(inverted or abs(log_k - 3.0) > 1e-9)
     K, gap = 10.0 ** log_k, 10.0 ** log_gap
     spectrum = {"folded": (K, K ** mid, 1.0), "near-fold": (K, K ** mid, 1.0),
                 "needle": (K, 1.0 + gap, 1.0), "flat": (K, K * (1.0 - gap), 1.0)}[kind]
